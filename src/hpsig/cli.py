@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from hashlib import sha256
@@ -137,13 +138,13 @@ def cmd_sgn(args, tol: Tolerances) -> tuple[dict, int]:
     data = signature.signature_report(c, tol, schedule)
     checks = [{"name": "localization_schedule", "passed": schedule.passed,
                "constant": schedule.constant}]
-    if c.n % 2 == 0:
-        sig = signature.signature_even(c, tol)
-        checks.append({"name": "signature_even", "passed": True, "value": sig})
+    if data["kind"] == "even":
+        checks.append({"name": "signature_even", "passed": True,
+                       "value": data["signature"]})
     else:
-        rep = signature.odd_index_representative(c, tol)
-        checks.append({"name": "odd_certificate", "passed": rep.passed,
-                       "min_singular": rep.certificate.min_singular})
+        # odd_index_representative raises unless its certificate passed
+        checks.append({"name": "odd_certificate", "passed": True,
+                       "min_singular": data["minSingular"][0]})
     report = _report("sgn", {args.path: _digest(args.path)}, tol, args.seed,
                      checks, data)
     return report, EXIT_PASS if report["outcome"] == "pass" else EXIT_CHECK_FAILURE
@@ -184,13 +185,13 @@ def cmd_rho(args, tol: Tolerances) -> tuple[dict, int]:
                    "failed_at": path.failed_at})
     if path.passed:
         if he.n % 2 == 0:
-            cert = rho.rho_certificate_even(he, samples=args.samples_cert, tol=tol)
+            cert = rho.rho_certificate_even(he, path, samples=args.samples_cert, tol=tol)
             checks.append({"name": "projection_ranks_constant", "passed": cert.passed})
             data["theta"] = {"ranks_plus": list(cert.ranks_plus),
                              "ranks_minus": list(cert.ranks_minus),
                              "constant": cert.constant, "equal": cert.equal}
         else:
-            cert = rho.rho_certificate_odd(he, samples=args.samples_cert, tol=tol)
+            cert = rho.rho_certificate_odd(he, path, samples=args.samples_cert, tol=tol)
             checks.append({"name": "odd_family_invertible", "passed": cert.passed})
             data["odd_family"] = {"min_singulars_min": min(cert.min_singulars),
                                   "failed_at": cert.failed_at}
@@ -343,12 +344,22 @@ def render_report(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=1) + "\n"
 
 
+def _check_domains(args) -> None:
+    """Tolerances must be finite and positive, counts nonnegative."""
+    for flag, value in (("--tol-sym", args.tol_sym), ("--tol-inv", args.tol_inv)):
+        if not (math.isfinite(value) and value > 0):
+            raise DomainError(f"{flag} must be finite and > 0, got {value}")
+    if getattr(args, "instances", 0) < 0:
+        raise DomainError(f"--instances must be >= 0, got {args.instances}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    tol = Tolerances(sym=args.tol_sym, inv=args.tol_inv)
     started = time.monotonic()
     try:
+        _check_domains(args)
+        tol = Tolerances(sym=args.tol_sym, inv=args.tol_inv)
         report, code = args.fn(args, tol)
     except (StructuralError, DomainError, DualityDegenerateError) as exc:
         print(f"error: {exc}", file=sys.stderr)

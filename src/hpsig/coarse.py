@@ -8,11 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
 
 import numpy as np
 
-from .hpc_core import DomainError, StructuralError, decode_matrix, encode_matrix
+from .hpc_core import DomainError, StructuralError
 from .spectral import operator_norm
 
 
@@ -209,10 +208,6 @@ class LocalizationPath:
             out.append(running)
         return tuple(reversed(out))
 
-    @property
-    def norm_bound(self) -> float:
-        return max(op.norm for op in self.operators)
-
 
 def evaluation(path: LocalizationPath, tau: float | None = None
                ) -> tuple[SupportedOperator, bool]:
@@ -287,33 +282,3 @@ def almost_projection_product(f_path: LocalizationPath, g_path: LocalizationPath
                        and at_one <= 1e-10 * max(1.0, value_1.norm)),
     }
     return path, report
-
-
-# ---------------------------------------------------------------------------
-# JSON
-
-
-def space_to_json(x: FiniteMetricSpace) -> dict:
-    doc = {"points": x.size, "dist": [[float(v) for v in row] for row in x.dist]}
-    if x.pi is not None:
-        doc["pi"] = list(x.pi)
-        doc["base"] = space_to_json(x.base)
-    return doc
-
-
-def space_from_json(doc: Mapping) -> FiniteMetricSpace:
-    dist = np.asarray(doc["dist"], dtype=float)
-    base = space_from_json(doc["base"]) if "base" in doc else None
-    pi = tuple(doc["pi"]) if "pi" in doc else None
-    return FiniteMetricSpace(dist, base=base, pi=pi)
-
-
-def operator_to_json(op: SupportedOperator) -> dict:
-    return {"space": space_to_json(op.space), "matrix": encode_matrix(op.matrix),
-            "tau_supp": op.tau_supp}
-
-
-def operator_from_json(doc: Mapping) -> SupportedOperator:
-    space = space_from_json(doc["space"])
-    matrix = decode_matrix(doc["matrix"], (space.size, space.size))
-    return SupportedOperator(space, matrix, doc.get("tau_supp"))

@@ -17,13 +17,13 @@ import numpy as np
 
 from . import spectral
 from .hpc_core import (DEFAULT_TOL, DomainError, DualityDegenerateError,
-                       HPComplex, StructuralError, Tolerances, decode_matrix,
-                       encode_matrix, hpcomplex_from_json, hpcomplex_to_json,
-                       validate)
+                       GradedSpace, HPComplex, StructuralError, Tolerances,
+                       decode_matrix, encode_matrix, hpcomplex_from_json,
+                       hpcomplex_to_json)
 from .products import derive_sign_rule, graded_tensor, _tensor_layout
 from .signature import signature_even
 from .simplicial import (SimplicialManifold, cap_duality, duality_phase,
-                         harmonic_reduction, load_simplicial)
+                         harmonic_reduction, load_simplicial, symmetrized_duality)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,7 +154,6 @@ def total_complex(fc: FiberedComplex, tol: Tolerances = DEFAULT_TOL) -> HPComple
                 g[o:o + blk.shape[0], o:o + blk.shape[1]] = blk
             inner.append(g)
         inner = tuple(inner)
-    from .hpc_core import GradedSpace
     space = GradedSpace(total, tuple(dims), inner)
 
     def psi_block(i: int, j: int, q: int) -> np.ndarray:
@@ -212,30 +211,7 @@ def total_complex(fc: FiberedComplex, tol: Tolerances = DEFAULT_TOL) -> HPComple
                 T[r:r + fdim[n - q], c:c + fdim[q]] += piece
 
     skeleton = HPComplex(space, tuple(ds), None, "weak")
-    S = (T + skeleton.adjoint(T)) / 2.0
-    D = skeleton.D
-    construction = "symmetrized-cap"
-    cert_p = spectral.invertibility_certificate(skeleton.to_orthonormal(D + S), tol.inv)
-    cert_m = spectral.invertibility_certificate(skeleton.to_orthonormal(D - S), tol.inv)
-    if not (cert_p.passed and cert_m.passed):
-        construction = "harmonic-fallback"
-        d_on = skeleton.D_on
-        delta = d_on @ d_on
-        es = spectral.eig_hermitian(delta, tol.sym)
-        scale = max(1.0, float(np.abs(es.eigenvalues).max()) if es.eigenvalues.size else 1.0)
-        kernel = es.vectors[:, np.abs(es.eigenvalues) <= tol.inv * scale]
-        proj = kernel @ kernel.conj().T
-        s_on = skeleton.to_orthonormal(S)
-        s_on = proj @ s_on @ proj
-        s_on = (s_on + s_on.conj().T) / 2.0
-        S = (space.g_half_inv @ s_on @ space.g_half
-             if space.has_weights else s_on)
-        cert_p = spectral.invertibility_certificate(d_on + s_on, tol.inv)
-        cert_m = spectral.invertibility_certificate(d_on - s_on, tol.inv)
-        if not (cert_p.passed and cert_m.passed):
-            raise DualityDegenerateError(
-                "twisted total duality degenerate (min singulars "
-                f"{cert_p.min_singular:.3e}, {cert_m.min_singular:.3e})")
+    S, construction = symmetrized_duality(skeleton, T, tol)
     return HPComplex(space, tuple(ds), S, "weak",
                      {"twist": "nontrivial", "duality": construction})
 
@@ -342,7 +318,6 @@ def family_signature_section(fc: FiberedComplex,
             sl = fsp.degree_slice(p)
             g_conj.append(psi_inv[sl, sl].conj().T @ fsp.g_block(p) @ psi_inv[sl, sl])
         s_conj = psi @ np.asarray(fiber.S) @ psi_inv
-        from .hpc_core import GradedSpace
         conj = HPComplex(GradedSpace(fiber.n, fsp.dims, tuple(g_conj)),
                          tuple(dsv), s_conj, "weak")
         try:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hpc_core import (GradedSpace, HPComplex, encode_matrix,
+from .hpc_core import (GradedSpace, HPComplex, direct_sum, encode_matrix,
                        hpcomplex_to_json, reverse_orientation)
 from .rho import HomotopyEquivalence, he_to_json, identity_equivalence
 from .simplicial import (SimplicialManifold, cap_duality, harmonic_reduction,
@@ -173,8 +173,6 @@ def random_strict_complex(rng: np.random.Generator, n: int,
     Conjugation preserves every strict identity, so these are genuine strict
     fixtures with nonzero differentials and scrambled matrix entries.
     """
-    from .hpc_core import direct_sum
-
     primitives = {
         1: (hyperbolic_odd, circle_model),
         2: (hyperbolic_even, sphere_model, torus_model),

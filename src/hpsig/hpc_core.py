@@ -516,7 +516,13 @@ def encode_matrix(a: np.ndarray) -> list:
 
 
 def decode_matrix(rows: Sequence, shape: tuple[int, int] | None = None) -> np.ndarray:
-    out = np.array([[complex(e[0], e[1]) for e in row] for row in rows], dtype=complex)
+    try:
+        out = np.array([[complex(e[0], e[1]) for e in row] for row in rows], dtype=complex)
+    except (TypeError, LookupError, ValueError, OverflowError) as exc:
+        raise StructuralError(f"malformed matrix: entries must be [re, im] pairs ({exc})"
+                              ) from exc
+    if not np.isfinite(out).all():
+        raise StructuralError("malformed matrix: entries must be finite")
     if out.size == 0 and shape is not None:
         out = out.reshape(shape)
     return out

@@ -309,6 +309,16 @@ def _sum_complex(he: HomotopyEquivalence) -> HPComplex:
     return direct_sum(he.source, reverse_orientation(he.target))
 
 
+def _require_passed(path: RhoPath, samples: int) -> None:
+    """The certificates continue a duality path that passed."""
+    if samples < 7:
+        raise DomainError("need at least 7 samples across the six branches")
+    if not path.passed:
+        raise DualityDegenerateError(
+            f"duality path fails at t*={path.failed_at}: the map does not "
+            "implement the duality")
+
+
 def _even_indices_path(pd: _PathData, he: HomotopyEquivalence) -> np.ndarray:
     ev_s = he.source.even_indices
     ev_t = he.target.even_indices
@@ -338,16 +348,13 @@ class OddRhoCertificate:
         }
 
 
-def rho_certificate_odd(he: HomotopyEquivalence, samples: int = 121,
+def rho_certificate_odd(he: HomotopyEquivalence, path: RhoPath, samples: int = 121,
                         t_max: float = 10.0, schedule_samples: int = 10,
                         tol: Tolerances = DEFAULT_TOL) -> OddRhoCertificate:
+    """Odd-degree certificate continuing path, the computed rho_path of he."""
     if he.n % 2 != 1:
         raise DomainError("odd certificate needs odd top degree")
-    path = rho_path(he, samples=samples, tol=tol)
-    if not path.passed:
-        raise DualityDegenerateError(
-            f"duality path fails at t*={path.failed_at}: the map does not "
-            "implement the duality")
+    _require_passed(path, samples)
     pd = _PathData(he)
     ev = _even_indices_path(pd, he)
     s_diag = pd.diag_duality()
@@ -399,16 +406,13 @@ class ThetaPair:
         }
 
 
-def rho_certificate_even(he: HomotopyEquivalence, samples: int = 121,
+def rho_certificate_even(he: HomotopyEquivalence, path: RhoPath, samples: int = 121,
                          t_max: float = 10.0, schedule_samples: int = 10,
                          tol: Tolerances = DEFAULT_TOL) -> ThetaPair:
+    """Even-degree certificate continuing path, the computed rho_path of he."""
     if he.n % 2 != 0:
         raise DomainError("even certificate needs even top degree")
-    path = rho_path(he, samples=samples, tol=tol)
-    if not path.passed:
-        raise DualityDegenerateError(
-            f"duality path fails at t*={path.failed_at}: the map does not "
-            "implement the duality")
+    _require_passed(path, samples)
     pd = _PathData(he)
     s_diag = pd.diag_duality()
     theta_plus = spectral.positive_projection(pd.D + s_diag, tol.inv, tol.sym)

@@ -13,7 +13,8 @@ from . import spectral
 from .hpc_core import (DEFAULT_TOL, DomainError, DualityDegenerateError,
                        HPComplex, StructuralError, Tolerances,
                        rescale_inner_products, validate)
-from .spectral import InvertibilityCertificate, NoSpectralGapError
+from .spectral import (HermitianEigensystem, InvertibilityCertificate,
+                       NoSpectralGapError)
 
 
 def _require_valid(c: HPComplex, tol: Tolerances) -> None:
@@ -27,13 +28,19 @@ def _require_valid(c: HPComplex, tol: Tolerances) -> None:
         raise StructuralError(f"complex fails axiom checks: {bad}")
 
 
-def _ranks(c: HPComplex, tol: Tolerances) -> tuple[int, int]:
+def _eigensystems(c: HPComplex, tol: Tolerances
+                  ) -> tuple[HermitianEigensystem, HermitianEigensystem]:
+    """One gap-checked eigensystem each of D+S and D-S."""
     try:
-        rp = spectral.positive_rank(c.b_plus_on(), tol.inv, tol.sym)
-        rm = spectral.positive_rank(c.b_minus_on(), tol.inv, tol.sym)
+        return (spectral.eig_hermitian(c.b_plus_on(), tol.sym).require_gap(tol.inv, "D+S"),
+                spectral.eig_hermitian(c.b_minus_on(), tol.sym).require_gap(tol.inv, "D-S"))
     except NoSpectralGapError as exc:
         raise DualityDegenerateError(str(exc)) from exc
-    return rp, rm
+
+
+def _ranks(c: HPComplex, tol: Tolerances) -> tuple[int, int]:
+    ep, em = _eigensystems(c, tol)
+    return ep.positive_rank(), em.positive_rank()
 
 
 def signature_even(c: HPComplex, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -92,7 +99,6 @@ class LocalizationSchedule:
 
     kind: str                       # "even" | "odd"
     times: tuple[float, ...]
-    factors: tuple[float, ...]
     signatures: tuple[int, ...] | None
     ranks: tuple[tuple[int, int], ...] | None
     min_singulars: tuple[float, ...]
@@ -105,7 +111,7 @@ class LocalizationSchedule:
         return {
             "kind": self.kind,
             "times": list(self.times),
-            "factors": list(self.factors),
+            "factors": list(self.times),   # scale factor t at time t
             "signatures": list(self.signatures) if self.signatures is not None else None,
             "ranks": [list(r) for r in self.ranks] if self.ranks is not None else None,
             "min_singulars": list(self.min_singulars),
@@ -132,12 +138,11 @@ def localized_signature_path(c: HPComplex, t_max: float = 10.0, samples: int = 1
         ct = rescale_inner_products(c, float(t))
         try:
             if even:
-                rp, rm = _ranks(ct, tol)
+                ep, em = _eigensystems(ct, tol)
+                rp, rm = ep.positive_rank(), em.positive_rank()
                 ranks.append((rp, rm))
                 sigs.append(rp - rm)
-                pp = spectral.positive_projection(ct.b_plus_on(), tol.inv, tol.sym)
-                pm = spectral.positive_projection(ct.b_minus_on(), tol.inv, tol.sym)
-                reps.append(pp - pm)
+                reps.append(ep.positive_projection() - em.positive_projection())
                 min_sv.append(min(
                     spectral.invertibility_certificate(ct.b_plus_on(), tol.inv).min_singular,
                     spectral.invertibility_certificate(ct.b_minus_on(), tol.inv).min_singular))
@@ -155,7 +160,6 @@ def localized_signature_path(c: HPComplex, t_max: float = 10.0, samples: int = 1
     passed = constant and all(sv > 0 for sv in min_sv)
     return LocalizationSchedule(
         "even" if even else "odd",
-        tuple(float(t) for t in times),
         tuple(float(t) for t in times),
         tuple(sigs) if even else None,
         tuple(ranks) if even else None,

@@ -347,6 +347,41 @@ def _cap_operator(sm: SimplicialManifold) -> np.ndarray:
     return T
 
 
+def symmetrized_duality(skeleton: HPComplex, T: np.ndarray, tol: Tolerances,
+                        harmonic: bool = False) -> tuple[np.ndarray, str]:
+    """Duality (T + T*)/2 for the differential of skeleton, and its name.
+
+    Should D+-S fail invertibility (or with harmonic=True), S is compressed
+    onto the harmonic subspace ker(D^2), where the cap action is the homology
+    pairing, and extended by zero.  Raises DualityDegenerateError when that
+    fails too: the cap operator does not induce a homology isomorphism.
+    """
+    S = (T + skeleton.adjoint(T)) / 2.0
+    if not harmonic:
+        D = skeleton.D
+        cert_p = spectral.invertibility_certificate(skeleton.to_orthonormal(D + S), tol.inv)
+        cert_m = spectral.invertibility_certificate(skeleton.to_orthonormal(D - S), tol.inv)
+        if cert_p.passed and cert_m.passed:
+            return S, "symmetrized-cap"
+    d_on = skeleton.D_on
+    es = spectral.eig_hermitian(d_on @ d_on, tol.sym)
+    scale = max(1.0, float(np.abs(es.eigenvalues).max()) if es.eigenvalues.size else 1.0)
+    kernel = es.vectors[:, np.abs(es.eigenvalues) <= tol.inv * scale]
+    proj = kernel @ kernel.conj().T
+    s_on = proj @ skeleton.to_orthonormal(S) @ proj
+    s_on = (s_on + s_on.conj().T) / 2.0
+    cert_p = spectral.invertibility_certificate(d_on + s_on, tol.inv)
+    cert_m = spectral.invertibility_certificate(d_on - s_on, tol.inv)
+    if not (cert_p.passed and cert_m.passed):
+        raise DualityDegenerateError(
+            "duality degenerate: cap product does not induce a homology "
+            "isomorphism (symmetrized and harmonic constructions both fail; "
+            f"min singulars {cert_p.min_singular:.3e}, {cert_m.min_singular:.3e})")
+    sp = skeleton.space
+    S = sp.g_half_inv @ s_on @ sp.g_half if sp.has_weights else s_on
+    return S, "harmonic-fallback"
+
+
 def cap_duality(sm: SimplicialManifold, tol: Tolerances = DEFAULT_TOL,
                 construction: str = "auto") -> HPComplex:
     """Cochain complex with the symmetrized, phase-normalized cap duality.
@@ -367,29 +402,8 @@ def cap_duality(sm: SimplicialManifold, tol: Tolerances = DEFAULT_TOL,
     T = _cap_operator(sm)
     for p in range(sm.n + 1):
         T[:, off[p]:off[p + 1]] *= duality_phase(p, sm.n)
-    S = (T + T.conj().T) / 2.0
-
-    used = "symmetrized-cap"
+    S, used = symmetrized_duality(c, T, tol, harmonic=construction == "harmonic")
     D = c.D
-    cert_p = spectral.invertibility_certificate(D + S, tol.inv)
-    cert_m = spectral.invertibility_certificate(D - S, tol.inv)
-    direct_ok = cert_p.passed and cert_m.passed
-    if construction == "harmonic" or not direct_ok:
-        used = "harmonic-fallback"
-        delta = D @ D
-        es = spectral.eig_hermitian(delta, tol.sym)
-        scale = max(1.0, float(np.abs(es.eigenvalues).max()) if es.eigenvalues.size else 1.0)
-        kernel = es.vectors[:, np.abs(es.eigenvalues) <= tol.inv * scale]
-        proj = kernel @ kernel.conj().T
-        S = proj @ S @ proj
-        S = (S + S.conj().T) / 2.0
-        cert_p = spectral.invertibility_certificate(D + S, tol.inv)
-        cert_m = spectral.invertibility_certificate(D - S, tol.inv)
-        if not (cert_p.passed and cert_m.passed):
-            raise DualityDegenerateError(
-                "duality degenerate: cap product does not induce a homology "
-                "isomorphism (symmetrized and harmonic constructions both fail; "
-                f"min singulars {cert_p.min_singular:.3e}, {cert_m.min_singular:.3e})")
 
     # the point and other rigid cases can land on the strict tier
     eye = np.eye(c.total_dim)

@@ -34,16 +34,34 @@ def operator_norm(a) -> float:
 
 @dataclass(frozen=True)
 class HermitianEigensystem:
-    """Eigenvalues ascending, orthonormal eigenvectors, reconstruction residual."""
+    """Eigenvalues ascending and orthonormal eigenvectors."""
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    residual: float
 
     def apply(self, fn) -> np.ndarray:
         """V f(L) V* for a scalar function fn applied to the eigenvalues."""
         vals = np.asarray([fn(x) for x in self.eigenvalues], dtype=complex)
         return (self.vectors * vals) @ self.vectors.conj().T
+
+    def require_gap(self, gap_tol: float, what: str) -> HermitianEigensystem:
+        """self, once min |eigenvalue| clears gap_tol * max |eigenvalue|;
+        raises NoSpectralGapError otherwise."""
+        if self.eigenvalues.size == 0:
+            return self
+        scale = max(float(np.abs(self.eigenvalues).max()), 1e-300)
+        gap = float(np.abs(self.eigenvalues).min())
+        if gap <= gap_tol * scale:
+            raise NoSpectralGapError(
+                f"no spectral gap for {what}: min |eigenvalue| {gap:.3e} "
+                f"<= {gap_tol:.1e} * {scale:.3e}")
+        return self
+
+    def positive_rank(self) -> int:
+        return int((self.eigenvalues > 0).sum())
+
+    def positive_projection(self) -> np.ndarray:
+        return self.apply(lambda x: 1.0 if x.real > 0 else 0.0)
 
 
 def eig_hermitian(a, tol_sym: float = 1e-10) -> HermitianEigensystem:
@@ -51,16 +69,16 @@ def eig_hermitian(a, tol_sym: float = 1e-10) -> HermitianEigensystem:
 
     Ordering is ascending by eigenvalue; each eigenvector is phase-normalized
     so its first non-negligible component is positive real.  Raises
-    ``ValueError`` on non-Hermitian input (relative residual above tol_sym).
+    ``ValueError`` on non-Hermitian input: ||A - A*|| in the Frobenius norm
+    (an upper bound on the 2-norm) above tol_sym * max(max |eigenvalue|, 1).
     """
     m = _as_matrix(a)
     if m.size == 0:
-        return HermitianEigensystem(np.zeros(0), np.zeros((0, 0), dtype=complex), 0.0)
-    scale = operator_norm(m)
-    herm_resid = operator_norm(m - m.conj().T)
-    if herm_resid > tol_sym * max(scale, 1.0):
-        raise ValueError(f"matrix is not Hermitian: residual {herm_resid:.3e}")
+        return HermitianEigensystem(np.zeros(0), np.zeros((0, 0), dtype=complex))
     vals, vecs = np.linalg.eigh(m)
+    herm_resid = float(np.linalg.norm(m - m.conj().T))
+    if herm_resid > tol_sym * max(float(np.abs(vals).max()), 1.0):
+        raise ValueError(f"matrix is not Hermitian: residual {herm_resid:.3e}")
     vecs = vecs.copy()
     for j in range(vecs.shape[1]):
         col = vecs[:, j]
@@ -69,43 +87,18 @@ def eig_hermitian(a, tol_sym: float = 1e-10) -> HermitianEigensystem:
             pivot = col[nz[0]]
             phase = pivot / abs(pivot)
             vecs[:, j] = col / phase
-    recon = (vecs * vals) @ vecs.conj().T
-    residual = operator_norm(recon - m)
-    return HermitianEigensystem(vals, vecs, residual)
-
-
-def spectral_gap(a, tol_sym: float = 1e-10) -> float:
-    """min |eigenvalue| of a Hermitian matrix (0 for the empty matrix)."""
-    m = _as_matrix(a)
-    if m.size == 0:
-        return np.inf
-    es = eig_hermitian(m, tol_sym)
-    return float(np.abs(es.eigenvalues).min())
-
-
-def _require_gap(es: HermitianEigensystem, gap_tol: float, what: str) -> None:
-    if es.eigenvalues.size == 0:
-        return
-    scale = max(float(np.abs(es.eigenvalues).max()), 1e-300)
-    gap = float(np.abs(es.eigenvalues).min())
-    if gap <= gap_tol * scale:
-        raise NoSpectralGapError(
-            f"no spectral gap for {what}: min |eigenvalue| {gap:.3e} "
-            f"<= {gap_tol:.1e} * {scale:.3e}")
+    return HermitianEigensystem(vals, vecs)
 
 
 def positive_projection(a, gap_tol: float = 1e-8, tol_sym: float = 1e-10) -> np.ndarray:
     """Spectral projection onto the positive part of an invertible Hermitian matrix."""
-    es = eig_hermitian(a, tol_sym)
-    _require_gap(es, gap_tol, "positive projection")
-    return es.apply(lambda x: 1.0 if x.real > 0 else 0.0)
+    return eig_hermitian(a, tol_sym).require_gap(
+        gap_tol, "positive projection").positive_projection()
 
 
 def positive_rank(a, gap_tol: float = 1e-8, tol_sym: float = 1e-10) -> int:
     """Number of positive eigenvalues, certified by the spectral gap."""
-    es = eig_hermitian(a, tol_sym)
-    _require_gap(es, gap_tol, "positive rank")
-    return int((es.eigenvalues > 0).sum())
+    return eig_hermitian(a, tol_sym).require_gap(gap_tol, "positive rank").positive_rank()
 
 
 #: named scalar functions admitted by functional_calculus
@@ -132,16 +125,13 @@ def functional_calculus(a, fn: str, exponent: float | None = None,
     if fn == "sign_power":
         if exponent is None or not 0.0 <= exponent <= 1.0:
             raise ValueError("sign_power needs exponent s in [0, 1]")
-        _require_gap(es, gap_tol, "sign-preserving power")
+        es.require_gap(gap_tol, "sign-preserving power")
         s = exponent
         return es.apply(lambda x: np.sign(x.real) * abs(x.real) ** (1.0 - s))
     if fn == "abs_power":
         if exponent is None or exponent < 0:
             raise ValueError("abs_power needs exponent t >= 0")
         t = exponent
-        if t < 1.0 and es.eigenvalues.size:
-            # non-integer powers blow up derivatives at 0 but stay defined
-            pass
         return es.apply(lambda x: abs(x.real) ** t)
     raise ValueError(f"unknown function {fn!r}")
 

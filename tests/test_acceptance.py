@@ -120,10 +120,10 @@ def test_criterion_4_rho_certificates():
         ok = ok and path.passed and path.min_singular > 0
         ok = ok and path.junction_residual <= 1e-10
         if he.n % 2 == 0:
-            cert = rho_certificate_even(he, samples=121)
+            cert = rho_certificate_even(he, path, samples=121)
             ok = ok and cert.passed and cert.constant and cert.equal
         else:
-            cert = rho_certificate_odd(he, samples=121)
+            cert = rho_certificate_odd(he, path, samples=121)
             ok = ok and cert.passed
     ident = identity_equivalence(fixtures.sphere_model())
     control = HomotopyEquivalence(

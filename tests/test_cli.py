@@ -5,6 +5,9 @@ import subprocess
 
 import pytest
 
+from hpsig import fixtures
+from hpsig.rho import he_to_json, identity_equivalence
+
 
 def run(cli_cmd, *args):
     return subprocess.run([*cli_cmd, *args], capture_output=True, text=True)
@@ -184,3 +187,57 @@ def test_tolerance_flags_accepted(cli_cmd, fixture_dir):
     rep = report_of(proc)
     assert rep["tolerances"]["sym"] == 1e-9
     assert rep["tolerances"]["inv"] == 1e-7
+
+
+def _model_with_s_entry(entry):
+    """argv checking sphere_model.json with S[0][0] replaced by entry."""
+    def build(tmp_path, fixture_dir):
+        doc = json.loads((fixture_dir / "sphere_model.json").read_text())
+        doc["S"][0][0] = entry
+        path = tmp_path / "bad_entry.json"
+        path.write_text(json.dumps(doc))
+        return ["check", str(path)]
+    return build
+
+
+def _rho_odd_identity(*flags):
+    """argv running rho on the identity equivalence of circle_model."""
+    def build(tmp_path, fixture_dir):
+        path = tmp_path / "he_identity_circle_model.json"
+        path.write_text(json.dumps(he_to_json(identity_equivalence(fixtures.circle_model()))))
+        return ["rho", str(path), *flags]
+    return build
+
+
+def _on_fixture(command, name, *flags):
+    return lambda tmp_path, fixture_dir: [command, str(fixture_dir / name), *flags]
+
+
+INPUT_ERRORS = {
+    "entry_string": _model_with_s_entry(["nan", 0]),
+    "entry_bare_string": _model_with_s_entry("x"),
+    "entry_bare_scalar": _model_with_s_entry(1.0),
+    "entry_nan": _model_with_s_entry([float("nan"), 0.0]),
+    "entry_infinite": _model_with_s_entry([float("inf"), 0.0]),
+    "entry_one_component": _model_with_s_entry([1.0]),
+    "tol_inv_negative": _on_fixture("check", "sphere_model.json", "--tol-inv", "-1"),
+    "tol_inv_nan": _on_fixture("check", "sphere_model.json", "--tol-inv", "nan"),
+    "tol_sym_zero": _on_fixture("sgn", "sphere_model.json", "--tol-sym", "0"),
+    "tol_sym_infinite": _on_fixture("sgn", "sphere_model.json", "--tol-sym", "inf"),
+    "instances_negative": lambda tmp_path, fixture_dir: ["coarse", "--instances", "-1"],
+    "rho_odd_samples_cert_0": _rho_odd_identity("--samples-cert", "0"),
+    "rho_odd_samples_cert_6": _rho_odd_identity("--samples-cert", "6"),
+    "rho_even_samples_cert_0": _on_fixture("rho", "he_identity_sphere_model.json",
+                                           "--samples-cert", "0"),
+    "rho_even_samples_cert_6": _on_fixture("rho", "he_identity_sphere_model.json",
+                                           "--samples-cert", "6"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
+def test_input_errors_exit_two_with_one_line(cli_cmd, fixture_dir, tmp_path, case):
+    proc = run(cli_cmd, *INPUT_ERRORS[case](tmp_path, fixture_dir))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stdout == ""

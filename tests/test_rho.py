@@ -76,8 +76,8 @@ def test_rho_path_junctions_continuous_on_all_fixtures():
 
 
 def test_rho_certificate_odd_identity_circle():
-    cert = rho_certificate_odd(identity_equivalence(fixtures.circle_model()),
-                               samples=61)
+    he = identity_equivalence(fixtures.circle_model())
+    cert = rho_certificate_odd(he, rho_path(he, samples=61), samples=61)
     assert cert.passed
     assert min(cert.min_singulars) > 0
     assert cert.schedule.passed
@@ -88,7 +88,7 @@ def test_rho_certificate_odd_collapse_equivalence():
     big = direct_sum(fixtures.circle_model(), fixtures.hyperbolic_odd())
     minimal, he = harmonic_reduction(big)
     assert minimal.space.dims == (1, 1)
-    cert = rho_certificate_odd(he, samples=61)
+    cert = rho_certificate_odd(he, rho_path(he, samples=61), samples=61)
     assert cert.passed
 
 
@@ -98,12 +98,13 @@ def test_rho_certificate_odd_rejects_broken_data():
                                  he.h_prime)
     assert not validate_homotopy_equivalence(broken).passed
     with pytest.raises(StructuralError):
-        rho_certificate_odd(broken, samples=31)
+        rho_certificate_odd(broken, rho_path(broken, samples=31), samples=31)
 
 
 @pytest.mark.parametrize("build", [fixtures.sphere_model, fixtures.cp2_model])
 def test_rho_certificate_even_identity(build):
-    cert = rho_certificate_even(identity_equivalence(build()), samples=61)
+    he = identity_equivalence(build())
+    cert = rho_certificate_even(he, rho_path(he, samples=61), samples=61)
     assert cert.passed
     assert cert.constant and cert.equal
     assert len(set(cert.ranks_minus)) == 1
@@ -113,14 +114,15 @@ def test_rho_certificate_even_identity(build):
 def test_rho_certificate_even_reduction_torus():
     cap = cap_duality(fixtures.torus_triangulation())
     _, he = harmonic_reduction(cap)
-    cert = rho_certificate_even(he, samples=41)
+    cert = rho_certificate_even(he, rho_path(he, samples=41), samples=41)
     assert cert.passed
     assert cert.schedule.constant
 
 
 def test_rho_certificate_even_rejects_mismatch():
     with pytest.raises(DualityDegenerateError):
-        rho_certificate_even(mismatch_equivalence(), samples=61)
+        he = mismatch_equivalence()
+        rho_certificate_even(he, rho_path(he, samples=61), samples=61)
 
 
 def test_adaptive_refinement_reports_samples():
@@ -133,8 +135,8 @@ def test_adaptive_refinement_reports_samples():
 def test_odd_family_glues_onto_localization_schedule():
     # at the end of the path segment the family is the scale-1 representative
     # of the sum complex; singular values agree across the two bases
-    cert = rho_certificate_odd(identity_equivalence(fixtures.circle_model()),
-                               samples=61)
+    he = identity_equivalence(fixtures.circle_model())
+    cert = rho_certificate_odd(he, rho_path(he, samples=61), samples=61)
     assert cert.times[-1] == 7.0
     assert cert.min_singulars[-1] == pytest.approx(cert.schedule.min_singulars[0],
                                                    abs=1e-10)
