@@ -169,14 +169,12 @@ def total_complex(fc: FiberedComplex, tol: Tolerances = DEFAULT_TOL) -> HPComple
             if nbase == 0 or fdim[q] == 0:
                 continue
             if p + 1 <= m:
-                idx_hi = fc.base.simplex_index[p + 1]
-                for si, sigma in enumerate(fc.base.simplices[p]):
-                    for tau, ti in idx_hi.items():
-                        extra = set(tau) - set(sigma)
-                        if len(extra) != 1:
-                            continue
-                        w = extra.pop()
-                        pos = tau.index(w)
+                # each face sigma = tau minus tau[pos] enters d(sigma) with (-1)^pos
+                idx_lo = fc.base.simplex_index[p]
+                for ti, tau in enumerate(fc.base.simplices[p + 1]):
+                    for pos in range(p + 2):
+                        sigma = tau[:pos] + tau[pos + 1:]
+                        si = idx_lo[sigma]
                         sign = (-1.0) ** pos
                         piece = sign * psi_block(sigma[0], tau[0], q)
                         r = offs[(p + 1, q)] + ti * fdim[q]

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections import Counter
+import math
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -30,110 +31,104 @@ from .rho import HomotopyEquivalence
 # exact rational linear algebra
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over the rationals; returns (matrix, pivot cols)."""
-    m = [list(r) for r in rows]
+def rref(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form of a matrix of ints or Fractions, fraction-free:
+    rows are scaled to integers and each step row <- (a/g)*row - (b/g)*pivot_row
+    is divided by its content, so all arithmetic stays on Python ints.  Returns
+    (integer rows, pivot columns); reduced row r is integer row r divided by
+    its entry in column pivots[r]."""
+    m = []
+    for row in rows:
+        scale = math.lcm(*(x.denominator for x in row))
+        m.append(_primitive([x.numerator * (scale // x.denominator) for x in row]))
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                pivot = i
-                break
+        if r == nrows:
+            break
+        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
+        prow = m[r]
+        a = prow[c]
         for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            b = m[i][c]
+            if b and i != r:
+                g = math.gcd(a, b)
+                ag, bg = a // g, b // g
+                m[i] = _primitive([ag * x - bg * y for x, y in zip(m[i], prow)])
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
     return m, pivots
 
 
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by its content (the gcd of its entries)."""
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
 def rational_rank(a: np.ndarray) -> int:
-    rows = [[Fraction(int(x)) for x in row] for row in np.asarray(a, dtype=np.int64)]
-    if not rows:
-        return 0
-    _, pivots = rref(rows)
-    return len(pivots)
+    rows = np.asarray(a, dtype=np.int64).tolist()
+    return len(rref(rows)[1]) if rows else 0
+
+
+def _integer_nullspace(a: np.ndarray) -> list[tuple[list[int], int]]:
+    """Kernel basis of an integer matrix as (integer vector, scale) pairs, one
+    per free column; vector / scale is the rational basis vector."""
+    nrows, ncols = a.shape
+    if nrows == 0:
+        return [([int(i == j) for i in range(ncols)], 1) for j in range(ncols)]
+    red, pivots = rref(a.tolist())
+    basis = []
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        scale = math.lcm(*(red[r][pc] for r, pc in enumerate(pivots) if red[r][fc]))
+        v = [0] * ncols
+        v[fc] = scale
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc] * (scale // red[r][pc])
+        basis.append((v, scale))
+    return basis
+
+
+def _to_fractions(v: list[int], scale: int) -> list[Fraction]:
+    zero = Fraction(0)
+    return [Fraction(x, scale) if x else zero for x in v]
 
 
 def rational_nullspace(a: np.ndarray) -> list[list[Fraction]]:
     """Basis of the rational kernel of an integer matrix (columns as vectors)."""
-    a = np.asarray(a, dtype=np.int64)
-    nrows, ncols = a.shape
-    rows = [[Fraction(int(x)) for x in row] for row in a]
-    if nrows == 0:
-        return [[Fraction(1 if i == j else 0) for i in range(ncols)] for j in range(ncols)]
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
+    return [_to_fractions(v, s)
+            for v, s in _integer_nullspace(np.asarray(a, dtype=np.int64))]
 
 
 def symmetric_signature(q: list[list[Fraction]]) -> tuple[int, int, int]:
     """(positives, negatives, zeros) of a symmetric rational matrix by exact
-    congruence diagonalization."""
+    congruence diagonalization: split off a nonzero diagonal pivot through
+    its Schur complement until none is left."""
     m = [list(r) for r in q]
-    k = len(m)
-    pos = neg = zero = 0
-    idx = 0
-    while idx < k:
-        if m[idx][idx] == 0:
-            swapped = False
-            for j in range(idx + 1, k):
-                if m[j][j] != 0:
-                    m[idx], m[j] = m[j], m[idx]
-                    for row in m:
-                        row[idx], row[j] = row[j], row[idx]
-                    swapped = True
-                    break
-            if not swapped:
-                hit = None
-                for i in range(idx, k):
-                    for j in range(i + 1, k):
-                        if m[i][j] != 0:
-                            hit = (i, j)
-                            break
-                    if hit:
-                        break
-                if hit is None:
-                    zero += k - idx
-                    break
-                i, j = hit
-                # row/col i += row/col j makes the (i,i) entry 2*m[i][j] != 0
-                m[i] = [a + b for a, b in zip(m[i], m[j])]
-                for row in m:
-                    row[i] = row[i] + row[j]
-                continue
-        piv = m[idx][idx]
-        if piv > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(idx + 1, k):
-            if m[i][idx] != 0:
-                f = m[i][idx] / piv
-                m[i] = [a - f * b for a, b in zip(m[i], m[idx])]
-                for row in m:
-                    row[i] = row[i] - f * row[idx]
-        idx += 1
-    return pos, neg, zero
+    pos = neg = 0
+    while m:
+        i = next((i for i, row in enumerate(m) if row[i] != 0), None)
+        if i is None:
+            hit = next(((i, j) for i, row in enumerate(m)
+                        for j, x in enumerate(row) if x != 0), None)
+            if hit is None:
+                break
+            i, j = hit
+            # row/col i += row/col j makes the (i,i) entry 2*m[i][j] != 0
+            m[i] = [a + b for a, b in zip(m[i], m[j])]
+            for row in m:
+                row[i] = row[i] + row[j]
+            continue
+        piv, top = m[i][i], m[i]
+        pos, neg = (pos + 1, neg) if piv > 0 else (pos, neg + 1)
+        m = [[x - row[i] * y / piv for c, (x, y) in enumerate(zip(row, top)) if c != i]
+             for r, row in enumerate(m) if r != i]
+    return pos, neg, len(q) - pos - neg
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +166,20 @@ class SimplicialManifold:
     @cached_property
     def simplex_index(self) -> list[dict[tuple[int, ...], int]]:
         return [{s: i for i, s in enumerate(level)} for level in self.simplices]
+
+    @cached_property
+    def boundaries(self) -> tuple[np.ndarray, ...]:
+        """Read-only integer boundary matrices C_p -> C_{p-1}, p = 1..n."""
+        out = []
+        for p in range(1, self.n + 1):
+            idx = self.simplex_index[p - 1]
+            B = np.zeros((len(idx), len(self.simplices[p])), dtype=np.int64)
+            for j, s in enumerate(self.simplices[p]):
+                for i in range(p + 1):
+                    B[idx[s[:i] + s[i + 1:]], j] = -1 if i % 2 else 1
+            B.flags.writeable = False
+            out.append(B)
+        return tuple(out)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -215,25 +224,29 @@ def _check_structure(n: int, vertices: int, facets, orientations) -> SimplicialM
                             tuple(orientations))
     if n == 0:
         return sm
-    # closed: every (n-1)-face in exactly two facets
-    count: Counter = Counter()
-    for f in sm.facets:
-        for c in itertools.combinations(f, n):
-            count[c] += 1
-    bad = [face for face, k in count.items() if k != 2]
-    if bad:
-        raise StructuralError(f"not a closed pseudomanifold: face {bad[0]} lies in "
-                              f"{count[bad[0]]} facets (expected 2)")
+    incident = _face_incidence(sm.facets, n)
     # oriented: induced orientations on each shared face cancel
-    induced: dict[tuple[int, ...], int] = {}
-    for f, eps in zip(sm.facets, sm.orientations):
+    for f in sm.facets:
         for i in range(n + 1):
             face = f[:i] + f[i + 1:]
-            induced[face] = induced.get(face, 0) + eps * (-1) ** i
-    bad = [face for face, total in induced.items() if total != 0]
-    if bad:
-        raise StructuralError(f"orientations do not cancel on face {bad[0]}")
+            if sum(sm.orientations[k] * sign for k, sign in incident[face]):
+                raise StructuralError(f"orientations do not cancel on face {face}")
     return sm
+
+
+def _face_incidence(facets: Sequence[tuple[int, ...]], n: int
+                    ) -> dict[tuple[int, ...], list[tuple[int, int]]]:
+    """Each (n-1)-face -> [(facet position, sign of the face in the facet's
+    boundary)]; raises StructuralError unless every face lies in two facets."""
+    incident: defaultdict = defaultdict(list)
+    for k, f in enumerate(facets):
+        for i in reversed(range(n + 1)):
+            incident[f[:i] + f[i + 1:]].append((k, -1 if i % 2 else 1))
+    for face, inc in incident.items():
+        if len(inc) != 2:
+            raise StructuralError(f"not a closed pseudomanifold: face {face} lies in "
+                                  f"{len(inc)} facets (expected 2)")
+    return incident
 
 
 def load_simplicial(doc: Mapping) -> SimplicialManifold:
@@ -249,44 +262,40 @@ def load_simplicial(doc: Mapping) -> SimplicialManifold:
 
 
 def orient_facets(facets: Sequence[Sequence[int]], n: int) -> list[int]:
-    """Orientation signs making the facet sum a cycle (connected orientable input)."""
+    """Orientation signs making the facet sum a cycle (connected orientable
+    input), by breadth-first search across shared (n-1)-faces; the last facet
+    in sorted order gets +1."""
     facets = [tuple(sorted(f)) for f in facets]
     if n == 0:
         return [1] * len(facets)
-    probe = SimplicialManifold(n, max(max(f) for f in facets) + 1,
-                               tuple(facets), tuple([1] * len(facets)))
-    bnd = boundary_matrices(probe)[-1]
-    kernel = rational_nullspace(bnd)
-    if len(kernel) != 1:
-        raise StructuralError(
-            f"top boundary kernel has rank {len(kernel)}; cannot orient")
-    v = kernel[0]
-    lead = next(x for x in v if x != 0)
-    v = [x / abs(lead) for x in v]
-    if any(abs(x) != 1 for x in v):
-        raise StructuralError("triangulation is not orientable (non-unit cycle weights)")
-    order = probe.simplex_index[n]
-    return [int(v[order[f]]) for f in facets]
+    incident = _face_incidence(facets, n)
+    root = max(range(len(facets)), key=facets.__getitem__)
+    signs = [0] * len(facets)
+    signs[root] = 1
+    queue = deque([root])
+    while queue:
+        k = queue.popleft()
+        f = facets[k]
+        for i in range(n + 1):
+            (a, sa), (b, sb) = incident[f[:i] + f[i + 1:]]
+            other, want = a + b - k, -signs[k] * sa * sb
+            if signs[other] == 0:
+                signs[other] = want
+                queue.append(other)
+            elif signs[other] != want:
+                raise StructuralError("triangulation is not orientable")
+    if 0 in signs:
+        raise StructuralError("facets are not connected through (n-1)-faces")
+    return signs
 
 
-def boundary_matrices(sm: SimplicialManifold) -> list[np.ndarray]:
-    """Integer boundary matrices C_p -> C_{p-1}, p = 1..n."""
-    out = []
-    for p in range(1, sm.n + 1):
-        rows = len(sm.simplices[p - 1])
-        cols = len(sm.simplices[p])
-        B = np.zeros((rows, cols), dtype=np.int64)
-        idx = sm.simplex_index[p - 1]
-        for j, s in enumerate(sm.simplices[p]):
-            for i in range(p + 1):
-                face = s[:i] + s[i + 1:]
-                B[idx[face], j] += (-1) ** i
-        out.append(B)
-    return out
+def boundary_matrices(sm: SimplicialManifold) -> tuple[np.ndarray, ...]:
+    """Integer boundary matrices C_p -> C_{p-1}, p = 1..n (cached, read-only)."""
+    return sm.boundaries
 
 
-def coboundary_matrices(sm: SimplicialManifold) -> list[np.ndarray]:
-    return [B.T.copy() for B in boundary_matrices(sm)]
+def coboundary_matrices(sm: SimplicialManifold) -> tuple[np.ndarray, ...]:
+    return tuple(B.T for B in boundary_matrices(sm))
 
 
 def betti_numbers(sm: SimplicialManifold) -> tuple[int, ...]:
@@ -443,31 +452,23 @@ def _cohomology_basis(sm: SimplicialManifold, p: int) -> list[list[Fraction]]:
     """Rational cocycle representatives of H^p in the standard cochain basis."""
     ds = coboundary_matrices(sm)
     d_out = ds[p] if p < len(ds) else np.zeros((0, len(sm.simplices[p])), dtype=np.int64)
-    kernel = rational_nullspace(d_out)
-    if p == 0:
-        image_cols: list[list[Fraction]] = []
-    else:
-        d_in = ds[p - 1]
-        cols = [[Fraction(int(d_in[i, j])) for i in range(d_in.shape[0])]
-                for j in range(d_in.shape[1])]
-        if d_in.size:
-            # pivot columns of d_in form a basis of its image
-            _, pivots = rref([[Fraction(int(d_in[i, j])) for j in range(d_in.shape[1])]
-                              for i in range(d_in.shape[0])])
-            image_cols = [cols[j] for j in pivots]
-        else:
-            image_cols = []
-    # select kernel vectors independent from the image: RREF of [image | kernel]
+    kernel = _integer_nullspace(d_out)
     dim = len(sm.simplices[p])
-    stacked = []
-    for i in range(dim):
-        row = [v[i] for v in image_cols] + [v[i] for v in kernel]
-        stacked.append(row)
-    if not stacked or not stacked[0]:
+    if p == 0 or not ds[p - 1].size:
+        image: list[list[int]] = [[] for _ in range(dim)]
+    else:
+        # pivot columns of d_in form a basis of its image
+        d_in = ds[p - 1]
+        _, pivots = rref(d_in.tolist())
+        image = d_in[:, pivots].tolist()
+    # select kernel vectors independent from the image: RREF of [image | kernel]
+    # (scaling a column leaves the pivots alone, so integer vectors will do)
+    if not dim or not (image[0] or kernel):
         return []
+    stacked = [row + [v[i] for v, _ in kernel] for i, row in enumerate(image)]
     _, pivots = rref(stacked)
-    reps = [kernel[j - len(image_cols)] for j in pivots if j >= len(image_cols)]
-    return reps
+    n_image = len(image[0])
+    return [_to_fractions(*kernel[j - n_image]) for j in pivots if j >= n_image]
 
 
 def intersection_form_oracle(sm: SimplicialManifold,

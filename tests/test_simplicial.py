@@ -1,20 +1,24 @@
 """Triangulation loading, cochain complexes, cap duality, the exact
 intersection-form oracle, and harmonic reduction."""
 
+import json
+import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from hpsig import fixtures
+from hpsig import cli, fixtures
 from hpsig.hpc_core import StructuralError, validate
 from hpsig.rho import validate_homotopy_equivalence
 from hpsig.signature import signature_even
 from hpsig.simplicial import (betti_numbers, boundary_matrices, cap_duality,
                               cochain_complex, fundamental_cycle,
                               harmonic_reduction, intersection_form_oracle,
-                              load_simplicial, orient_facets)
+                              load_simplicial, orient_facets,
+                              rational_nullspace, rref, symmetric_signature)
 
 # six-vertex real projective plane: closed but not orientable
 RP2_FACETS = [(0, 1, 3), (0, 1, 4), (0, 2, 3), (0, 2, 5), (0, 4, 5),
@@ -173,3 +177,189 @@ def test_canonical_digest_is_stable():
     a = fixtures.torus_triangulation()
     b = fixtures.torus_triangulation()
     assert a.digest() == b.digest()
+
+
+# ---------------------------------------------------------------------------
+# exact linear algebra against a Fraction Gauss-Jordan reference
+
+
+def reference_rref(rows):
+    """Gauss-Jordan over Fractions: (reduced rows, pivot columns)."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots, r = [], 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def reference_nullspace(a):
+    nrows, ncols = a.shape
+    if nrows == 0:
+        return [[Fraction(int(i == j)) for i in range(ncols)] for j in range(ncols)]
+    red, pivots = reference_rref(a.tolist())
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(v)
+    return basis
+
+
+def random_rational_matrix(rng: random.Random) -> list[list[Fraction]]:
+    """Small sparse rational matrix with zero rows and columns and dependent
+    rows mixed in; denominators from {1, 2, 3, 5}."""
+    nrows, ncols = rng.randint(0, 6), rng.randint(0, 7)
+    m = [[Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5)))
+          if rng.random() < 0.5 else Fraction(0) for _ in range(ncols)]
+         for _ in range(nrows)]
+    if nrows >= 2 and rng.random() < 0.4:
+        a, b = rng.sample(range(nrows), 2)
+        f = Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 5)))
+        m[b] = [f * x for x in m[a]]
+    if nrows and rng.random() < 0.2:
+        m[rng.randrange(nrows)] = [Fraction(0)] * ncols
+    if ncols and rng.random() < 0.2:
+        c = rng.randrange(ncols)
+        for row in m:
+            row[c] = Fraction(0)
+    return m
+
+
+def test_rref_matches_fraction_reference():
+    rng = random.Random(20190)
+    shapes = set()
+    for _ in range(600):
+        m = random_rational_matrix(rng)
+        shapes.add((len(m), len(m[0]) if m else 0))
+        ref_rows, ref_pivots = reference_rref(m)
+        rows, pivots = rref(m)
+        assert pivots == ref_pivots
+        assert all(isinstance(x, int) for row in rows for x in row)
+        for r, pc in enumerate(pivots):
+            assert [Fraction(x, rows[r][pc]) for x in rows[r]] == ref_rows[r]
+        assert all(x == 0 for row in rows[len(pivots):] for x in row)
+    assert (0, 0) in shapes and any(c == 0 < r for r, c in shapes)
+
+
+def test_rational_nullspace_matches_reference():
+    rng = np.random.default_rng(20190)
+    for _ in range(500):
+        shape = (int(rng.integers(0, 6)), int(rng.integers(0, 8)))
+        a = rng.integers(-2, 3, size=shape) * (rng.random(shape) < 0.5)
+        basis = rational_nullspace(a)
+        assert basis == reference_nullspace(a)
+        for v in basis:
+            assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in a.tolist())
+
+
+def test_symmetric_signature_matches_eigenvalue_signs():
+    # D A D with a positive diagonal D is congruent to A, so the rational
+    # matrix has the inertia of the integer A, read off its float eigenvalues
+    rng = np.random.default_rng(20190)
+    for _ in range(300):
+        k = int(rng.integers(0, 7))
+        a = rng.integers(-2, 3, size=(k, k)) * (rng.random((k, k)) < 0.6)
+        a = np.triu(a) + np.triu(a, 1).T
+        if rng.random() < 0.5:
+            np.fill_diagonal(a, 0)
+        d = [Fraction(1, int(x)) for x in rng.choice((1, 2, 3, 5), size=k)]
+        q = [[d[i] * int(a[i, j]) * d[j] for j in range(k)] for i in range(k)]
+        ev = np.linalg.eigvalsh(a.astype(float)) if k else np.zeros(0)
+        expected = (int((ev > 1e-9).sum()), int((ev < -1e-9).sum()),
+                    int((np.abs(ev) <= 1e-9).sum()))
+        assert symmetric_signature(q) == expected
+
+
+# ---------------------------------------------------------------------------
+# orientation by breadth-first search, and the boundary-matrix cache
+
+
+def _sorted_with_sign(vs):
+    vs = list(vs)
+    sign = 1
+    for i in range(len(vs)):
+        for j in range(len(vs) - 1 - i):
+            if vs[j] > vs[j + 1]:
+                vs[j], vs[j + 1] = vs[j + 1], vs[j]
+                sign = -sign
+    return tuple(vs), sign
+
+
+def relabelled_torus(k: int, seed: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """k x k grid torus with counter-clockwise triangles and permuted vertex
+    labels: (sorted facets, reference orientation carried by each sort)."""
+    perm = np.random.default_rng(seed).permutation(k * k)
+
+    def v(i, j):
+        return int(perm[(i % k) * k + (j % k)])
+
+    pairs = []
+    for i in range(k):
+        for j in range(k):
+            for tri in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)),
+                        (v(i, j), v(i + 1, j + 1), v(i, j + 1))):
+                pairs.append(_sorted_with_sign(tri))
+    pairs.sort()
+    return [f for f, _ in pairs], [s for _, s in pairs]
+
+
+def tetrahedron_boundary(vs):
+    return [tuple(x for x in vs if x != v) for v in vs]
+
+
+@pytest.mark.parametrize("facets", [
+    tetrahedron_boundary((0, 1, 2, 3)) + tetrahedron_boundary((4, 5, 6, 7)),
+    [(0, 1, 2)],
+], ids=["disconnected", "not-closed"])
+def test_orient_facets_rejects(facets):
+    # RP^2, closed but not orientable, is in test_nonorientable_rejected
+    with pytest.raises(StructuralError):
+        orient_facets(facets, 2)
+
+
+def test_orient_facets_torus_fixture():
+    assert fixtures.torus_triangulation().orientations == (-1,) * 7 + (1,) * 7
+
+
+def test_orient_facets_relabelled_torus():
+    facets, ref = relabelled_torus(10, seed=3)
+    got = orient_facets(facets, 2)
+    assert got == ref or got == [-s for s in ref]
+    assert got[-1] == 1
+
+
+def test_check_relabelled_torus_8(tmp_path, capsys):
+    facets, _ = relabelled_torus(8, seed=5)
+    path = tmp_path / "torus8.json"
+    path.write_text(json.dumps({"n": 2, "vertices": 64, "facets": facets,
+                                "orientations": orient_facets(facets, 2)}))
+    assert cli.main(["check", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["data"]["betti"] == [1, 2, 1]
+    assert report["data"]["oracle_signature"] == 0
+
+
+def test_boundary_matrices_cached_read_only():
+    sm = fixtures.cp2_triangulation()
+    bs = boundary_matrices(sm)
+    assert bs is boundary_matrices(sm)
+    for b in bs:
+        assert not b.flags.writeable
+        with pytest.raises(ValueError):
+            b[0, 0] = 7

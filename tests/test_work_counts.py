@@ -50,6 +50,12 @@ def test_rho_runs_the_duality_path_once(monkeypatch, capsys, fixture_dir):
     assert len(calls) == 1
 
 
+def test_rho_validates_the_identities_once(monkeypatch, capsys, fixture_dir):
+    calls = count_calls(monkeypatch, "hpsig", rho.validate_homotopy_equivalence)
+    assert run_cli(capsys, "rho", str(fixture_dir / "he_identity_sphere_model.json")) == 0
+    assert len(calls) == 1
+
+
 def test_eig_hermitian_makes_no_svd(monkeypatch):
     rng = np.random.default_rng(0)
     a = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
