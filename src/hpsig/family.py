@@ -50,6 +50,7 @@ class FiberedComplex:
                                       f"expected {(nf, nf)}")
             fixed[(i, j)] = m
         object.__setattr__(self, "transitions", fixed)
+        object.__setattr__(self, "_inverses", {})
 
     def transition(self, i: int, j: int) -> np.ndarray:
         """psi from frame i to frame j along the edge (i, j)."""
@@ -58,7 +59,10 @@ class FiberedComplex:
         if (i, j) in self.transitions:
             return self.transitions[(i, j)]
         if (j, i) in self.transitions:
-            return np.linalg.inv(self.transitions[(j, i)])
+            # each stored transition is inverted once, on its first reversed lookup
+            if (j, i) not in self._inverses:
+                self._inverses[(j, i)] = np.linalg.inv(self.transitions[(j, i)])
+            return self._inverses[(j, i)]
         return np.eye(self.fiber.total_dim, dtype=complex)
 
     @property

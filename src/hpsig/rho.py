@@ -10,7 +10,7 @@ is reported with its location t* rather than assumed away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -122,6 +122,7 @@ class _PathData:
     """Precomputed orthonormal-coordinate operators for the path."""
 
     def __init__(self, he: HomotopyEquivalence):
+        self.he = he
         src, tgt = he.source, he.target
         self.ns = src.total_dim
         self.nt = tgt.total_dim
@@ -138,6 +139,11 @@ class _PathData:
         D[:self.ns, :self.ns] = src.D_on
         D[self.ns:, self.ns:] = tgt.D_on
         self.D = D
+        # D is Hermitian up to the rounding of weighted orthonormal
+        # coordinates; the scans read its Hermitian part and add the skew
+        # part's Frobenius norm to their slack (0 without weights)
+        self.D_hermitian = 0.5 * (D + D.conj().T)
+        self.D_skew = float(np.linalg.norm(D - D.conj().T))
 
     def assemble(self, a11, a12, a21, a22) -> np.ndarray:
         m = np.zeros((self.ns + self.nt, self.ns + self.nt), dtype=complex)
@@ -181,19 +187,33 @@ class _PathData:
         return self.assemble(self.Sp, None, None, -self.S)
 
 
-def _min_singular(pd: _PathData, t: float) -> tuple[float, float]:
+def _min_abs_eig(a: np.ndarray) -> float:
+    return float(np.abs(np.linalg.eigvalsh(a)).min())
+
+
+def _sample(pd: _PathData, t: float) -> tuple[float, float, float]:
+    """min |eigenvalue| of D + H and of D - H, and ||K||_F, where
+    S_f(t) = H + K/2 splits into Hermitian part H and skew part K.
+
+    By Weyl, the smallest singular value of D +- S_f(t) is at least
+    min |eigenvalue| of D +- H minus (||K||_F + ||D - D*||_F) / 2.
+    """
     sf = pd.value(t)
-    sp = np.linalg.svd(pd.D + sf, compute_uv=False)
-    sm = np.linalg.svd(pd.D - sf, compute_uv=False)
-    return float(sp[-1]), float(sm[-1])
+    k = sf - sf.conj().T
+    h = sf - 0.5 * k
+    return (_min_abs_eig(pd.D_hermitian + h), _min_abs_eig(pd.D_hermitian - h),
+            float(np.linalg.norm(k)))
 
 
 @dataclass(frozen=True, eq=False)
 class RhoPath:
     """Sampled duality path with invertibility certificates.
 
-    passed means: every sampled D +- S_f(t) clears the invertibility
-    threshold, branch junctions agree, endpoints match diag(S', -S) and its
+    min_sv_plus, min_sv_minus and refined_min_sv are min |eigenvalue| of the
+    Hermitian parts of D +- S_f(t); selfadjoint_residual is the largest
+    ||S_f(t) - S_f(t)*||_F over every sample.  passed means: every sample
+    clears the invertibility threshold plus the Weyl slack for the skew
+    parts, branch junctions agree, endpoints match diag(S', -S) and its
     negative, and every sample is self-adjoint.
     """
 
@@ -209,6 +229,7 @@ class RhoPath:
     min_singular: float
     passed: bool
     failed_at: float | None
+    _data: _PathData = field(repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -247,11 +268,10 @@ def rho_path(he: HomotopyEquivalence, samples: int = 601,
     times = np.linspace(0.0, 6.0, samples)
     svp, svm, sa = [], [], 0.0
     for t in times:
-        sf = pd.value(float(t))
-        sa = max(sa, spectral.operator_norm(sf - sf.conj().T))
-        p, m = _min_singular(pd, float(t))
+        p, m, kf = _sample(pd, float(t))
         svp.append(p)
         svm.append(m)
+        sa = max(sa, kf)
     mins = np.minimum(svp, svm)
 
     refined_t: list[float] = []
@@ -265,7 +285,8 @@ def rho_path(he: HomotopyEquivalence, samples: int = 601,
             h /= 2.0
             for cand in (t_star - h, t_star + h):
                 if 0.0 <= cand <= 6.0:
-                    p, m = _min_singular(pd, cand)
+                    p, m, kf = _sample(pd, cand)
+                    sa = max(sa, kf)
                     v = min(p, m)
                     refined_t.append(cand)
                     refined_v.append(v)
@@ -286,10 +307,11 @@ def rho_path(he: HomotopyEquivalence, samples: int = 601,
         spectral.operator_norm(pd.value(6.0) + pd.diag_duality()))
 
     failed_at = None
+    slack = 0.5 * (sa + pd.D_skew)
     order = sorted(zip([*map(float, times), *refined_t],
                        [*map(float, mins), *refined_v]))
     for t, v in order:
-        if v <= threshold:
+        if v <= threshold + slack:
             failed_at = t
             break
     passed = (failed_at is None and junction <= tol.sym * s_scale
@@ -297,7 +319,7 @@ def rho_path(he: HomotopyEquivalence, samples: int = 601,
     return RhoPath(tuple(float(t) for t in times), tuple(map(float, svp)),
                    tuple(map(float, svm)), tuple(refined_t), tuple(refined_v),
                    float(junction), float(endpoint), float(sa), float(threshold),
-                   float(min_all), passed, failed_at)
+                   float(min_all), passed, failed_at, pd)
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +331,17 @@ def _sum_complex(he: HomotopyEquivalence) -> HPComplex:
     return direct_sum(he.source, reverse_orientation(he.target))
 
 
-def _require_passed(path: RhoPath, samples: int) -> None:
-    """The certificates continue a duality path that passed."""
+def _require_passed(he: HomotopyEquivalence, path: RhoPath, samples: int) -> _PathData:
+    """The path data of he, for certificates that continue its passed path."""
     if samples < 7:
         raise DomainError("need at least 7 samples across the six branches")
+    if path._data.he is not he:
+        raise ValueError("path was computed for another homotopy equivalence")
     if not path.passed:
         raise DualityDegenerateError(
             f"duality path fails at t*={path.failed_at}: the map does not "
             "implement the duality")
+    return path._data
 
 
 def _even_indices_path(pd: _PathData, he: HomotopyEquivalence) -> np.ndarray:
@@ -354,8 +379,7 @@ def rho_certificate_odd(he: HomotopyEquivalence, path: RhoPath, samples: int = 1
     """Odd-degree certificate continuing path, the computed rho_path of he."""
     if he.n % 2 != 1:
         raise DomainError("odd certificate needs odd top degree")
-    _require_passed(path, samples)
-    pd = _PathData(he)
+    pd = _require_passed(he, path, samples)
     ev = _even_indices_path(pd, he)
     s_diag = pd.diag_duality()
     b_plus = pd.D + s_diag
@@ -385,7 +409,6 @@ class ThetaPair:
     times: tuple[float, ...]
     ranks_plus: tuple[int, ...]
     ranks_minus: tuple[int, ...]
-    difference_norms: tuple[float, ...]
     schedule: LocalizationSchedule
     constant: bool
     equal: bool
@@ -397,7 +420,6 @@ class ThetaPair:
             "times": list(self.times),
             "ranks_plus": list(self.ranks_plus),
             "ranks_minus": list(self.ranks_minus),
-            "difference_norms": list(self.difference_norms),
             "schedule": self.schedule.to_dict(),
             "constant": self.constant,
             "equal": self.equal,
@@ -412,24 +434,18 @@ def rho_certificate_even(he: HomotopyEquivalence, path: RhoPath, samples: int = 
     """Even-degree certificate continuing path, the computed rho_path of he."""
     if he.n % 2 != 0:
         raise DomainError("even certificate needs even top degree")
-    _require_passed(path, samples)
-    pd = _PathData(he)
-    s_diag = pd.diag_duality()
-    theta_plus = spectral.positive_projection(pd.D + s_diag, tol.inv, tol.sym)
-    rank_plus = int(np.round(np.trace(theta_plus).real))
+    pd = _require_passed(he, path, samples)
+    rank_plus = spectral.positive_rank(pd.D + pd.diag_duality(), tol.inv, tol.sym)
     times = np.linspace(1.0, 7.0, samples)
     ranks_m: list[int] = []
-    diffs: list[float] = []
     failed_at = None
     for t in times:
-        sf = pd.value(float(t) - 1.0)
         try:
-            theta_minus = spectral.positive_projection(pd.D + sf, tol.inv, tol.sym)
+            ranks_m.append(spectral.positive_rank(pd.D + pd.value(float(t) - 1.0),
+                                                  tol.inv, tol.sym))
         except NoSpectralGapError as exc:
             raise DualityDegenerateError(
                 f"eigenvalue crossing at sample t={float(t):.6g}: {exc}") from exc
-        ranks_m.append(int(np.round(np.trace(theta_minus).real)))
-        diffs.append(float(spectral.operator_norm(theta_plus - theta_minus)))
         if failed_at is None and ranks_m[-1] != ranks_m[0]:
             failed_at = float(t)
     schedule = localized_signature_path(_sum_complex(he), t_max, schedule_samples, tol)
@@ -441,7 +457,7 @@ def rho_certificate_even(he: HomotopyEquivalence, path: RhoPath, samples: int = 
                               for rp, rm in schedule.ranks)
     passed = constant and equal and failed_at is None and schedule.passed
     return ThetaPair(tuple(map(float, times)), tuple([rank_plus] * len(ranks_m)),
-                     tuple(ranks_m), tuple(diffs), schedule, constant, equal,
+                     tuple(ranks_m), schedule, constant, equal,
                      passed, failed_at)
 
 

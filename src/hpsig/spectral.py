@@ -32,6 +32,19 @@ def operator_norm(a) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+def require_gap(eigenvalues: np.ndarray, gap_tol: float, what: str) -> None:
+    """Raises NoSpectralGapError unless min |eigenvalue| clears
+    gap_tol * max |eigenvalue|."""
+    if eigenvalues.size == 0:
+        return
+    scale = max(float(np.abs(eigenvalues).max()), 1e-300)
+    gap = float(np.abs(eigenvalues).min())
+    if gap <= gap_tol * scale:
+        raise NoSpectralGapError(
+            f"no spectral gap for {what}: min |eigenvalue| {gap:.3e} "
+            f"<= {gap_tol:.1e} * {scale:.3e}")
+
+
 @dataclass(frozen=True)
 class HermitianEigensystem:
     """Eigenvalues ascending and orthonormal eigenvectors."""
@@ -45,16 +58,8 @@ class HermitianEigensystem:
         return (self.vectors * vals) @ self.vectors.conj().T
 
     def require_gap(self, gap_tol: float, what: str) -> HermitianEigensystem:
-        """self, once min |eigenvalue| clears gap_tol * max |eigenvalue|;
-        raises NoSpectralGapError otherwise."""
-        if self.eigenvalues.size == 0:
-            return self
-        scale = max(float(np.abs(self.eigenvalues).max()), 1e-300)
-        gap = float(np.abs(self.eigenvalues).min())
-        if gap <= gap_tol * scale:
-            raise NoSpectralGapError(
-                f"no spectral gap for {what}: min |eigenvalue| {gap:.3e} "
-                f"<= {gap_tol:.1e} * {scale:.3e}")
+        """self, once its eigenvalues pass require_gap."""
+        require_gap(self.eigenvalues, gap_tol, what)
         return self
 
     def positive_rank(self) -> int:
@@ -62,6 +67,12 @@ class HermitianEigensystem:
 
     def positive_projection(self) -> np.ndarray:
         return self.apply(lambda x: 1.0 if x.real > 0 else 0.0)
+
+
+def _require_hermitian(m: np.ndarray, eigenvalues: np.ndarray, tol_sym: float) -> None:
+    herm_resid = float(np.linalg.norm(m - m.conj().T))
+    if herm_resid > tol_sym * max(float(np.abs(eigenvalues).max()), 1.0):
+        raise ValueError(f"matrix is not Hermitian: residual {herm_resid:.3e}")
 
 
 def eig_hermitian(a, tol_sym: float = 1e-10) -> HermitianEigensystem:
@@ -76,9 +87,7 @@ def eig_hermitian(a, tol_sym: float = 1e-10) -> HermitianEigensystem:
     if m.size == 0:
         return HermitianEigensystem(np.zeros(0), np.zeros((0, 0), dtype=complex))
     vals, vecs = np.linalg.eigh(m)
-    herm_resid = float(np.linalg.norm(m - m.conj().T))
-    if herm_resid > tol_sym * max(float(np.abs(vals).max()), 1.0):
-        raise ValueError(f"matrix is not Hermitian: residual {herm_resid:.3e}")
+    _require_hermitian(m, vals, tol_sym)
     vecs = vecs.copy()
     for j in range(vecs.shape[1]):
         col = vecs[:, j]
@@ -97,8 +106,15 @@ def positive_projection(a, gap_tol: float = 1e-8, tol_sym: float = 1e-10) -> np.
 
 
 def positive_rank(a, gap_tol: float = 1e-8, tol_sym: float = 1e-10) -> int:
-    """Number of positive eigenvalues, certified by the spectral gap."""
-    return eig_hermitian(a, tol_sym).require_gap(gap_tol, "positive rank").positive_rank()
+    """Number of positive eigenvalues, certified by the spectral gap; the
+    Hermitian check is that of eig_hermitian, without the eigenvectors."""
+    m = _as_matrix(a)
+    if m.size == 0:
+        return 0
+    vals = np.linalg.eigvalsh(m)
+    _require_hermitian(m, vals, tol_sym)
+    require_gap(vals, gap_tol, "positive rank")
+    return int((vals > 0).sum())
 
 
 #: named scalar functions admitted by functional_calculus

@@ -1,13 +1,16 @@
 """Homotopy-equivalence validation, the six-branch duality path, and the
 parity certificates, including the orientation-mismatch negative control."""
 
+import json
+
 import numpy as np
 import pytest
 
 from hpsig import fixtures
-from hpsig.hpc_core import (DualityDegenerateError, StructuralError, direct_sum,
+from hpsig.hpc_core import (DualityDegenerateError, GradedSpace, HPComplex,
+                            StructuralError, Tolerances, direct_sum,
                             reverse_orientation)
-from hpsig.rho import (HomotopyEquivalence, he_from_json, he_to_json,
+from hpsig.rho import (HomotopyEquivalence, _PathData, he_from_json, he_to_json,
                        identity_equivalence, rho_certificate_even,
                        rho_certificate_odd, rho_path,
                        validate_homotopy_equivalence)
@@ -65,6 +68,53 @@ def test_rho_path_negative_control_fails_with_location():
     path = rho_path(mismatch_equivalence(), samples=601)
     assert not path.passed
     assert path.failed_at == pytest.approx(0.5, abs=1e-6)
+
+
+@pytest.mark.parametrize("name", ["circle_model", "sphere_model", "he_reduction_sphere_d3"])
+def test_rho_path_eigenvalues_match_singular_values(name, fixture_dir):
+    if name.startswith("he_"):
+        he = he_from_json(json.loads((fixture_dir / f"{name}.json").read_text()))
+    else:
+        he = identity_equivalence(getattr(fixtures, name)())
+    path = rho_path(he, samples=61)
+    assert path.passed
+    pd = _PathData(he)
+    scale = path.threshold / Tolerances().inv
+    for t, p, m in zip(path.times, path.min_sv_plus, path.min_sv_minus):
+        sf = pd.value(t)
+        assert p == pytest.approx(np.linalg.svd(pd.D + sf, compute_uv=False)[-1],
+                                  rel=0, abs=1e-12 * scale)
+        assert m == pytest.approx(np.linalg.svd(pd.D - sf, compute_uv=False)[-1],
+                                  rel=0, abs=1e-12 * scale)
+
+
+def skewed_sphere(delta: float, skew: float) -> HPComplex:
+    """Sphere-like complex whose duality has Hermitian part with eigenvalues
+    +-delta and skew part of 2-norm 2*skew; S itself stays invertible."""
+    space = GradedSpace(2, (1, 0, 1))
+    d = (np.zeros((0, 1), dtype=complex), np.zeros((1, 0), dtype=complex))
+    s = np.array([[0, delta + skew], [delta - skew, 0]], dtype=complex)
+    return HPComplex(space, d, s, "weak")
+
+
+@pytest.mark.parametrize("skew, passes", [(0.8e-5, False), (1e-9, True)])
+def test_rho_path_weyl_slack_for_skew_part(skew, passes):
+    # min |eigenvalue| of the Hermitian part is 1e-5 at every sample, above
+    # the threshold 1e-8; ||K||_F = 4 * skew, so the slack 2 * skew decides
+    tol = Tolerances(sym=1e-4)
+    path = rho_path(identity_equivalence(skewed_sphere(1e-5, skew)), samples=61, tol=tol)
+    assert path.threshold == pytest.approx(1e-8)
+    assert path.min_singular == pytest.approx(1e-5)
+    assert path.selfadjoint_residual == pytest.approx(4 * skew)
+    assert path.passed is passes
+    assert path.failed_at == (None if passes else 0.0)
+
+
+def test_rho_certificate_rejects_path_of_another_equivalence():
+    he = identity_equivalence(fixtures.sphere_model())
+    other = identity_equivalence(fixtures.sphere_model())
+    with pytest.raises(ValueError):
+        rho_certificate_even(he, rho_path(other, samples=61), samples=61)
 
 
 def test_rho_path_junctions_continuous_on_all_fixtures():

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from hpsig import cli, hpc_core, rho, spectral
+from hpsig import cli, family, fixtures, hpc_core, rho, spectral
 
 
 def _namespaces(prefix: str) -> list:
@@ -67,3 +67,43 @@ def test_eig_hermitian_makes_no_svd(monkeypatch):
     es = spectral.eig_hermitian(a)
     assert len(calls) == 0
     assert es.eigenvalues == pytest.approx(np.linalg.eigvalsh(a))
+
+
+@pytest.mark.parametrize("name", ["he_identity_sphere_model.json",
+                                  "he_reduction_sphere_d3.json"])
+def test_rho_builds_the_path_data_once(monkeypatch, capsys, fixture_dir, name):
+    calls = count_calls(monkeypatch, "hpsig", rho._PathData)
+    assert run_cli(capsys, "rho", str(fixture_dir / name)) == 0
+    assert len(calls) == 1
+
+
+def test_rho_path_svd_count_does_not_grow_with_samples(monkeypatch):
+    # norm(m, 2) reaches svd through a module global of numpy.linalg._linalg
+    calls = count_calls(monkeypatch, "numpy.linalg", np.linalg.svd)
+    he = rho.identity_equivalence(fixtures.cp2_model())
+    counts = []
+    for samples in (61, 601):
+        calls.clear()
+        rho.rho_path(he, samples=samples)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_rho_certificate_even_eigh_count_does_not_grow_with_samples(monkeypatch):
+    he = rho.identity_equivalence(fixtures.cp2_model())
+    path = rho.rho_path(he, samples=61)
+    calls = count_calls(monkeypatch, "numpy.linalg", np.linalg.eigh)
+    counts = []
+    for samples in (61, 121):
+        calls.clear()
+        assert rho.rho_certificate_even(he, path, samples=samples).passed
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_total_complex_inverts_each_transition_once(monkeypatch):
+    fc = family.FiberedComplex(fixtures.circle_triangulation(), fixtures.torus_model(),
+                               {(2, 0): fixtures.fiber_rotation_on_torus_model()})
+    calls = count_calls(monkeypatch, "numpy.linalg", np.linalg.inv)
+    family.total_complex(fc)
+    assert len(calls) <= len(fc.transitions)
