@@ -142,7 +142,7 @@ def cmd_sgn(args, tol: Tolerances) -> tuple[dict, int]:
         checks.append({"name": "signature_even", "passed": True,
                        "value": data["signature"]})
     else:
-        # odd_index_representative raises unless its certificate passed
+        # the odd representative raises unless its certificate passed
         checks.append({"name": "odd_certificate", "passed": True,
                        "min_singular": data["minSingular"][0]})
     report = _report("sgn", {args.path: _digest(args.path)}, tol, args.seed,

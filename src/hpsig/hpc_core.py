@@ -376,7 +376,8 @@ def validate(c: HPComplex, tol: Tolerances = DEFAULT_TOL) -> AxiomReport:
     checks.append(CheckResult("d_squared_zero", resid_d2, tol.chain, resid_d2 <= tol.chain))
 
     s_on = c.S_on
-    s_scale = max(operator_norm(s_on), 1.0)
+    s_norm = operator_norm(s_on)
+    s_scale = max(s_norm, 1.0)
     resid_sa = operator_norm(s_on - s_on.conj().T)
     checks.append(CheckResult("S_self_adjoint", resid_sa, tol.sym * s_scale,
                               resid_sa <= tol.sym * s_scale))
@@ -387,18 +388,16 @@ def validate(c: HPComplex, tol: Tolerances = DEFAULT_TOL) -> AxiomReport:
     checks.append(CheckResult("S_degree_reversing", resid_block, tol.sym * s_scale,
                               resid_block <= tol.sym * s_scale))
 
-    d_on = c.to_orthonormal(c.d_total)
     D_on = c.D_on
-    strict_ok = True
     resid_s2 = operator_norm(s_on @ s_on - np.eye(c.total_dim))
-    thr_s2 = tol.sym * max(1.0, operator_norm(s_on) ** 2)
+    thr_s2 = tol.sym * max(1.0, s_norm ** 2)
     resid_anti = operator_norm(s_on @ D_on + D_on @ s_on)
-    thr_anti = tol.sym * max(1.0, operator_norm(s_on) * max(operator_norm(D_on), 1.0))
+    thr_anti = tol.sym * max(1.0, s_norm * max(operator_norm(D_on), 1.0))
+    strict_ok = resid_s2 <= thr_s2 and resid_anti <= thr_anti
     if c.tier == "strict":
         checks.append(CheckResult("strict_S_squared", resid_s2, thr_s2, resid_s2 <= thr_s2))
         checks.append(CheckResult("strict_anticommute", resid_anti, thr_anti,
                                   resid_anti <= thr_anti))
-        strict_ok = resid_s2 <= thr_s2 and resid_anti <= thr_anti
 
     cert_plus = spectral.invertibility_certificate(D_on + s_on, tol.inv)
     cert_minus = spectral.invertibility_certificate(D_on - s_on, tol.inv)
@@ -408,13 +407,10 @@ def validate(c: HPComplex, tol: Tolerances = DEFAULT_TOL) -> AxiomReport:
     checks.append(CheckResult("poincare_minus", -cert_minus.min_singular,
                               -cert_minus.threshold, cert_minus.passed))
 
-    base_ok = all(ch.passed for ch in checks)
-    achieved = "weak"
-    if resid_s2 <= thr_s2 and resid_anti <= thr_anti:
-        achieved = "strict"
-    passed = base_ok and (c.tier != "strict" or strict_ok)
+    # the strict checks are among checks exactly when the strict tier is declared
+    passed = all(ch.passed for ch in checks)
     return AxiomReport(tuple(checks), cert_plus, cert_minus,
-                       c.tier, achieved, poincare, passed,
+                       c.tier, "strict" if strict_ok else "weak", poincare, passed,
                        float(resid_s2), float(resid_anti))
 
 

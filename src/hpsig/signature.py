@@ -11,8 +11,7 @@ import numpy as np
 
 from . import spectral
 from .hpc_core import (DEFAULT_TOL, DomainError, DualityDegenerateError,
-                       HPComplex, StructuralError, Tolerances,
-                       rescale_inner_products, validate)
+                       HPComplex, StructuralError, Tolerances, validate)
 from .spectral import (HermitianEigensystem, InvertibilityCertificate,
                        NoSpectralGapError)
 
@@ -28,19 +27,16 @@ def _require_valid(c: HPComplex, tol: Tolerances) -> None:
         raise StructuralError(f"complex fails axiom checks: {bad}")
 
 
-def _eigensystems(c: HPComplex, tol: Tolerances
+def _eigensystems(c: HPComplex, tol: Tolerances, t: float = 1.0
                   ) -> tuple[HermitianEigensystem, HermitianEigensystem]:
-    """One gap-checked eigensystem each of D+S and D-S."""
+    """One gap-checked eigensystem each of B+-(t) = t^(-1/2) D +- S (at t = 1
+    the factor is exactly 1.0, so these are bitwise D +- S)."""
+    d_on = t ** -0.5 * c.D_on
     try:
-        return (spectral.eig_hermitian(c.b_plus_on(), tol.sym).require_gap(tol.inv, "D+S"),
-                spectral.eig_hermitian(c.b_minus_on(), tol.sym).require_gap(tol.inv, "D-S"))
+        return (spectral.eig_hermitian(d_on + c.S_on, tol.sym).require_gap(tol.inv, "D+S"),
+                spectral.eig_hermitian(d_on - c.S_on, tol.sym).require_gap(tol.inv, "D-S"))
     except NoSpectralGapError as exc:
         raise DualityDegenerateError(str(exc)) from exc
-
-
-def _ranks(c: HPComplex, tol: Tolerances) -> tuple[int, int]:
-    ep, em = _eigensystems(c, tol)
-    return ep.positive_rank(), em.positive_rank()
 
 
 def signature_even(c: HPComplex, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -48,8 +44,8 @@ def signature_even(c: HPComplex, tol: Tolerances = DEFAULT_TOL) -> int:
     if c.n % 2 != 0:
         raise DomainError(f"signature_even needs even top degree, got {c.n}")
     _require_valid(c, tol)
-    rp, rm = _ranks(c, tol)
-    return rp - rm
+    ep, em = _eigensystems(c, tol)
+    return ep.positive_rank() - em.positive_rank()
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,21 +62,30 @@ class OddIndexRepresentative:
         return self.certificate.passed
 
 
-def odd_index_representative(c: HPComplex, tol: Tolerances = DEFAULT_TOL
-                             ) -> OddIndexRepresentative:
-    """Invertible representative on the even-degree part for odd top degree."""
-    if c.n % 2 != 1:
-        raise DomainError(f"odd representative needs odd top degree, got {c.n}")
-    _require_valid(c, tol)
-    bp = c.b_plus_on()
-    bm = c.b_minus_on()
+def _odd_sample(c: HPComplex, tol: Tolerances, t: float = 1.0
+                ) -> tuple[np.ndarray, InvertibilityCertificate]:
+    """u = B+(t) B-(t)^{-1} on the even part and its certificate.  Of the
+    axioms only the invertibility of B+-(t) depends on t; the gaps certify it."""
+    d_on = t ** -0.5 * c.D_on
+    bp, bm = d_on + c.S_on, d_on - c.S_on
+    try:
+        spectral.require_gap(np.linalg.eigvalsh(bp), tol.inv, "D+S")
+        spectral.require_gap(np.linalg.eigvalsh(bm), tol.inv, "D-S")
+    except NoSpectralGapError as exc:
+        raise DualityDegenerateError(str(exc)) from exc
     ev = c.even_indices
-    u_full = bp @ np.linalg.inv(bm)
-    u = u_full[np.ix_(ev, ev)]
+    u = (bp @ np.linalg.inv(bm))[np.ix_(ev, ev)]
     cert = spectral.invertibility_certificate(u, tol.inv)
     if not cert.passed:
         raise DualityDegenerateError(
             f"odd representative not invertible (min singular {cert.min_singular:.3e})")
+    return u, cert
+
+
+def _odd_representative(c: HPComplex, tol: Tolerances) -> OddIndexRepresentative:
+    """The odd representative of a complex the caller has validated."""
+    u, cert = _odd_sample(c, tol)
+    ev = c.even_indices
     resid = None
     if c.tier == "strict":
         a = (1j * c.D_on @ c.S_on)[np.ix_(ev, ev)]
@@ -88,13 +93,23 @@ def odd_index_representative(c: HPComplex, tol: Tolerances = DEFAULT_TOL
     return OddIndexRepresentative(u, cert, resid, int(ev.size))
 
 
+def odd_index_representative(c: HPComplex, tol: Tolerances = DEFAULT_TOL
+                             ) -> OddIndexRepresentative:
+    """Invertible representative on the even-degree part for odd top degree."""
+    if c.n % 2 != 1:
+        raise DomainError(f"odd representative needs odd top degree, got {c.n}")
+    _require_valid(c, tol)
+    return _odd_representative(c, tol)
+
+
 @dataclass(frozen=True, eq=False)
 class LocalizationSchedule:
     """Sampled rescaled-metric path of index representatives.
 
-    For each sample time t the complex is rescaled by factor t and the parity
-    representative recomputed; signatures (even) or invertibility certificates
-    (odd) must be constant/pass across the whole schedule.
+    Rescaling G_p by t^(n/2 - p) leaves S fixed in orthonormal coordinates
+    and scales D by t^(-1/2), so sample t recomputes the parity representative
+    from B+-(t) = t^(-1/2) D +- S; signatures (even) or invertibility
+    certificates (odd) must be constant/pass across the whole schedule.
     """
 
     kind: str                       # "even" | "odd"
@@ -128,39 +143,33 @@ def localized_signature_path(c: HPComplex, t_max: float = 10.0, samples: int = 1
     if t_max < 1.0 or samples < 1:
         raise DomainError("need t_max >= 1 and at least one sample")
     _require_valid(c, tol)
-    times = np.linspace(1.0, t_max, samples)
+    times = np.linspace(1.0, t_max, samples).tolist()
     even = c.n % 2 == 0
-    sigs: list[int] = []
     ranks: list[tuple[int, int]] = []
     min_sv: list[float] = []
     reps: list[np.ndarray] = []
     for t in times:
-        ct = rescale_inner_products(c, float(t))
         try:
             if even:
-                ep, em = _eigensystems(ct, tol)
-                rp, rm = ep.positive_rank(), em.positive_rank()
-                ranks.append((rp, rm))
-                sigs.append(rp - rm)
+                ep, em = _eigensystems(c, tol, t)
+                ranks.append((ep.positive_rank(), em.positive_rank()))
                 reps.append(ep.positive_projection() - em.positive_projection())
-                min_sv.append(min(
-                    spectral.invertibility_certificate(ct.b_plus_on(), tol.inv).min_singular,
-                    spectral.invertibility_certificate(ct.b_minus_on(), tol.inv).min_singular))
+                min_sv.append(min(float(np.abs(es.eigenvalues).min()) for es in (ep, em)))
             else:
-                rep = odd_index_representative(ct, tol)
-                reps.append(rep.u)
-                min_sv.append(rep.certificate.min_singular)
+                u, cert = _odd_sample(c, tol, t)
+                reps.append(u)
+                min_sv.append(cert.min_singular)
         except (DualityDegenerateError, NoSpectralGapError) as exc:
             raise DualityDegenerateError(
-                f"localization sample t={float(t):.6g} failed: {exc}") from exc
+                f"localization sample t={t:.6g} failed: {exc}") from exc
+    sigs = [rp - rm for rp, rm in ranks]
     steps = [float(spectral.operator_norm(b - a)) for a, b in zip(reps, reps[1:])]
-    width = float(times[1] - times[0]) if samples > 1 else 1.0
+    width = times[1] - times[0] if samples > 1 else 1.0
     lipschitz = max(steps) / width if steps else 0.0
-    constant = len(set(sigs)) <= 1 if even else True
+    constant = len(set(sigs)) <= 1
     passed = constant and all(sv > 0 for sv in min_sv)
     return LocalizationSchedule(
-        "even" if even else "odd",
-        tuple(float(t) for t in times),
+        "even" if even else "odd", tuple(times),
         tuple(sigs) if even else None,
         tuple(ranks) if even else None,
         tuple(min_sv), tuple(steps), lipschitz, constant, passed)
@@ -168,20 +177,19 @@ def localized_signature_path(c: HPComplex, t_max: float = 10.0, samples: int = 1
 
 def signature_report(c: HPComplex, tol: Tolerances = DEFAULT_TOL,
                      schedule: LocalizationSchedule | None = None) -> dict:
-    """Machine-readable signature data for one complex."""
+    """Machine-readable signature data for one complex the caller has
+    validated (``cmd_sgn`` does, through the localization schedule)."""
     if c.n % 2 == 0:
-        rp, rm = _ranks(c, tol)
+        ep, em = _eigensystems(c, tol)
+        rp, rm = ep.positive_rank(), em.positive_rank()
         doc = {
             "kind": "even",
             "signature": rp - rm,
             "ranks": [rp, rm],
-            "minSingular": [
-                spectral.invertibility_certificate(c.b_plus_on(), tol.inv).min_singular,
-                spectral.invertibility_certificate(c.b_minus_on(), tol.inv).min_singular,
-            ],
+            "minSingular": [float(np.abs(es.eigenvalues).min()) for es in (ep, em)],
         }
     else:
-        rep = odd_index_representative(c, tol)
+        rep = _odd_representative(c, tol)
         doc = {
             "kind": "odd",
             "signature": 0,

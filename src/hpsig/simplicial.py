@@ -71,18 +71,11 @@ def _primitive(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
-def rational_rank(a: np.ndarray) -> int:
-    rows = np.asarray(a, dtype=np.int64).tolist()
-    return len(rref(rows)[1]) if rows else 0
-
-
-def _integer_nullspace(a: np.ndarray) -> list[tuple[list[int], int]]:
-    """Kernel basis of an integer matrix as (integer vector, scale) pairs, one
-    per free column; vector / scale is the rational basis vector."""
-    nrows, ncols = a.shape
-    if nrows == 0:
-        return [([int(i == j) for i in range(ncols)], 1) for j in range(ncols)]
-    red, pivots = rref(a.tolist())
+def _integer_nullspace(red: list[list[int]], pivots: list[int], ncols: int
+                       ) -> list[tuple[list[int], int]]:
+    """Kernel basis, read off (red, pivots) = rref(a) of a matrix with ncols
+    columns, as (integer vector, scale) pairs, one per free column; vector /
+    scale is the rational basis vector."""
     basis = []
     for fc in sorted(set(range(ncols)) - set(pivots)):
         scale = math.lcm(*(red[r][pc] for r, pc in enumerate(pivots) if red[r][fc]))
@@ -101,8 +94,8 @@ def _to_fractions(v: list[int], scale: int) -> list[Fraction]:
 
 def rational_nullspace(a: np.ndarray) -> list[list[Fraction]]:
     """Basis of the rational kernel of an integer matrix (columns as vectors)."""
-    return [_to_fractions(v, s)
-            for v, s in _integer_nullspace(np.asarray(a, dtype=np.int64))]
+    a = np.asarray(a, dtype=np.int64)
+    return [_to_fractions(v, s) for v, s in _integer_nullspace(*rref(a.tolist()), a.shape[1])]
 
 
 def symmetric_signature(q: list[list[Fraction]]) -> tuple[int, int, int]:
@@ -180,6 +173,12 @@ class SimplicialManifold:
             B.flags.writeable = False
             out.append(B)
         return tuple(out)
+
+    @cached_property
+    def coboundary_rrefs(self) -> tuple[tuple[list[list[int]], list[int]], ...]:
+        """rref of each integer coboundary d_p = B_{p+1}^T, p = 0..n (d_n has no
+        rows); the Betti numbers and the cohomology basis share these."""
+        return tuple(rref(B.T.tolist()) for B in self.boundaries) + (([], []),)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -300,13 +299,11 @@ def coboundary_matrices(sm: SimplicialManifold) -> tuple[np.ndarray, ...]:
 
 def betti_numbers(sm: SimplicialManifold) -> tuple[int, ...]:
     """Exact rational Betti numbers."""
-    ds = coboundary_matrices(sm)
-    ranks = [rational_rank(d) for d in ds]
+    ranks = [len(pivots) for _, pivots in sm.coboundary_rrefs]
     out = []
     for p in range(sm.n + 1):
-        rk_out = ranks[p] if p < len(ranks) else 0
         rk_in = ranks[p - 1] if p >= 1 else 0
-        out.append(len(sm.simplices[p]) - rk_out - rk_in)
+        out.append(len(sm.simplices[p]) - ranks[p] - rk_in)
     return tuple(out)
 
 
@@ -451,16 +448,13 @@ class IntersectionForm:
 def _cohomology_basis(sm: SimplicialManifold, p: int) -> list[list[Fraction]]:
     """Rational cocycle representatives of H^p in the standard cochain basis."""
     ds = coboundary_matrices(sm)
-    d_out = ds[p] if p < len(ds) else np.zeros((0, len(sm.simplices[p])), dtype=np.int64)
-    kernel = _integer_nullspace(d_out)
     dim = len(sm.simplices[p])
+    kernel = _integer_nullspace(*sm.coboundary_rrefs[p], dim)
     if p == 0 or not ds[p - 1].size:
         image: list[list[int]] = [[] for _ in range(dim)]
     else:
         # pivot columns of d_in form a basis of its image
-        d_in = ds[p - 1]
-        _, pivots = rref(d_in.tolist())
-        image = d_in[:, pivots].tolist()
+        image = ds[p - 1][:, sm.coboundary_rrefs[p - 1][1]].tolist()
     # select kernel vectors independent from the image: RREF of [image | kernel]
     # (scaling a column leaves the pivots alone, so integer vectors will do)
     if not dim or not (image[0] or kernel):

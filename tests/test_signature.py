@@ -104,3 +104,69 @@ def test_signature_report_shapes():
     assert even["ranks"] == [2, 1]
     odd = signature_report(fixtures.circle_model())
     assert odd["kind"] == "odd" and odd["signature"] == 0
+
+
+def _reference_complexes():
+    from hpsig.hpc_core import rescale_inner_products
+    odd = fixtures.random_strict_complex(np.random.default_rng(2019), 1, 3)
+    return [fixtures.cp2_model(), fixtures.circle_model(),
+            cap_duality(fixtures.sphere_triangulation()),
+            rescale_inner_products(fixtures.torus_model(), 2.5),
+            odd, rescale_inner_products(odd, 1.7)]
+
+
+@pytest.mark.parametrize("index", range(6), ids=[
+    "cp2_model", "circle_model", "cap_sphere", "torus_model_weighted", "random_odd",
+    "random_odd_weighted"])
+def test_localized_path_matches_rescaled_complexes(index):
+    # the schedule samples t^(-1/2) D +- S on the input complex; the reference
+    # rebuilds the complex with G_p rescaled by t^(n/2 - p) at every sample
+    from hpsig.hpc_core import DEFAULT_TOL, rescale_inner_products
+    from hpsig.spectral import eig_hermitian
+    c = _reference_complexes()[index]
+    sched = localized_signature_path(c, 10.0, 7)
+    reps, ranks = [], []
+    for k, t in enumerate(sched.times):
+        ct = rescale_inner_products(c, t)
+        if c.n % 2 == 0:
+            ep, em = eig_hermitian(ct.b_plus_on()), eig_hermitian(ct.b_minus_on())
+            ranks.append((ep.positive_rank(), em.positive_rank()))
+            reps.append(ep.positive_projection() - em.positive_projection())
+            svs = [np.linalg.svd(b, compute_uv=False) for b in (ct.b_plus_on(), ct.b_minus_on())]
+            scale = max(s[0] for s in svs)
+            assert sched.min_singulars[k] == pytest.approx(min(s[-1] for s in svs),
+                                                           rel=0, abs=1e-12 * scale)
+        else:
+            from hpsig.signature import _odd_sample
+            rep = odd_index_representative(ct)
+            u = _odd_sample(c, DEFAULT_TOL, t)[0]
+            scale = np.linalg.norm(rep.u, 2)
+            assert np.abs(u - rep.u).max() <= 1e-12 * scale
+            assert sched.min_singulars[k] == pytest.approx(rep.certificate.min_singular,
+                                                           rel=0, abs=1e-12 * scale)
+            reps.append(rep.u)
+    if c.n % 2 == 0:
+        assert sched.ranks == tuple(ranks)
+        assert sched.signatures == tuple(rp - rm for rp, rm in ranks)
+    steps = [np.linalg.norm(b - a, 2) for a, b in zip(reps, reps[1:])]
+    assert sched.step_norms == pytest.approx(steps, rel=0, abs=1e-12 * max(steps + [1.0]))
+
+
+def _acyclic(n):
+    """dims 1 in degrees n-1 and n, d_{n-1} = [[1]] and S = 0: D = [[0, 1], [1, 0]]
+    keeps D +- S invertible, but its part of t^(-1/2) D +- S shrinks like t^(-1/2)."""
+    dims = tuple(int(p >= n - 1) for p in range(n + 1))
+    d = tuple(np.ones((dims[p + 1], dims[p])) for p in range(n))
+    return HPComplex(GradedSpace(n, dims), d, np.zeros((2, 2)), "weak")
+
+
+@pytest.mark.parametrize("model", ["sphere_model", "circle_model"])
+def test_localized_path_fails_once_the_gap_closes(model):
+    # the model's part keeps |eigenvalue| 1, so the gap t^(-1/2) against
+    # tol.inv = 1e-8 closes at t = 1e16; on the odd side the representative
+    # u stays invertible, so only the gap check of B+-(t) can fail the sample
+    base = getattr(fixtures, model)()
+    c = direct_sum(base, _acyclic(base.n))
+    assert localized_signature_path(c, 1e15, 2).passed
+    with pytest.raises(DualityDegenerateError, match=r"t=1e\+18"):
+        localized_signature_path(c, 1e18, 2)

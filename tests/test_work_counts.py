@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from hpsig import cli, family, fixtures, hpc_core, rho, spectral
+from hpsig import cli, family, fixtures, hpc_core, rho, signature, simplicial, spectral
 
 
 def _namespaces(prefix: str) -> list:
@@ -107,3 +107,52 @@ def test_total_complex_inverts_each_transition_once(monkeypatch):
     calls = count_calls(monkeypatch, "numpy.linalg", np.linalg.inv)
     family.total_complex(fc)
     assert len(calls) <= len(fc.transitions)
+
+
+def test_sgn_odd_validates_once(monkeypatch, capsys, fixture_dir):
+    # the odd schedule samples t^(-1/2) D +- S on the validated input complex
+    calls = count_calls(monkeypatch, "hpsig", hpc_core.validate)
+    assert run_cli(capsys, "sgn", str(fixture_dir / "circle_model.json")) == 0
+    assert len(calls) == 1
+
+
+def test_localization_builds_no_rescaled_complex(monkeypatch):
+    c = simplicial.cap_duality(fixtures.sphere_triangulation())
+    assert not c.space.has_weights
+    rescaled = count_calls(monkeypatch, "hpsig", hpc_core.rescale_inner_products)
+    eigh = count_calls(monkeypatch, "numpy.linalg", np.linalg.eigh)
+    signature.localized_signature_path(c, 10.0, 7)
+    assert len(rescaled) == 0
+    assert len(eigh) == 2 * 7            # one each of B+(t) and B-(t) per sample
+
+
+def test_even_signature_makes_no_gram_certificate(monkeypatch):
+    c = simplicial.cap_duality(fixtures.sphere_triangulation())
+    calls = count_calls(monkeypatch, "hpsig", spectral.invertibility_certificate)
+    signature.localized_signature_path(c, 10.0, 7)
+    assert len(calls) == 2               # validate's, of D+S and D-S at t = 1
+    calls.clear()
+    signature.signature_report(c)
+    assert len(calls) == 0
+
+
+def test_sgn_cp2_9_eigh_count(monkeypatch, capsys, fixture_dir):
+    calls = count_calls(monkeypatch, "numpy.linalg", np.linalg.eigh)
+    assert run_cli(capsys, "sgn", str(fixture_dir / "cp2_9.json")) == 0
+    assert len(calls) <= 22              # 2 per schedule sample, 2 for the report
+
+
+def test_validate_takes_each_two_norm_once(monkeypatch):
+    c = fixtures.cp2_model()
+    assert not c.space.has_weights       # no inner-product checks
+    calls = count_calls(monkeypatch, "numpy.linalg", np.linalg.svd)
+    hpc_core.validate(c)
+    # ||S||, ||S - S*||, ||S^2 - 1||, ||SD + DS|| and ||D||
+    assert len(calls) == 5
+
+
+def test_check_reduces_each_coboundary_once(monkeypatch, capsys, fixture_dir):
+    calls = count_calls(monkeypatch, "hpsig", simplicial.rref)
+    assert run_cli(capsys, "check", str(fixture_dir / "cp2_9.json")) == 0
+    # the four coboundaries, the [image | kernel] selection and the pairing rank
+    assert len(calls) == 6
