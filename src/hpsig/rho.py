@@ -11,6 +11,7 @@ is reported with its location t* rather than assumed away.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -144,6 +145,20 @@ class _PathData:
         # part's Frobenius norm to their slack (0 without weights)
         self.D_hermitian = 0.5 * (D + D.conj().T)
         self.D_skew = float(np.linalg.norm(D - D.conj().T))
+        # the grading eps = (-1)^p: D links adjacent degrees (eps D eps = -D)
+        # and S_f(t) maps degree p to n - p (eps S_f eps = (-1)^n S_f);
+        # entries breaking either rule are the parity-violating part
+        parity = np.concatenate([src.space.parity, tgt.space.parity])
+        same = parity[:, None] == parity[None, :]
+        self.D_off_parity = float(np.linalg.norm(self.D_hermitian[same]))
+        if he.n % 2 == 0:
+            self.h_off_parity = ~same
+            self.D_graded = np.where(same, 0.0, self.D_hermitian)
+        else:
+            self.h_off_parity = same
+            self.even = np.flatnonzero(parity > 0)
+            self.odd = np.flatnonzero(parity < 0)
+            self.D_even_odd = self.D_hermitian[np.ix_(self.even, self.odd)]
 
     def assemble(self, a11, a12, a21, a22) -> np.ndarray:
         m = np.zeros((self.ns + self.nt, self.ns + self.nt), dtype=complex)
@@ -187,22 +202,50 @@ class _PathData:
         return self.assemble(self.Sp, None, None, -self.S)
 
 
-def _min_abs_eig(a: np.ndarray) -> float:
-    return float(np.abs(np.linalg.eigvalsh(a)).min())
+class _Sample(NamedTuple):
+    """One path sample of the graded parts of D +- H, where S_f(t) = H + K/2
+    splits into Hermitian part H and skew part K."""
+
+    plus: float                # min |eigenvalue| of the graded D + H
+    minus: float               # min |eigenvalue| of the graded D - H
+    skew: float                # ||K||_F
+    off_parity: float          # ||parity-violating part of D and H||_F
+    rank: int | None = None    # even n: positive eigenvalues of D + H
+    top: float | None = None   # even n: max |eigenvalue| of D + H
 
 
-def _sample(pd: _PathData, t: float) -> tuple[float, float, float]:
-    """min |eigenvalue| of D + H and of D - H, and ||K||_F, where
-    S_f(t) = H + K/2 splits into Hermitian part H and skew part K.
+def _min_singular(b: np.ndarray) -> float:
+    """Smallest singular value; 0 for a block that is not square."""
+    if b.shape[0] != b.shape[1]:
+        return 0.0
+    return float(np.linalg.svd(b, compute_uv=False)[-1])
+
+
+def _sample(pd: _PathData, t: float) -> _Sample:
+    """D +- H at path time t, from its graded part.
+
+    For even n the grading anticommutes with D and commutes with H, so
+    eps (D + H) eps = -(D - H): one eigvalsh of D + H gives both.  For odd n
+    D +- H is odd, [[0, B], [B*, 0]] in the (even, odd) split, so its
+    eigenvalues are +-sigma(B) for B its (even rows, odd columns) block.
 
     By Weyl, the smallest singular value of D +- S_f(t) is at least
-    min |eigenvalue| of D +- H minus (||K||_F + ||D - D*||_F) / 2.
+    min |eigenvalue| of the graded D +- H minus (||K||_F + ||D - D*||_F) / 2
+    and minus the parity-violating norm.
     """
     sf = pd.value(t)
     k = sf - sf.conj().T
     h = sf - 0.5 * k
-    return (_min_abs_eig(pd.D_hermitian + h), _min_abs_eig(pd.D_hermitian - h),
-            float(np.linalg.norm(k)))
+    skew = float(np.linalg.norm(k))
+    off = pd.D_off_parity + float(np.linalg.norm(h[pd.h_off_parity]))
+    if pd.he.n % 2 == 0:
+        vals = np.linalg.eigvalsh(pd.D_graded + np.where(pd.h_off_parity, 0.0, h))
+        size = np.abs(vals)
+        gap = float(size.min())
+        return _Sample(gap, gap, skew, off, int((vals > 0).sum()), float(size.max()))
+    h_even_odd = h[np.ix_(pd.even, pd.odd)]
+    return _Sample(_min_singular(pd.D_even_odd + h_even_odd),
+                   _min_singular(pd.D_even_odd - h_even_odd), skew, off)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,11 +253,11 @@ class RhoPath:
     """Sampled duality path with invertibility certificates.
 
     min_sv_plus, min_sv_minus and refined_min_sv are min |eigenvalue| of the
-    Hermitian parts of D +- S_f(t); selfadjoint_residual is the largest
-    ||S_f(t) - S_f(t)*||_F over every sample.  passed means: every sample
-    clears the invertibility threshold plus the Weyl slack for the skew
-    parts, branch junctions agree, endpoints match diag(S', -S) and its
-    negative, and every sample is self-adjoint.
+    graded Hermitian parts of D +- S_f(t); selfadjoint_residual is the
+    largest ||S_f(t) - S_f(t)*||_F over every sample.  passed means: every
+    sample clears the invertibility threshold plus the Weyl slack for the
+    skew and parity-violating parts, branch junctions agree, endpoints match
+    diag(S', -S) and its negative, and every sample is self-adjoint.
     """
 
     times: tuple[float, ...]
@@ -230,6 +273,8 @@ class RhoPath:
     passed: bool
     failed_at: float | None
     _data: _PathData = field(repr=False)
+    _samples: tuple[_Sample, ...] = field(repr=False)   # one per entry of times
+    _slack: float = field(repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -266,12 +311,11 @@ def rho_path(he: HomotopyEquivalence, samples: int = 601,
     threshold = tol.inv * scale
 
     times = np.linspace(0.0, 6.0, samples)
-    svp, svm, sa = [], [], 0.0
-    for t in times:
-        p, m, kf = _sample(pd, float(t))
-        svp.append(p)
-        svm.append(m)
-        sa = max(sa, kf)
+    grid = [_sample(pd, float(t)) for t in times]
+    svp = [s.plus for s in grid]
+    svm = [s.minus for s in grid]
+    sa = max(s.skew for s in grid)
+    off = max(s.off_parity for s in grid)
     mins = np.minimum(svp, svm)
 
     refined_t: list[float] = []
@@ -285,9 +329,10 @@ def rho_path(he: HomotopyEquivalence, samples: int = 601,
             h /= 2.0
             for cand in (t_star - h, t_star + h):
                 if 0.0 <= cand <= 6.0:
-                    p, m, kf = _sample(pd, cand)
-                    sa = max(sa, kf)
-                    v = min(p, m)
+                    smp = _sample(pd, cand)
+                    sa = max(sa, smp.skew)
+                    off = max(off, smp.off_parity)
+                    v = min(smp.plus, smp.minus)
                     refined_t.append(cand)
                     refined_v.append(v)
                     if v < v_star:
@@ -307,7 +352,7 @@ def rho_path(he: HomotopyEquivalence, samples: int = 601,
         spectral.operator_norm(pd.value(6.0) + pd.diag_duality()))
 
     failed_at = None
-    slack = 0.5 * (sa + pd.D_skew)
+    slack = 0.5 * (sa + pd.D_skew) + off
     order = sorted(zip([*map(float, times), *refined_t],
                        [*map(float, mins), *refined_v]))
     for t, v in order:
@@ -319,7 +364,7 @@ def rho_path(he: HomotopyEquivalence, samples: int = 601,
     return RhoPath(tuple(float(t) for t in times), tuple(map(float, svp)),
                    tuple(map(float, svm)), tuple(refined_t), tuple(refined_v),
                    float(junction), float(endpoint), float(sa), float(threshold),
-                   float(min_all), passed, failed_at, pd)
+                   float(min_all), passed, failed_at, pd, tuple(grid), slack)
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +433,11 @@ def rho_certificate_odd(he: HomotopyEquivalence, path: RhoPath, samples: int = 1
     scale = max(1.0, spectral.operator_norm(b_plus))
     threshold = tol.inv * scale
     failed_at = None
+    # the even rows of B+ (D + S_f)^{-1} solve X (D + S_f) = B+[ev, :]
+    b_even_t = b_plus[ev, :].T
     for t in times:
         sf = pd.value(float(t) - 1.0)
-        family = b_plus @ np.linalg.inv(pd.D + sf)
-        u = family[np.ix_(ev, ev)]
+        u = np.linalg.solve((pd.D + sf).T, b_even_t)[ev, :].T
         sv = float(np.linalg.svd(u, compute_uv=False)[-1])
         mins.append(sv)
         if failed_at is None and sv <= threshold:
@@ -400,6 +446,21 @@ def rho_certificate_odd(he: HomotopyEquivalence, path: RhoPath, samples: int = 1
     passed = failed_at is None and schedule.passed
     return OddRhoCertificate(tuple(map(float, times)), tuple(mins), schedule,
                              threshold, passed, failed_at)
+
+
+def _certified_rank(pd: _PathData, smp: _Sample, tol: Tolerances, t: float) -> int:
+    """Positive rank of D + S_f(t - 1) at an even sample, behind the checks of
+    spectral.positive_rank: ||K||_F + ||D - D*||_F bounds the Frobenius norm
+    of its skew part, and the gap rule reads min and max |eigenvalue|."""
+    skew = smp.skew + pd.D_skew
+    if skew > tol.sym * max(smp.top, 1.0):
+        raise ValueError(f"matrix is not Hermitian: residual {skew:.3e}")
+    try:
+        spectral.require_gap_between(smp.plus, smp.top, tol.inv, "positive rank")
+    except NoSpectralGapError as exc:
+        raise DualityDegenerateError(
+            f"eigenvalue crossing at sample t={t:.6g}: {exc}") from exc
+    return smp.rank
 
 
 @dataclass(frozen=True, eq=False)
@@ -435,19 +496,20 @@ def rho_certificate_even(he: HomotopyEquivalence, path: RhoPath, samples: int = 
     if he.n % 2 != 0:
         raise DomainError("even certificate needs even top degree")
     pd = _require_passed(he, path, samples)
-    rank_plus = spectral.positive_rank(pd.D + pd.diag_duality(), tol.inv, tol.sym)
     times = np.linspace(1.0, 7.0, samples)
+    # sample i sits at path time t - 1 = 6 i / (samples - 1); it is path
+    # sample j when i (len(path.times) - 1) = j (samples - 1), so the ranks
+    # the path saw there are read, not recomputed
+    steps = len(path.times) - 1
     ranks_m: list[int] = []
     failed_at = None
-    for t in times:
-        try:
-            ranks_m.append(spectral.positive_rank(pd.D + pd.value(float(t) - 1.0),
-                                                  tol.inv, tol.sym))
-        except NoSpectralGapError as exc:
-            raise DualityDegenerateError(
-                f"eigenvalue crossing at sample t={float(t):.6g}: {exc}") from exc
+    for i, t in enumerate(times):
+        j, off_grid = divmod(i * steps, samples - 1)
+        smp = _sample(pd, float(t) - 1.0) if off_grid else path._samples[j]
+        ranks_m.append(_certified_rank(pd, smp, tol, float(t)))
         if failed_at is None and ranks_m[-1] != ranks_m[0]:
             failed_at = float(t)
+    rank_plus = ranks_m[0]               # t = 1 is D + diag(S', -S)
     schedule = localized_signature_path(_sum_complex(he), t_max, schedule_samples, tol)
     constant = len(set(ranks_m)) <= 1 and schedule.constant
     equal = all(r == rank_plus for r in ranks_m)

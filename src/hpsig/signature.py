@@ -5,7 +5,7 @@ representatives, and the sampled rescaled-metric localization path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -121,6 +121,8 @@ class LocalizationSchedule:
     lipschitz: float                # max step norm / step width
     constant: bool
     passed: bool
+    # even: the complex, tolerances and eigenvalues of B+- at t = 1
+    _unit: tuple | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -148,10 +150,13 @@ def localized_signature_path(c: HPComplex, t_max: float = 10.0, samples: int = 1
     ranks: list[tuple[int, int]] = []
     min_sv: list[float] = []
     reps: list[np.ndarray] = []
+    unit = None
     for t in times:
         try:
             if even:
                 ep, em = _eigensystems(c, tol, t)
+                if unit is None:         # times[0] = 1: bitwise D +- S
+                    unit = (c, tol, ep.eigenvalues, em.eigenvalues)
                 ranks.append((ep.positive_rank(), em.positive_rank()))
                 reps.append(ep.positive_projection() - em.positive_projection())
                 min_sv.append(min(float(np.abs(es.eigenvalues).min()) for es in (ep, em)))
@@ -172,21 +177,26 @@ def localized_signature_path(c: HPComplex, t_max: float = 10.0, samples: int = 1
         "even" if even else "odd", tuple(times),
         tuple(sigs) if even else None,
         tuple(ranks) if even else None,
-        tuple(min_sv), tuple(steps), lipschitz, constant, passed)
+        tuple(min_sv), tuple(steps), lipschitz, constant, passed, unit)
 
 
 def signature_report(c: HPComplex, tol: Tolerances = DEFAULT_TOL,
                      schedule: LocalizationSchedule | None = None) -> dict:
     """Machine-readable signature data for one complex the caller has
-    validated (``cmd_sgn`` does, through the localization schedule)."""
+    validated (``cmd_sgn`` does, through the localization schedule).  An
+    even schedule of c under tol lends its t = 1 eigenvalues of D +- S."""
     if c.n % 2 == 0:
-        ep, em = _eigensystems(c, tol)
-        rp, rm = ep.positive_rank(), em.positive_rank()
+        unit = schedule._unit if schedule is not None else None
+        if unit is not None and unit[0] is c and unit[1] == tol:
+            vals = unit[2:]
+        else:
+            vals = [es.eigenvalues for es in _eigensystems(c, tol)]
+        rp, rm = (int((v > 0).sum()) for v in vals)
         doc = {
             "kind": "even",
             "signature": rp - rm,
             "ranks": [rp, rm],
-            "minSingular": [float(np.abs(es.eigenvalues).min()) for es in (ep, em)],
+            "minSingular": [float(np.abs(v).min()) for v in vals],
         }
     else:
         rep = _odd_representative(c, tol)

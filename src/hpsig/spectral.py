@@ -37,8 +37,13 @@ def require_gap(eigenvalues: np.ndarray, gap_tol: float, what: str) -> None:
     gap_tol * max |eigenvalue|."""
     if eigenvalues.size == 0:
         return
-    scale = max(float(np.abs(eigenvalues).max()), 1e-300)
-    gap = float(np.abs(eigenvalues).min())
+    size = np.abs(eigenvalues)
+    require_gap_between(float(size.min()), float(size.max()), gap_tol, what)
+
+
+def require_gap_between(gap: float, top: float, gap_tol: float, what: str) -> None:
+    """require_gap for a spectrum known by its min and max |eigenvalue|."""
+    scale = max(top, 1e-300)
     if gap <= gap_tol * scale:
         raise NoSpectralGapError(
             f"no spectral gap for {what}: min |eigenvalue| {gap:.3e} "

@@ -9,7 +9,7 @@ import pytest
 from hpsig import fixtures
 from hpsig.hpc_core import (DualityDegenerateError, GradedSpace, HPComplex,
                             StructuralError, Tolerances, direct_sum,
-                            reverse_orientation)
+                            rescale_inner_products, reverse_orientation)
 from hpsig.rho import (HomotopyEquivalence, _PathData, he_from_json, he_to_json,
                        identity_equivalence, rho_certificate_even,
                        rho_certificate_odd, rho_path,
@@ -70,14 +70,44 @@ def test_rho_path_negative_control_fails_with_location():
     assert path.failed_at == pytest.approx(0.5, abs=1e-6)
 
 
-@pytest.mark.parametrize("name", ["circle_model", "sphere_model", "he_reduction_sphere_d3"])
+def with_random_duality(c: HPComplex, rng: np.random.Generator) -> HPComplex:
+    """c of top degree 1 with S = [[0, A*], [A, 0]] for a random unitary A:
+    still self-adjoint with S^2 = 1, but no longer anticommuting with D."""
+    k = c.space.dims[0]
+    a, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    s = np.zeros((2 * k, 2 * k), dtype=complex)
+    s[k:, :k] = a
+    s[:k, k:] = a.conj().T
+    return HPComplex(c.space, c.d, s, "weak")
+
+
+@pytest.mark.parametrize("name", ["circle_model", "sphere_model", "he_reduction_sphere_d3",
+                                  "strict_n4", "weighted_n2", "weighted_n1", "weak_n1"])
 def test_rho_path_eigenvalues_match_singular_values(name, fixture_dir):
-    if name.startswith("he_"):
+    if name == "weak_n1":
+        # identity maps between two dualities on one complex: the odd path
+        # where min_sv_plus and min_sv_minus differ
+        c = fixtures.random_strict_complex(np.random.default_rng(1), 1, 3)
+        rng = np.random.default_rng(7)
+        ident = identity_equivalence(c)
+        he = HomotopyEquivalence(with_random_duality(c, rng), with_random_duality(c, rng),
+                                 ident.f, ident.g, ident.h, ident.h_prime)
+    elif name.startswith("he_"):
         he = he_from_json(json.loads((fixture_dir / f"{name}.json").read_text()))
+    elif name == "strict_n4":
+        he = identity_equivalence(
+            fixtures.random_strict_complex(np.random.default_rng(4), 4, 3))
+    elif name.startswith("weighted_"):
+        c = rescale_inner_products(
+            fixtures.random_strict_complex(np.random.default_rng(5), int(name[-1]), 3), 1.7)
+        assert c.space.has_weights and np.abs(c.D_on).max() > 0.1
+        he = identity_equivalence(c)
     else:
         he = identity_equivalence(getattr(fixtures, name)())
     path = rho_path(he, samples=61)
     assert path.passed
+    if name == "weak_n1":
+        assert max(abs(p - m) for p, m in zip(path.min_sv_plus, path.min_sv_minus)) > 0.1
     pd = _PathData(he)
     scale = path.threshold / Tolerances().inv
     for t, p, m in zip(path.times, path.min_sv_plus, path.min_sv_minus):
@@ -108,6 +138,78 @@ def test_rho_path_weyl_slack_for_skew_part(skew, passes):
     assert path.selfadjoint_residual == pytest.approx(4 * skew)
     assert path.passed is passes
     assert path.failed_at == (None if passes else 0.0)
+
+
+def self_equivalence(c: HPComplex, f: np.ndarray) -> HomotopyEquivalence:
+    """c to itself by an invertible f; with d = 0 every such f is a homotopy
+    equivalence, degree-preserving or not."""
+    assert all(not dp.any() for dp in c.d)
+    zero = np.zeros_like(f)
+    return HomotopyEquivalence(c, c, f, np.linalg.inv(f), zero, zero.copy())
+
+
+def dense_reference(he: HomotopyEquivalence, samples: int):
+    """The ungraded sampler: min |eigenvalue| of the whole D + H and D - H,
+    two eigvalsh per sample, with the skew-part Weyl slack only."""
+    pd = _PathData(he)
+    mins, skew = [], 0.0
+    for t in np.linspace(0.0, 6.0, samples):
+        sf = pd.value(float(t))
+        k = sf - sf.conj().T
+        h = sf - 0.5 * k
+        skew = max(skew, float(np.linalg.norm(k)))
+        mins.append(min(float(np.abs(np.linalg.eigvalsh(pd.D_hermitian + sign * h)).min())
+                        for sign in (1, -1)))
+    return np.array(mins), 0.5 * (skew + pd.D_skew)
+
+
+def parity_violation(he: HomotopyEquivalence, samples: int) -> float:
+    """Largest Frobenius norm, over the samples, of the entries of the
+    Hermitian part of S_f(t) that break eps S_f eps = (-1)^n S_f."""
+    pd = _PathData(he)
+    eps = np.concatenate([he.source.space.parity, he.target.space.parity])
+    bad = np.outer(eps, eps) != (-1) ** he.n
+    out = 0.0
+    for t in np.linspace(0.0, 6.0, samples):
+        sf = pd.value(float(t))
+        out = max(out, float(np.linalg.norm((0.5 * (sf + sf.conj().T))[bad])))
+    return out
+
+
+def circle_shear():
+    # f = [[1, 1], [-1, -2 + 2j]] mixes degrees 0 and 1.  The degree-changing
+    # entries of f^* S f give (S + f^* S f)/2 = S_f(0.5) a kernel, although
+    # its parity-preserving part (1 - t) + t beta, beta = -3 + 2j, never
+    # vanishes: only the parity-violating part makes the path singular.
+    return self_equivalence(fixtures.circle_model(),
+                            np.array([[1, 1], [-1, -2 + 2j]], dtype=complex))
+
+
+def torus_shear(delta: float):
+    f = np.eye(4, dtype=complex)
+    f[1, 0] = delta                      # degree 0 -> degree 1
+    return self_equivalence(fixtures.torus_model(), f)
+
+
+@pytest.mark.parametrize("build, passes", [
+    (lambda: torus_shear(1e-3), True),
+    (lambda: self_equivalence(fixtures.circle_model(),
+                              np.array([[1, 0], [1e-3, 1]], dtype=complex)), True),
+    (circle_shear, False),
+], ids=["torus_small", "circle_small", "circle_shear"])
+def test_rho_path_parity_violating_negative_control(build, passes):
+    he = build()
+    path = rho_path(he, samples=61, refine=False)
+    mins, slack = dense_reference(he, 61)
+    violation = parity_violation(he, 61)
+    assert violation > 1e-4
+    assert bool((mins > path.threshold + slack).all()) is passes
+    assert path.passed is passes
+    assert path._slack >= violation
+    if not passes:
+        # the whole operator is singular where the graded part is not
+        assert mins[5] <= path.threshold          # t = 0.5
+        assert path.min_singular > 0.4
 
 
 def test_rho_certificate_rejects_path_of_another_equivalence():

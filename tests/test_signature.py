@@ -5,7 +5,8 @@ import pytest
 
 from hpsig import fixtures
 from hpsig.hpc_core import (DomainError, DualityDegenerateError, GradedSpace,
-                            HPComplex, direct_sum, reverse_orientation)
+                            HPComplex, Tolerances, direct_sum,
+                            reverse_orientation)
 from hpsig.signature import (localized_signature_path, odd_index_representative,
                              signature_even, signature_report)
 from hpsig.simplicial import cap_duality
@@ -104,6 +105,18 @@ def test_signature_report_shapes():
     assert even["ranks"] == [2, 1]
     odd = signature_report(fixtures.circle_model())
     assert odd["kind"] == "odd" and odd["signature"] == 0
+
+
+def test_signature_report_reads_only_its_own_schedule():
+    c = fixtures.cp2_model()
+    own = signature_report(c, schedule=localized_signature_path(c))
+    assert own["signature"] == 1
+    # the t = 1 eigensystems of another complex, or gap-checked under other
+    # tolerances, are not those of this report
+    other = signature_report(c, schedule=localized_signature_path(reverse_orientation(c)))
+    assert other["signature"] == 1
+    with pytest.raises(DualityDegenerateError):     # gap 1 <= 2 * max |eigenvalue|
+        signature_report(c, Tolerances(inv=2.0), schedule=localized_signature_path(c))
 
 
 def _reference_complexes():

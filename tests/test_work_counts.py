@@ -4,6 +4,7 @@ Calls are counted by replacing a function, wherever a module namespace binds
 it, with a counting wrapper; hpsig modules bind most names by from-import.
 """
 
+import json
 import sys
 
 import numpy as np
@@ -101,6 +102,58 @@ def test_rho_certificate_even_eigh_count_does_not_grow_with_samples(monkeypatch)
     assert counts[0] == counts[1]
 
 
+def test_rho_path_makes_one_eigvalsh_per_even_sample(monkeypatch, fixture_dir):
+    he = rho.he_from_json(json.loads(
+        (fixture_dir / "he_reduction_sphere_d3.json").read_text()))
+    assert he.n % 2 == 0
+    eigvalsh = count_calls(monkeypatch, "numpy.linalg", np.linalg.eigvalsh)
+    sampled = count_calls(monkeypatch, "hpsig", rho._sample)
+    counts = []
+    for samples in (61, 121):
+        eigvalsh.clear()
+        sampled.clear()
+        rho.rho_path(he, samples=samples, refine=False)
+        counts.append((len(eigvalsh), len(sampled)))
+    # 60 more samples cost 60 more eigvalsh: D + H serves D - H as well
+    assert counts[1][1] - counts[0][1] == 60
+    assert counts[1][0] - counts[0][0] == 60
+
+
+def test_rho_odd_sample_makes_no_eigvalsh(monkeypatch):
+    c = fixtures.random_strict_complex(np.random.default_rng(3), 1, 4)
+    pd = rho._PathData(rho.identity_equivalence(c))
+    eigvalsh = count_calls(monkeypatch, "numpy.linalg", np.linalg.eigvalsh)
+    svd = count_calls(monkeypatch, "numpy.linalg", np.linalg.svd)
+    for t in np.linspace(0.0, 6.0, 13):
+        rho._sample(pd, float(t))
+    assert len(eigvalsh) == 0
+    assert len(svd) == 2 * 13            # the (even, odd) blocks of D + H and D - H
+
+
+@pytest.mark.parametrize("path_samples, cert_samples, off_grid", [(601, 121, 0),
+                                                                 (61, 41, 20)])
+def test_rho_certificate_even_reads_the_path_ranks(monkeypatch, path_samples,
+                                                   cert_samples, off_grid):
+    he = rho.identity_equivalence(fixtures.cp2_model())
+    path = rho.rho_path(he, samples=path_samples)
+    sampled = count_calls(monkeypatch, "hpsig", rho._sample)
+    assert rho.rho_certificate_even(he, path, samples=cert_samples).passed
+    # certificate sample i is path sample i (path_samples - 1) / (cert_samples - 1)
+    # when that is an integer; only the others are sampled again
+    assert len(sampled) == off_grid
+
+
+def test_rho_certificate_odd_solves_without_inverting(monkeypatch):
+    he = rho.identity_equivalence(fixtures.circle_model())
+    path = rho.rho_path(he, samples=61)
+    inv = count_calls(monkeypatch, "numpy.linalg", np.linalg.inv)
+    solve = count_calls(monkeypatch, "numpy.linalg", np.linalg.solve)
+    odd_sample = count_calls(monkeypatch, "hpsig", signature._odd_sample)
+    assert rho.rho_certificate_odd(he, path, samples=41).passed
+    assert len(solve) == 41
+    assert len(inv) == len(odd_sample)   # only the localization schedule's u
+
+
 def test_total_complex_inverts_each_transition_once(monkeypatch):
     fc = family.FiberedComplex(fixtures.circle_triangulation(), fixtures.torus_model(),
                                {(2, 0): fixtures.fiber_rotation_on_torus_model()})
@@ -139,7 +192,8 @@ def test_even_signature_makes_no_gram_certificate(monkeypatch):
 def test_sgn_cp2_9_eigh_count(monkeypatch, capsys, fixture_dir):
     calls = count_calls(monkeypatch, "numpy.linalg", np.linalg.eigh)
     assert run_cli(capsys, "sgn", str(fixture_dir / "cp2_9.json")) == 0
-    assert len(calls) <= 22              # 2 per schedule sample, 2 for the report
+    # 2 per schedule sample; the report reads the t = 1 sample's pair
+    assert len(calls) == 20
 
 
 def test_validate_takes_each_two_norm_once(monkeypatch):
