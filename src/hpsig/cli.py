@@ -204,10 +204,8 @@ def cmd_chs(args, tol: Tolerances) -> tuple[dict, int]:
     fc = family.fibered_from_json(_load_json(args.path))
     rep = family.validate_fibered(fc, tol)
     checks = [{"name": "fibered_gluing", "passed": rep.passed}]
-    mono = family.monodromy_homology_action(fc, tol)
-    data: dict = {"monodromy": mono.to_dict()}
     chs = family.chs_check(fc, tol)
-    data["chs"] = chs.to_dict()
+    data = {"monodromy": chs.monodromy.to_dict(), "chs": chs.to_dict()}
     # hypothesis_not_met is a correct diagnosis, not a failed check
     checks.append({"name": "multiplicativity", "passed": chs.outcome != "fail",
                    "outcome": chs.outcome})

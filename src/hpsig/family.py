@@ -213,9 +213,8 @@ def total_complex(fc: FiberedComplex, tol: Tolerances = DEFAULT_TOL) -> HPComple
                 T[r:r + fdim[n - q], c:c + fdim[q]] += piece
 
     skeleton = HPComplex(space, tuple(ds), None, "weak")
-    S, construction = symmetrized_duality(skeleton, T, tol)
-    return HPComplex(space, tuple(ds), S, "weak",
-                     {"twist": "nontrivial", "duality": construction})
+    return symmetrized_duality(skeleton, T, tol, lambda S, used: HPComplex(
+        space, skeleton.d, S, "weak", {"twist": "nontrivial", "duality": used}))
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +337,8 @@ def family_signature_section(fc: FiberedComplex,
 @dataclass(frozen=True)
 class CHSReport:
     """sgn(base) * sgn(fiber) vs sgn(total), plus the pairing shadow computed
-    through the constant value of the fiber-signature section."""
+    through the constant value of the fiber-signature section.  monodromy is
+    the action the check computed; to_dict leaves it out."""
 
     outcome: str        # pass | fail | hypothesis_not_met | odd_dimension
     sgn_base: int | None
@@ -348,6 +348,7 @@ class CHSReport:
     pairing_equal: bool | None
     monodromy_trivial: bool
     note: str = ""
+    monodromy: MonodromyReport | None = field(default=None, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -366,11 +367,12 @@ def chs_check(fc: FiberedComplex, tol: Tolerances = DEFAULT_TOL) -> CHSReport:
     mono = monodromy_homology_action(fc, tol)
     if not mono.trivial:
         return CHSReport("hypothesis_not_met", None, None, None, None, None,
-                         False, "monodromy acts nontrivially on fiber homology")
+                         False, "monodromy acts nontrivially on fiber homology", mono)
     m, n = fc.base.n, fc.fiber.n
     if m % 2 == 1 or n % 2 == 1:
         return CHSReport("odd_dimension", 0, 0, 0, None, None, True,
-                         "odd base or fiber dimension: both sides vanish by convention")
+                         "odd base or fiber dimension: both sides vanish by convention",
+                         mono)
     sgn_base = signature_even(cap_duality(fc.base, tol), tol)
     sgn_fiber = signature_even(fc.fiber, tol)
     section = family_signature_section(fc, tol)
@@ -385,7 +387,7 @@ def chs_check(fc: FiberedComplex, tol: Tolerances = DEFAULT_TOL) -> CHSReport:
     pairing_equal = sgn_base * section.value == sgn_total
     ok = sgn_total == sgn_base * sgn_fiber and pairing_equal and section.constant
     return CHSReport("pass" if ok else "fail", sgn_base, sgn_fiber, sgn_total,
-                     section.value, pairing_equal, True, note)
+                     section.value, pairing_equal, True, note, mono)
 
 
 # ---------------------------------------------------------------------------

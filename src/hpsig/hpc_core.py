@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -193,6 +193,29 @@ class GradedSpace:
                     f"inner product G_{p} is not positive definite (min eig {mineig:.3e})")
 
 
+class DualitySpectrum(NamedTuple):
+    """Ascending eigenvalues of the Hermitian parts of D + S and D - S, and a
+    bound slack on the 2-norm of their skew parts."""
+
+    plus: np.ndarray
+    minus: np.ndarray
+    slack: float
+
+    def certificates(self, tol_inv: float) -> list[InvertibilityCertificate]:
+        return [spectral.spectrum_certificate(v, tol_inv, self.slack) for v in self[:2]]
+
+    def positive_ranks(self) -> list[int]:
+        return [int((v > 0).sum()) for v in self[:2]]
+
+
+def duality_spectrum(d_on: np.ndarray, s_on: np.ndarray, s_skew: float) -> DualitySpectrum:
+    """D +- S from D and S in orthonormal coordinates and s_skew = ||S - S*||_2;
+    the slack is (s_skew + ||D - D*||_F) / 2."""
+    slack = 0.5 * (s_skew + float(np.linalg.norm(d_on - d_on.conj().T)))
+    return DualitySpectrum(spectral.hermitian_eigenvalues(d_on + s_on),
+                           spectral.hermitian_eigenvalues(d_on - s_on), slack)
+
+
 @dataclass(frozen=True, eq=False)
 class HPComplex:
     """Graded space + differential blocks d_p: degree p -> p+1 + duality S.
@@ -276,6 +299,15 @@ class HPComplex:
         if self.S is None:
             raise StructuralError("complex carries no duality operator")
         return _freeze(self.to_orthonormal(self.S))
+
+    @cached_property
+    def S_skew(self) -> float:
+        return operator_norm(self.S_on - self.S_on.conj().T)
+
+    @cached_property
+    def spectrum(self) -> DualitySpectrum:
+        """The spectrum of D +- S, which decides whether this is Poincaré."""
+        return duality_spectrum(self.D_on, self.S_on, self.S_skew)
 
     def b_plus_on(self) -> np.ndarray:
         return self.D_on + self.S_on
@@ -378,7 +410,7 @@ def validate(c: HPComplex, tol: Tolerances = DEFAULT_TOL) -> AxiomReport:
     s_on = c.S_on
     s_norm = operator_norm(s_on)
     s_scale = max(s_norm, 1.0)
-    resid_sa = operator_norm(s_on - s_on.conj().T)
+    resid_sa = c.S_skew
     checks.append(CheckResult("S_self_adjoint", resid_sa, tol.sym * s_scale,
                               resid_sa <= tol.sym * s_scale))
 
@@ -399,8 +431,7 @@ def validate(c: HPComplex, tol: Tolerances = DEFAULT_TOL) -> AxiomReport:
         checks.append(CheckResult("strict_anticommute", resid_anti, thr_anti,
                                   resid_anti <= thr_anti))
 
-    cert_plus = spectral.invertibility_certificate(D_on + s_on, tol.inv)
-    cert_minus = spectral.invertibility_certificate(D_on - s_on, tol.inv)
+    cert_plus, cert_minus = c.spectrum.certificates(tol.inv)
     poincare = cert_plus.passed and cert_minus.passed
     checks.append(CheckResult("poincare_plus", -cert_plus.min_singular,
                               -cert_plus.threshold, cert_plus.passed))

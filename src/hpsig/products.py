@@ -273,6 +273,9 @@ def witness_even_odd(a: HPComplex, b: HPComplex, samples: int = 11,
     """
     if a.n % 2 != 0 or b.n % 2 != 1:
         raise DomainError("needs an even first factor and an odd second factor")
+    if samples < 2:
+        raise DomainError(f"the witness needs at least 2 samples (s = 0 and s = 1), "
+                          f"got {samples}")
     _require_strict(a, tol, "even")
     _require_strict(b, tol, "odd")
     if b.S is None or spectral.operator_norm(b.S) == 0.0:
@@ -299,10 +302,12 @@ def witness_even_odd(a: HPComplex, b: HPComplex, samples: int = 11,
             thr = tol.identity
             idents.append(Identity(f"positivity[B{pm},s={float(s):.2f}]",
                                    float(resid), thr, resid <= thr))
-            mineig = float(np.linalg.eigvalsh(lhs).min())
+            # one SVD of W: min eig of W*W = sigma_min(W)^2
+            cert = spectral.invertibility_certificate(w, tol.inv)
+            mineig = cert.min_singular ** 2
             idents.append(Identity(f"positive_definite[B{pm},s={float(s):.2f}]",
                                    -mineig, 0.0, mineig > 0.0))
-            certs.append(spectral.invertibility_certificate(w, tol.inv))
+            certs.append(cert)
         # endpoints
         w0 = np.kron(bop, eye_b) + np.kron(eye_a, sd)
         flat0 = spectral.functional_calculus(bop, "sign_power", 0.0, tol.inv, tol.sym)

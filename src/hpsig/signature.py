@@ -5,15 +5,16 @@ representatives, and the sampled rescaled-metric localization path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import spectral
-from .hpc_core import (DEFAULT_TOL, DomainError, DualityDegenerateError,
-                       HPComplex, StructuralError, Tolerances, validate)
-from .spectral import (HermitianEigensystem, InvertibilityCertificate,
-                       NoSpectralGapError)
+from .hpc_core import (DEFAULT_TOL, DomainError, DualitySpectrum,
+                       DualityDegenerateError, HPComplex, StructuralError,
+                       Tolerances, duality_spectrum, validate)
+from .spectral import InvertibilityCertificate, NoSpectralGapError
 
 
 def _require_valid(c: HPComplex, tol: Tolerances) -> None:
@@ -27,14 +28,11 @@ def _require_valid(c: HPComplex, tol: Tolerances) -> None:
         raise StructuralError(f"complex fails axiom checks: {bad}")
 
 
-def _eigensystems(c: HPComplex, tol: Tolerances, t: float = 1.0
-                  ) -> tuple[HermitianEigensystem, HermitianEigensystem]:
-    """One gap-checked eigensystem each of B+-(t) = t^(-1/2) D +- S (at t = 1
-    the factor is exactly 1.0, so these are bitwise D +- S)."""
-    d_on = t ** -0.5 * c.D_on
+def _require_gaps(sp: DualitySpectrum, tol: Tolerances) -> list[InvertibilityCertificate]:
+    """The certificates of D + S and D - S; DualityDegenerateError unless both pass."""
     try:
-        return (spectral.eig_hermitian(d_on + c.S_on, tol.sym).require_gap(tol.inv, "D+S"),
-                spectral.eig_hermitian(d_on - c.S_on, tol.sym).require_gap(tol.inv, "D-S"))
+        return [spectral.require_gap(v, tol.inv, what, sp.slack)
+                for v, what in ((sp.plus, "D+S"), (sp.minus, "D-S"))]
     except NoSpectralGapError as exc:
         raise DualityDegenerateError(str(exc)) from exc
 
@@ -44,8 +42,8 @@ def signature_even(c: HPComplex, tol: Tolerances = DEFAULT_TOL) -> int:
     if c.n % 2 != 0:
         raise DomainError(f"signature_even needs even top degree, got {c.n}")
     _require_valid(c, tol)
-    ep, em = _eigensystems(c, tol)
-    return ep.positive_rank() - em.positive_rank()
+    rp, rm = c.spectrum.positive_ranks()
+    return rp - rm
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,12 +65,8 @@ def _odd_sample(c: HPComplex, tol: Tolerances, t: float = 1.0
     """u = B+(t) B-(t)^{-1} on the even part and its certificate.  Of the
     axioms only the invertibility of B+-(t) depends on t; the gaps certify it."""
     d_on = t ** -0.5 * c.D_on
+    _require_gaps(c.spectrum if t == 1.0 else duality_spectrum(d_on, c.S_on, c.S_skew), tol)
     bp, bm = d_on + c.S_on, d_on - c.S_on
-    try:
-        spectral.require_gap(np.linalg.eigvalsh(bp), tol.inv, "D+S")
-        spectral.require_gap(np.linalg.eigvalsh(bm), tol.inv, "D-S")
-    except NoSpectralGapError as exc:
-        raise DualityDegenerateError(str(exc)) from exc
     ev = c.even_indices
     u = (bp @ np.linalg.inv(bm))[np.ix_(ev, ev)]
     cert = spectral.invertibility_certificate(u, tol.inv)
@@ -117,12 +111,10 @@ class LocalizationSchedule:
     signatures: tuple[int, ...] | None
     ranks: tuple[tuple[int, int], ...] | None
     min_singulars: tuple[float, ...]
-    step_norms: tuple[float, ...]   # ||R_{k+1} - R_k||
+    step_norms: tuple[float, ...]   # ||R_{k+1} - R_k||_2
     lipschitz: float                # max step norm / step width
     constant: bool
     passed: bool
-    # even: the complex, tolerances and eigenvalues of B+- at t = 1
-    _unit: tuple | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -142,6 +134,8 @@ class LocalizationSchedule:
 def localized_signature_path(c: HPComplex, t_max: float = 10.0, samples: int = 10,
                              tol: Tolerances = DEFAULT_TOL) -> LocalizationSchedule:
     """Sample the index representative along inner-product rescalings t in [1, t_max]."""
+    if not math.isfinite(t_max):
+        raise DomainError(f"t_max must be finite, got {t_max}")
     if t_max < 1.0 or samples < 1:
         raise DomainError("need t_max >= 1 and at least one sample")
     _require_valid(c, tol)
@@ -150,13 +144,12 @@ def localized_signature_path(c: HPComplex, t_max: float = 10.0, samples: int = 1
     ranks: list[tuple[int, int]] = []
     min_sv: list[float] = []
     reps: list[np.ndarray] = []
-    unit = None
     for t in times:
         try:
-            if even:
-                ep, em = _eigensystems(c, tol, t)
-                if unit is None:         # times[0] = 1: bitwise D +- S
-                    unit = (c, tol, ep.eigenvalues, em.eigenvalues)
+            if even:       # gap-checked eigensystems of B+-(t)
+                d_on = t ** -0.5 * c.D_on
+                ep = spectral.eig_hermitian(d_on + c.S_on, tol.sym).require_gap(tol.inv, "D+S")
+                em = spectral.eig_hermitian(d_on - c.S_on, tol.sym).require_gap(tol.inv, "D-S")
                 ranks.append((ep.positive_rank(), em.positive_rank()))
                 reps.append(ep.positive_projection() - em.positive_projection())
                 min_sv.append(min(float(np.abs(es.eigenvalues).min()) for es in (ep, em)))
@@ -168,7 +161,7 @@ def localized_signature_path(c: HPComplex, t_max: float = 10.0, samples: int = 1
             raise DualityDegenerateError(
                 f"localization sample t={t:.6g} failed: {exc}") from exc
     sigs = [rp - rm for rp, rm in ranks]
-    steps = [float(spectral.operator_norm(b - a)) for a, b in zip(reps, reps[1:])]
+    steps = [_step_norm(b - a, even) for a, b in zip(reps, reps[1:])]
     width = times[1] - times[0] if samples > 1 else 1.0
     lipschitz = max(steps) / width if steps else 0.0
     constant = len(set(sigs)) <= 1
@@ -177,26 +170,29 @@ def localized_signature_path(c: HPComplex, t_max: float = 10.0, samples: int = 1
         "even" if even else "odd", tuple(times),
         tuple(sigs) if even else None,
         tuple(ranks) if even else None,
-        tuple(min_sv), tuple(steps), lipschitz, constant, passed, unit)
+        tuple(min_sv), tuple(steps), lipschitz, constant, passed)
+
+
+def _step_norm(step: np.ndarray, even: bool) -> float:
+    """||step||_2; an even step is a difference of Hermitian projections, so
+    its 2-norm is the max |eigenvalue| of its Hermitian part."""
+    if not even:
+        return spectral.operator_norm(step)
+    return float(np.abs(spectral.hermitian_eigenvalues(step)).max())
 
 
 def signature_report(c: HPComplex, tol: Tolerances = DEFAULT_TOL,
                      schedule: LocalizationSchedule | None = None) -> dict:
     """Machine-readable signature data for one complex the caller has
-    validated (``cmd_sgn`` does, through the localization schedule).  An
-    even schedule of c under tol lends its t = 1 eigenvalues of D +- S."""
+    validated (``cmd_sgn`` does, through the localization schedule)."""
     if c.n % 2 == 0:
-        unit = schedule._unit if schedule is not None else None
-        if unit is not None and unit[0] is c and unit[1] == tol:
-            vals = unit[2:]
-        else:
-            vals = [es.eigenvalues for es in _eigensystems(c, tol)]
-        rp, rm = (int((v > 0).sum()) for v in vals)
+        certs = _require_gaps(c.spectrum, tol)
+        rp, rm = c.spectrum.positive_ranks()
         doc = {
             "kind": "even",
             "signature": rp - rm,
             "ranks": [rp, rm],
-            "minSingular": [float(np.abs(v).min()) for v in vals],
+            "minSingular": [cert.min_singular for cert in certs],
         }
     else:
         rep = _odd_representative(c, tol)

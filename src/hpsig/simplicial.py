@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from hashlib import sha256
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -354,8 +354,11 @@ def _cap_operator(sm: SimplicialManifold) -> np.ndarray:
 
 
 def symmetrized_duality(skeleton: HPComplex, T: np.ndarray, tol: Tolerances,
-                        harmonic: bool = False) -> tuple[np.ndarray, str]:
-    """Duality (T + T*)/2 for the differential of skeleton, and its name.
+                        build: Callable[[np.ndarray, str], HPComplex],
+                        harmonic: bool = False) -> HPComplex:
+    """build(S, name) for the duality S = (T + T*)/2 of the differential of
+    skeleton, where name says how S was made; the complex build returns
+    carries the cached spectrum of D +- S that certified it.
 
     Should D+-S fail invertibility (or with harmonic=True), S is compressed
     onto the harmonic subspace ker(D^2), where the cap action is the homology
@@ -364,11 +367,9 @@ def symmetrized_duality(skeleton: HPComplex, T: np.ndarray, tol: Tolerances,
     """
     S = (T + skeleton.adjoint(T)) / 2.0
     if not harmonic:
-        D = skeleton.D
-        cert_p = spectral.invertibility_certificate(skeleton.to_orthonormal(D + S), tol.inv)
-        cert_m = spectral.invertibility_certificate(skeleton.to_orthonormal(D - S), tol.inv)
-        if cert_p.passed and cert_m.passed:
-            return S, "symmetrized-cap"
+        c = build(S, "symmetrized-cap")
+        if all(cert.passed for cert in c.spectrum.certificates(tol.inv)):
+            return c
     d_on = skeleton.D_on
     es = spectral.eig_hermitian(d_on @ d_on, tol.sym)
     scale = max(1.0, float(np.abs(es.eigenvalues).max()) if es.eigenvalues.size else 1.0)
@@ -376,16 +377,15 @@ def symmetrized_duality(skeleton: HPComplex, T: np.ndarray, tol: Tolerances,
     proj = kernel @ kernel.conj().T
     s_on = proj @ skeleton.to_orthonormal(S) @ proj
     s_on = (s_on + s_on.conj().T) / 2.0
-    cert_p = spectral.invertibility_certificate(d_on + s_on, tol.inv)
-    cert_m = spectral.invertibility_certificate(d_on - s_on, tol.inv)
+    sp = skeleton.space
+    c = build(sp.g_half_inv @ s_on @ sp.g_half if sp.has_weights else s_on, "harmonic-fallback")
+    cert_p, cert_m = c.spectrum.certificates(tol.inv)
     if not (cert_p.passed and cert_m.passed):
         raise DualityDegenerateError(
             "duality degenerate: cap product does not induce a homology "
             "isomorphism (symmetrized and harmonic constructions both fail; "
             f"min singulars {cert_p.min_singular:.3e}, {cert_m.min_singular:.3e})")
-    sp = skeleton.space
-    S = sp.g_half_inv @ s_on @ sp.g_half if sp.has_weights else s_on
-    return S, "harmonic-fallback"
+    return c
 
 
 def cap_duality(sm: SimplicialManifold, tol: Tolerances = DEFAULT_TOL,
@@ -408,16 +408,17 @@ def cap_duality(sm: SimplicialManifold, tol: Tolerances = DEFAULT_TOL,
     T = _cap_operator(sm)
     for p in range(sm.n + 1):
         T[:, off[p]:off[p + 1]] *= duality_phase(p, sm.n)
-    S, used = symmetrized_duality(c, T, tol, harmonic=construction == "harmonic")
-    D = c.D
 
-    # the point and other rigid cases can land on the strict tier
-    eye = np.eye(c.total_dim)
-    strict = (spectral.operator_norm(S @ S - eye) <= tol.sym * max(1.0, spectral.operator_norm(S) ** 2)
-              and spectral.operator_norm(S @ D + D @ S)
-              <= tol.sym * max(1.0, spectral.operator_norm(S) * max(1.0, spectral.operator_norm(D))))
-    tier = "strict" if strict else "weak"
-    return HPComplex(c.space, c.d, S, tier, {"duality": used})
+    def build(S: np.ndarray, used: str) -> HPComplex:
+        weak = HPComplex(c.space, c.d, S, "weak", {"duality": used})
+        D, eye = weak.D, np.eye(c.total_dim)
+        # the point and other rigid cases can land on the strict tier
+        strict = (spectral.operator_norm(S @ S - eye) <= tol.sym * max(1.0, spectral.operator_norm(S) ** 2)
+                  and spectral.operator_norm(S @ D + D @ S)
+                  <= tol.sym * max(1.0, spectral.operator_norm(S) * max(1.0, spectral.operator_norm(D))))
+        return HPComplex(c.space, c.d, S, "strict", weak.meta) if strict else weak
+
+    return symmetrized_duality(c, T, tol, build, harmonic=construction == "harmonic")
 
 
 # ---------------------------------------------------------------------------

@@ -32,22 +32,32 @@ def operator_norm(a) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def require_gap(eigenvalues: np.ndarray, gap_tol: float, what: str) -> None:
-    """Raises NoSpectralGapError unless min |eigenvalue| clears
-    gap_tol * max |eigenvalue|."""
-    if eigenvalues.size == 0:
-        return
-    size = np.abs(eigenvalues)
-    require_gap_between(float(size.min()), float(size.max()), gap_tol, what)
+def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part (A + A*)/2."""
+    h = a + a.conj().T
+    h *= 0.5
+    return np.linalg.eigvalsh(h)
+
+
+def require_gap(eigenvalues: np.ndarray, gap_tol: float, what: str,
+                slack: float = 0.0) -> InvertibilityCertificate:
+    """spectrum_certificate, once it passes; NoSpectralGapError otherwise."""
+    return _require(spectrum_certificate(eigenvalues, gap_tol, slack), gap_tol, what, slack)
 
 
 def require_gap_between(gap: float, top: float, gap_tol: float, what: str) -> None:
     """require_gap for a spectrum known by its min and max |eigenvalue|."""
-    scale = max(top, 1e-300)
-    if gap <= gap_tol * scale:
+    _require(gap_certificate(gap, top, gap_tol), gap_tol, what, 0.0)
+
+
+def _require(cert: InvertibilityCertificate, gap_tol: float, what: str,
+             slack: float) -> InvertibilityCertificate:
+    if not cert.passed:
+        less = " - slack" if slack else ""
         raise NoSpectralGapError(
-            f"no spectral gap for {what}: min |eigenvalue| {gap:.3e} "
-            f"<= {gap_tol:.1e} * {scale:.3e}")
+            f"no spectral gap for {what}: min |eigenvalue|{less} {cert.min_singular:.3e} "
+            f"<= {gap_tol:.1e} * {cert.max_singular:.3e}")
+    return cert
 
 
 @dataclass(frozen=True)
@@ -177,19 +187,28 @@ class InvertibilityCertificate:
         }
 
 
-def invertibility_certificate(a, tol_inv: float = 1e-8) -> InvertibilityCertificate:
-    """Certify invertibility via the eigenvalues of A*A.
+def gap_certificate(gap: float, top: float, tol_inv: float,
+                    slack: float = 0.0) -> InvertibilityCertificate:
+    """The invertibility rule for H + E, H Hermitian with min and max |eigenvalue|
+    gap and top, and ||E||_2 <= slack: by Weyl, gap - slack bounds
+    sigma_min(H + E) below, and the certificate passes iff that exceeds
+    tol_inv * top."""
+    smin = gap - slack
+    cond = top / smin if smin > 0 else np.inf
+    threshold = tol_inv * top
+    return InvertibilityCertificate(smin, top, cond, threshold, smin > threshold)
 
-    Passes iff min singular value > tol_inv * ||A||.
-    """
-    m = _as_matrix(a)
-    if m.size == 0:
+
+def spectrum_certificate(eigenvalues: np.ndarray, tol_inv: float,
+                         slack: float = 0.0) -> InvertibilityCertificate:
+    """gap_certificate of the Hermitian part with these eigenvalues."""
+    if eigenvalues.size == 0:
         return InvertibilityCertificate(np.inf, 0.0, 1.0, 0.0, True)
-    gram = m.conj().T @ m
-    vals = np.linalg.eigvalsh(gram)
-    vals = np.clip(vals, 0.0, None)
-    smin = float(np.sqrt(vals[0]))
-    smax = float(np.sqrt(vals[-1]))
-    cond = smax / smin if smin > 0 else np.inf
-    threshold = tol_inv * smax
-    return InvertibilityCertificate(smin, smax, cond, threshold, smin > threshold)
+    size = np.abs(eigenvalues)
+    return gap_certificate(float(size.min()), float(size.max()), tol_inv, slack)
+
+
+def invertibility_certificate(a, tol_inv: float = 1e-8) -> InvertibilityCertificate:
+    """Passes iff min singular value > tol_inv * ||A||: spectrum_certificate of
+    the singular values, the |eigenvalues| of the Hermitian [[0, A], [A*, 0]]."""
+    return spectrum_certificate(np.linalg.svd(_as_matrix(a), compute_uv=False), tol_inv)

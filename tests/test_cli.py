@@ -213,6 +213,12 @@ def _on_fixture(command, name, *flags):
     return lambda tmp_path, fixture_dir: [command, str(fixture_dir / name), *flags]
 
 
+def _even_odd_product(*flags):
+    """argv for product on cp2_model x circle_model, whose witness runs."""
+    return lambda tmp_path, fixture_dir: ["product", str(fixture_dir / "cp2_model.json"),
+                                          str(fixture_dir / "circle_model.json"), *flags]
+
+
 INPUT_ERRORS = {
     "entry_string": _model_with_s_entry(["nan", 0]),
     "entry_bare_string": _model_with_s_entry("x"),
@@ -231,6 +237,10 @@ INPUT_ERRORS = {
                                            "--samples-cert", "0"),
     "rho_even_samples_cert_6": _on_fixture("rho", "he_identity_sphere_model.json",
                                            "--samples-cert", "6"),
+    "sgn_t_max_nan": _on_fixture("sgn", "cp2_model.json", "--t-max", "nan"),
+    "sgn_t_max_infinite": _on_fixture("sgn", "cp2_model.json", "--t-max", "inf"),
+    "product_samples_witness_negative": _even_odd_product("--samples-witness", "-1"),
+    "product_samples_witness_0": _even_odd_product("--samples-witness", "0"),
 }
 
 

@@ -9,7 +9,7 @@ import pytest
 from hpsig import fixtures
 from hpsig.hpc_core import (DualityDegenerateError, GradedSpace, HPComplex,
                             StructuralError, Tolerances, direct_sum,
-                            rescale_inner_products, reverse_orientation)
+                            rescale_inner_products, reverse_orientation, validate)
 from hpsig.rho import (HomotopyEquivalence, _PathData, he_from_json, he_to_json,
                        identity_equivalence, rho_certificate_even,
                        rho_certificate_odd, rho_path,
@@ -138,6 +138,15 @@ def test_rho_path_weyl_slack_for_skew_part(skew, passes):
     assert path.selfadjoint_residual == pytest.approx(4 * skew)
     assert path.passed is passes
     assert path.failed_at == (None if passes else 0.0)
+
+
+def test_validate_certifies_a_skewed_duality_by_weyl():
+    # sigma_min / sigma_max of D +- S is 0.2e-5 / 1.8e-5: min |eigenvalue| 1e-5
+    # of the Hermitian part minus the slack ||S - S*||_2 / 2 = 0.8e-5 is exact
+    rep = validate(skewed_sphere(1e-5, 0.8e-5), Tolerances(sym=1e-4))
+    assert rep.passed and rep.poincare
+    assert rep.cert_plus.min_singular == pytest.approx(0.2e-5)
+    assert rep.cert_minus.min_singular == pytest.approx(0.2e-5)
 
 
 def self_equivalence(c: HPComplex, f: np.ndarray) -> HomotopyEquivalence:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hpsig import fixtures
+from hpsig.hpc_core import GradedSpace, HPComplex, validate
 from hpsig.spectral import (NoSpectralGapError, eig_hermitian, functional_calculus,
                             invertibility_certificate, positive_projection,
                             positive_rank)
@@ -126,3 +127,35 @@ def test_invertibility_certificate_on_sphere_model():
     c = fixtures.sphere_model()
     cert = invertibility_certificate(c.b_minus_on())
     assert cert.passed and cert.min_singular == pytest.approx(1.0)
+
+
+def random_unitary(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def singular_values_matrix(seed, hermitian, n=120):
+    """Exactly singular by construction: Q diag(lam) Q* with lam uniform in
+    [-1, 1] (hermitian), else U diag(sigma) V* with sigma uniform in [0, 1];
+    the first value is 0 and the second 1, so the norm is 1."""
+    rng = np.random.default_rng(seed)
+    vals = rng.uniform(-1.0 if hermitian else 0.0, 1.0, n)
+    vals[0], vals[1] = 0.0, 1.0
+    u = random_unitary(rng, n)
+    v = u if hermitian else random_unitary(rng, n)
+    return (u * vals) @ v.conj().T
+
+
+def test_validate_rejects_singular_hermitian_dualities():
+    # on one degree D = 0, so D +- S = +-S; a Gram estimate sqrt(lambda_min(S*S))
+    # carries noise of about sqrt(eps) and certified some of these
+    space = GradedSpace(0, (120,))
+    passed = [seed for seed in range(200)
+              if validate(HPComplex(space, (), singular_values_matrix(seed, True))).poincare]
+    assert passed == []
+
+
+def test_invertibility_certificate_rejects_rank_deficient_matrices():
+    passed = [seed for seed in range(200)
+              if invertibility_certificate(singular_values_matrix(seed, False)).passed]
+    assert passed == []

@@ -81,9 +81,10 @@ def test_rho_builds_the_path_data_once(monkeypatch, capsys, fixture_dir, name):
 def test_rho_path_svd_count_does_not_grow_with_samples(monkeypatch):
     # norm(m, 2) reaches svd through a module global of numpy.linalg._linalg
     calls = count_calls(monkeypatch, "numpy.linalg", np.linalg.svd)
-    he = rho.identity_equivalence(fixtures.cp2_model())
     counts = []
     for samples in (61, 601):
+        # a fresh complex each time: ||S - S*||_2 is cached on the complex
+        he = rho.identity_equivalence(fixtures.cp2_model())
         calls.clear()
         rho.rho_path(he, samples=samples)
         counts.append(len(calls))
@@ -103,13 +104,15 @@ def test_rho_certificate_even_eigh_count_does_not_grow_with_samples(monkeypatch)
 
 
 def test_rho_path_makes_one_eigvalsh_per_even_sample(monkeypatch, fixture_dir):
-    he = rho.he_from_json(json.loads(
-        (fixture_dir / "he_reduction_sphere_d3.json").read_text()))
-    assert he.n % 2 == 0
+    doc = json.loads((fixture_dir / "he_reduction_sphere_d3.json").read_text())
     eigvalsh = count_calls(monkeypatch, "numpy.linalg", np.linalg.eigvalsh)
     sampled = count_calls(monkeypatch, "hpsig", rho._sample)
     counts = []
     for samples in (61, 121):
+        # a fresh equivalence each time: the source and target spectra of
+        # D +- S are cached on their complexes
+        he = rho.he_from_json(doc)
+        assert he.n % 2 == 0
         eigvalsh.clear()
         sampled.clear()
         rho.rho_path(he, samples=samples, refine=False)
@@ -183,10 +186,40 @@ def test_even_signature_makes_no_gram_certificate(monkeypatch):
     c = simplicial.cap_duality(fixtures.sphere_triangulation())
     calls = count_calls(monkeypatch, "hpsig", spectral.invertibility_certificate)
     signature.localized_signature_path(c, 10.0, 7)
-    assert len(calls) == 2               # validate's, of D+S and D-S at t = 1
-    calls.clear()
+    assert len(calls) == 0               # validate reads the spectrum of D +- S
     signature.signature_report(c)
     assert len(calls) == 0
+
+
+def test_product_of_even_complexes_makes_no_eigh(monkeypatch, capsys, fixture_dir):
+    # the three signatures read the cached eigenvalues of D +- S
+    calls = count_calls(monkeypatch, "numpy.linalg", np.linalg.eigh)
+    cp2 = str(fixture_dir / "cp2_model.json")
+    assert run_cli(capsys, "product", cp2, cp2) == 0
+    assert len(calls) == 0
+
+
+def test_check_makes_no_invertibility_certificate(monkeypatch, capsys, fixture_dir):
+    # D +- S is Hermitian: cap_duality and validate certify it from eigenvalues
+    calls = count_calls(monkeypatch, "hpsig", spectral.invertibility_certificate)
+    assert run_cli(capsys, "check", str(fixture_dir / "cp2_9.json")) == 0
+    assert len(calls) == 0
+
+
+def test_chs_computes_the_monodromy_once(monkeypatch, capsys, fixture_dir):
+    calls = count_calls(monkeypatch, "hpsig", family.monodromy_homology_action)
+    assert run_cli(capsys, "chs", str(fixture_dir / "fc_sphere_x_cp2.json")) == 0
+    assert len(calls) == 1
+
+
+def test_signature_even_reads_the_cached_spectrum(monkeypatch):
+    c = fixtures.cp2_model()
+    hpc_core.validate(c)
+    calls = count_calls(monkeypatch, "numpy.linalg", np.linalg.eigvalsh)
+    eigh = count_calls(monkeypatch, "numpy.linalg", np.linalg.eigh)
+    assert signature.signature_even(c) == 1
+    assert signature.signature_report(c)["signature"] == 1
+    assert len(calls) == 0 and len(eigh) == 0
 
 
 def test_sgn_cp2_9_eigh_count(monkeypatch, capsys, fixture_dir):
