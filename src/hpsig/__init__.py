@@ -3,7 +3,7 @@
 Submodules:
   hpc_core    graded complexes with duality, axiom validation
   simplicial  triangulations, cap duality, intersection-form oracle
-  spectral    Hermitian eigensystems, projections, functional calculus
+  spectral    Hermitian eigensystems, spectral projections, certificates
   signature   index representatives and localization schedules
   products    graded tensor products, sign rules, parity witnesses
   rho         homotopy equivalences and duality-path certificates
@@ -26,7 +26,7 @@ from .simplicial import (IntersectionForm, SimplicialManifold, betti_numbers,
                          harmonic_reduction, intersection_form_oracle,
                          load_simplicial)
 from .spectral import (HermitianEigensystem, InvertibilityCertificate,
-                       NoSpectralGapError, eig_hermitian, functional_calculus,
+                       NoSpectralGapError, eig_hermitian,
                        invertibility_certificate, positive_projection)
 from .products import (ProductWitnessReport, SignRule, derive_sign_rule,
                        graded_tensor, product_signature_check,

@@ -267,9 +267,13 @@ def witness_even_odd(a: HPComplex, b: HPComplex, samples: int = 11,
     """Positivity identity for the interpolation between the product
     representative and its spectral flattening.
 
-    For s in [0,1] builds W_{+-,s} = B_a^{+-}/|B_a^{+-}|^s (x) 1 + 1 (x) S_b D_b
-    and verifies W*W = |B|^{2(1-s)} (x) 1 + 1 (x) D_b^2 > 0 plus endpoint
-    formulas (s=0 plain, s=1 the difference of spectral projections).
+    For s in [0,1] W_{+-,s} = B_a^{+-}/|B_a^{+-}|^s (x) 1 + 1 (x) S_b D_b must
+    satisfy W*W = |B|^{2(1-s)} (x) 1 + 1 (x) D_b^2 > 0; the endpoints are
+    B itself (s=0) and the difference of its spectral projections (s=1).
+    In the eigenbasis V of B, W is (V (x) 1)-conjugate to the direct sum over
+    the eigenvalues lam of the blocks sign(lam)|lam|^(1-s) + S_b D_b, so each
+    sample checks the identity block by block and certifies W from the
+    singular values of all blocks.
     """
     if a.n % 2 != 0 or b.n % 2 != 1:
         raise DomainError("needs an even first factor and an odd second factor")
@@ -281,44 +285,40 @@ def witness_even_odd(a: HPComplex, b: HPComplex, samples: int = 11,
     if b.S is None or spectral.operator_norm(b.S) == 0.0:
         raise StructuralError("odd factor carries no duality")
 
-    na, nb = a.total_dim, b.total_dim
     sd = b.S_on @ b.D_on
     d2 = b.D_on @ b.D_on
-    eye_a, eye_b = np.eye(na), np.eye(nb)
+    eye_b = np.eye(b.total_dim)
     grid = np.linspace(0.0, 1.0, samples)
     idents: list[Identity] = []
     certs: list[InvertibilityCertificate] = []
     for pm, bop in (("+", a.b_plus_on()), ("-", a.b_minus_on())):
+        es = spectral.eig_hermitian(bop, tol.sym).require_gap(tol.inv,
+                                                              "sign-preserving power")
+        lam = es.eigenvalues
         for s in grid:
-            flat = spectral.functional_calculus(bop, "sign_power", float(s),
-                                                tol.inv, tol.sym)
-            w = np.kron(flat, eye_b) + np.kron(eye_a, sd)
-            lhs = w.conj().T @ w
-            pow2 = spectral.functional_calculus(bop, "abs_power", 2.0 * (1.0 - float(s)),
-                                                tol.inv, tol.sym)
-            rhs = np.kron(pow2, eye_b) + np.kron(eye_a, d2)
-            scale = max(1.0, spectral.operator_norm(rhs))
-            resid = spectral.operator_norm(lhs - rhs) / scale
+            w = (np.sign(lam) * np.abs(lam) ** (1.0 - s))[:, None, None] * eye_b + sd
+            rhs = (np.abs(lam) ** (2.0 * (1.0 - s)))[:, None, None] * eye_b + d2
+            lhs = w.conj().transpose(0, 2, 1) @ w
+            scale = max(1.0, _block_norm(rhs))
+            resid = _block_norm(lhs - rhs) / scale
             thr = tol.identity
             idents.append(Identity(f"positivity[B{pm},s={float(s):.2f}]",
                                    float(resid), thr, resid <= thr))
-            # one SVD of W: min eig of W*W = sigma_min(W)^2
-            cert = spectral.invertibility_certificate(w, tol.inv)
+            # min eig of W*W = sigma_min(W)^2
+            cert = spectral.spectrum_certificate(np.linalg.svd(w, compute_uv=False),
+                                                 tol.inv)
             mineig = cert.min_singular ** 2
             idents.append(Identity(f"positive_definite[B{pm},s={float(s):.2f}]",
                                    -mineig, 0.0, mineig > 0.0))
             certs.append(cert)
-        # endpoints
-        w0 = np.kron(bop, eye_b) + np.kron(eye_a, sd)
-        flat0 = spectral.functional_calculus(bop, "sign_power", 0.0, tol.inv, tol.sym)
-        r0 = spectral.operator_norm(np.kron(flat0, eye_b) + np.kron(eye_a, sd) - w0)
-        idents.append(Identity(f"endpoint_s0[B{pm}]", float(r0),
-                               tol.identity * max(1.0, spectral.operator_norm(w0)),
-                               r0 <= tol.identity * max(1.0, spectral.operator_norm(w0))))
-        proj_diff = (spectral.positive_projection(bop, tol.inv, tol.sym)
+        # endpoints: ||X (x) 1|| = ||X||; certs[-samples] is this sign's s = 0
+        # sample, whose largest singular value is ||W_0||
+        r0 = spectral.operator_norm(es.apply(lambda x: x) - bop)
+        thr0 = tol.identity * max(1.0, certs[-samples].max_singular)
+        idents.append(Identity(f"endpoint_s0[B{pm}]", float(r0), thr0, r0 <= thr0))
+        proj_diff = (es.positive_projection()
                      - spectral.positive_projection(-bop, tol.inv, tol.sym))
-        flat1 = spectral.functional_calculus(bop, "sign_power", 1.0, tol.inv, tol.sym)
-        r1 = spectral.operator_norm(flat1 - proj_diff)
+        r1 = spectral.operator_norm(es.apply(np.sign) - proj_diff)
         idents.append(Identity(f"endpoint_s1[B{pm}]", float(r1), tol.identity,
                                r1 <= tol.identity))
     passed = all(i.passed for i in idents) and all(c.passed for c in certs)
@@ -327,6 +327,11 @@ def witness_even_odd(a: HPComplex, b: HPComplex, samples: int = 11,
         k_normalization=k_factor(a.n, b.n),
         identities=tuple(idents), certificates=tuple(certs),
         samples=tuple(float(s) for s in grid), extras={}, passed=passed)
+
+
+def _block_norm(blocks: np.ndarray) -> float:
+    """The 2-norm of the direct sum of a stack of square blocks."""
+    return float(np.linalg.norm(blocks, 2, axis=(1, 2)).max())
 
 
 def witness_odd_even(a: HPComplex, b: HPComplex,
@@ -348,8 +353,9 @@ def witness_odd_even(a: HPComplex, b: HPComplex,
     nb = b.total_dim
     eye = np.eye(nb)
     db, sb = b.D_on, b.S_on
-    g_d = spectral.functional_calculus(db, "x/sqrt(1+x^2)", None, tol.inv, tol.sym)
-    f_d = spectral.functional_calculus(db, "1/sqrt(1+x^2)", None, tol.inv, tol.sym)
+    es = spectral.eig_hermitian(db, tol.sym)
+    g_d = es.apply(lambda x: x / np.sqrt(1.0 + x * x))
+    f_d = es.apply(lambda x: 1.0 / np.sqrt(1.0 + x * x))
     s1 = sb
     s2 = g_d + sb @ f_d
     sym = s2 @ s1 @ s2

@@ -76,15 +76,13 @@ def _odd_sample(c: HPComplex, tol: Tolerances, t: float = 1.0
     return u, cert
 
 
-def _odd_representative(c: HPComplex, tol: Tolerances) -> OddIndexRepresentative:
-    """The odd representative of a complex the caller has validated."""
-    u, cert = _odd_sample(c, tol)
+def _selfadjoint_residual(c: HPComplex) -> float | None:
+    """||A - A*|| for A = iDS on the even part; strict tier only."""
+    if c.tier != "strict":
+        return None
     ev = c.even_indices
-    resid = None
-    if c.tier == "strict":
-        a = (1j * c.D_on @ c.S_on)[np.ix_(ev, ev)]
-        resid = spectral.operator_norm(a - a.conj().T)
-    return OddIndexRepresentative(u, cert, resid, int(ev.size))
+    a = (1j * c.D_on @ c.S_on)[np.ix_(ev, ev)]
+    return spectral.operator_norm(a - a.conj().T)
 
 
 def odd_index_representative(c: HPComplex, tol: Tolerances = DEFAULT_TOL
@@ -93,7 +91,9 @@ def odd_index_representative(c: HPComplex, tol: Tolerances = DEFAULT_TOL
     if c.n % 2 != 1:
         raise DomainError(f"odd representative needs odd top degree, got {c.n}")
     _require_valid(c, tol)
-    return _odd_representative(c, tol)
+    u, cert = _odd_sample(c, tol)
+    return OddIndexRepresentative(u, cert, _selfadjoint_residual(c),
+                                  int(c.even_indices.size))
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,9 +184,11 @@ def _step_norm(step: np.ndarray, even: bool) -> float:
 def signature_report(c: HPComplex, tol: Tolerances = DEFAULT_TOL,
                      schedule: LocalizationSchedule | None = None) -> dict:
     """Machine-readable signature data for one complex the caller has
-    validated (``cmd_sgn`` does, through the localization schedule)."""
+    validated (``cmd_sgn`` does, through the localization schedule).  A
+    schedule must be this complex's under these tolerances: on an odd
+    complex its first sample, t = 1, is the representative itself."""
+    certs = _require_gaps(c.spectrum, tol)      # under this report's tolerances
     if c.n % 2 == 0:
-        certs = _require_gaps(c.spectrum, tol)
         rp, rm = c.spectrum.positive_ranks()
         doc = {
             "kind": "even",
@@ -195,14 +197,15 @@ def signature_report(c: HPComplex, tol: Tolerances = DEFAULT_TOL,
             "minSingular": [cert.min_singular for cert in certs],
         }
     else:
-        rep = _odd_representative(c, tol)
+        min_sv = (schedule.min_singulars[0] if schedule is not None
+                  else _odd_sample(c, tol)[1].min_singular)
         doc = {
             "kind": "odd",
             "signature": 0,
             "ranks": None,
-            "minSingular": [rep.certificate.min_singular],
-            "evenPartDim": rep.even_dim,
-            "selfAdjointResidual": rep.selfadjoint_residual,
+            "minSingular": [min_sv],
+            "evenPartDim": int(c.even_indices.size),
+            "selfAdjointResidual": _selfadjoint_residual(c),
         }
     if schedule is not None:
         doc["schedule"] = schedule.to_dict()

@@ -1,5 +1,6 @@
-"""Hermitian spectral toolkit: eigensystems, spectral projections, functional
-calculus, and invertibility certificates.
+"""Hermitian spectral toolkit: eigensystems with their functional calculus
+(``HermitianEigensystem.apply``), spectral projections, and invertibility
+certificates.
 
 Everything here works on plain matrices in an orthonormal basis.  Callers with
 weighted inner products conjugate into orthonormal coordinates first (see
@@ -68,7 +69,8 @@ class HermitianEigensystem:
     vectors: np.ndarray
 
     def apply(self, fn) -> np.ndarray:
-        """V f(L) V* for a scalar function fn applied to the eigenvalues."""
+        """V f(L) V* for a scalar function fn applied to each eigenvalue: the
+        functional calculus of the decomposed matrix."""
         vals = np.asarray([fn(x) for x in self.eigenvalues], dtype=complex)
         return (self.vectors * vals) @ self.vectors.conj().T
 
@@ -130,41 +132,6 @@ def positive_rank(a, gap_tol: float = 1e-8, tol_sym: float = 1e-10) -> int:
     _require_hermitian(m, vals, tol_sym)
     require_gap(vals, gap_tol, "positive rank")
     return int((vals > 0).sum())
-
-
-#: named scalar functions admitted by functional_calculus
-_PLAIN_FUNCTIONS = {
-    "x/sqrt(1+x^2)": lambda x: x / np.sqrt(1.0 + x * x),
-    "1/sqrt(1+x^2)": lambda x: 1.0 / np.sqrt(1.0 + x * x),
-}
-
-
-def functional_calculus(a, fn: str, exponent: float | None = None,
-                        gap_tol: float = 1e-8, tol_sym: float = 1e-10) -> np.ndarray:
-    """Apply a named scalar function to a Hermitian matrix spectrally.
-
-    fn is one of:
-      - "x/sqrt(1+x^2)"
-      - "1/sqrt(1+x^2)"
-      - "sign_power": x -> x / |x|^s for s = exponent in [0, 1]; needs a gap
-      - "abs_power":  x -> |x|^t  for t = exponent >= 0
-    """
-    es = eig_hermitian(a, tol_sym)
-    if fn in _PLAIN_FUNCTIONS:
-        f = _PLAIN_FUNCTIONS[fn]
-        return es.apply(lambda x: f(x.real))
-    if fn == "sign_power":
-        if exponent is None or not 0.0 <= exponent <= 1.0:
-            raise ValueError("sign_power needs exponent s in [0, 1]")
-        es.require_gap(gap_tol, "sign-preserving power")
-        s = exponent
-        return es.apply(lambda x: np.sign(x.real) * abs(x.real) ** (1.0 - s))
-    if fn == "abs_power":
-        if exponent is None or exponent < 0:
-            raise ValueError("abs_power needs exponent t >= 0")
-        t = exponent
-        return es.apply(lambda x: abs(x.real) ** t)
-    raise ValueError(f"unknown function {fn!r}")
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from hpsig import fixtures
-from hpsig.hpc_core import DomainError, StructuralError, validate
+from hpsig.hpc_core import (DEFAULT_TOL, DomainError, GradedSpace, HPComplex,
+                            StructuralError, Tolerances, validate)
 from hpsig.products import (derive_sign_rule, graded_tensor,
                             graded_tensor_with_rule, k_factor,
                             product_signature_check, witness_even_odd,
                             witness_odd_even)
 from hpsig.signature import signature_even
 from hpsig.simplicial import cap_duality
+from hpsig.spectral import (eig_hermitian, invertibility_certificate,
+                            positive_projection)
 
 MODELS = {
     "point": (fixtures.point_model, 1),
@@ -176,7 +179,6 @@ def test_witness_even_odd_with_nonzero_differentials():
 
 
 def test_witness_even_odd_rejects_zero_duality():
-    from hpsig.hpc_core import GradedSpace, HPComplex
     b = HPComplex(GradedSpace(1, (1, 1)), (np.zeros((1, 1)),),
                   np.zeros((2, 2)), "strict")
     with pytest.raises(StructuralError):
@@ -186,6 +188,87 @@ def test_witness_even_odd_rejects_zero_duality():
 def test_witness_even_odd_parity_check():
     with pytest.raises(DomainError):
         witness_even_odd(fixtures.circle_model(), fixtures.sphere_model())
+
+
+def _kron_witness(a, b, samples, tol=DEFAULT_TOL):
+    """Dense reference for witness_even_odd: W, W*W and its model built as
+    (dim a * dim b)-size Kronecker products.  Returns the (residual, passed)
+    pairs of the identities in report order, and the certificates."""
+    sd, d2 = b.S_on @ b.D_on, b.D_on @ b.D_on
+    eye_a, eye_b = np.eye(a.total_dim), np.eye(b.total_dim)
+    norm = lambda m: float(np.linalg.norm(m, 2))
+    idents, certs = [], []
+    for bop in (a.b_plus_on(), a.b_minus_on()):
+        es = eig_hermitian(bop)
+        for s in np.linspace(0.0, 1.0, samples):
+            w = (np.kron(es.apply(lambda x: np.sign(x) * abs(x) ** (1.0 - s)), eye_b)
+                 + np.kron(eye_a, sd))
+            rhs = (np.kron(es.apply(lambda x: abs(x) ** (2.0 * (1.0 - s))), eye_b)
+                   + np.kron(eye_a, d2))
+            resid = norm(w.conj().T @ w - rhs) / max(1.0, norm(rhs))
+            cert = invertibility_certificate(w, tol.inv)
+            idents += [(resid, resid <= tol.identity),
+                       (-cert.min_singular ** 2, cert.min_singular > 0.0)]
+            certs.append(cert)
+        w0 = np.kron(bop, eye_b) + np.kron(eye_a, sd)
+        r0 = norm(np.kron(es.apply(lambda x: x), eye_b) + np.kron(eye_a, sd) - w0)
+        proj_diff = positive_projection(bop) - positive_projection(-bop)
+        r1 = norm(es.apply(np.sign) - proj_diff)
+        idents += [(r0, r0 <= tol.identity * max(1.0, norm(w0))),
+                   (r1, r1 <= tol.identity)]
+    return idents, certs
+
+
+def _close(x, y):
+    """Agreement to 1e-12 relative; the floor 1 of the scale is that of the
+    identities, whose residuals are relative to max(1, norm)."""
+    return abs(x - y) <= 1e-12 * max(1.0, abs(x), abs(y))
+
+
+def _even_odd_pairs():
+    pairs = [(fixtures.point_model(), fixtures.circle_model()),
+             (fixtures.sphere_model(), fixtures.circle_model()),
+             (fixtures.torus_model(), fixtures.hyperbolic_odd()),
+             (fixtures.hyperbolic_even(), fixtures.hyperbolic_odd())]
+    rng = np.random.default_rng(8)
+    for n_even, blocks in ((2, 2), (2, 3), (4, 1)):
+        pairs.append((fixtures.random_strict_complex(rng, n_even, blocks),
+                      fixtures.random_strict_complex(rng, 1, 2)))
+    return pairs
+
+
+@pytest.mark.parametrize("index", range(7))
+def test_witness_even_odd_blocks_match_the_kronecker_witness(index):
+    a, b = _even_odd_pairs()[index]
+    rep = witness_even_odd(a, b, samples=6)
+    idents, certs = _kron_witness(a, b, samples=6)
+    assert len(rep.identities) == len(idents) and len(rep.certificates) == len(certs)
+    for got, (resid, passed) in zip(rep.identities, idents):
+        assert _close(got.residual, resid), got.name
+        assert got.passed == passed, got.name
+    for got, ref in zip(rep.certificates, certs):
+        for key in ("min_singular", "max_singular", "condition", "threshold"):
+            assert _close(getattr(got, key), getattr(ref, key)), key
+        assert got.passed == ref.passed
+    assert rep.passed and all(passed for _, passed in idents)
+
+
+def test_witness_even_odd_fails_positivity_when_s_anticommutes_only_roughly():
+    # S + 1e-6 E stays Hermitian and degree-reversing; S'^2 = 1 + 1e-12 and
+    # S'D + DS' = 1e-6 E D pass at the strict tier under tol.sym = 1e-4, but
+    # W*W = |B|^(2 - 2s) (x) 1 + 1 (x) D^2 fails by about 1e-6
+    h = fixtures.hyperbolic_odd()
+    e = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    b = HPComplex(h.space, h.d, np.asarray(h.S) + 1e-6 * e, "strict")
+    tol = Tolerances(sym=1e-4)
+    rep_b = validate(b, tol)
+    assert rep_b.passed and rep_b.tier_achieved == "strict"
+    rep = witness_even_odd(fixtures.sphere_model(), b, tol=tol)
+    positivity = [i for i in rep.identities if i.name.startswith("positivity")]
+    assert len(positivity) == 2 * 11
+    assert not any(i.passed for i in positivity)
+    assert min(i.residual for i in positivity) > 1e3 * tol.identity
+    assert not rep.passed
 
 
 @pytest.mark.parametrize("build,expected_rank_delta", [

@@ -119,6 +119,15 @@ def test_signature_report_reads_only_its_own_schedule():
         signature_report(c, Tolerances(inv=2.0), schedule=localized_signature_path(c))
 
 
+def test_odd_signature_report_reads_the_schedule_under_its_own_tolerances():
+    c = fixtures.circle_model()
+    schedule = localized_signature_path(c)
+    assert signature_report(c, schedule=schedule)["minSingular"] == \
+        signature_report(c)["minSingular"] == [schedule.min_singulars[0]]
+    with pytest.raises(DualityDegenerateError):     # gap 1 <= 2 * max |eigenvalue|
+        signature_report(c, Tolerances(inv=2.0), schedule=schedule)
+
+
 def _reference_complexes():
     from hpsig.hpc_core import rescale_inner_products
     odd = fixtures.random_strict_complex(np.random.default_rng(2019), 1, 3)

@@ -1,11 +1,11 @@
-"""Eigensystem contract, projections, functional calculus, certificates."""
+"""Eigensystem contract and its functional calculus, projections, certificates."""
 
 import numpy as np
 import pytest
 
 from hpsig import fixtures
 from hpsig.hpc_core import GradedSpace, HPComplex, validate
-from hpsig.spectral import (NoSpectralGapError, eig_hermitian, functional_calculus,
+from hpsig.spectral import (NoSpectralGapError, eig_hermitian,
                             invertibility_certificate, positive_projection,
                             positive_rank)
 
@@ -88,32 +88,33 @@ def test_complement_projections_sum_to_identity():
         assert positive_rank(a) + positive_rank(-a) == 12
 
 
+def g_fn(x):
+    return x / np.sqrt(1.0 + x * x)
+
+
+def f_fn(x):
+    return 1.0 / np.sqrt(1.0 + x * x)
+
+
 def test_functional_calculus_trivial_values():
-    z = np.zeros((3, 3))
-    assert functional_calculus(z, "x/sqrt(1+x^2)") == pytest.approx(z)
-    assert functional_calculus(z, "1/sqrt(1+x^2)") == pytest.approx(np.eye(3))
-    a = np.diag([3.0, -4.0])
-    assert functional_calculus(a, "sign_power", 1.0) == pytest.approx(np.diag([1.0, -1.0]))
+    z = eig_hermitian(np.zeros((3, 3)))
+    assert z.apply(g_fn) == pytest.approx(np.zeros((3, 3)))
+    assert z.apply(f_fn) == pytest.approx(np.eye(3))
+    a = eig_hermitian(np.diag([3.0, -4.0]))
+    assert a.apply(np.sign) == pytest.approx(np.diag([1.0, -1.0]))
 
 
 def test_functional_calculus_algebraic_identity():
     rng = np.random.default_rng(13)
     for _ in range(10):
         a = random_hermitian(rng, 15)
-        f = functional_calculus(a, "1/sqrt(1+x^2)")
-        g = functional_calculus(a, "x/sqrt(1+x^2)")
+        es = eig_hermitian(a)
+        f = es.apply(f_fn)
+        g = es.apply(g_fn)
         assert np.linalg.norm(f @ f + g @ g - np.eye(15), 2) <= 1e-12 * 15
         # commutes with a, and g(a) a is positive semidefinite
         assert np.linalg.norm(g @ a - a @ g, 2) <= 1e-10 * max(1, np.linalg.norm(a, 2))
         assert np.linalg.eigvalsh(g @ a).min() >= -1e-10
-
-
-def test_power_functions_demand_gap():
-    with pytest.raises(NoSpectralGapError):
-        functional_calculus(np.diag([0.0, 2.0]), "sign_power", 0.5)
-    # abs_power is defined without a gap
-    out = functional_calculus(np.diag([0.0, 2.0]), "abs_power", 2.0)
-    assert out == pytest.approx(np.diag([0.0, 4.0]))
 
 
 def test_invertibility_certificate_basics():

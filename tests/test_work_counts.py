@@ -19,11 +19,12 @@ def _namespaces(prefix: str) -> list:
 
 
 def count_calls(monkeypatch, prefix: str, fn) -> list:
-    """Wrap fn in every module under prefix; the returned list grows per call."""
+    """Wrap fn in every module under prefix; the returned list grows per call
+    by the shape of the call's first argument."""
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(None)
+        calls.append(np.shape(args[0]) if args else None)
         return fn(*args, **kwargs)
 
     for ns in _namespaces(prefix):
@@ -197,6 +198,36 @@ def test_product_of_even_complexes_makes_no_eigh(monkeypatch, capsys, fixture_di
     cp2 = str(fixture_dir / "cp2_model.json")
     assert run_cli(capsys, "product", cp2, cp2) == 0
     assert len(calls) == 0
+
+
+def test_even_odd_witness_decomposes_each_factor_operator_once(monkeypatch, capsys,
+                                                               fixture_dir):
+    eigh = count_calls(monkeypatch, "numpy.linalg", np.linalg.eigh)
+    svd = count_calls(monkeypatch, "numpy.linalg", np.linalg.svd)
+    a, b = (str(fixture_dir / f"{name}.json") for name in ("cp2_model", "circle_model"))
+    assert run_cli(capsys, "product", a, b) == 0
+    # B+ and B- once each, and -B+ and -B- for the s = 1 endpoint
+    assert len(eigh) <= 4
+    # W is checked block by block: no matrix of the product's size 3 * 2
+    assert (6, 6) not in [shape[-2:] for shape in svd]
+
+
+def test_odd_even_witness_decomposes_the_even_differential_once(monkeypatch, capsys,
+                                                                fixture_dir):
+    calls = count_calls(monkeypatch, "numpy.linalg", np.linalg.eigh)
+    a, b = (str(fixture_dir / f"{name}.json") for name in ("circle_model", "cp2_model"))
+    assert run_cli(capsys, "product", a, b) == 0
+    assert len(calls) == 1               # g(D_b) and f(D_b) from one eigensystem
+
+
+@pytest.mark.parametrize("samples", [3, 10])
+def test_sgn_odd_runs_each_schedule_sample_once(monkeypatch, capsys, fixture_dir,
+                                                samples):
+    calls = count_calls(monkeypatch, "hpsig", signature._odd_sample)
+    assert run_cli(capsys, "sgn", str(fixture_dir / "circle_model.json"),
+                   "--samples-schedule", str(samples)) == 0
+    # the report reads the t = 1 sample from the schedule
+    assert len(calls) == samples
 
 
 def test_check_makes_no_invertibility_certificate(monkeypatch, capsys, fixture_dir):
