@@ -36,9 +36,12 @@ def _digest(path: str) -> str:
 
 def _load_json(path: str) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise StructuralError(f"cannot parse {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise StructuralError(f"{path}: expected a JSON object")
+    return doc
 
 
 def _sniff(doc: dict) -> str:
@@ -159,8 +162,7 @@ def cmd_product(args, tol: Tolerances) -> tuple[dict, int]:
     data = {"sign_rule": products.derive_sign_rule(a.n, b.n).to_dict(),
             "case": sig_rep.case, "k_normalization": sig_rep.k_normalization,
             "signature_product": sig_rep.to_dict()}
-    strict = (validate(a, tol).tier_achieved == "strict"
-              and validate(b, tol).tier_achieved == "strict")
+    strict = a.meets_strict_tier(tol) and b.meets_strict_tier(tol)
     if strict and a.n % 2 == 0 and b.n % 2 == 1:
         wit = products.witness_even_odd(a, b, samples=args.samples_witness, tol=tol)
         checks.append({"name": "even_odd_witness", "passed": wit.passed})
@@ -202,9 +204,8 @@ def cmd_rho(args, tol: Tolerances) -> tuple[dict, int]:
 
 def cmd_chs(args, tol: Tolerances) -> tuple[dict, int]:
     fc = family.fibered_from_json(_load_json(args.path))
-    rep = family.validate_fibered(fc, tol)
-    checks = [{"name": "fibered_gluing", "passed": rep.passed}]
     chs = family.chs_check(fc, tol)
+    checks = [{"name": "fibered_gluing", "passed": chs.gluing.passed}]
     data = {"monodromy": chs.monodromy.to_dict(), "chs": chs.to_dict()}
     # hypothesis_not_met is a correct diagnosis, not a failed check
     checks.append({"name": "multiplicativity", "passed": chs.outcome != "fail",
@@ -343,12 +344,14 @@ def render_report(report: dict) -> str:
 
 
 def _check_domains(args) -> None:
-    """Tolerances must be finite and positive, counts nonnegative."""
+    """Tolerances must be finite and positive, counts and the seed nonnegative."""
     for flag, value in (("--tol-sym", args.tol_sym), ("--tol-inv", args.tol_inv)):
         if not (math.isfinite(value) and value > 0):
             raise DomainError(f"{flag} must be finite and > 0, got {value}")
     if getattr(args, "instances", 0) < 0:
         raise DomainError(f"--instances must be >= 0, got {args.instances}")
+    if args.seed < 0:
+        raise DomainError(f"--seed must be >= 0, got {args.seed}")
 
 
 def main(argv=None) -> int:

@@ -122,16 +122,25 @@ def validate_fibered(fc: FiberedComplex, tol: Tolerances = DEFAULT_TOL) -> Fiber
 def total_complex(fc: FiberedComplex, tol: Tolerances = DEFAULT_TOL) -> HPComplex:
     """Twisted graded tensor of the base cochain complex (cap duality) with
     the fiber.  Identity transitions reproduce the plain graded product."""
+    _require_total(fc, validate_fibered(fc, tol))
+    return _twisted_product(fc, cap_duality(fc.base, tol), tol)
+
+
+def _require_total(fc: FiberedComplex, rep: FiberedReport) -> None:
+    """Raise StructuralError unless fc, with the gluing report rep, has a
+    total complex with a duality."""
     if fc.fiber.S is None:
         raise StructuralError("no fiberwise duality: the fiber complex carries "
                               "no duality operator")
-    rep = validate_fibered(fc, tol)
     if not rep.passed:
         raise StructuralError(f"fibered complex invalid: {rep.to_dict()}")
     if not rep.duality_compatible:
         raise StructuralError("no fiberwise duality: transitions do not preserve "
                               "the fiber duality operator")
-    base_c = cap_duality(fc.base, tol)
+
+
+def _twisted_product(fc: FiberedComplex, base_c: HPComplex, tol: Tolerances) -> HPComplex:
+    """The total complex of a valid fc over base_c, the cap duality of its base."""
     if fc.untwisted:
         out = graded_tensor(base_c, fc.fiber)
         meta = dict(out.meta)
@@ -337,8 +346,9 @@ def family_signature_section(fc: FiberedComplex,
 @dataclass(frozen=True)
 class CHSReport:
     """sgn(base) * sgn(fiber) vs sgn(total), plus the pairing shadow computed
-    through the constant value of the fiber-signature section.  monodromy is
-    the action the check computed; to_dict leaves it out."""
+    through the constant value of the fiber-signature section.  monodromy and
+    gluing are the action and the gluing report the check computed; to_dict
+    leaves them out."""
 
     outcome: str        # pass | fail | hypothesis_not_met | odd_dimension
     sgn_base: int | None
@@ -349,6 +359,7 @@ class CHSReport:
     monodromy_trivial: bool
     note: str = ""
     monodromy: MonodromyReport | None = field(default=None, repr=False, compare=False)
+    gluing: FiberedReport | None = field(default=None, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -364,19 +375,23 @@ class CHSReport:
 
 def chs_check(fc: FiberedComplex, tol: Tolerances = DEFAULT_TOL) -> CHSReport:
     """Verify multiplicativity of the signature over a fibered complex."""
+    gluing = validate_fibered(fc, tol)
     mono = monodromy_homology_action(fc, tol)
     if not mono.trivial:
         return CHSReport("hypothesis_not_met", None, None, None, None, None,
-                         False, "monodromy acts nontrivially on fiber homology", mono)
+                         False, "monodromy acts nontrivially on fiber homology", mono,
+                         gluing)
     m, n = fc.base.n, fc.fiber.n
     if m % 2 == 1 or n % 2 == 1:
         return CHSReport("odd_dimension", 0, 0, 0, None, None, True,
                          "odd base or fiber dimension: both sides vanish by convention",
-                         mono)
-    sgn_base = signature_even(cap_duality(fc.base, tol), tol)
+                         mono, gluing)
+    base_c = cap_duality(fc.base, tol)
+    sgn_base = signature_even(base_c, tol)
     sgn_fiber = signature_even(fc.fiber, tol)
     section = family_signature_section(fc, tol)
-    tot = total_complex(fc, tol)
+    _require_total(fc, gluing)
+    tot = _twisted_product(fc, base_c, tol)
     note = ""
     try:
         sgn_total = signature_even(tot, tol)
@@ -387,7 +402,7 @@ def chs_check(fc: FiberedComplex, tol: Tolerances = DEFAULT_TOL) -> CHSReport:
     pairing_equal = sgn_base * section.value == sgn_total
     ok = sgn_total == sgn_base * sgn_fiber and pairing_equal and section.constant
     return CHSReport("pass" if ok else "fail", sgn_base, sgn_fiber, sgn_total,
-                     section.value, pairing_equal, True, note, mono)
+                     section.value, pairing_equal, True, note, mono, gluing)
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +424,16 @@ def fibered_from_json(doc: Mapping) -> FiberedComplex:
         fiber = hpcomplex_from_json(doc["fiber"])
     except KeyError as exc:
         raise StructuralError(f"malformed fibered document: {exc}") from exc
+    docs = doc.get("transitions", {})
+    if not isinstance(docs, dict):
+        raise StructuralError("malformed fibered document: transitions must be an object")
     transitions = {}
     nf = fiber.total_dim
-    for key, mat in doc.get("transitions", {}).items():
-        i, j = (int(x) for x in key.split(","))
+    for key, mat in docs.items():
+        try:
+            i, j = (int(x) for x in key.split(","))
+        except ValueError as exc:
+            raise StructuralError(f"malformed transition key {key!r}: expected 'i,j'"
+                                  ) from exc
         transitions[(i, j)] = decode_matrix(mat, (nf, nf))
     return FiberedComplex(base, fiber, transitions)

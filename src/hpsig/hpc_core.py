@@ -10,9 +10,10 @@ invertible.  All values are immutable and every operation is pure.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -178,16 +179,23 @@ class GradedSpace:
     def g_half_inv(self) -> np.ndarray:
         return self._g_roots[1]
 
+    @cached_property
+    def _inner_numbers(self) -> tuple[tuple[float, float, float] | None, ...]:
+        """Per degree ||G_p||_2, ||G_p - G_p*||_2 and the least eigenvalue of
+        G_p, or None for the identity: what check_inner_products compares."""
+        return tuple(None if g is None or g.size == 0 else
+                     (operator_norm(g), operator_norm(g - g.conj().T),
+                      float(np.linalg.eigvalsh(g).min()))
+                     for g in self.inner)
+
     def check_inner_products(self, tol: Tolerances = DEFAULT_TOL) -> None:
         """Raise StructuralError unless every G_p is Hermitian positive definite."""
-        for p in range(self.n + 1):
-            g = self.inner[p]
-            if g is None or g.size == 0:
+        for p, numbers in enumerate(self._inner_numbers):
+            if numbers is None:
                 continue
-            scale = operator_norm(g)
-            if operator_norm(g - g.conj().T) > tol.sym * max(scale, 1.0):
+            scale, skew, mineig = numbers
+            if skew > tol.sym * max(scale, 1.0):
                 raise StructuralError(f"inner product G_{p} is not Hermitian")
-            mineig = float(np.linalg.eigvalsh(np.asarray(g)).min())
             if mineig <= tol.pd:
                 raise StructuralError(
                     f"inner product G_{p} is not positive definite (min eig {mineig:.3e})")
@@ -300,9 +308,65 @@ class HPComplex:
             raise StructuralError("complex carries no duality operator")
         return _freeze(self.to_orthonormal(self.S))
 
+    # -- the tolerance-free numbers validate compares, each taken on first read
+
+    @cached_property
+    def d_squared_residual(self) -> float:
+        """max |(d^2)_ij|."""
+        dt = self.d_total
+        return float(np.abs(dt @ dt).max()) if dt.size else 0.0
+
+    @cached_property
+    def S_block_residual(self) -> float:
+        """max |S_ij| over the entries outside the degree-reversal pattern."""
+        off = np.where(self.duality_block_mask(), 0.0, np.abs(np.asarray(self.S)))
+        return float(off.max()) if off.size else 0.0
+
+    @cached_property
+    def S_norm(self) -> float:
+        return operator_norm(self.S_on)
+
     @cached_property
     def S_skew(self) -> float:
         return operator_norm(self.S_on - self.S_on.conj().T)
+
+    @cached_property
+    def S_squared_residual(self) -> float:
+        return operator_norm(self.S_on @ self.S_on - np.eye(self.total_dim))
+
+    @cached_property
+    def anticommute_residual(self) -> float:
+        return operator_norm(self.S_on @ self.D_on + self.D_on @ self.S_on)
+
+    @cached_property
+    def D_norm(self) -> float:
+        return operator_norm(self.D_on)
+
+    def strict_checks(self, tol: Tolerances) -> Iterator[CheckResult]:
+        """S^2 = 1, then SD = -DS, against tol.sym; the second, with the
+        ||SD + DS|| and ||D|| it reads, is only computed when drawn."""
+        thr = tol.sym * max(1.0, self.S_norm ** 2)
+        yield CheckResult("strict_S_squared", self.S_squared_residual, thr,
+                          self.S_squared_residual <= thr)
+        thr = tol.sym * max(1.0, self.S_norm * max(self.D_norm, 1.0))
+        yield CheckResult("strict_anticommute", self.anticommute_residual, thr,
+                          self.anticommute_residual <= thr)
+
+    def meets_strict_tier(self, tol: Tolerances) -> bool:
+        """The strict-tier rule: both strict checks pass.  SD = -DS is only
+        checked once S^2 = 1 holds."""
+        return all(check.passed for check in self.strict_checks(tol))
+
+    def at_achieved_tier(self, tol: Tolerances) -> HPComplex:
+        """This complex, declared strict when it meets the strict tier.  The
+        copy keeps every cached operator, number and spectrum: none depends
+        on the declared tier."""
+        if self.tier == "strict" or not self.meets_strict_tier(tol):
+            return self
+        out = copy.copy(self)
+        object.__setattr__(out, "tier", "strict")
+        object.__setattr__(out, "meta", dict(self.meta))
+        return out
 
     @cached_property
     def spectrum(self) -> DualitySpectrum:
@@ -395,41 +459,22 @@ def validate(c: HPComplex, tol: Tolerances = DEFAULT_TOL) -> AxiomReport:
 
     The complex passes iff d^2 = 0, S is self-adjoint with the right block
     pattern, the declared tier's extra identities hold, and both D+S and D-S
-    are invertible.
+    are invertible.  Every residual and norm is read from the complex's
+    cache, so validating it again, under any tolerances, decomposes nothing.
     """
     c.space.check_inner_products(tol)
     if c.S is None:
         raise StructuralError("cannot validate a complex without a duality operator")
 
     checks: list[CheckResult] = []
-
-    dt = c.d_total
-    resid_d2 = float(np.abs(dt @ dt).max()) if dt.size else 0.0
-    checks.append(CheckResult("d_squared_zero", resid_d2, tol.chain, resid_d2 <= tol.chain))
-
-    s_on = c.S_on
-    s_norm = operator_norm(s_on)
-    s_scale = max(s_norm, 1.0)
-    resid_sa = c.S_skew
-    checks.append(CheckResult("S_self_adjoint", resid_sa, tol.sym * s_scale,
-                              resid_sa <= tol.sym * s_scale))
-
-    mask = c.duality_block_mask()
-    off = np.where(mask, 0.0, np.abs(np.asarray(c.S)))
-    resid_block = float(off.max()) if off.size else 0.0
-    checks.append(CheckResult("S_degree_reversing", resid_block, tol.sym * s_scale,
-                              resid_block <= tol.sym * s_scale))
-
-    D_on = c.D_on
-    resid_s2 = operator_norm(s_on @ s_on - np.eye(c.total_dim))
-    thr_s2 = tol.sym * max(1.0, s_norm ** 2)
-    resid_anti = operator_norm(s_on @ D_on + D_on @ s_on)
-    thr_anti = tol.sym * max(1.0, s_norm * max(operator_norm(D_on), 1.0))
-    strict_ok = resid_s2 <= thr_s2 and resid_anti <= thr_anti
+    resid = c.d_squared_residual
+    checks.append(CheckResult("d_squared_zero", resid, tol.chain, resid <= tol.chain))
+    thr = tol.sym * max(c.S_norm, 1.0)
+    checks.append(CheckResult("S_self_adjoint", c.S_skew, thr, c.S_skew <= thr))
+    checks.append(CheckResult("S_degree_reversing", c.S_block_residual, thr,
+                              c.S_block_residual <= thr))
     if c.tier == "strict":
-        checks.append(CheckResult("strict_S_squared", resid_s2, thr_s2, resid_s2 <= thr_s2))
-        checks.append(CheckResult("strict_anticommute", resid_anti, thr_anti,
-                                  resid_anti <= thr_anti))
+        checks.extend(c.strict_checks(tol))
 
     cert_plus, cert_minus = c.spectrum.certificates(tol.inv)
     poincare = cert_plus.passed and cert_minus.passed
@@ -440,9 +485,9 @@ def validate(c: HPComplex, tol: Tolerances = DEFAULT_TOL) -> AxiomReport:
 
     # the strict checks are among checks exactly when the strict tier is declared
     passed = all(ch.passed for ch in checks)
-    return AxiomReport(tuple(checks), cert_plus, cert_minus,
-                       c.tier, "strict" if strict_ok else "weak", poincare, passed,
-                       float(resid_s2), float(resid_anti))
+    return AxiomReport(tuple(checks), cert_plus, cert_minus, c.tier,
+                       "strict" if c.meets_strict_tier(tol) else "weak", poincare, passed,
+                       c.S_squared_residual, c.anticommute_residual)
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +596,8 @@ def decode_matrix(rows: Sequence, shape: tuple[int, int] | None = None) -> np.nd
     if not np.isfinite(out).all():
         raise StructuralError("malformed matrix: entries must be finite")
     if out.size == 0 and shape is not None:
+        if 0 not in shape:
+            raise StructuralError(f"malformed matrix: no entries for shape {shape}")
         out = out.reshape(shape)
     return out
 
@@ -576,17 +623,20 @@ def hpcomplex_from_json(doc: Mapping) -> HPComplex:
         dims = tuple(int(x) for x in doc["dims"])
     except (KeyError, TypeError, ValueError) as exc:
         raise StructuralError(f"malformed complex document: {exc}") from exc
-    inner = None
-    if doc.get("G") is not None:
-        inner = tuple(decode_matrix(g, (dims[p], dims[p]))
-                      for p, g in enumerate(doc["G"]))
+    inner, d_docs, meta = doc.get("G"), doc.get("d", []), doc.get("meta", {})
+    if not (isinstance(inner, (list, type(None))) and isinstance(d_docs, list)
+            and isinstance(meta, dict)):
+        raise StructuralError("malformed complex document: G and d must be lists "
+                              "and meta an object")
+    if inner is not None:
+        if len(inner) != len(dims):
+            raise StructuralError("need one inner product per degree")
+        inner = tuple(decode_matrix(g, (dim, dim)) for g, dim in zip(inner, dims))
     space = GradedSpace(n, dims, inner)
-    ds = [decode_matrix(dp, (dims[p + 1], dims[p])) for p, dp in enumerate(doc.get("d", []))]
-    if len(ds) != n:
-        raise StructuralError(f"need {n} differentials, got {len(ds)}")
+    if len(d_docs) != n:
+        raise StructuralError(f"need {n} differentials, got {len(d_docs)}")
+    ds = [decode_matrix(dp, (dims[p + 1], dims[p])) for p, dp in enumerate(d_docs)]
     S = None
     if doc.get("S") is not None:
         S = decode_matrix(doc["S"], (space.total_dim, space.total_dim))
-    tier = doc.get("tier", "weak")
-    meta = doc.get("meta", {})
-    return HPComplex(space, tuple(ds), S, tier, meta)
+    return HPComplex(space, tuple(ds), S, doc.get("tier", "weak"), meta)

@@ -282,7 +282,7 @@ def witness_even_odd(a: HPComplex, b: HPComplex, samples: int = 11,
                           f"got {samples}")
     _require_strict(a, tol, "even")
     _require_strict(b, tol, "odd")
-    if b.S is None or spectral.operator_norm(b.S) == 0.0:
+    if b.S_norm == 0.0:
         raise StructuralError("odd factor carries no duality")
 
     sd = b.S_on @ b.D_on
@@ -297,9 +297,12 @@ def witness_even_odd(a: HPComplex, b: HPComplex, samples: int = 11,
         lam = es.eigenvalues
         for s in grid:
             w = (np.sign(lam) * np.abs(lam) ** (1.0 - s))[:, None, None] * eye_b + sd
-            rhs = (np.abs(lam) ** (2.0 * (1.0 - s)))[:, None, None] * eye_b + d2
+            c = np.abs(lam) ** (2.0 * (1.0 - s))
+            rhs = c[:, None, None] * eye_b + d2
             lhs = w.conj().transpose(0, 2, 1) @ w
-            scale = max(1.0, _block_norm(rhs))
+            # D_b is Hermitian, so the largest block norm of the model c + D_b^2
+            # is max c + ||D_b||^2
+            scale = max(1.0, float(c.max()) + b.D_norm ** 2)
             resid = _block_norm(lhs - rhs) / scale
             thr = tol.identity
             idents.append(Identity(f"positivity[B{pm},s={float(s):.2f}]",

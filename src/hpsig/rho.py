@@ -542,13 +542,14 @@ def he_from_json(doc) -> HomotopyEquivalence:
     try:
         source = hpcomplex_from_json(doc["source"])
         target = hpcomplex_from_json(doc["target"])
+        f, g, h, h_prime = (doc[key] for key in ("f", "g", "h", "h_prime"))
     except KeyError as exc:
         raise StructuralError(f"malformed homotopy-equivalence document: {exc}") from exc
     nt, ns = target.total_dim, source.total_dim
     return HomotopyEquivalence(
         source, target,
-        decode_matrix(doc["f"], (nt, ns)),
-        decode_matrix(doc["g"], (ns, nt)),
-        decode_matrix(doc["h"], (nt, nt)),
-        decode_matrix(doc["h_prime"], (ns, ns)),
+        decode_matrix(f, (nt, ns)),
+        decode_matrix(g, (ns, nt)),
+        decode_matrix(h, (nt, nt)),
+        decode_matrix(h_prime, (ns, ns)),
     )

@@ -410,13 +410,8 @@ def cap_duality(sm: SimplicialManifold, tol: Tolerances = DEFAULT_TOL,
         T[:, off[p]:off[p + 1]] *= duality_phase(p, sm.n)
 
     def build(S: np.ndarray, used: str) -> HPComplex:
-        weak = HPComplex(c.space, c.d, S, "weak", {"duality": used})
-        D, eye = weak.D, np.eye(c.total_dim)
         # the point and other rigid cases can land on the strict tier
-        strict = (spectral.operator_norm(S @ S - eye) <= tol.sym * max(1.0, spectral.operator_norm(S) ** 2)
-                  and spectral.operator_norm(S @ D + D @ S)
-                  <= tol.sym * max(1.0, spectral.operator_norm(S) * max(1.0, spectral.operator_norm(D))))
-        return HPComplex(c.space, c.d, S, "strict", weak.meta) if strict else weak
+        return HPComplex(c.space, c.d, S, "weak", {"duality": used}).at_achieved_tier(tol)
 
     return symmetrized_duality(c, T, tol, build, harmonic=construction == "harmonic")
 
@@ -561,15 +556,10 @@ def harmonic_reduction(c: HPComplex, tol: Tolerances = DEFAULT_TOL
     space_min = GradedSpace(sp.n, tuple(dims_min))
     d_min = tuple(np.zeros((dims_min[p + 1], dims_min[p]), dtype=complex)
                   for p in range(sp.n))
-    S_min = None
-    tier = "weak"
-    if c.S is not None:
-        S_min = f @ np.asarray(c.S) @ g
-        eye = np.eye(space_min.total_dim)
-        strict = spectral.operator_norm(S_min @ S_min - eye) <= tol.sym * max(
-            1.0, spectral.operator_norm(S_min) ** 2)
-        tier = "strict" if strict else "weak"
-    minimal = HPComplex(space_min, d_min, S_min, tier, {"duality": "harmonic-compression"})
+    S_min = None if c.S is None else f @ np.asarray(c.S) @ g
+    minimal = HPComplex(space_min, d_min, S_min, "weak", {"duality": "harmonic-compression"})
+    if S_min is not None:
+        minimal = minimal.at_achieved_tier(tol)
     he = HomotopyEquivalence(
         source=c, target=minimal, f=f, g=g,
         h=np.zeros((space_min.total_dim, space_min.total_dim), dtype=complex),

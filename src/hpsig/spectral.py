@@ -27,8 +27,9 @@ def _as_matrix(a) -> np.ndarray:
 
 
 def operator_norm(a) -> float:
+    """The 2-norm; a matrix with no nonzero entry has norm 0 without an SVD."""
     m = np.asarray(a, dtype=complex)
-    if m.size == 0:
+    if not m.any():
         return 0.0
     return float(np.linalg.norm(m, 2))
 

@@ -219,6 +219,23 @@ def _even_odd_product(*flags):
                                           str(fixture_dir / "circle_model.json"), *flags]
 
 
+def _edited(command, name, edit):
+    """argv running command on fixture name after edit changed its document."""
+    def build(tmp_path, fixture_dir):
+        doc = json.loads((fixture_dir / name).read_text())
+        edit(doc)
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return [command, str(path)]
+    return build
+
+
+def _not_an_object(tmp_path, fixture_dir):
+    path = tmp_path / "number.json"
+    path.write_text("5")
+    return ["check", str(path)]
+
+
 INPUT_ERRORS = {
     "entry_string": _model_with_s_entry(["nan", 0]),
     "entry_bare_string": _model_with_s_entry("x"),
@@ -241,6 +258,18 @@ INPUT_ERRORS = {
     "sgn_t_max_infinite": _on_fixture("sgn", "cp2_model.json", "--t-max", "inf"),
     "product_samples_witness_negative": _even_odd_product("--samples-witness", "-1"),
     "product_samples_witness_0": _even_odd_product("--samples-witness", "0"),
+    "he_without_f": _edited("check", "he_identity_sphere_model.json",
+                            lambda doc: doc.pop("f")),
+    "fibered_transitions_list": _edited("check", "fc_sphere_x_cp2.json",
+                                        lambda doc: doc.update(transitions=[])),
+    "fibered_transition_key_not_integers": _edited(
+        "check", "fc_sphere_x_cp2.json", lambda doc: doc.update(transitions={"a,b": []})),
+    "complex_d_integer": _edited("check", "sphere_model.json", lambda doc: doc.update(d=5)),
+    "complex_meta_list": _edited("sgn", "sphere_model.json",
+                                 lambda doc: doc.update(meta=[1, 2])),
+    "complex_S_empty": _edited("check", "sphere_model.json", lambda doc: doc.update(S=[])),
+    "document_not_an_object": _not_an_object,
+    "seed_negative": lambda tmp_path, fixture_dir: ["coarse", "--seed", "-1"],
 }
 
 

@@ -1,17 +1,20 @@
 """Axiom validation, sums, rescaling, orientation reversal, JSON round trips."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hpsig import fixtures
-from hpsig.hpc_core import (GradedSpace, HPComplex, StructuralError, DomainError,
-                            complex_betti, direct_sum, hpcomplex_from_json,
+from hpsig.hpc_core import (DEFAULT_TOL, GradedSpace, HPComplex, StructuralError,
+                            DomainError, Tolerances, complex_betti, direct_sum, hpcomplex_from_json,
                             hpcomplex_to_json, rescale_inner_products,
                             reverse_orientation, validate)
 from hpsig.signature import signature_even
-from hpsig.simplicial import cap_duality, cochain_complex
+from hpsig.simplicial import cap_duality, cochain_complex, load_simplicial
+
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_point_strict_tier_passes():
@@ -199,3 +202,39 @@ def test_json_round_trip_with_weights():
 def test_complex_betti_matches_known_values():
     assert complex_betti(cochain_complex(fixtures.sphere_triangulation())) == (1, 0, 1)
     assert complex_betti(cochain_complex(fixtures.torus_triangulation())) == (1, 2, 1)
+
+
+def _shipped_complexes():
+    """Each shipped complex fixture, and the cap duality of each shipped
+    triangulation, as a function building a fresh copy."""
+    out = {}
+    for path in sorted(FIXTURE_DIR.glob("*.json")):
+        doc = json.loads(path.read_text())
+        if "facets" in doc:
+            out[path.stem] = lambda doc=doc: cap_duality(load_simplicial(doc))
+        elif "dims" in doc:
+            out[path.stem] = lambda doc=doc: hpcomplex_from_json(doc)
+    return out
+
+
+def _roughly_strict():
+    # strict under sym = 1e-3, weak under the default 1e-10
+    c = fixtures.hyperbolic_odd()
+    return HPComplex(c.space, c.d, c.S + 1e-6 * np.array([[0, 1], [1, 0]]), "weak")
+
+
+SHIPPED = {**_shipped_complexes(), "roughly_strict": _roughly_strict}
+TOLERANCES = (DEFAULT_TOL, Tolerances(sym=1e-3, inv=1e-2, pd=1e-6, chain=1e-9))
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+@pytest.mark.parametrize("order", [1, -1])
+def test_validate_caches_nothing_that_depends_on_the_tolerances(name, order):
+    first, second = TOLERANCES[::order]
+    c = SHIPPED[name]()
+    before = validate(c, first)
+    again = validate(c, second).to_dict()
+    assert again == validate(SHIPPED[name](), second).to_dict()
+    assert validate(c, first).to_dict() == before.to_dict()
+    if name == "roughly_strict":
+        assert before.tier_achieved != again["tier_achieved"]

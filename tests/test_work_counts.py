@@ -6,11 +6,15 @@ it, with a counting wrapper; hpsig modules bind most names by from-import.
 
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hpsig import cli, family, fixtures, hpc_core, rho, signature, simplicial, spectral
+from hpsig import (cli, family, fixtures, hpc_core, products, rho, signature, simplicial,
+                   spectral)
+
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _namespaces(prefix: str) -> list:
@@ -261,7 +265,8 @@ def test_sgn_cp2_9_eigh_count(monkeypatch, capsys, fixture_dir):
 
 
 def test_validate_takes_each_two_norm_once(monkeypatch):
-    c = fixtures.cp2_model()
+    # all five norms of this complex are nonzero, so each needs an SVD
+    c = fixtures.random_strict_complex(np.random.default_rng(2), 2, 2)
     assert not c.space.has_weights       # no inner-product checks
     calls = count_calls(monkeypatch, "numpy.linalg", np.linalg.svd)
     hpc_core.validate(c)
@@ -274,3 +279,59 @@ def test_check_reduces_each_coboundary_once(monkeypatch, capsys, fixture_dir):
     assert run_cli(capsys, "check", str(fixture_dir / "cp2_9.json")) == 0
     # the four coboundaries, the [image | kernel] selection and the pairing rank
     assert len(calls) == 6
+
+
+def test_check_cp2_9_svd_count(monkeypatch, capsys, fixture_dir):
+    calls = count_calls(monkeypatch, "numpy.linalg", np.linalg.svd)
+    assert run_cli(capsys, "check", str(fixture_dir / "cp2_9.json")) == 0
+    # ||S||, ||S^2 - 1|| and ||SD + DS||, each once: the symmetrized S is
+    # exactly self-adjoint, and the weak tier never reads ||D||
+    assert len(calls) == 3
+
+
+def _weighted_cp2_9():
+    return hpc_core.rescale_inner_products(simplicial.cap_duality(
+        simplicial.load_simplicial(json.loads(
+            (FIXTURE_DIR / "cp2_9.json").read_text()))), 2.0)
+
+
+@pytest.mark.parametrize("build", [fixtures.cp2_model, fixtures.hyperbolic_even,
+                                   _weighted_cp2_9])
+def test_revalidating_under_other_tolerances_decomposes_nothing(monkeypatch, build):
+    c = build()
+    first = hpc_core.validate(c)
+    calls = [count_calls(monkeypatch, "numpy.linalg", fn)
+             for fn in (np.linalg.svd, np.linalg.eigh, np.linalg.eigvalsh)]
+    loose = hpc_core.Tolerances(sym=1e-3, inv=1e-2, pd=1e-6, chain=1e-9)
+    assert hpc_core.validate(c, loose).checks != first.checks
+    assert hpc_core.validate(c).to_dict() == first.to_dict()
+    assert calls == [[], [], []]
+
+
+def test_product_cp2_model_squared_svd_count(monkeypatch, capsys, fixture_dir):
+    products._derive_sign_rule_cached.cache_clear()      # count the derivation too
+    calls = count_calls(monkeypatch, "numpy.linalg", np.linalg.svd)
+    cp2 = str(fixture_dir / "cp2_model.json")
+    assert run_cli(capsys, "product", cp2, cp2) == 0
+    # one SVD per nonzero norm of each factor, of the product and of the
+    # sign-rule search's products (51 when each validate took its own norms)
+    assert len(calls) <= 10
+
+
+def test_chs_validates_the_gluing_and_builds_the_base_duality_once(monkeypatch, capsys,
+                                                                  fixture_dir):
+    gluing = count_calls(monkeypatch, "hpsig", family.validate_fibered)
+    cap = count_calls(monkeypatch, "hpsig", simplicial.cap_duality)
+    assert run_cli(capsys, "chs", str(fixture_dir / "fc_sphere_x_cp2.json")) == 0
+    assert len(gluing) == 1
+    assert len(cap) == 1
+
+
+def test_even_odd_witness_scales_positivity_without_a_norm_of_the_model(monkeypatch,
+                                                                       capsys,
+                                                                       fixture_dir):
+    calls = count_calls(monkeypatch, "numpy.linalg", np.linalg.svd)
+    a, b = (str(fixture_dir / f"{name}.json") for name in ("cp2_model", "circle_model"))
+    assert run_cli(capsys, "product", a, b) == 0
+    # per sign and sample: the positivity residual's blocks and those of W
+    assert len([shape for shape in calls if len(shape) == 3]) == 2 * 2 * 11
