@@ -218,10 +218,13 @@ def cmd_chs(args, tol: Tolerances) -> tuple[dict, int]:
 def _random_band_operator(rng: np.random.Generator, space: coarse.FiniteMetricSpace,
                           bandwidth: int) -> coarse.SupportedOperator:
     n = space.size
+    idx = np.arange(n)
+    band = np.abs(idx[:, None] - idx[None, :]) <= bandwidth
+    # one (real, imaginary) pair per band entry in row-major order: the
+    # stream a scalar draw per entry would read
+    z = rng.standard_normal(2 * int(band.sum()))
     m = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(max(0, i - bandwidth), min(n, i + bandwidth + 1)):
-            m[i, j] = complex(rng.standard_normal(), rng.standard_normal())
+    m[band] = z[0::2] + 1j * z[1::2]
     return coarse.SupportedOperator(space, m, 0.0)
 
 
@@ -229,6 +232,7 @@ def cmd_coarse(args, tol: Tolerances) -> tuple[dict, int]:
     rng = np.random.default_rng(args.seed)
     n_pts = 12
     space = coarse.path_space(n_pts)
+    small = coarse.path_space(4)
     sub_ok = ten_ok = base_ok = sum_ok = 0
     for _ in range(args.instances):
         ba = int(rng.integers(0, 4))
@@ -239,7 +243,6 @@ def cmd_coarse(args, tol: Tolerances) -> tuple[dict, int]:
             sub_ok += 1
         if coarse.add(a, b).propagation <= max(a.propagation, b.propagation) + 1e-9:
             sum_ok += 1
-        small = coarse.path_space(4)
         c = _random_band_operator(rng, small, int(rng.integers(0, 3)))
         t = coarse.tensor(a, c, metric=args.metric)
         if args.metric == "l2":

@@ -7,7 +7,7 @@ product arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -69,8 +69,18 @@ def product_space(x: FiniteMetricSpace, y: FiniteMetricSpace,
                   metric: str = "l2") -> FiniteMetricSpace:
     """Product metric space with the l2 (default) or max product metric.
 
-    Points ordered x-major; pi projects onto the first factor.
+    Points ordered x-major; pi projects onto the first factor.  Repeated
+    calls with the same factor objects and metric return the same space, so
+    it is built and validated once.
     """
+    return _product_space(x, y, metric)
+
+
+# Factor spaces hash by identity (eq=False) and are immutable; the bound
+# keeps a process that builds many spaces from holding every product alive.
+@lru_cache(maxsize=16)
+def _product_space(x: FiniteMetricSpace, y: FiniteMetricSpace,
+                   metric: str) -> FiniteMetricSpace:
     dx = np.kron(x.dist, np.ones((y.size, y.size)))
     dy = np.kron(np.ones((x.size, x.size)), y.dist)
     if metric == "l2":

@@ -306,35 +306,46 @@ class SignatureSection:
                 "constant": self.constant}
 
 
+def _transported_fiber(fiber: HPComplex, psi: np.ndarray) -> HPComplex:
+    """The fiber complex conjugated by a transport psi into a vertex frame."""
+    fsp = fiber.space
+    psi_inv = np.linalg.inv(psi)
+    dsv = []
+    for p in range(fiber.n):
+        hi = fsp.degree_slice(p + 1)
+        lo = fsp.degree_slice(p)
+        dsv.append(psi[hi, hi] @ fiber.d[p] @ psi_inv[lo, lo])
+    g_conj = []
+    for p in range(fiber.n + 1):
+        sl = fsp.degree_slice(p)
+        g_conj.append(psi_inv[sl, sl].conj().T @ fsp.g_block(p) @ psi_inv[sl, sl])
+    s_conj = psi @ np.asarray(fiber.S) @ psi_inv
+    return HPComplex(GradedSpace(fiber.n, fsp.dims, tuple(g_conj)),
+                     tuple(dsv), s_conj, "weak")
+
+
 def family_signature_section(fc: FiberedComplex,
                              tol: Tolerances = DEFAULT_TOL) -> SignatureSection:
     if fc.fiber.n % 2 != 0:
         raise DomainError("fiber signature section needs an even-dimensional fiber")
     transports, _ = _spanning_tree_transports(fc)
     fiber = fc.fiber
-    fsp = fiber.space
-    values = []
-    vertices = sorted(transports)
-    for v in vertices:
-        psi = transports[v]
-        psi_inv = np.linalg.inv(psi)
-        dsv = []
-        for p in range(fiber.n):
-            hi = fsp.degree_slice(p + 1)
-            lo = fsp.degree_slice(p)
-            dsv.append(psi[hi, hi] @ fiber.d[p] @ psi_inv[lo, lo])
-        g_conj = []
-        for p in range(fiber.n + 1):
-            sl = fsp.degree_slice(p)
-            g_conj.append(psi_inv[sl, sl].conj().T @ fsp.g_block(p) @ psi_inv[sl, sl])
-        s_conj = psi @ np.asarray(fiber.S) @ psi_inv
-        conj = HPComplex(GradedSpace(fiber.n, fsp.dims, tuple(g_conj)),
-                         tuple(dsv), s_conj, "weak")
+
+    def value_at(v: int, c: HPComplex) -> int:
         try:
-            values.append(signature_even(conj, tol))
+            return signature_even(c, tol)
         except DualityDegenerateError as exc:
             raise DualityDegenerateError(
                 f"fiberwise duality degenerate at base vertex {v}: {exc}") from exc
+
+    vertices = sorted(transports)
+    # the least vertex roots the transport tree; an identity transport, as
+    # at the root, conjugates the fiber to itself
+    fiber_value = value_at(vertices[0], fiber)
+    eye = np.eye(fiber.total_dim)
+    values = [fiber_value if np.array_equal(transports[v], eye)
+              else value_at(v, _transported_fiber(fiber, transports[v]))
+              for v in vertices]
     constant = len(set(values)) <= 1
     return SignatureSection(tuple(values), tuple(vertices), constant)
 

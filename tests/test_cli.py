@@ -2,6 +2,7 @@
 
 import json
 import subprocess
+from hashlib import sha256
 
 import pytest
 
@@ -171,6 +172,24 @@ def test_coarse_seeded_reproducibility(cli_cmd):
     a = subprocess.run(args, capture_output=True)
     b = subprocess.run(args, capture_output=True)
     assert a.stdout == b.stdout
+
+
+# SHA-256 of the coarse report at 100 instances: a change to the random
+# stream or to the checks drawn from it shows here
+COARSE_REPORT_DIGESTS = {
+    ("0", "l2"): "fd59797cb79583297badfabf58edbdd52359763bd0232892929e150693f89504",
+    ("0", "max"): "03d7940a69e697d3fd89dfb3b6681a0942ffcc903a3f87198de44bac5de0727a",
+    ("42", "l2"): "3939c30925c0d94973a87ec021c9c984012a59c40762eba5402ed2790db5ff0b",
+    ("42", "max"): "b5b73e5a9fc127972e13b8ddf9394e3e5103ac024a1083c99d5fab03e1d8e90f",
+}
+
+
+@pytest.mark.parametrize("seed, metric", sorted(COARSE_REPORT_DIGESTS))
+def test_coarse_report_bytes_are_pinned(cli_cmd, seed, metric):
+    proc = subprocess.run([*cli_cmd, "coarse", "--instances", "100", "--seed", seed,
+                           "--metric", metric], capture_output=True)
+    assert proc.returncode == 0
+    assert sha256(proc.stdout).hexdigest() == COARSE_REPORT_DIGESTS[(seed, metric)]
 
 
 def test_json_out_matches_stdout(cli_cmd, fixture_dir, tmp_path):

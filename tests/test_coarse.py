@@ -1,9 +1,13 @@
 """Propagation bookkeeping: supports, composition/tensor bounds, fibration
 projections, localization paths, and the almost-projection product."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from hpsig import cli
 from hpsig.coarse import (FiniteMetricSpace, LocalizationPath, SupportedOperator,
                           add, almost_projection_product, compose, evaluation,
                           path_space, product_space, prop_along_base,
@@ -103,6 +107,53 @@ def test_tensor_max_metric_bound():
         b = SupportedOperator(y, band_matrix(rng, 5, int(rng.integers(0, 3))))
         t = tensor(a, b, metric="max")
         assert propagation(t) <= max(propagation(a), propagation(b)) + 1e-12
+
+
+@pytest.mark.parametrize("bandwidth", range(5))
+def test_random_band_operator_matches_scalar_draws(bandwidth):
+    space = path_space(12)
+    rng, ref_rng = np.random.default_rng(bandwidth), np.random.default_rng(bandwidth)
+    op = cli._random_band_operator(rng, space, bandwidth)
+    ref = band_matrix(ref_rng, 12, bandwidth)
+    assert op.matrix.tobytes() == ref.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("metric", ["l2", "max"])
+def test_product_space_is_built_once_per_factor_pair(metric):
+    x, y = path_space(3), path_space(4)
+    prod = product_space(x, y, metric)
+    assert product_space(x, y, metric) is prod
+    fresh = product_space(path_space(3), path_space(4), metric)
+    assert fresh is not prod
+    assert np.array_equal(prod.dist, fresh.dist) and prod.pi == fresh.pi
+    assert prod.base is x
+
+
+def test_product_space_metrics_give_different_spaces():
+    x, y = path_space(3), path_space(3)
+    l2, mx = product_space(x, y, "l2"), product_space(x, y, "max")
+    assert l2 is not mx
+    assert not np.array_equal(l2.dist, mx.dist)
+
+
+def test_product_space_unknown_metric_raises_every_call():
+    x, y = path_space(2), path_space(2)
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            product_space(x, y, "l1")
+
+
+def test_product_space_keeps_a_bounded_number_of_factors_alive():
+    x = path_space(2)
+    ref = weakref.ref(x)
+    product_space(x, x)
+    del x
+    y = path_space(2)
+    for _ in range(100):
+        product_space(path_space(2), y)
+    gc.collect()
+    assert ref() is None
 
 
 def test_prop_along_base_trivial_cases():

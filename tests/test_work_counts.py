@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hpsig import (cli, family, fixtures, hpc_core, products, rho, signature, simplicial,
+from hpsig import (cli, coarse, family, fixtures, hpc_core, products, rho, signature, simplicial,
                    spectral)
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -335,3 +335,29 @@ def test_even_odd_witness_scales_positivity_without_a_norm_of_the_model(monkeypa
     assert run_cli(capsys, "product", a, b) == 0
     # per sign and sample: the positivity residual's blocks and those of W
     assert len([shape for shape in calls if len(shape) == 3]) == 2 * 2 * 11
+
+
+def test_coarse_builds_each_metric_space_once(monkeypatch, capsys):
+    built = []
+    post_init = coarse.FiniteMetricSpace.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(coarse.FiniteMetricSpace, "__post_init__", counted)
+    counts = []
+    for instances in (100, 1000):
+        built.clear()
+        assert run_cli(capsys, "coarse", "--instances", str(instances)) == 0
+        counts.append(len(built))
+    # the 12- and 4-point paths, their product, the 6-point path and its square
+    assert counts == [5, 5]
+
+
+def test_chs_untwisted_section_reads_the_fiber_signature(monkeypatch, capsys,
+                                                         fixture_dir):
+    calls = count_calls(monkeypatch, "numpy.linalg", np.linalg.eigh)
+    assert run_cli(capsys, "chs", str(fixture_dir / "fc_sphere_x_cp2.json")) == 0
+    # identity transports conjugate nothing: no eigh per base vertex
+    assert len(calls) <= 4
