@@ -67,6 +67,14 @@ def _cmat(a, rows: int, cols: int, what: str) -> np.ndarray:
     return _freeze(m)
 
 
+class Grading:
+    """Masks of the grading eps = (-1)^p: same-parity entries, even and odd indices."""
+
+    def __init__(self, parity: np.ndarray):
+        self.same = _freeze(parity[:, None] == parity[None, :])
+        self.even, self.odd = (_freeze(np.flatnonzero(parity == e)) for e in (1.0, -1.0))
+
+
 @dataclass(frozen=True, eq=False)
 class GradedSpace:
     """Degrees 0..n with per-degree dimensions and Hermitian positive-definite
@@ -116,20 +124,13 @@ class GradedSpace:
         return slice(self.offsets[p], self.offsets[p + 1])
 
     @cached_property
-    def degree_of_index(self) -> np.ndarray:
-        out = np.zeros(self.total_dim, dtype=int)
-        for p in range(self.n + 1):
-            out[self.degree_slice(p)] = p
-        return _freeze(out)
-
-    @cached_property
     def parity(self) -> np.ndarray:
         """Diagonal of the even-odd grading operator: (-1)^p per index."""
-        return _freeze(np.where(self.degree_of_index % 2 == 0, 1.0, -1.0))
+        return _freeze(np.repeat([(-1.0) ** p for p in range(self.n + 1)], self.dims))
 
     @cached_property
-    def even_indices(self) -> np.ndarray:
-        return _freeze(np.flatnonzero(self.degree_of_index % 2 == 0))
+    def grading(self) -> Grading:
+        return Grading(self.parity)
 
     def g_block(self, p: int) -> np.ndarray:
         g = self.inner[p]
@@ -202,8 +203,10 @@ class GradedSpace:
 
 
 class DualitySpectrum(NamedTuple):
-    """Ascending eigenvalues of the Hermitian parts of D + S and D - S, and a
-    bound slack on the 2-norm of their skew parts."""
+    """The spectra of the graded Hermitian parts of D +- S up to sign (see
+    GradedSum), and a bound slack on the 2-norm of the rest: ascending
+    eigenvalues for even n, the singular values of X+- padded with the zeros
+    of a block that is not square for odd n."""
 
     plus: np.ndarray
     minus: np.ndarray
@@ -216,12 +219,60 @@ class DualitySpectrum(NamedTuple):
         return [int((v > 0).sum()) for v in self[:2]]
 
 
-def duality_spectrum(d_on: np.ndarray, s_on: np.ndarray, s_skew: float) -> DualitySpectrum:
-    """D +- S from D and S in orthonormal coordinates and s_skew = ||S - S*||_2;
-    the slack is (s_skew + ||D - D*||_F) / 2."""
-    slack = 0.5 * (s_skew + float(np.linalg.norm(d_on - d_on.conj().T)))
-    return DualitySpectrum(spectral.hermitian_eigenvalues(d_on + s_on),
-                           spectral.hermitian_eigenvalues(d_on - s_on), slack)
+class GradedSum:
+    """D +- S through the grading eps = (-1)^p, for one D of top degree n:
+    D links adjacent degrees and S maps degree p to n - p, so eps D eps = -D
+    and eps S eps = (-1)^n S.  For even n, eps (D + S) eps = -(D - S), so one
+    Hermitian decomposition of D + S serves both; for odd n, D +- S is
+    [[0, X+-], [X+-*, 0]] by degree parity.  The Weyl slack adds the norm of
+    the entries breaking these rules to that of the skew parts."""
+
+    def __init__(self, grading: Grading, n: int, d: np.ndarray):
+        self.grading = grading
+        self.even_n = n % 2 == 0
+        self.d_skew = float(np.linalg.norm(d - d.conj().T))
+        if self.d_skew:         # the Hermitian part; a Hermitian D is read in place
+            d = (d + d.conj().T) * 0.5
+        self._d = d
+        self.d_off_parity = float(np.linalg.norm(d[grading.same]))
+        self._s_off = ~grading.same if self.even_n else grading.same
+        if not self.even_n:
+            self._ix = np.ix_(grading.even, grading.odd)
+            self._d_block = d[self._ix]
+            self._pad = np.zeros(abs(grading.even.size - grading.odd.size))
+
+    def off_parity(self, h: np.ndarray) -> float:
+        """Frobenius norm of the entries of D and of h breaking the parity rules."""
+        return self.d_off_parity + float(np.linalg.norm(h[self._s_off]))
+
+    def slack(self, h: np.ndarray, s_skew: float) -> float:
+        """For h the Hermitian part of S and s_skew >= ||S - S*||_2."""
+        return 0.5 * (s_skew + self.d_skew) + self.off_parity(h)
+
+    def graded_plus(self, h: np.ndarray) -> np.ndarray:
+        """Even n: the graded Hermitian part of D + S, written over h, that of S."""
+        np.copyto(h, self._d, where=self._s_off)
+        h += 0.0        # a zero of either sign reads +0.0, as in the sum of both parts
+        return h
+
+    def blocks(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Odd n: X+-, the (even rows, odd columns) blocks of D +- s."""
+        sb = s[self._ix]
+        return self._d_block + sb, self._d_block - sb
+
+    def singular_values(self, h: np.ndarray) -> list[np.ndarray]:
+        """Odd n: sigma(X+-) as DualitySpectrum holds them, h as in graded_plus."""
+        svs = [np.linalg.svd(x, compute_uv=False) for x in self.blocks(h)]
+        return [np.append(sv, self._pad) for sv in svs] if self._pad.size else svs
+
+    def spectrum(self, s: np.ndarray, s_skew: float) -> DualitySpectrum:
+        h = s + s.conj().T
+        h *= 0.5
+        slack = self.slack(h, s_skew)
+        if self.even_n:
+            plus = np.linalg.eigvalsh(self.graded_plus(h))
+            return DualitySpectrum(plus, -plus[::-1], slack)
+        return DualitySpectrum(*self.singular_values(h), slack)
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,17 +422,13 @@ class HPComplex:
     @cached_property
     def spectrum(self) -> DualitySpectrum:
         """The spectrum of D +- S, which decides whether this is Poincaré."""
-        return duality_spectrum(self.D_on, self.S_on, self.S_skew)
+        return GradedSum(self.space.grading, self.n, self.D_on).spectrum(self.S_on, self.S_skew)
 
     def b_plus_on(self) -> np.ndarray:
         return self.D_on + self.S_on
 
     def b_minus_on(self) -> np.ndarray:
         return self.D_on - self.S_on
-
-    @property
-    def even_indices(self) -> np.ndarray:
-        return self.space.even_indices
 
     def duality_block_mask(self) -> np.ndarray:
         """Boolean mask of entries allowed by the degree-reversal pattern."""
@@ -390,12 +437,6 @@ class HPComplex:
         for p in range(sp.n + 1):
             mask[sp.degree_slice(sp.n - p), sp.degree_slice(p)] = True
         return mask
-
-    def map_degrees(self, fn) -> np.ndarray:
-        """Diagonal operator acting as the scalar fn(p) on degree p."""
-        sp = self.space
-        diag = np.array([complex(fn(p)) for p in sp.degree_of_index])
-        return np.diag(diag)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import spectral
-from .hpc_core import (DEFAULT_TOL, DomainError, DualityDegenerateError,
-                       HPComplex, StructuralError, Tolerances, decode_matrix,
+from .hpc_core import (DEFAULT_TOL, DomainError, DualityDegenerateError, GradedSum,
+                       Grading, HPComplex, StructuralError, Tolerances, decode_matrix,
                        direct_sum, encode_matrix, hpcomplex_from_json,
                        hpcomplex_to_json, reverse_orientation, validate)
 from .signature import LocalizationSchedule, localized_signature_path
@@ -136,29 +136,9 @@ class _PathData:
         self.fSf = f.conj().T @ self.S @ f
         self.fS = f.conj().T @ self.S        # target -> source block
         self.Sf = self.S @ f                 # source -> target block
-        D = np.zeros((self.ns + self.nt, self.ns + self.nt), dtype=complex)
-        D[:self.ns, :self.ns] = src.D_on
-        D[self.ns:, self.ns:] = tgt.D_on
-        self.D = D
-        # D is Hermitian up to the rounding of weighted orthonormal
-        # coordinates; the scans read its Hermitian part and add the skew
-        # part's Frobenius norm to their slack (0 without weights)
-        self.D_hermitian = 0.5 * (D + D.conj().T)
-        self.D_skew = float(np.linalg.norm(D - D.conj().T))
-        # the grading eps = (-1)^p: D links adjacent degrees (eps D eps = -D)
-        # and S_f(t) maps degree p to n - p (eps S_f eps = (-1)^n S_f);
-        # entries breaking either rule are the parity-violating part
-        parity = np.concatenate([src.space.parity, tgt.space.parity])
-        same = parity[:, None] == parity[None, :]
-        self.D_off_parity = float(np.linalg.norm(self.D_hermitian[same]))
-        if he.n % 2 == 0:
-            self.h_off_parity = ~same
-            self.D_graded = np.where(same, 0.0, self.D_hermitian)
-        else:
-            self.h_off_parity = same
-            self.even = np.flatnonzero(parity > 0)
-            self.odd = np.flatnonzero(parity < 0)
-            self.D_even_odd = self.D_hermitian[np.ix_(self.even, self.odd)]
+        self.D = self.assemble(src.D_on, None, None, tgt.D_on)
+        grading = Grading(np.concatenate([src.space.parity, tgt.space.parity]))
+        self.graded = GradedSum(grading, he.n, self.D)   # S_f(t) maps degree p to n - p
 
     def assemble(self, a11, a12, a21, a22) -> np.ndarray:
         m = np.zeros((self.ns + self.nt, self.ns + self.nt), dtype=complex)
@@ -214,38 +194,22 @@ class _Sample(NamedTuple):
     top: float | None = None   # even n: max |eigenvalue| of D + H
 
 
-def _min_singular(b: np.ndarray) -> float:
-    """Smallest singular value; 0 for a block that is not square."""
-    if b.shape[0] != b.shape[1]:
-        return 0.0
-    return float(np.linalg.svd(b, compute_uv=False)[-1])
-
-
 def _sample(pd: _PathData, t: float) -> _Sample:
-    """D +- H at path time t, from its graded part.
-
-    For even n the grading anticommutes with D and commutes with H, so
-    eps (D + H) eps = -(D - H): one eigvalsh of D + H gives both.  For odd n
-    D +- H is odd, [[0, B], [B*, 0]] in the (even, odd) split, so its
-    eigenvalues are +-sigma(B) for B its (even rows, odd columns) block.
-
-    By Weyl, the smallest singular value of D +- S_f(t) is at least
-    min |eigenvalue| of the graded D +- H minus (||K||_F + ||D - D*||_F) / 2
-    and minus the parity-violating norm.
-    """
+    """D +- H at path time t through hpc_core.GradedSum: by Weyl, the least
+    singular value of D +- S_f(t) is at least min |eigenvalue| of the graded
+    D +- H less (||K||_F + ||D - D*||_F) / 2 and the parity-violating norm."""
+    gs = pd.graded
     sf = pd.value(t)
     k = sf - sf.conj().T
     h = sf - 0.5 * k
     skew = float(np.linalg.norm(k))
-    off = pd.D_off_parity + float(np.linalg.norm(h[pd.h_off_parity]))
-    if pd.he.n % 2 == 0:
-        vals = np.linalg.eigvalsh(pd.D_graded + np.where(pd.h_off_parity, 0.0, h))
+    off = gs.off_parity(h)
+    if gs.even_n:
+        vals = np.linalg.eigvalsh(gs.graded_plus(h))
         size = np.abs(vals)
         gap = float(size.min())
         return _Sample(gap, gap, skew, off, int((vals > 0).sum()), float(size.max()))
-    h_even_odd = h[np.ix_(pd.even, pd.odd)]
-    return _Sample(_min_singular(pd.D_even_odd + h_even_odd),
-                   _min_singular(pd.D_even_odd - h_even_odd), skew, off)
+    return _Sample(*(float(sv[-1]) for sv in gs.singular_values(h)), skew, off)
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,7 +316,7 @@ def rho_path(he: HomotopyEquivalence, samples: int = 601,
         spectral.operator_norm(pd.value(6.0) + pd.diag_duality()))
 
     failed_at = None
-    slack = 0.5 * (sa + pd.D_skew) + off
+    slack = 0.5 * (sa + pd.graded.d_skew) + off
     order = sorted(zip([*map(float, times), *refined_t],
                        [*map(float, mins), *refined_v]))
     for t, v in order:
@@ -389,12 +353,6 @@ def _require_passed(he: HomotopyEquivalence, path: RhoPath, samples: int) -> _Pa
     return path._data
 
 
-def _even_indices_path(pd: _PathData, he: HomotopyEquivalence) -> np.ndarray:
-    ev_s = he.source.even_indices
-    ev_t = he.target.even_indices
-    return np.concatenate([ev_s, pd.ns + ev_t])
-
-
 @dataclass(frozen=True, eq=False)
 class OddRhoCertificate:
     """Invertibility of (D+S)(D+S_f(t-1))^{-1} on even degrees, t in [1,7],
@@ -425,7 +383,7 @@ def rho_certificate_odd(he: HomotopyEquivalence, path: RhoPath, samples: int = 1
     if he.n % 2 != 1:
         raise DomainError("odd certificate needs odd top degree")
     pd = _require_passed(he, path, samples)
-    ev = _even_indices_path(pd, he)
+    ev = pd.graded.grading.even
     s_diag = pd.diag_duality()
     b_plus = pd.D + s_diag
     times = np.linspace(1.0, 7.0, samples)
@@ -452,7 +410,7 @@ def _certified_rank(pd: _PathData, smp: _Sample, tol: Tolerances, t: float) -> i
     """Positive rank of D + S_f(t - 1) at an even sample, behind the checks of
     spectral.positive_rank: ||K||_F + ||D - D*||_F bounds the Frobenius norm
     of its skew part, and the gap rule reads min and max |eigenvalue|."""
-    skew = smp.skew + pd.D_skew
+    skew = smp.skew + pd.graded.d_skew
     if skew > tol.sym * max(smp.top, 1.0):
         raise ValueError(f"matrix is not Hermitian: residual {skew:.3e}")
     try:

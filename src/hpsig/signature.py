@@ -12,8 +12,8 @@ import numpy as np
 
 from . import spectral
 from .hpc_core import (DEFAULT_TOL, DomainError, DualitySpectrum,
-                       DualityDegenerateError, HPComplex, StructuralError,
-                       Tolerances, duality_spectrum, validate)
+                       DualityDegenerateError, GradedSum, HPComplex, StructuralError,
+                       Tolerances, validate)
 from .spectral import InvertibilityCertificate, NoSpectralGapError
 
 
@@ -63,12 +63,12 @@ class OddIndexRepresentative:
 def _odd_sample(c: HPComplex, tol: Tolerances, t: float = 1.0
                 ) -> tuple[np.ndarray, InvertibilityCertificate]:
     """u = B+(t) B-(t)^{-1} on the even part and its certificate.  Of the
-    axioms only the invertibility of B+-(t) depends on t; the gaps certify it."""
-    d_on = t ** -0.5 * c.D_on
-    _require_gaps(c.spectrum if t == 1.0 else duality_spectrum(d_on, c.S_on, c.S_skew), tol)
-    bp, bm = d_on + c.S_on, d_on - c.S_on
-    ev = c.even_indices
-    u = (bp @ np.linalg.inv(bm))[np.ix_(ev, ev)]
+    axioms only the invertibility of B+-(t) depends on t; the gaps certify it.
+    B+-(t) = [[0, X+-], [Y+-, 0]] by degree parity, so u = X+ X-^{-1}."""
+    gs = GradedSum(c.space.grading, c.n, t ** -0.5 * c.D_on)
+    _require_gaps(c.spectrum if t == 1.0 else gs.spectrum(c.S_on, c.S_skew), tol)
+    x_plus, x_minus = gs.blocks(c.S_on)
+    u = np.linalg.solve(x_minus.T, x_plus.T).T
     cert = spectral.invertibility_certificate(u, tol.inv)
     if not cert.passed:
         raise DualityDegenerateError(
@@ -80,7 +80,7 @@ def _selfadjoint_residual(c: HPComplex) -> float | None:
     """||A - A*|| for A = iDS on the even part; strict tier only."""
     if c.tier != "strict":
         return None
-    ev = c.even_indices
+    ev = c.space.grading.even
     a = (1j * c.D_on @ c.S_on)[np.ix_(ev, ev)]
     return spectral.operator_norm(a - a.conj().T)
 
@@ -93,7 +93,7 @@ def odd_index_representative(c: HPComplex, tol: Tolerances = DEFAULT_TOL
     _require_valid(c, tol)
     u, cert = _odd_sample(c, tol)
     return OddIndexRepresentative(u, cert, _selfadjoint_residual(c),
-                                  int(c.even_indices.size))
+                                  int(c.space.grading.even.size))
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,15 +102,17 @@ class LocalizationSchedule:
 
     Rescaling G_p by t^(n/2 - p) leaves S fixed in orthonormal coordinates
     and scales D by t^(-1/2), so sample t recomputes the parity representative
-    from B+-(t) = t^(-1/2) D +- S; signatures (even) or invertibility
-    certificates (odd) must be constant/pass across the whole schedule.
+    from B+-(t) = t^(-1/2) D +- S through hpc_core.GradedSum; signatures
+    (even) or invertibility certificates (odd) must be constant/pass across
+    the whole schedule.  Even samples decompose B+(t) only: P+(B-(t)) =
+    eps (1 - P) eps for P = P+(B+(t)), so R = P + eps P eps - 1.
     """
 
     kind: str                       # "even" | "odd"
     times: tuple[float, ...]
     signatures: tuple[int, ...] | None
     ranks: tuple[tuple[int, int], ...] | None
-    min_singulars: tuple[float, ...]
+    min_singulars: tuple[float, ...]  # even: gap less the Weyl slack; odd: of u
     step_norms: tuple[float, ...]   # ||R_{k+1} - R_k||_2
     lipschitz: float                # max step norm / step width
     constant: bool
@@ -144,22 +146,25 @@ def localized_signature_path(c: HPComplex, t_max: float = 10.0, samples: int = 1
     ranks: list[tuple[int, int]] = []
     min_sv: list[float] = []
     reps: list[np.ndarray] = []
+    h = 0.5 * (c.S_on + c.S_on.conj().T)
     for t in times:
         try:
-            if even:       # gap-checked eigensystems of B+-(t)
-                d_on = t ** -0.5 * c.D_on
-                ep = spectral.eig_hermitian(d_on + c.S_on, tol.sym).require_gap(tol.inv, "D+S")
-                em = spectral.eig_hermitian(d_on - c.S_on, tol.sym).require_gap(tol.inv, "D-S")
-                ranks.append((ep.positive_rank(), em.positive_rank()))
-                reps.append(ep.positive_projection() - em.positive_projection())
-                min_sv.append(min(float(np.abs(es.eigenvalues).min()) for es in (ep, em)))
+            if even:       # one eigensystem of the graded B+(t) serves B-(t)
+                gs = GradedSum(c.space.grading, c.n, t ** -0.5 * c.D_on)
+                es = spectral.eig_hermitian(gs.graded_plus(h.copy()))
+                cert = spectral.require_gap(es.eigenvalues, tol.inv, "D+-S",
+                                            gs.slack(h, c.S_skew))
+                ranks.append((es.positive_rank(), c.total_dim - es.positive_rank()))
+                rep = es.positive_projection()       # R = P + eps P eps - 1
+                rep += np.where(gs.grading.same, rep, -rep)
+                rep -= np.eye(c.total_dim)
             else:
-                u, cert = _odd_sample(c, tol, t)
-                reps.append(u)
-                min_sv.append(cert.min_singular)
+                rep, cert = _odd_sample(c, tol, t)
         except (DualityDegenerateError, NoSpectralGapError) as exc:
             raise DualityDegenerateError(
                 f"localization sample t={t:.6g} failed: {exc}") from exc
+        reps.append(rep)
+        min_sv.append(cert.min_singular)
     sigs = [rp - rm for rp, rm in ranks]
     steps = [_step_norm(b - a, even) for a, b in zip(reps, reps[1:])]
     width = times[1] - times[0] if samples > 1 else 1.0
@@ -174,11 +179,12 @@ def localized_signature_path(c: HPComplex, t_max: float = 10.0, samples: int = 1
 
 
 def _step_norm(step: np.ndarray, even: bool) -> float:
-    """||step||_2; an even step is a difference of Hermitian projections, so
-    its 2-norm is the max |eigenvalue| of its Hermitian part."""
+    """||step||_2; an even step is a difference of representatives
+    P + eps P eps - 1, which are Hermitian, so its 2-norm is the max
+    |eigenvalue| of its Hermitian part."""
     if not even:
         return spectral.operator_norm(step)
-    return float(np.abs(spectral.hermitian_eigenvalues(step)).max())
+    return float(np.abs(np.linalg.eigvalsh(0.5 * (step + step.conj().T))).max())
 
 
 def signature_report(c: HPComplex, tol: Tolerances = DEFAULT_TOL,
@@ -204,7 +210,7 @@ def signature_report(c: HPComplex, tol: Tolerances = DEFAULT_TOL,
             "signature": 0,
             "ranks": None,
             "minSingular": [min_sv],
-            "evenPartDim": int(c.even_indices.size),
+            "evenPartDim": int(c.space.grading.even.size),
             "selfAdjointResidual": _selfadjoint_residual(c),
         }
     if schedule is not None:

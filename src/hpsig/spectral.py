@@ -34,13 +34,6 @@ def operator_norm(a) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian part (A + A*)/2."""
-    h = a + a.conj().T
-    h *= 0.5
-    return np.linalg.eigvalsh(h)
-
-
 def require_gap(eigenvalues: np.ndarray, gap_tol: float, what: str,
                 slack: float = 0.0) -> InvertibilityCertificate:
     """spectrum_certificate, once it passes; NoSpectralGapError otherwise."""

@@ -4,10 +4,14 @@ import json
 import subprocess
 from hashlib import sha256
 
+import numpy as np
 import pytest
 
 from hpsig import fixtures
+from hpsig.hpc_core import HPComplex, hpcomplex_to_json, validate
 from hpsig.rho import he_to_json, identity_equivalence
+from hpsig.signature import signature_even
+from hpsig.simplicial import cap_duality
 
 
 def run(cli_cmd, *args):
@@ -206,6 +210,27 @@ def test_tolerance_flags_accepted(cli_cmd, fixture_dir):
     rep = report_of(proc)
     assert rep["tolerances"]["sym"] == 1e-9
     assert rep["tolerances"]["inv"] == 1e-7
+
+
+def test_sgn_certifies_a_skewed_duality_that_check_passes(cli_cmd, tmp_path):
+    # S + 4e-11 K with K skew-Hermitian, ||K||_2 = 1, on the degree-reversal
+    # pattern: ||S - S*||_2 = 8e-11 passes S_self_adjoint, and the schedule
+    # decomposes the Hermitian part with the skew part in the Weyl slack
+    cap = cap_duality(fixtures.sphere_triangulation())
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((cap.total_dim, cap.total_dim))
+    a = np.where(cap.duality_block_mask(), a + a.T, 0.0)
+    k = 1j * a / np.linalg.norm(a, 2)
+    c = HPComplex(cap.space, cap.d, np.asarray(cap.S) + 4e-11 * k, "weak")
+    report = validate(c)
+    assert report.passed and report.check("S_self_adjoint").residual > 7e-11
+    path = tmp_path / "skewed_sphere.json"
+    path.write_text(json.dumps(hpcomplex_to_json(c)))
+    assert run(cli_cmd, "check", str(path)).returncode == 0
+    proc = run(cli_cmd, "sgn", str(path))
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0
+    assert report_of(proc)["data"]["signature"] == signature_even(c) == 0
 
 
 def _model_with_s_entry(entry):

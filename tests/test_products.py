@@ -1,21 +1,25 @@
 """Graded tensor products: sign rules, multiplicativity, parity witnesses."""
 
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hpsig import fixtures
 from hpsig.hpc_core import (DEFAULT_TOL, DomainError, GradedSpace, HPComplex,
-                            StructuralError, Tolerances, validate)
+                            StructuralError, Tolerances, hpcomplex_from_json, validate)
 from hpsig.products import (derive_sign_rule, graded_tensor,
                             graded_tensor_with_rule, k_factor,
                             product_signature_check, witness_even_odd,
                             witness_odd_even)
 from hpsig.signature import signature_even
-from hpsig.simplicial import cap_duality
+from hpsig.simplicial import cap_duality, load_simplicial
 from hpsig.spectral import (eig_hermitian, invertibility_certificate,
                             positive_projection)
+
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 MODELS = {
     "point": (fixtures.point_model, 1),
@@ -111,12 +115,33 @@ def test_sign_rule_odd_odd_needs_phase():
     assert rule.sigma(0, 0) == 1j and rule.sigma(0, 1) == -1j
 
 
+def _shipped_complexes():
+    """Every complex a fixture file ships, and each triangulation's cap duality."""
+    for path in sorted(FIXTURE_DIR.glob("*.json")):
+        doc = json.loads(path.read_text())
+        if "facets" in doc:
+            yield path.stem, cap_duality(load_simplicial(doc))
+        elif "dims" in doc:
+            yield path.stem, hpcomplex_from_json(doc)
+        else:
+            for key in ("source", "target", "fiber"):
+                if key in doc:
+                    yield f"{path.stem}.{key}", hpcomplex_from_json(doc[key])
+
+
 def test_grading_operator_exact_identities():
-    c = cap_duality(fixtures.sphere_triangulation())
-    e = c.map_degrees(lambda p: (-1) ** p)
-    d = c.d_total
-    assert np.array_equal(e @ e, np.eye(c.total_dim, dtype=complex))
-    assert np.array_equal(e @ d, -d @ e)
+    # eps D eps = -D and eps S eps = (-1)^n S hold bitwise, so the
+    # parity-violating part of every D +- S the package certifies is 0
+    seen = 0
+    for name, c in _shipped_complexes():
+        e = np.diag(c.space.parity)
+        d, s = c.D_on, c.S_on
+        assert np.array_equal(e @ e, np.eye(c.total_dim)), name
+        assert np.array_equal(e @ c.d_total, -c.d_total @ e), name
+        assert np.array_equal(e @ d @ e, -d), name
+        assert np.array_equal(e @ s @ e, (-1) ** c.n * s), name
+        seen += 1
+    assert seen == 19
 
 
 def test_associativity_up_to_regrading():

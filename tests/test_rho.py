@@ -2,13 +2,14 @@
 parity certificates, including the orientation-mismatch negative control."""
 
 import json
+import subprocess
 
 import numpy as np
 import pytest
 
 from hpsig import fixtures
 from hpsig.hpc_core import (DualityDegenerateError, GradedSpace, HPComplex,
-                            StructuralError, Tolerances, direct_sum,
+                            StructuralError, Tolerances, direct_sum, hpcomplex_to_json,
                             rescale_inner_products, reverse_orientation, validate)
 from hpsig.rho import (HomotopyEquivalence, _PathData, he_from_json, he_to_json,
                        identity_equivalence, rho_certificate_even,
@@ -161,15 +162,16 @@ def dense_reference(he: HomotopyEquivalence, samples: int):
     """The ungraded sampler: min |eigenvalue| of the whole D + H and D - H,
     two eigvalsh per sample, with the skew-part Weyl slack only."""
     pd = _PathData(he)
+    d_hermitian = 0.5 * (pd.D + pd.D.conj().T)
     mins, skew = [], 0.0
     for t in np.linspace(0.0, 6.0, samples):
         sf = pd.value(float(t))
         k = sf - sf.conj().T
         h = sf - 0.5 * k
         skew = max(skew, float(np.linalg.norm(k)))
-        mins.append(min(float(np.abs(np.linalg.eigvalsh(pd.D_hermitian + sign * h)).min())
+        mins.append(min(float(np.abs(np.linalg.eigvalsh(d_hermitian + sign * h)).min())
                         for sign in (1, -1)))
-    return np.array(mins), 0.5 * (skew + pd.D_skew)
+    return np.array(mins), 0.5 * (skew + pd.graded.d_skew)
 
 
 def parity_violation(he: HomotopyEquivalence, samples: int) -> float:
@@ -219,6 +221,46 @@ def test_rho_path_parity_violating_negative_control(build, passes):
         # the whole operator is singular where the graded part is not
         assert mins[5] <= path.threshold          # t = 0.5
         assert path.min_singular > 0.4
+
+
+def degree_mixing_sum_complex() -> HPComplex:
+    """The sum complex A' + A of circle_shear with the duality S_f(0.5): its
+    graded part is invertible, but S_f(0.5), and with d = 0 so D +- S_f(0.5),
+    has a kernel."""
+    he = circle_shear()
+    pd = _PathData(he)
+    src, tgt = he.source.space, he.target.space
+    # the path orders source before target; the sum complex orders by degree
+    order = np.concatenate([np.r_[src.degree_slice(p), pd.ns + np.r_[tgt.degree_slice(p)]]
+                            for p in range(he.n + 1)])
+    s_f = pd.value(0.5)[np.ix_(order, order)]
+    sum_complex = direct_sum(he.source, reverse_orientation(he.target))
+    return HPComplex(sum_complex.space, sum_complex.d, s_f, "weak")
+
+
+def test_degree_mixing_duality_fails_through_the_parity_slack(cli_cmd, tmp_path):
+    c = degree_mixing_sum_complex()
+    assert np.abs(np.linalg.eigvalsh(np.asarray(c.S))).min() < 1e-12
+    assert np.abs(c.spectrum.plus).min() == pytest.approx(1.0)   # the graded part
+    # the parity-violating entries -1 and -2 of f* S f / 2 are in the slack
+    assert c.spectrum.slack == pytest.approx(5 ** 0.5)
+    loose = Tolerances(sym=0.7)          # 0.7 ||S|| = 2.1 admits the block residual 2
+    rep = validate(c, loose)
+    assert [ch.name for ch in rep.checks if not ch.passed] == ["poincare_plus",
+                                                                "poincare_minus"]
+    path = tmp_path / "degree_mixing.json"
+    path.write_text(json.dumps(hpcomplex_to_json(c)))
+    proc = subprocess.run([*cli_cmd, "check", str(path), "--tol-sym", "0.7"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    axioms = json.loads(proc.stdout)["checks"][0]["report"]["checks"]
+    assert [ch["name"] for ch in axioms if not ch["passed"]] == ["poincare_plus",
+                                                                  "poincare_minus"]
+    proc = subprocess.run([*cli_cmd, "sgn", str(path), "--tol-sym", "0.7"],
+                          capture_output=True, text=True)
+    assert proc.returncode in (1, 2)
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_rho_certificate_rejects_path_of_another_equivalence():

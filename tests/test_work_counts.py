@@ -158,8 +158,10 @@ def test_rho_certificate_odd_solves_without_inverting(monkeypatch):
     solve = count_calls(monkeypatch, "numpy.linalg", np.linalg.solve)
     odd_sample = count_calls(monkeypatch, "hpsig", signature._odd_sample)
     assert rho.rho_certificate_odd(he, path, samples=41).passed
-    assert len(solve) == 41
-    assert len(inv) == len(odd_sample)   # only the localization schedule's u
+    # one solve per certificate sample, and one half-size solve for each
+    # localization sample's u = X+ X-^{-1}
+    assert len(solve) == 41 + len(odd_sample)
+    assert len(inv) == 0
 
 
 def test_total_complex_inverts_each_transition_once(monkeypatch):
@@ -184,7 +186,7 @@ def test_localization_builds_no_rescaled_complex(monkeypatch):
     eigh = count_calls(monkeypatch, "numpy.linalg", np.linalg.eigh)
     signature.localized_signature_path(c, 10.0, 7)
     assert len(rescaled) == 0
-    assert len(eigh) == 2 * 7            # one each of B+(t) and B-(t) per sample
+    assert len(eigh) == 7                # B+(t) per sample; B-(t) = -eps B+(t) eps
 
 
 def test_even_signature_makes_no_gram_certificate(monkeypatch):
@@ -260,8 +262,27 @@ def test_signature_even_reads_the_cached_spectrum(monkeypatch):
 def test_sgn_cp2_9_eigh_count(monkeypatch, capsys, fixture_dir):
     calls = count_calls(monkeypatch, "numpy.linalg", np.linalg.eigh)
     assert run_cli(capsys, "sgn", str(fixture_dir / "cp2_9.json")) == 0
-    # 2 per schedule sample; the report reads the t = 1 sample's pair
-    assert len(calls) == 20
+    # 1 per schedule sample: the graded B+(t) serves B-(t) as well; the
+    # report reads the cached spectrum
+    assert len(calls) == 10
+
+
+def test_check_cp2_9_eigvalsh_count(monkeypatch, capsys, fixture_dir):
+    calls = count_calls(monkeypatch, "numpy.linalg", np.linalg.eigvalsh)
+    assert run_cli(capsys, "check", str(fixture_dir / "cp2_9.json")) == 0
+    # the spectrum of D + S, whose negative reversed is that of D - S
+    assert calls == [(255, 255)]
+
+
+def test_sgn_odd_decomposes_only_half_size_blocks(monkeypatch, capsys, fixture_dir):
+    eigvalsh = count_calls(monkeypatch, "numpy.linalg", np.linalg.eigvalsh)
+    inv = count_calls(monkeypatch, "numpy.linalg", np.linalg.inv)
+    solve = count_calls(monkeypatch, "numpy.linalg", np.linalg.solve)
+    assert run_cli(capsys, "sgn", str(fixture_dir / "circle_model.json")) == 0
+    # odd D +- S is [[0, X+-], [X+-*, 0]]: singular values of X+- and
+    # u = X+ X-^{-1}, all of size 1 for the 2-dimensional circle model
+    assert len(eigvalsh) == 0 and len(inv) == 0
+    assert solve == [(1, 1)] * 10
 
 
 def test_validate_takes_each_two_norm_once(monkeypatch):
