@@ -87,7 +87,7 @@ def _report(command: str, inputs: dict[str, str], tol: Tolerances, seed: int,
 # subcommands
 
 
-def cmd_check(args, tol: Tolerances) -> tuple[dict, int]:
+def cmd_check(args, tol: Tolerances) -> dict:
     doc = _load_json(args.path)
     kind = _sniff(doc)
     checks: list[dict] = []
@@ -129,12 +129,11 @@ def cmd_check(args, tol: Tolerances) -> tuple[dict, int]:
         checks.append({"name": "fibered_gluing", "passed": rep.passed,
                        "report": rep.to_dict()})
         data["duality_compatible"] = rep.duality_compatible
-    report = _report("check", {args.path: _digest(args.path)}, tol, args.seed,
-                     checks, data)
-    return report, EXIT_PASS if report["outcome"] == "pass" else EXIT_CHECK_FAILURE
+    return _report("check", {args.path: _digest(args.path)}, tol, args.seed,
+                   checks, data)
 
 
-def cmd_sgn(args, tol: Tolerances) -> tuple[dict, int]:
+def cmd_sgn(args, tol: Tolerances) -> dict:
     c = _complex_from_path(args.path, tol)
     schedule = signature.localized_signature_path(
         c, t_max=args.t_max, samples=args.samples_schedule, tol=tol)
@@ -148,12 +147,11 @@ def cmd_sgn(args, tol: Tolerances) -> tuple[dict, int]:
         # the odd representative raises unless its certificate passed
         checks.append({"name": "odd_certificate", "passed": True,
                        "min_singular": data["minSingular"][0]})
-    report = _report("sgn", {args.path: _digest(args.path)}, tol, args.seed,
-                     checks, data)
-    return report, EXIT_PASS if report["outcome"] == "pass" else EXIT_CHECK_FAILURE
+    return _report("sgn", {args.path: _digest(args.path)}, tol, args.seed,
+                   checks, data)
 
 
-def cmd_product(args, tol: Tolerances) -> tuple[dict, int]:
+def cmd_product(args, tol: Tolerances) -> dict:
     a = _complex_from_path(args.path_a, tol)
     b = _complex_from_path(args.path_b, tol)
     sig_rep = products.product_signature_check(a, b, tol)
@@ -172,11 +170,10 @@ def cmd_product(args, tol: Tolerances) -> tuple[dict, int]:
         checks.append({"name": "odd_even_witness", "passed": wit.passed})
         data["witness"] = wit.to_dict()
     inputs = {args.path_a: _digest(args.path_a), args.path_b: _digest(args.path_b)}
-    report = _report("product", inputs, tol, args.seed, checks, data)
-    return report, EXIT_PASS if report["outcome"] == "pass" else EXIT_CHECK_FAILURE
+    return _report("product", inputs, tol, args.seed, checks, data)
 
 
-def cmd_rho(args, tol: Tolerances) -> tuple[dict, int]:
+def cmd_rho(args, tol: Tolerances) -> dict:
     he = rho.he_from_json(_load_json(args.path))
     data: dict = {}
     path = rho.rho_path(he, samples=args.samples, tol=tol)
@@ -197,12 +194,11 @@ def cmd_rho(args, tol: Tolerances) -> tuple[dict, int]:
             checks.append({"name": "odd_family_invertible", "passed": cert.passed})
             data["odd_family"] = {"min_singulars_min": min(cert.min_singulars),
                                   "failed_at": cert.failed_at}
-    report = _report("rho", {args.path: _digest(args.path)}, tol, args.seed,
-                     checks, data)
-    return report, EXIT_PASS if report["outcome"] == "pass" else EXIT_CHECK_FAILURE
+    return _report("rho", {args.path: _digest(args.path)}, tol, args.seed,
+                   checks, data)
 
 
-def cmd_chs(args, tol: Tolerances) -> tuple[dict, int]:
+def cmd_chs(args, tol: Tolerances) -> dict:
     fc = family.fibered_from_json(_load_json(args.path))
     chs = family.chs_check(fc, tol)
     checks = [{"name": "fibered_gluing", "passed": chs.gluing.passed}]
@@ -210,9 +206,8 @@ def cmd_chs(args, tol: Tolerances) -> tuple[dict, int]:
     # hypothesis_not_met is a correct diagnosis, not a failed check
     checks.append({"name": "multiplicativity", "passed": chs.outcome != "fail",
                    "outcome": chs.outcome})
-    report = _report("chs", {args.path: _digest(args.path)}, tol, args.seed,
-                     checks, data)
-    return report, EXIT_PASS if report["outcome"] == "pass" else EXIT_CHECK_FAILURE
+    return _report("chs", {args.path: _digest(args.path)}, tol, args.seed,
+                   checks, data)
 
 
 def _random_band_operator(rng: np.random.Generator, space: coarse.FiniteMetricSpace,
@@ -228,7 +223,7 @@ def _random_band_operator(rng: np.random.Generator, space: coarse.FiniteMetricSp
     return coarse.SupportedOperator(space, m, 0.0)
 
 
-def cmd_coarse(args, tol: Tolerances) -> tuple[dict, int]:
+def cmd_coarse(args, tol: Tolerances) -> dict:
     rng = np.random.default_rng(args.seed)
     n_pts = 12
     space = coarse.path_space(n_pts)
@@ -282,9 +277,8 @@ def cmd_coarse(args, tol: Tolerances) -> tuple[dict, int]:
         {"name": "almost_projection_product", "passed": prod_rep["passed"],
          "max_defect": prod_rep["max_defect"]},
     ]
-    report = _report("coarse", {}, tol, args.seed, checks,
-                     {"instances": args.instances, "metric": args.metric})
-    return report, EXIT_PASS if report["outcome"] == "pass" else EXIT_CHECK_FAILURE
+    return _report("coarse", {}, tol, args.seed, checks,
+                   {"instances": args.instances, "metric": args.metric})
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +358,7 @@ def main(argv=None) -> int:
     try:
         _check_domains(args)
         tol = Tolerances(sym=args.tol_sym, inv=args.tol_inv)
-        report, code = args.fn(args, tol)
+        report = args.fn(args, tol)
     except (StructuralError, DomainError, DualityDegenerateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -373,7 +367,7 @@ def main(argv=None) -> int:
     if args.json_out:
         Path(args.json_out).write_text(text)
     print(f"# wall_time_s={time.monotonic() - started:.3f}", file=sys.stderr)
-    return code
+    return EXIT_PASS if report["outcome"] == "pass" else EXIT_CHECK_FAILURE
 
 
 if __name__ == "__main__":

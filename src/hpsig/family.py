@@ -276,10 +276,13 @@ def monodromy_homology_action(fc: FiberedComplex,
     transports, loops = _spanning_tree_transports(fc)
     _, he = harmonic_reduction(fc.fiber, tol)
     proj, incl = he.f, he.g
+    # one inverse per distinct transport: on an untwisted bundle all are 1
+    distinct = {transports[j].tobytes(): transports[j] for _, j in loops}
+    inverses = {key: np.linalg.inv(psi) for key, psi in distinct.items()}
     actions = []
     residuals = []
     for (i, j) in loops:
-        hol = np.linalg.inv(transports[j]) @ fc.transition(i, j) @ transports[i]
+        hol = inverses[transports[j].tobytes()] @ fc.transition(i, j) @ transports[i]
         induced = proj @ hol @ incl
         actions.append(induced)
         residuals.append(float(spectral.operator_norm(

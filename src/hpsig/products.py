@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import fixtures, spectral
+from . import spectral
 from .hpc_core import (DEFAULT_TOL, DomainError, GradedSpace, HPComplex,
                        StructuralError, Tolerances, validate)
 from .signature import signature_even
@@ -138,6 +138,7 @@ def graded_tensor_with_rule(a: HPComplex, b: HPComplex, rule: SignRule) -> HPCom
 
 def _search_witnesses(parity: int) -> list[HPComplex]:
     """Strict acyclic/harmonic complexes of the given parity used as oracles."""
+    from . import fixtures     # late: `python -m hpsig.fixtures` warns if hpsig loads it
     if parity % 2 == 1:
         return [fixtures.hyperbolic_odd(), fixtures.circle_model()]
     return [fixtures.hyperbolic_even(), fixtures.sphere_model()]

@@ -271,8 +271,9 @@ def rho_path(he: HomotopyEquivalence, samples: int = 601,
             raise DualityDegenerateError("source/target complex fails validation")
 
     pd = _PathData(he)
-    scale = max(1.0, spectral.operator_norm(pd.D) + spectral.operator_norm(pd.diag_duality()))
-    threshold = tol.inv * scale
+    # D and diag(S', -S) are block diagonal: their norms are those validate read
+    s_norm = max(he.source.S_norm, he.target.S_norm)
+    threshold = tol.inv * max(1.0, max(he.source.D_norm, he.target.D_norm) + s_norm)
 
     times = np.linspace(0.0, 6.0, samples)
     grid = [_sample(pd, float(t)) for t in times]
@@ -310,7 +311,7 @@ def rho_path(he: HomotopyEquivalence, samples: int = 601,
         left = pd.branch(j, tj)
         right = pd.branch(j + 1, tj)
         junction = max(junction, spectral.operator_norm(left - right))
-    s_scale = max(1.0, spectral.operator_norm(pd.diag_duality()))
+    s_scale = max(1.0, s_norm)
     endpoint = max(
         spectral.operator_norm(pd.value(0.0) - pd.diag_duality()),
         spectral.operator_norm(pd.value(6.0) + pd.diag_duality()))
@@ -356,7 +357,8 @@ def _require_passed(he: HomotopyEquivalence, path: RhoPath, samples: int) -> _Pa
 @dataclass(frozen=True, eq=False)
 class OddRhoCertificate:
     """Invertibility of (D+S)(D+S_f(t-1))^{-1} on even degrees, t in [1,7],
-    continued by the localization schedule of the sum complex."""
+    continued by the localization schedule of the sum complex; by degree
+    parity it is X+ X_f^{-1}, X the (even, odd) block, scaled by ||X+||."""
 
     times: tuple[float, ...]
     min_singulars: tuple[float, ...]
@@ -377,30 +379,24 @@ class OddRhoCertificate:
 
 
 def rho_certificate_odd(he: HomotopyEquivalence, path: RhoPath, samples: int = 121,
-                        t_max: float = 10.0, schedule_samples: int = 10,
                         tol: Tolerances = DEFAULT_TOL) -> OddRhoCertificate:
     """Odd-degree certificate continuing path, the computed rho_path of he."""
     if he.n % 2 != 1:
         raise DomainError("odd certificate needs odd top degree")
     pd = _require_passed(he, path, samples)
-    ev = pd.graded.grading.even
-    s_diag = pd.diag_duality()
-    b_plus = pd.D + s_diag
+    x_plus = pd.graded.blocks(pd.diag_duality())[0]
     times = np.linspace(1.0, 7.0, samples)
     mins: list[float] = []
-    scale = max(1.0, spectral.operator_norm(b_plus))
-    threshold = tol.inv * scale
+    threshold = tol.inv * max(1.0, spectral.operator_norm(x_plus))
     failed_at = None
-    # the even rows of B+ (D + S_f)^{-1} solve X (D + S_f) = B+[ev, :]
-    b_even_t = b_plus[ev, :].T
     for t in times:
-        sf = pd.value(float(t) - 1.0)
-        u = np.linalg.solve((pd.D + sf).T, b_even_t)[ev, :].T
+        x_f = pd.graded.blocks(pd.value(float(t) - 1.0))[0]
+        u = spectral.right_divide(x_plus, x_f)
         sv = float(np.linalg.svd(u, compute_uv=False)[-1])
         mins.append(sv)
         if failed_at is None and sv <= threshold:
             failed_at = float(t)
-    schedule = localized_signature_path(_sum_complex(he), t_max, schedule_samples, tol)
+    schedule = localized_signature_path(_sum_complex(he), tol=tol)
     passed = failed_at is None and schedule.passed
     return OddRhoCertificate(tuple(map(float, times)), tuple(mins), schedule,
                              threshold, passed, failed_at)
@@ -448,7 +444,6 @@ class ThetaPair:
 
 
 def rho_certificate_even(he: HomotopyEquivalence, path: RhoPath, samples: int = 121,
-                         t_max: float = 10.0, schedule_samples: int = 10,
                          tol: Tolerances = DEFAULT_TOL) -> ThetaPair:
     """Even-degree certificate continuing path, the computed rho_path of he."""
     if he.n % 2 != 0:
@@ -468,7 +463,7 @@ def rho_certificate_even(he: HomotopyEquivalence, path: RhoPath, samples: int = 
         if failed_at is None and ranks_m[-1] != ranks_m[0]:
             failed_at = float(t)
     rank_plus = ranks_m[0]               # t = 1 is D + diag(S', -S)
-    schedule = localized_signature_path(_sum_complex(he), t_max, schedule_samples, tol)
+    schedule = localized_signature_path(_sum_complex(he), tol=tol)
     constant = len(set(ranks_m)) <= 1 and schedule.constant
     equal = all(r == rank_plus for r in ranks_m)
     if schedule.ranks:

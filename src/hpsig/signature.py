@@ -67,8 +67,7 @@ def _odd_sample(c: HPComplex, tol: Tolerances, t: float = 1.0
     B+-(t) = [[0, X+-], [Y+-, 0]] by degree parity, so u = X+ X-^{-1}."""
     gs = GradedSum(c.space.grading, c.n, t ** -0.5 * c.D_on)
     _require_gaps(c.spectrum if t == 1.0 else gs.spectrum(c.S_on, c.S_skew), tol)
-    x_plus, x_minus = gs.blocks(c.S_on)
-    u = np.linalg.solve(x_minus.T, x_plus.T).T
+    u = spectral.right_divide(*gs.blocks(c.S_on))
     cert = spectral.invertibility_certificate(u, tol.inv)
     if not cert.passed:
         raise DualityDegenerateError(
@@ -105,7 +104,8 @@ class LocalizationSchedule:
     from B+-(t) = t^(-1/2) D +- S through hpc_core.GradedSum; signatures
     (even) or invertibility certificates (odd) must be constant/pass across
     the whole schedule.  Even samples decompose B+(t) only: P+(B-(t)) =
-    eps (1 - P) eps for P = P+(B+(t)), so R = P + eps P eps - 1.
+    eps (1 - P) eps for P = P+(B+(t)), so R = P + eps P eps - 1 is 2P - 1 on
+    the parity blocks P_ee and P_oo, which a sample keeps, and 0 between them.
     """
 
     kind: str                       # "even" | "odd"
@@ -145,7 +145,7 @@ def localized_signature_path(c: HPComplex, t_max: float = 10.0, samples: int = 1
     even = c.n % 2 == 0
     ranks: list[tuple[int, int]] = []
     min_sv: list[float] = []
-    reps: list[np.ndarray] = []
+    reps: list = []
     h = 0.5 * (c.S_on + c.S_on.conj().T)
     for t in times:
         try:
@@ -155,9 +155,8 @@ def localized_signature_path(c: HPComplex, t_max: float = 10.0, samples: int = 1
                 cert = spectral.require_gap(es.eigenvalues, tol.inv, "D+-S",
                                             gs.slack(h, c.S_skew))
                 ranks.append((es.positive_rank(), c.total_dim - es.positive_rank()))
-                rep = es.positive_projection()       # R = P + eps P eps - 1
-                rep += np.where(gs.grading.same, rep, -rep)
-                rep -= np.eye(c.total_dim)
+                pos = es.vectors[:, es.eigenvalues > 0]     # P = pos pos*
+                rep = tuple(pos[ix] @ pos[ix].conj().T for ix in (gs.grading.even, gs.grading.odd))
             else:
                 rep, cert = _odd_sample(c, tol, t)
         except (DualityDegenerateError, NoSpectralGapError) as exc:
@@ -166,7 +165,7 @@ def localized_signature_path(c: HPComplex, t_max: float = 10.0, samples: int = 1
         reps.append(rep)
         min_sv.append(cert.min_singular)
     sigs = [rp - rm for rp, rm in ranks]
-    steps = [_step_norm(b - a, even) for a, b in zip(reps, reps[1:])]
+    steps = [_step_norm(a, b, even) for a, b in zip(reps, reps[1:])]
     width = times[1] - times[0] if samples > 1 else 1.0
     lipschitz = max(steps) / width if steps else 0.0
     constant = len(set(sigs)) <= 1
@@ -178,13 +177,15 @@ def localized_signature_path(c: HPComplex, t_max: float = 10.0, samples: int = 1
         tuple(min_sv), tuple(steps), lipschitz, constant, passed)
 
 
-def _step_norm(step: np.ndarray, even: bool) -> float:
-    """||step||_2; an even step is a difference of representatives
-    P + eps P eps - 1, which are Hermitian, so its 2-norm is the max
-    |eigenvalue| of its Hermitian part."""
+def _step_norm(a, b, even: bool) -> float:
+    """||R_b - R_a||_2.  An even R is kept as its parity blocks (P_ee, P_oo):
+    it is 2P - 1 on each and 0 between them, so the step is 2 max |eigenvalue|
+    of the blocks' Hermitian differences; an empty block contributes 0."""
     if not even:
-        return spectral.operator_norm(step)
-    return float(np.abs(np.linalg.eigvalsh(0.5 * (step + step.conj().T))).max())
+        return spectral.operator_norm(b - a)
+    diffs = [q - p for p, q in zip(a, b) if p.size]
+    return 2.0 * max(float(np.abs(np.linalg.eigvalsh(0.5 * (d + d.conj().T))).max())
+                     for d in diffs)
 
 
 def signature_report(c: HPComplex, tol: Tolerances = DEFAULT_TOL,

@@ -34,6 +34,11 @@ def operator_norm(a) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+def right_divide(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a b^{-1} from one solve of b^T x^T = a^T, without inverting b."""
+    return np.linalg.solve(b.T, a.T).T
+
+
 def require_gap(eigenvalues: np.ndarray, gap_tol: float, what: str,
                 slack: float = 0.0) -> InvertibilityCertificate:
     """spectrum_certificate, once it passes; NoSpectralGapError otherwise."""

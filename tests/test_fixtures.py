@@ -2,6 +2,8 @@
 and every fixture satisfies its structural claims."""
 
 import itertools
+import subprocess
+import sys
 from collections import Counter
 
 from hpsig import fixtures
@@ -16,6 +18,19 @@ def test_shipped_corpus_matches_builders(fixture_dir, tmp_path):
         shipped = fixture_dir / path.name
         assert shipped.exists(), f"missing shipped fixture {path.name}"
         assert shipped.read_bytes() == path.read_bytes(), path.name
+
+
+def test_documented_regeneration_command_runs_without_warnings(fixture_dir, tmp_path):
+    # runpy warns when importing the package has already loaded the module it runs
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                           "hpsig.fixtures", "--out", str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written == sorted(path.name for path in fixture_dir.iterdir())
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (fixture_dir / name).read_bytes(), name
 
 
 def test_models_validate_at_strict_tier():

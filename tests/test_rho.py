@@ -15,7 +15,7 @@ from hpsig.rho import (HomotopyEquivalence, _PathData, he_from_json, he_to_json,
                        identity_equivalence, rho_certificate_even,
                        rho_certificate_odd, rho_path,
                        validate_homotopy_equivalence)
-from hpsig.simplicial import cap_duality, harmonic_reduction
+from hpsig.simplicial import cap_duality, harmonic_reduction, load_simplicial
 
 
 def mismatch_equivalence():
@@ -333,6 +333,48 @@ def test_adaptive_refinement_reports_samples():
                     refine=True)
     assert len(path.refined_times) > 0
     assert min(path.refined_min_sv) >= path.min_singular
+
+
+def dense_odd_min_singulars(he: HomotopyEquivalence, samples: int) -> list[float]:
+    """The full-size construction of the odd family: the even rows of
+    (D + S)(D + S_f(t - 1))^{-1} from one transposed solve, on the even columns."""
+    pd = _PathData(he)
+    ev = np.flatnonzero(np.concatenate([he.source.space.parity,
+                                        he.target.space.parity]) == 1)
+    b_plus = pd.D + pd.diag_duality()
+    out = []
+    for t in np.linspace(1.0, 7.0, samples):
+        u = np.linalg.solve((pd.D + pd.value(float(t) - 1.0)).T, b_plus[ev, :].T)[ev, :].T
+        out.append(float(np.linalg.svd(u, compute_uv=False)[-1]))
+    return out
+
+
+def three_sphere_reduction() -> HomotopyEquivalence:
+    """The harmonic reduction of the boundary of the 4-simplex."""
+    sm = load_simplicial({"n": 3, "vertices": 5,
+                          "facets": [[v for v in range(5) if v != i] for i in range(5)],
+                          "orientations": [(-1) ** i for i in range(5)]})
+    return harmonic_reduction(cap_duality(sm))[1]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: identity_equivalence(fixtures.circle_model()),
+    lambda: identity_equivalence(fixtures.random_strict_complex(np.random.default_rng(1), 1, 8)),
+    lambda: identity_equivalence(fixtures.random_strict_complex(np.random.default_rng(2), 1, 3)),
+    three_sphere_reduction,
+    lambda: self_equivalence(fixtures.circle_model(),
+                             np.array([[1, 0], [1e-3, 1]], dtype=complex)),
+], ids=["identity_circle", "identity_n1_b8", "identity_n1_b3", "reduction_sphere3",
+        "circle_small"])
+def test_odd_family_matches_the_full_size_solve(build):
+    # D + S and D + S_f(t - 1) are [[0, X], [X*, 0]] by degree parity, so the
+    # even block of (D + S)(D + S_f)^{-1} is X+ X_f^{-1}, one half-size solve
+    he = build()
+    assert he.n % 2 == 1
+    cert = rho_certificate_odd(he, rho_path(he, samples=61), samples=61)
+    assert cert.passed
+    assert cert.min_singulars == pytest.approx(dense_odd_min_singulars(he, 61),
+                                               rel=1e-12, abs=0)
 
 
 def test_odd_family_glues_onto_localization_schedule():

@@ -1,15 +1,19 @@
 """Index representatives: even signature, odd representative, localization."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from hpsig import fixtures
 from hpsig.hpc_core import (DomainError, DualityDegenerateError, GradedSpace,
-                            HPComplex, Tolerances, direct_sum,
+                            HPComplex, Tolerances, direct_sum, rescale_inner_products,
                             reverse_orientation)
+from hpsig.products import graded_tensor
 from hpsig.signature import (localized_signature_path, odd_index_representative,
                              signature_even, signature_report)
-from hpsig.simplicial import cap_duality
+from hpsig.simplicial import cap_duality, load_simplicial
 from hpsig.spectral import positive_rank
 
 
@@ -172,6 +176,42 @@ def test_localized_path_matches_rescaled_complexes(index):
         assert sched.signatures == tuple(rp - rm for rp, rm in ranks)
     steps = [np.linalg.norm(b - a, 2) for a, b in zip(reps, reps[1:])]
     assert sched.step_norms == pytest.approx(steps, rel=0, abs=1e-12 * max(steps + [1.0]))
+
+
+def _dense_step_norms(c: HPComplex, times) -> list[float]:
+    """||R(t') - R(t)||_2 from the full-size R = P + eps P eps - 1, with P the
+    positive projection of the Hermitian part of t^(-1/2) D + S."""
+    eps = c.space.parity
+    reps = []
+    for t in times:
+        b = t ** -0.5 * c.D_on + c.S_on
+        vals, vecs = np.linalg.eigh(0.5 * (b + b.conj().T))
+        pos = vecs[:, vals > 0]
+        p = pos @ pos.conj().T
+        reps.append(p + np.outer(eps, eps) * p - np.eye(c.total_dim))
+    return [float(np.abs(np.linalg.eigvalsh(b - a)).max()) for a, b in zip(reps, reps[1:])]
+
+
+def _even_schedule_complexes():
+    fixture_dir = Path(__file__).resolve().parent.parent / "fixtures"
+    caps = [cap_duality(load_simplicial(json.loads((fixture_dir / f"{name}.json").read_text())))
+            for name in ("cp2_9", "torus7", "sphere_d3")]
+    # a strict n = 4 complex with D != 0, so that P+(B+(t)) moves with t
+    product = graded_tensor(fixtures.hyperbolic_even(),
+                            fixtures.random_strict_complex(np.random.default_rng(4), 2, 2))
+    return caps + [rescale_inner_products(product, 1.7)]
+
+
+@pytest.mark.parametrize("index", range(4), ids=["cp2_9", "torus7", "sphere_d3",
+                                                 "strict_n4_weighted"])
+def test_even_step_norms_match_the_full_size_representative(index):
+    # the schedule keeps R as its parity blocks 2P_ee - 1 and 2P_oo - 1
+    c = _even_schedule_complexes()[index]
+    sched = localized_signature_path(c)
+    assert sched.passed and c.n % 2 == 0
+    dense = _dense_step_norms(c, sched.times)
+    assert min(dense) > 1e-3
+    assert sched.step_norms == pytest.approx(dense, rel=1e-12, abs=0)
 
 
 def _acyclic(n):

@@ -158,10 +158,30 @@ def test_rho_certificate_odd_solves_without_inverting(monkeypatch):
     solve = count_calls(monkeypatch, "numpy.linalg", np.linalg.solve)
     odd_sample = count_calls(monkeypatch, "hpsig", signature._odd_sample)
     assert rho.rho_certificate_odd(he, path, samples=41).passed
-    # one solve per certificate sample, and one half-size solve for each
+    # one solve per certificate sample, u = X+ X_f^{-1}, and one for each
     # localization sample's u = X+ X-^{-1}
     assert len(solve) == 41 + len(odd_sample)
     assert len(inv) == 0
+    # each of the (even, odd) blocks of the 4-dimensional sum complex
+    assert solve == [(2, 2)] * len(solve)
+
+
+def test_rho_path_reads_the_norms_of_d_and_the_duality(monkeypatch):
+    he = rho.identity_equivalence(
+        fixtures.random_strict_complex(np.random.default_rng(1), 1, 8))
+    pd = rho._PathData(he)
+    normed = []
+    operator_norm = spectral.operator_norm
+
+    def recorded(a):
+        normed.append(np.asarray(a))
+        return operator_norm(a)
+
+    monkeypatch.setattr(spectral, "operator_norm", recorded)
+    assert rho.rho_path(he, samples=61).passed
+    # both are block diagonal: their norms are the summands' D_norm and S_norm
+    for m in (pd.D, pd.diag_duality()):
+        assert not any(np.array_equal(a, m) for a in normed)
 
 
 def test_total_complex_inverts_each_transition_once(monkeypatch):
@@ -170,6 +190,26 @@ def test_total_complex_inverts_each_transition_once(monkeypatch):
     calls = count_calls(monkeypatch, "numpy.linalg", np.linalg.inv)
     family.total_complex(fc)
     assert len(calls) <= len(fc.transitions)
+
+
+@pytest.mark.parametrize("transitions", [{}, {(0, 1): fixtures.fiber_rotation_on_torus_model()}],
+                         ids=["untwisted", "twisted"])
+def test_monodromy_inverts_each_distinct_transport_once(monkeypatch, transitions):
+    fc = family.FiberedComplex(fixtures.torus_triangulation(), fixtures.torus_model(),
+                               transitions)
+    inverted = []
+    inv = np.linalg.inv
+
+    def recorded(a):
+        inverted.append(np.asarray(a).tobytes())
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", recorded)
+    mono = family.monodromy_homology_action(fc)
+    assert len(mono.loops) == 15         # 21 edges, 6 of them in the spanning tree
+    assert len(inverted) == len(set(inverted))
+    if not transitions:
+        assert len(inverted) == 1        # every transport is 1
 
 
 def test_sgn_odd_validates_once(monkeypatch, capsys, fixture_dir):
@@ -265,6 +305,14 @@ def test_sgn_cp2_9_eigh_count(monkeypatch, capsys, fixture_dir):
     # 1 per schedule sample: the graded B+(t) serves B-(t) as well; the
     # report reads the cached spectrum
     assert len(calls) == 10
+
+
+def test_sgn_cp2_9_decomposes_one_full_size_matrix(monkeypatch, capsys, fixture_dir):
+    calls = count_calls(monkeypatch, "numpy.linalg", np.linalg.eigvalsh)
+    assert run_cli(capsys, "sgn", str(fixture_dir / "cp2_9.json")) == 0
+    # the cached spectrum of D + S; each of the 9 steps is 2(P' - P) on the
+    # 129 even and the 126 odd dimensions, and 0 between them
+    assert sorted(calls) == [(126, 126)] * 9 + [(129, 129)] * 9 + [(255, 255)]
 
 
 def test_check_cp2_9_eigvalsh_count(monkeypatch, capsys, fixture_dir):
