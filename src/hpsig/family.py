@@ -49,21 +49,28 @@ class FiberedComplex:
                 raise StructuralError(f"transition ({i},{j}) has shape {m.shape}, "
                                       f"expected {(nf, nf)}")
             fixed[(i, j)] = m
+        # psi in both directions of every stored edge, one inverse per
+        # distinct matrix, so equal transitions have inverses with equal bits
+        inverses: dict[bytes, np.ndarray] = {}
+        psi = {}
+        for (i, j), m in fixed.items():
+            key = m.tobytes()
+            if key not in inverses:
+                try:
+                    inverses[key] = np.linalg.inv(m)
+                except np.linalg.LinAlgError as exc:
+                    raise StructuralError(f"transition ({i},{j}) is not invertible") from exc
+            psi[(j, i)] = inverses[key]
+        psi.update(fixed)
         object.__setattr__(self, "transitions", fixed)
-        object.__setattr__(self, "_inverses", {})
+        object.__setattr__(self, "_psi", psi)
 
     def transition(self, i: int, j: int) -> np.ndarray:
-        """psi from frame i to frame j along the edge (i, j)."""
-        if i == j:
-            return np.eye(self.fiber.total_dim, dtype=complex)
-        if (i, j) in self.transitions:
-            return self.transitions[(i, j)]
-        if (j, i) in self.transitions:
-            # each stored transition is inverted once, on its first reversed lookup
-            if (j, i) not in self._inverses:
-                self._inverses[(j, i)] = np.linalg.inv(self.transitions[(j, i)])
-            return self._inverses[(j, i)]
-        return np.eye(self.fiber.total_dim, dtype=complex)
+        """psi from frame i to frame j along the edge (i, j): the stored
+        transition, else the inverse of the stored reverse one, computed at
+        construction, else the identity."""
+        psi = self._psi.get((i, j))
+        return np.eye(self.fiber.total_dim, dtype=complex) if psi is None else psi
 
     @property
     def untwisted(self) -> bool:
@@ -222,8 +229,7 @@ def _twisted_product(fc: FiberedComplex, base_c: HPComplex, tol: Tolerances) -> 
                 T[r:r + fdim[n - q], c:c + fdim[q]] += piece
 
     skeleton = HPComplex(space, tuple(ds), None, "weak")
-    return symmetrized_duality(skeleton, T, tol, lambda S, used: HPComplex(
-        space, skeleton.d, S, "weak", {"twist": "nontrivial", "duality": used}))
+    return symmetrized_duality(skeleton, T, tol, {"twist": "nontrivial"})
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +309,6 @@ class SignatureSection:
     @property
     def value(self) -> int:
         return self.values[0]
-
-    def to_dict(self) -> dict:
-        return {"vertices": list(self.vertices), "values": list(self.values),
-                "constant": self.constant}
 
 
 def _transported_fiber(fiber: HPComplex, psi: np.ndarray) -> HPComplex:

@@ -143,15 +143,6 @@ class GradedSpace:
         return any(g is not None for g in self.inner)
 
     @cached_property
-    def g_total(self) -> np.ndarray:
-        if not self.has_weights:
-            return _freeze(np.eye(self.total_dim, dtype=complex))
-        out = np.zeros((self.total_dim, self.total_dim), dtype=complex)
-        for p in range(self.n + 1):
-            out[self.degree_slice(p), self.degree_slice(p)] = self.g_block(p)
-        return _freeze(out)
-
-    @cached_property
     def _g_roots(self) -> tuple[np.ndarray, np.ndarray]:
         if not self.has_weights:
             eye = np.eye(self.total_dim, dtype=complex)

@@ -58,13 +58,6 @@ class HomotopyEquivalence:
     def n(self) -> int:
         return self.source.n
 
-    def f_adjoint(self) -> np.ndarray:
-        """Metric adjoint of f: target -> source."""
-        gs, gt = self.source.space, self.target.space
-        if not (gs.has_weights or gt.has_weights):
-            return self.f.conj().T
-        return np.linalg.inv(gs.g_total) @ self.f.conj().T @ gt.g_total
-
 
 def identity_equivalence(c: HPComplex) -> HomotopyEquivalence:
     eye = np.eye(c.total_dim, dtype=complex)
@@ -367,16 +360,6 @@ class OddRhoCertificate:
     passed: bool
     failed_at: float | None
 
-    def to_dict(self) -> dict:
-        return {
-            "times": list(self.times),
-            "min_singulars": list(self.min_singulars),
-            "schedule": self.schedule.to_dict(),
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "failed_at": self.failed_at,
-        }
-
 
 def rho_certificate_odd(he: HomotopyEquivalence, path: RhoPath, samples: int = 121,
                         tol: Tolerances = DEFAULT_TOL) -> OddRhoCertificate:
@@ -429,18 +412,6 @@ class ThetaPair:
     equal: bool
     passed: bool
     failed_at: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "times": list(self.times),
-            "ranks_plus": list(self.ranks_plus),
-            "ranks_minus": list(self.ranks_minus),
-            "schedule": self.schedule.to_dict(),
-            "constant": self.constant,
-            "equal": self.equal,
-            "passed": self.passed,
-            "failed_at": self.failed_at,
-        }
 
 
 def rho_certificate_even(he: HomotopyEquivalence, path: RhoPath, samples: int = 121,

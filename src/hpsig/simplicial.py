@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from hashlib import sha256
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -354,31 +354,29 @@ def _cap_operator(sm: SimplicialManifold) -> np.ndarray:
 
 
 def symmetrized_duality(skeleton: HPComplex, T: np.ndarray, tol: Tolerances,
-                        build: Callable[[np.ndarray, str], HPComplex],
-                        harmonic: bool = False) -> HPComplex:
-    """build(S, name) for the duality S = (T + T*)/2 of the differential of
-    skeleton, where name says how S was made; the complex build returns
-    carries the cached spectrum of D +- S that certified it.
+                        meta: Mapping[str, str], harmonic: bool = False) -> HPComplex:
+    """The weak complex with skeleton's differential and the duality
+    S = (T + T*)/2, whose meta is meta plus "duality", naming how S was made;
+    it carries the cached spectrum of D +- S that certified it.
 
     Should D+-S fail invertibility (or with harmonic=True), S is compressed
     onto the harmonic subspace ker(D^2), where the cap action is the homology
-    pairing, and extended by zero.  Raises DualityDegenerateError when that
-    fails too: the cap operator does not induce a homology isomorphism.
+    pairing, and extended by zero; the kernel is the one harmonic_reduction
+    reads, from the degree blocks of D^2.  Raises DualityDegenerateError when
+    that fails too: the cap operator does not induce a homology isomorphism.
     """
+    sp = skeleton.space
     S = (T + skeleton.adjoint(T)) / 2.0
     if not harmonic:
-        c = build(S, "symmetrized-cap")
+        c = HPComplex(sp, skeleton.d, S, "weak", {**meta, "duality": "symmetrized-cap"})
         if all(cert.passed for cert in c.spectrum.certificates(tol.inv)):
             return c
-    d_on = skeleton.D_on
-    es = spectral.eig_hermitian(d_on @ d_on, tol.sym)
-    scale = max(1.0, float(np.abs(es.eigenvalues).max()) if es.eigenvalues.size else 1.0)
-    kernel = es.vectors[:, np.abs(es.eigenvalues) <= tol.inv * scale]
-    proj = kernel @ kernel.conj().T
+    u, _ = _laplacian_blocks(skeleton, tol)
+    proj = u @ u.conj().T
     s_on = proj @ skeleton.to_orthonormal(S) @ proj
     s_on = (s_on + s_on.conj().T) / 2.0
-    sp = skeleton.space
-    c = build(sp.g_half_inv @ s_on @ sp.g_half if sp.has_weights else s_on, "harmonic-fallback")
+    c = HPComplex(sp, skeleton.d, sp.g_half_inv @ s_on @ sp.g_half if sp.has_weights else s_on,
+                  "weak", {**meta, "duality": "harmonic-fallback"})
     cert_p, cert_m = c.spectrum.certificates(tol.inv)
     if not (cert_p.passed and cert_m.passed):
         raise DualityDegenerateError(
@@ -408,12 +406,9 @@ def cap_duality(sm: SimplicialManifold, tol: Tolerances = DEFAULT_TOL,
     T = _cap_operator(sm)
     for p in range(sm.n + 1):
         T[:, off[p]:off[p + 1]] *= duality_phase(p, sm.n)
-
-    def build(S: np.ndarray, used: str) -> HPComplex:
-        # the point and other rigid cases can land on the strict tier
-        return HPComplex(c.space, c.d, S, "weak", {"duality": used}).at_achieved_tier(tol)
-
-    return symmetrized_duality(c, T, tol, build, harmonic=construction == "harmonic")
+    # the point and other rigid cases can land on the strict tier
+    return symmetrized_duality(c, T, tol, {},
+                               harmonic=construction == "harmonic").at_achieved_tier(tol)
 
 
 # ---------------------------------------------------------------------------
@@ -430,15 +425,6 @@ class IntersectionForm:
     rank: int
     signature: int
     symmetric: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "middle_degree": self.middle_degree,
-            "rank": self.rank,
-            "signature": self.signature,
-            "symmetric": self.symmetric,
-            "pairing": [[str(x) for x in row] for row in self.pairing],
-        }
 
 
 def _cohomology_basis(sm: SimplicialManifold, p: int) -> list[list[Fraction]]:
@@ -509,43 +495,52 @@ def intersection_form_oracle(sm: SimplicialManifold,
 # harmonic reduction
 
 
+def _laplacian_blocks(c: HPComplex, tol: Tolerances
+                      ) -> tuple[np.ndarray, list[tuple[spectral.HermitianEigensystem,
+                                                        np.ndarray]]]:
+    """Each degree block of the Laplacian D^2 of c, in orthonormal
+    coordinates, decomposed once: D^2 = dd* + d*d is block diagonal by degree
+    because d^2 = 0.  Returns per degree the eigensystem with the mask of its
+    kernel, |lambda| <= tol.inv * max(1, largest |lambda| over all blocks),
+    and the harmonic basis u, those kernel vectors lifted to the total space
+    in degree order."""
+    sp = c.space
+    delta = c.D_on @ c.D_on
+    systems = [spectral.eig_hermitian(delta[sl, sl], tol.sym)
+               for sl in map(sp.degree_slice, range(sp.n + 1))]
+    top = max((float(np.abs(es.eigenvalues).max()) for es in systems
+               if es.eigenvalues.size), default=0.0)
+    kernels = [np.abs(es.eigenvalues) <= tol.inv * max(1.0, top) for es in systems]
+    lifts = []
+    for p, (es, kernel) in enumerate(zip(systems, kernels)):
+        lift = np.zeros((sp.total_dim, int(kernel.sum())), dtype=complex)
+        lift[sp.degree_slice(p)] = es.vectors[:, kernel]
+        lifts.append(lift)
+    return np.hstack(lifts), list(zip(systems, kernels))
+
+
 def harmonic_reduction(c: HPComplex, tol: Tolerances = DEFAULT_TOL
                        ) -> tuple[HPComplex, HomotopyEquivalence]:
     """Compress a complex onto ker(D^2) with zero differential.
 
     Returns the minimal model together with the homotopy equivalence
-    (projection f, inclusion g, chain homotopy through the inverse of D^2 on
-    its range).  Signature and Betti data are preserved.
+    (projection f, inclusion g, chain homotopy d* G through the Green
+    operator G of D^2, its inverse on the range).  The harmonic basis and G
+    both come from the eigensystems of the degree blocks of D^2, so G is
+    block diagonal by degree.  Signature and Betti data are preserved.
     """
     sp = c.space
-    D_on = c.D_on
-    delta = D_on @ D_on
-    scale = max(1.0, spectral.operator_norm(delta))
-    thr = tol.inv * scale
-
-    cols = []
-    dims_min = []
-    for p in range(sp.n + 1):
-        sl = sp.degree_slice(p)
-        block = delta[sl, sl]
-        if block.size == 0:
-            dims_min.append(0)
-            continue
-        es = spectral.eig_hermitian(block, tol.sym)
-        kernel = es.vectors[:, np.abs(es.eigenvalues) <= thr]
-        dims_min.append(kernel.shape[1])
-        lift = np.zeros((sp.total_dim, kernel.shape[1]), dtype=complex)
-        lift[sl, :] = kernel
-        cols.append(lift)
-    u = np.hstack([x for x in cols if x.size]) if cols else np.zeros((sp.total_dim, 0))
+    u, blocks = _laplacian_blocks(c, tol)
+    dims_min = [int(kernel.sum()) for _, kernel in blocks]
 
     g = sp.g_half_inv @ u if sp.has_weights else u          # min -> full
     f = u.conj().T @ sp.g_half if sp.has_weights else u.conj().T
 
-    es = spectral.eig_hermitian(delta, tol.sym)
-    inv = np.where(np.abs(es.eigenvalues) > thr, 1.0, 0.0) / np.where(
-        np.abs(es.eigenvalues) > thr, es.eigenvalues, 1.0)
-    green_on = (es.vectors * inv) @ es.vectors.conj().T
+    green_on = np.zeros((sp.total_dim, sp.total_dim), dtype=complex)
+    for p, (es, kernel) in enumerate(blocks):
+        inv = np.where(kernel, 0.0, 1.0) / np.where(kernel, 1.0, es.eigenvalues)
+        sl = sp.degree_slice(p)
+        green_on[sl, sl] = (es.vectors * inv) @ es.vectors.conj().T
     d_on = c.to_orthonormal(c.d_total)
     hprime_on = d_on.conj().T @ green_on
     if sp.has_weights:

@@ -280,6 +280,14 @@ def _not_an_object(tmp_path, fixture_dir):
     return ["check", str(path)]
 
 
+def _singular_transition(command, key):
+    """argv running command on fc_torus_twist.json with the zero matrix as its
+    only transition, stored under key."""
+    zero = [[[0.0, 0.0]] * 4 for _ in range(4)]
+    return _edited(command, "fc_torus_twist.json",
+                   lambda doc: doc.update(transitions={key: zero}))
+
+
 INPUT_ERRORS = {
     "entry_string": _model_with_s_entry(["nan", 0]),
     "entry_bare_string": _model_with_s_entry("x"),
@@ -313,6 +321,10 @@ INPUT_ERRORS = {
                                  lambda doc: doc.update(meta=[1, 2])),
     "complex_S_empty": _edited("check", "sphere_model.json", lambda doc: doc.update(S=[])),
     "document_not_an_object": _not_an_object,
+    "fibered_transition_singular_check": _singular_transition("check", "2,0"),
+    "fibered_transition_singular_check_reversed": _singular_transition("check", "0,2"),
+    "fibered_transition_singular_chs": _singular_transition("chs", "2,0"),
+    "fibered_transition_singular_chs_reversed": _singular_transition("chs", "0,2"),
     "seed_negative": lambda tmp_path, fixture_dir: ["coarse", "--seed", "-1"],
 }
 

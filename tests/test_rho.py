@@ -395,23 +395,6 @@ def test_rho_path_on_weighted_complex():
     assert path.junction_residual <= 1e-10
 
 
-def test_f_adjoint_respects_weighted_inner_products():
-    from hpsig.hpc_core import rescale_inner_products
-    rng = np.random.default_rng(9)
-    src = rescale_inner_products(fixtures.torus_model(), 3.0)
-    tgt = rescale_inner_products(fixtures.torus_model(), 0.5)
-    f = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    he = HomotopyEquivalence(src, tgt, f, np.linalg.inv(f),
-                             np.zeros((4, 4)), np.zeros((4, 4)))
-    fs = he.f_adjoint()
-    gs, gt = src.space.g_total, tgt.space.g_total
-    x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    lhs = (f @ x).conj() @ gt @ y          # <f x, y> in the target space
-    rhs = x.conj() @ gs @ (fs @ y)         # <x, f* y> in the source space
-    assert lhs == pytest.approx(rhs)
-
-
 def test_he_json_round_trip():
     cap = cap_duality(fixtures.sphere_triangulation())
     _, he = harmonic_reduction(cap)

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from hpsig import cli, fixtures
-from hpsig.hpc_core import StructuralError, validate
+from hpsig.hpc_core import (DEFAULT_TOL, HPComplex, StructuralError,
+                            rescale_inner_products, validate)
 from hpsig.rho import validate_homotopy_equivalence
 from hpsig.signature import signature_even
 from hpsig.simplicial import (betti_numbers, boundary_matrices, cap_duality,
@@ -171,6 +172,64 @@ def test_harmonic_reduction_preserves_betti():
     cap = cap_duality(fixtures.torus_triangulation())
     minimal, _ = harmonic_reduction(cap)
     assert minimal.space.dims == betti_numbers(fixtures.torus_triangulation())
+
+
+def _dense_kernel(c, tol=DEFAULT_TOL):
+    """Full-size eigensystem of D^2 in orthonormal coordinates and the mask
+    of its kernel, |lambda| <= tol.inv * max(1, ||D^2||)."""
+    delta = c.D_on @ c.D_on
+    vals, vecs = np.linalg.eigh(delta)
+    return vals, vecs, np.abs(vals) <= tol.inv * max(1.0, np.linalg.norm(delta, 2))
+
+
+def _close(a, b, rel=1e-12):
+    return np.abs(a - b).max() <= rel * max(1.0, np.abs(b).max())
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cap_duality(fixtures.sphere_triangulation()),
+    lambda: cap_duality(fixtures.torus_triangulation()),
+    lambda: cap_duality(fixtures.cp2_triangulation()),
+    lambda: rescale_inner_products(cap_duality(fixtures.torus_triangulation()), 2.0),
+], ids=["sphere_d3", "torus7", "cp2_9", "torus7_weighted"])
+def test_blockwise_green_operator_matches_the_full_size_one(build):
+    # h' = d* G, with G the inverse of D^2 on its range from one decomposition
+    # of the whole D^2; the reduction builds G degree by degree
+    c = build()
+    vals, vecs, kernel = _dense_kernel(c)
+    inv = np.where(kernel, 0.0, 1.0) / np.where(kernel, 1.0, vals)
+    hprime_on = c.to_orthonormal(c.d_total).conj().T @ (vecs * inv) @ vecs.conj().T
+    sp = c.space
+    ref = sp.g_half_inv @ hprime_on @ sp.g_half if sp.has_weights else hprime_on
+    _, he = harmonic_reduction(c)
+    assert _close(he.h_prime, ref)
+    assert validate_homotopy_equivalence(he).passed
+
+
+@pytest.mark.parametrize("build", [fixtures.sphere_triangulation,
+                                   fixtures.torus_triangulation,
+                                   fixtures.cp2_triangulation])
+def test_harmonic_duality_matches_the_full_size_kernel_projector(build):
+    sm = build()
+    symmetrized = cap_duality(sm)
+    assert symmetrized.meta["duality"] == "symmetrized-cap"
+    _, vecs, kernel = _dense_kernel(symmetrized)
+    proj = vecs[:, kernel] @ vecs[:, kernel].conj().T
+    ref = proj @ np.asarray(symmetrized.S) @ proj
+    harmonic = cap_duality(sm, construction="harmonic")
+    assert _close(np.asarray(harmonic.S), (ref + ref.conj().T) / 2.0)
+
+
+def test_harmonic_reduction_of_a_complex_with_nonzero_d_squared_fails():
+    # negative control: d_1 + 1e-6 breaks d^2 = 0, so D^2 is not block
+    # diagonal by degree and the blockwise reduction is no equivalence
+    cap = cap_duality(fixtures.sphere_triangulation())
+    broken = HPComplex(cap.space, (cap.d[0], cap.d[1] + 1e-6), cap.S, "weak")
+    assert broken.d_squared_residual > 1e-7
+    _, he = harmonic_reduction(broken)
+    rep = validate_homotopy_equivalence(he)
+    assert not rep.passed
+    assert rep.homotopy_source > 1e3 * rep.threshold
 
 
 def test_canonical_digest_is_stable():

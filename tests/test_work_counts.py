@@ -192,6 +192,46 @@ def test_total_complex_inverts_each_transition_once(monkeypatch):
     assert len(calls) <= len(fc.transitions)
 
 
+def _seam_twisted_grid_torus(k: int) -> family.FiberedComplex:
+    """The k x k grid torus, vertex (i, j) labelled i*k + j, whose edges
+    crossing the column seam all carry one rotation of the torus fiber."""
+    def v(i, j):
+        return (i % k) * k + (j % k)
+
+    facets = [tri for i in range(k) for j in range(k)
+              for tri in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)),
+                          (v(i, j), v(i + 1, j + 1), v(i, j + 1)))]
+    base = simplicial.load_simplicial({"n": 2, "vertices": k * k, "facets": facets,
+                                       "orientations": simplicial.orient_facets(facets, 2)})
+    rotation = fixtures.fiber_rotation_on_torus_model()
+    seam = {(v(i, k - 1), v(i + r, 0)): rotation for i in range(k) for r in (0, 1)}
+    return family.FiberedComplex(base, fixtures.torus_model(), seam)
+
+
+def test_total_complex_inverts_a_shared_seam_rotation_once(monkeypatch):
+    calls = count_calls(monkeypatch, "numpy.linalg", np.linalg.inv)
+    fc = _seam_twisted_grid_torus(3)
+    assert len(fc.transitions) == 6
+    assert family.total_complex(fc).meta["twist"] == "nontrivial"
+    assert len(calls) == 1
+
+
+def test_harmonic_reduction_decomposes_each_degree_block_once(monkeypatch):
+    cap = simplicial.cap_duality(fixtures.cp2_triangulation())
+    eigh = count_calls(monkeypatch, "numpy.linalg", np.linalg.eigh)
+    svd = count_calls(monkeypatch, "numpy.linalg", np.linalg.svd)
+    simplicial.harmonic_reduction(cap)
+    assert sorted(eigh) == [(9, 9), (36, 36), (36, 36), (84, 84), (90, 90)]
+    assert (255, 255) not in svd
+
+
+def test_harmonic_duality_decomposes_no_full_size_laplacian(monkeypatch):
+    eigh = count_calls(monkeypatch, "numpy.linalg", np.linalg.eigh)
+    cap = simplicial.cap_duality(fixtures.cp2_triangulation(), construction="harmonic")
+    assert cap.meta["duality"] == "harmonic-fallback"
+    assert (255, 255) not in eigh
+
+
 @pytest.mark.parametrize("transitions", [{}, {(0, 1): fixtures.fiber_rotation_on_torus_model()}],
                          ids=["untwisted", "twisted"])
 def test_monodromy_inverts_each_distinct_transport_once(monkeypatch, transitions):
