@@ -10,6 +10,7 @@ bytes stay deterministic.  Exit codes: 0 pass, 1 check failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -301,39 +302,39 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", parents=[common],
                        help="validate a fixture file of any kind")
     p.add_argument("path")
-    p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("sgn", parents=[common],
                        help="signature / odd certificate with localization schedule")
     p.add_argument("path")
     p.add_argument("--t-max", type=float, default=10.0)
     p.add_argument("--samples-schedule", type=int, default=10)
-    p.set_defaults(fn=cmd_sgn)
 
     p = sub.add_parser("product", parents=[common],
                        help="graded product, multiplicativity, parity witnesses")
     p.add_argument("path_a")
     p.add_argument("path_b")
     p.add_argument("--samples-witness", type=int, default=11)
-    p.set_defaults(fn=cmd_product)
 
     p = sub.add_parser("rho", parents=[common],
                        help="duality path and parity certificate for an equivalence")
     p.add_argument("path")
     p.add_argument("--samples", type=int, default=601)
     p.add_argument("--samples-cert", type=int, default=121)
-    p.set_defaults(fn=cmd_rho)
 
     p = sub.add_parser("chs", parents=[common],
                        help="total complex, monodromy, multiplicativity of signatures")
     p.add_argument("path")
-    p.set_defaults(fn=cmd_chs)
 
     p = sub.add_parser("coarse", parents=[common],
                        help="seeded propagation property suite")
     p.add_argument("--instances", type=int, default=100)
-    p.set_defaults(fn=cmd_coarse)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; it binds no command function."""
+    return build_parser()
 
 
 def render_report(report: dict) -> str:
@@ -352,13 +353,13 @@ def _check_domains(args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.monotonic()
     try:
         _check_domains(args)
         tol = Tolerances(sym=args.tol_sym, inv=args.tol_inv)
-        report = args.fn(args, tol)
+        # looked up per call, so a wrapped cmd_* is the one that runs
+        report = globals()[f"cmd_{args.command}"](args, tol)
     except (StructuralError, DomainError, DualityDegenerateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -99,23 +99,33 @@ class FiberedReport:
                 "passed": self.passed}
 
 
+def _norms(mats: list[np.ndarray]) -> list[float]:
+    """The 2-norm of each of mats, all of one shape, with one SVD per
+    distinct matrix (keyed by its bytes): a twisted bundle repeats few."""
+    norms: dict[bytes, float] = {}
+    out = []
+    for m in mats:
+        key = m.tobytes()
+        if key not in norms:
+            norms[key] = spectral.operator_norm(m)
+        out.append(norms[key])
+    return out
+
+
 def validate_fibered(fc: FiberedComplex, tol: Tolerances = DEFAULT_TOL) -> FiberedReport:
     fiber = fc.fiber
     d = fiber.d_total
-    chain = 0.0
+    psis = list(fc.transitions.values())
+    chain = max(_norms([psi @ d - d @ psi for psi in psis]), default=0.0)
     dual = 0.0
-    for (i, j) in list(fc.transitions):
-        psi = fc.transition(i, j)
-        chain = max(chain, spectral.operator_norm(psi @ d - d @ psi))
-        if fiber.S is not None:
-            dual = max(dual, spectral.operator_norm(
-                fiber.adjoint(psi) @ np.asarray(fiber.S) @ psi - np.asarray(fiber.S)))
+    if fiber.S is not None:
+        s = np.asarray(fiber.S)
+        dual = max(_norms([fiber.adjoint(psi) @ s @ psi - s for psi in psis]), default=0.0)
     cocycle = 0.0
     if fc.base.n >= 2:
-        for (a, b, c) in fc.base.simplices[2]:
-            lhs = fc.transition(b, c) @ fc.transition(a, b)
-            cocycle = max(cocycle, spectral.operator_norm(lhs - fc.transition(a, c)))
-    scale = max([1.0] + [spectral.operator_norm(m) for m in fc.transitions.values()])
+        cocycle = max(_norms([fc.transition(b, c) @ fc.transition(a, b) - fc.transition(a, c)
+                              for (a, b, c) in fc.base.simplices[2]]), default=0.0)
+    scale = max([1.0] + _norms(psis))
     thr = tol.sym * scale * max(1.0, scale)
     compatible = dual <= thr
     passed = chain <= thr and cocycle <= thr
@@ -285,15 +295,11 @@ def monodromy_homology_action(fc: FiberedComplex,
     # one inverse per distinct transport: on an untwisted bundle all are 1
     distinct = {transports[j].tobytes(): transports[j] for _, j in loops}
     inverses = {key: np.linalg.inv(psi) for key, psi in distinct.items()}
-    actions = []
-    residuals = []
-    for (i, j) in loops:
-        hol = inverses[transports[j].tobytes()] @ fc.transition(i, j) @ transports[i]
-        induced = proj @ hol @ incl
-        actions.append(induced)
-        residuals.append(float(spectral.operator_norm(
-            induced - np.eye(induced.shape[0]))))
-    scale = max([1.0] + [spectral.operator_norm(a) for a in actions])
+    actions = [proj @ (inverses[transports[j].tobytes()] @ fc.transition(i, j)
+                       @ transports[i]) @ incl for (i, j) in loops]
+    eye = np.eye(proj.shape[0])
+    residuals = _norms([a - eye for a in actions])
+    scale = max([1.0] + _norms(actions))
     trivial = all(r <= tol.sym * scale for r in residuals)
     return MonodromyReport(tuple(loops), tuple(actions), tuple(residuals), trivial)
 

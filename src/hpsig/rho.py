@@ -11,6 +11,7 @@ is reported with its location t* rather than assumed away.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -174,6 +175,11 @@ class _PathData:
     def diag_duality(self) -> np.ndarray:
         return self.assemble(self.Sp, None, None, -self.S)
 
+    @cached_property
+    def phase_sample(self) -> _Sample:
+        """The sample at t = 2, which stands for every t in [2, 4]."""
+        return _sample(self, 2.0)
+
 
 class _Sample(NamedTuple):
     """One path sample of the graded parts of D +- H, where S_f(t) = H + K/2
@@ -185,6 +191,14 @@ class _Sample(NamedTuple):
     off_parity: float          # ||parity-violating part of D and H||_F
     rank: int | None = None    # even n: positive eigenvalues of D + H
     top: float | None = None   # even n: max |eigenvalue| of D + H
+    negative: int | None = None  # even n: negative eigenvalues of D + H
+
+    def mirrored(self) -> _Sample:
+        """The sample at 6 - t read from this one at t: D +- S_f(6 - t) is
+        D -+ S_f(t), and for even n the positive eigenvalues of D - H are
+        the negative ones of D + H, since eps (D + H) eps = -(D - H)."""
+        return self._replace(plus=self.minus, minus=self.plus,
+                             rank=self.negative, negative=self.rank)
 
 
 def _sample(pd: _PathData, t: float) -> _Sample:
@@ -201,8 +215,22 @@ def _sample(pd: _PathData, t: float) -> _Sample:
         vals = np.linalg.eigvalsh(gs.graded_plus(h))
         size = np.abs(vals)
         gap = float(size.min())
-        return _Sample(gap, gap, skew, off, int((vals > 0).sum()), float(size.max()))
+        return _Sample(gap, gap, skew, off, int((vals > 0).sum()), float(size.max()),
+                       int((vals < 0).sum()))
     return _Sample(*(float(sv[-1]) for sv in gs.singular_values(h)), skew, off)
+
+
+def _read(pd: _PathData, t: float) -> _Sample:
+    """The sample at path time t, decomposed only for t < 2.  On [2, 4),
+    D + S_f(t) = U (D + S_f(2)) U* for U = diag(1, e^{-i pi (t - 2)/2}),
+    which commutes with D and eps, so every field is that of t = 2; t = 4
+    is the end of the same branch, up to the junction residual.  Past 4,
+    branch(4, t) = -branch(1, 6 - t) and branch(5, t) = -branch(0, 6 - t)."""
+    if t > 4.0:
+        return _sample(pd, 6.0 - t).mirrored()
+    if t >= 2.0:
+        return pd.phase_sample
+    return _sample(pd, t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,7 +239,10 @@ class RhoPath:
 
     min_sv_plus, min_sv_minus and refined_min_sv are min |eigenvalue| of the
     graded Hermitian parts of D +- S_f(t); selfadjoint_residual is the
-    largest ||S_f(t) - S_f(t)*||_F over every sample.  passed means: every
+    largest ||S_f(t) - S_f(t)*||_F over every sample.  Only samples with
+    t < 2 and t = 2 are decomposed: entries on [2, 4] are those of t = 2,
+    which certify the whole interval, and grid point i with t > 4 is grid
+    point len(times) - 1 - i with plus and minus exchanged.  passed means: every
     sample clears the invertibility threshold plus the Weyl slack for the
     skew and parity-violating parts, branch junctions agree, endpoints match
     diag(S', -S) and its negative, and every sample is self-adjoint.
@@ -269,7 +300,11 @@ def rho_path(he: HomotopyEquivalence, samples: int = 601,
     threshold = tol.inv * max(1.0, max(he.source.D_norm, he.target.D_norm) + s_norm)
 
     times = np.linspace(0.0, 6.0, samples)
-    grid = [_sample(pd, float(t)) for t in times]
+    grid: list[_Sample] = []
+    for i, t in enumerate(times):
+        # past t = 4 the mirror 6 - t is paired by index: it is not bitwise
+        # a grid time, and the partner, with t < 2, is already sampled
+        grid.append(grid[samples - 1 - i].mirrored() if t > 4.0 else _read(pd, float(t)))
     svp = [s.plus for s in grid]
     svm = [s.minus for s in grid]
     sa = max(s.skew for s in grid)
@@ -287,7 +322,7 @@ def rho_path(he: HomotopyEquivalence, samples: int = 601,
             h /= 2.0
             for cand in (t_star - h, t_star + h):
                 if 0.0 <= cand <= 6.0:
-                    smp = _sample(pd, cand)
+                    smp = _read(pd, cand)
                     sa = max(sa, smp.skew)
                     off = max(off, smp.off_parity)
                     v = min(smp.plus, smp.minus)
@@ -351,7 +386,8 @@ def _require_passed(he: HomotopyEquivalence, path: RhoPath, samples: int) -> _Pa
 class OddRhoCertificate:
     """Invertibility of (D+S)(D+S_f(t-1))^{-1} on even degrees, t in [1,7],
     continued by the localization schedule of the sum complex; by degree
-    parity it is X+ X_f^{-1}, X the (even, odd) block, scaled by ||X+||."""
+    parity it is X+ X_f^{-1}, X the (even, odd) block, scaled by ||X+||.
+    min_singulars for t - 1 in [2, 4) is read from t - 1 = 2."""
 
     times: tuple[float, ...]
     min_singulars: tuple[float, ...]
@@ -372,10 +408,24 @@ def rho_certificate_odd(he: HomotopyEquivalence, path: RhoPath, samples: int = 1
     mins: list[float] = []
     threshold = tol.inv * max(1.0, spectral.operator_norm(x_plus))
     failed_at = None
+
+    def least_sv(s: float) -> float:
+        x_f = pd.graded.blocks(pd.value(s))[0]
+        return float(np.linalg.svd(spectral.right_divide(x_plus, x_f),
+                                   compute_uv=False)[-1])
+
+    # for t - 1 in [2, 4), X+ = U_e X+ U_o* and X_f(t - 1) = U_e X_f(2) U_o*
+    # for the phase U of rho_path, so u = U_e u(2) U_e* has the singular
+    # values of u(2); the mirror does not hold for u
+    phase_sv = None
     for t in times:
-        x_f = pd.graded.blocks(pd.value(float(t) - 1.0))[0]
-        u = spectral.right_divide(x_plus, x_f)
-        sv = float(np.linalg.svd(u, compute_uv=False)[-1])
+        s = float(t) - 1.0
+        if 2.0 <= s < 4.0:
+            if phase_sv is None:
+                phase_sv = least_sv(2.0)
+            sv = phase_sv
+        else:
+            sv = least_sv(s)
         mins.append(sv)
         if failed_at is None and sv <= threshold:
             failed_at = float(t)

@@ -336,3 +336,21 @@ def test_input_errors_exit_two_with_one_line(cli_cmd, fixture_dir, tmp_path, cas
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stdout == ""
+
+
+def test_main_dispatches_to_the_current_cmd_function(monkeypatch, capsys, fixture_dir):
+    # the command function is looked up at call time, so a wrapped cmd_* runs
+    from hpsig import cli
+
+    seen = []
+
+    def fake_check(args, tol):
+        seen.append(args.path)
+        return cli._report("check", {}, tol, args.seed, [{"name": "fake", "passed": True}],
+                           {})
+
+    monkeypatch.setattr(cli, "cmd_check", fake_check)
+    path = str(fixture_dir / "point.json")
+    assert cli.main(["check", path]) == 0
+    assert seen == [path]
+    assert json.loads(capsys.readouterr().out)["checks"] == [{"name": "fake", "passed": True}]

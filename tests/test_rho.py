@@ -3,6 +3,7 @@ parity certificates, including the orientation-mismatch negative control."""
 
 import json
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,15 +12,15 @@ from hpsig import fixtures
 from hpsig.hpc_core import (DualityDegenerateError, GradedSpace, HPComplex,
                             StructuralError, Tolerances, direct_sum, hpcomplex_to_json,
                             rescale_inner_products, reverse_orientation, validate)
-from hpsig.rho import (HomotopyEquivalence, _PathData, he_from_json, he_to_json,
+from hpsig.rho import (HomotopyEquivalence, _PathData, _sample, he_from_json, he_to_json,
                        identity_equivalence, rho_certificate_even,
                        rho_certificate_odd, rho_path,
                        validate_homotopy_equivalence)
 from hpsig.simplicial import cap_duality, harmonic_reduction, load_simplicial
 
 
-def mismatch_equivalence():
-    c = fixtures.sphere_model()
+def mismatch_equivalence(build=fixtures.sphere_model):
+    c = build()
     ident = identity_equivalence(c)
     return HomotopyEquivalence(c, reverse_orientation(c), ident.f, ident.g,
                                ident.h, ident.h_prime)
@@ -82,17 +83,21 @@ def with_random_duality(c: HPComplex, rng: np.random.Generator) -> HPComplex:
     return HPComplex(c.space, c.d, s, "weak")
 
 
+def two_dualities_equivalence() -> HomotopyEquivalence:
+    """Identity maps between two dualities on one complex: the odd path
+    where min_sv_plus and min_sv_minus differ."""
+    c = fixtures.random_strict_complex(np.random.default_rng(1), 1, 3)
+    rng = np.random.default_rng(7)
+    ident = identity_equivalence(c)
+    return HomotopyEquivalence(with_random_duality(c, rng), with_random_duality(c, rng),
+                               ident.f, ident.g, ident.h, ident.h_prime)
+
+
 @pytest.mark.parametrize("name", ["circle_model", "sphere_model", "he_reduction_sphere_d3",
                                   "strict_n4", "weighted_n2", "weighted_n1", "weak_n1"])
 def test_rho_path_eigenvalues_match_singular_values(name, fixture_dir):
     if name == "weak_n1":
-        # identity maps between two dualities on one complex: the odd path
-        # where min_sv_plus and min_sv_minus differ
-        c = fixtures.random_strict_complex(np.random.default_rng(1), 1, 3)
-        rng = np.random.default_rng(7)
-        ident = identity_equivalence(c)
-        he = HomotopyEquivalence(with_random_duality(c, rng), with_random_duality(c, rng),
-                                 ident.f, ident.g, ident.h, ident.h_prime)
+        he = two_dualities_equivalence()
     elif name.startswith("he_"):
         he = he_from_json(json.loads((fixture_dir / f"{name}.json").read_text()))
     elif name == "strict_n4":
@@ -402,3 +407,48 @@ def test_he_json_round_trip():
     assert np.array_equal(back.f, he.f)
     assert np.array_equal(back.h_prime, he.h_prime)
     assert validate_homotopy_equivalence(back).passed
+
+
+def per_sample_scan(he: HomotopyEquivalence, samples: int) -> list:
+    """The scan without the phase and mirror identities: the graded sampler
+    at every grid time."""
+    pd = _PathData(he)
+    return [_sample(pd, float(t)) for t in np.linspace(0.0, 6.0, samples)]
+
+
+def he_fixture(name: str):
+    path = Path(__file__).resolve().parent.parent / "fixtures" / f"{name}.json"
+    return lambda: he_from_json(json.loads(path.read_text()))
+
+
+@pytest.mark.parametrize("build", [
+    he_fixture("he_identity_sphere_model"),
+    he_fixture("he_reduction_sphere_d3"),
+    he_fixture("he_orientation_mismatch"),
+    lambda: harmonic_reduction(cap_duality(fixtures.sphere_triangulation()))[1],
+    three_sphere_reduction,
+    lambda: identity_equivalence(fixtures.random_strict_complex(np.random.default_rng(5), 1, 4)),
+    lambda: identity_equivalence(fixtures.random_strict_complex(np.random.default_rng(6), 2, 3)),
+    lambda: identity_equivalence(rescale_inner_products(
+        fixtures.random_strict_complex(np.random.default_rng(7), 4, 2), 1.7)),
+    two_dualities_equivalence,
+    lambda: mismatch_equivalence(fixtures.cp2_model),
+], ids=["he_identity_sphere_model", "he_reduction_sphere_d3", "he_orientation_mismatch",
+        "reduction_sphere_d3", "reduction_sphere3", "identity_n1", "identity_n2",
+        "identity_n4_weighted", "two_dualities_n1", "cp2_model_mismatch"])
+def test_rho_path_matches_the_per_sample_scan(build):
+    # rho_path decomposes only t < 2 and t = 2; [2, 4] reads t = 2 and t > 4
+    # reads 6 - t with D + S and D - S exchanged.  Only two_dualities_n1 has
+    # min_sv_plus != min_sv_minus, and only cp2_model_mismatch, of signature
+    # 2 at t = 0, has more positive than negative eigenvalues of D + H
+    he = build()
+    path = rho_path(he)
+    ref = per_sample_scan(he, len(path.times))
+    assert path.min_sv_plus == pytest.approx([s.plus for s in ref], rel=1e-12, abs=0)
+    assert path.min_sv_minus == pytest.approx([s.minus for s in ref], rel=1e-12, abs=0)
+    if he.n % 2 == 0:
+        assert [s.rank for s in path._samples] == [s.rank for s in ref]
+        if path.passed:
+            cert = rho_certificate_even(he, path)
+            # certificate sample i sits at path time 6 i / 120, path sample 5 i
+            assert list(cert.ranks_minus) == [s.rank for s in ref[::5]]

@@ -4,6 +4,7 @@ Calls are counted by replacing a function, wherever a module namespace binds
 it, with a counting wrapper; hpsig modules bind most names by from-import.
 """
 
+import functools
 import json
 import sys
 from pathlib import Path
@@ -42,6 +43,15 @@ def run_cli(capsys, *argv) -> int:
     code = cli.main(list(argv))
     capsys.readouterr()
     return code
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, capsys, fixture_dir):
+    # a fresh cache, so the first call builds the parser here
+    monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser.__wrapped__))
+    calls = count_calls(monkeypatch, "hpsig", cli.build_parser)
+    for _ in range(2):
+        assert run_cli(capsys, "check", str(fixture_dir / "point.json")) == 0
+    assert len(calls) == 1
 
 
 def test_sgn_validates_once(monkeypatch, capsys, fixture_dir):
@@ -122,9 +132,12 @@ def test_rho_path_makes_one_eigvalsh_per_even_sample(monkeypatch, fixture_dir):
         sampled.clear()
         rho.rho_path(he, samples=samples, refine=False)
         counts.append((len(eigvalsh), len(sampled)))
-    # 60 more samples cost 60 more eigvalsh: D + H serves D - H as well
-    assert counts[1][1] - counts[0][1] == 60
-    assert counts[1][0] - counts[0][0] == 60
+    # 60 more samples cost 20 more eigvalsh: D + H serves D - H as well, only
+    # the 20 added grid points with t < 2 are decomposed, [2, 4] reads t = 2
+    # and t > 4 reads its mirror 6 - t
+    assert counts[1][1] - counts[0][1] == 20
+    assert counts[1][0] - counts[0][0] == 20
+    assert counts[1][1] == 41            # t = 0, 0.05, ..., 1.95 and t = 2
 
 
 def test_rho_odd_sample_makes_no_eigvalsh(monkeypatch):
@@ -157,10 +170,14 @@ def test_rho_certificate_odd_solves_without_inverting(monkeypatch):
     inv = count_calls(monkeypatch, "numpy.linalg", np.linalg.inv)
     solve = count_calls(monkeypatch, "numpy.linalg", np.linalg.solve)
     odd_sample = count_calls(monkeypatch, "hpsig", signature._odd_sample)
-    assert rho.rho_certificate_odd(he, path, samples=41).passed
-    # one solve per certificate sample, u = X+ X_f^{-1}, and one for each
+    cert = rho.rho_certificate_odd(he, path, samples=41)
+    assert cert.passed
+    # one solve, u = X+ X_f^{-1}, per certificate sample outside t - 1 in
+    # [2, 4), one at t - 1 = 2 for the 13 samples inside, and one for each
     # localization sample's u = X+ X-^{-1}
-    assert len(solve) == 41 + len(odd_sample)
+    phase = [t for t in cert.times if 2.0 <= t - 1.0 < 4.0]
+    assert len(phase) == 13
+    assert len(solve) == 41 - len(phase) + 1 + len(odd_sample)
     assert len(inv) == 0
     # each of the (even, odd) blocks of the 4-dimensional sum complex
     assert solve == [(2, 2)] * len(solve)
@@ -470,3 +487,25 @@ def test_chs_untwisted_section_reads_the_fiber_signature(monkeypatch, capsys,
     assert run_cli(capsys, "chs", str(fixture_dir / "fc_sphere_x_cp2.json")) == 0
     # identity transports conjugate nothing: no eigh per base vertex
     assert len(calls) <= 4
+
+
+def test_chs_takes_one_norm_per_distinct_matrix(monkeypatch):
+    # every seam edge of the 4 x 4 grid torus carries one rotation, so the
+    # gluing and the loop actions repeat a few matrices
+    fc = _seam_twisted_grid_torus(4)
+    normed = []
+    operator_norm = spectral.operator_norm
+
+    def recorded(a):
+        m = np.asarray(a)
+        if m.any():                      # a zero matrix has norm 0 without an SVD
+            normed.append(m.tobytes())
+        return operator_norm(a)
+
+    monkeypatch.setattr(spectral, "operator_norm", recorded)
+    assert family.validate_fibered(fc).passed
+    assert normed and len(normed) == len(set(normed))
+    normed.clear()
+    mono = family.monodromy_homology_action(fc)
+    assert len(mono.loops) == 33         # 48 edges, 15 of them in the spanning tree
+    assert normed and len(normed) == len(set(normed))
