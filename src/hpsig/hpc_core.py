@@ -364,25 +364,28 @@ class HPComplex:
         off = np.where(self.duality_block_mask(), 0.0, np.abs(np.asarray(self.S)))
         return float(off.max()) if off.size else 0.0
 
+    def _norm(self, a: np.ndarray) -> float:
+        return spectral.graded_norm(a, self.space.offsets)
+
     @cached_property
     def S_norm(self) -> float:
-        return operator_norm(self.S_on)
+        return self._norm(self.S_on)
 
     @cached_property
     def S_skew(self) -> float:
-        return operator_norm(self.S_on - self.S_on.conj().T)
+        return self._norm(self.S_on - self.S_on.conj().T)
 
     @cached_property
     def S_squared_residual(self) -> float:
-        return operator_norm(self.S_on @ self.S_on - np.eye(self.total_dim))
+        return self._norm(self.S_on @ self.S_on - np.eye(self.total_dim))
 
     @cached_property
     def anticommute_residual(self) -> float:
-        return operator_norm(self.S_on @ self.D_on + self.D_on @ self.S_on)
+        return self._norm(self.S_on @ self.D_on + self.D_on @ self.S_on)
 
     @cached_property
     def D_norm(self) -> float:
-        return operator_norm(self.D_on)
+        return self._norm(self.D_on)
 
     def strict_checks(self, tol: Tolerances) -> Iterator[CheckResult]:
         """S^2 = 1, then SD = -DS, against tol.sym; the second, with the

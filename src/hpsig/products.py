@@ -304,7 +304,8 @@ def witness_even_odd(a: HPComplex, b: HPComplex, samples: int = 11,
             # D_b is Hermitian, so the largest block norm of the model c + D_b^2
             # is max c + ||D_b||^2
             scale = max(1.0, float(c.max()) + b.D_norm ** 2)
-            resid = _block_norm(lhs - rhs) / scale
+            # the 2-norm of the direct sum of the blocks of W*W less the model
+            resid = float(np.linalg.norm(lhs - rhs, 2, axis=(1, 2)).max()) / scale
             thr = tol.identity
             idents.append(Identity(f"positivity[B{pm},s={float(s):.2f}]",
                                    float(resid), thr, resid <= thr))
@@ -331,11 +332,6 @@ def witness_even_odd(a: HPComplex, b: HPComplex, samples: int = 11,
         k_normalization=k_factor(a.n, b.n),
         identities=tuple(idents), certificates=tuple(certs),
         samples=tuple(float(s) for s in grid), extras={}, passed=passed)
-
-
-def _block_norm(blocks: np.ndarray) -> float:
-    """The 2-norm of the direct sum of a stack of square blocks."""
-    return float(np.linalg.norm(blocks, 2, axis=(1, 2)).max())
 
 
 def witness_odd_even(a: HPComplex, b: HPComplex,

@@ -435,6 +435,27 @@ def rho_certificate_odd(he: HomotopyEquivalence, path: RhoPath, samples: int = 1
                              threshold, passed, failed_at)
 
 
+def _certificate_samples(pd: _PathData, path: RhoPath, times: np.ndarray) -> list[_Sample]:
+    """The samples of D + S_f(t - 1) at the certificate times t, evenly
+    spaced over [1, 7].  Sample i sits at path time t - 1 = 6 i / (len(times)
+    - 1); it is path sample j when i (len(path.times) - 1) = j (len(times) - 1),
+    and is read from the path.  Off the path grid, t - 1 in [2, 4] reads
+    t - 1 = 2, and t - 1 > 4 mirrors sample len(times) - 1 - i, paired by
+    index as rho_path pairs its grid; only t - 1 < 2 is decomposed."""
+    steps, last = len(path.times) - 1, len(times) - 1
+    out: list[_Sample] = []
+    for i, t in enumerate(times):
+        j, off_grid = divmod(i * steps, last)
+        s = float(t) - 1.0
+        if not off_grid:
+            out.append(path._samples[j])
+        elif s > 4.0:
+            out.append(out[last - i].mirrored())
+        else:
+            out.append(_read(pd, s))
+    return out
+
+
 def _certified_rank(pd: _PathData, smp: _Sample, tol: Tolerances, t: float) -> int:
     """Positive rank of D + S_f(t - 1) at an even sample, behind the checks of
     spectral.positive_rank: ||K||_F + ||D - D*||_F bounds the Frobenius norm
@@ -471,15 +492,9 @@ def rho_certificate_even(he: HomotopyEquivalence, path: RhoPath, samples: int = 
         raise DomainError("even certificate needs even top degree")
     pd = _require_passed(he, path, samples)
     times = np.linspace(1.0, 7.0, samples)
-    # sample i sits at path time t - 1 = 6 i / (samples - 1); it is path
-    # sample j when i (len(path.times) - 1) = j (samples - 1), so the ranks
-    # the path saw there are read, not recomputed
-    steps = len(path.times) - 1
     ranks_m: list[int] = []
     failed_at = None
-    for i, t in enumerate(times):
-        j, off_grid = divmod(i * steps, samples - 1)
-        smp = _sample(pd, float(t) - 1.0) if off_grid else path._samples[j]
+    for t, smp in zip(times, _certificate_samples(pd, path, times)):
         ranks_m.append(_certified_rank(pd, smp, tol, float(t)))
         if failed_at is None and ranks_m[-1] != ranks_m[0]:
             failed_at = float(t)

@@ -500,13 +500,14 @@ def _laplacian_blocks(c: HPComplex, tol: Tolerances
                                                         np.ndarray]]]:
     """Each degree block of the Laplacian D^2 of c, in orthonormal
     coordinates, decomposed once: D^2 = dd* + d*d is block diagonal by degree
-    because d^2 = 0.  Returns per degree the eigensystem with the mask of its
-    kernel, |lambda| <= tol.inv * max(1, largest |lambda| over all blocks),
-    and the harmonic basis u, those kernel vectors lifted to the total space
-    in degree order."""
+    because d^2 = 0, and block p is the row-block product D[p, :] D[:, p].
+    Returns per degree the eigensystem with the mask of its kernel,
+    |lambda| <= tol.inv * max(1, largest |lambda| over all blocks), and the
+    harmonic basis u, those kernel vectors lifted to the total space in
+    degree order."""
     sp = c.space
-    delta = c.D_on @ c.D_on
-    systems = [spectral.eig_hermitian(delta[sl, sl], tol.sym)
+    d_on = c.D_on
+    systems = [spectral.eig_hermitian(d_on[sl, :] @ d_on[:, sl], tol.sym)
                for sl in map(sp.degree_slice, range(sp.n + 1))]
     top = max((float(np.abs(es.eigenvalues).max()) for es in systems
                if es.eigenvalues.size), default=0.0)

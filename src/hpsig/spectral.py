@@ -34,6 +34,67 @@ def operator_norm(a) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+def graded_norm(a, offsets) -> float:
+    """The 2-norm of a square matrix graded by the index ranges
+    offsets[p]:offsets[p + 1], read off its nonzero degree blocks.
+
+    Row and column blocks linked by a nonzero block fall into one group;
+    rows and columns of different groups share no nonzero entry, so a is
+    their direct sum up to a permutation and its norm is the largest group
+    norm.  A matrix with no nonzero entry has norm 0 without an SVD, one
+    group is one SVD of the whole matrix, and several are one batched
+    SVD over the groups, zero-padded to a common shape, which only adds zero
+    singular values.
+    """
+    m = np.asarray(a, dtype=complex)
+    if not m.any():
+        return 0.0
+    ranges = [(lo, hi) for lo, hi in zip(offsets, offsets[1:]) if hi > lo]
+    starts = [lo for lo, _ in ranges]
+    rows, cols = np.logical_or.reduceat(
+        np.logical_or.reduceat(m != 0, starts, axis=0), starts, axis=1).nonzero()
+    links = list(zip(rows.tolist(), cols.tolist()))
+    # node i < len(ranges) is row block i, node len(ranges) + j column block j
+    place, extent = _block_groups(links, [hi - lo for lo, hi in ranges])
+    if len(extent) == 1:
+        return float(np.linalg.svd(m, compute_uv=False)[0])
+    batch = np.zeros((len(extent), max(r for r, _ in extent), max(c for _, c in extent)),
+                     dtype=complex)
+    for i, j in links:
+        (g, r), (_, c) = place[i], place[len(ranges) + j]
+        (rlo, rhi), (clo, chi) = ranges[i], ranges[j]
+        batch[g, r:r + rhi - rlo, c:c + chi - clo] = m[rlo:rhi, clo:chi]
+    return float(np.linalg.svd(batch, compute_uv=False)[:, 0].max())
+
+
+def _block_groups(links: list, sizes: list[int]) -> tuple[dict, list]:
+    """The connected components of the bipartite graph whose nodes are the
+    row blocks 0..b-1 and the column blocks b..2b-1 of sizes, b = len(sizes),
+    with an edge (i, b + j) per link (i, j).  Returns, for each linked node,
+    its group and its first row or column within the group (blocks in degree
+    order), and the [rows, columns] extent of each group."""
+    b = len(sizes)
+    root = list(range(2 * b))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for i, j in links:
+        root[find(i)] = find(b + j)
+    label: dict[int, int] = {}
+    place, extent = {}, []
+    for node in sorted({i for i, _ in links} | {b + j for _, j in links}):
+        g = label.setdefault(find(node), len(label))
+        if g == len(extent):
+            extent.append([0, 0])
+        side = int(node >= b)
+        place[node] = (g, extent[g][side])
+        extent[g][side] += sizes[node - side * b]
+    return place, extent
+
+
 def right_divide(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a b^{-1} from one solve of b^T x^T = a^T, without inverting b."""
     return np.linalg.solve(b.T, a.T).T

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from hpsig import fixtures
+from hpsig.family import fibered_from_json, total_complex
 from hpsig.hpc_core import (DEFAULT_TOL, GradedSpace, HPComplex, StructuralError,
                             DomainError, Tolerances, complex_betti, direct_sum, hpcomplex_from_json,
                             hpcomplex_to_json, rescale_inner_products,
                             reverse_orientation, validate)
 from hpsig.signature import signature_even
 from hpsig.simplicial import cap_duality, cochain_complex, load_simplicial
+from hpsig.spectral import operator_norm
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -238,3 +240,53 @@ def test_validate_caches_nothing_that_depends_on_the_tolerances(name, order):
     assert validate(c, first).to_dict() == before.to_dict()
     if name == "roughly_strict":
         assert before.tier_achieved != again["tier_achieved"]
+
+
+CACHED_NORMS = ("S_norm", "S_skew", "S_squared_residual", "anticommute_residual", "D_norm")
+
+
+def full_size_norms(c: HPComplex) -> list[float]:
+    """The five cached norms, each one SVD of the whole matrix."""
+    s, d, eye = c.S_on, c.D_on, np.eye(c.total_dim)
+    return [operator_norm(m) for m in (s, s - s.conj().T, s @ s - eye, s @ d + d @ s, d)]
+
+
+def _fc_sphere_x_cp2_total():
+    doc = json.loads((FIXTURE_DIR / "fc_sphere_x_cp2.json").read_text())
+    return total_complex(fibered_from_json(doc))
+
+
+NORM_REFERENCE = {
+    **{f"cap_{name}": lambda name=name: cap_duality(getattr(fixtures, f"{name}_triangulation")())
+       for name in ("circle", "sphere", "torus", "cp2")},
+    "cp2_9_weighted": lambda: rescale_inner_products(cap_duality(load_simplicial(
+        json.loads((FIXTURE_DIR / "cp2_9.json").read_text()))), 2.0),
+    **{name: getattr(fixtures, name) for name in ("point_model", "circle_model", "sphere_model",
+                                                  "torus_model", "cp2_model")},
+    **{f"random_n{n}_seed{seed}": lambda n=n, seed=seed: fixtures.random_strict_complex(
+        np.random.default_rng(seed), n, 3) for n in (1, 2, 4) for seed in (0, 1)},
+    "fc_sphere_x_cp2_total": _fc_sphere_x_cp2_total,
+}
+
+
+@pytest.mark.parametrize("name", sorted(NORM_REFERENCE))
+def test_cached_norms_match_the_full_size_norms(name):
+    # each cached norm is taken over the connected degree-block groups of
+    # its matrix, a direct sum up to a permutation: no norm may move
+    c = NORM_REFERENCE[name]()
+    assert [getattr(c, norm) for norm in CACHED_NORMS] == pytest.approx(
+        full_size_norms(c), rel=1e-13, abs=0)
+
+
+def test_cached_norms_see_entries_outside_the_duality_pattern():
+    # S maps degree p to n - p; on cp2_9 the blocks S[4, 0] and S[0, 4] carry
+    # ||S||.  An entry from degree 0 to degree 0 merges their groups, and only
+    # a norm that reads the whole pattern of nonzero blocks sees it
+    cap = cap_duality(load_simplicial(json.loads((FIXTURE_DIR / "cp2_9.json").read_text())))
+    s = np.array(cap.S)
+    s[0, 1] += 1e-3
+    c = HPComplex(cap.space, cap.d, s, cap.tier)
+    assert c.S_block_residual == pytest.approx(1e-3)
+    assert c.S_skew == pytest.approx(1e-3)
+    assert [getattr(c, norm) for norm in CACHED_NORMS] == pytest.approx(
+        full_size_norms(c), rel=1e-13, abs=0)

@@ -12,7 +12,8 @@ from hpsig import fixtures
 from hpsig.hpc_core import (DualityDegenerateError, GradedSpace, HPComplex,
                             StructuralError, Tolerances, direct_sum, hpcomplex_to_json,
                             rescale_inner_products, reverse_orientation, validate)
-from hpsig.rho import (HomotopyEquivalence, _PathData, _sample, he_from_json, he_to_json,
+from hpsig.rho import (HomotopyEquivalence, _certificate_samples, _PathData, _sample,
+                       he_from_json, he_to_json,
                        identity_equivalence, rho_certificate_even,
                        rho_certificate_odd, rho_path,
                        validate_homotopy_equivalence)
@@ -421,21 +422,25 @@ def he_fixture(name: str):
     return lambda: he_from_json(json.loads(path.read_text()))
 
 
-@pytest.mark.parametrize("build", [
-    he_fixture("he_identity_sphere_model"),
-    he_fixture("he_reduction_sphere_d3"),
-    he_fixture("he_orientation_mismatch"),
-    lambda: harmonic_reduction(cap_duality(fixtures.sphere_triangulation()))[1],
-    three_sphere_reduction,
-    lambda: identity_equivalence(fixtures.random_strict_complex(np.random.default_rng(5), 1, 4)),
-    lambda: identity_equivalence(fixtures.random_strict_complex(np.random.default_rng(6), 2, 3)),
-    lambda: identity_equivalence(rescale_inner_products(
+SCAN_CASES = {
+    "he_identity_sphere_model": he_fixture("he_identity_sphere_model"),
+    "he_reduction_sphere_d3": he_fixture("he_reduction_sphere_d3"),
+    "he_orientation_mismatch": he_fixture("he_orientation_mismatch"),
+    "reduction_sphere_d3":
+        lambda: harmonic_reduction(cap_duality(fixtures.sphere_triangulation()))[1],
+    "reduction_sphere3": three_sphere_reduction,
+    "identity_n1": lambda: identity_equivalence(
+        fixtures.random_strict_complex(np.random.default_rng(5), 1, 4)),
+    "identity_n2": lambda: identity_equivalence(
+        fixtures.random_strict_complex(np.random.default_rng(6), 2, 3)),
+    "identity_n4_weighted": lambda: identity_equivalence(rescale_inner_products(
         fixtures.random_strict_complex(np.random.default_rng(7), 4, 2), 1.7)),
-    two_dualities_equivalence,
-    lambda: mismatch_equivalence(fixtures.cp2_model),
-], ids=["he_identity_sphere_model", "he_reduction_sphere_d3", "he_orientation_mismatch",
-        "reduction_sphere_d3", "reduction_sphere3", "identity_n1", "identity_n2",
-        "identity_n4_weighted", "two_dualities_n1", "cp2_model_mismatch"])
+    "two_dualities_n1": two_dualities_equivalence,
+    "cp2_model_mismatch": lambda: mismatch_equivalence(fixtures.cp2_model),
+}
+
+
+@pytest.mark.parametrize("build", SCAN_CASES.values(), ids=SCAN_CASES.keys())
 def test_rho_path_matches_the_per_sample_scan(build):
     # rho_path decomposes only t < 2 and t = 2; [2, 4] reads t = 2 and t > 4
     # reads 6 - t with D + S and D - S exchanged.  Only two_dualities_n1 has
@@ -452,3 +457,21 @@ def test_rho_path_matches_the_per_sample_scan(build):
             cert = rho_certificate_even(he, path)
             # certificate sample i sits at path time 6 i / 120, path sample 5 i
             assert list(cert.ranks_minus) == [s.rank for s in ref[::5]]
+
+
+@pytest.mark.parametrize("name", ["he_identity_sphere_model", "he_reduction_sphere_d3",
+                                  "he_orientation_mismatch", "reduction_sphere_d3",
+                                  "identity_n2", "identity_n4_weighted", "cp2_model_mismatch"])
+def test_rho_certificate_samples_match_the_per_sample_scan(name):
+    # off the path grid the certificate reads t - 1 = 2 on [2, 4] and mirrors
+    # its own sample past 4; the per-sample scan decomposes every time.  The
+    # mismatch, whose path fails, has ranks that move along the path
+    he = SCAN_CASES[name]()
+    assert he.n % 2 == 0
+    path = rho_path(he, samples=61)
+    times = np.linspace(1.0, 7.0, 41)
+    got = _certificate_samples(path._data, path, times)
+    ref = [_sample(path._data, float(t) - 1.0) for t in times]
+    assert [s.rank for s in got] == [s.rank for s in ref]
+    assert [s.negative for s in got] == [s.negative for s in ref]
+    assert [s.plus for s in got] == pytest.approx([s.plus for s in ref], rel=1e-12, abs=0)

@@ -5,8 +5,8 @@ import pytest
 
 from hpsig import fixtures
 from hpsig.hpc_core import GradedSpace, HPComplex, validate
-from hpsig.spectral import (NoSpectralGapError, eig_hermitian,
-                            invertibility_certificate, positive_projection,
+from hpsig.spectral import (NoSpectralGapError, eig_hermitian, graded_norm,
+                            invertibility_certificate, operator_norm, positive_projection,
                             positive_rank)
 
 
@@ -160,3 +160,21 @@ def test_invertibility_certificate_rejects_rank_deficient_matrices():
     passed = [seed for seed in range(200)
               if invertibility_certificate(singular_values_matrix(seed, False)).passed]
     assert passed == []
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_graded_norm_matches_the_full_size_norm(seed):
+    # random sparse patterns of nonzero degree blocks, with empty degrees:
+    # the graded norm is the 2-norm of the whole matrix, and 0 without an SVD
+    # when no block is nonzero
+    rng = np.random.default_rng(seed)
+    dims = rng.integers(0, 5, size=6)
+    offsets = np.concatenate([[0], np.cumsum(dims)]).tolist()
+    size = offsets[-1]
+    m = np.zeros((size, size), dtype=complex)
+    for p, q in zip(*np.nonzero(rng.random((6, 6)) < 0.3)):
+        block = (slice(offsets[p], offsets[p + 1]), slice(offsets[q], offsets[q + 1]))
+        shape = (dims[p], dims[q])
+        m[block] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert graded_norm(m, offsets) == pytest.approx(operator_norm(m), rel=1e-13, abs=0)
+    assert graded_norm(np.zeros_like(m), offsets) == 0.0

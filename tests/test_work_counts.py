@@ -23,13 +23,36 @@ def _namespaces(prefix: str) -> list:
             if m is not None and (name == prefix or name.startswith(prefix + "."))]
 
 
-def count_calls(monkeypatch, prefix: str, fn) -> list:
+class Calls(list):
+    """The shape of the first argument of each call, with the innermost hpsig
+    function that made the call, as "module.function", in callers."""
+
+    def __init__(self):
+        super().__init__()
+        self.callers = []
+
+    def by(self, caller: str) -> list:
+        return [shape for shape, who in zip(self, self.callers) if who == caller]
+
+
+def _hpsig_caller(frame) -> str | None:
+    while frame is not None:
+        module = frame.f_globals.get("__name__", "")
+        if module.startswith("hpsig."):
+            return f"{module.removeprefix('hpsig.')}.{frame.f_code.co_name}"
+        frame = frame.f_back
+    return None
+
+
+def count_calls(monkeypatch, prefix: str, fn) -> Calls:
     """Wrap fn in every module under prefix; the returned list grows per call
-    by the shape of the call's first argument."""
-    calls = []
+    by the shape of the call's first argument, and its callers by the
+    innermost hpsig function on the stack."""
+    calls = Calls()
 
     def counted(*args, **kwargs):
         calls.append(np.shape(args[0]) if args else None)
+        calls.callers.append(_hpsig_caller(sys._getframe(1)))
         return fn(*args, **kwargs)
 
     for ns in _namespaces(prefix):
@@ -151,17 +174,19 @@ def test_rho_odd_sample_makes_no_eigvalsh(monkeypatch):
     assert len(svd) == 2 * 13            # the (even, odd) blocks of D + H and D - H
 
 
-@pytest.mark.parametrize("path_samples, cert_samples, off_grid", [(601, 121, 0),
-                                                                 (61, 41, 20)])
+@pytest.mark.parametrize("path_samples, cert_samples, decomposed", [(601, 121, 0),
+                                                                   (61, 41, 7)])
 def test_rho_certificate_even_reads_the_path_ranks(monkeypatch, path_samples,
-                                                   cert_samples, off_grid):
+                                                   cert_samples, decomposed):
     he = rho.identity_equivalence(fixtures.cp2_model())
     path = rho.rho_path(he, samples=path_samples)
     sampled = count_calls(monkeypatch, "hpsig", rho._sample)
     assert rho.rho_certificate_even(he, path, samples=cert_samples).passed
     # certificate sample i is path sample i (path_samples - 1) / (cert_samples - 1)
-    # when that is an integer; only the others are sampled again
-    assert len(sampled) == off_grid
+    # when that is an integer.  Of the 20 others at 61 and 41 samples, the 6
+    # with t - 1 in [2, 4] read t - 1 = 2 and the 7 past 4 mirror their
+    # partner: only the 7 with t - 1 < 2 are sampled again
+    assert len(sampled) == decomposed
 
 
 def test_rho_certificate_odd_solves_without_inverting(monkeypatch):
@@ -413,6 +438,15 @@ def test_check_cp2_9_svd_count(monkeypatch, capsys, fixture_dir):
     # ||S||, ||S^2 - 1|| and ||SD + DS||, each once: the symmetrized S is
     # exactly self-adjoint, and the weak tier never reads ||D||
     assert len(calls) == 3
+    # each over its connected degree blocks, none above the largest degree
+    assert max(max(shape) for shape in calls) <= 90
+
+
+def test_check_torus7_takes_norms_over_degree_blocks(monkeypatch, capsys, fixture_dir):
+    calls = count_calls(monkeypatch, "numpy.linalg", np.linalg.svd)
+    assert run_cli(capsys, "check", str(fixture_dir / "torus7.json")) == 0
+    # degrees of dimension 7, 21 and 14: no norm is taken at the full 42
+    assert calls and max(max(shape) for shape in calls) <= 21
 
 
 def _weighted_cp2_9():
@@ -459,8 +493,10 @@ def test_even_odd_witness_scales_positivity_without_a_norm_of_the_model(monkeypa
     calls = count_calls(monkeypatch, "numpy.linalg", np.linalg.svd)
     a, b = (str(fixture_dir / f"{name}.json") for name in ("cp2_model", "circle_model"))
     assert run_cli(capsys, "product", a, b) == 0
-    # per sign and sample: the positivity residual's blocks and those of W
-    assert len([shape for shape in calls if len(shape) == 3]) == 2 * 2 * 11
+    # per sign and sample: the positivity residual's blocks and those of W;
+    # validate's graded norms are batched SVDs too, so count by caller
+    witness = calls.by("products.witness_even_odd")
+    assert len([shape for shape in witness if len(shape) == 3]) == 2 * 2 * 11
 
 
 def test_coarse_builds_each_metric_space_once(monkeypatch, capsys):
