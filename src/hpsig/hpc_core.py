@@ -216,7 +216,14 @@ class GradedSum:
     and eps S eps = (-1)^n S.  For even n, eps (D + S) eps = -(D - S), so one
     Hermitian decomposition of D + S serves both; for odd n, D +- S is
     [[0, X+-], [X+-*, 0]] by degree parity.  The Weyl slack adds the norm of
-    the entries breaking these rules to that of the skew parts."""
+    the entries breaking these rules to that of the skew parts.
+
+    This is where the dtype of D +- S is decided.  D is kept in float64 when
+    its imaginary part is exactly 0 (spectral.real_if_exact), and so is an S
+    given to operand, hermitian_part or spectrum, unless D is complex.  On an
+    unweighted triangulation D is real, and so is S for n = 0, 1 (mod 4).
+    graded_plus and blocks, which rho calls per path sample, take their
+    argument in the dtype it comes in."""
 
     def __init__(self, grading: Grading, n: int, d: np.ndarray):
         self.grading = grading
@@ -224,13 +231,25 @@ class GradedSum:
         self.d_skew = float(np.linalg.norm(d - d.conj().T))
         if self.d_skew:         # the Hermitian part; a Hermitian D is read in place
             d = (d + d.conj().T) * 0.5
-        self._d = d
         self.d_off_parity = float(np.linalg.norm(d[grading.same]))
+        self._d = d = spectral.real_if_exact(d)
         self._s_off = ~grading.same if self.even_n else grading.same
         if not self.even_n:
             self._ix = np.ix_(grading.even, grading.odd)
             self._d_block = d[self._ix]
             self._pad = np.zeros(abs(grading.even.size - grading.odd.size))
+
+    def operand(self, s: np.ndarray) -> np.ndarray:
+        """s in the dtype of D +- s: float64 when neither has an imaginary part."""
+        if np.iscomplexobj(self._d):
+            return s.astype(complex, copy=False)
+        return spectral.real_if_exact(s)
+
+    def hermitian_part(self, s: np.ndarray) -> np.ndarray:
+        """The operand (s + s*)/2."""
+        h = s + s.conj().T
+        h *= 0.5
+        return self.operand(h)
 
     def off_parity(self, h: np.ndarray) -> float:
         """Frobenius norm of the entries of D and of h breaking the parity rules."""
@@ -241,7 +260,8 @@ class GradedSum:
         return 0.5 * (s_skew + self.d_skew) + self.off_parity(h)
 
     def graded_plus(self, h: np.ndarray) -> np.ndarray:
-        """Even n: the graded Hermitian part of D + S, written over h, that of S."""
+        """Even n: the graded Hermitian part of D + S, written over h, that of S
+        (complex unless D is real)."""
         np.copyto(h, self._d, where=self._s_off)
         h += 0.0        # a zero of either sign reads +0.0, as in the sum of both parts
         return h
@@ -257,8 +277,7 @@ class GradedSum:
         return [np.append(sv, self._pad) for sv in svs] if self._pad.size else svs
 
     def spectrum(self, s: np.ndarray, s_skew: float) -> DualitySpectrum:
-        h = s + s.conj().T
-        h *= 0.5
+        h = self.hermitian_part(s)
         slack = self.slack(h, s_skew)
         if self.even_n:
             plus = np.linalg.eigvalsh(self.graded_plus(h))
@@ -354,15 +373,20 @@ class HPComplex:
 
     @cached_property
     def d_squared_residual(self) -> float:
-        """max |(d^2)_ij|."""
-        dt = self.d_total
-        return float(np.abs(dt @ dt).max()) if dt.size else 0.0
+        """max |(d^2)_ij|: d^2 is 0 but for its blocks d_{p+1} d_p."""
+        squares = (b @ a for a, b in zip(self.d, self.d[1:]))
+        return max((float(np.abs(m).max()) for m in squares if m.size), default=0.0)
 
     @cached_property
     def S_block_residual(self) -> float:
-        """max |S_ij| over the entries outside the degree-reversal pattern."""
-        off = np.where(self.duality_block_mask(), 0.0, np.abs(np.asarray(self.S)))
-        return float(off.max()) if off.size else 0.0
+        """max |S_ij| over the entries outside the degree-reversal pattern:
+        per column degree p, the rows above and below degree n - p."""
+        sp, s = self.space, np.asarray(self.S)
+        off = []
+        for p in range(sp.n + 1):
+            cols, rows = s[:, sp.degree_slice(p)], sp.degree_slice(sp.n - p)
+            off += [cols[:rows.start], cols[rows.stop:]]
+        return max((float(np.abs(m).max()) for m in off if m.size), default=0.0)
 
     def _norm(self, a: np.ndarray) -> float:
         return spectral.graded_norm(a, self.space.offsets)
@@ -414,9 +438,14 @@ class HPComplex:
         return out
 
     @cached_property
+    def graded(self) -> GradedSum:
+        """D_on through the grading, in the dtype GradedSum decides."""
+        return GradedSum(self.space.grading, self.n, self.D_on)
+
+    @cached_property
     def spectrum(self) -> DualitySpectrum:
         """The spectrum of D +- S, which decides whether this is Poincaré."""
-        return GradedSum(self.space.grading, self.n, self.D_on).spectrum(self.S_on, self.S_skew)
+        return self.graded.spectrum(self.S_on, self.S_skew)
 
     def b_plus_on(self) -> np.ndarray:
         return self.D_on + self.S_on

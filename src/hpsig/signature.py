@@ -60,14 +60,19 @@ class OddIndexRepresentative:
         return self.certificate.passed
 
 
+def _graded(c: HPComplex, t: float) -> GradedSum:
+    """t^(-1/2) D through the grading: the complex's own at t = 1."""
+    return c.graded if t == 1.0 else GradedSum(c.space.grading, c.n, t ** -0.5 * c.D_on)
+
+
 def _odd_sample(c: HPComplex, tol: Tolerances, t: float = 1.0
                 ) -> tuple[np.ndarray, InvertibilityCertificate]:
     """u = B+(t) B-(t)^{-1} on the even part and its certificate.  Of the
     axioms only the invertibility of B+-(t) depends on t; the gaps certify it.
     B+-(t) = [[0, X+-], [Y+-, 0]] by degree parity, so u = X+ X-^{-1}."""
-    gs = GradedSum(c.space.grading, c.n, t ** -0.5 * c.D_on)
+    gs = _graded(c, t)
     _require_gaps(c.spectrum if t == 1.0 else gs.spectrum(c.S_on, c.S_skew), tol)
-    u = spectral.right_divide(*gs.blocks(c.S_on))
+    u = spectral.right_divide(*gs.blocks(gs.operand(c.S_on)))
     cert = spectral.invertibility_certificate(u, tol.inv)
     if not cert.passed:
         raise DualityDegenerateError(
@@ -146,11 +151,11 @@ def localized_signature_path(c: HPComplex, t_max: float = 10.0, samples: int = 1
     ranks: list[tuple[int, int]] = []
     min_sv: list[float] = []
     reps: list = []
-    h = 0.5 * (c.S_on + c.S_on.conj().T)
+    h = c.graded.hermitian_part(c.S_on) if even else None
     for t in times:
         try:
             if even:       # one eigensystem of the graded B+(t) serves B-(t)
-                gs = GradedSum(c.space.grading, c.n, t ** -0.5 * c.D_on)
+                gs = _graded(c, t)
                 es = spectral.eig_hermitian(gs.graded_plus(h.copy()))
                 cert = spectral.require_gap(es.eigenvalues, tol.inv, "D+-S",
                                             gs.slack(h, c.S_skew))

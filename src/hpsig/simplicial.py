@@ -504,7 +504,8 @@ def _laplacian_blocks(c: HPComplex, tol: Tolerances
     Returns per degree the eigensystem with the mask of its kernel,
     |lambda| <= tol.inv * max(1, largest |lambda| over all blocks), and the
     harmonic basis u, those kernel vectors lifted to the total space in
-    degree order."""
+    degree order.  The blocks stay complex where D is real: a real eigh picks
+    another basis of each kernel, and the shipped reductions pin this one."""
     sp = c.space
     d_on = c.D_on
     systems = [spectral.eig_hermitian(d_on[sl, :] @ d_on[:, sl], tol.sym)

@@ -19,16 +19,33 @@ class NoSpectralGapError(ArithmeticError):
     """An eigenvalue sits inside the gap tolerance around zero."""
 
 
+def _float_or_complex(a) -> np.ndarray:
+    """a as an array: float64 is kept, anything else is complex128."""
+    m = np.asarray(a)
+    return m if m.dtype == np.float64 else m.astype(complex, copy=False)
+
+
+def real_if_exact(a) -> np.ndarray:
+    """a in float64 when it has no imaginary part, complex128 otherwise: an
+    exact test, with no tolerance.  A complex matrix whose imaginary part is
+    0 has the same decompositions in float64, at a fraction of the cost."""
+    m = _float_or_complex(a)
+    if m.dtype == np.float64 or m.imag.any():
+        return m
+    return np.ascontiguousarray(m.real)
+
+
 def _as_matrix(a) -> np.ndarray:
-    m = np.asarray(a, dtype=complex)
+    m = _float_or_complex(a)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
 def operator_norm(a) -> float:
-    """The 2-norm; a matrix with no nonzero entry has norm 0 without an SVD."""
-    m = np.asarray(a, dtype=complex)
+    """The 2-norm, real for float64 input; a matrix with no nonzero entry has
+    norm 0 without an SVD."""
+    m = _float_or_complex(a)
     if not m.any():
         return 0.0
     return float(np.linalg.norm(m, 2))
@@ -44,9 +61,10 @@ def graded_norm(a, offsets) -> float:
     norm.  A matrix with no nonzero entry has norm 0 without an SVD, one
     group is one SVD of the whole matrix, and several are one batched
     SVD over the groups, zero-padded to a common shape, which only adds zero
-    singular values.
+    singular values.  It is taken in float64 when a has no imaginary part
+    (real_if_exact).
     """
-    m = np.asarray(a, dtype=complex)
+    m = real_if_exact(a)
     if not m.any():
         return 0.0
     ranges = [(lo, hi) for lo, hi in zip(offsets, offsets[1:]) if hi > lo]
@@ -59,7 +77,7 @@ def graded_norm(a, offsets) -> float:
     if len(extent) == 1:
         return float(np.linalg.svd(m, compute_uv=False)[0])
     batch = np.zeros((len(extent), max(r for r, _ in extent), max(c for _, c in extent)),
-                     dtype=complex)
+                     dtype=m.dtype)
     for i, j in links:
         (g, r), (_, c) = place[i], place[len(ranges) + j]
         (rlo, rhi), (clo, chi) = ranges[i], ranges[j]
@@ -159,6 +177,7 @@ def eig_hermitian(a, tol_sym: float = 1e-10) -> HermitianEigensystem:
     so its first non-negligible component is positive real.  Raises
     ``ValueError`` on non-Hermitian input: ||A - A*|| in the Frobenius norm
     (an upper bound on the 2-norm) above tol_sym * max(max |eigenvalue|, 1).
+    A float64 matrix is decomposed in real arithmetic, any other in complex.
     """
     m = _as_matrix(a)
     if m.size == 0:

@@ -182,6 +182,28 @@ def test_duality_block_pattern_enforced():
     assert not rep.passed
 
 
+
+def test_blockwise_residuals_match_the_full_size_definitions():
+    # d^2 is read over its blocks d_{p+1} d_p, and the entries of S outside
+    # the pattern p -> n - p per column degree; the references are the
+    # full-size product and mask
+    cap = cap_duality(load_simplicial(json.loads((FIXTURE_DIR / "cp2_9.json").read_text())))
+    sp = cap.space
+    # integer and dyadic entries: both products are exact
+    for d in (cap.d, cap.d[:1] + (cap.d[1] + 0.5,) + cap.d[2:]):
+        c = HPComplex(sp, d, cap.S, "weak")
+        dt = c.d_total
+        assert c.d_squared_residual == float(np.abs(dt @ dt).max())
+    assert cap.d_squared_residual == 0.0 < c.d_squared_residual
+    for q in range(sp.n + 1):
+        for p in range(sp.n + 1):
+            s = np.array(cap.S)
+            s[sp.offsets[q], sp.offsets[p]] += 0.25 * (1 + q + 2 * p)
+            c = HPComplex(sp, cap.d, s, "weak")
+            ref = float(np.where(c.duality_block_mask(), 0.0, np.abs(s)).max())
+            assert c.S_block_residual == ref
+            assert (ref > 0) == (q != sp.n - p)
+
 def test_json_round_trip_exact():
     for build in (fixtures.cp2_model, fixtures.torus_model, fixtures.hyperbolic_even):
         c = build()

@@ -232,3 +232,67 @@ def test_localized_path_fails_once_the_gap_closes(model):
     assert localized_signature_path(c, 1e15, 2).passed
     with pytest.raises(DualityDegenerateError, match=r"t=1e\+18"):
         localized_signature_path(c, 1e18, 2)
+
+
+def _simplex_boundary(n: int) -> dict:
+    """The boundary of the (n + 1)-simplex, an n-sphere."""
+    return {"n": n, "vertices": n + 2,
+            "facets": [[v for v in range(n + 2) if v != i] for i in range(n + 2)],
+            "orientations": [(-1) ** i for i in range(n + 2)]}
+
+
+def _complex128_schedule(c: HPComplex, times) -> tuple[list, list, list, list]:
+    """Per sample t, from complex128 LAPACK on B+-(t) = t^(-1/2) D +- S: the
+    spectrum (eigenvalues of B+-(t) for even n, singular values of their
+    (even, odd) blocks X+- for odd n), the positive ranks (even n), the least
+    |eigenvalue| of B+(t) or singular value of u = X+ X-^{-1}, and the
+    representative R = P + eps P eps - 1 or u whose steps the schedule takes."""
+    eps, ix = c.space.parity, np.ix_(c.space.grading.even, c.space.grading.odd)
+    spectra, ranks, least, reps = [], [], [], []
+    for t in times:
+        b_plus, b_minus = (np.asarray(t ** -0.5 * c.D_on + sign * c.S_on, dtype=complex)
+                           for sign in (1.0, -1.0))
+        if c.n % 2 == 0:
+            vals, vecs = np.linalg.eigh(b_plus)
+            minus = np.linalg.eigvalsh(b_minus)
+            spectra.append((vals, minus))
+            ranks.append((int((vals > 0).sum()), int((minus > 0).sum())))
+            least.append(float(np.abs(vals).min()))
+            pos = vecs[:, vals > 0]
+            p = pos @ pos.conj().T
+            reps.append(p + np.outer(eps, eps) * p - np.eye(c.total_dim))
+        else:
+            x_plus, x_minus = b_plus[ix], b_minus[ix]
+            spectra.append(tuple(np.linalg.svd(x, compute_uv=False) for x in (x_plus, x_minus)))
+            u = np.linalg.solve(x_minus.T, x_plus.T).T
+            least.append(float(np.linalg.svd(u, compute_uv=False)[-1]))
+            reps.append(u)
+    return spectra, ranks, least, reps
+
+
+@pytest.mark.parametrize("doc", ["cp2_9", 4, 5], ids=["cp2_9", "sphere4", "sphere5"])
+def test_real_decompositions_match_complex_lapack(doc):
+    # D is an integer matrix and S is real for n = 0, 1 (mod 4), so hpsig
+    # decomposes D +- S in float64; the reference takes the same matrices
+    # to complex128 LAPACK
+    if doc == "cp2_9":
+        fixture_dir = Path(__file__).resolve().parent.parent / "fixtures"
+        doc = json.loads((fixture_dir / "cp2_9.json").read_text())
+    else:
+        doc = _simplex_boundary(doc)
+    c = cap_duality(load_simplicial(doc))
+    assert not c.D_on.imag.any() and not c.S_on.imag.any()
+    assert c.spectrum.slack == 0.0       # the gaps are the least |eigenvalues|
+    sched = localized_signature_path(c)
+    assert sched.passed
+    spectra, ranks, least, reps = _complex128_schedule(c, sched.times)
+    for ours, ref in zip(c.spectrum[:2], spectra[0]):
+        np.testing.assert_allclose(ours, ref, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(sched.min_singulars, least, rtol=1e-12, atol=0)
+    steps = [np.linalg.norm(b - a, 2) for a, b in zip(reps, reps[1:])]
+    np.testing.assert_allclose(sched.step_norms, steps, rtol=1e-12, atol=0)
+    if c.n % 2 == 0:
+        assert c.spectrum.positive_ranks() == list(ranks[0])
+        assert sched.ranks == tuple(ranks)
+        assert sched.signatures == tuple(rp - rm for rp, rm in ranks)
+        assert signature_even(c) == ranks[0][0] - ranks[0][1]

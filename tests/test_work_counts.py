@@ -24,15 +24,22 @@ def _namespaces(prefix: str) -> list:
 
 
 class Calls(list):
-    """The shape of the first argument of each call, with the innermost hpsig
-    function that made the call, as "module.function", in callers."""
+    """The shape of the first argument of each call, with its dtype in dtypes
+    and the innermost hpsig function that made the call, as
+    "module.function", in callers."""
 
     def __init__(self):
         super().__init__()
+        self.dtypes = []
         self.callers = []
 
     def by(self, caller: str) -> list:
         return [shape for shape, who in zip(self, self.callers) if who == caller]
+
+    def complex(self) -> list:
+        """The shapes of the calls whose first argument is complex."""
+        return [shape for shape, dtype in zip(self, self.dtypes)
+                if dtype is not None and dtype.kind == "c"]
 
 
 def _hpsig_caller(frame) -> str | None:
@@ -46,12 +53,14 @@ def _hpsig_caller(frame) -> str | None:
 
 def count_calls(monkeypatch, prefix: str, fn) -> Calls:
     """Wrap fn in every module under prefix; the returned list grows per call
-    by the shape of the call's first argument, and its callers by the
-    innermost hpsig function on the stack."""
+    by the shape of the call's first argument, its dtypes by the dtype of
+    that argument (None for one that is not an array), and its callers by
+    the innermost hpsig function on the stack."""
     calls = Calls()
 
     def counted(*args, **kwargs):
         calls.append(np.shape(args[0]) if args else None)
+        calls.dtypes.append(getattr(args[0], "dtype", None) if args else None)
         calls.callers.append(_hpsig_caller(sys._getframe(1)))
         return fn(*args, **kwargs)
 
@@ -545,3 +554,66 @@ def test_chs_takes_one_norm_per_distinct_matrix(monkeypatch):
     mono = family.monodromy_homology_action(fc)
     assert len(mono.loops) == 33         # 48 edges, 15 of them in the spanning tree
     assert normed and len(normed) == len(set(normed))
+
+
+def _simplex_boundary(n: int) -> dict:
+    """The boundary of the (n + 1)-simplex, an n-sphere."""
+    return {"n": n, "vertices": n + 2,
+            "facets": [[v for v in range(n + 2) if v != i] for i in range(n + 2)],
+            "orientations": [(-1) ** i for i in range(n + 2)]}
+
+
+def _decompositions(monkeypatch) -> list:
+    return [count_calls(monkeypatch, "numpy.linalg", fn)
+            for fn in (np.linalg.eigh, np.linalg.eigvalsh, np.linalg.svd, np.linalg.solve)]
+
+
+@pytest.mark.parametrize("command", ["sgn", "check"])
+def test_cp2_9_decomposes_in_real_arithmetic(monkeypatch, capsys, fixture_dir, command):
+    # D is an integer matrix and S is real for n = 4: D +- S and the
+    # validated residuals are decomposed in float64
+    calls = _decompositions(monkeypatch)
+    assert run_cli(capsys, command, str(fixture_dir / "cp2_9.json")) == 0
+    eigh, eigvalsh, svd, _ = calls
+    assert eigvalsh and svd and (eigh or command == "check")
+    assert [c.complex() for c in calls] == [[], [], [], []]
+
+
+def test_sgn_on_the_five_sphere_solves_in_real_arithmetic(monkeypatch, capsys, tmp_path):
+    # n = 5: S is real for n = 1 (mod 4), so the odd samples u = X+ X-^{-1},
+    # their certificates and their step norms are real
+    path = tmp_path / "sphere5.json"
+    path.write_text(json.dumps(_simplex_boundary(5)))
+    _, _, svd, solve = _decompositions(monkeypatch)
+    assert run_cli(capsys, "sgn", str(path)) == 0
+    assert len(solve) == 10 and svd
+    assert svd.complex() == [] and solve.complex() == []
+
+
+def _run_sgn_on(monkeypatch, capsys, tmp_path, c: hpc_core.HPComplex) -> list:
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(hpc_core.hpcomplex_to_json(c)))
+    calls = _decompositions(monkeypatch)
+    assert run_cli(capsys, "sgn", str(path)) == 0
+    return calls
+
+
+def test_sgn_on_a_complex_duality_decomposes_in_complex(monkeypatch, capsys, tmp_path):
+    c = fixtures.random_strict_complex(np.random.default_rng(1), 4, 4)
+    eigh, eigvalsh, _, _ = _run_sgn_on(monkeypatch, capsys, tmp_path, c)
+    assert eigh and eigh.complex() == list(eigh)
+    assert eigvalsh.complex() == list(eigvalsh)
+
+
+def test_the_real_dtype_test_is_exact(monkeypatch, capsys, tmp_path):
+    # one entry of the real cap duality of cp2_9 with imaginary part 1e-300,
+    # far below every tolerance, is enough to keep D +- S complex
+    cap = simplicial.cap_duality(simplicial.load_simplicial(json.loads(
+        (FIXTURE_DIR / "cp2_9.json").read_text())))
+    s = np.array(cap.S)
+    i, j = np.argwhere(s != 0)[0]
+    s[i, j] += 1e-300j
+    c = hpc_core.HPComplex(cap.space, cap.d, s, cap.tier, cap.meta)
+    eigh, eigvalsh, _, _ = _run_sgn_on(monkeypatch, capsys, tmp_path, c)
+    assert len(eigh) == 10 and eigh.complex() == list(eigh)
+    assert (255, 255) in eigvalsh.complex()
