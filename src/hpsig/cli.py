@@ -2,9 +2,12 @@
 certificates, product and parity witnesses, duality-path certificates,
 multiplicativity checks, and the seeded propagation suite.
 
-Reports are canonical JSON (schema hpsig-report/1) and byte-stable for fixed
+Reports are canonical JSON (schema hpsig-report/2) and byte-stable for fixed
 inputs, tolerances, and seed; wall time goes to stderr only so that report
 bytes stay deterministic.  Exit codes: 0 pass, 1 check failure, 2 input error.
+The sgn localization schedule is certified on whole intervals: its check
+carries the least interval margin and, when an interval cannot be
+certified, the time failed_at.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .hpc_core import (DEFAULT_TOL, DomainError, DualityDegenerateError,
                        HPComplex, StructuralError, Tolerances,
                        hpcomplex_from_json, validate)
 
-SCHEMA = "hpsig-report/1"
+SCHEMA = "hpsig-report/2"
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_INPUT_ERROR = 2
@@ -140,7 +143,8 @@ def cmd_sgn(args, tol: Tolerances) -> dict:
         c, t_max=args.t_max, samples=args.samples_schedule, tol=tol)
     data = signature.signature_report(c, tol, schedule)
     checks = [{"name": "localization_schedule", "passed": schedule.passed,
-               "constant": schedule.constant}]
+               "constant": schedule.constant, "failed_at": schedule.failed_at,
+               "margin": schedule.min_margin}]
     if data["kind"] == "even":
         checks.append({"name": "signature_even", "passed": True,
                        "value": data["signature"]})

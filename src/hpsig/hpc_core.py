@@ -239,6 +239,16 @@ class GradedSum:
             self._d_block = d[self._ix]
             self._pad = np.zeros(abs(grading.even.size - grading.odd.size))
 
+    def scaled(self, s: float) -> GradedSum:
+        """This sum for s D.  Only for a D that keeps the grading rules
+        exactly (d_skew = d_off_parity = 0): then every cached number of s D
+        is s times this one's, or 0, so nothing is computed again."""
+        out = copy.copy(self)
+        out._d = s * self._d
+        if not self.even_n:
+            out._d_block = s * self._d_block
+        return out
+
     def operand(self, s: np.ndarray) -> np.ndarray:
         """s in the dtype of D +- s: float64 when neither has an imaginary part."""
         if np.iscomplexobj(self._d):
@@ -401,11 +411,14 @@ class HPComplex:
 
     @cached_property
     def S_squared_residual(self) -> float:
-        return self._norm(self.S_on @ self.S_on - np.eye(self.total_dim))
+        sq = spectral.graded_products(self.space.offsets, (self.S_on, self.S_on))
+        sq[np.diag_indices(self.total_dim)] -= 1.0
+        return self._norm(sq)
 
     @cached_property
     def anticommute_residual(self) -> float:
-        return self._norm(self.S_on @ self.D_on + self.D_on @ self.S_on)
+        s, d = self.S_on, self.D_on
+        return self._norm(spectral.graded_products(self.space.offsets, (s, d), (d, s)))
 
     @cached_property
     def D_norm(self) -> float:
@@ -446,12 +459,6 @@ class HPComplex:
     def spectrum(self) -> DualitySpectrum:
         """The spectrum of D +- S, which decides whether this is Poincaré."""
         return self.graded.spectrum(self.S_on, self.S_skew)
-
-    def b_plus_on(self) -> np.ndarray:
-        return self.D_on + self.S_on
-
-    def b_minus_on(self) -> np.ndarray:
-        return self.D_on - self.S_on
 
     def duality_block_mask(self) -> np.ndarray:
         """Boolean mask of entries allowed by the degree-reversal pattern."""

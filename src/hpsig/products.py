@@ -292,7 +292,7 @@ def witness_even_odd(a: HPComplex, b: HPComplex, samples: int = 11,
     grid = np.linspace(0.0, 1.0, samples)
     idents: list[Identity] = []
     certs: list[InvertibilityCertificate] = []
-    for pm, bop in (("+", a.b_plus_on()), ("-", a.b_minus_on())):
+    for pm, bop in (("+", a.D_on + a.S_on), ("-", a.D_on - a.S_on)):
         es = spectral.eig_hermitian(bop, tol.sym).require_gap(tol.inv,
                                                               "sign-preserving power")
         lam = es.eigenvalues

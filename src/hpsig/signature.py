@@ -60,24 +60,65 @@ class OddIndexRepresentative:
         return self.certificate.passed
 
 
-def _graded(c: HPComplex, t: float) -> GradedSum:
-    """t^(-1/2) D through the grading: the complex's own at t = 1."""
-    return c.graded if t == 1.0 else GradedSum(c.space.grading, c.n, t ** -0.5 * c.D_on)
+def _graded(c: HPComplex, s: float) -> GradedSum:
+    """s D through the grading: the complex's own at s = 1, scaled when
+    its D keeps the grading rules exactly, built again otherwise."""
+    if s == 1.0:
+        return c.graded
+    if c.graded.d_skew or c.graded.d_off_parity:
+        return GradedSum(c.space.grading, c.n, s * c.D_on)
+    return c.graded.scaled(s)
+
+
+@dataclass(frozen=True)
+class _Point:
+    """One sample of B+-(s) = s D +- S, s = t^(-1/2): the positive ranks of
+    B+(s) and B-(s) (even n), a lower bound on the smallest singular value
+    of both, and the threshold that bound must exceed."""
+
+    s: float
+    ranks: tuple[int, int] | None
+    bound: float
+    threshold: float
+
+
+def _even_point(c: HPComplex, tol: Tolerances, s: float, h: np.ndarray) -> _Point:
+    """One eigvalsh of the graded B+(s), behind spectral's Hermitian check,
+    serves B-(s) = -eps B+(s) eps as well; s = 1 reads the cached spectrum.
+    h is the Hermitian part of S.  The bound is the gap less the Weyl slack."""
+    if s == 1.0:
+        vals, slack = c.spectrum.plus, c.spectrum.slack
+    else:
+        gs = _graded(c, s)
+        vals = spectral.eigvals_hermitian(gs.graded_plus(h.copy()))
+        slack = gs.slack(h, c.S_skew)
+    cert = spectral.require_gap(vals, tol.inv, "D+-S", slack)
+    rank = int((vals > 0).sum())
+    return _Point(s, (rank, c.total_dim - rank), cert.min_singular, cert.threshold)
+
+
+def _odd_point(c: HPComplex, tol: Tolerances, s: float) -> tuple[GradedSum, _Point]:
+    """The graded sum of B+-(s) and its sample, read from the gap
+    certificates of X+-; s = 1 reads the cached spectrum."""
+    gs = _graded(c, s)
+    gaps = _require_gaps(c.spectrum if s == 1.0 else gs.spectrum(c.S_on, c.S_skew), tol)
+    return gs, _Point(s, None, min(g.min_singular for g in gaps),
+                      max(g.threshold for g in gaps))
 
 
 def _odd_sample(c: HPComplex, tol: Tolerances, t: float = 1.0
-                ) -> tuple[np.ndarray, InvertibilityCertificate]:
-    """u = B+(t) B-(t)^{-1} on the even part and its certificate.  Of the
-    axioms only the invertibility of B+-(t) depends on t; the gaps certify it.
-    B+-(t) = [[0, X+-], [Y+-, 0]] by degree parity, so u = X+ X-^{-1}."""
-    gs = _graded(c, t)
-    _require_gaps(c.spectrum if t == 1.0 else gs.spectrum(c.S_on, c.S_skew), tol)
+                ) -> tuple[np.ndarray, InvertibilityCertificate, _Point]:
+    """u = B+(t) B-(t)^{-1} on the even part, its certificate, and the
+    sample of B+-(t).  Of the axioms only the invertibility of B+-(t)
+    depends on t; the gaps certify it.  B+-(t) = [[0, X+-], [Y+-, 0]] by
+    degree parity, so u = X+ X-^{-1}."""
+    gs, point = _odd_point(c, tol, t ** -0.5)
     u = spectral.right_divide(*gs.blocks(gs.operand(c.S_on)))
     cert = spectral.invertibility_certificate(u, tol.inv)
     if not cert.passed:
         raise DualityDegenerateError(
             f"odd representative not invertible (min singular {cert.min_singular:.3e})")
-    return u, cert
+    return u, cert, point
 
 
 def _selfadjoint_residual(c: HPComplex) -> float | None:
@@ -95,22 +136,61 @@ def odd_index_representative(c: HPComplex, tol: Tolerances = DEFAULT_TOL
     if c.n % 2 != 1:
         raise DomainError(f"odd representative needs odd top degree, got {c.n}")
     _require_valid(c, tol)
-    u, cert = _odd_sample(c, tol)
+    u, cert, _ = _odd_sample(c, tol)
     return OddIndexRepresentative(u, cert, _selfadjoint_residual(c),
                                   int(c.space.grading.even.size))
 
 
+# bisections of one schedule interval before the schedule fails on it
+_BISECTIONS = 4
+
+
+def _interval(a: _Point, b: _Point, d_norm: float, sample, depth: int = 0
+              ) -> tuple[float, float | None]:
+    """The margin of the interval from a to b, and the t at which it fails,
+    or None once it is certified.
+
+    B+-(s) is ||D||-Lipschitz in s, and so is its smallest singular value,
+    which is therefore at least (a.bound + b.bound - ||D|| (a.s - b.s)) / 2
+    between the two samples.  The margin is that bound less the larger
+    threshold, and the interval is certified when it is positive.  Otherwise
+    sample(s) samples the s-midpoint, whose ranks must equal both ends', and
+    each half is certified in turn, at most _BISECTIONS deep; the margin of
+    a bisected interval is the least of its parts'."""
+    margin = 0.5 * (a.bound + b.bound - d_norm * (a.s - b.s)) - max(a.threshold, b.threshold)
+    if margin > 0.0:
+        return margin, None
+    s = 0.5 * (a.s + b.s)
+    failed = margin, s ** -2.0
+    if depth == _BISECTIONS:
+        return failed
+    try:
+        mid = sample(s)
+    except NoSpectralGapError:
+        return failed
+    if not a.ranks == mid.ranks == b.ranks:
+        return failed
+    left = _interval(a, mid, d_norm, sample, depth + 1)
+    if left[1] is not None:
+        return left
+    right = _interval(mid, b, d_norm, sample, depth + 1)
+    return min(left[0], right[0]), right[1]
+
+
 @dataclass(frozen=True, eq=False)
 class LocalizationSchedule:
-    """Sampled rescaled-metric path of index representatives.
+    """Rescaled-metric path of index representatives, certified on whole
+    intervals.
 
     Rescaling G_p by t^(n/2 - p) leaves S fixed in orthonormal coordinates
-    and scales D by t^(-1/2), so sample t recomputes the parity representative
-    from B+-(t) = t^(-1/2) D +- S through hpc_core.GradedSum; signatures
-    (even) or invertibility certificates (odd) must be constant/pass across
-    the whole schedule.  Even samples decompose B+(t) only: P+(B-(t)) =
-    eps (1 - P) eps for P = P+(B+(t)), so R = P + eps P eps - 1 is 2P - 1 on
-    the parity blocks P_ee and P_oo, which a sample keeps, and 0 between them.
+    and scales D by t^(-1/2), so sample t reads B+-(t) = t^(-1/2) D +- S
+    through hpc_core.GradedSum.  Even samples take one eigvalsh of B+(t):
+    B-(t) = -eps B+(t) eps, so its positive rank is N - rank P+(B+(t)), and
+    the signatures must be constant.  Odd samples certify the representative
+    u = X+ X-^{-1}.  Between samples, the Lipschitz bound of _interval
+    certifies that B+-(t) stays invertible, bisecting an interval that does
+    not close; midpoints lists the times it sampled, and failed_at is the
+    first time at which an interval could not be certified.
     """
 
     kind: str                       # "even" | "odd"
@@ -118,21 +198,27 @@ class LocalizationSchedule:
     signatures: tuple[int, ...] | None
     ranks: tuple[tuple[int, int], ...] | None
     min_singulars: tuple[float, ...]  # even: gap less the Weyl slack; odd: of u
-    step_norms: tuple[float, ...]   # ||R_{k+1} - R_k||_2
-    lipschitz: float                # max step norm / step width
+    margins: tuple[float, ...]      # per interval [times[k], times[k + 1]]
+    midpoints: tuple[float, ...]
+    failed_at: float | None
     constant: bool
     passed: bool
+
+    @property
+    def min_margin(self) -> float | None:
+        return min(self.margins, default=None)
 
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
             "times": list(self.times),
-            "factors": list(self.times),   # scale factor t at time t
             "signatures": list(self.signatures) if self.signatures is not None else None,
             "ranks": [list(r) for r in self.ranks] if self.ranks is not None else None,
             "min_singulars": list(self.min_singulars),
-            "step_norms": list(self.step_norms),
-            "lipschitz": self.lipschitz,
+            "margins": list(self.margins),
+            "min_margin": self.min_margin,
+            "midpoints": list(self.midpoints),
+            "failed_at": self.failed_at,
             "constant": self.constant,
             "passed": self.passed,
         }
@@ -140,7 +226,8 @@ class LocalizationSchedule:
 
 def localized_signature_path(c: HPComplex, t_max: float = 10.0, samples: int = 10,
                              tol: Tolerances = DEFAULT_TOL) -> LocalizationSchedule:
-    """Sample the index representative along inner-product rescalings t in [1, t_max]."""
+    """Sample the index representative along inner-product rescalings t in
+    [1, t_max], and certify the intervals between the samples."""
     if not math.isfinite(t_max):
         raise DomainError(f"t_max must be finite, got {t_max}")
     if t_max < 1.0 or samples < 1:
@@ -148,49 +235,42 @@ def localized_signature_path(c: HPComplex, t_max: float = 10.0, samples: int = 1
     _require_valid(c, tol)
     times = np.linspace(1.0, t_max, samples).tolist()
     even = c.n % 2 == 0
-    ranks: list[tuple[int, int]] = []
-    min_sv: list[float] = []
-    reps: list = []
     h = c.graded.hermitian_part(c.S_on) if even else None
+    points: list[_Point] = []
+    min_sv: list[float] = []
     for t in times:
         try:
-            if even:       # one eigensystem of the graded B+(t) serves B-(t)
-                gs = _graded(c, t)
-                es = spectral.eig_hermitian(gs.graded_plus(h.copy()))
-                cert = spectral.require_gap(es.eigenvalues, tol.inv, "D+-S",
-                                            gs.slack(h, c.S_skew))
-                ranks.append((es.positive_rank(), c.total_dim - es.positive_rank()))
-                pos = es.vectors[:, es.eigenvalues > 0]     # P = pos pos*
-                rep = tuple(pos[ix] @ pos[ix].conj().T for ix in (gs.grading.even, gs.grading.odd))
+            if even:
+                points.append(_even_point(c, tol, t ** -0.5, h))
+                min_sv.append(points[-1].bound)
             else:
-                rep, cert = _odd_sample(c, tol, t)
+                _, cert, point = _odd_sample(c, tol, t)
+                points.append(point)
+                min_sv.append(cert.min_singular)
         except (DualityDegenerateError, NoSpectralGapError) as exc:
             raise DualityDegenerateError(
                 f"localization sample t={t:.6g} failed: {exc}") from exc
-        reps.append(rep)
-        min_sv.append(cert.min_singular)
-    sigs = [rp - rm for rp, rm in ranks]
-    steps = [_step_norm(a, b, even) for a, b in zip(reps, reps[1:])]
-    width = times[1] - times[0] if samples > 1 else 1.0
-    lipschitz = max(steps) / width if steps else 0.0
-    constant = len(set(sigs)) <= 1
-    passed = constant and all(sv > 0 for sv in min_sv)
+    midpoints: list[float] = []
+
+    def sample(s: float) -> _Point:
+        midpoints.append(s ** -2.0)
+        return _even_point(c, tol, s, h) if even else _odd_point(c, tol, s)[1]
+
+    margins, failures = [], []
+    for a, b in zip(points, points[1:]):
+        margin, failed = _interval(a, b, c.D_norm, sample)
+        margins.append(margin)
+        failures.append(failed)
+    failed_at = next((t for t in failures if t is not None), None)
+    sigs = [rp - rm for rp, rm in (p.ranks for p in points)] if even else None
+    constant = not even or len(set(sigs)) <= 1
+    passed = constant and failed_at is None and all(sv > 0 for sv in min_sv)
     return LocalizationSchedule(
         "even" if even else "odd", tuple(times),
         tuple(sigs) if even else None,
-        tuple(ranks) if even else None,
-        tuple(min_sv), tuple(steps), lipschitz, constant, passed)
-
-
-def _step_norm(a, b, even: bool) -> float:
-    """||R_b - R_a||_2.  An even R is kept as its parity blocks (P_ee, P_oo):
-    it is 2P - 1 on each and 0 between them, so the step is 2 max |eigenvalue|
-    of the blocks' Hermitian differences; an empty block contributes 0."""
-    if not even:
-        return spectral.operator_norm(b - a)
-    diffs = [q - p for p, q in zip(a, b) if p.size]
-    return 2.0 * max(float(np.abs(np.linalg.eigvalsh(0.5 * (d + d.conj().T))).max())
-                     for d in diffs)
+        tuple(p.ranks for p in points) if even else None,
+        tuple(min_sv), tuple(margins), tuple(sorted(midpoints)), failed_at,
+        constant, passed)
 
 
 def signature_report(c: HPComplex, tol: Tolerances = DEFAULT_TOL,

@@ -288,15 +288,6 @@ def orient_facets(facets: Sequence[Sequence[int]], n: int) -> list[int]:
     return signs
 
 
-def boundary_matrices(sm: SimplicialManifold) -> tuple[np.ndarray, ...]:
-    """Integer boundary matrices C_p -> C_{p-1}, p = 1..n (cached, read-only)."""
-    return sm.boundaries
-
-
-def coboundary_matrices(sm: SimplicialManifold) -> tuple[np.ndarray, ...]:
-    return tuple(B.T for B in boundary_matrices(sm))
-
-
 def betti_numbers(sm: SimplicialManifold) -> tuple[int, ...]:
     """Exact rational Betti numbers."""
     ranks = [len(pivots) for _, pivots in sm.coboundary_rrefs]
@@ -311,7 +302,7 @@ def cochain_complex(sm: SimplicialManifold) -> HPComplex:
     """Integer cochain complex with the standard basis; no duality attached."""
     dims = sm.dims
     space = GradedSpace(sm.n, dims)
-    ds = tuple(d.astype(complex) for d in coboundary_matrices(sm))
+    ds = tuple(b.T.astype(complex) for b in sm.boundaries)
     return HPComplex(space, ds, None, "weak")
 
 
@@ -323,7 +314,7 @@ def fundamental_cycle(sm: SimplicialManifold) -> np.ndarray:
     for f, eps in zip(sm.facets, sm.orientations):
         z[order[f]] += eps
     if sm.n > 0:
-        bz = boundary_matrices(sm)[-1] @ z
+        bz = sm.boundaries[-1] @ z
         if np.any(bz != 0):
             raise StructuralError("fundamental cycle has nonzero boundary "
                                   "(orientation data is inconsistent)")
@@ -429,14 +420,13 @@ class IntersectionForm:
 
 def _cohomology_basis(sm: SimplicialManifold, p: int) -> list[list[Fraction]]:
     """Rational cocycle representatives of H^p in the standard cochain basis."""
-    ds = coboundary_matrices(sm)
     dim = len(sm.simplices[p])
     kernel = _integer_nullspace(*sm.coboundary_rrefs[p], dim)
-    if p == 0 or not ds[p - 1].size:
+    if p == 0 or not sm.boundaries[p - 1].size:
         image: list[list[int]] = [[] for _ in range(dim)]
     else:
-        # pivot columns of d_in form a basis of its image
-        image = ds[p - 1][:, sm.coboundary_rrefs[p - 1][1]].tolist()
+        # pivot columns of d_in, the transposed boundary, form a basis of its image
+        image = sm.boundaries[p - 1].T[:, sm.coboundary_rrefs[p - 1][1]].tolist()
     # select kernel vectors independent from the image: RREF of [image | kernel]
     # (scaling a column leaves the pivots alone, so integer vectors will do)
     if not dim or not (image[0] or kernel):

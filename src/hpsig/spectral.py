@@ -67,11 +67,8 @@ def graded_norm(a, offsets) -> float:
     m = real_if_exact(a)
     if not m.any():
         return 0.0
-    ranges = [(lo, hi) for lo, hi in zip(offsets, offsets[1:]) if hi > lo]
-    starts = [lo for lo, _ in ranges]
-    rows, cols = np.logical_or.reduceat(
-        np.logical_or.reduceat(m != 0, starts, axis=0), starts, axis=1).nonzero()
-    links = list(zip(rows.tolist(), cols.tolist()))
+    ranges = _degree_ranges(offsets)
+    links = _nonzero_blocks(m, ranges)
     # node i < len(ranges) is row block i, node len(ranges) + j column block j
     place, extent = _block_groups(links, [hi - lo for lo, hi in ranges])
     if len(extent) == 1:
@@ -83,6 +80,46 @@ def graded_norm(a, offsets) -> float:
         (rlo, rhi), (clo, chi) = ranges[i], ranges[j]
         batch[g, r:r + rhi - rlo, c:c + chi - clo] = m[rlo:rhi, clo:chi]
     return float(np.linalg.svd(batch, compute_uv=False)[:, 0].max())
+
+
+def _degree_ranges(offsets) -> list[tuple[int, int]]:
+    """The nonempty index ranges offsets[p]:offsets[p + 1]."""
+    return [(lo, hi) for lo, hi in zip(offsets, offsets[1:]) if hi > lo]
+
+
+def _nonzero_blocks(m: np.ndarray, ranges: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The (row, column) pairs of range numbers whose block of m has a
+    nonzero entry."""
+    starts = [lo for lo, _ in ranges]
+    rows, cols = np.logical_or.reduceat(
+        np.logical_or.reduceat(m != 0, starts, axis=0), starts, axis=1).nonzero()
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
+def graded_products(offsets, *pairs) -> np.ndarray:
+    """The sum of a @ b over the pairs (a, b) of square matrices graded as in
+    graded_norm, formed block by block: each block of a product is the sum,
+    over the inner ranges, of the products of a nonzero block of a and a
+    nonzero block of b, so a block that is 0 in either factor costs
+    nothing.  The products are taken in float64 when no factor has an
+    imaginary part (real_if_exact), in complex128 otherwise, and each
+    distinct factor is converted and scanned for its nonzero blocks once."""
+    ranges = _degree_ranges(offsets)
+    mats = {id(m): _float_or_complex(m) for pair in pairs for m in pair}
+    if all(m.dtype == np.float64 or not m.imag.any() for m in mats.values()):
+        mats = {key: real_if_exact(m) for key, m in mats.items()}
+    else:
+        mats = {key: m.astype(complex, copy=False) for key, m in mats.items()}
+    links = {key: _nonzero_blocks(m, ranges) for key, m in mats.items()}
+    first = next(iter(mats.values()))
+    out = np.zeros(first.shape, dtype=first.dtype)
+    for a, b in pairs:
+        am, bm = mats[id(a)], mats[id(b)]
+        for i, k in links[id(a)]:
+            for j in (j for inner, j in links[id(b)] if inner == k):
+                rows, mid, cols = (slice(*ranges[x]) for x in (i, k, j))
+                out[rows, cols] += am[rows, mid] @ bm[mid, cols]
+    return out
 
 
 def _block_groups(links: list, sizes: list[int]) -> tuple[dict, list]:
@@ -157,9 +194,6 @@ class HermitianEigensystem:
         require_gap(self.eigenvalues, gap_tol, what)
         return self
 
-    def positive_rank(self) -> int:
-        return int((self.eigenvalues > 0).sum())
-
     def positive_projection(self) -> np.ndarray:
         return self.apply(lambda x: 1.0 if x.real > 0 else 0.0)
 
@@ -201,14 +235,20 @@ def positive_projection(a, gap_tol: float = 1e-8, tol_sym: float = 1e-10) -> np.
         gap_tol, "positive projection").positive_projection()
 
 
-def positive_rank(a, gap_tol: float = 1e-8, tol_sym: float = 1e-10) -> int:
-    """Number of positive eigenvalues, certified by the spectral gap; the
-    Hermitian check is that of eig_hermitian, without the eigenvectors."""
+def eigvals_hermitian(a, tol_sym: float = 1e-10) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix: one eigvalsh, behind the
+    Hermitian check of eig_hermitian."""
     m = _as_matrix(a)
     if m.size == 0:
-        return 0
+        return np.zeros(0)
     vals = np.linalg.eigvalsh(m)
     _require_hermitian(m, vals, tol_sym)
+    return vals
+
+
+def positive_rank(a, gap_tol: float = 1e-8, tol_sym: float = 1e-10) -> int:
+    """Number of positive eigenvalues, certified by the spectral gap."""
+    vals = eigvals_hermitian(a, tol_sym)
     require_gap(vals, gap_tol, "positive rank")
     return int((vals > 0).sum())
 

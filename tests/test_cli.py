@@ -26,7 +26,7 @@ def test_check_point_passes(cli_cmd, fixture_dir):
     proc = run(cli_cmd, "check", str(fixture_dir / "point.json"))
     assert proc.returncode == 0
     rep = report_of(proc)
-    assert rep["schema"] == "hpsig-report/1"
+    assert rep["schema"] == "hpsig-report/2"
     assert rep["outcome"] == "pass"
 
 
@@ -179,12 +179,12 @@ def test_coarse_seeded_reproducibility(cli_cmd):
 
 
 # SHA-256 of the coarse report at 100 instances: a change to the random
-# stream or to the checks drawn from it shows here
+# stream or to the checks drawn from it shows here (schema hpsig-report/2)
 COARSE_REPORT_DIGESTS = {
-    ("0", "l2"): "fd59797cb79583297badfabf58edbdd52359763bd0232892929e150693f89504",
-    ("0", "max"): "03d7940a69e697d3fd89dfb3b6681a0942ffcc903a3f87198de44bac5de0727a",
-    ("42", "l2"): "3939c30925c0d94973a87ec021c9c984012a59c40762eba5402ed2790db5ff0b",
-    ("42", "max"): "b5b73e5a9fc127972e13b8ddf9394e3e5103ac024a1083c99d5fab03e1d8e90f",
+    ("0", "l2"): "f87de142d48e7f7432373de72efd94d0ae2e8eff34e300b3877ca6afa62039a8",
+    ("0", "max"): "ca76e6bcf70ebbfd65dd9e3da46c85d67b6f3a8a92b4d22d51cbc936d664ebd2",
+    ("42", "l2"): "a6f75973b76b6a4cc0a13e99b274c2e60e20543fc7a2d74306154a470f9f8aa7",
+    ("42", "max"): "e843d40c0068a8e3a76327bf1c9eb1d7237c2ac19dfd012b28365e28fff21d79",
 }
 
 

@@ -223,7 +223,7 @@ def _kron_witness(a, b, samples, tol=DEFAULT_TOL):
     eye_a, eye_b = np.eye(a.total_dim), np.eye(b.total_dim)
     norm = lambda m: float(np.linalg.norm(m, 2))
     idents, certs = [], []
-    for bop in (a.b_plus_on(), a.b_minus_on()):
+    for bop in (a.D_on + a.S_on, a.D_on - a.S_on):
         es = eig_hermitian(bop)
         for s in np.linspace(0.0, 1.0, samples):
             w = (np.kron(es.apply(lambda x: np.sign(x) * abs(x) ** (1.0 - s)), eye_b)

@@ -23,15 +23,15 @@ def test_point_signature_one():
 
 def test_sphere_model_signature_zero():
     c = fixtures.sphere_model()
-    assert positive_rank(c.b_plus_on()) == 1
-    assert positive_rank(c.b_minus_on()) == 1
+    assert positive_rank(c.D_on + c.S_on) == 1
+    assert positive_rank(c.D_on - c.S_on) == 1
     assert signature_even(c) == 0
 
 
 def test_cp2_model_signature_one():
     c = fixtures.cp2_model()
-    assert positive_rank(c.b_plus_on()) == 2
-    assert positive_rank(c.b_minus_on()) == 1
+    assert positive_rank(c.D_on + c.S_on) == 2
+    assert positive_rank(c.D_on - c.S_on) == 1
     assert signature_even(c) == 1
 
 
@@ -43,10 +43,10 @@ def test_signature_even_rejects_odd_degree():
 def test_rank_complements_on_fixtures():
     for build in (fixtures.sphere_model, fixtures.torus_model, fixtures.cp2_model):
         c = build()
-        assert (positive_rank(c.b_plus_on()) + positive_rank(c.b_minus_on())
+        assert (positive_rank(c.D_on + c.S_on) + positive_rank(c.D_on - c.S_on)
                 == c.total_dim)
     cap = cap_duality(fixtures.torus_triangulation())
-    assert (positive_rank(cap.b_plus_on()) + positive_rank(cap.b_minus_on())
+    assert (positive_rank(cap.D_on + cap.S_on) + positive_rank(cap.D_on - cap.S_on)
             == cap.total_dim)
 
 
@@ -87,8 +87,9 @@ def test_localized_path_cap_sphere_lipschitz():
                                      10.0, 12)
     assert set(sched.signatures) == {0}
     assert sched.passed
-    assert sched.lipschitz >= 0.0
-    assert len(sched.step_norms) == 11
+    # the Lipschitz bound in s = t^(-1/2) certifies each of the 11 intervals
+    assert len(sched.margins) == 11 and sched.min_margin > 0.0
+    assert sched.failed_at is None
 
 
 def test_localized_path_odd_circle():
@@ -141,6 +142,31 @@ def _reference_complexes():
             odd, rescale_inner_products(odd, 1.7)]
 
 
+def _grid_margins(c: HPComplex, sched, least, top) -> list:
+    """The margin of each schedule interval from per-sample least singular
+    values and largest |eigenvalue|s of B+-(t), by the Lipschitz bound in
+    s = t^(-1/2) with ||D||_2 taken dense; None where the schedule bisected."""
+    from hpsig.hpc_core import DEFAULT_TOL
+    s = [t ** -0.5 for t in sched.times]
+    d_norm = np.linalg.norm(c.D_on, 2)
+    out = []
+    for k in range(len(s) - 1):
+        if any(sched.times[k] < m < sched.times[k + 1] for m in sched.midpoints):
+            out.append(None)
+            continue
+        out.append(0.5 * (least[k] + least[k + 1] - d_norm * (s[k] - s[k + 1]))
+                   - DEFAULT_TOL.inv * max(top[k], top[k + 1]))
+    return out
+
+
+def _assert_margins(sched, reference, scale: float) -> None:
+    assert len(sched.margins) == len(reference)
+    pairs = [(m, r) for m, r in zip(sched.margins, reference) if r is not None]
+    assert pairs
+    assert [m for m, _ in pairs] == pytest.approx([r for _, r in pairs], rel=0,
+                                                  abs=1e-12 * scale)
+
+
 @pytest.mark.parametrize("index", range(6), ids=[
     "cp2_model", "circle_model", "cap_sphere", "torus_model_weighted", "random_odd",
     "random_odd_weighted"])
@@ -151,17 +177,18 @@ def test_localized_path_matches_rescaled_complexes(index):
     from hpsig.spectral import eig_hermitian
     c = _reference_complexes()[index]
     sched = localized_signature_path(c, 10.0, 7)
-    reps, ranks = [], []
+    ranks, least, top = [], [], []
     for k, t in enumerate(sched.times):
         ct = rescale_inner_products(c, t)
+        b_plus, b_minus = ct.D_on + ct.S_on, ct.D_on - ct.S_on
+        svs = [np.linalg.svd(b, compute_uv=False) for b in (b_plus, b_minus)]
+        least.append(min(sv[-1] for sv in svs))
+        top.append(max(sv[0] for sv in svs))
         if c.n % 2 == 0:
-            ep, em = eig_hermitian(ct.b_plus_on()), eig_hermitian(ct.b_minus_on())
-            ranks.append((ep.positive_rank(), em.positive_rank()))
-            reps.append(ep.positive_projection() - em.positive_projection())
-            svs = [np.linalg.svd(b, compute_uv=False) for b in (ct.b_plus_on(), ct.b_minus_on())]
-            scale = max(s[0] for s in svs)
-            assert sched.min_singulars[k] == pytest.approx(min(s[-1] for s in svs),
-                                                           rel=0, abs=1e-12 * scale)
+            ep, em = eig_hermitian(b_plus), eig_hermitian(b_minus)
+            ranks.append((int((ep.eigenvalues > 0).sum()), int((em.eigenvalues > 0).sum())))
+            scale = max(sv[0] for sv in svs)
+            assert sched.min_singulars[k] == pytest.approx(least[-1], rel=0, abs=1e-12 * scale)
         else:
             from hpsig.signature import _odd_sample
             rep = odd_index_representative(ct)
@@ -170,26 +197,11 @@ def test_localized_path_matches_rescaled_complexes(index):
             assert np.abs(u - rep.u).max() <= 1e-12 * scale
             assert sched.min_singulars[k] == pytest.approx(rep.certificate.min_singular,
                                                            rel=0, abs=1e-12 * scale)
-            reps.append(rep.u)
     if c.n % 2 == 0:
         assert sched.ranks == tuple(ranks)
         assert sched.signatures == tuple(rp - rm for rp, rm in ranks)
-    steps = [np.linalg.norm(b - a, 2) for a, b in zip(reps, reps[1:])]
-    assert sched.step_norms == pytest.approx(steps, rel=0, abs=1e-12 * max(steps + [1.0]))
-
-
-def _dense_step_norms(c: HPComplex, times) -> list[float]:
-    """||R(t') - R(t)||_2 from the full-size R = P + eps P eps - 1, with P the
-    positive projection of the Hermitian part of t^(-1/2) D + S."""
-    eps = c.space.parity
-    reps = []
-    for t in times:
-        b = t ** -0.5 * c.D_on + c.S_on
-        vals, vecs = np.linalg.eigh(0.5 * (b + b.conj().T))
-        pos = vecs[:, vals > 0]
-        p = pos @ pos.conj().T
-        reps.append(p + np.outer(eps, eps) * p - np.eye(c.total_dim))
-    return [float(np.abs(np.linalg.eigvalsh(b - a)).max()) for a, b in zip(reps, reps[1:])]
+    assert sched.passed and sched.midpoints == ()
+    _assert_margins(sched, _grid_margins(c, sched, least, top), max(top))
 
 
 def _even_schedule_complexes():
@@ -204,14 +216,24 @@ def _even_schedule_complexes():
 
 @pytest.mark.parametrize("index", range(4), ids=["cp2_9", "torus7", "sphere_d3",
                                                  "strict_n4_weighted"])
-def test_even_step_norms_match_the_full_size_representative(index):
-    # the schedule keeps R as its parity blocks 2P_ee - 1 and 2P_oo - 1
+def test_even_margins_match_the_full_size_spectra(index):
+    # the schedule decomposes only the graded B+(t) and reads B-(t) from it;
+    # the reference decomposes the Hermitian parts of both at full size
     c = _even_schedule_complexes()[index]
     sched = localized_signature_path(c)
     assert sched.passed and c.n % 2 == 0
-    dense = _dense_step_norms(c, sched.times)
-    assert min(dense) > 1e-3
-    assert sched.step_norms == pytest.approx(dense, rel=1e-12, abs=0)
+    ranks, least, top = [], [], []
+    for t in sched.times:
+        spectra = []
+        for sign in (1.0, -1.0):
+            b = t ** -0.5 * c.D_on + sign * c.S_on
+            spectra.append(np.linalg.eigvalsh(0.5 * (b + b.conj().T)))
+        ranks.append(tuple(int((v > 0).sum()) for v in spectra))
+        least.append(min(float(np.abs(v).min()) for v in spectra))
+        top.append(max(float(np.abs(v).max()) for v in spectra))
+    assert sched.ranks == tuple(ranks)
+    np.testing.assert_allclose(sched.min_singulars, least, rtol=1e-12, atol=0)
+    _assert_margins(sched, _grid_margins(c, sched, least, top), max(top))
 
 
 def _acyclic(n):
@@ -234,6 +256,49 @@ def test_localized_path_fails_once_the_gap_closes(model):
         localized_signature_path(c, 1e18, 2)
 
 
+def test_cp2_9_first_interval_closes_with_one_midpoint():
+    # on [1, 2] the gaps 0.238 and 0.228 of t = 1 and 2 do not cover
+    # ||D|| (1 - 2^(-1/2)) = 0.879; one sample at the s-midpoint closes both halves
+    sched = localized_signature_path(_even_schedule_complexes()[0])
+    assert len(sched.midpoints) == 1 and 1.0 < sched.midpoints[0] < 2.0
+    assert sched.passed and sched.min_margin == sched.margins[0] > 0.0
+
+
+def _crossing(t_star: float) -> HPComplex:
+    """dims (1, 2, 1), d_0 e0 = e1 and d_1 e2 = e3, S = 1/t_star on degree 1
+    and 1 between degrees 0 and 2.  In the order (e1, e0, e3, e2), B+(t) is
+    tridiagonal with determinant t^-2 - t_star^-2, so one eigenvalue crosses
+    zero at t = t_star, from - to + as t grows; reverse_orientation negates
+    the spectrum of B+(t), and so the direction of the crossing."""
+    s = np.zeros((4, 4))
+    s[1, 1] = s[2, 2] = 1.0 / t_star
+    s[0, 3] = s[3, 0] = 1.0
+    d = (np.array([[1.0], [0.0]]), np.array([[0.0, 1.0]]))
+    return HPComplex(GradedSpace(2, (1, 2, 1)), d, s, "weak")
+
+
+@pytest.mark.parametrize("t_up, t_down", [(2.3, 2.7), (2.5, 2.5)], ids=["apart", "together"])
+def test_crossings_between_samples_fail_the_interval_certificate(t_up, t_down, capsys,
+                                                                tmp_path):
+    # one eigenvalue crosses zero upwards and one downwards between the
+    # samples t = 2 and t = 3, so the ranks agree at every sample and a
+    # verdict read from the samples alone passes.  Apart, the first
+    # midpoint's ranks differ; together, the bisection runs out
+    from hpsig import cli
+    from hpsig.hpc_core import hpcomplex_to_json
+    c = direct_sum(_crossing(t_up), reverse_orientation(_crossing(t_down)))
+    sched = localized_signature_path(c)
+    assert sched.constant and set(sched.ranks) == {(4, 4)}
+    assert not sched.passed and 2.0 < sched.failed_at < 3.0
+    assert sched.margins[1] <= 0.0 < min(sched.margins[:1] + sched.margins[2:])
+    path = tmp_path / "crossing.json"
+    path.write_text(json.dumps(hpcomplex_to_json(c)))
+    assert cli.main(["sgn", str(path)]) == 1
+    check = json.loads(capsys.readouterr().out)["checks"][0]
+    assert check["name"] == "localization_schedule" and not check["passed"]
+    assert check["failed_at"] == sched.failed_at and check["margin"] == sched.min_margin
+
+
 def _simplex_boundary(n: int) -> dict:
     """The boundary of the (n + 1)-simplex, an n-sphere."""
     return {"n": n, "vertices": n + 2,
@@ -241,33 +306,30 @@ def _simplex_boundary(n: int) -> dict:
             "orientations": [(-1) ** i for i in range(n + 2)]}
 
 
-def _complex128_schedule(c: HPComplex, times) -> tuple[list, list, list, list]:
+def _complex128_schedule(c: HPComplex, times) -> tuple[list, list, list, list, list]:
     """Per sample t, from complex128 LAPACK on B+-(t) = t^(-1/2) D +- S: the
     spectrum (eigenvalues of B+-(t) for even n, singular values of their
     (even, odd) blocks X+- for odd n), the positive ranks (even n), the least
-    |eigenvalue| of B+(t) or singular value of u = X+ X-^{-1}, and the
-    representative R = P + eps P eps - 1 or u whose steps the schedule takes."""
-    eps, ix = c.space.parity, np.ix_(c.space.grading.even, c.space.grading.odd)
-    spectra, ranks, least, reps = [], [], [], []
+    |eigenvalue| of B+(t) or singular value of u = X+ X-^{-1}, and the least
+    and largest |eigenvalue| of B+-(t), which the interval margins read."""
+    ix = np.ix_(c.space.grading.even, c.space.grading.odd)
+    spectra, ranks, least, bound, top = [], [], [], [], []
     for t in times:
         b_plus, b_minus = (np.asarray(t ** -0.5 * c.D_on + sign * c.S_on, dtype=complex)
                            for sign in (1.0, -1.0))
         if c.n % 2 == 0:
-            vals, vecs = np.linalg.eigh(b_plus)
-            minus = np.linalg.eigvalsh(b_minus)
-            spectra.append((vals, minus))
-            ranks.append((int((vals > 0).sum()), int((minus > 0).sum())))
-            least.append(float(np.abs(vals).min()))
-            pos = vecs[:, vals > 0]
-            p = pos @ pos.conj().T
-            reps.append(p + np.outer(eps, eps) * p - np.eye(c.total_dim))
+            pair = tuple(np.linalg.eigvalsh(b) for b in (b_plus, b_minus))
+            ranks.append(tuple(int((v > 0).sum()) for v in pair))
+            least.append(float(np.abs(pair[0]).min()))
         else:
             x_plus, x_minus = b_plus[ix], b_minus[ix]
-            spectra.append(tuple(np.linalg.svd(x, compute_uv=False) for x in (x_plus, x_minus)))
+            pair = tuple(np.linalg.svd(x, compute_uv=False) for x in (x_plus, x_minus))
             u = np.linalg.solve(x_minus.T, x_plus.T).T
             least.append(float(np.linalg.svd(u, compute_uv=False)[-1]))
-            reps.append(u)
-    return spectra, ranks, least, reps
+        spectra.append(pair)
+        bound.append(min(float(np.abs(v).min()) for v in pair))
+        top.append(max(float(np.abs(v).max()) for v in pair))
+    return spectra, ranks, least, bound, top
 
 
 @pytest.mark.parametrize("doc", ["cp2_9", 4, 5], ids=["cp2_9", "sphere4", "sphere5"])
@@ -285,12 +347,11 @@ def test_real_decompositions_match_complex_lapack(doc):
     assert c.spectrum.slack == 0.0       # the gaps are the least |eigenvalues|
     sched = localized_signature_path(c)
     assert sched.passed
-    spectra, ranks, least, reps = _complex128_schedule(c, sched.times)
+    spectra, ranks, least, bound, top = _complex128_schedule(c, sched.times)
     for ours, ref in zip(c.spectrum[:2], spectra[0]):
         np.testing.assert_allclose(ours, ref, rtol=1e-12, atol=0)
     np.testing.assert_allclose(sched.min_singulars, least, rtol=1e-12, atol=0)
-    steps = [np.linalg.norm(b - a, 2) for a, b in zip(reps, reps[1:])]
-    np.testing.assert_allclose(sched.step_norms, steps, rtol=1e-12, atol=0)
+    _assert_margins(sched, _grid_margins(c, sched, bound, top), max(top))
     if c.n % 2 == 0:
         assert c.spectrum.positive_ranks() == list(ranks[0])
         assert sched.ranks == tuple(ranks)

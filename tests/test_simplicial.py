@@ -15,7 +15,7 @@ from hpsig.hpc_core import (DEFAULT_TOL, HPComplex, StructuralError,
                             rescale_inner_products, validate)
 from hpsig.rho import validate_homotopy_equivalence
 from hpsig.signature import signature_even
-from hpsig.simplicial import (betti_numbers, boundary_matrices, cap_duality,
+from hpsig.simplicial import (betti_numbers, cap_duality,
                               cochain_complex, fundamental_cycle,
                               harmonic_reduction, intersection_form_oracle,
                               load_simplicial, orient_facets,
@@ -85,14 +85,14 @@ def test_fundamental_cycle_sphere():
     sm = fixtures.sphere_triangulation()
     z = fundamental_cycle(sm)
     assert sorted(z.tolist()) == [-1, -1, 1, 1]
-    assert np.all(boundary_matrices(sm)[-1] @ z == 0)
+    assert np.all(sm.boundaries[-1] @ z == 0)
 
 
 def test_fundamental_cycle_torus_and_reversal():
     sm = fixtures.torus_triangulation()
     z = fundamental_cycle(sm)
     assert np.abs(z).sum() == 14
-    assert np.all(boundary_matrices(sm)[-1] @ z == 0)
+    assert np.all(sm.boundaries[-1] @ z == 0)
     rev = type(sm)(sm.n, sm.vertices, sm.facets,
                    tuple(-s for s in sm.orientations))
     assert np.array_equal(fundamental_cycle(rev), -z)
@@ -416,8 +416,8 @@ def test_check_relabelled_torus_8(tmp_path, capsys):
 
 def test_boundary_matrices_cached_read_only():
     sm = fixtures.cp2_triangulation()
-    bs = boundary_matrices(sm)
-    assert bs is boundary_matrices(sm)
+    bs = sm.boundaries
+    assert bs is sm.boundaries
     for b in bs:
         assert not b.flags.writeable
         with pytest.raises(ValueError):

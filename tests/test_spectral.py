@@ -63,8 +63,8 @@ def test_positive_projection_needs_gap():
 def test_positive_projection_on_harmonic_model():
     # 3-dimensional model: (D+S) has eigenvalues {1, -1, 1}, (D-S) the negatives
     c = fixtures.cp2_model()
-    assert positive_rank(c.b_plus_on()) == 2
-    assert positive_rank(c.b_minus_on()) == 1
+    assert positive_rank(c.D_on + c.S_on) == 2
+    assert positive_rank(c.D_on - c.S_on) == 1
 
 
 def test_projection_properties():
@@ -126,7 +126,7 @@ def test_invertibility_certificate_basics():
 
 def test_invertibility_certificate_on_sphere_model():
     c = fixtures.sphere_model()
-    cert = invertibility_certificate(c.b_minus_on())
+    cert = invertibility_certificate(c.D_on - c.S_on)
     assert cert.passed and cert.min_singular == pytest.approx(1.0)
 
 

@@ -315,9 +315,13 @@ def test_localization_builds_no_rescaled_complex(monkeypatch):
     assert not c.space.has_weights
     rescaled = count_calls(monkeypatch, "hpsig", hpc_core.rescale_inner_products)
     eigh = count_calls(monkeypatch, "numpy.linalg", np.linalg.eigh)
-    signature.localized_signature_path(c, 10.0, 7)
+    eigvalsh = count_calls(monkeypatch, "numpy.linalg", np.linalg.eigvalsh)
+    sched = signature.localized_signature_path(c, 10.0, 7)
     assert len(rescaled) == 0
-    assert len(eigh) == 7                # B+(t) per sample; B-(t) = -eps B+(t) eps
+    # eigenvalues only, of B+(t) per sample: B-(t) = -eps B+(t) eps, and
+    # t = 1 reads the cached spectrum of D + S
+    assert sched.midpoints == ()
+    assert len(eigh) == 0 and len(eigvalsh) == 6
 
 
 def test_even_signature_makes_no_gram_certificate(monkeypatch):
@@ -393,17 +397,18 @@ def test_signature_even_reads_the_cached_spectrum(monkeypatch):
 def test_sgn_cp2_9_eigh_count(monkeypatch, capsys, fixture_dir):
     calls = count_calls(monkeypatch, "numpy.linalg", np.linalg.eigh)
     assert run_cli(capsys, "sgn", str(fixture_dir / "cp2_9.json")) == 0
-    # 1 per schedule sample: the graded B+(t) serves B-(t) as well; the
-    # report reads the cached spectrum
-    assert len(calls) == 10
+    # the schedule needs eigenvalues only
+    assert len(calls) == 0
 
 
 def test_sgn_cp2_9_decomposes_one_full_size_matrix(monkeypatch, capsys, fixture_dir):
     calls = count_calls(monkeypatch, "numpy.linalg", np.linalg.eigvalsh)
     assert run_cli(capsys, "sgn", str(fixture_dir / "cp2_9.json")) == 0
-    # the cached spectrum of D + S; each of the 9 steps is 2(P' - P) on the
-    # 129 even and the 126 odd dimensions, and 0 between them
-    assert sorted(calls) == [(126, 126)] * 9 + [(129, 129)] * 9 + [(255, 255)]
+    # the cached spectrum of D + S, which t = 1 and the report read, the
+    # graded B+(t) of the 9 other samples, and one midpoint of [1, 2]; all
+    # in float64, and none of half size
+    assert calls == [(255, 255)] * 11
+    assert {dtype.name for dtype in calls.dtypes} == {"float64"}
 
 
 def test_check_cp2_9_eigvalsh_count(monkeypatch, capsys, fixture_dir):
@@ -575,7 +580,7 @@ def test_cp2_9_decomposes_in_real_arithmetic(monkeypatch, capsys, fixture_dir, c
     calls = _decompositions(monkeypatch)
     assert run_cli(capsys, command, str(fixture_dir / "cp2_9.json")) == 0
     eigh, eigvalsh, svd, _ = calls
-    assert eigvalsh and svd and (eigh or command == "check")
+    assert eigvalsh and svd and not eigh
     assert [c.complex() for c in calls] == [[], [], [], []]
 
 
@@ -601,8 +606,8 @@ def _run_sgn_on(monkeypatch, capsys, tmp_path, c: hpc_core.HPComplex) -> list:
 def test_sgn_on_a_complex_duality_decomposes_in_complex(monkeypatch, capsys, tmp_path):
     c = fixtures.random_strict_complex(np.random.default_rng(1), 4, 4)
     eigh, eigvalsh, _, _ = _run_sgn_on(monkeypatch, capsys, tmp_path, c)
-    assert eigh and eigh.complex() == list(eigh)
-    assert eigvalsh.complex() == list(eigvalsh)
+    assert not eigh
+    assert eigvalsh and eigvalsh.complex() == list(eigvalsh)
 
 
 def test_the_real_dtype_test_is_exact(monkeypatch, capsys, tmp_path):
@@ -615,5 +620,5 @@ def test_the_real_dtype_test_is_exact(monkeypatch, capsys, tmp_path):
     s[i, j] += 1e-300j
     c = hpc_core.HPComplex(cap.space, cap.d, s, cap.tier, cap.meta)
     eigh, eigvalsh, _, _ = _run_sgn_on(monkeypatch, capsys, tmp_path, c)
-    assert len(eigh) == 10 and eigh.complex() == list(eigh)
-    assert (255, 255) in eigvalsh.complex()
+    assert len(eigh) == 0
+    assert eigvalsh.count((255, 255)) == 11 and eigvalsh.complex() == list(eigvalsh)

@@ -1,0 +1,117 @@
+"""Deterministic work counts of a fixed list of hpsig commands.
+
+Each command runs in process through ``hpsig.cli.main``.  Every call of a
+``numpy.linalg`` routine that reaches LAPACK is counted by routine, shape
+and dtype of its first argument.  Counts do not depend on timing or on the
+machine's load, so two files written by this script can be diffed exactly.
+
+    python3 tools/bench_counts.py --out BENCH_17.json --base HEAD
+
+counts the ``src/`` of the working tree and, with ``--base``, that of a git
+revision, extracted with ``git archive`` into a temporary directory.  Each
+tree is counted in a subprocess of its own, so the two never share an
+import.  Both trees read the working tree's ``fixtures/``, so they see the
+same inputs.  The file also records the git HEAD, whether ``src/`` differs
+from it, and the BLAS thread count.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+ROUTINES = ("eigh", "eigvalsh", "svd", "solve", "inv")
+OPS = ([["check", "fixtures/cp2_9.json"], ["sgn", "fixtures/cp2_9.json"]]
+       + [["rho", f"fixtures/he_{name}.json"]
+          for name in ("identity_sphere_model", "orientation_mismatch", "reduction_sphere_d3")]
+       + [["chs", f"fixtures/fc_{name}.json"]
+          for name in ("mapping_torus_cp2", "sphere_x_cp2", "torus_twist")]
+       + [["coarse", "--instances", "1000"]])
+
+
+def count(src: Path) -> dict:
+    """Per op, its exit code and the calls of each routine, keyed
+    "routine shape dtype"; hpsig is imported from src."""
+    sys.path.insert(0, str(src))
+    import numpy.linalg
+    import numpy.linalg._linalg
+
+    from hpsig import cli
+
+    calls: Counter = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            a = args[0]
+            calls[f"{name} {tuple(getattr(a, 'shape', ()))} {getattr(a, 'dtype', None)}"] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # norm(m, 2) reaches svd through a module global of _linalg
+    for name in ROUTINES:
+        wrapped = counted(name, getattr(numpy.linalg._linalg, name))
+        for ns in (numpy.linalg, numpy.linalg._linalg):
+            setattr(ns, name, wrapped)
+    out = []
+    for argv in OPS:
+        calls.clear()
+        args = [str(ROOT / a) if a.startswith("fixtures/") else a for a in argv]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(args)
+        out.append({"argv": argv, "exit": code, "calls": dict(sorted(calls.items()))})
+    return {"ops": out}
+
+
+def _count_in_subprocess(src: Path) -> dict:
+    proc = subprocess.run([sys.executable, __file__, "--count", str(src)],
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", help="write the JSON here (default: stdout)")
+    parser.add_argument("--base", help="a git revision to count as well")
+    parser.add_argument("--count", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.count:
+        print(json.dumps(count(Path(args.count))))
+        return
+    import numpy  # noqa: F401  (loads the BLAS whose thread count is read)
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from worker import blas_threads
+
+    doc = {"head": _git("rev-parse", "HEAD"),
+           "src_differs_from_head": bool(_git("status", "--porcelain", "--", "src")),
+           "blas_threads": blas_threads()}
+    if args.base:
+        rev = _git("rev-parse", args.base)
+        with tempfile.TemporaryDirectory() as tmp:
+            archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
+                                     capture_output=True, check=True).stdout
+            subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+            doc["base"] = {"rev": rev, **_count_in_subprocess(Path(tmp) / "src")}
+    doc["change"] = {"rev": "working tree", **_count_in_subprocess(ROOT / "src")}
+    text = json.dumps(doc, indent=1) + "\n"
+    if args.out:
+        Path(args.out).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
+if __name__ == "__main__":
+    main()
