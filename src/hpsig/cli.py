@@ -215,44 +215,118 @@ def cmd_chs(args, tol: Tolerances) -> dict:
                    checks, data)
 
 
-def _random_band_operator(rng: np.random.Generator, space: coarse.FiniteMetricSpace,
-                          bandwidth: int) -> coarse.SupportedOperator:
-    n = space.size
-    idx = np.arange(n)
-    band = np.abs(idx[:, None] - idx[None, :]) <= bandwidth
-    # one (real, imaginary) pair per band entry in row-major order: the
-    # stream a scalar draw per entry would read
-    z = rng.standard_normal(2 * int(band.sum()))
-    m = np.zeros((n, n), dtype=complex)
-    m[band] = z[0::2] + 1j * z[1::2]
-    return coarse.SupportedOperator(space, m, 0.0)
+# instances of the coarse suite drawn and checked at once; bounds the memory
+# of the stacked 48 x 48 Kronecker products
+_COARSE_BLOCK = 64
+
+
+@functools.cache
+def _band_entries(n: int, m: int
+                  ) -> tuple[tuple[tuple[np.ndarray, ...], ...], tuple[np.ndarray, ...]]:
+    """Row-major flat indices of the bands the coarse suite draws into: for
+    each pair of bandwidths below 4, the band of a in an n x n matrix and
+    then that of b in a second one; for each bandwidth below 3, the band of
+    c in an m x m matrix.  Built once per process, and read-only."""
+    def bands(size, widths):
+        idx = np.arange(size)
+        off = np.abs(idx[:, None] - idx[None, :])
+        return tuple(np.flatnonzero(off <= w) for w in range(widths))
+
+    big = bands(n, 4)
+    pairs = tuple(tuple(np.concatenate((x, y + n * n)) for y in big) for x in big)
+    small = bands(m, 3)
+    for entries in (*small, *(e for row in pairs for e in row)):
+        entries.setflags(write=False)
+    return pairs, small
+
+
+def _stack(count: int, shape: tuple[int, ...], entries: list[np.ndarray],
+           draws: list[np.ndarray]) -> np.ndarray:
+    """count zero arrays of shape, instance i holding the complex numbers
+    whose (real, imaginary) pairs are draws[i] at its flat indices entries[i]."""
+    size = math.prod(shape)
+    out = np.zeros(count * size, dtype=complex)
+    offsets = np.repeat(np.arange(count) * size, [e.size for e in entries])
+    out[np.concatenate(entries) + offsets] = np.concatenate(draws).view(complex)
+    return out.reshape(count, *shape)
+
+
+def _draw_band_stacks(rng: np.random.Generator, count: int, n: int, m: int
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The next count > 0 instances (a, b, c) of the coarse suite as stacks,
+    a and b of n x n band matrices, c of m x m ones.
+
+    Each instance reads the stream in one order: the bandwidths of a and b,
+    the band entries of a then of b, then the bandwidth and the band entries
+    of c.  A band entry is one (real, imaginary) pair of normals in
+    row-major order, the stream a scalar draw per entry would read."""
+    pairs, small = _band_entries(n, m)
+    ab_at, ab_z, c_at, c_z = [], [], [], []
+    for _ in range(count):
+        entries = pairs[int(rng.integers(0, 4))][int(rng.integers(0, 4))]
+        ab_at.append(entries)
+        ab_z.append(rng.standard_normal(2 * entries.size))
+        entries = small[int(rng.integers(0, 3))]
+        c_at.append(entries)
+        c_z.append(rng.standard_normal(2 * entries.size))
+    ab = _stack(count, (2, n, n), ab_at, ab_z)
+    return ab[:, 0], ab[:, 1], _stack(count, (m, m), c_at, c_z)
+
+
+def _stacked_propagations(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                          space: coarse.FiniteMetricSpace,
+                          small: coarse.FiniteMetricSpace,
+                          prod: coarse.FiniteMetricSpace) -> tuple[np.ndarray, ...]:
+    """Per instance of the stacks a, b on space and c on small, all with
+    support cutoff 0: the propagations of a, b, c, a b and a + b, and those
+    of a (x) c on prod = space x small and along its base."""
+    n, m = space.size, small.size
+
+    def prop(dist, x):
+        return coarse.largest_distance(dist, np.abs(x) > 0.0)
+
+    # a (x) c is formed with its entries in the order (i, j, k, l), one
+    # contiguous m x m block per entry of a, which multiplies about a fifth
+    # faster than the (i k, j l) order of np.kron; prod's distances are
+    # read in the same order
+    def by_blocks(d):
+        return d.reshape(n, m, n, m).transpose(0, 2, 1, 3).reshape(n * n, m * m)
+
+    t_supp = (np.abs(a[:, :, :, None, None] * c[:, None, None, :, :]) > 0.0
+              ).reshape(len(a), n * n, m * m)
+    return (prop(space.dist, a), prop(space.dist, b), prop(small.dist, c),
+            prop(space.dist, np.matmul(a, b)), prop(space.dist, a + b),
+            coarse.largest_distance(by_blocks(prod.dist), t_supp),
+            coarse.largest_distance(by_blocks(prod.base_dist), t_supp))
+
+
+def _coarse_counts(rng: np.random.Generator, instances: int, metric: str,
+                   space: coarse.FiniteMetricSpace, small: coarse.FiniteMetricSpace
+                   ) -> tuple[int, int, int, int]:
+    """How many of instances random band operators a, b on space (bandwidth
+    below 4) and c on small (below 3) obey each propagation bound: the
+    composition a b, the sum a + b, the tensor a (x) c in the metric, and
+    propagation along the base of a (x) c.  Instances are drawn in order and
+    checked _COARSE_BLOCK at a time as stacked arrays."""
+    prod = coarse.product_space(space, small, metric)
+    counts = np.zeros(4, dtype=int)
+    for start in range(0, instances, _COARSE_BLOCK):
+        a, b, c = _draw_band_stacks(rng, min(_COARSE_BLOCK, instances - start),
+                                    space.size, small.size)
+        pa, pb, pc, p_ab, p_sum, p_t, p_base = _stacked_propagations(a, b, c, space,
+                                                                     small, prod)
+        bound = np.hypot(pa, pc) if metric == "l2" else np.maximum(pa, pc)
+        counts += [np.count_nonzero(p_ab <= pa + pb + 1e-9),
+                   np.count_nonzero(p_sum <= np.maximum(pa, pb) + 1e-9),
+                   np.count_nonzero(p_t <= bound + 1e-9),
+                   np.count_nonzero(p_base <= p_t + 1e-9)]
+    return tuple(int(x) for x in counts)
 
 
 def cmd_coarse(args, tol: Tolerances) -> dict:
     rng = np.random.default_rng(args.seed)
-    n_pts = 12
-    space = coarse.path_space(n_pts)
-    small = coarse.path_space(4)
-    sub_ok = ten_ok = base_ok = sum_ok = 0
-    for _ in range(args.instances):
-        ba = int(rng.integers(0, 4))
-        bb = int(rng.integers(0, 4))
-        a = _random_band_operator(rng, space, ba)
-        b = _random_band_operator(rng, space, bb)
-        if coarse.compose(a, b).propagation <= a.propagation + b.propagation + 1e-9:
-            sub_ok += 1
-        if coarse.add(a, b).propagation <= max(a.propagation, b.propagation) + 1e-9:
-            sum_ok += 1
-        c = _random_band_operator(rng, small, int(rng.integers(0, 3)))
-        t = coarse.tensor(a, c, metric=args.metric)
-        if args.metric == "l2":
-            bound = float(np.hypot(a.propagation, c.propagation))
-        else:
-            bound = max(a.propagation, c.propagation)
-        if t.propagation <= bound + 1e-9:
-            ten_ok += 1
-        if coarse.prop_along_base(t) <= t.propagation + 1e-9:
-            base_ok += 1
+    sub_ok, sum_ok, ten_ok, base_ok = _coarse_counts(
+        rng, args.instances, args.metric, coarse.path_space(12), coarse.path_space(4))
     # almost-projection product on a shrinking-propagation pair of paths
     times = tuple(float(t) for t in range(1, 6))
     f_ops, g_ops = [], []

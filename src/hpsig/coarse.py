@@ -58,6 +58,24 @@ class FiniteMetricSpace:
     def size(self) -> int:
         return self.dist.shape[0]
 
+    @cached_property
+    def base_dist(self) -> np.ndarray:
+        """Distance in the base between the images under pi of each pair of
+        points; needs the fibration labeling."""
+        if self.pi is None or self.base is None:
+            raise StructuralError("operator space carries no fibration labeling")
+        pi = np.asarray(self.pi)
+        d = self.base.dist[pi][:, pi]
+        d.setflags(write=False)
+        return d
+
+
+def largest_distance(dist: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Largest entry of dist where support holds, over the last two axes, and
+    0 where it holds nowhere: the propagation of one support or of each
+    support in a stack."""
+    return np.where(support, dist, 0.0).max(axis=(-2, -1), initial=0.0)
+
 
 def path_space(n: int, step: float = 1.0) -> FiniteMetricSpace:
     """n points on a line with unit (or step) spacing."""
@@ -133,9 +151,7 @@ class SupportedOperator:
 
     @cached_property
     def propagation(self) -> float:
-        if not self.support.any():
-            return 0.0
-        return float(self.space.dist[self.support].max())
+        return float(largest_distance(self.space.dist, self.support))
 
     @property
     def norm(self) -> float:
@@ -173,13 +189,7 @@ def tensor(a: SupportedOperator, b: SupportedOperator,
 
 def prop_along_base(op: SupportedOperator) -> float:
     """sup of base distances over the support; needs the fibration labeling."""
-    if op.space.pi is None or op.space.base is None:
-        raise StructuralError("operator space carries no fibration labeling")
-    if not op.support.any():
-        return 0.0
-    pi = np.asarray(op.space.pi)
-    rows, cols = np.nonzero(op.support)
-    return float(op.space.base.dist[pi[rows], pi[cols]].max())
+    return float(largest_distance(op.space.base_dist, op.support))
 
 
 # ---------------------------------------------------------------------------

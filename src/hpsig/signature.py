@@ -126,7 +126,7 @@ def _selfadjoint_residual(c: HPComplex) -> float | None:
     if c.tier != "strict":
         return None
     ev = c.space.grading.even
-    a = (1j * c.D_on @ c.S_on)[np.ix_(ev, ev)]
+    a = (1j * c.D_on[ev, :]) @ c.S_on[:, ev]
     return spectral.operator_norm(a - a.conj().T)
 
 

@@ -533,8 +533,12 @@ def harmonic_reduction(c: HPComplex, tol: Tolerances = DEFAULT_TOL
         inv = np.where(kernel, 0.0, 1.0) / np.where(kernel, 1.0, es.eigenvalues)
         sl = sp.degree_slice(p)
         green_on[sl, sl] = (es.vectors * inv) @ es.vectors.conj().T
+    # d* G maps degree p + 1 to degree p: one block of d* times one of G
     d_on = c.to_orthonormal(c.d_total)
-    hprime_on = d_on.conj().T @ green_on
+    hprime_on = np.zeros((sp.total_dim, sp.total_dim), dtype=complex)
+    for p in range(sp.n):
+        lo, hi = sp.degree_slice(p), sp.degree_slice(p + 1)
+        hprime_on[lo, hi] = d_on[hi, lo].conj().T @ green_on[hi, hi]
     if sp.has_weights:
         hprime = sp.g_half_inv @ hprime_on @ sp.g_half
     else:

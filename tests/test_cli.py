@@ -196,6 +196,23 @@ def test_coarse_report_bytes_are_pinned(cli_cmd, seed, metric):
     assert sha256(proc.stdout).hexdigest() == COARSE_REPORT_DIGESTS[(seed, metric)]
 
 
+# the same at 1000 instances, eight blocks of the stacked suite
+COARSE_1000_REPORT_DIGESTS = {
+    ("0", "l2"): "b211b6c4ce68bea2602eaf58b8abc3ad61221408de816caeb7fa9623a7587d21",
+    ("0", "max"): "05a64cf30890dc39de2b7d5d3df0b37377f8cd95f23a884b6893d0aff431d561",
+    ("42", "l2"): "e8cbc8c5e54532f245babc07b3cae4be5d9d5193f9f4c6127cfc97aca6539d69",
+    ("42", "max"): "f45e13c861aeec8c9c3e96f684f5bafb99c639af8d04ab4d7ec40ffe1114718f",
+}
+
+
+@pytest.mark.parametrize("seed, metric", sorted(COARSE_1000_REPORT_DIGESTS))
+def test_coarse_report_bytes_are_pinned_at_1000_instances(cli_cmd, seed, metric):
+    proc = subprocess.run([*cli_cmd, "coarse", "--instances", "1000", "--seed", seed,
+                           "--metric", metric], capture_output=True)
+    assert proc.returncode == 0
+    assert sha256(proc.stdout).hexdigest() == COARSE_1000_REPORT_DIGESTS[(seed, metric)]
+
+
 def test_json_out_matches_stdout(cli_cmd, fixture_dir, tmp_path):
     out = tmp_path / "report.json"
     proc = run(cli_cmd, "check", str(fixture_dir / "sphere_model.json"),

@@ -2,6 +2,7 @@
 projections, localization paths, and the almost-projection product."""
 
 import gc
+import json
 import weakref
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hpsig import cli
 from hpsig.coarse import (FiniteMetricSpace, LocalizationPath, SupportedOperator,
                           add, almost_projection_product, compose, evaluation,
-                          path_space, product_space, prop_along_base,
+                          largest_distance, path_space, product_space, prop_along_base,
                           propagation, rescale_metric, tensor)
 from hpsig.hpc_core import DomainError, StructuralError
 
@@ -51,6 +52,15 @@ def test_band_matrix_propagation_equals_bandwidth():
         want = max((x.dist[i, j] for i, j in zip(*np.nonzero(op.support))),
                    default=0.0)
         assert propagation(op) == want == b
+
+
+def test_largest_distance_reduces_each_support_in_a_stack():
+    rng = np.random.default_rng(9)
+    x = path_space(7)
+    mats = [band_matrix(rng, 7, b) for b in range(4)] + [np.zeros((7, 7))]
+    ops = [SupportedOperator(x, m) for m in mats]
+    stacked = largest_distance(x.dist, np.stack([op.support for op in ops]))
+    assert stacked.tolist() == [propagation(op) for op in ops] == [0, 1, 2, 3, 0]
 
 
 def test_compose_with_identity_preserves():
@@ -109,14 +119,97 @@ def test_tensor_max_metric_bound():
         assert propagation(t) <= max(propagation(a), propagation(b)) + 1e-12
 
 
-@pytest.mark.parametrize("bandwidth", range(5))
-def test_random_band_operator_matches_scalar_draws(bandwidth):
-    space = path_space(12)
-    rng, ref_rng = np.random.default_rng(bandwidth), np.random.default_rng(bandwidth)
-    op = cli._random_band_operator(rng, space, bandwidth)
-    ref = band_matrix(ref_rng, 12, bandwidth)
-    assert op.matrix.tobytes() == ref.tobytes()
+def scalar_band_draws(rng):
+    """One instance (a, b, c) of the coarse suite drawn one scalar at a time,
+    with its bandwidths: those of a and b, the entries of a then of b, then
+    the bandwidth and the entries of c."""
+    wa, wb = int(rng.integers(0, 4)), int(rng.integers(0, 4))
+    a, b = band_matrix(rng, 12, wa), band_matrix(rng, 12, wb)
+    wc = int(rng.integers(0, 3))
+    return (a, b, band_matrix(rng, 4, wc)), (wa, wb, wc)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_random_band_operator_matches_scalar_draws(seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    stacks = cli._draw_band_stacks(rng, 40, 12, 4)
+    widths = set()
+    for i in range(40):
+        ref, drawn = scalar_band_draws(ref_rng)
+        widths.add(drawn)
+        for stack, m in zip(stacks, ref):
+            assert stack[i].tobytes() == m.tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert {w[0] for w in widths} == {0, 1, 2, 3} and {w[2] for w in widths} == {0, 1, 2}
+
+
+def reference_coarse_counts(rng, instances, metric):
+    """The coarse suite as one loop pass per instance over supported operators."""
+    space, small = path_space(12), path_space(4)
+    sub_ok = sum_ok = ten_ok = base_ok = 0
+    for _ in range(instances):
+        (ma, mb, mc), _ = scalar_band_draws(rng)
+        a, b = SupportedOperator(space, ma, 0.0), SupportedOperator(space, mb, 0.0)
+        c = SupportedOperator(small, mc, 0.0)
+        sub_ok += compose(a, b).propagation <= a.propagation + b.propagation + 1e-9
+        sum_ok += add(a, b).propagation <= max(a.propagation, b.propagation) + 1e-9
+        t = tensor(a, c, metric=metric)
+        if metric == "l2":
+            bound = float(np.hypot(a.propagation, c.propagation))
+        else:
+            bound = max(a.propagation, c.propagation)
+        ten_ok += t.propagation <= bound + 1e-9
+        base_ok += prop_along_base(t) <= t.propagation + 1e-9
+    return sub_ok, sum_ok, ten_ok, base_ok
+
+
+@pytest.mark.parametrize("metric", ["l2", "max"])
+def test_stacked_propagations_match_supported_operators(metric):
+    space, small = path_space(12), path_space(4)
+    a, b, c = cli._draw_band_stacks(np.random.default_rng(3), 60, 12, 4)
+    got = cli._stacked_propagations(a, b, c, space, small,
+                                    product_space(space, small, metric))
+    for i in range(60):
+        oa, ob = SupportedOperator(space, a[i], 0.0), SupportedOperator(space, b[i], 0.0)
+        oc = SupportedOperator(small, c[i], 0.0)
+        t = tensor(oa, oc, metric=metric)
+        want = (oa.propagation, ob.propagation, oc.propagation,
+                compose(oa, ob).propagation, add(oa, ob).propagation,
+                t.propagation, prop_along_base(t))
+        assert tuple(float(p[i]) for p in got) == want
+
+
+@pytest.mark.parametrize("metric", ["l2", "max"])
+@pytest.mark.parametrize("seed", [0, 5, 42])
+def test_stacked_coarse_suite_matches_per_instance_loop(seed, metric):
+    for instances in (0, 1, 127, 128, 129, 300):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        counts = cli._coarse_counts(rng, instances, metric, path_space(12), path_space(4))
+        assert counts == reference_coarse_counts(ref_rng, instances, metric)
+        assert counts == (instances,) * 4
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_coarse_suite_reports_a_widened_product(monkeypatch, capsys):
+    # the support of the first instance's product a b gains the corner
+    # (0, 11), further than any two bandwidths below 4 reach
+    matmul = np.matmul
+    widened = []
+
+    def widen_first(x, y):
+        out = matmul(x, y)
+        if not widened:
+            out[0, 0, -1] = 1.0
+            widened.append(out.shape)
+        return out
+
+    monkeypatch.setattr(np, "matmul", widen_first)
+    assert cli.main(["coarse", "--instances", "300"]) == cli.EXIT_CHECK_FAILURE
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert widened == [(cli._COARSE_BLOCK, 12, 12)]
+    sub = checks.pop("composition_subadditive")
+    assert (sub["ok"], sub["total"], sub["passed"]) == (299, 300, False)
+    assert all(c["passed"] for c in checks.values())
 
 
 @pytest.mark.parametrize("metric", ["l2", "max"])
