@@ -15,9 +15,8 @@ Submodules:
 
 from .hpc_core import (AxiomReport, DomainError, DualityDegenerateError,
                        GradedSpace, HPComplex, StructuralError, Tolerances,
-                       complex_betti, direct_sum, hpcomplex_from_json,
-                       hpcomplex_to_json, rescale_inner_products,
-                       reverse_orientation, validate)
+                       direct_sum, hpcomplex_from_json, hpcomplex_to_json,
+                       rescale_inner_products, reverse_orientation, validate)
 from .signature import (LocalizationSchedule, OddIndexRepresentative,
                         localized_signature_path, odd_index_representative,
                         signature_even)

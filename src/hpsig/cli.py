@@ -220,57 +220,21 @@ def cmd_chs(args, tol: Tolerances) -> dict:
 _COARSE_BLOCK = 64
 
 
-@functools.cache
-def _band_entries(n: int, m: int
-                  ) -> tuple[tuple[tuple[np.ndarray, ...], ...], tuple[np.ndarray, ...]]:
-    """Row-major flat indices of the bands the coarse suite draws into: for
-    each pair of bandwidths below 4, the band of a in an n x n matrix and
-    then that of b in a second one; for each bandwidth below 3, the band of
-    c in an m x m matrix.  Built once per process, and read-only."""
-    def bands(size, widths):
-        idx = np.arange(size)
-        off = np.abs(idx[:, None] - idx[None, :])
-        return tuple(np.flatnonzero(off <= w) for w in range(widths))
-
-    big = bands(n, 4)
-    pairs = tuple(tuple(np.concatenate((x, y + n * n)) for y in big) for x in big)
-    small = bands(m, 3)
-    for entries in (*small, *(e for row in pairs for e in row)):
-        entries.setflags(write=False)
-    return pairs, small
-
-
-def _stack(count: int, shape: tuple[int, ...], entries: list[np.ndarray],
-           draws: list[np.ndarray]) -> np.ndarray:
-    """count zero arrays of shape, instance i holding the complex numbers
-    whose (real, imaginary) pairs are draws[i] at its flat indices entries[i]."""
-    size = math.prod(shape)
-    out = np.zeros(count * size, dtype=complex)
-    offsets = np.repeat(np.arange(count) * size, [e.size for e in entries])
-    out[np.concatenate(entries) + offsets] = np.concatenate(draws).view(complex)
-    return out.reshape(count, *shape)
-
-
 def _draw_band_stacks(rng: np.random.Generator, count: int, n: int, m: int
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The next count > 0 instances (a, b, c) of the coarse suite as stacks,
-    a and b of n x n band matrices, c of m x m ones.
+    """The next count instances (a, b, c) of the coarse suite as stacks: a
+    and b of n x n band matrices of bandwidth below 4, c of m x m ones of
+    bandwidth below 3, with standard complex normal entries on the band.
+    A block takes two generator calls, its bandwidths and then its entries."""
+    widths = rng.integers(0, (4, 4, 3), size=(count, 3))
+    z = rng.standard_normal((count, 2 * (2 * n * n + m * m))).view(complex)
 
-    Each instance reads the stream in one order: the bandwidths of a and b,
-    the band entries of a then of b, then the bandwidth and the band entries
-    of c.  A band entry is one (real, imaginary) pair of normals in
-    row-major order, the stream a scalar draw per entry would read."""
-    pairs, small = _band_entries(n, m)
-    ab_at, ab_z, c_at, c_z = [], [], [], []
-    for _ in range(count):
-        entries = pairs[int(rng.integers(0, 4))][int(rng.integers(0, 4))]
-        ab_at.append(entries)
-        ab_z.append(rng.standard_normal(2 * entries.size))
-        entries = small[int(rng.integers(0, 3))]
-        c_at.append(entries)
-        c_z.append(rng.standard_normal(2 * entries.size))
-    ab = _stack(count, (2, n, n), ab_at, ab_z)
-    return ab[:, 0], ab[:, 1], _stack(count, (m, m), c_at, c_z)
+    def band(entries, size, w):
+        off = np.abs(np.arange(size)[:, None] - np.arange(size))
+        return np.where(off <= w[:, None, None], entries.reshape(-1, size, size), 0.0)
+
+    za, zb, zc = np.split(z, (n * n, 2 * n * n), axis=1)
+    return band(za, n, widths[:, 0]), band(zb, n, widths[:, 1]), band(zc, m, widths[:, 2])
 
 
 def _stacked_propagations(a: np.ndarray, b: np.ndarray, c: np.ndarray,
@@ -420,14 +384,16 @@ def render_report(report: dict) -> str:
 
 
 def _check_domains(args) -> None:
-    """Tolerances must be finite and positive, counts and the seed nonnegative."""
+    """Tolerances must be finite and positive, and each count and the seed at
+    least its least value, before any command runs."""
     for flag, value in (("--tol-sym", args.tol_sym), ("--tol-inv", args.tol_inv)):
         if not (math.isfinite(value) and value > 0):
             raise DomainError(f"{flag} must be finite and > 0, got {value}")
-    if getattr(args, "instances", 0) < 0:
-        raise DomainError(f"--instances must be >= 0, got {args.instances}")
-    if args.seed < 0:
-        raise DomainError(f"--seed must be >= 0, got {args.seed}")
+    for flag, least in (("--instances", 0), ("--samples-cert", 7),
+                        ("--samples-witness", 2), ("--seed", 0)):
+        value = getattr(args, flag[2:].replace("-", "_"), least)
+        if value < least:
+            raise DomainError(f"{flag} must be >= {least}, got {value}")
 
 
 def main(argv=None) -> int:

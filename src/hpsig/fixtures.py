@@ -14,8 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .hpc_core import (GradedSpace, HPComplex, direct_sum, encode_matrix,
-                       hpcomplex_to_json, reverse_orientation)
+from .family import FiberedComplex, fibered_to_json
+from .hpc_core import (GradedSpace, HPComplex, direct_sum, hpcomplex_to_json,
+                       reverse_orientation)
 from .rho import HomotopyEquivalence, he_to_json, identity_equivalence
 from .simplicial import (SimplicialManifold, cap_duality, harmonic_reduction,
                          intersection_form_oracle, load_simplicial,
@@ -234,24 +235,12 @@ def _he_docs() -> dict[str, dict]:
 def _fibered_docs() -> dict[str, dict]:
     sphere = sphere_triangulation()
     circle = circle_triangulation()
-    out: dict[str, dict] = {}
-    out["fc_sphere_x_cp2"] = {
-        "base": sphere.canonical_document(),
-        "fiber": hpcomplex_to_json(cp2_model()),
-        "transitions": {},
+    return {
+        "fc_sphere_x_cp2": fibered_to_json(FiberedComplex(sphere, cp2_model())),
+        "fc_mapping_torus_cp2": fibered_to_json(FiberedComplex(circle, cp2_model())),
+        "fc_torus_twist": fibered_to_json(FiberedComplex(
+            circle, torus_model(), {(2, 0): fiber_rotation_on_torus_model()})),
     }
-    out["fc_mapping_torus_cp2"] = {
-        "base": circle.canonical_document(),
-        "fiber": hpcomplex_to_json(cp2_model()),
-        "transitions": {},
-    }
-    rot = fiber_rotation_on_torus_model()
-    out["fc_torus_twist"] = {
-        "base": circle.canonical_document(),
-        "fiber": hpcomplex_to_json(torus_model()),
-        "transitions": {"2,0": encode_matrix(rot)},
-    }
-    return out
 
 
 def write_corpus(out_dir: str | Path) -> list[Path]:

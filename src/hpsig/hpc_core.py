@@ -460,14 +460,6 @@ class HPComplex:
         """The spectrum of D +- S, which decides whether this is Poincaré."""
         return self.graded.spectrum(self.S_on, self.S_skew)
 
-    def duality_block_mask(self) -> np.ndarray:
-        """Boolean mask of entries allowed by the degree-reversal pattern."""
-        sp = self.space
-        mask = np.zeros((sp.total_dim, sp.total_dim), dtype=bool)
-        for p in range(sp.n + 1):
-            mask[sp.degree_slice(sp.n - p), sp.degree_slice(p)] = True
-        return mask
-
 
 # ---------------------------------------------------------------------------
 # axiom validation
@@ -635,18 +627,6 @@ def reverse_orientation(c: HPComplex) -> HPComplex:
     if c.S is None:
         raise StructuralError("complex carries no duality operator")
     return HPComplex(c.space, c.d, -np.asarray(c.S), c.tier, dict(c.meta))
-
-
-def complex_betti(c: HPComplex) -> tuple[int, ...]:
-    """Betti numbers of the underlying complex (float ranks; fixtures have
-    integer-valued differentials so the rank decisions are safe)."""
-    ranks = [int(np.linalg.matrix_rank(dp)) if dp.size else 0 for dp in c.d]
-    out = []
-    for p in range(c.n + 1):
-        rk_out = ranks[p] if p < len(ranks) else 0
-        rk_in = ranks[p - 1] if p >= 1 else 0
-        out.append(c.space.dims[p] - rk_out - rk_in)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

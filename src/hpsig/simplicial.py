@@ -92,12 +92,6 @@ def _to_fractions(v: list[int], scale: int) -> list[Fraction]:
     return [Fraction(x, scale) if x else zero for x in v]
 
 
-def rational_nullspace(a: np.ndarray) -> list[list[Fraction]]:
-    """Basis of the rational kernel of an integer matrix (columns as vectors)."""
-    a = np.asarray(a, dtype=np.int64)
-    return [_to_fractions(v, s) for v, s in _integer_nullspace(*rref(a.tolist()), a.shape[1])]
-
-
 def symmetric_signature(q: list[list[Fraction]]) -> tuple[int, int, int]:
     """(positives, negatives, zeros) of a symmetric rational matrix by exact
     congruence diagonalization: split off a nonzero diagonal pivot through

@@ -14,8 +14,7 @@ import numpy as np
 
 from hpsig import fixtures
 from hpsig.family import FiberedComplex, chs_check, monodromy_homology_action, total_complex
-from hpsig.hpc_core import (complex_betti, direct_sum, rescale_inner_products,
-                            reverse_orientation, validate)
+from hpsig.hpc_core import direct_sum, rescale_inner_products, reverse_orientation
 from hpsig.products import (graded_tensor, product_signature_check,
                             witness_even_odd, witness_odd_even)
 from hpsig.rho import (HomotopyEquivalence, identity_equivalence,
@@ -134,7 +133,7 @@ def test_criterion_4_rho_certificates():
     crit.finish(ok)
 
 
-def test_criterion_5_family_multiplicativity():
+def test_criterion_5_family_multiplicativity(complex_betti):
     crit = Criterion(5, "untwisted total = graded product, multiplicativity, "
                         "Wang rank constraint", 10.0)
     ok = True

@@ -236,7 +236,8 @@ def test_sgn_certifies_a_skewed_duality_that_check_passes(cli_cmd, tmp_path):
     cap = cap_duality(fixtures.sphere_triangulation())
     rng = np.random.default_rng(0)
     a = rng.standard_normal((cap.total_dim, cap.total_dim))
-    a = np.where(cap.duality_block_mask(), a + a.T, 0.0)
+    degree = np.repeat(np.arange(cap.n + 1), cap.space.dims)
+    a = np.where(degree[:, None] + degree == cap.n, a + a.T, 0.0)
     k = 1j * a / np.linalg.norm(a, 2)
     c = HPComplex(cap.space, cap.d, np.asarray(cap.S) + 4e-11 * k, "weak")
     report = validate(c)
@@ -323,10 +324,17 @@ INPUT_ERRORS = {
                                            "--samples-cert", "0"),
     "rho_even_samples_cert_6": _on_fixture("rho", "he_identity_sphere_model.json",
                                            "--samples-cert", "6"),
+    # checked before the command runs, so a failing path or a product
+    # without a witness does not hide the error
+    "rho_failing_path_samples_cert_0": _on_fixture("rho", "he_orientation_mismatch.json",
+                                                   "--samples-cert", "0"),
     "sgn_t_max_nan": _on_fixture("sgn", "cp2_model.json", "--t-max", "nan"),
     "sgn_t_max_infinite": _on_fixture("sgn", "cp2_model.json", "--t-max", "inf"),
     "product_samples_witness_negative": _even_odd_product("--samples-witness", "-1"),
     "product_samples_witness_0": _even_odd_product("--samples-witness", "0"),
+    "product_without_witness_samples_witness_0": lambda tmp_path, fixture_dir: [
+        "product", str(fixture_dir / "cp2_model.json"), str(fixture_dir / "cp2_model.json"),
+        "--samples-witness", "0"],
     "he_without_f": _edited("check", "he_identity_sphere_model.json",
                             lambda doc: doc.pop("f")),
     "fibered_transitions_list": _edited("check", "fc_sphere_x_cp2.json",
@@ -353,6 +361,16 @@ def test_input_errors_exit_two_with_one_line(cli_cmd, fixture_dir, tmp_path, cas
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("case, least", [("rho_even_samples_cert_0", 7),
+                                         ("rho_failing_path_samples_cert_0", 7),
+                                         ("product_samples_witness_0", 2),
+                                         ("product_without_witness_samples_witness_0", 2)])
+def test_count_flag_errors_name_the_flag(cli_cmd, fixture_dir, tmp_path, case, least):
+    argv = INPUT_ERRORS[case](tmp_path, fixture_dir)
+    proc = run(cli_cmd, *argv)
+    assert proc.stderr == f"error: {argv[-2]} must be >= {least}, got 0\n"
 
 
 def test_main_dispatches_to_the_current_cmd_function(monkeypatch, capsys, fixture_dir):

@@ -119,36 +119,45 @@ def test_tensor_max_metric_bound():
         assert propagation(t) <= max(propagation(a), propagation(b)) + 1e-12
 
 
-def scalar_band_draws(rng):
-    """One instance (a, b, c) of the coarse suite drawn one scalar at a time,
-    with its bandwidths: those of a and b, the entries of a then of b, then
-    the bandwidth and the entries of c."""
-    wa, wb = int(rng.integers(0, 4)), int(rng.integers(0, 4))
-    a, b = band_matrix(rng, 12, wa), band_matrix(rng, 12, wb)
-    wc = int(rng.integers(0, 3))
-    return (a, b, band_matrix(rng, 4, wc)), (wa, wb, wc)
+def drawn_widths(stack):
+    """Per matrix of a stack of band matrices, the largest |i - j| of its
+    nonzero entries, asserting its support is the whole band of that width."""
+    size = stack.shape[-1]
+    off = np.abs(np.arange(size)[:, None] - np.arange(size))
+    widths = [int(off[m != 0].max(initial=0)) for m in stack]
+    for m, w in zip(stack, widths):
+        assert np.array_equal(m != 0, off <= w)
+    return widths
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_random_band_operator_matches_scalar_draws(seed):
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    stacks = cli._draw_band_stacks(rng, 40, 12, 4)
-    widths = set()
-    for i in range(40):
-        ref, drawn = scalar_band_draws(ref_rng)
-        widths.add(drawn)
-        for stack, m in zip(stacks, ref):
-            assert stack[i].tobytes() == m.tobytes()
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert {w[0] for w in widths} == {0, 1, 2, 3} and {w[2] for w in widths} == {0, 1, 2}
+    # each drawn matrix is zero exactly off a band, its bandwidths cover
+    # every allowed value, a, b and c share no entry, and the seed fixes
+    # the stacks
+    stacks = cli._draw_band_stacks(np.random.default_rng(seed), 40, 12, 4)
+    again = cli._draw_band_stacks(np.random.default_rng(seed), 40, 12, 4)
+    assert [s.shape for s in stacks] == [(40, 12, 12), (40, 12, 12), (40, 4, 4)]
+    assert all(s.tobytes() == t.tobytes() for s, t in zip(stacks, again))
+    widths = [set(drawn_widths(s)) for s in stacks]
+    assert widths == [{0, 1, 2, 3}, {0, 1, 2, 3}, {0, 1, 2}]
+    va, vb, vc = (set(s[s != 0].tolist()) for s in stacks)
+    assert not (va & vb or va & vc or vb & vc)
 
 
-def reference_coarse_counts(rng, instances, metric):
-    """The coarse suite as one loop pass per instance over supported operators."""
+def drawn_instances(rng, instances):
+    """The instances (a, b, c) _coarse_counts draws from rng, block by block."""
+    for start in range(0, instances, cli._COARSE_BLOCK):
+        yield from zip(*cli._draw_band_stacks(
+            rng, min(cli._COARSE_BLOCK, instances - start), 12, 4))
+
+
+def reference_coarse_counts(stacks, metric):
+    """The coarse suite on the drawn instances (a, b, c) as one loop pass per
+    instance over supported operators."""
     space, small = path_space(12), path_space(4)
     sub_ok = sum_ok = ten_ok = base_ok = 0
-    for _ in range(instances):
-        (ma, mb, mc), _ = scalar_band_draws(rng)
+    for ma, mb, mc in stacks:
         a, b = SupportedOperator(space, ma, 0.0), SupportedOperator(space, mb, 0.0)
         c = SupportedOperator(small, mc, 0.0)
         sub_ok += compose(a, b).propagation <= a.propagation + b.propagation + 1e-9
@@ -185,7 +194,7 @@ def test_stacked_coarse_suite_matches_per_instance_loop(seed, metric):
     for instances in (0, 1, 127, 128, 129, 300):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         counts = cli._coarse_counts(rng, instances, metric, path_space(12), path_space(4))
-        assert counts == reference_coarse_counts(ref_rng, instances, metric)
+        assert counts == reference_coarse_counts(drawn_instances(ref_rng, instances), metric)
         assert counts == (instances,) * 4
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 

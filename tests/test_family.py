@@ -8,8 +8,7 @@ from hpsig.family import (FiberedComplex, chs_check, family_signature_section,
                           fibered_from_json, fibered_to_json,
                           monodromy_homology_action, total_complex,
                           validate_fibered)
-from hpsig.hpc_core import (StructuralError, complex_betti, hpcomplex_to_json,
-                            validate)
+from hpsig.hpc_core import StructuralError, hpcomplex_to_json, validate
 from hpsig.products import graded_tensor
 from hpsig.simplicial import cap_duality
 
@@ -87,7 +86,7 @@ def test_twisted_torus_total_validates():
     assert np.abs(d @ d).max() == 0.0
 
 
-def test_twisted_torus_wang_betti():
+def test_twisted_torus_wang_betti(complex_betti):
     # independent oracle: Wang rank constraint from the monodromy action
     fc = torus_twist()
     mono = monodromy_homology_action(fc)

@@ -9,11 +9,11 @@ import pytest
 from hpsig import fixtures
 from hpsig.family import fibered_from_json, total_complex
 from hpsig.hpc_core import (DEFAULT_TOL, GradedSpace, HPComplex, StructuralError,
-                            DomainError, Tolerances, complex_betti, direct_sum, hpcomplex_from_json,
+                            DomainError, Tolerances, direct_sum, hpcomplex_from_json,
                             hpcomplex_to_json, rescale_inner_products,
                             reverse_orientation, validate)
 from hpsig.signature import signature_even
-from hpsig.simplicial import cap_duality, cochain_complex, load_simplicial
+from hpsig.simplicial import betti_numbers, cap_duality, cochain_complex, load_simplicial
 from hpsig.spectral import operator_norm
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -195,12 +195,13 @@ def test_blockwise_residuals_match_the_full_size_definitions():
         dt = c.d_total
         assert c.d_squared_residual == float(np.abs(dt @ dt).max())
     assert cap.d_squared_residual == 0.0 < c.d_squared_residual
+    degree = np.repeat(np.arange(sp.n + 1), sp.dims)
     for q in range(sp.n + 1):
         for p in range(sp.n + 1):
             s = np.array(cap.S)
             s[sp.offsets[q], sp.offsets[p]] += 0.25 * (1 + q + 2 * p)
             c = HPComplex(sp, cap.d, s, "weak")
-            ref = float(np.where(c.duality_block_mask(), 0.0, np.abs(s)).max())
+            ref = float(np.where(degree[:, None] + degree == sp.n, 0.0, np.abs(s)).max())
             assert c.S_block_residual == ref
             assert (ref > 0) == (q != sp.n - p)
 
@@ -223,9 +224,11 @@ def test_json_round_trip_with_weights():
     assert validate(back).passed
 
 
-def test_complex_betti_matches_known_values():
-    assert complex_betti(cochain_complex(fixtures.sphere_triangulation())) == (1, 0, 1)
-    assert complex_betti(cochain_complex(fixtures.torus_triangulation())) == (1, 2, 1)
+def test_complex_betti_matches_known_values(complex_betti):
+    # the float ranks of the test-side helper agree with the exact oracle
+    for sm, want in ((fixtures.sphere_triangulation(), (1, 0, 1)),
+                     (fixtures.torus_triangulation(), (1, 2, 1))):
+        assert complex_betti(cochain_complex(sm)) == betti_numbers(sm) == want
 
 
 def _shipped_complexes():

@@ -5,14 +5,15 @@ Each command runs in process through ``hpsig.cli.main``.  Every call of a
 and dtype of its first argument.  Counts do not depend on timing or on the
 machine's load, so two files written by this script can be diffed exactly.
 
-    python3 tools/bench_counts.py --out BENCH_17.json --base HEAD
+    python3 tools/bench_counts.py --out BENCH_19.json --base HEAD
 
 counts the ``src/`` of the working tree and, with ``--base``, that of a git
 revision, extracted with ``git archive`` into a temporary directory.  Each
 tree is counted in a subprocess of its own, so the two never share an
 import.  Both trees read the working tree's ``fixtures/``, so they see the
-same inputs.  The file also records the git HEAD, whether ``src/`` differs
-from it, and the BLAS thread count.
+same inputs.  Each tree also records the line count of its
+``src/hpsig/*.py``.  The file also records the git HEAD, whether ``src/``
+differs from it, and the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -38,8 +39,11 @@ OPS = ([["check", "fixtures/cp2_9.json"], ["sgn", "fixtures/cp2_9.json"]]
 
 
 def count(src: Path) -> dict:
-    """Per op, its exit code and the calls of each routine, keyed
-    "routine shape dtype"; hpsig is imported from src."""
+    """The line count of each src/hpsig/*.py and their total, and per op, its
+    exit code and the calls of each routine, keyed "routine shape dtype";
+    hpsig is imported from src."""
+    lines = {p.name: len(p.read_text().splitlines())
+             for p in sorted((src / "hpsig").glob("*.py"))}
     sys.path.insert(0, str(src))
     import numpy.linalg
     import numpy.linalg._linalg
@@ -67,7 +71,7 @@ def count(src: Path) -> dict:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(args)
         out.append({"argv": argv, "exit": code, "calls": dict(sorted(calls.items()))})
-    return {"ops": out}
+    return {"src_lines": {"total": sum(lines.values()), **lines}, "ops": out}
 
 
 def _count_in_subprocess(src: Path) -> dict:
