@@ -2,12 +2,12 @@
 certificates, product and parity witnesses, duality-path certificates,
 multiplicativity checks, and the seeded propagation suite.
 
-Reports are canonical JSON (schema hpsig-report/2) and byte-stable for fixed
+Reports are canonical JSON (schema hpsig-report/3) and byte-stable for fixed
 inputs, tolerances, and seed; wall time goes to stderr only so that report
 bytes stay deterministic.  Exit codes: 0 pass, 1 check failure, 2 input error.
-The sgn localization schedule is certified on whole intervals: its check
-carries the least interval margin and, when an interval cannot be
-certified, the time failed_at.
+The sgn localization schedule and the rho duality path are certified on
+whole intervals: each reports its interval margins and, when an interval
+cannot be certified, the time failed_at.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .hpc_core import (DEFAULT_TOL, DomainError, DualityDegenerateError,
                        HPComplex, StructuralError, Tolerances,
                        hpcomplex_from_json, validate)
 
-SCHEMA = "hpsig-report/2"
+SCHEMA = "hpsig-report/3"
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_INPUT_ERROR = 2
@@ -360,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rho", parents=[common],
                        help="duality path and parity certificate for an equivalence")
     p.add_argument("path")
-    p.add_argument("--samples", type=int, default=601)
+    p.add_argument("--samples", type=int, default=7)
     p.add_argument("--samples-cert", type=int, default=121)
 
     p = sub.add_parser("chs", parents=[common],
@@ -384,13 +384,18 @@ def render_report(report: dict) -> str:
 
 
 def _check_domains(args) -> None:
-    """Tolerances must be finite and positive, and each count and the seed at
-    least its least value, before any command runs."""
+    """Tolerances must be finite and positive, --t-max finite and at least
+    1, and each count and the seed at least its least value, before any
+    command runs."""
     for flag, value in (("--tol-sym", args.tol_sym), ("--tol-inv", args.tol_inv)):
         if not (math.isfinite(value) and value > 0):
             raise DomainError(f"{flag} must be finite and > 0, got {value}")
-    for flag, least in (("--instances", 0), ("--samples-cert", 7),
-                        ("--samples-witness", 2), ("--seed", 0)):
+    t_max = getattr(args, "t_max", 1.0)
+    if not (math.isfinite(t_max) and t_max >= 1.0):
+        raise DomainError(f"--t-max must be finite and >= 1, got {t_max}")
+    for flag, least in (("--instances", 0), ("--samples", 7), ("--samples-cert", 7),
+                        ("--samples-schedule", 1), ("--samples-witness", 2),
+                        ("--seed", 0)):
         value = getattr(args, flag[2:].replace("-", "_"), least)
         if value < least:
             raise DomainError(f"{flag} must be >= {least}, got {value}")

@@ -211,6 +211,18 @@ def fiber_rotation_on_torus_model() -> np.ndarray:
     return r
 
 
+def offgrid_crossing(c: HPComplex, alpha_squared: float = 0.988) -> HomotopyEquivalence:
+    """c to its reverse orientation by f = alpha 1 and g = 1/alpha, with
+    h = h' = 0.  The source block of the duality path is (1 - t (1 +
+    alpha^2)) S', so D + S_f(t) is singular at t* = 1 / (1 + alpha^2)
+    when D = 0; for alpha^2 = 0.988 that is t* = 0.50302, off every grid
+    of step 0.01."""
+    a = alpha_squared ** 0.5
+    eye = np.eye(c.total_dim, dtype=complex)
+    zero = np.zeros_like(eye)
+    return HomotopyEquivalence(c, reverse_orientation(c), a * eye, eye / a, zero, zero.copy())
+
+
 # ---------------------------------------------------------------------------
 # corpus files
 
@@ -229,6 +241,7 @@ def _he_docs() -> dict[str, dict]:
     flipped = reverse_orientation(sphere_model())
     out["he_orientation_mismatch"] = he_to_json(HomotopyEquivalence(
         sphere_model(), flipped, ident.f, ident.g, ident.h, ident.h_prime))
+    out["he_offgrid_crossing"] = he_to_json(offgrid_crossing(circle_model()))
     return out
 
 

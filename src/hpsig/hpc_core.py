@@ -261,9 +261,13 @@ class GradedSum:
         h *= 0.5
         return self.operand(h)
 
+    def parity_violation(self, h: np.ndarray) -> np.ndarray:
+        """The entries of h breaking the parity rules, flattened."""
+        return h[self._s_off]
+
     def off_parity(self, h: np.ndarray) -> float:
         """Frobenius norm of the entries of D and of h breaking the parity rules."""
-        return self.d_off_parity + float(np.linalg.norm(h[self._s_off]))
+        return self.d_off_parity + float(np.linalg.norm(self.parity_violation(h)))
 
     def slack(self, h: np.ndarray, s_skew: float) -> float:
         """For h the Hermitian part of S and s_skew >= ||S - S*||_2."""

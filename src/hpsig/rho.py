@@ -4,14 +4,15 @@ certificates along it, and the projection families for the even case.
 
 The path lives on A' + A with D = D' + D and duality diag(S', -S).  It
 connects diag(S', -S) at t = 0 to its negative at t = 6 through five
-junctions; every sampled point must keep D +- S_f(t) invertible.  A failure
-is reported with its location t* rather than assumed away.
+junctions; D +- S_f(t) must stay invertible at every t, which is certified
+on whole intervals from finitely many samples.  A failure is reported with
+its location t* rather than assumed away.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -21,8 +22,7 @@ from .hpc_core import (DEFAULT_TOL, DomainError, DualityDegenerateError, GradedS
                        Grading, HPComplex, StructuralError, Tolerances, decode_matrix,
                        direct_sum, encode_matrix, hpcomplex_from_json,
                        hpcomplex_to_json, reverse_orientation, validate)
-from .signature import LocalizationSchedule, localized_signature_path
-from .spectral import NoSpectralGapError
+from .signature import LocalizationSchedule, _interval, _Point, localized_signature_path
 
 JUNCTIONS = (1.0, 2.0, 3.0, 4.0, 5.0)
 
@@ -175,84 +175,110 @@ class _PathData:
     def diag_duality(self) -> np.ndarray:
         return self.assemble(self.Sp, None, None, -self.S)
 
-    @cached_property
-    def phase_sample(self) -> _Sample:
-        """The sample at t = 2, which stands for every t in [2, 4]."""
-        return _sample(self, 2.0)
+    def lipschitz(self) -> tuple[float, float]:
+        """Bounds on ||d S_f(t) / dt||_2 over [0, 1] and over [1, 2].  Only
+        the source block moves on the first.  The second is cos(th) A +
+        sin(th) B, th = pi (t - 1) / 2, for A = diag(f*Sf, -S) and B =
+        [[0, f*S], [Sf, 0]], whose derivative is at most pi/2 (||A|| + ||B||)."""
+        norm = spectral.operator_norm
+        return (norm(self.fSf - self.Sp),
+                0.5 * np.pi * (max(norm(self.fSf), self.he.target.S_norm)
+                               + max(norm(self.fS), norm(self.Sf))))
+
+
+def _parts(pd: _PathData, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """S_f(t) = H + K/2 with H Hermitian and K skew: H and K."""
+    sf = pd.value(t)
+    k = sf - sf.conj().T
+    return sf - 0.5 * k, k
+
+
+def _rotation_sup(x: np.ndarray, y: np.ndarray) -> float:
+    """The largest ||cos(th) x + sin(th) y||_F over all th: the root of the
+    largest eigenvalue of the real Gram matrix of x and y."""
+    a, c, b = np.vdot(x, x).real, np.vdot(y, y).real, np.vdot(x, y).real
+    return float(np.sqrt(0.5 * (a + c) + np.hypot(0.5 * (a - c), b)))
+
+
+def _skew_bounds(pd: _PathData) -> tuple[float, float]:
+    """Bounds over the whole path on ||K(t)||_F and on the Frobenius norm of
+    the parity-violating entries of D + H(t).  Both parts are affine in t on
+    [0, 1], so their norms are largest at an end; on [1, 2] they are
+    cos(th) X + sin(th) Y for X, Y their values at t = 1, 2; [2, 4] keeps
+    the norms of t = 2 and (4, 6] mirrors [0, 2).  Both bounds are raised
+    by a relative 1e-12, so that they stay above the norms as they are
+    rounded at any t."""
+    gs = pd.graded
+    (h0, k0), (h1, k1), (h2, k2) = (_parts(pd, t) for t in (0.0, 1.0, 2.0))
+    p0, p1, p2 = (gs.parity_violation(h) for h in (h0, h1, h2))
+    skew = max(float(np.linalg.norm(k0)), _rotation_sup(k1, k2))
+    off = gs.d_off_parity + max(float(np.linalg.norm(p0)), _rotation_sup(p1, p2))
+    up = 1.0 + 1e-12
+    return skew * up, off * up
 
 
 class _Sample(NamedTuple):
-    """One path sample of the graded parts of D +- H, where S_f(t) = H + K/2
-    splits into Hermitian part H and skew part K."""
+    """One path sample of the graded parts of D +- H."""
 
     plus: float                # min |eigenvalue| of the graded D + H
     minus: float               # min |eigenvalue| of the graded D - H
-    skew: float                # ||K||_F
-    off_parity: float          # ||parity-violating part of D and H||_F
     rank: int | None = None    # even n: positive eigenvalues of D + H
-    top: float | None = None   # even n: max |eigenvalue| of D + H
     negative: int | None = None  # even n: negative eigenvalues of D + H
 
     def mirrored(self) -> _Sample:
         """The sample at 6 - t read from this one at t: D +- S_f(6 - t) is
         D -+ S_f(t), and for even n the positive eigenvalues of D - H are
         the negative ones of D + H, since eps (D + H) eps = -(D - H)."""
-        return self._replace(plus=self.minus, minus=self.plus,
-                             rank=self.negative, negative=self.rank)
+        return _Sample(self.minus, self.plus, self.negative, self.rank)
 
 
 def _sample(pd: _PathData, t: float) -> _Sample:
-    """D +- H at path time t through hpc_core.GradedSum: by Weyl, the least
-    singular value of D +- S_f(t) is at least min |eigenvalue| of the graded
-    D +- H less (||K||_F + ||D - D*||_F) / 2 and the parity-violating norm."""
+    """D +- H at path time t through hpc_core.GradedSum: one eigvalsh of the
+    graded D + H for even n, two half-size SVDs for odd n."""
     gs = pd.graded
-    sf = pd.value(t)
-    k = sf - sf.conj().T
-    h = sf - 0.5 * k
-    skew = float(np.linalg.norm(k))
-    off = gs.off_parity(h)
+    h = _parts(pd, t)[0]
     if gs.even_n:
         vals = np.linalg.eigvalsh(gs.graded_plus(h))
-        size = np.abs(vals)
-        gap = float(size.min())
-        return _Sample(gap, gap, skew, off, int((vals > 0).sum()), float(size.max()),
-                       int((vals < 0).sum()))
-    return _Sample(*(float(sv[-1]) for sv in gs.singular_values(h)), skew, off)
+        gap = float(np.abs(vals).min())
+        return _Sample(gap, gap, int((vals > 0).sum()), int((vals < 0).sum()))
+    return _Sample(*(float(sv[-1]) for sv in gs.singular_values(h)))
 
 
-def _read(pd: _PathData, t: float) -> _Sample:
-    """The sample at path time t, decomposed only for t < 2.  On [2, 4),
-    D + S_f(t) = U (D + S_f(2)) U* for U = diag(1, e^{-i pi (t - 2)/2}),
-    which commutes with D and eps, so every field is that of t = 2; t = 4
-    is the end of the same branch, up to the junction residual.  Past 4,
-    branch(4, t) = -branch(1, 6 - t) and branch(5, t) = -branch(0, 6 - t)."""
-    if t > 4.0:
-        return _sample(pd, 6.0 - t).mirrored()
-    if t >= 2.0:
-        return pd.phase_sample
-    return _sample(pd, t)
+# bisections of one path interval before the path fails on it: a unit
+# interval of the default grid is cut down to 1/128, finer than 0.01
+_BISECTIONS = 7
 
 
 @dataclass(frozen=True, eq=False)
 class RhoPath:
-    """Sampled duality path with invertibility certificates.
+    """Duality path certified invertible on whole intervals.
 
-    min_sv_plus, min_sv_minus and refined_min_sv are min |eigenvalue| of the
-    graded Hermitian parts of D +- S_f(t); selfadjoint_residual is the
-    largest ||S_f(t) - S_f(t)*||_F over every sample.  Only samples with
-    t < 2 and t = 2 are decomposed: entries on [2, 4] are those of t = 2,
-    which certify the whole interval, and grid point i with t > 4 is grid
-    point len(times) - 1 - i with plus and minus exchanged.  passed means: every
-    sample clears the invertibility threshold plus the Weyl slack for the
-    skew and parity-violating parts, branch junctions agree, endpoints match
-    diag(S', -S) and its negative, and every sample is self-adjoint.
+    Only [0, 2] is decomposed.  On [2, 4], D + S_f(t) = U (D + S_f(2)) U*
+    for U = diag(1, e^{-i pi (t - 2)/2}), which commutes with D and eps, so
+    the sample at t = 2 holds on the whole interval; past 4, branch(4, t) =
+    -branch(1, 6 - t) and branch(5, t) = -branch(0, 6 - t), so D +- S_f(t)
+    is D -+ S_f(6 - t).  The intervals between the starting grid's times
+    in [0, 2) and t = 2 are certified by signature's interval rule:
+    S_f(t) is Lipschitz with the constants of _PathData.lipschitz on [0, 1]
+    and [1, 2], and each sample's bound is its min |eigenvalue| of the
+    graded D +- H less the Weyl slack, which bounds the skew and
+    parity-violating parts over the whole path.
+
+    min_sv_plus and min_sv_minus are min |eigenvalue| of the graded
+    Hermitian parts of D +- S_f(t) at times, the starting grid (grid point i
+    with t > 4 reads point len(times) - 1 - i with the two exchanged);
+    margins are those of the intervals on [0, 2] and midpoints the times
+    bisection sampled.  selfadjoint_residual bounds ||S_f(t) - S_f(t)*||_F
+    over [0, 6].  passed means: every interval is certified, branch
+    junctions agree, endpoints match diag(S', -S) and its negative, and the
+    path is self-adjoint.
     """
 
     times: tuple[float, ...]
     min_sv_plus: tuple[float, ...]
     min_sv_minus: tuple[float, ...]
-    refined_times: tuple[float, ...]
-    refined_min_sv: tuple[float, ...]
+    margins: tuple[float, ...]
+    midpoints: tuple[float, ...]
     junction_residual: float
     endpoint_residual: float
     selfadjoint_residual: float
@@ -261,16 +287,30 @@ class RhoPath:
     passed: bool
     failed_at: float | None
     _data: _PathData = field(repr=False)
-    _samples: tuple[_Sample, ...] = field(repr=False)   # one per entry of times
+    _points: tuple[_Point, ...] = field(repr=False)   # the interval ends on [0, 2]
     _slack: float = field(repr=False)
+
+    @property
+    def min_margin(self) -> float:
+        return min(self.margins)
+
+    def positive_rank(self, t: float) -> int | None:
+        """The positive rank of D + H at path time t (even n), read from the
+        certified interval that contains t or its mirror 6 - t: no
+        eigenvalue crosses zero inside one."""
+        mirror = t > 4.0
+        x = min(6.0 - t if mirror else t, 2.0)
+        k = max(bisect.bisect_right([p.x for p in self._points], x) - 1, 0)
+        return self._points[k].ranks[1 if mirror else 0]
 
     def to_dict(self) -> dict:
         return {
             "times": list(self.times),
             "min_sv_plus": list(self.min_sv_plus),
             "min_sv_minus": list(self.min_sv_minus),
-            "refined_times": list(self.refined_times),
-            "refined_min_sv": list(self.refined_min_sv),
+            "margins": list(self.margins),
+            "min_margin": self.min_margin,
+            "midpoints": list(self.midpoints),
             "junction_residual": self.junction_residual,
             "endpoint_residual": self.endpoint_residual,
             "selfadjoint_residual": self.selfadjoint_residual,
@@ -281,9 +321,10 @@ class RhoPath:
         }
 
 
-def rho_path(he: HomotopyEquivalence, samples: int = 601,
-             tol: Tolerances = DEFAULT_TOL, refine: bool = True) -> RhoPath:
-    """Scan D +- S_f(t) over [0, 6] and certify invertibility throughout."""
+def rho_path(he: HomotopyEquivalence, samples: int = 7,
+             tol: Tolerances = DEFAULT_TOL) -> RhoPath:
+    """Certify D +- S_f(t) invertible on the whole of [0, 6], starting from
+    samples evenly spaced times (7: the junctions 0, 1, ..., 6)."""
     if samples < 7:
         raise DomainError("need at least 7 samples across the six branches")
     her = validate_homotopy_equivalence(he, tol)
@@ -298,41 +339,38 @@ def rho_path(he: HomotopyEquivalence, samples: int = 601,
     # D and diag(S', -S) are block diagonal: their norms are those validate read
     s_norm = max(he.source.S_norm, he.target.S_norm)
     threshold = tol.inv * max(1.0, max(he.source.D_norm, he.target.D_norm) + s_norm)
+    skew, off = _skew_bounds(pd)
+    slack = 0.5 * (skew + pd.graded.d_skew) + off
 
-    times = np.linspace(0.0, 6.0, samples)
-    grid: list[_Sample] = []
-    for i, t in enumerate(times):
-        # past t = 4 the mirror 6 - t is paired by index: it is not bitwise
-        # a grid time, and the partner, with t < 2, is already sampled
-        grid.append(grid[samples - 1 - i].mirrored() if t > 4.0 else _read(pd, float(t)))
-    svp = [s.plus for s in grid]
-    svm = [s.minus for s in grid]
-    sa = max(s.skew for s in grid)
-    off = max(s.off_parity for s in grid)
-    mins = np.minimum(svp, svm)
+    times = np.linspace(0.0, 6.0, samples).tolist()
+    head = [_sample(pd, t) for t in times if t < 2.0]
+    phase = _sample(pd, 2.0)
+    grid = head + [phase] * sum(2.0 <= t <= 4.0 for t in times)
+    # past t = 4 the mirror 6 - t is paired by index: it is not bitwise
+    # a grid time, and the partner, with t < 2, is already sampled
+    grid += [grid[samples - 1 - i].mirrored() for i in range(len(grid), samples)]
 
-    refined_t: list[float] = []
-    refined_v: list[float] = []
-    if refine and samples > 1:
-        k = int(np.argmin(mins))
-        t_star = float(times[k])
-        v_star = float(mins[k])
-        h = float(times[1] - times[0])
-        while h > 1e-3:
-            h /= 2.0
-            for cand in (t_star - h, t_star + h):
-                if 0.0 <= cand <= 6.0:
-                    smp = _read(pd, cand)
-                    sa = max(sa, smp.skew)
-                    off = max(off, smp.off_parity)
-                    v = min(smp.plus, smp.minus)
-                    refined_t.append(cand)
-                    refined_v.append(v)
-                    if v < v_star:
-                        v_star, t_star = v, cand
-        min_all = min(float(mins.min()), v_star)
-    else:
-        min_all = float(mins.min())
+    def point(t: float, smp: _Sample) -> _Point:
+        return _Point(t, (smp.rank, smp.negative), min(smp.plus, smp.minus) - slack,
+                      threshold)
+
+    decomposed = [*head, phase]
+    midpoints: list[float] = []
+
+    def sample(t: float) -> _Point:
+        midpoints.append(t)
+        decomposed.append(_sample(pd, t))
+        return point(t, decomposed[-1])
+
+    points = [point(t, smp) for t, smp in zip(times, head)] + [point(2.0, phase)]
+    l0, l1 = pd.lipschitz()
+    margins, failures = [], []
+    for a, b in zip(points, points[1:]):
+        lipschitz = l0 if b.x <= 1.0 else l1 if a.x >= 1.0 else max(l0, l1)
+        margin, failed = _interval(a, b, lipschitz, sample, _BISECTIONS)
+        margins.append(margin)
+        failures.append(failed)
+    failed_at = next((t for t in failures if t is not None), None)
 
     junction = 0.0
     for j, tj in enumerate(JUNCTIONS):
@@ -344,20 +382,13 @@ def rho_path(he: HomotopyEquivalence, samples: int = 601,
         spectral.operator_norm(pd.value(0.0) - pd.diag_duality()),
         spectral.operator_norm(pd.value(6.0) + pd.diag_duality()))
 
-    failed_at = None
-    slack = 0.5 * (sa + pd.graded.d_skew) + off
-    order = sorted(zip([*map(float, times), *refined_t],
-                       [*map(float, mins), *refined_v]))
-    for t, v in order:
-        if v <= threshold + slack:
-            failed_at = t
-            break
     passed = (failed_at is None and junction <= tol.sym * s_scale
-              and endpoint <= tol.sym * s_scale and sa <= tol.sym * s_scale)
-    return RhoPath(tuple(float(t) for t in times), tuple(map(float, svp)),
-                   tuple(map(float, svm)), tuple(refined_t), tuple(refined_v),
-                   float(junction), float(endpoint), float(sa), float(threshold),
-                   float(min_all), passed, failed_at, pd, tuple(grid), slack)
+              and endpoint <= tol.sym * s_scale and skew <= tol.sym * s_scale)
+    return RhoPath(tuple(times), tuple(s.plus for s in grid), tuple(s.minus for s in grid),
+                   tuple(margins), tuple(sorted(midpoints)), float(junction),
+                   float(endpoint), skew, float(threshold),
+                   min(min(s.plus, s.minus) for s in decomposed), passed, failed_at, pd,
+                   tuple(points), slack)
 
 
 # ---------------------------------------------------------------------------
@@ -435,42 +466,6 @@ def rho_certificate_odd(he: HomotopyEquivalence, path: RhoPath, samples: int = 1
                              threshold, passed, failed_at)
 
 
-def _certificate_samples(pd: _PathData, path: RhoPath, times: np.ndarray) -> list[_Sample]:
-    """The samples of D + S_f(t - 1) at the certificate times t, evenly
-    spaced over [1, 7].  Sample i sits at path time t - 1 = 6 i / (len(times)
-    - 1); it is path sample j when i (len(path.times) - 1) = j (len(times) - 1),
-    and is read from the path.  Off the path grid, t - 1 in [2, 4] reads
-    t - 1 = 2, and t - 1 > 4 mirrors sample len(times) - 1 - i, paired by
-    index as rho_path pairs its grid; only t - 1 < 2 is decomposed."""
-    steps, last = len(path.times) - 1, len(times) - 1
-    out: list[_Sample] = []
-    for i, t in enumerate(times):
-        j, off_grid = divmod(i * steps, last)
-        s = float(t) - 1.0
-        if not off_grid:
-            out.append(path._samples[j])
-        elif s > 4.0:
-            out.append(out[last - i].mirrored())
-        else:
-            out.append(_read(pd, s))
-    return out
-
-
-def _certified_rank(pd: _PathData, smp: _Sample, tol: Tolerances, t: float) -> int:
-    """Positive rank of D + S_f(t - 1) at an even sample, behind the checks of
-    spectral.positive_rank: ||K||_F + ||D - D*||_F bounds the Frobenius norm
-    of its skew part, and the gap rule reads min and max |eigenvalue|."""
-    skew = smp.skew + pd.graded.d_skew
-    if skew > tol.sym * max(smp.top, 1.0):
-        raise ValueError(f"matrix is not Hermitian: residual {skew:.3e}")
-    try:
-        spectral.require_gap_between(smp.plus, smp.top, tol.inv, "positive rank")
-    except NoSpectralGapError as exc:
-        raise DualityDegenerateError(
-            f"eigenvalue crossing at sample t={t:.6g}: {exc}") from exc
-    return smp.rank
-
-
 @dataclass(frozen=True, eq=False)
 class ThetaPair:
     """Projection families P+(D+S) and P+(D+S_f(t-1)) with rank bookkeeping."""
@@ -490,14 +485,10 @@ def rho_certificate_even(he: HomotopyEquivalence, path: RhoPath, samples: int = 
     """Even-degree certificate continuing path, the computed rho_path of he."""
     if he.n % 2 != 0:
         raise DomainError("even certificate needs even top degree")
-    pd = _require_passed(he, path, samples)
+    _require_passed(he, path, samples)
     times = np.linspace(1.0, 7.0, samples)
-    ranks_m: list[int] = []
-    failed_at = None
-    for t, smp in zip(times, _certificate_samples(pd, path, times)):
-        ranks_m.append(_certified_rank(pd, smp, tol, float(t)))
-        if failed_at is None and ranks_m[-1] != ranks_m[0]:
-            failed_at = float(t)
+    ranks_m = [path.positive_rank(float(t) - 1.0) for t in times]
+    failed_at = next((float(t) for t, r in zip(times, ranks_m) if r != ranks_m[0]), None)
     rank_plus = ranks_m[0]               # t = 1 is D + diag(S', -S)
     schedule = localized_signature_path(_sum_complex(he), tol=tol)
     constant = len(set(ranks_m)) <= 1 and schedule.constant

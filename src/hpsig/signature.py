@@ -72,11 +72,12 @@ def _graded(c: HPComplex, s: float) -> GradedSum:
 
 @dataclass(frozen=True)
 class _Point:
-    """One sample of B+-(s) = s D +- S, s = t^(-1/2): the positive ranks of
-    B+(s) and B-(s) (even n), a lower bound on the smallest singular value
-    of both, and the threshold that bound must exceed."""
+    """One sample of a path of operators at coordinate x: two positive ranks
+    (or None), a lower bound on the smallest singular value there, and the
+    threshold that bound must exceed.  On the localization schedule x is
+    s = t^(-1/2) and the ranks are those of B+(s) and B-(s) (even n)."""
 
-    s: float
+    x: float
     ranks: tuple[int, int] | None
     bound: float
     threshold: float
@@ -145,35 +146,41 @@ def odd_index_representative(c: HPComplex, tol: Tolerances = DEFAULT_TOL
 _BISECTIONS = 4
 
 
-def _interval(a: _Point, b: _Point, d_norm: float, sample, depth: int = 0
+def _interval(a: _Point, b: _Point, lipschitz: float, sample, bisections: int
               ) -> tuple[float, float | None]:
-    """The margin of the interval from a to b, and the t at which it fails,
+    """The margin of the interval from a to b, and the x at which it fails,
     or None once it is certified.
 
-    B+-(s) is ||D||-Lipschitz in s, and so is its smallest singular value,
-    which is therefore at least (a.bound + b.bound - ||D|| (a.s - b.s)) / 2
-    between the two samples.  The margin is that bound less the larger
-    threshold, and the interval is certified when it is positive.  Otherwise
-    sample(s) samples the s-midpoint, whose ranks must equal both ends', and
-    each half is certified in turn, at most _BISECTIONS deep; the margin of
-    a bisected interval is the least of its parts'."""
-    margin = 0.5 * (a.bound + b.bound - d_norm * (a.s - b.s)) - max(a.threshold, b.threshold)
+    The sampled operators are lipschitz-Lipschitz in x, and so is their
+    smallest singular value, which is therefore at least (a.bound + b.bound
+    - lipschitz |a.x - b.x|) / 2 between the two samples.  The margin is
+    that bound less the larger threshold, and the interval is certified
+    when it is positive.  An end whose bound does not clear its threshold
+    fails the interval there.  Otherwise sample(x) samples the midpoint,
+    whose ranks must equal both ends', and each half is certified in turn,
+    at most bisections deep; the margin of a bisected interval is the
+    least of its parts'."""
+    margin = (0.5 * (a.bound + b.bound - lipschitz * abs(a.x - b.x))
+              - max(a.threshold, b.threshold))
+    for end in (a, b):
+        if end.bound <= end.threshold:
+            return margin, end.x
     if margin > 0.0:
         return margin, None
-    s = 0.5 * (a.s + b.s)
-    failed = margin, s ** -2.0
-    if depth == _BISECTIONS:
+    x = 0.5 * (a.x + b.x)
+    failed = margin, x
+    if not bisections:
         return failed
     try:
-        mid = sample(s)
+        mid = sample(x)
     except NoSpectralGapError:
         return failed
     if not a.ranks == mid.ranks == b.ranks:
         return failed
-    left = _interval(a, mid, d_norm, sample, depth + 1)
+    left = _interval(a, mid, lipschitz, sample, bisections - 1)
     if left[1] is not None:
         return left
-    right = _interval(mid, b, d_norm, sample, depth + 1)
+    right = _interval(mid, b, lipschitz, sample, bisections - 1)
     return min(left[0], right[0]), right[1]
 
 
@@ -258,10 +265,11 @@ def localized_signature_path(c: HPComplex, t_max: float = 10.0, samples: int = 1
 
     margins, failures = [], []
     for a, b in zip(points, points[1:]):
-        margin, failed = _interval(a, b, c.D_norm, sample)
+        # B+-(s) = s D +- S is ||D||-Lipschitz in s
+        margin, failed = _interval(a, b, c.D_norm, sample, _BISECTIONS)
         margins.append(margin)
         failures.append(failed)
-    failed_at = next((t for t in failures if t is not None), None)
+    failed_at = next((s ** -2.0 for s in failures if s is not None), None)
     sigs = [rp - rm for rp, rm in (p.ranks for p in points)] if even else None
     constant = not even or len(set(sigs)) <= 1
     passed = constant and failed_at is None and all(sv > 0 for sv in min_sv)

@@ -158,16 +158,7 @@ def right_divide(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def require_gap(eigenvalues: np.ndarray, gap_tol: float, what: str,
                 slack: float = 0.0) -> InvertibilityCertificate:
     """spectrum_certificate, once it passes; NoSpectralGapError otherwise."""
-    return _require(spectrum_certificate(eigenvalues, gap_tol, slack), gap_tol, what, slack)
-
-
-def require_gap_between(gap: float, top: float, gap_tol: float, what: str) -> None:
-    """require_gap for a spectrum known by its min and max |eigenvalue|."""
-    _require(gap_certificate(gap, top, gap_tol), gap_tol, what, 0.0)
-
-
-def _require(cert: InvertibilityCertificate, gap_tol: float, what: str,
-             slack: float) -> InvertibilityCertificate:
+    cert = spectrum_certificate(eigenvalues, gap_tol, slack)
     if not cert.passed:
         less = " - slack" if slack else ""
         raise NoSpectralGapError(

@@ -26,7 +26,7 @@ def test_check_point_passes(cli_cmd, fixture_dir):
     proc = run(cli_cmd, "check", str(fixture_dir / "point.json"))
     assert proc.returncode == 0
     rep = report_of(proc)
-    assert rep["schema"] == "hpsig-report/2"
+    assert rep["schema"] == "hpsig-report/3"
     assert rep["outcome"] == "pass"
 
 
@@ -137,6 +137,16 @@ def test_rho_negative_control_fails_with_location(cli_cmd, fixture_dir):
     assert rep["data"]["path"]["failed_at"] == pytest.approx(0.5, abs=1e-9)
 
 
+def test_rho_offgrid_crossing_fails_with_location(cli_cmd, fixture_dir):
+    # the path of he_offgrid_crossing is singular at t* = 1 / 1.988, off the
+    # grid; the interval certificate locates it within 2^-7
+    proc = run(cli_cmd, "rho", str(fixture_dir / "he_offgrid_crossing.json"))
+    assert proc.returncode == 1
+    rep = report_of(proc)
+    assert [c["name"] for c in rep["checks"] if not c["passed"]] == ["duality_path_invertible"]
+    assert abs(rep["data"]["path"]["failed_at"] - 1.0 / 1.988) <= 2.0 ** -7
+
+
 def test_chs_trivial_bundle(cli_cmd, fixture_dir):
     proc = run(cli_cmd, "chs", str(fixture_dir / "fc_sphere_x_cp2.json"))
     assert proc.returncode == 0
@@ -179,12 +189,12 @@ def test_coarse_seeded_reproducibility(cli_cmd):
 
 
 # SHA-256 of the coarse report at 100 instances: a change to the random
-# stream or to the checks drawn from it shows here (schema hpsig-report/2)
+# stream or to the checks drawn from it shows here (schema hpsig-report/3)
 COARSE_REPORT_DIGESTS = {
-    ("0", "l2"): "f87de142d48e7f7432373de72efd94d0ae2e8eff34e300b3877ca6afa62039a8",
-    ("0", "max"): "ca76e6bcf70ebbfd65dd9e3da46c85d67b6f3a8a92b4d22d51cbc936d664ebd2",
-    ("42", "l2"): "a6f75973b76b6a4cc0a13e99b274c2e60e20543fc7a2d74306154a470f9f8aa7",
-    ("42", "max"): "e843d40c0068a8e3a76327bf1c9eb1d7237c2ac19dfd012b28365e28fff21d79",
+    ("0", "l2"): "35c62d8e305973167bc37e00a04913d09428a16e55f198ccf57b7fe013476282",
+    ("0", "max"): "1877e96f18447f2bb76d5414e82adfe0a17bc6649502739a109b16b470f982c7",
+    ("42", "l2"): "14e3a184fe2e9902ca343b31bef1a6e9dd19c73c933297fdb49d6adc717cd380",
+    ("42", "max"): "a9ba87ec2c613892efa27e386c5d265bf4cad3b29b69d9d62854d692c42886c6",
 }
 
 
@@ -198,10 +208,10 @@ def test_coarse_report_bytes_are_pinned(cli_cmd, seed, metric):
 
 # the same at 1000 instances, eight blocks of the stacked suite
 COARSE_1000_REPORT_DIGESTS = {
-    ("0", "l2"): "b211b6c4ce68bea2602eaf58b8abc3ad61221408de816caeb7fa9623a7587d21",
-    ("0", "max"): "05a64cf30890dc39de2b7d5d3df0b37377f8cd95f23a884b6893d0aff431d561",
-    ("42", "l2"): "e8cbc8c5e54532f245babc07b3cae4be5d9d5193f9f4c6127cfc97aca6539d69",
-    ("42", "max"): "f45e13c861aeec8c9c3e96f684f5bafb99c639af8d04ab4d7ec40ffe1114718f",
+    ("0", "l2"): "0823a1c7173935a75e944f488d2e0342d52bbadfbaed63b25519a6acde0aba85",
+    ("0", "max"): "0cd618c5b0442b5c84cb524d89cec0325887edf86b5cca7f3d77e851649daab1",
+    ("42", "l2"): "9a5afa00a11540e0452798ef2e4cdbde0651c081b215b1a31ee07805e1693788",
+    ("42", "max"): "45e4f10c6e86af0088fb4c24ac486de6ffcf80fc3241a943b7a5e0d7d27198d1",
 }
 
 
@@ -328,8 +338,12 @@ INPUT_ERRORS = {
     # without a witness does not hide the error
     "rho_failing_path_samples_cert_0": _on_fixture("rho", "he_orientation_mismatch.json",
                                                    "--samples-cert", "0"),
+    "rho_samples_0": _on_fixture("rho", "he_identity_sphere_model.json", "--samples", "0"),
+    "rho_samples_6": _on_fixture("rho", "he_identity_sphere_model.json", "--samples", "6"),
+    "sgn_samples_schedule_0": _on_fixture("sgn", "cp2_model.json", "--samples-schedule", "0"),
     "sgn_t_max_nan": _on_fixture("sgn", "cp2_model.json", "--t-max", "nan"),
     "sgn_t_max_infinite": _on_fixture("sgn", "cp2_model.json", "--t-max", "inf"),
+    "sgn_t_max_half": _on_fixture("sgn", "cp2_model.json", "--t-max", "0.5"),
     "product_samples_witness_negative": _even_odd_product("--samples-witness", "-1"),
     "product_samples_witness_0": _even_odd_product("--samples-witness", "0"),
     "product_without_witness_samples_witness_0": lambda tmp_path, fixture_dir: [
@@ -365,12 +379,22 @@ def test_input_errors_exit_two_with_one_line(cli_cmd, fixture_dir, tmp_path, cas
 
 @pytest.mark.parametrize("case, least", [("rho_even_samples_cert_0", 7),
                                          ("rho_failing_path_samples_cert_0", 7),
+                                         ("rho_samples_0", 7),
+                                         ("sgn_samples_schedule_0", 1),
                                          ("product_samples_witness_0", 2),
                                          ("product_without_witness_samples_witness_0", 2)])
 def test_count_flag_errors_name_the_flag(cli_cmd, fixture_dir, tmp_path, case, least):
     argv = INPUT_ERRORS[case](tmp_path, fixture_dir)
     proc = run(cli_cmd, *argv)
     assert proc.stderr == f"error: {argv[-2]} must be >= {least}, got 0\n"
+
+
+@pytest.mark.parametrize("case, value", [("sgn_t_max_nan", "nan"),
+                                         ("sgn_t_max_infinite", "inf"),
+                                         ("sgn_t_max_half", "0.5")])
+def test_t_max_errors_name_the_flag(cli_cmd, fixture_dir, tmp_path, case, value):
+    proc = run(cli_cmd, *INPUT_ERRORS[case](tmp_path, fixture_dir))
+    assert proc.stderr == f"error: --t-max must be finite and >= 1, got {value}\n"
 
 
 def test_main_dispatches_to_the_current_cmd_function(monkeypatch, capsys, fixture_dir):

@@ -12,7 +12,7 @@ from hpsig import fixtures
 from hpsig.hpc_core import (DualityDegenerateError, GradedSpace, HPComplex,
                             StructuralError, Tolerances, direct_sum, hpcomplex_to_json,
                             rescale_inner_products, reverse_orientation, validate)
-from hpsig.rho import (HomotopyEquivalence, _certificate_samples, _PathData, _sample,
+from hpsig.rho import (HomotopyEquivalence, _PathData, _sample,
                        he_from_json, he_to_json,
                        identity_equivalence, rho_certificate_even,
                        rho_certificate_odd, rho_path,
@@ -71,6 +71,31 @@ def test_rho_path_negative_control_fails_with_location():
     path = rho_path(mismatch_equivalence(), samples=601)
     assert not path.passed
     assert path.failed_at == pytest.approx(0.5, abs=1e-6)
+
+
+def test_rho_path_negative_control_fails_at_the_first_midpoint():
+    # S_f(0.5) = diag(0, S) on the sphere model: the midpoint of [0, 1]
+    # fails on its own
+    path = rho_path(mismatch_equivalence())
+    assert not path.passed
+    assert path.failed_at == 0.5 and 0.5 in path.midpoints
+
+
+@pytest.mark.parametrize("samples", [7, 601])
+@pytest.mark.parametrize("build", [fixtures.circle_model, fixtures.sphere_model])
+def test_rho_path_fails_an_off_grid_crossing(build, samples):
+    # D + S_f(t) is singular at t* = 1 / 1.988 = 0.50302, between the grid
+    # points 0.50 and 0.51 of 601 samples, and every grid sample clears the
+    # threshold plus the slack: a verdict read from the samples passes
+    he = fixtures.offgrid_crossing(build())
+    t_star = 1.0 / 1.988
+    assert _sample(_PathData(he), t_star).plus < 1e-15
+    path = rho_path(he, samples=samples)
+    assert min(path.min_sv_plus + path.min_sv_minus) > path.threshold + path._slack
+    assert not path.passed
+    # within the width of the last bisection of a grid interval
+    assert abs(path.failed_at - t_star) <= 6.0 / (samples - 1) / 2 ** 7
+    assert min(path.margins) <= 0.0
 
 
 def with_random_duality(c: HPComplex, rng: np.random.Generator) -> HPComplex:
@@ -216,7 +241,7 @@ def torus_shear(delta: float):
 ], ids=["torus_small", "circle_small", "circle_shear"])
 def test_rho_path_parity_violating_negative_control(build, passes):
     he = build()
-    path = rho_path(he, samples=61, refine=False)
+    path = rho_path(he, samples=61)
     mins, slack = dense_reference(he, 61)
     violation = parity_violation(he, 61)
     assert violation > 1e-4
@@ -334,11 +359,16 @@ def test_rho_certificate_even_rejects_mismatch():
         rho_certificate_even(he, rho_path(he, samples=61), samples=61)
 
 
-def test_adaptive_refinement_reports_samples():
-    path = rho_path(identity_equivalence(fixtures.sphere_model()), samples=61,
-                    refine=True)
-    assert len(path.refined_times) > 0
-    assert min(path.refined_min_sv) >= path.min_singular
+def test_interval_certificate_reports_margins():
+    # the default starting grid is the junctions 0, 1, ..., 6; [0, 1] and
+    # [1, 2] are certified, [1, 2] after one midpoint (L1 = pi against gaps 1)
+    path = rho_path(identity_equivalence(fixtures.sphere_model()))
+    assert path.times == (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+    assert len(path.margins) == 2 and path.min_margin > 0
+    assert path.midpoints == (1.5,)
+    doc = path.to_dict()
+    assert doc["min_margin"] == min(doc["margins"])
+    assert "refined_times" not in doc and "refined_min_sv" not in doc
 
 
 def dense_odd_min_singulars(he: HomotopyEquivalence, samples: int) -> list[float]:
@@ -410,11 +440,11 @@ def test_he_json_round_trip():
     assert validate_homotopy_equivalence(back).passed
 
 
-def per_sample_scan(he: HomotopyEquivalence, samples: int) -> list:
+def per_sample_scan(he: HomotopyEquivalence, times) -> list:
     """The scan without the phase and mirror identities: the graded sampler
-    at every grid time."""
+    at every time."""
     pd = _PathData(he)
-    return [_sample(pd, float(t)) for t in np.linspace(0.0, 6.0, samples)]
+    return [_sample(pd, float(t)) for t in times]
 
 
 def he_fixture(name: str):
@@ -442,36 +472,38 @@ SCAN_CASES = {
 
 @pytest.mark.parametrize("build", SCAN_CASES.values(), ids=SCAN_CASES.keys())
 def test_rho_path_matches_the_per_sample_scan(build):
-    # rho_path decomposes only t < 2 and t = 2; [2, 4] reads t = 2 and t > 4
-    # reads 6 - t with D + S and D - S exchanged.  Only two_dualities_n1 has
+    # rho_path decomposes only [0, 2]; [2, 4] reads t = 2 and t > 4 reads
+    # 6 - t with D + S and D - S exchanged.  Only two_dualities_n1 has
     # min_sv_plus != min_sv_minus, and only cp2_model_mismatch, of signature
     # 2 at t = 0, has more positive than negative eigenvalues of D + H
     he = build()
     path = rho_path(he)
-    ref = per_sample_scan(he, len(path.times))
+    ref = per_sample_scan(he, path.times)
     assert path.min_sv_plus == pytest.approx([s.plus for s in ref], rel=1e-12, abs=0)
     assert path.min_sv_minus == pytest.approx([s.minus for s in ref], rel=1e-12, abs=0)
     if he.n % 2 == 0:
-        assert [s.rank for s in path._samples] == [s.rank for s in ref]
+        assert [path.positive_rank(t) for t in path.times] == [s.rank for s in ref]
         if path.passed:
             cert = rho_certificate_even(he, path)
-            # certificate sample i sits at path time 6 i / 120, path sample 5 i
-            assert list(cert.ranks_minus) == [s.rank for s in ref[::5]]
+            ranks = [s.rank for s in per_sample_scan(he, np.array(cert.times) - 1.0)]
+            assert list(cert.ranks_minus) == ranks
 
 
 @pytest.mark.parametrize("name", ["he_identity_sphere_model", "he_reduction_sphere_d3",
                                   "he_orientation_mismatch", "reduction_sphere_d3",
                                   "identity_n2", "identity_n4_weighted", "cp2_model_mismatch"])
 def test_rho_certificate_samples_match_the_per_sample_scan(name):
-    # off the path grid the certificate reads t - 1 = 2 on [2, 4] and mirrors
-    # its own sample past 4; the per-sample scan decomposes every time.  The
-    # mismatch, whose path fails, has ranks that move along the path
+    # the certificate reads each rank from the certified interval of the
+    # path that contains t - 1, or its mirror, and decomposes nothing; the
+    # per-sample scan decomposes every time.  The mismatches' paths fail,
+    # and their ranks move along the path
     he = SCAN_CASES[name]()
     assert he.n % 2 == 0
     path = rho_path(he, samples=61)
-    times = np.linspace(1.0, 7.0, 41)
-    got = _certificate_samples(path._data, path, times)
-    ref = [_sample(path._data, float(t) - 1.0) for t in times]
-    assert [s.rank for s in got] == [s.rank for s in ref]
-    assert [s.negative for s in got] == [s.negative for s in ref]
-    assert [s.plus for s in got] == pytest.approx([s.plus for s in ref], rel=1e-12, abs=0)
+    if not path.passed:
+        with pytest.raises(DualityDegenerateError):
+            rho_certificate_even(he, path, samples=41)
+        return
+    cert = rho_certificate_even(he, path, samples=41)
+    ref = per_sample_scan(he, np.linspace(0.0, 6.0, 41))
+    assert list(cert.ranks_minus) == [s.rank for s in ref]

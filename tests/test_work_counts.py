@@ -162,11 +162,11 @@ def test_rho_path_makes_one_eigvalsh_per_even_sample(monkeypatch, fixture_dir):
         assert he.n % 2 == 0
         eigvalsh.clear()
         sampled.clear()
-        rho.rho_path(he, samples=samples, refine=False)
+        rho.rho_path(he, samples=samples)
         counts.append((len(eigvalsh), len(sampled)))
     # 60 more samples cost 20 more eigvalsh: D + H serves D - H as well, only
     # the 20 added grid points with t < 2 are decomposed, [2, 4] reads t = 2
-    # and t > 4 reads its mirror 6 - t
+    # and t > 4 reads its mirror 6 - t; neither grid bisects an interval
     assert counts[1][1] - counts[0][1] == 20
     assert counts[1][0] - counts[0][0] == 20
     assert counts[1][1] == 41            # t = 0, 0.05, ..., 1.95 and t = 2
@@ -184,17 +184,16 @@ def test_rho_odd_sample_makes_no_eigvalsh(monkeypatch):
 
 
 @pytest.mark.parametrize("path_samples, cert_samples, decomposed", [(601, 121, 0),
-                                                                   (61, 41, 7)])
+                                                                   (61, 41, 0),
+                                                                   (7, 121, 0)])
 def test_rho_certificate_even_reads_the_path_ranks(monkeypatch, path_samples,
                                                    cert_samples, decomposed):
     he = rho.identity_equivalence(fixtures.cp2_model())
     path = rho.rho_path(he, samples=path_samples)
     sampled = count_calls(monkeypatch, "hpsig", rho._sample)
     assert rho.rho_certificate_even(he, path, samples=cert_samples).passed
-    # certificate sample i is path sample i (path_samples - 1) / (cert_samples - 1)
-    # when that is an integer.  Of the 20 others at 61 and 41 samples, the 6
-    # with t - 1 in [2, 4] read t - 1 = 2 and the 7 past 4 mirror their
-    # partner: only the 7 with t - 1 < 2 are sampled again
+    # every certificate time t reads the rank of the certified path
+    # interval containing t - 1, or its mirror, on or off the path grid
     assert len(sampled) == decomposed
 
 

@@ -5,7 +5,7 @@ Each command runs in process through ``hpsig.cli.main``.  Every call of a
 and dtype of its first argument.  Counts do not depend on timing or on the
 machine's load, so two files written by this script can be diffed exactly.
 
-    python3 tools/bench_counts.py --out BENCH_19.json --base HEAD
+    python3 tools/bench_counts.py --out BENCH_20.json --base HEAD
 
 counts the ``src/`` of the working tree and, with ``--base``, that of a git
 revision, extracted with ``git archive`` into a temporary directory.  Each
@@ -13,7 +13,9 @@ tree is counted in a subprocess of its own, so the two never share an
 import.  Both trees read the working tree's ``fixtures/``, so they see the
 same inputs.  Each tree also records the line count of its
 ``src/hpsig/*.py``.  The file also records the git HEAD, whether ``src/``
-differs from it, and the BLAS thread count.
+differs from it, and the BLAS thread count.  The script exits 1 when an op
+of the working tree exits with another code than the one listed for it: 1
+for the two negative controls, 0 for every other op.
 """
 
 from __future__ import annotations
@@ -30,12 +32,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ROUTINES = ("eigh", "eigvalsh", "svd", "solve", "inv")
-OPS = ([["check", "fixtures/cp2_9.json"], ["sgn", "fixtures/cp2_9.json"]]
-       + [["rho", f"fixtures/he_{name}.json"]
-          for name in ("identity_sphere_model", "orientation_mismatch", "reduction_sphere_d3")]
-       + [["chs", f"fixtures/fc_{name}.json"]
+# each op with the exit code it must have
+OPS = ([(["check", "fixtures/cp2_9.json"], 0), (["sgn", "fixtures/cp2_9.json"], 0)]
+       + [(["rho", f"fixtures/he_{name}.json"], code)
+          for name, code in (("identity_sphere_model", 0), ("orientation_mismatch", 1),
+                             ("reduction_sphere_d3", 0), ("offgrid_crossing", 1))]
+       + [(["chs", f"fixtures/fc_{name}.json"], 0)
           for name in ("mapping_torus_cp2", "sphere_x_cp2", "torus_twist")]
-       + [["coarse", "--instances", "1000"]])
+       + [(["coarse", "--instances", "1000"], 0)])
 
 
 def count(src: Path) -> dict:
@@ -65,7 +69,7 @@ def count(src: Path) -> dict:
         for ns in (numpy.linalg, numpy.linalg._linalg):
             setattr(ns, name, wrapped)
     out = []
-    for argv in OPS:
+    for argv, _ in OPS:
         calls.clear()
         args = [str(ROOT / a) if a.startswith("fixtures/") else a for a in argv]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -115,6 +119,12 @@ def main() -> None:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
+    wrong = [(op["argv"], op["exit"], want)
+             for op, (_, want) in zip(doc["change"]["ops"], OPS) if op["exit"] != want]
+    for argv, got, want in wrong:
+        print(f"error: {' '.join(argv)} exited {got}, expected {want}", file=sys.stderr)
+    if wrong:
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":
