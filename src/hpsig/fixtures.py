@@ -211,13 +211,12 @@ def fiber_rotation_on_torus_model() -> np.ndarray:
     return r
 
 
-def offgrid_crossing(c: HPComplex, alpha_squared: float = 0.988) -> HomotopyEquivalence:
+def offgrid_crossing(c: HPComplex) -> HomotopyEquivalence:
     """c to its reverse orientation by f = alpha 1 and g = 1/alpha, with
-    h = h' = 0.  The source block of the duality path is (1 - t (1 +
-    alpha^2)) S', so D + S_f(t) is singular at t* = 1 / (1 + alpha^2)
-    when D = 0; for alpha^2 = 0.988 that is t* = 0.50302, off every grid
-    of step 0.01."""
-    a = alpha_squared ** 0.5
+    h = h' = 0 and alpha^2 = 0.988.  The source block of the duality path
+    is (1 - t (1 + alpha^2)) S', so D + S_f(t) is singular at t* = 1 /
+    (1 + alpha^2) = 0.50302 when D = 0, off every grid of step 0.01."""
+    a = 0.988 ** 0.5
     eye = np.eye(c.total_dim, dtype=complex)
     zero = np.zeros_like(eye)
     return HomotopyEquivalence(c, reverse_orientation(c), a * eye, eye / a, zero, zero.copy())

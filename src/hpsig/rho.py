@@ -22,7 +22,7 @@ from .hpc_core import (DEFAULT_TOL, DomainError, DualityDegenerateError, GradedS
                        Grading, HPComplex, StructuralError, Tolerances, decode_matrix,
                        direct_sum, encode_matrix, hpcomplex_from_json,
                        hpcomplex_to_json, reverse_orientation, validate)
-from .signature import LocalizationSchedule, _interval, _Point, localized_signature_path
+from .signature import LocalizationSchedule, _certify, _Point, localized_signature_path
 
 JUNCTIONS = (1.0, 2.0, 3.0, 4.0, 5.0)
 
@@ -364,13 +364,9 @@ def rho_path(he: HomotopyEquivalence, samples: int = 7,
 
     points = [point(t, smp) for t, smp in zip(times, head)] + [point(2.0, phase)]
     l0, l1 = pd.lipschitz()
-    margins, failures = [], []
-    for a, b in zip(points, points[1:]):
-        lipschitz = l0 if b.x <= 1.0 else l1 if a.x >= 1.0 else max(l0, l1)
-        margin, failed = _interval(a, b, lipschitz, sample, _BISECTIONS)
-        margins.append(margin)
-        failures.append(failed)
-    failed_at = next((t for t in failures if t is not None), None)
+    margins, failed_at = _certify(
+        points, lambda a, b: l0 if b.x <= 1.0 else l1 if a.x >= 1.0 else max(l0, l1),
+        sample, _BISECTIONS)
 
     junction = 0.0
     for j, tj in enumerate(JUNCTIONS):

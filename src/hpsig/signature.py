@@ -184,6 +184,19 @@ def _interval(a: _Point, b: _Point, lipschitz: float, sample, bisections: int
     return min(left[0], right[0]), right[1]
 
 
+def _certify(points: list[_Point], lipschitz_of, sample, bisections: int
+             ) -> tuple[list[float], float | None]:
+    """Certify each interval between consecutive points by _interval, with
+    lipschitz_of(a, b) its constant; return the margins and the first x at
+    which an interval fails, or None."""
+    margins, failures = [], []
+    for a, b in zip(points, points[1:]):
+        margin, failed = _interval(a, b, lipschitz_of(a, b), sample, bisections)
+        margins.append(margin)
+        failures.append(failed)
+    return margins, next((x for x in failures if x is not None), None)
+
+
 @dataclass(frozen=True, eq=False)
 class LocalizationSchedule:
     """Rescaled-metric path of index representatives, certified on whole
@@ -263,13 +276,9 @@ def localized_signature_path(c: HPComplex, t_max: float = 10.0, samples: int = 1
         midpoints.append(s ** -2.0)
         return _even_point(c, tol, s, h) if even else _odd_point(c, tol, s)[1]
 
-    margins, failures = [], []
-    for a, b in zip(points, points[1:]):
-        # B+-(s) = s D +- S is ||D||-Lipschitz in s
-        margin, failed = _interval(a, b, c.D_norm, sample, _BISECTIONS)
-        margins.append(margin)
-        failures.append(failed)
-    failed_at = next((s ** -2.0 for s in failures if s is not None), None)
+    # B+-(s) = s D +- S is ||D||-Lipschitz in s
+    margins, failed_s = _certify(points, lambda a, b: c.D_norm, sample, _BISECTIONS)
+    failed_at = None if failed_s is None else failed_s ** -2.0
     sigs = [rp - rm for rp, rm in (p.ranks for p in points)] if even else None
     constant = not even or len(set(sigs)) <= 1
     passed = constant and failed_at is None and all(sv > 0 for sv in min_sv)
