@@ -6,7 +6,7 @@ Submodules:
   spectral    Hermitian eigensystems, spectral projections, certificates
   signature   index representatives and localization schedules
   products    graded tensor products, sign rules, parity witnesses
-  rho         homotopy equivalences and duality-path certificates
+  rho         homotopy equivalences, duality path and terminal segment
   family      fibered complexes, monodromy, signature multiplicativity
   coarse      finite-propagation bookkeeping on metric spaces
   fixtures    reference corpus (triangulations, harmonic models)
@@ -30,9 +30,8 @@ from .spectral import (HermitianEigensystem, InvertibilityCertificate,
 from .products import (ProductWitnessReport, SignRule, derive_sign_rule,
                        graded_tensor, product_signature_check,
                        witness_even_odd, witness_odd_even)
-from .rho import (HomotopyEquivalence, RhoPath, ThetaPair, identity_equivalence,
-                  rho_certificate_even, rho_certificate_odd, rho_path,
-                  validate_homotopy_equivalence)
+from .rho import (HomotopyEquivalence, RhoPath, TerminalCheck, identity_equivalence,
+                  rho_path, terminal_check, validate_homotopy_equivalence)
 from .family import (CHSReport, FiberedComplex, chs_check,
                      family_signature_section, fibered_from_json,
                      fibered_to_json, monodromy_homology_action, total_complex)

@@ -2,12 +2,12 @@
 certificates, product and parity witnesses, duality-path certificates,
 multiplicativity checks, and the seeded propagation suite.
 
-Reports are canonical JSON (schema hpsig-report/3) and byte-stable for fixed
+Reports are canonical JSON (schema hpsig-report/4) and byte-stable for fixed
 inputs, tolerances, and seed; wall time goes to stderr only so that report
 bytes stay deterministic.  Exit codes: 0 pass, 1 check failure, 2 input error.
-The sgn localization schedule and the rho duality path are certified on
-whole intervals: each reports its interval margins and, when an interval
-cannot be certified, the time failed_at.
+The sgn localization schedule, the rho duality path and its terminal
+segment are certified on whole intervals: each reports its interval margins
+and, when an interval cannot be certified, the time failed_at.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .hpc_core import (DEFAULT_TOL, DomainError, DualityDegenerateError,
                        HPComplex, StructuralError, Tolerances,
                        hpcomplex_from_json, validate)
 
-SCHEMA = "hpsig-report/3"
+SCHEMA = "hpsig-report/4"
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_INPUT_ERROR = 2
@@ -188,17 +188,10 @@ def cmd_rho(args, tol: Tolerances) -> dict:
     checks.append({"name": "duality_path_invertible", "passed": path.passed,
                    "failed_at": path.failed_at})
     if path.passed:
-        if he.n % 2 == 0:
-            cert = rho.rho_certificate_even(he, path, samples=args.samples_cert, tol=tol)
-            checks.append({"name": "projection_ranks_constant", "passed": cert.passed})
-            data["theta"] = {"ranks_plus": list(cert.ranks_plus),
-                             "ranks_minus": list(cert.ranks_minus),
-                             "constant": cert.constant, "equal": cert.equal}
-        else:
-            cert = rho.rho_certificate_odd(he, path, samples=args.samples_cert, tol=tol)
-            checks.append({"name": "odd_family_invertible", "passed": cert.passed})
-            data["odd_family"] = {"min_singulars_min": min(cert.min_singulars),
-                                  "failed_at": cert.failed_at}
+        term = rho.terminal_check(he, path, tol)
+        checks.append({"name": "terminal_segment", "passed": term.passed,
+                       "failed_at": term.failed_at})
+        data["terminal"] = term.to_dict()
     return _report("rho", {args.path: _digest(args.path)}, tol, args.seed,
                    checks, data)
 
@@ -358,10 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples-witness", type=int, default=11)
 
     p = sub.add_parser("rho", parents=[common],
-                       help="duality path and parity certificate for an equivalence")
+                       help="duality path and terminal segment for an equivalence")
     p.add_argument("path")
     p.add_argument("--samples", type=int, default=7)
-    p.add_argument("--samples-cert", type=int, default=121)
 
     p = sub.add_parser("chs", parents=[common],
                        help="total complex, monodromy, multiplicativity of signatures")
@@ -393,9 +385,8 @@ def _check_domains(args) -> None:
     t_max = getattr(args, "t_max", 1.0)
     if not (math.isfinite(t_max) and t_max >= 1.0):
         raise DomainError(f"--t-max must be finite and >= 1, got {t_max}")
-    for flag, least in (("--instances", 0), ("--samples", 7), ("--samples-cert", 7),
-                        ("--samples-schedule", 1), ("--samples-witness", 2),
-                        ("--seed", 0)):
+    for flag, least in (("--instances", 0), ("--samples", 7), ("--samples-schedule", 1),
+                        ("--samples-witness", 2), ("--seed", 0)):
         value = getattr(args, flag[2:].replace("-", "_"), least)
         if value < least:
             raise DomainError(f"{flag} must be >= {least}, got {value}")

@@ -222,6 +222,20 @@ def offgrid_crossing(c: HPComplex) -> HomotopyEquivalence:
     return HomotopyEquivalence(c, reverse_orientation(c), a * eye, eye / a, zero, zero.copy())
 
 
+def schedule_crossing(t_star: float) -> HPComplex:
+    """dims (1, 2, 1), d_0 e0 = e1 and d_1 e2 = e3, S = 1/t_star on degree 1
+    and 1 between degrees 0 and 2.  In the order (e1, e0, e3, e2), B+(t) of
+    the localization schedule is tridiagonal with determinant t^-2 -
+    t_star^-2, so one eigenvalue crosses zero at t = t_star, from - to + as
+    t grows; reverse_orientation negates the spectrum of B+(t), and so the
+    direction of the crossing."""
+    s = np.zeros((4, 4))
+    s[1, 1] = s[2, 2] = 1.0 / t_star
+    s[0, 3] = s[3, 0] = 1.0
+    d = (np.array([[1.0], [0.0]]), np.array([[0.0, 1.0]]))
+    return HPComplex(GradedSpace(2, (1, 2, 1)), d, s, "weak")
+
+
 # ---------------------------------------------------------------------------
 # corpus files
 
@@ -241,6 +255,12 @@ def _he_docs() -> dict[str, dict]:
     out["he_orientation_mismatch"] = he_to_json(HomotopyEquivalence(
         sphere_model(), flipped, ident.f, ident.g, ident.h, ident.h_prime))
     out["he_offgrid_crossing"] = he_to_json(offgrid_crossing(circle_model()))
+    # two opposite crossings between the schedule samples t = 2 and 3: the
+    # duality path passes and the terminal segment's schedule fails
+    out["he_terminal_crossing"] = he_to_json(identity_equivalence(
+        direct_sum(schedule_crossing(2.3), reverse_orientation(schedule_crossing(2.7)))))
+    out["he_identity_circle3"] = he_to_json(identity_equivalence(
+        cap_duality(circle_triangulation())))
     return out
 
 

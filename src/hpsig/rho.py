@@ -1,6 +1,6 @@
 """Homotopy-equivalence data and the secondary invariants attached to it:
 the six-segment duality path S_f(t) on the sum complex, invertibility
-certificates along it, and the projection families for the even case.
+certificates along it, and the terminal segment that closes it.
 
 The path lives on A' + A with D = D' + D and duality diag(S', -S).  It
 connects diag(S', -S) at t = 0 to its negative at t = 6 through five
@@ -11,7 +11,7 @@ its location t* rather than assumed away.
 
 from __future__ import annotations
 
-import bisect
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -20,8 +20,7 @@ import numpy as np
 from . import spectral
 from .hpc_core import (DEFAULT_TOL, DomainError, DualityDegenerateError, GradedSum,
                        Grading, HPComplex, StructuralError, Tolerances, decode_matrix,
-                       direct_sum, encode_matrix, hpcomplex_from_json,
-                       hpcomplex_to_json, reverse_orientation, validate)
+                       encode_matrix, hpcomplex_from_json, hpcomplex_to_json, validate)
 from .signature import LocalizationSchedule, _certify, _Point, localized_signature_path
 
 JUNCTIONS = (1.0, 2.0, 3.0, 4.0, 5.0)
@@ -58,6 +57,11 @@ class HomotopyEquivalence:
     @property
     def n(self) -> int:
         return self.source.n
+
+    @property
+    def complexes(self) -> tuple[HPComplex, ...]:
+        """The source, and the target unless it is the same object."""
+        return (self.source,) if self.source is self.target else (self.source, self.target)
 
 
 def identity_equivalence(c: HPComplex) -> HomotopyEquivalence:
@@ -175,15 +179,27 @@ class _PathData:
     def diag_duality(self) -> np.ndarray:
         return self.assemble(self.Sp, None, None, -self.S)
 
+    @functools.cached_property
+    def _rotation_norms(self) -> tuple[float, float]:
+        """||A|| and ||B|| for A = diag(f*Sf, -S) and B = [[0, f*S], [Sf, 0]]:
+        on [1, 2], S_f(t) = cos(th) A + sin(th) B with th = pi (t - 1) / 2."""
+        norm = spectral.operator_norm
+        return (max(norm(self.fSf), self.he.target.S_norm),
+                max(norm(self.fS), norm(self.Sf)))
+
     def lipschitz(self) -> tuple[float, float]:
         """Bounds on ||d S_f(t) / dt||_2 over [0, 1] and over [1, 2].  Only
-        the source block moves on the first.  The second is cos(th) A +
-        sin(th) B, th = pi (t - 1) / 2, for A = diag(f*Sf, -S) and B =
-        [[0, f*S], [Sf, 0]], whose derivative is at most pi/2 (||A|| + ||B||)."""
-        norm = spectral.operator_norm
-        return (norm(self.fSf - self.Sp),
-                0.5 * np.pi * (max(norm(self.fSf), self.he.target.S_norm)
-                               + max(norm(self.fS), norm(self.Sf))))
+        the source block moves on the first; the second is at most
+        pi/2 (||A|| + ||B||)."""
+        return (spectral.operator_norm(self.fSf - self.Sp),
+                0.5 * np.pi * sum(self._rotation_norms))
+
+    def sup_norm(self) -> float:
+        """max(||S'||, ||A|| + ||B||), a bound on ||S_f(t)||_2 over [0, 6]: on
+        [0, 1], S_f(t) = diag((1 - t) S' + t f*Sf, -S) has norm at most
+        max(||S'||, ||A||), on [1, 2] it is cos(th) A + sin(th) B, on [2, 4]
+        a unitary conjugate of B, and (4, 6] mirrors [0, 2) up to sign."""
+        return max(self.he.source.S_norm, sum(self._rotation_norms))
 
 
 def _parts(pd: _PathData, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -287,21 +303,11 @@ class RhoPath:
     passed: bool
     failed_at: float | None
     _data: _PathData = field(repr=False)
-    _points: tuple[_Point, ...] = field(repr=False)   # the interval ends on [0, 2]
     _slack: float = field(repr=False)
 
     @property
     def min_margin(self) -> float:
         return min(self.margins)
-
-    def positive_rank(self, t: float) -> int | None:
-        """The positive rank of D + H at path time t (even n), read from the
-        certified interval that contains t or its mirror 6 - t: no
-        eigenvalue crosses zero inside one."""
-        mirror = t > 4.0
-        x = min(6.0 - t if mirror else t, 2.0)
-        k = max(bisect.bisect_right([p.x for p in self._points], x) - 1, 0)
-        return self._points[k].ranks[1 if mirror else 0]
 
     def to_dict(self) -> dict:
         return {
@@ -330,7 +336,7 @@ def rho_path(he: HomotopyEquivalence, samples: int = 7,
     her = validate_homotopy_equivalence(he, tol)
     if not her.passed:
         raise StructuralError(f"homotopy-equivalence identities fail: {her.to_dict()}")
-    for c in (he.source, he.target):
+    for c in he.complexes:
         rep = validate(c, tol)
         if not rep.passed:
             raise DualityDegenerateError("source/target complex fails validation")
@@ -384,119 +390,68 @@ def rho_path(he: HomotopyEquivalence, samples: int = 7,
                    tuple(margins), tuple(sorted(midpoints)), float(junction),
                    float(endpoint), skew, float(threshold),
                    min(min(s.plus, s.minus) for s in decomposed), passed, failed_at, pd,
-                   tuple(points), slack)
+                   slack)
 
 
 # ---------------------------------------------------------------------------
-# parity certificates
+# the terminal segment
 
 
-def _sum_complex(he: HomotopyEquivalence) -> HPComplex:
-    """A' + A with the duality diag(S', -S), as an honest complex."""
-    return direct_sum(he.source, reverse_orientation(he.target))
+@dataclass(frozen=True, eq=False)
+class TerminalCheck:
+    """The localization of the sum complex A' + A^op that closes a passed
+    duality path.
+
+    B+-(s) of the sum is diag(B+-(s) of A', B-+(s) of A): block diagonal,
+    so its schedule is the schedules of A' and of A, each at its own size,
+    with B+ and B- exchanged on A, and a single schedule when A' is A.
+    Everything else the segment needs follows from the path.  For even n,
+    B+ of the sum at s = 1 is the path at t = 0 and B- the path at t = 6,
+    so their positive ranks are equal.  For odd n, the family u(t) = X+
+    X_f(t - 1)^{-1}, t in [1, 7], X the (even rows, odd columns) block, is
+    invertible wherever the path is, and sigma_min(u) >= sigma_min(X+) /
+    (||D|| + sup_t ||S_f(t)||); odd_bound is that bound, with sigma_min(X+)
+    read from the path's t = 0 sample less its slack, and it must clear the
+    path's threshold.  failed_at is the time at which the first failing
+    schedule could not be certified.
+    """
+
+    schedules: tuple[LocalizationSchedule, ...]
+    odd_bound: float | None
+    failed_at: float | None
+    passed: bool
+
+    @property
+    def min_margin(self) -> float:
+        return min(s.min_margin for s in self.schedules)
+
+    def to_dict(self) -> dict:
+        return {
+            "min_margin": self.min_margin,
+            "odd_bound": self.odd_bound,
+            "failed_at": self.failed_at,
+            "passed": self.passed,
+        }
 
 
-def _require_passed(he: HomotopyEquivalence, path: RhoPath, samples: int) -> _PathData:
-    """The path data of he, for certificates that continue its passed path."""
-    if samples < 7:
-        raise DomainError("need at least 7 samples across the six branches")
+def terminal_check(he: HomotopyEquivalence, path: RhoPath,
+                   tol: Tolerances = DEFAULT_TOL) -> TerminalCheck:
+    """The terminal segment continuing path, the passed rho_path of he."""
     if path._data.he is not he:
         raise ValueError("path was computed for another homotopy equivalence")
     if not path.passed:
         raise DualityDegenerateError(
             f"duality path fails at t*={path.failed_at}: the map does not "
             "implement the duality")
-    return path._data
-
-
-@dataclass(frozen=True, eq=False)
-class OddRhoCertificate:
-    """Invertibility of (D+S)(D+S_f(t-1))^{-1} on even degrees, t in [1,7],
-    continued by the localization schedule of the sum complex; by degree
-    parity it is X+ X_f^{-1}, X the (even, odd) block, scaled by ||X+||.
-    min_singulars for t - 1 in [2, 4) is read from t - 1 = 2."""
-
-    times: tuple[float, ...]
-    min_singulars: tuple[float, ...]
-    schedule: LocalizationSchedule
-    threshold: float
-    passed: bool
-    failed_at: float | None
-
-
-def rho_certificate_odd(he: HomotopyEquivalence, path: RhoPath, samples: int = 121,
-                        tol: Tolerances = DEFAULT_TOL) -> OddRhoCertificate:
-    """Odd-degree certificate continuing path, the computed rho_path of he."""
-    if he.n % 2 != 1:
-        raise DomainError("odd certificate needs odd top degree")
-    pd = _require_passed(he, path, samples)
-    x_plus = pd.graded.blocks(pd.diag_duality())[0]
-    times = np.linspace(1.0, 7.0, samples)
-    mins: list[float] = []
-    threshold = tol.inv * max(1.0, spectral.operator_norm(x_plus))
-    failed_at = None
-
-    def least_sv(s: float) -> float:
-        x_f = pd.graded.blocks(pd.value(s))[0]
-        return float(np.linalg.svd(spectral.right_divide(x_plus, x_f),
-                                   compute_uv=False)[-1])
-
-    # for t - 1 in [2, 4), X+ = U_e X+ U_o* and X_f(t - 1) = U_e X_f(2) U_o*
-    # for the phase U of rho_path, so u = U_e u(2) U_e* has the singular
-    # values of u(2); the mirror does not hold for u
-    phase_sv = None
-    for t in times:
-        s = float(t) - 1.0
-        if 2.0 <= s < 4.0:
-            if phase_sv is None:
-                phase_sv = least_sv(2.0)
-            sv = phase_sv
-        else:
-            sv = least_sv(s)
-        mins.append(sv)
-        if failed_at is None and sv <= threshold:
-            failed_at = float(t)
-    schedule = localized_signature_path(_sum_complex(he), tol=tol)
-    passed = failed_at is None and schedule.passed
-    return OddRhoCertificate(tuple(map(float, times)), tuple(mins), schedule,
-                             threshold, passed, failed_at)
-
-
-@dataclass(frozen=True, eq=False)
-class ThetaPair:
-    """Projection families P+(D+S) and P+(D+S_f(t-1)) with rank bookkeeping."""
-
-    times: tuple[float, ...]
-    ranks_plus: tuple[int, ...]
-    ranks_minus: tuple[int, ...]
-    schedule: LocalizationSchedule
-    constant: bool
-    equal: bool
-    passed: bool
-    failed_at: float | None
-
-
-def rho_certificate_even(he: HomotopyEquivalence, path: RhoPath, samples: int = 121,
-                         tol: Tolerances = DEFAULT_TOL) -> ThetaPair:
-    """Even-degree certificate continuing path, the computed rho_path of he."""
-    if he.n % 2 != 0:
-        raise DomainError("even certificate needs even top degree")
-    _require_passed(he, path, samples)
-    times = np.linspace(1.0, 7.0, samples)
-    ranks_m = [path.positive_rank(float(t) - 1.0) for t in times]
-    failed_at = next((float(t) for t, r in zip(times, ranks_m) if r != ranks_m[0]), None)
-    rank_plus = ranks_m[0]               # t = 1 is D + diag(S', -S)
-    schedule = localized_signature_path(_sum_complex(he), tol=tol)
-    constant = len(set(ranks_m)) <= 1 and schedule.constant
-    equal = all(r == rank_plus for r in ranks_m)
-    if schedule.ranks:
-        # the terminal segment continues both families as the +- projections
-        equal = equal and all(rp == rank_plus and rm == rank_plus
-                              for rp, rm in schedule.ranks)
-    passed = constant and equal and failed_at is None and schedule.passed
-    return ThetaPair(tuple(map(float, times)), tuple([rank_plus] * len(ranks_m)),
-                     tuple(ranks_m), schedule, constant, equal,
-                     passed, failed_at)
+    schedules = tuple(localized_signature_path(c, tol=tol) for c in he.complexes)
+    odd_bound = None
+    if he.n % 2:
+        d_norm = max(he.source.D_norm, he.target.D_norm)
+        odd_bound = (path.min_sv_plus[0] - path._slack) / (d_norm + path._data.sup_norm())
+    failed_at = next((s.failed_at for s in schedules if s.failed_at is not None), None)
+    passed = (all(s.passed for s in schedules)
+              and (odd_bound is None or odd_bound > path.threshold))
+    return TerminalCheck(schedules, odd_bound, failed_at, passed)
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +472,9 @@ def he_to_json(he: HomotopyEquivalence) -> dict:
 def he_from_json(doc) -> HomotopyEquivalence:
     try:
         source = hpcomplex_from_json(doc["source"])
-        target = hpcomplex_from_json(doc["target"])
+        # an identity decodes to one complex, as identity_equivalence builds it
+        target = (source if doc["target"] == doc["source"]
+                  else hpcomplex_from_json(doc["target"]))
         f, g, h, h_prime = (doc[key] for key in ("f", "g", "h", "h_prime"))
     except KeyError as exc:
         raise StructuralError(f"malformed homotopy-equivalence document: {exc}") from exc

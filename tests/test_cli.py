@@ -9,7 +9,6 @@ import pytest
 
 from hpsig import fixtures
 from hpsig.hpc_core import HPComplex, hpcomplex_to_json, validate
-from hpsig.rho import he_to_json, identity_equivalence
 from hpsig.signature import signature_even
 from hpsig.simplicial import cap_duality
 
@@ -26,7 +25,7 @@ def test_check_point_passes(cli_cmd, fixture_dir):
     proc = run(cli_cmd, "check", str(fixture_dir / "point.json"))
     assert proc.returncode == 0
     rep = report_of(proc)
-    assert rep["schema"] == "hpsig-report/3"
+    assert rep["schema"] == "hpsig-report/4"
     assert rep["outcome"] == "pass"
 
 
@@ -120,12 +119,15 @@ def test_rho_identity_passes(cli_cmd, fixture_dir):
     assert proc.returncode == 0
     rep = report_of(proc)
     assert rep["outcome"] == "pass"
-    assert rep["data"]["theta"]["constant"]
+    assert [c["name"] for c in rep["checks"]] == ["homotopy_identities",
+                                                  "duality_path_invertible",
+                                                  "terminal_segment"]
+    assert rep["data"]["terminal"]["min_margin"] > 0
 
 
 def test_rho_reduction_passes(cli_cmd, fixture_dir):
     proc = run(cli_cmd, "rho", str(fixture_dir / "he_reduction_sphere_d3.json"),
-               "--samples", "121", "--samples-cert", "41")
+               "--samples", "121")
     assert proc.returncode == 0
 
 
@@ -189,12 +191,12 @@ def test_coarse_seeded_reproducibility(cli_cmd):
 
 
 # SHA-256 of the coarse report at 100 instances: a change to the random
-# stream or to the checks drawn from it shows here (schema hpsig-report/3)
+# stream or to the checks drawn from it shows here (schema hpsig-report/4)
 COARSE_REPORT_DIGESTS = {
-    ("0", "l2"): "35c62d8e305973167bc37e00a04913d09428a16e55f198ccf57b7fe013476282",
-    ("0", "max"): "1877e96f18447f2bb76d5414e82adfe0a17bc6649502739a109b16b470f982c7",
-    ("42", "l2"): "14e3a184fe2e9902ca343b31bef1a6e9dd19c73c933297fdb49d6adc717cd380",
-    ("42", "max"): "a9ba87ec2c613892efa27e386c5d265bf4cad3b29b69d9d62854d692c42886c6",
+    ("0", "l2"): "b66ed741f832ff237bf941d35683e7e5f1e73d7b447d1b3751e6ceed62ed1068",
+    ("0", "max"): "3c821273da942bf49139038d4a684e567e98a972e6a19c5bdf6e7b875b40ad79",
+    ("42", "l2"): "4527117b11c55c86ffe10b1ec53c7870f8bf012b482f40b797c898ca7f33a98d",
+    ("42", "max"): "196c06d796f2767d2a7697d7cb0f36befbafd9351bf46581d0590c0f3ebe7d49",
 }
 
 
@@ -208,10 +210,10 @@ def test_coarse_report_bytes_are_pinned(cli_cmd, seed, metric):
 
 # the same at 1000 instances, eight blocks of the stacked suite
 COARSE_1000_REPORT_DIGESTS = {
-    ("0", "l2"): "0823a1c7173935a75e944f488d2e0342d52bbadfbaed63b25519a6acde0aba85",
-    ("0", "max"): "0cd618c5b0442b5c84cb524d89cec0325887edf86b5cca7f3d77e851649daab1",
-    ("42", "l2"): "9a5afa00a11540e0452798ef2e4cdbde0651c081b215b1a31ee07805e1693788",
-    ("42", "max"): "45e4f10c6e86af0088fb4c24ac486de6ffcf80fc3241a943b7a5e0d7d27198d1",
+    ("0", "l2"): "86658b92f1f0c4ff1e7d379c4e6f0b30f4c3de8b6e00ec32259d668c63eae8e7",
+    ("0", "max"): "8ab2e69f4015462d745dba3c207f6ea8dd692897eebc5e3f543dee51ac2a61d3",
+    ("42", "l2"): "0ed2ff52cd455e6a4f49b74491eebe8a019fe15b68e6f9ee2d2d540bef1a6f34",
+    ("42", "max"): "06140b7adbf3278904856fa214b353292aacafd9a391cb2b98236d29af7cbed6",
 }
 
 
@@ -272,15 +274,6 @@ def _model_with_s_entry(entry):
     return build
 
 
-def _rho_odd_identity(*flags):
-    """argv running rho on the identity equivalence of circle_model."""
-    def build(tmp_path, fixture_dir):
-        path = tmp_path / "he_identity_circle_model.json"
-        path.write_text(json.dumps(he_to_json(identity_equivalence(fixtures.circle_model()))))
-        return ["rho", str(path), *flags]
-    return build
-
-
 def _on_fixture(command, name, *flags):
     return lambda tmp_path, fixture_dir: [command, str(fixture_dir / name), *flags]
 
@@ -328,16 +321,10 @@ INPUT_ERRORS = {
     "tol_sym_zero": _on_fixture("sgn", "sphere_model.json", "--tol-sym", "0"),
     "tol_sym_infinite": _on_fixture("sgn", "sphere_model.json", "--tol-sym", "inf"),
     "instances_negative": lambda tmp_path, fixture_dir: ["coarse", "--instances", "-1"],
-    "rho_odd_samples_cert_0": _rho_odd_identity("--samples-cert", "0"),
-    "rho_odd_samples_cert_6": _rho_odd_identity("--samples-cert", "6"),
-    "rho_even_samples_cert_0": _on_fixture("rho", "he_identity_sphere_model.json",
-                                           "--samples-cert", "0"),
-    "rho_even_samples_cert_6": _on_fixture("rho", "he_identity_sphere_model.json",
-                                           "--samples-cert", "6"),
     # checked before the command runs, so a failing path or a product
     # without a witness does not hide the error
-    "rho_failing_path_samples_cert_0": _on_fixture("rho", "he_orientation_mismatch.json",
-                                                   "--samples-cert", "0"),
+    "rho_failing_path_samples_0": _on_fixture("rho", "he_orientation_mismatch.json",
+                                              "--samples", "0"),
     "rho_samples_0": _on_fixture("rho", "he_identity_sphere_model.json", "--samples", "0"),
     "rho_samples_6": _on_fixture("rho", "he_identity_sphere_model.json", "--samples", "6"),
     "sgn_samples_schedule_0": _on_fixture("sgn", "cp2_model.json", "--samples-schedule", "0"),
@@ -377,9 +364,8 @@ def test_input_errors_exit_two_with_one_line(cli_cmd, fixture_dir, tmp_path, cas
     assert proc.stdout == ""
 
 
-@pytest.mark.parametrize("case, least", [("rho_even_samples_cert_0", 7),
-                                         ("rho_failing_path_samples_cert_0", 7),
-                                         ("rho_samples_0", 7),
+@pytest.mark.parametrize("case, least", [("rho_samples_0", 7),
+                                         ("rho_failing_path_samples_0", 7),
                                          ("sgn_samples_schedule_0", 1),
                                          ("product_samples_witness_0", 2),
                                          ("product_without_witness_samples_witness_0", 2)])

@@ -1,5 +1,5 @@
 """Homotopy-equivalence validation, the six-branch duality path, and the
-parity certificates, including the orientation-mismatch negative control."""
+terminal segment that closes it, with their negative controls."""
 
 import json
 import subprocess
@@ -8,15 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hpsig import fixtures
+from hpsig import cli, fixtures
 from hpsig.hpc_core import (DualityDegenerateError, GradedSpace, HPComplex,
                             StructuralError, Tolerances, direct_sum, hpcomplex_to_json,
                             rescale_inner_products, reverse_orientation, validate)
-from hpsig.rho import (HomotopyEquivalence, _PathData, _sample,
-                       he_from_json, he_to_json,
-                       identity_equivalence, rho_certificate_even,
-                       rho_certificate_odd, rho_path,
-                       validate_homotopy_equivalence)
+from hpsig.rho import (HomotopyEquivalence, _PathData, _rotation_sup, _sample,
+                       he_from_json, he_to_json, identity_equivalence, rho_path,
+                       terminal_check, validate_homotopy_equivalence)
+from hpsig.signature import odd_index_representative
 from hpsig.simplicial import cap_duality, harmonic_reduction, load_simplicial
 
 
@@ -298,7 +297,7 @@ def test_rho_certificate_rejects_path_of_another_equivalence():
     he = identity_equivalence(fixtures.sphere_model())
     other = identity_equivalence(fixtures.sphere_model())
     with pytest.raises(ValueError):
-        rho_certificate_even(he, rho_path(other, samples=61), samples=61)
+        terminal_check(he, rho_path(other, samples=61))
 
 
 def test_rho_path_junctions_continuous_on_all_fixtures():
@@ -311,10 +310,12 @@ def test_rho_path_junctions_continuous_on_all_fixtures():
 
 def test_rho_certificate_odd_identity_circle():
     he = identity_equivalence(fixtures.circle_model())
-    cert = rho_certificate_odd(he, rho_path(he, samples=61), samples=61)
-    assert cert.passed
-    assert min(cert.min_singulars) > 0
-    assert cert.schedule.passed
+    path = rho_path(he, samples=61)
+    term = terminal_check(he, path)
+    assert term.passed
+    assert term.odd_bound > path.threshold
+    # source and target are one complex: one schedule
+    assert len(term.schedules) == 1 and term.schedules[0].passed
 
 
 def test_rho_certificate_odd_collapse_equivalence():
@@ -322,8 +323,9 @@ def test_rho_certificate_odd_collapse_equivalence():
     big = direct_sum(fixtures.circle_model(), fixtures.hyperbolic_odd())
     minimal, he = harmonic_reduction(big)
     assert minimal.space.dims == (1, 1)
-    cert = rho_certificate_odd(he, rho_path(he, samples=61), samples=61)
-    assert cert.passed
+    term = terminal_check(he, rho_path(he, samples=61))
+    assert term.passed
+    assert len(term.schedules) == 2
 
 
 def test_rho_certificate_odd_rejects_broken_data():
@@ -332,31 +334,109 @@ def test_rho_certificate_odd_rejects_broken_data():
                                  he.h_prime)
     assert not validate_homotopy_equivalence(broken).passed
     with pytest.raises(StructuralError):
-        rho_certificate_odd(broken, rho_path(broken, samples=31), samples=31)
+        terminal_check(broken, rho_path(broken, samples=31))
+
+
+def sum_ranks(term) -> tuple[int, int]:
+    """The positive ranks of B+ and B- of the sum complex A' + A^op at s = 1,
+    read from the summands' schedules: B+-(1) of the sum is diag(D' +- S',
+    D -+ S)."""
+    (rp_src, rm_src), (rp_tgt, rm_tgt) = (s.ranks[0] for s in
+                                          (term.schedules[0], term.schedules[-1]))
+    return rp_src + rm_tgt, rm_src + rp_tgt
+
+
+def assert_even_terminal_reads_the_path(he, path, term):
+    # B+ of the sum at s = 1 is the path at t = 0 and B- the path at t = 6
+    pd = _PathData(he)
+    assert sum_ranks(term) == (_sample(pd, 0.0).rank, _sample(pd, 6.0).rank)
+    assert term.odd_bound is None
 
 
 @pytest.mark.parametrize("build", [fixtures.sphere_model, fixtures.cp2_model])
 def test_rho_certificate_even_identity(build):
     he = identity_equivalence(build())
-    cert = rho_certificate_even(he, rho_path(he, samples=61), samples=61)
-    assert cert.passed
-    assert cert.constant and cert.equal
-    assert len(set(cert.ranks_minus)) == 1
-    assert cert.ranks_plus[0] == cert.ranks_minus[0]
+    path = rho_path(he, samples=61)
+    term = terminal_check(he, path)
+    assert term.passed and term.failed_at is None
+    assert len(term.schedules) == 1 and term.schedules[0].constant
+    assert_even_terminal_reads_the_path(he, path, term)
 
 
 def test_rho_certificate_even_reduction_torus():
     cap = cap_duality(fixtures.torus_triangulation())
     _, he = harmonic_reduction(cap)
-    cert = rho_certificate_even(he, rho_path(he, samples=41), samples=41)
-    assert cert.passed
-    assert cert.schedule.constant
+    path = rho_path(he, samples=41)
+    term = terminal_check(he, path)
+    assert term.passed
+    assert [s.constant for s in term.schedules] == [True, True]
+    # each summand at its own size
+    assert [len(s.ranks) for s in term.schedules] == [10, 10]
+    assert he.source.total_dim != he.target.total_dim
+    assert_even_terminal_reads_the_path(he, path, term)
 
 
 def test_rho_certificate_even_rejects_mismatch():
     with pytest.raises(DualityDegenerateError):
         he = mismatch_equivalence()
-        rho_certificate_even(he, rho_path(he, samples=61), samples=61)
+        terminal_check(he, rho_path(he, samples=61))
+
+
+def test_terminal_crossing_fails_the_terminal_segment(capsys, fixture_dir):
+    # the identity on a complex whose localization schedule has two opposite
+    # crossings between t = 2 and t = 3: the duality path passes, and only
+    # the terminal segment can fail
+    path = str(fixture_dir / "he_terminal_crossing.json")
+    assert cli.main(["rho", path]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    checks = {c["name"]: c for c in rep["checks"]}
+    assert checks["duality_path_invertible"]["passed"]
+    term = checks["terminal_segment"]
+    assert not term["passed"] and 2.0 < term["failed_at"] < 3.0
+    assert rep["data"]["terminal"]["min_margin"] <= 0.0
+
+
+def test_odd_bound_below_the_threshold_fails_the_terminal_segment(capsys, fixture_dir):
+    # under --tol-inv 0.1 the path's threshold, 0.1 (||D|| + ||S||) = 0.273,
+    # is above the whole-path bound sigma_min(X+) / (||D|| + sup ||S_f||) =
+    # 0.268 of circle3's identity: the path and the schedule pass, and the
+    # bound, which has no location, fails the terminal segment
+    path = str(fixture_dir / "he_identity_circle3.json")
+    assert cli.main(["rho", path, "--tol-inv", "0.1"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert [c["name"] for c in rep["checks"] if not c["passed"]] == ["terminal_segment"]
+    term = rep["data"]["terminal"]
+    assert term["odd_bound"] < rep["data"]["path"]["threshold"]
+    assert term["failed_at"] is None and term["min_margin"] > 0
+
+
+def test_he_from_json_decodes_an_identity_to_one_complex(fixture_dir):
+    def load(name):
+        return he_from_json(json.loads((fixture_dir / f"{name}.json").read_text()))
+
+    ident = load("he_identity_sphere_model")
+    assert ident.source is ident.target and len(ident.complexes) == 1
+    mismatch = load("he_orientation_mismatch")
+    assert mismatch.source is not mismatch.target and len(mismatch.complexes) == 2
+
+
+def test_rotation_sup_matches_a_dense_sweep():
+    # the largest ||cos(th) x + sin(th) y||_F over th, from 4001 angles on
+    # [0, pi] (th + pi flips the sign) and 4001 more around the best of them
+    def norm_at(th):
+        return float(np.linalg.norm(np.cos(th) * x + np.sin(th) * y))
+
+    rng = np.random.default_rng(0)
+    step = np.pi / 4000
+    for shape in ((3, 3), (4, 2), (6, 6)):
+        for _ in range(5):
+            x, y = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                    for _ in range(2))
+            best = max(np.linspace(0.0, np.pi, 4001), key=norm_at)
+            refined = max(norm_at(th) for th in np.linspace(best - step, best + step, 4001))
+            sup = _rotation_sup(x, y)
+            assert sup >= norm_at(best)
+            assert sup == pytest.approx(refined, rel=1e-9, abs=0)
 
 
 def test_interval_certificate_reports_margins():
@@ -371,18 +451,20 @@ def test_interval_certificate_reports_margins():
     assert "refined_times" not in doc and "refined_min_sv" not in doc
 
 
-def dense_odd_min_singulars(he: HomotopyEquivalence, samples: int) -> list[float]:
-    """The full-size construction of the odd family: the even rows of
-    (D + S)(D + S_f(t - 1))^{-1} from one transposed solve, on the even columns."""
+def dense_odd_family(he: HomotopyEquivalence, t: float) -> np.ndarray:
+    """The full-size construction of the odd family at t in [1, 7]: the even
+    rows of (D + S)(D + S_f(t - 1))^{-1} from one transposed solve, on the
+    even columns."""
     pd = _PathData(he)
     ev = np.flatnonzero(np.concatenate([he.source.space.parity,
                                         he.target.space.parity]) == 1)
     b_plus = pd.D + pd.diag_duality()
-    out = []
-    for t in np.linspace(1.0, 7.0, samples):
-        u = np.linalg.solve((pd.D + pd.value(float(t) - 1.0)).T, b_plus[ev, :].T)[ev, :].T
-        out.append(float(np.linalg.svd(u, compute_uv=False)[-1]))
-    return out
+    return np.linalg.solve((pd.D + pd.value(t - 1.0)).T, b_plus[ev, :].T)[ev, :].T
+
+
+def dense_odd_min_singulars(he: HomotopyEquivalence, samples: int) -> list[float]:
+    return [float(np.linalg.svd(dense_odd_family(he, float(t)), compute_uv=False)[-1])
+            for t in np.linspace(1.0, 7.0, samples)]
 
 
 def three_sphere_reduction() -> HomotopyEquivalence:
@@ -403,24 +485,30 @@ def three_sphere_reduction() -> HomotopyEquivalence:
 ], ids=["identity_circle", "identity_n1_b8", "identity_n1_b3", "reduction_sphere3",
         "circle_small"])
 def test_odd_family_matches_the_full_size_solve(build):
-    # D + S and D + S_f(t - 1) are [[0, X], [X*, 0]] by degree parity, so the
-    # even block of (D + S)(D + S_f)^{-1} is X+ X_f^{-1}, one half-size solve
+    # the terminal check's whole-path bound on sigma_min of the family,
+    # decomposing nothing, is below the dense full-size sigma_min at every
+    # one of 601 times and clears the path's threshold
     he = build()
     assert he.n % 2 == 1
-    cert = rho_certificate_odd(he, rho_path(he, samples=61), samples=61)
-    assert cert.passed
-    assert cert.min_singulars == pytest.approx(dense_odd_min_singulars(he, 61),
-                                               rel=1e-12, abs=0)
+    path = rho_path(he, samples=61)
+    term = terminal_check(he, path)
+    assert term.passed
+    assert path.threshold < term.odd_bound <= min(dense_odd_min_singulars(he, 601))
 
 
 def test_odd_family_glues_onto_localization_schedule():
-    # at the end of the path segment the family is the scale-1 representative
-    # of the sum complex; singular values agree across the two bases
-    he = identity_equivalence(fixtures.circle_model())
-    cert = rho_certificate_odd(he, rho_path(he, samples=61), samples=61)
-    assert cert.times[-1] == 7.0
-    assert cert.min_singulars[-1] == pytest.approx(cert.schedule.min_singulars[0],
-                                                   abs=1e-10)
+    # at t = 7 the family is diag(u', u^{-1}) for u', u the scale-1
+    # representatives of A' and A, which the summand schedules start from:
+    # the sum complex's representative, with B+ and B- exchanged on A
+    collapse = direct_sum(fixtures.circle_model(), fixtures.hyperbolic_odd())
+    for he in (identity_equivalence(
+                   fixtures.random_strict_complex(np.random.default_rng(2), 1, 3)),
+               harmonic_reduction(collapse)[1]):
+        family = np.linalg.svd(dense_odd_family(he, 7.0), compute_uv=False)
+        parts = [np.linalg.svd(odd_index_representative(c).u, compute_uv=False)
+                 for c in (he.source, he.target)]
+        assert np.sort(family) == pytest.approx(np.sort(np.concatenate(
+            [parts[0], 1.0 / parts[1]])), rel=1e-10, abs=0)
 
 
 def test_rho_path_on_weighted_complex():
@@ -481,29 +569,36 @@ def test_rho_path_matches_the_per_sample_scan(build):
     ref = per_sample_scan(he, path.times)
     assert path.min_sv_plus == pytest.approx([s.plus for s in ref], rel=1e-12, abs=0)
     assert path.min_sv_minus == pytest.approx([s.minus for s in ref], rel=1e-12, abs=0)
-    if he.n % 2 == 0:
-        assert [path.positive_rank(t) for t in path.times] == [s.rank for s in ref]
-        if path.passed:
-            cert = rho_certificate_even(he, path)
-            ranks = [s.rank for s in per_sample_scan(he, np.array(cert.times) - 1.0)]
-            assert list(cert.ranks_minus) == ranks
+    if he.n % 2 == 0 and path.passed:
+        # no eigenvalue crosses zero along a certified path
+        assert len({s.rank for s in ref}) == 1
+
+
+@pytest.mark.parametrize("build", SCAN_CASES.values(), ids=SCAN_CASES.keys())
+def test_path_sup_norm_bounds_a_dense_sweep(build):
+    # the odd bound of the terminal check divides by ||D|| + sup_norm(),
+    # which must bound ||S_f(t)||_2 at each of 601 times, up to rounding
+    pd = _PathData(build())
+    dense = max(np.linalg.norm(pd.value(float(t)), 2) for t in np.linspace(0.0, 6.0, 601))
+    assert dense <= pd.sup_norm() * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("name", ["he_identity_sphere_model", "he_reduction_sphere_d3",
                                   "he_orientation_mismatch", "reduction_sphere_d3",
                                   "identity_n2", "identity_n4_weighted", "cp2_model_mismatch"])
 def test_rho_certificate_samples_match_the_per_sample_scan(name):
-    # the certificate reads each rank from the certified interval of the
-    # path that contains t - 1, or its mirror, and decomposes nothing; the
-    # per-sample scan decomposes every time.  The mismatches' paths fail,
-    # and their ranks move along the path
+    # the terminal check reads the rank equality at s = 1 from the path and
+    # decomposes nothing at the path's size; the per-sample scan decomposes
+    # 41 times, and each rank equals both ranks of the sum complex at s = 1.
+    # The mismatches' paths fail, and their ranks move along the path
     he = SCAN_CASES[name]()
     assert he.n % 2 == 0
     path = rho_path(he, samples=61)
     if not path.passed:
         with pytest.raises(DualityDegenerateError):
-            rho_certificate_even(he, path, samples=41)
+            terminal_check(he, path)
         return
-    cert = rho_certificate_even(he, path, samples=41)
+    term = terminal_check(he, path)
     ref = per_sample_scan(he, np.linspace(0.0, 6.0, 41))
-    assert list(cert.ranks_minus) == [s.rank for s in ref]
+    rank_plus, rank_minus = sum_ranks(term)
+    assert [s.rank for s in ref] == [rank_plus] * 41 and rank_minus == rank_plus

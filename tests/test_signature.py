@@ -11,8 +11,8 @@ from hpsig.hpc_core import (DomainError, DualityDegenerateError, GradedSpace,
                             HPComplex, Tolerances, direct_sum, rescale_inner_products,
                             reverse_orientation)
 from hpsig.products import graded_tensor
-from hpsig.signature import (localized_signature_path, odd_index_representative,
-                             signature_even, signature_report)
+from hpsig.signature import (_interval, _Point, localized_signature_path,
+                             odd_index_representative, signature_even, signature_report)
 from hpsig.simplicial import cap_duality, load_simplicial
 from hpsig.spectral import positive_rank
 
@@ -264,19 +264,6 @@ def test_cp2_9_first_interval_closes_with_one_midpoint():
     assert sched.passed and sched.min_margin == sched.margins[0] > 0.0
 
 
-def _crossing(t_star: float) -> HPComplex:
-    """dims (1, 2, 1), d_0 e0 = e1 and d_1 e2 = e3, S = 1/t_star on degree 1
-    and 1 between degrees 0 and 2.  In the order (e1, e0, e3, e2), B+(t) is
-    tridiagonal with determinant t^-2 - t_star^-2, so one eigenvalue crosses
-    zero at t = t_star, from - to + as t grows; reverse_orientation negates
-    the spectrum of B+(t), and so the direction of the crossing."""
-    s = np.zeros((4, 4))
-    s[1, 1] = s[2, 2] = 1.0 / t_star
-    s[0, 3] = s[3, 0] = 1.0
-    d = (np.array([[1.0], [0.0]]), np.array([[0.0, 1.0]]))
-    return HPComplex(GradedSpace(2, (1, 2, 1)), d, s, "weak")
-
-
 @pytest.mark.parametrize("t_up, t_down", [(2.3, 2.7), (2.5, 2.5)], ids=["apart", "together"])
 def test_crossings_between_samples_fail_the_interval_certificate(t_up, t_down, capsys,
                                                                 tmp_path):
@@ -286,7 +273,8 @@ def test_crossings_between_samples_fail_the_interval_certificate(t_up, t_down, c
     # midpoint's ranks differ; together, the bisection runs out
     from hpsig import cli
     from hpsig.hpc_core import hpcomplex_to_json
-    c = direct_sum(_crossing(t_up), reverse_orientation(_crossing(t_down)))
+    c = direct_sum(fixtures.schedule_crossing(t_up),
+                   reverse_orientation(fixtures.schedule_crossing(t_down)))
     sched = localized_signature_path(c)
     assert sched.constant and set(sched.ranks) == {(4, 4)}
     assert not sched.passed and 2.0 < sched.failed_at < 3.0
@@ -297,6 +285,26 @@ def test_crossings_between_samples_fail_the_interval_certificate(t_up, t_down, c
     check = json.loads(capsys.readouterr().out)["checks"][0]
     assert check["name"] == "localization_schedule" and not check["passed"]
     assert check["failed_at"] == sched.failed_at and check["margin"] == sched.min_margin
+
+
+@pytest.mark.parametrize("mid_ranks, failed", [((2, 2), None), ((3, 1), 0.5)],
+                         ids=["equal", "differ"])
+def test_interval_fails_when_the_midpoint_ranks_differ(mid_ranks, failed):
+    # the ends clear their thresholds but the interval does not close, so
+    # the midpoint is sampled; its bound closes both halves, and only its
+    # ranks can fail the interval
+    a, b = (_Point(x, (2, 2), 1.0, 0.1) for x in (0.0, 1.0))
+    sampled = []
+
+    def sample(x: float) -> _Point:
+        sampled.append(x)
+        return _Point(x, mid_ranks, 1.0, 0.1)
+
+    margin, failed_at = _interval(a, b, 3.0, sample, 1)
+    assert sampled == [0.5]
+    assert failed_at == failed
+    if failed is None:
+        assert margin == pytest.approx(0.5 * (2.0 - 3.0 * 0.5) - 0.1)
 
 
 def _simplex_boundary(n: int) -> dict:

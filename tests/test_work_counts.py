@@ -71,6 +71,22 @@ def count_calls(monkeypatch, prefix: str, fn) -> Calls:
     return calls
 
 
+def _calls_during(monkeypatch, module, name: str, calls: list) -> list:
+    """Wrap module.name; the returned list grows per call of it by the part
+    of each of calls that the call made."""
+    during = []
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        before = [len(c) for c in calls]
+        out = fn(*args, **kwargs)
+        during.append([c[n:] for c, n in zip(calls, before)])
+        return out
+
+    monkeypatch.setattr(module, name, wrapper)
+    return during
+
+
 def run_cli(capsys, *argv) -> int:
     code = cli.main(list(argv))
     capsys.readouterr()
@@ -138,16 +154,29 @@ def test_rho_path_svd_count_does_not_grow_with_samples(monkeypatch):
     assert counts[0] == counts[1]
 
 
-def test_rho_certificate_even_eigh_count_does_not_grow_with_samples(monkeypatch):
-    he = rho.identity_equivalence(fixtures.cp2_model())
-    path = rho.rho_path(he, samples=61)
-    calls = count_calls(monkeypatch, "numpy.linalg", np.linalg.eigh)
-    counts = []
-    for samples in (61, 121):
-        calls.clear()
-        assert rho.rho_certificate_even(he, path, samples=samples).passed
-        counts.append(len(calls))
-    assert counts[0] == counts[1]
+def test_rho_certificate_even_eigh_count_does_not_grow_with_samples(monkeypatch, capsys,
+                                                                    fixture_dir):
+    # on a passing rho every decomposition at the path's size is rho_path's,
+    # and the terminal check takes only eigenvalues, at the summands' sizes,
+    # the same ones whatever the path's starting grid
+    calls = _decompositions(monkeypatch)
+    eigh, eigvalsh, svd, solve = calls
+    inside = _calls_during(monkeypatch, rho, "terminal_check", calls)
+    for name, size in (("he_identity_sphere_model", 4), ("he_reduction_sphere_d3", 16)):
+        terminal = []
+        for samples in ("7", "13"):
+            for c in (*calls, inside):
+                c.clear()
+            assert run_cli(capsys, "rho", str(fixture_dir / f"{name}.json"),
+                           "--samples", samples) == 0
+            (_, eigvalsh_t, svd_t, _), = inside
+            assert not eigh and not solve and not svd_t
+            assert eigvalsh_t and all(max(shape) < size for shape in eigvalsh_t)
+            terminal.append(eigvalsh_t)
+            if samples == "7":
+                # t = 0, 1, 2 and the midpoint 1.5
+                assert eigvalsh.count((size, size)) == 4
+        assert terminal[0] == terminal[1]
 
 
 def test_rho_path_makes_one_eigvalsh_per_even_sample(monkeypatch, fixture_dir):
@@ -183,37 +212,22 @@ def test_rho_odd_sample_makes_no_eigvalsh(monkeypatch):
     assert len(svd) == 2 * 13            # the (even, odd) blocks of D + H and D - H
 
 
-@pytest.mark.parametrize("path_samples, cert_samples, decomposed", [(601, 121, 0),
-                                                                   (61, 41, 0),
-                                                                   (7, 121, 0)])
-def test_rho_certificate_even_reads_the_path_ranks(monkeypatch, path_samples,
-                                                   cert_samples, decomposed):
-    he = rho.identity_equivalence(fixtures.cp2_model())
-    path = rho.rho_path(he, samples=path_samples)
-    sampled = count_calls(monkeypatch, "hpsig", rho._sample)
-    assert rho.rho_certificate_even(he, path, samples=cert_samples).passed
-    # every certificate time t reads the rank of the certified path
-    # interval containing t - 1, or its mirror, on or off the path grid
-    assert len(sampled) == decomposed
-
-
-def test_rho_certificate_odd_solves_without_inverting(monkeypatch):
-    he = rho.identity_equivalence(fixtures.circle_model())
-    path = rho.rho_path(he, samples=61)
-    inv = count_calls(monkeypatch, "numpy.linalg", np.linalg.inv)
-    solve = count_calls(monkeypatch, "numpy.linalg", np.linalg.solve)
-    odd_sample = count_calls(monkeypatch, "hpsig", signature._odd_sample)
-    cert = rho.rho_certificate_odd(he, path, samples=41)
-    assert cert.passed
-    # one solve, u = X+ X_f^{-1}, per certificate sample outside t - 1 in
-    # [2, 4), one at t - 1 = 2 for the 13 samples inside, and one for each
-    # localization sample's u = X+ X-^{-1}
-    phase = [t for t in cert.times if 2.0 <= t - 1.0 < 4.0]
-    assert len(phase) == 13
-    assert len(solve) == 41 - len(phase) + 1 + len(odd_sample)
+def test_rho_certificate_odd_solves_without_inverting(monkeypatch, fixture_dir):
+    # the terminal check of an odd passing rho solves and takes SVDs only in
+    # the summands' schedules: its bound on the odd family reads the path's
+    # t = 0 sample and the norms the path took, and inverts nothing
+    he = rho.he_from_json(json.loads((fixture_dir / "he_identity_circle3.json").read_text()))
+    assert he.n % 2 == 1 and he.source is he.target
+    path = rho.rho_path(he)
+    calls = [count_calls(monkeypatch, "numpy.linalg", fn)
+             for fn in (np.linalg.inv, np.linalg.solve, np.linalg.svd)]
+    in_schedules = _calls_during(monkeypatch, rho, "localized_signature_path", calls)
+    assert rho.terminal_check(he, path).passed
+    assert in_schedules == [calls]
+    inv, solve, _ = calls
     assert len(inv) == 0
-    # each of the (even, odd) blocks of the 4-dimensional sum complex
-    assert solve == [(2, 2)] * len(solve)
+    # one u = X+ X-^{-1} per schedule sample, of the 6-dimensional complex's blocks
+    assert solve == [(3, 3)] * 10
 
 
 def test_rho_path_reads_the_norms_of_d_and_the_duality(monkeypatch):

@@ -5,7 +5,7 @@ Each command runs in process through ``hpsig.cli.main``.  Every call of a
 and dtype of its first argument.  Counts do not depend on timing or on the
 machine's load, so two files written by this script can be diffed exactly.
 
-    python3 tools/bench_counts.py --out BENCH_20.json --base HEAD
+    python3 tools/bench_counts.py --out BENCH_21.json --base HEAD
 
 counts the ``src/`` of the working tree and, with ``--base``, that of a git
 revision, extracted with ``git archive`` into a temporary directory.  Each
@@ -15,7 +15,7 @@ same inputs.  Each tree also records the line count of its
 ``src/hpsig/*.py``.  The file also records the git HEAD, whether ``src/``
 differs from it, and the BLAS thread count.  The script exits 1 when an op
 of the working tree exits with another code than the one listed for it: 1
-for the two negative controls, 0 for every other op.
+for the three negative controls, 0 for every other op.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ ROUTINES = ("eigh", "eigvalsh", "svd", "solve", "inv")
 OPS = ([(["check", "fixtures/cp2_9.json"], 0), (["sgn", "fixtures/cp2_9.json"], 0)]
        + [(["rho", f"fixtures/he_{name}.json"], code)
           for name, code in (("identity_sphere_model", 0), ("orientation_mismatch", 1),
-                             ("reduction_sphere_d3", 0), ("offgrid_crossing", 1))]
+                             ("reduction_sphere_d3", 0), ("offgrid_crossing", 1),
+                             ("terminal_crossing", 1), ("identity_circle3", 0))]
        + [(["chs", f"fixtures/fc_{name}.json"], 0)
           for name in ("mapping_torus_cp2", "sphere_x_cp2", "torus_twist")]
        + [(["coarse", "--instances", "1000"], 0)])
