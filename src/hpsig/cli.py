@@ -2,7 +2,7 @@
 certificates, product and parity witnesses, duality-path certificates,
 multiplicativity checks, and the seeded propagation suite.
 
-Reports are canonical JSON (schema hpsig-report/4) and byte-stable for fixed
+Reports are canonical JSON (schema hpsig-report/5) and byte-stable for fixed
 inputs, tolerances, and seed; wall time goes to stderr only so that report
 bytes stay deterministic.  Exit codes: 0 pass, 1 check failure, 2 input error.
 The sgn localization schedule, the rho duality path and its terminal
@@ -28,7 +28,7 @@ from .hpc_core import (DEFAULT_TOL, DomainError, DualityDegenerateError,
                        HPComplex, StructuralError, Tolerances,
                        hpcomplex_from_json, validate)
 
-SCHEMA = "hpsig-report/4"
+SCHEMA = "hpsig-report/5"
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_INPUT_ERROR = 2
@@ -141,7 +141,8 @@ def cmd_sgn(args, tol: Tolerances) -> dict:
     c = _complex_from_path(args.path, tol)
     schedule = signature.localized_signature_path(
         c, t_max=args.t_max, samples=args.samples_schedule, tol=tol)
-    data = signature.signature_report(c, tol, schedule)
+    data = signature.signature_report(c, tol)
+    data["schedule"] = schedule.to_dict()
     checks = [{"name": "localization_schedule", "passed": schedule.passed,
                "constant": schedule.constant, "failed_at": schedule.failed_at,
                "margin": schedule.min_margin}]
@@ -149,7 +150,7 @@ def cmd_sgn(args, tol: Tolerances) -> dict:
         checks.append({"name": "signature_even", "passed": True,
                        "value": data["signature"]})
     else:
-        # the odd representative raises unless its certificate passed
+        # signature_report raises unless the representative u is invertible
         checks.append({"name": "odd_certificate", "passed": True,
                        "min_singular": data["minSingular"][0]})
     return _report("sgn", {args.path: _digest(args.path)}, tol, args.seed,
@@ -321,15 +322,24 @@ def cmd_coarse(args, tol: Tolerances) -> dict:
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one line, as every other input
+    error is; its subparsers are of this class too."""
+
+    def error(self, message: str):
+        print(f"error: {message}", file=sys.stderr)
+        raise SystemExit(EXIT_INPUT_ERROR)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--tol-sym", type=float, default=DEFAULT_TOL.sym)
     common.add_argument("--tol-inv", type=float, default=DEFAULT_TOL.inv)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--json-out", default=None, help="write the report here")
     common.add_argument("--metric", choices=("l2", "max"), default="l2")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hpsig",
         description="certified signature calculus on finite duality complexes")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -236,6 +236,15 @@ def schedule_crossing(t_star: float) -> HPComplex:
     return HPComplex(GradedSpace(2, (1, 2, 1)), d, s, "weak")
 
 
+def odd_schedule_crossing(t_star: float) -> HPComplex:
+    """dims (1, 1), d_0 = [[1]] and S = -t_star^(-1/2) between the two
+    degrees: X+(t) = t^(-1/2) - t_star^(-1/2) of the localization schedule
+    crosses zero at t = t_star, while X-(t) stays positive."""
+    sigma = t_star ** -0.5
+    s = np.array([[0.0, -sigma], [-sigma, 0.0]])
+    return HPComplex(GradedSpace(1, (1, 1)), (np.ones((1, 1)),), s, "weak")
+
+
 # ---------------------------------------------------------------------------
 # corpus files
 

@@ -222,8 +222,8 @@ class GradedSum:
     its imaginary part is exactly 0 (spectral.real_if_exact), and so is an S
     given to operand, hermitian_part or spectrum, unless D is complex.  On an
     unweighted triangulation D is real, and so is S for n = 0, 1 (mod 4).
-    graded_plus and blocks, which rho calls per path sample, take their
-    argument in the dtype it comes in."""
+    spectrum_of, which the localization schedule and the rho path call per
+    sample, takes its h in the dtype it comes in."""
 
     def __init__(self, grading: Grading, n: int, d: np.ndarray):
         self.grading = grading
@@ -273,30 +273,28 @@ class GradedSum:
         """For h the Hermitian part of S and s_skew >= ||S - S*||_2."""
         return 0.5 * (s_skew + self.d_skew) + self.off_parity(h)
 
-    def graded_plus(self, h: np.ndarray) -> np.ndarray:
-        """Even n: the graded Hermitian part of D + S, written over h, that of S
-        (complex unless D is real)."""
-        np.copyto(h, self._d, where=self._s_off)
-        h += 0.0        # a zero of either sign reads +0.0, as in the sum of both parts
-        return h
-
     def blocks(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Odd n: X+-, the (even rows, odd columns) blocks of D +- s."""
         sb = s[self._ix]
         return self._d_block + sb, self._d_block - sb
 
-    def singular_values(self, h: np.ndarray) -> list[np.ndarray]:
-        """Odd n: sigma(X+-) as DualitySpectrum holds them, h as in graded_plus."""
-        svs = [np.linalg.svd(x, compute_uv=False) for x in self.blocks(h)]
-        return [np.append(sv, self._pad) for sv in svs] if self._pad.size else svs
-
     def spectrum(self, s: np.ndarray, s_skew: float) -> DualitySpectrum:
         h = self.hermitian_part(s)
-        slack = self.slack(h, s_skew)
+        return self.spectrum_of(h, self.slack(h, s_skew))
+
+    def spectrum_of(self, h: np.ndarray, slack: float) -> DualitySpectrum:
+        """The spectrum of D +- S for h, the Hermitian part of S: for even n,
+        one eigvalsh of the graded Hermitian part of D + S, written over h;
+        for odd n, the singular values of X+-, padded."""
         if self.even_n:
-            plus = np.linalg.eigvalsh(self.graded_plus(h))
+            np.copyto(h, self._d, where=self._s_off)
+            h += 0.0        # a zero of either sign reads +0.0, as in the sum of both parts
+            plus = np.linalg.eigvalsh(h)
             return DualitySpectrum(plus, -plus[::-1], slack)
-        return DualitySpectrum(*self.singular_values(h), slack)
+        svs = [np.linalg.svd(x, compute_uv=False) for x in self.blocks(h)]
+        if self._pad.size:
+            svs = [np.append(sv, self._pad) for sv in svs]
+        return DualitySpectrum(*svs, slack)
 
 
 @dataclass(frozen=True, eq=False)

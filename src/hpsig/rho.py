@@ -249,15 +249,14 @@ class _Sample(NamedTuple):
 
 
 def _sample(pd: _PathData, t: float) -> _Sample:
-    """D +- H at path time t through hpc_core.GradedSum: one eigvalsh of the
-    graded D + H for even n, two half-size SVDs for odd n."""
-    gs = pd.graded
-    h = _parts(pd, t)[0]
-    if gs.even_n:
-        vals = np.linalg.eigvalsh(gs.graded_plus(h))
-        gap = float(np.abs(vals).min())
-        return _Sample(gap, gap, int((vals > 0).sum()), int((vals < 0).sum()))
-    return _Sample(*(float(sv[-1]) for sv in gs.singular_values(h)))
+    """D +- H at path time t through hpc_core.GradedSum.spectrum_of: one
+    eigvalsh of the graded D + H for even n, two half-size SVDs for odd n.
+    rho_path applies the path's slack, so none is passed here."""
+    sp = pd.graded.spectrum_of(_parts(pd, t)[0], 0.0)
+    if pd.graded.even_n:
+        gap = float(np.abs(sp.plus).min())
+        return _Sample(gap, gap, *sp.positive_ranks())
+    return _Sample(float(sp.plus[-1]), float(sp.minus[-1]))
 
 
 # bisections of one path interval before the path fails on it: a unit

@@ -83,43 +83,34 @@ class _Point:
     threshold: float
 
 
-def _even_point(c: HPComplex, tol: Tolerances, s: float, h: np.ndarray) -> _Point:
-    """One eigvalsh of the graded B+(s), behind spectral's Hermitian check,
-    serves B-(s) = -eps B+(s) eps as well; s = 1 reads the cached spectrum.
-    h is the Hermitian part of S.  The bound is the gap less the Weyl slack."""
+def _point(c: HPComplex, tol: Tolerances, s: float, h: np.ndarray) -> _Point:
+    """The sample of B+-(s) = s D +- S, read from the gap certificates of
+    its spectrum: the cached one at s = 1, otherwise one eigvalsh of the
+    graded B+(s) for even n, which serves B-(s) = -eps B+(s) eps as well,
+    and the SVDs of X+- for odd n.  h is the Hermitian part of S.  The
+    bound is the gap less the Weyl slack."""
     if s == 1.0:
-        vals, slack = c.spectrum.plus, c.spectrum.slack
+        sp = c.spectrum
     else:
         gs = _graded(c, s)
-        vals = spectral.eigvals_hermitian(gs.graded_plus(h.copy()))
-        slack = gs.slack(h, c.S_skew)
-    cert = spectral.require_gap(vals, tol.inv, "D+-S", slack)
-    rank = int((vals > 0).sum())
-    return _Point(s, (rank, c.total_dim - rank), cert.min_singular, cert.threshold)
+        sp = gs.spectrum_of(h.copy(), gs.slack(h, c.S_skew))
+    gaps = _require_gaps(sp, tol)
+    ranks = tuple(sp.positive_ranks()) if c.n % 2 == 0 else None
+    return _Point(s, ranks, min(g.min_singular for g in gaps),
+                  max(g.threshold for g in gaps))
 
 
-def _odd_point(c: HPComplex, tol: Tolerances, s: float) -> tuple[GradedSum, _Point]:
-    """The graded sum of B+-(s) and its sample, read from the gap
-    certificates of X+-; s = 1 reads the cached spectrum."""
-    gs = _graded(c, s)
-    gaps = _require_gaps(c.spectrum if s == 1.0 else gs.spectrum(c.S_on, c.S_skew), tol)
-    return gs, _Point(s, None, min(g.min_singular for g in gaps),
-                      max(g.threshold for g in gaps))
-
-
-def _odd_sample(c: HPComplex, tol: Tolerances, t: float = 1.0
-                ) -> tuple[np.ndarray, InvertibilityCertificate, _Point]:
-    """u = B+(t) B-(t)^{-1} on the even part, its certificate, and the
-    sample of B+-(t).  Of the axioms only the invertibility of B+-(t)
-    depends on t; the gaps certify it.  B+-(t) = [[0, X+-], [Y+-, 0]] by
-    degree parity, so u = X+ X-^{-1}."""
-    gs, point = _odd_point(c, tol, t ** -0.5)
+def _odd_sample(c: HPComplex, tol: Tolerances
+                ) -> tuple[np.ndarray, InvertibilityCertificate]:
+    """u = (D+S)(D-S)^{-1} on the even part, and its certificate.  D +- S
+    = [[0, X+-], [Y+-, 0]] by degree parity, so u = X+ X-^{-1}."""
+    gs = c.graded
     u = spectral.right_divide(*gs.blocks(gs.operand(c.S_on)))
     cert = spectral.invertibility_certificate(u, tol.inv)
     if not cert.passed:
         raise DualityDegenerateError(
             f"odd representative not invertible (min singular {cert.min_singular:.3e})")
-    return u, cert, point
+    return u, cert
 
 
 def _selfadjoint_residual(c: HPComplex) -> float | None:
@@ -137,7 +128,7 @@ def odd_index_representative(c: HPComplex, tol: Tolerances = DEFAULT_TOL
     if c.n % 2 != 1:
         raise DomainError(f"odd representative needs odd top degree, got {c.n}")
     _require_valid(c, tol)
-    u, cert, _ = _odd_sample(c, tol)
+    u, cert = _odd_sample(c, tol)
     return OddIndexRepresentative(u, cert, _selfadjoint_residual(c),
                                   int(c.space.grading.even.size))
 
@@ -204,20 +195,22 @@ class LocalizationSchedule:
 
     Rescaling G_p by t^(n/2 - p) leaves S fixed in orthonormal coordinates
     and scales D by t^(-1/2), so sample t reads B+-(t) = t^(-1/2) D +- S
-    through hpc_core.GradedSum.  Even samples take one eigvalsh of B+(t):
-    B-(t) = -eps B+(t) eps, so its positive rank is N - rank P+(B+(t)), and
-    the signatures must be constant.  Odd samples certify the representative
-    u = X+ X-^{-1}.  Between samples, the Lipschitz bound of _interval
+    through hpc_core.GradedSum.  Each sample is the gap certificates of
+    B+-(t): even samples take one eigvalsh of B+(t), since B-(t) = -eps
+    B+(t) eps, and the signatures must be constant; odd samples take the
+    SVDs of X+-.  Between samples, the Lipschitz bound of _interval
     certifies that B+-(t) stays invertible, bisecting an interval that does
     not close; midpoints lists the times it sampled, and failed_at is the
-    first time at which an interval could not be certified.
+    first time at which an interval could not be certified.  So for odd n
+    the class of u(t) = X+(t) X-(t)^{-1} is that of u = u(1), which only
+    signature_report and odd_index_representative form.
     """
 
     kind: str                       # "even" | "odd"
     times: tuple[float, ...]
     signatures: tuple[int, ...] | None
     ranks: tuple[tuple[int, int], ...] | None
-    min_singulars: tuple[float, ...]  # even: gap less the Weyl slack; odd: of u
+    min_singulars: tuple[float, ...]  # gap of B+-(t) less the Weyl slack
     margins: tuple[float, ...]      # per interval [times[k], times[k + 1]]
     midpoints: tuple[float, ...]
     failed_at: float | None
@@ -254,68 +247,52 @@ def localized_signature_path(c: HPComplex, t_max: float = 10.0, samples: int = 1
         raise DomainError("need t_max >= 1 and at least one sample")
     _require_valid(c, tol)
     times = np.linspace(1.0, t_max, samples).tolist()
-    even = c.n % 2 == 0
-    h = c.graded.hermitian_part(c.S_on) if even else None
+    h = c.graded.hermitian_part(c.S_on)
     points: list[_Point] = []
-    min_sv: list[float] = []
     for t in times:
         try:
-            if even:
-                points.append(_even_point(c, tol, t ** -0.5, h))
-                min_sv.append(points[-1].bound)
-            else:
-                _, cert, point = _odd_sample(c, tol, t)
-                points.append(point)
-                min_sv.append(cert.min_singular)
-        except (DualityDegenerateError, NoSpectralGapError) as exc:
+            points.append(_point(c, tol, t ** -0.5, h))
+        except DualityDegenerateError as exc:
             raise DualityDegenerateError(
                 f"localization sample t={t:.6g} failed: {exc}") from exc
     midpoints: list[float] = []
 
     def sample(s: float) -> _Point:
         midpoints.append(s ** -2.0)
-        return _even_point(c, tol, s, h) if even else _odd_point(c, tol, s)[1]
+        return _point(c, tol, s, h)
 
     # B+-(s) = s D +- S is ||D||-Lipschitz in s
     margins, failed_s = _certify(points, lambda a, b: c.D_norm, sample, _BISECTIONS)
     failed_at = None if failed_s is None else failed_s ** -2.0
-    sigs = [rp - rm for rp, rm in (p.ranks for p in points)] if even else None
+    even = c.n % 2 == 0
+    sigs = tuple(rp - rm for rp, rm in (p.ranks for p in points)) if even else None
     constant = not even or len(set(sigs)) <= 1
-    passed = constant and failed_at is None and all(sv > 0 for sv in min_sv)
     return LocalizationSchedule(
-        "even" if even else "odd", tuple(times),
-        tuple(sigs) if even else None,
+        "even" if even else "odd", tuple(times), sigs,
         tuple(p.ranks for p in points) if even else None,
-        tuple(min_sv), tuple(margins), tuple(sorted(midpoints)), failed_at,
-        constant, passed)
+        tuple(p.bound for p in points), tuple(margins), tuple(sorted(midpoints)),
+        failed_at, constant, constant and failed_at is None)
 
 
-def signature_report(c: HPComplex, tol: Tolerances = DEFAULT_TOL,
-                     schedule: LocalizationSchedule | None = None) -> dict:
+def signature_report(c: HPComplex, tol: Tolerances = DEFAULT_TOL) -> dict:
     """Machine-readable signature data for one complex the caller has
-    validated (``cmd_sgn`` does, through the localization schedule).  A
-    schedule must be this complex's under these tolerances: on an odd
-    complex its first sample, t = 1, is the representative itself."""
-    certs = _require_gaps(c.spectrum, tol)      # under this report's tolerances
+    validated (``cmd_sgn`` does, through the localization schedule).  Its
+    gaps are checked under these tolerances; on an odd complex it forms the
+    representative u, which must be invertible."""
+    certs = _require_gaps(c.spectrum, tol)
     if c.n % 2 == 0:
         rp, rm = c.spectrum.positive_ranks()
-        doc = {
+        return {
             "kind": "even",
             "signature": rp - rm,
             "ranks": [rp, rm],
             "minSingular": [cert.min_singular for cert in certs],
         }
-    else:
-        min_sv = (schedule.min_singulars[0] if schedule is not None
-                  else _odd_sample(c, tol)[1].min_singular)
-        doc = {
-            "kind": "odd",
-            "signature": 0,
-            "ranks": None,
-            "minSingular": [min_sv],
-            "evenPartDim": int(c.space.grading.even.size),
-            "selfAdjointResidual": _selfadjoint_residual(c),
-        }
-    if schedule is not None:
-        doc["schedule"] = schedule.to_dict()
-    return doc
+    return {
+        "kind": "odd",
+        "signature": 0,
+        "ranks": None,
+        "minSingular": [_odd_sample(c, tol)[1].min_singular],
+        "evenPartDim": int(c.space.grading.even.size),
+        "selfAdjointResidual": _selfadjoint_residual(c),
+    }

@@ -226,20 +226,14 @@ def positive_projection(a, gap_tol: float = 1e-8, tol_sym: float = 1e-10) -> np.
         gap_tol, "positive projection").positive_projection()
 
 
-def eigvals_hermitian(a, tol_sym: float = 1e-10) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix: one eigvalsh, behind the
-    Hermitian check of eig_hermitian."""
+def positive_rank(a, gap_tol: float = 1e-8, tol_sym: float = 1e-10) -> int:
+    """Number of positive eigenvalues of a Hermitian matrix, certified by the
+    spectral gap: one eigvalsh, behind the Hermitian check of eig_hermitian."""
     m = _as_matrix(a)
     if m.size == 0:
-        return np.zeros(0)
+        return 0
     vals = np.linalg.eigvalsh(m)
     _require_hermitian(m, vals, tol_sym)
-    return vals
-
-
-def positive_rank(a, gap_tol: float = 1e-8, tol_sym: float = 1e-10) -> int:
-    """Number of positive eigenvalues, certified by the spectral gap."""
-    vals = eigvals_hermitian(a, tol_sym)
     require_gap(vals, gap_tol, "positive rank")
     return int((vals > 0).sum())
 

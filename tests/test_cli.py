@@ -25,7 +25,7 @@ def test_check_point_passes(cli_cmd, fixture_dir):
     proc = run(cli_cmd, "check", str(fixture_dir / "point.json"))
     assert proc.returncode == 0
     rep = report_of(proc)
-    assert rep["schema"] == "hpsig-report/4"
+    assert rep["schema"] == "hpsig-report/5"
     assert rep["outcome"] == "pass"
 
 
@@ -191,12 +191,12 @@ def test_coarse_seeded_reproducibility(cli_cmd):
 
 
 # SHA-256 of the coarse report at 100 instances: a change to the random
-# stream or to the checks drawn from it shows here (schema hpsig-report/4)
+# stream or to the checks drawn from it shows here (schema hpsig-report/5)
 COARSE_REPORT_DIGESTS = {
-    ("0", "l2"): "b66ed741f832ff237bf941d35683e7e5f1e73d7b447d1b3751e6ceed62ed1068",
-    ("0", "max"): "3c821273da942bf49139038d4a684e567e98a972e6a19c5bdf6e7b875b40ad79",
-    ("42", "l2"): "4527117b11c55c86ffe10b1ec53c7870f8bf012b482f40b797c898ca7f33a98d",
-    ("42", "max"): "196c06d796f2767d2a7697d7cb0f36befbafd9351bf46581d0590c0f3ebe7d49",
+    ("0", "l2"): "3325b43123fb4fecd32409a26aa302666ef995b171719d761e8dd8412bfa1395",
+    ("0", "max"): "0c8b0f872809ba2d5c3b0f23043e032222a156f23479e34c5955b91eae7c0416",
+    ("42", "l2"): "a6eda29f6f9576508f01e5360a51a505c868d0e1c7484f8ea35b684b5c906e3d",
+    ("42", "max"): "fda5f2b49fed295489b401519479f1b85785b5faac16d60eb98f00799f916881",
 }
 
 
@@ -210,10 +210,10 @@ def test_coarse_report_bytes_are_pinned(cli_cmd, seed, metric):
 
 # the same at 1000 instances, eight blocks of the stacked suite
 COARSE_1000_REPORT_DIGESTS = {
-    ("0", "l2"): "86658b92f1f0c4ff1e7d379c4e6f0b30f4c3de8b6e00ec32259d668c63eae8e7",
-    ("0", "max"): "8ab2e69f4015462d745dba3c207f6ea8dd692897eebc5e3f543dee51ac2a61d3",
-    ("42", "l2"): "0ed2ff52cd455e6a4f49b74491eebe8a019fe15b68e6f9ee2d2d540bef1a6f34",
-    ("42", "max"): "06140b7adbf3278904856fa214b353292aacafd9a391cb2b98236d29af7cbed6",
+    ("0", "l2"): "b73f76f37f152826222f88c303aefcad17526b220d4b9d6df4113c7ae69d8cf2",
+    ("0", "max"): "73ab57b0cb0bd614f32b2eb84f3a1c7990b2d863485b4e6773b3e48686c3c4c3",
+    ("42", "l2"): "efa8f1782b644a44eab66895451a7a470f6abebbdc8e8c67312eb9c147c90dcc",
+    ("42", "max"): "5fa687970878c53c1083fbd1afc578fb34596c30dcab736bd94e209ab1ffe638",
 }
 
 
@@ -352,6 +352,12 @@ INPUT_ERRORS = {
     "fibered_transition_singular_chs": _singular_transition("chs", "2,0"),
     "fibered_transition_singular_chs_reversed": _singular_transition("chs", "0,2"),
     "seed_negative": lambda tmp_path, fixture_dir: ["coarse", "--seed", "-1"],
+    # argparse's own errors
+    "rho_unknown_flag": _on_fixture("rho", "he_identity_circle3.json", "--samples-cert", "5"),
+    "sgn_samples_schedule_not_a_number": _on_fixture("sgn", "cp2_model.json",
+                                                     "--samples-schedule", "x"),
+    "no_command": lambda tmp_path, fixture_dir: [],
+    "unknown_command": lambda tmp_path, fixture_dir: ["frob"],
 }
 
 

@@ -113,24 +113,27 @@ def test_signature_report_shapes():
 
 
 def test_signature_report_reads_only_its_own_schedule():
+    # the report reads its own complex's spectrum, gap-checked under its own
+    # tolerances, whatever schedule ran before it; cmd_sgn attaches the schedule
     c = fixtures.cp2_model()
-    own = signature_report(c, schedule=localized_signature_path(c))
-    assert own["signature"] == 1
-    # the t = 1 eigensystems of another complex, or gap-checked under other
-    # tolerances, are not those of this report
-    other = signature_report(c, schedule=localized_signature_path(reverse_orientation(c)))
-    assert other["signature"] == 1
+    own = signature_report(c)
+    assert own["signature"] == 1 and "schedule" not in own
+    localized_signature_path(reverse_orientation(c))
+    assert signature_report(c) == own
     with pytest.raises(DualityDegenerateError):     # gap 1 <= 2 * max |eigenvalue|
-        signature_report(c, Tolerances(inv=2.0), schedule=localized_signature_path(c))
+        signature_report(c, Tolerances(inv=2.0))
 
 
 def test_odd_signature_report_reads_the_schedule_under_its_own_tolerances():
+    # the report's minSingular is that of u = X+ X-^{-1} at t = 1; the
+    # schedule's first sample is the gap of X+-, which bounds it below
     c = fixtures.circle_model()
     schedule = localized_signature_path(c)
-    assert signature_report(c, schedule=schedule)["minSingular"] == \
-        signature_report(c)["minSingular"] == [schedule.min_singulars[0]]
+    rep = odd_index_representative(c)
+    assert signature_report(c)["minSingular"] == [rep.certificate.min_singular]
+    assert 0.0 < schedule.min_singulars[0] <= rep.certificate.min_singular
     with pytest.raises(DualityDegenerateError):     # gap 1 <= 2 * max |eigenvalue|
-        signature_report(c, Tolerances(inv=2.0), schedule=schedule)
+        signature_report(c, Tolerances(inv=2.0))
 
 
 def _reference_complexes():
@@ -167,16 +170,28 @@ def _assert_margins(sched, reference, scale: float) -> None:
                                                   abs=1e-12 * scale)
 
 
+def _assert_u_clears_the_sample(x_plus, x_minus, bound: float) -> None:
+    """sigma_min(u) >= bound / ||X-||_2 > 0 for u = X+ X-^{-1}, from dense
+    LAPACK: the schedule's bound is at most sigma_min(X+), and sigma_min(u)
+    >= sigma_min(X+) / ||X-||_2.  Equality holds for 1 x 1 blocks, so the
+    two sides may differ by rounding."""
+    u = np.linalg.solve(x_minus.T, x_plus.T).T
+    floor = bound / np.linalg.norm(x_minus, 2)
+    assert floor > 0.0
+    assert np.linalg.svd(u, compute_uv=False)[-1] >= floor * (1.0 - 1e-12)
+
+
 @pytest.mark.parametrize("index", range(6), ids=[
     "cp2_model", "circle_model", "cap_sphere", "torus_model_weighted", "random_odd",
     "random_odd_weighted"])
 def test_localized_path_matches_rescaled_complexes(index):
     # the schedule samples t^(-1/2) D +- S on the input complex; the reference
     # rebuilds the complex with G_p rescaled by t^(n/2 - p) at every sample
-    from hpsig.hpc_core import DEFAULT_TOL, rescale_inner_products
+    from hpsig.hpc_core import rescale_inner_products
     from hpsig.spectral import eig_hermitian
     c = _reference_complexes()[index]
     sched = localized_signature_path(c, 10.0, 7)
+    ix = np.ix_(c.space.grading.even, c.space.grading.odd)
     ranks, least, top = [], [], []
     for k, t in enumerate(sched.times):
         ct = rescale_inner_products(c, t)
@@ -184,19 +199,12 @@ def test_localized_path_matches_rescaled_complexes(index):
         svs = [np.linalg.svd(b, compute_uv=False) for b in (b_plus, b_minus)]
         least.append(min(sv[-1] for sv in svs))
         top.append(max(sv[0] for sv in svs))
+        assert sched.min_singulars[k] == pytest.approx(least[-1], rel=0, abs=1e-12 * top[-1])
         if c.n % 2 == 0:
             ep, em = eig_hermitian(b_plus), eig_hermitian(b_minus)
             ranks.append((int((ep.eigenvalues > 0).sum()), int((em.eigenvalues > 0).sum())))
-            scale = max(sv[0] for sv in svs)
-            assert sched.min_singulars[k] == pytest.approx(least[-1], rel=0, abs=1e-12 * scale)
         else:
-            from hpsig.signature import _odd_sample
-            rep = odd_index_representative(ct)
-            u = _odd_sample(c, DEFAULT_TOL, t)[0]
-            scale = np.linalg.norm(rep.u, 2)
-            assert np.abs(u - rep.u).max() <= 1e-12 * scale
-            assert sched.min_singulars[k] == pytest.approx(rep.certificate.min_singular,
-                                                           rel=0, abs=1e-12 * scale)
+            _assert_u_clears_the_sample(b_plus[ix], b_minus[ix], sched.min_singulars[k])
     if c.n % 2 == 0:
         assert sched.ranks == tuple(ranks)
         assert sched.signatures == tuple(rp - rm for rp, rm in ranks)
@@ -287,6 +295,23 @@ def test_crossings_between_samples_fail_the_interval_certificate(t_up, t_down, c
     assert check["failed_at"] == sched.failed_at and check["margin"] == sched.min_margin
 
 
+def test_odd_crossing_between_samples_fails_the_interval_certificate(capsys, tmp_path):
+    # X+(t) crosses zero at t = 2.5, between the samples t = 2 and t = 3,
+    # where the gaps of X+- are positive; only the interval rule sees it
+    from hpsig import cli
+    from hpsig.hpc_core import hpcomplex_to_json
+    c = fixtures.odd_schedule_crossing(2.5)
+    sched = localized_signature_path(c)
+    assert sched.kind == "odd" and min(sched.min_singulars) > 0.0
+    assert not sched.passed and 2.0 < sched.failed_at < 3.0
+    path = tmp_path / "odd_crossing.json"
+    path.write_text(json.dumps(hpcomplex_to_json(c)))
+    assert cli.main(["sgn", str(path)]) == 1
+    check = json.loads(capsys.readouterr().out)["checks"][0]
+    assert check["name"] == "localization_schedule" and not check["passed"]
+    assert check["failed_at"] == sched.failed_at
+
+
 @pytest.mark.parametrize("mid_ranks, failed", [((2, 2), None), ((3, 1), 0.5)],
                          ids=["equal", "differ"])
 def test_interval_fails_when_the_midpoint_ranks_differ(mid_ranks, failed):
@@ -317,27 +342,24 @@ def _simplex_boundary(n: int) -> dict:
 def _complex128_schedule(c: HPComplex, times) -> tuple[list, list, list, list, list]:
     """Per sample t, from complex128 LAPACK on B+-(t) = t^(-1/2) D +- S: the
     spectrum (eigenvalues of B+-(t) for even n, singular values of their
-    (even, odd) blocks X+- for odd n), the positive ranks (even n), the least
-    |eigenvalue| of B+(t) or singular value of u = X+ X-^{-1}, and the least
-    and largest |eigenvalue| of B+-(t), which the interval margins read."""
+    (even, odd) blocks X+- for odd n), the positive ranks (even n), the
+    blocks X+- (odd n), and the least and largest |eigenvalue| of B+-(t),
+    which the samples and the interval margins read."""
     ix = np.ix_(c.space.grading.even, c.space.grading.odd)
-    spectra, ranks, least, bound, top = [], [], [], [], []
+    spectra, ranks, blocks, least, top = [], [], [], [], []
     for t in times:
         b_plus, b_minus = (np.asarray(t ** -0.5 * c.D_on + sign * c.S_on, dtype=complex)
                            for sign in (1.0, -1.0))
         if c.n % 2 == 0:
             pair = tuple(np.linalg.eigvalsh(b) for b in (b_plus, b_minus))
             ranks.append(tuple(int((v > 0).sum()) for v in pair))
-            least.append(float(np.abs(pair[0]).min()))
         else:
-            x_plus, x_minus = b_plus[ix], b_minus[ix]
-            pair = tuple(np.linalg.svd(x, compute_uv=False) for x in (x_plus, x_minus))
-            u = np.linalg.solve(x_minus.T, x_plus.T).T
-            least.append(float(np.linalg.svd(u, compute_uv=False)[-1]))
+            blocks.append((b_plus[ix], b_minus[ix]))
+            pair = tuple(np.linalg.svd(x, compute_uv=False) for x in blocks[-1])
         spectra.append(pair)
-        bound.append(min(float(np.abs(v).min()) for v in pair))
+        least.append(min(float(np.abs(v).min()) for v in pair))
         top.append(max(float(np.abs(v).max()) for v in pair))
-    return spectra, ranks, least, bound, top
+    return spectra, ranks, blocks, least, top
 
 
 @pytest.mark.parametrize("doc", ["cp2_9", 4, 5], ids=["cp2_9", "sphere4", "sphere5"])
@@ -355,11 +377,13 @@ def test_real_decompositions_match_complex_lapack(doc):
     assert c.spectrum.slack == 0.0       # the gaps are the least |eigenvalues|
     sched = localized_signature_path(c)
     assert sched.passed
-    spectra, ranks, least, bound, top = _complex128_schedule(c, sched.times)
+    spectra, ranks, blocks, least, top = _complex128_schedule(c, sched.times)
     for ours, ref in zip(c.spectrum[:2], spectra[0]):
         np.testing.assert_allclose(ours, ref, rtol=1e-12, atol=0)
     np.testing.assert_allclose(sched.min_singulars, least, rtol=1e-12, atol=0)
-    _assert_margins(sched, _grid_margins(c, sched, bound, top), max(top))
+    _assert_margins(sched, _grid_margins(c, sched, least, top), max(top))
+    for (x_plus, x_minus), bound in zip(blocks, sched.min_singulars):
+        _assert_u_clears_the_sample(x_plus, x_minus, bound)
     if c.n % 2 == 0:
         assert c.spectrum.positive_ranks() == list(ranks[0])
         assert sched.ranks == tuple(ranks)

@@ -213,9 +213,9 @@ def test_rho_odd_sample_makes_no_eigvalsh(monkeypatch):
 
 
 def test_rho_certificate_odd_solves_without_inverting(monkeypatch, fixture_dir):
-    # the terminal check of an odd passing rho solves and takes SVDs only in
-    # the summands' schedules: its bound on the odd family reads the path's
-    # t = 0 sample and the norms the path took, and inverts nothing
+    # the terminal check of an odd passing rho takes SVDs only in the
+    # summands' schedules: its bound on the odd family reads the path's
+    # t = 0 sample and the norms the path took, and it inverts nothing
     he = rho.he_from_json(json.loads((fixture_dir / "he_identity_circle3.json").read_text()))
     assert he.n % 2 == 1 and he.source is he.target
     path = rho.rho_path(he)
@@ -225,9 +225,8 @@ def test_rho_certificate_odd_solves_without_inverting(monkeypatch, fixture_dir):
     assert rho.terminal_check(he, path).passed
     assert in_schedules == [calls]
     inv, solve, _ = calls
-    assert len(inv) == 0
-    # one u = X+ X-^{-1} per schedule sample, of the 6-dimensional complex's blocks
-    assert solve == [(3, 3)] * 10
+    # the schedule samples are the gaps of X+-: no u = X+ X-^{-1} is formed
+    assert len(inv) == 0 and solve == []
 
 
 def test_rho_path_reads_the_norms_of_d_and_the_duality(monkeypatch):
@@ -380,8 +379,8 @@ def test_sgn_odd_runs_each_schedule_sample_once(monkeypatch, capsys, fixture_dir
     calls = count_calls(monkeypatch, "hpsig", signature._odd_sample)
     assert run_cli(capsys, "sgn", str(fixture_dir / "circle_model.json"),
                    "--samples-schedule", str(samples)) == 0
-    # the report reads the t = 1 sample from the schedule
-    assert len(calls) == samples
+    # only the report forms u, at t = 1; the schedule reads the gaps of X+-
+    assert len(calls) == 1
 
 
 def test_check_makes_no_invertibility_certificate(monkeypatch, capsys, fixture_dir):
@@ -436,10 +435,10 @@ def test_sgn_odd_decomposes_only_half_size_blocks(monkeypatch, capsys, fixture_d
     inv = count_calls(monkeypatch, "numpy.linalg", np.linalg.inv)
     solve = count_calls(monkeypatch, "numpy.linalg", np.linalg.solve)
     assert run_cli(capsys, "sgn", str(fixture_dir / "circle_model.json")) == 0
-    # odd D +- S is [[0, X+-], [X+-*, 0]]: singular values of X+- and
-    # u = X+ X-^{-1}, all of size 1 for the 2-dimensional circle model
+    # odd D +- S is [[0, X+-], [X+-*, 0]]: singular values of X+- per
+    # sample and u = X+ X-^{-1} once, all of size 1 for the circle model
     assert len(eigvalsh) == 0 and len(inv) == 0
-    assert solve == [(1, 1)] * 10
+    assert solve == [(1, 1)]
 
 
 def test_validate_takes_each_two_norm_once(monkeypatch):
@@ -598,13 +597,13 @@ def test_cp2_9_decomposes_in_real_arithmetic(monkeypatch, capsys, fixture_dir, c
 
 
 def test_sgn_on_the_five_sphere_solves_in_real_arithmetic(monkeypatch, capsys, tmp_path):
-    # n = 5: S is real for n = 1 (mod 4), so the odd samples u = X+ X-^{-1},
-    # their certificates and their step norms are real
+    # n = 5: S is real for n = 1 (mod 4), so the schedule's SVDs of X+-,
+    # the one u = X+ X-^{-1} and its certificate are real
     path = tmp_path / "sphere5.json"
     path.write_text(json.dumps(_simplex_boundary(5)))
     _, _, svd, solve = _decompositions(monkeypatch)
     assert run_cli(capsys, "sgn", str(path)) == 0
-    assert len(solve) == 10 and svd
+    assert len(solve) == 1 and svd
     assert svd.complex() == [] and solve.complex() == []
 
 

@@ -33,7 +33,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ROUTINES = ("eigh", "eigvalsh", "svd", "solve", "inv")
 # each op with the exit code it must have
-OPS = ([(["check", "fixtures/cp2_9.json"], 0), (["sgn", "fixtures/cp2_9.json"], 0)]
+OPS = ([(["check", "fixtures/cp2_9.json"], 0), (["sgn", "fixtures/cp2_9.json"], 0),
+        (["sgn", "fixtures/circle3.json"], 0)]
        + [(["rho", f"fixtures/he_{name}.json"], code)
           for name, code in (("identity_sphere_model", 0), ("orientation_mismatch", 1),
                              ("reduction_sphere_d3", 0), ("offgrid_crossing", 1),
