@@ -2,7 +2,7 @@
 certificates, product and parity witnesses, duality-path certificates,
 multiplicativity checks, and the seeded propagation suite.
 
-Reports are canonical JSON (schema hpsig-report/5) and byte-stable for fixed
+Reports are canonical JSON (schema hpsig-report/6) and byte-stable for fixed
 inputs, tolerances, and seed; wall time goes to stderr only so that report
 bytes stay deterministic.  Exit codes: 0 pass, 1 check failure, 2 input error.
 The sgn localization schedule, the rho duality path and its terminal
@@ -28,7 +28,7 @@ from .hpc_core import (DEFAULT_TOL, DomainError, DualityDegenerateError,
                        HPComplex, StructuralError, Tolerances,
                        hpcomplex_from_json, validate)
 
-SCHEMA = "hpsig-report/5"
+SCHEMA = "hpsig-report/6"
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_INPUT_ERROR = 2
@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="signature / odd certificate with localization schedule")
     p.add_argument("path")
     p.add_argument("--t-max", type=float, default=10.0)
-    p.add_argument("--samples-schedule", type=int, default=10)
+    p.add_argument("--samples-schedule", type=int, default=2)
 
     p = sub.add_parser("product", parents=[common],
                        help="graded product, multiplicativity, parity witnesses")
@@ -395,7 +395,7 @@ def _check_domains(args) -> None:
     t_max = getattr(args, "t_max", 1.0)
     if not (math.isfinite(t_max) and t_max >= 1.0):
         raise DomainError(f"--t-max must be finite and >= 1, got {t_max}")
-    for flag, least in (("--instances", 0), ("--samples", 7), ("--samples-schedule", 1),
+    for flag, least in (("--instances", 0), ("--samples", 7), ("--samples-schedule", 2),
                         ("--samples-witness", 2), ("--seed", 0)):
         value = getattr(args, flag[2:].replace("-", "_"), least)
         if value < least:

@@ -264,8 +264,9 @@ def _he_docs() -> dict[str, dict]:
     out["he_orientation_mismatch"] = he_to_json(HomotopyEquivalence(
         sphere_model(), flipped, ident.f, ident.g, ident.h, ident.h_prime))
     out["he_offgrid_crossing"] = he_to_json(offgrid_crossing(circle_model()))
-    # two opposite crossings between the schedule samples t = 2 and 3: the
-    # duality path passes and the terminal segment's schedule fails
+    # two opposite crossings, at t = 2.3 and 2.7, between the schedule's
+    # starting samples: the duality path passes and the terminal segment's
+    # schedule fails
     out["he_terminal_crossing"] = he_to_json(identity_equivalence(
         direct_sum(schedule_crossing(2.3), reverse_orientation(schedule_crossing(2.7)))))
     out["he_identity_circle3"] = he_to_json(identity_equivalence(

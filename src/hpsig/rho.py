@@ -21,7 +21,8 @@ from . import spectral
 from .hpc_core import (DEFAULT_TOL, DomainError, DualityDegenerateError, GradedSum,
                        Grading, HPComplex, StructuralError, Tolerances, decode_matrix,
                        encode_matrix, hpcomplex_from_json, hpcomplex_to_json, validate)
-from .signature import LocalizationSchedule, _certify, _Point, localized_signature_path
+from .signature import (_BISECTIONS, LocalizationSchedule, _certify, _Point,
+                        localized_signature_path)
 
 JUNCTIONS = (1.0, 2.0, 3.0, 4.0, 5.0)
 
@@ -257,11 +258,6 @@ def _sample(pd: _PathData, t: float) -> _Sample:
         gap = float(np.abs(sp.plus).min())
         return _Sample(gap, gap, *sp.positive_ranks())
     return _Sample(float(sp.plus[-1]), float(sp.minus[-1]))
-
-
-# bisections of one path interval before the path fails on it: a unit
-# interval of the default grid is cut down to 1/128, finer than 0.01
-_BISECTIONS = 7
 
 
 @dataclass(frozen=True, eq=False)

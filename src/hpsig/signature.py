@@ -133,8 +133,11 @@ def odd_index_representative(c: HPComplex, tol: Tolerances = DEFAULT_TOL
                                   int(c.space.grading.even.size))
 
 
-# bisections of one schedule interval before the schedule fails on it
-_BISECTIONS = 4
+# bisections of one interval before a schedule or path fails on it: the
+# unit intervals of rho's default grid are cut down to 1/128, finer than
+# 0.01, and a schedule started from its endpoints samples at most 127
+# midpoints
+_BISECTIONS = 7
 
 
 def _interval(a: _Point, b: _Point, lipschitz: float, sample, bisections: int
@@ -146,17 +149,18 @@ def _interval(a: _Point, b: _Point, lipschitz: float, sample, bisections: int
     smallest singular value, which is therefore at least (a.bound + b.bound
     - lipschitz |a.x - b.x|) / 2 between the two samples.  The margin is
     that bound less the larger threshold, and the interval is certified
-    when it is positive.  An end whose bound does not clear its threshold
-    fails the interval there.  Otherwise sample(x) samples the midpoint,
-    whose ranks must equal both ends', and each half is certified in turn,
-    at most bisections deep; the margin of a bisected interval is the
-    least of its parts'."""
+    when it is positive and the ranks of its ends are equal.  An end whose
+    bound does not clear its threshold fails the interval there.
+    Otherwise sample(x) samples the midpoint and each half is certified in
+    turn, at most bisections deep, so that ends whose ranks differ are
+    narrowed to the failure between them; the margin of a bisected
+    interval is the least of its parts'."""
     margin = (0.5 * (a.bound + b.bound - lipschitz * abs(a.x - b.x))
               - max(a.threshold, b.threshold))
     for end in (a, b):
         if end.bound <= end.threshold:
             return margin, end.x
-    if margin > 0.0:
+    if margin > 0.0 and a.ranks == b.ranks:
         return margin, None
     x = 0.5 * (a.x + b.x)
     failed = margin, x
@@ -165,8 +169,6 @@ def _interval(a: _Point, b: _Point, lipschitz: float, sample, bisections: int
     try:
         mid = sample(x)
     except NoSpectralGapError:
-        return failed
-    if not a.ranks == mid.ranks == b.ranks:
         return failed
     left = _interval(a, mid, lipschitz, sample, bisections - 1)
     if left[1] is not None:
@@ -237,14 +239,16 @@ class LocalizationSchedule:
         }
 
 
-def localized_signature_path(c: HPComplex, t_max: float = 10.0, samples: int = 10,
+def localized_signature_path(c: HPComplex, t_max: float = 10.0, samples: int = 2,
                              tol: Tolerances = DEFAULT_TOL) -> LocalizationSchedule:
     """Sample the index representative along inner-product rescalings t in
-    [1, t_max], and certify the intervals between the samples."""
+    [1, t_max], starting from samples evenly spaced times (2: the endpoints),
+    and certify the intervals between them."""
     if not math.isfinite(t_max):
         raise DomainError(f"t_max must be finite, got {t_max}")
-    if t_max < 1.0 or samples < 1:
-        raise DomainError("need t_max >= 1 and at least one sample")
+    # one sample spans no interval, so it would certify nothing
+    if t_max < 1.0 or samples < 2:
+        raise DomainError("need t_max >= 1 and at least 2 samples")
     _require_valid(c, tol)
     times = np.linspace(1.0, t_max, samples).tolist()
     h = c.graded.hermitian_part(c.S_on)

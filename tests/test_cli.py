@@ -1,7 +1,9 @@
 """End-to-end CLI behavior: exit codes, report schema, byte stability."""
 
 import json
+import os
 import subprocess
+import sys
 from hashlib import sha256
 
 import numpy as np
@@ -25,7 +27,7 @@ def test_check_point_passes(cli_cmd, fixture_dir):
     proc = run(cli_cmd, "check", str(fixture_dir / "point.json"))
     assert proc.returncode == 0
     rep = report_of(proc)
-    assert rep["schema"] == "hpsig-report/5"
+    assert rep["schema"] == "hpsig-report/6"
     assert rep["outcome"] == "pass"
 
 
@@ -191,12 +193,12 @@ def test_coarse_seeded_reproducibility(cli_cmd):
 
 
 # SHA-256 of the coarse report at 100 instances: a change to the random
-# stream or to the checks drawn from it shows here (schema hpsig-report/5)
+# stream or to the checks drawn from it shows here (schema hpsig-report/6)
 COARSE_REPORT_DIGESTS = {
-    ("0", "l2"): "3325b43123fb4fecd32409a26aa302666ef995b171719d761e8dd8412bfa1395",
-    ("0", "max"): "0c8b0f872809ba2d5c3b0f23043e032222a156f23479e34c5955b91eae7c0416",
-    ("42", "l2"): "a6eda29f6f9576508f01e5360a51a505c868d0e1c7484f8ea35b684b5c906e3d",
-    ("42", "max"): "fda5f2b49fed295489b401519479f1b85785b5faac16d60eb98f00799f916881",
+    ("0", "l2"): "0661ac72d5df85c7dff0cee147b81ffa2e95c06609fd0ecd1d9358a9267f39a6",
+    ("0", "max"): "239aec91431a54d94614666a582e22c7e954ca5d1ad54fbb95fab6af2042263b",
+    ("42", "l2"): "9840cadb68aec9b0e8915512c9eaadc7d575aa18552a1567d30f2e4bd315d6d4",
+    ("42", "max"): "78d055a6d486bde0b0415a219b4c1d11346bb9ee51f74ca616b05ad4fae8fce5",
 }
 
 
@@ -210,10 +212,10 @@ def test_coarse_report_bytes_are_pinned(cli_cmd, seed, metric):
 
 # the same at 1000 instances, eight blocks of the stacked suite
 COARSE_1000_REPORT_DIGESTS = {
-    ("0", "l2"): "b73f76f37f152826222f88c303aefcad17526b220d4b9d6df4113c7ae69d8cf2",
-    ("0", "max"): "73ab57b0cb0bd614f32b2eb84f3a1c7990b2d863485b4e6773b3e48686c3c4c3",
-    ("42", "l2"): "efa8f1782b644a44eab66895451a7a470f6abebbdc8e8c67312eb9c147c90dcc",
-    ("42", "max"): "5fa687970878c53c1083fbd1afc578fb34596c30dcab736bd94e209ab1ffe638",
+    ("0", "l2"): "79bb5b5eda432fae4f53740883b098cf5e04f196172cfbb6a730399b73d928a5",
+    ("0", "max"): "7174884204d23e36274884ae33d93adfa67c93db15906ece8ef27d33ec9893e5",
+    ("42", "l2"): "6cf3f42614c7d9abc1e87f95ffe026676f5dea76fe510014386fdc64d7877371",
+    ("42", "max"): "aa64b8c278c2116fa9bca1382fcb53235c8b2ba91557761158b36f2c7c7a422b",
 }
 
 
@@ -223,6 +225,60 @@ def test_coarse_report_bytes_are_pinned_at_1000_instances(cli_cmd, seed, metric)
                            "--metric", metric], capture_output=True)
     assert proc.returncode == 0
     assert sha256(proc.stdout).hexdigest() == COARSE_1000_REPORT_DIGESTS[(seed, metric)]
+
+
+# runs each argv of the JSON list argv[1] through cli.main in this one
+# process and prints [[exit code, report], ...]
+_REPORTS_CHILD = """
+import contextlib, io, json, sys
+from hpsig import cli
+out = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    out.append([code, json.loads(buf.getvalue())])
+print(json.dumps(out))
+"""
+
+
+def _assert_reports_agree(a, b, key=None) -> None:
+    """Equal but for floats, which agree to relative 1e-10; failed_at is
+    a location and must be equal."""
+    assert type(a) is type(b), key
+    if isinstance(a, dict):
+        assert a.keys() == b.keys(), key
+        for k in a:
+            _assert_reports_agree(a[k], b[k], k)
+    elif isinstance(a, list):
+        assert len(a) == len(b), key
+        for x, y in zip(a, b):
+            _assert_reports_agree(x, y, key)
+    elif isinstance(a, float) and key != "failed_at":
+        assert a == pytest.approx(b, rel=1e-10, abs=0), key
+    else:
+        assert a == b, key
+
+
+def test_reports_agree_across_blas_thread_counts(fixture_dir):
+    # bytes are fixed only for one BLAS build and thread count: reductions
+    # may be ordered differently on more threads.  Verdicts are not, and
+    # floats agree within a relative bound
+    ops = [["check", str(fixture_dir / "cp2_9.json")],
+           ["sgn", str(fixture_dir / "cp2_9.json")],
+           ["sgn", str(fixture_dir / "torus7.json")],
+           ["rho", str(fixture_dir / "he_reduction_sphere_d3.json")]]
+    runs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _REPORTS_CHILD, json.dumps(ops)], capture_output=True,
+            text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout))
+    assert [code for code, _ in runs[0]] == [0, 0, 0, 0]
+    for (code_1, report_1), (code_2, report_2) in zip(*runs):
+        assert code_1 == code_2 and report_1["outcome"] == report_2["outcome"]
+        _assert_reports_agree(report_1, report_2)
 
 
 def test_json_out_matches_stdout(cli_cmd, fixture_dir, tmp_path):
@@ -328,6 +384,8 @@ INPUT_ERRORS = {
     "rho_samples_0": _on_fixture("rho", "he_identity_sphere_model.json", "--samples", "0"),
     "rho_samples_6": _on_fixture("rho", "he_identity_sphere_model.json", "--samples", "6"),
     "sgn_samples_schedule_0": _on_fixture("sgn", "cp2_model.json", "--samples-schedule", "0"),
+    # one sample spans no interval of the schedule
+    "sgn_samples_schedule_1": _on_fixture("sgn", "cp2_model.json", "--samples-schedule", "1"),
     "sgn_t_max_nan": _on_fixture("sgn", "cp2_model.json", "--t-max", "nan"),
     "sgn_t_max_infinite": _on_fixture("sgn", "cp2_model.json", "--t-max", "inf"),
     "sgn_t_max_half": _on_fixture("sgn", "cp2_model.json", "--t-max", "0.5"),
@@ -372,13 +430,14 @@ def test_input_errors_exit_two_with_one_line(cli_cmd, fixture_dir, tmp_path, cas
 
 @pytest.mark.parametrize("case, least", [("rho_samples_0", 7),
                                          ("rho_failing_path_samples_0", 7),
-                                         ("sgn_samples_schedule_0", 1),
+                                         ("sgn_samples_schedule_0", 2),
+                                         ("sgn_samples_schedule_1", 2),
                                          ("product_samples_witness_0", 2),
                                          ("product_without_witness_samples_witness_0", 2)])
 def test_count_flag_errors_name_the_flag(cli_cmd, fixture_dir, tmp_path, case, least):
     argv = INPUT_ERRORS[case](tmp_path, fixture_dir)
     proc = run(cli_cmd, *argv)
-    assert proc.stderr == f"error: {argv[-2]} must be >= {least}, got 0\n"
+    assert proc.stderr == f"error: {argv[-2]} must be >= {least}, got {argv[-1]}\n"
 
 
 @pytest.mark.parametrize("case, value", [("sgn_t_max_nan", "nan"),

@@ -371,7 +371,7 @@ def test_rho_certificate_even_reduction_torus():
     assert term.passed
     assert [s.constant for s in term.schedules] == [True, True]
     # each summand at its own size
-    assert [len(s.ranks) for s in term.schedules] == [10, 10]
+    assert [len(s.ranks) for s in term.schedules] == [2, 2]
     assert he.source.total_dim != he.target.total_dim
     assert_even_terminal_reads_the_path(he, path, term)
 

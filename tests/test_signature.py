@@ -145,29 +145,30 @@ def _reference_complexes():
             odd, rescale_inner_products(odd, 1.7)]
 
 
-def _grid_margins(c: HPComplex, sched, least, top) -> list:
-    """The margin of each schedule interval from per-sample least singular
-    values and largest |eigenvalue|s of B+-(t), by the Lipschitz bound in
-    s = t^(-1/2) with ||D||_2 taken dense; None where the schedule bisected."""
+def _sampled_times(sched) -> tuple[list, list]:
+    """Every time the schedule sampled, grid and midpoints in order, and
+    the index of each grid time in that list."""
+    times = sorted(sched.times + sched.midpoints)
+    return times, [times.index(t) for t in sched.times]
+
+
+def _interval_margins(c: HPComplex, sched, least, top) -> list:
+    """The margin of each schedule interval by the Lipschitz bound in s =
+    t^(-1/2), with ||D||_2 taken dense, from the least singular values and
+    largest |eigenvalue|s of B+-(t) at every sampled time (_sampled_times):
+    a bisected interval's margin is the least of its parts'."""
     from hpsig.hpc_core import DEFAULT_TOL
-    s = [t ** -0.5 for t in sched.times]
+    times, grid = _sampled_times(sched)
+    s = [t ** -0.5 for t in times]
     d_norm = np.linalg.norm(c.D_on, 2)
-    out = []
-    for k in range(len(s) - 1):
-        if any(sched.times[k] < m < sched.times[k + 1] for m in sched.midpoints):
-            out.append(None)
-            continue
-        out.append(0.5 * (least[k] + least[k + 1] - d_norm * (s[k] - s[k + 1]))
-                   - DEFAULT_TOL.inv * max(top[k], top[k + 1]))
-    return out
+    parts = [0.5 * (least[k] + least[k + 1] - d_norm * (s[k] - s[k + 1]))
+             - DEFAULT_TOL.inv * max(top[k], top[k + 1]) for k in range(len(s) - 1)]
+    return [min(parts[i:j]) for i, j in zip(grid, grid[1:])]
 
 
 def _assert_margins(sched, reference, scale: float) -> None:
     assert len(sched.margins) == len(reference)
-    pairs = [(m, r) for m, r in zip(sched.margins, reference) if r is not None]
-    assert pairs
-    assert [m for m, _ in pairs] == pytest.approx([r for _, r in pairs], rel=0,
-                                                  abs=1e-12 * scale)
+    assert list(sched.margins) == pytest.approx(reference, rel=0, abs=1e-12 * scale)
 
 
 def _assert_u_clears_the_sample(x_plus, x_minus, bound: float) -> None:
@@ -209,7 +210,7 @@ def test_localized_path_matches_rescaled_complexes(index):
         assert sched.ranks == tuple(ranks)
         assert sched.signatures == tuple(rp - rm for rp, rm in ranks)
     assert sched.passed and sched.midpoints == ()
-    _assert_margins(sched, _grid_margins(c, sched, least, top), max(top))
+    _assert_margins(sched, _interval_margins(c, sched, least, top), max(top))
 
 
 def _even_schedule_complexes():
@@ -228,10 +229,11 @@ def test_even_margins_match_the_full_size_spectra(index):
     # the schedule decomposes only the graded B+(t) and reads B-(t) from it;
     # the reference decomposes the Hermitian parts of both at full size
     c = _even_schedule_complexes()[index]
-    sched = localized_signature_path(c)
+    sched = localized_signature_path(c, samples=10)
     assert sched.passed and c.n % 2 == 0
+    times, grid = _sampled_times(sched)
     ranks, least, top = [], [], []
-    for t in sched.times:
+    for t in times:
         spectra = []
         for sign in (1.0, -1.0):
             b = t ** -0.5 * c.D_on + sign * c.S_on
@@ -239,9 +241,11 @@ def test_even_margins_match_the_full_size_spectra(index):
         ranks.append(tuple(int((v > 0).sum()) for v in spectra))
         least.append(min(float(np.abs(v).min()) for v in spectra))
         top.append(max(float(np.abs(v).max()) for v in spectra))
-    assert sched.ranks == tuple(ranks)
-    np.testing.assert_allclose(sched.min_singulars, least, rtol=1e-12, atol=0)
-    _assert_margins(sched, _grid_margins(c, sched, least, top), max(top))
+    assert set(ranks) == set(sched.ranks)
+    assert sched.ranks == tuple(ranks[k] for k in grid)
+    np.testing.assert_allclose(sched.min_singulars, [least[k] for k in grid],
+                               rtol=1e-12, atol=0)
+    _assert_margins(sched, _interval_margins(c, sched, least, top), max(top))
 
 
 def _acyclic(n):
@@ -264,21 +268,29 @@ def test_localized_path_fails_once_the_gap_closes(model):
         localized_signature_path(c, 1e18, 2)
 
 
-def test_cp2_9_first_interval_closes_with_one_midpoint():
-    # on [1, 2] the gaps 0.238 and 0.228 of t = 1 and 2 do not cover
-    # ||D|| (1 - 2^(-1/2)) = 0.879; one sample at the s-midpoint closes both halves
-    sched = localized_signature_path(_even_schedule_complexes()[0])
-    assert len(sched.midpoints) == 1 and 1.0 < sched.midpoints[0] < 2.0
-    assert sched.passed and sched.min_margin == sched.margins[0] > 0.0
+def test_cp2_9_first_interval_closes_with_one_midpoint(monkeypatch):
+    # from the endpoints alone, the gaps 0.238 and 0.179 of t = 1 and 10 do
+    # not cover ||D|| (1 - 10^(-1/2)) = 2.05; three levels of bisection in
+    # s close every part, two do not
+    from hpsig import signature
+    c = _even_schedule_complexes()[0]
+    sched = localized_signature_path(c)
+    assert sched.times == (1.0, 10.0) and len(sched.midpoints) == 7
+    assert sched.passed and sched.min_margin == sched.margins[0] >= 0.05
+    monkeypatch.setattr(signature, "_BISECTIONS", 3)
+    assert localized_signature_path(c).margins == sched.margins
+    monkeypatch.setattr(signature, "_BISECTIONS", 2)
+    assert not localized_signature_path(c).passed
 
 
 @pytest.mark.parametrize("t_up, t_down", [(2.3, 2.7), (2.5, 2.5)], ids=["apart", "together"])
 def test_crossings_between_samples_fail_the_interval_certificate(t_up, t_down, capsys,
                                                                 tmp_path):
     # one eigenvalue crosses zero upwards and one downwards between the
-    # samples t = 2 and t = 3, so the ranks agree at every sample and a
-    # verdict read from the samples alone passes.  Apart, the first
-    # midpoint's ranks differ; together, the bisection runs out
+    # samples t = 1 and t = 10, so the ranks agree at both and a verdict
+    # read from the samples alone passes.  Apart, bisection narrows the
+    # midpoint whose ranks differ to the first crossing; together, the
+    # bisection runs out
     from hpsig import cli
     from hpsig.hpc_core import hpcomplex_to_json
     c = direct_sum(fixtures.schedule_crossing(t_up),
@@ -286,7 +298,7 @@ def test_crossings_between_samples_fail_the_interval_certificate(t_up, t_down, c
     sched = localized_signature_path(c)
     assert sched.constant and set(sched.ranks) == {(4, 4)}
     assert not sched.passed and 2.0 < sched.failed_at < 3.0
-    assert sched.margins[1] <= 0.0 < min(sched.margins[:1] + sched.margins[2:])
+    assert len(sched.margins) == 1 and sched.margins[0] <= 0.0
     path = tmp_path / "crossing.json"
     path.write_text(json.dumps(hpcomplex_to_json(c)))
     assert cli.main(["sgn", str(path)]) == 1
@@ -295,8 +307,28 @@ def test_crossings_between_samples_fail_the_interval_certificate(t_up, t_down, c
     assert check["failed_at"] == sched.failed_at and check["margin"] == sched.min_margin
 
 
+def _apart_crossings():
+    return direct_sum(fixtures.schedule_crossing(2.3),
+                      reverse_orientation(fixtures.schedule_crossing(2.7)))
+
+
+@pytest.mark.parametrize("samples", range(2, 11))
+def test_crossings_fail_at_the_first_crossing_from_every_starting_grid(samples):
+    # wherever the grid falls, at most one grid time lies between the
+    # crossings at t = 2.3 and 2.7, and bisection locates the first one
+    sched = localized_signature_path(_apart_crossings(), samples=samples)
+    assert len(sched.times) == samples and not sched.passed
+    assert 2.0 < sched.failed_at < 3.0 and abs(sched.failed_at - 2.3) < 0.05
+
+
+def test_one_sample_certifies_nothing():
+    # a grid of t = 1 alone spans no interval, so the crossings would pass
+    with pytest.raises(DomainError, match="at least 2 samples"):
+        localized_signature_path(_apart_crossings(), samples=1)
+
+
 def test_odd_crossing_between_samples_fails_the_interval_certificate(capsys, tmp_path):
-    # X+(t) crosses zero at t = 2.5, between the samples t = 2 and t = 3,
+    # X+(t) crosses zero at t = 2.5, between the samples t = 1 and t = 10,
     # where the gaps of X+- are positive; only the interval rule sees it
     from hpsig import cli
     from hpsig.hpc_core import hpcomplex_to_json
@@ -312,12 +344,12 @@ def test_odd_crossing_between_samples_fails_the_interval_certificate(capsys, tmp
     assert check["failed_at"] == sched.failed_at
 
 
-@pytest.mark.parametrize("mid_ranks, failed", [((2, 2), None), ((3, 1), 0.5)],
+@pytest.mark.parametrize("mid_ranks, failed", [((2, 2), None), ((3, 1), 0.25)],
                          ids=["equal", "differ"])
 def test_interval_fails_when_the_midpoint_ranks_differ(mid_ranks, failed):
     # the ends clear their thresholds but the interval does not close, so
     # the midpoint is sampled; its bound closes both halves, and only its
-    # ranks can fail the interval
+    # ranks can fail the interval, in the first half, whose ends differ
     a, b = (_Point(x, (2, 2), 1.0, 0.1) for x in (0.0, 1.0))
     sampled = []
 
@@ -377,15 +409,19 @@ def test_real_decompositions_match_complex_lapack(doc):
     assert c.spectrum.slack == 0.0       # the gaps are the least |eigenvalues|
     sched = localized_signature_path(c)
     assert sched.passed
-    spectra, ranks, blocks, least, top = _complex128_schedule(c, sched.times)
+    times, grid = _sampled_times(sched)
+    spectra, ranks, blocks, least, top = _complex128_schedule(c, times)
     for ours, ref in zip(c.spectrum[:2], spectra[0]):
         np.testing.assert_allclose(ours, ref, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(sched.min_singulars, least, rtol=1e-12, atol=0)
-    _assert_margins(sched, _grid_margins(c, sched, least, top), max(top))
-    for (x_plus, x_minus), bound in zip(blocks, sched.min_singulars):
-        _assert_u_clears_the_sample(x_plus, x_minus, bound)
-    if c.n % 2 == 0:
+    np.testing.assert_allclose(sched.min_singulars, [least[k] for k in grid],
+                               rtol=1e-12, atol=0)
+    _assert_margins(sched, _interval_margins(c, sched, least, top), max(top))
+    if c.n % 2:
+        for k, bound in zip(grid, sched.min_singulars):
+            _assert_u_clears_the_sample(*blocks[k], bound)
+    else:
         assert c.spectrum.positive_ranks() == list(ranks[0])
-        assert sched.ranks == tuple(ranks)
-        assert sched.signatures == tuple(rp - rm for rp, rm in ranks)
+        assert set(ranks) == set(sched.ranks)
+        assert sched.ranks == tuple(ranks[k] for k in grid)
+        assert sched.signatures == tuple(rp - rm for rp, rm in sched.ranks)
         assert signature_even(c) == ranks[0][0] - ranks[0][1]

@@ -417,10 +417,22 @@ def test_sgn_cp2_9_decomposes_one_full_size_matrix(monkeypatch, capsys, fixture_
     calls = count_calls(monkeypatch, "numpy.linalg", np.linalg.eigvalsh)
     assert run_cli(capsys, "sgn", str(fixture_dir / "cp2_9.json")) == 0
     # the cached spectrum of D + S, which t = 1 and the report read, the
-    # graded B+(t) of the 9 other samples, and one midpoint of [1, 2]; all
-    # in float64, and none of half size
-    assert calls == [(255, 255)] * 11
+    # graded B+(t) at t = 10, and the 7 midpoints of three bisection levels;
+    # all in float64, and none of half size
+    assert calls == [(255, 255)] * 9
     assert {dtype.name for dtype in calls.dtypes} == {"float64"}
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_sgn_even_strict_complex_makes_two_eigvalsh(monkeypatch, capsys, tmp_path, n):
+    # the cached spectrum at t = 1 and the graded B+(10): the endpoints
+    # close [1, 10] without a midpoint
+    c = fixtures.random_strict_complex(np.random.default_rng(3), n, 8)
+    path = tmp_path / "strict.json"
+    path.write_text(json.dumps(hpc_core.hpcomplex_to_json(c)))
+    calls = count_calls(monkeypatch, "numpy.linalg", np.linalg.eigvalsh)
+    assert run_cli(capsys, "sgn", str(path)) == 0
+    assert len(calls) == 2
 
 
 def test_check_cp2_9_eigvalsh_count(monkeypatch, capsys, fixture_dir):
@@ -633,4 +645,4 @@ def test_the_real_dtype_test_is_exact(monkeypatch, capsys, tmp_path):
     c = hpc_core.HPComplex(cap.space, cap.d, s, cap.tier, cap.meta)
     eigh, eigvalsh, _, _ = _run_sgn_on(monkeypatch, capsys, tmp_path, c)
     assert len(eigh) == 0
-    assert eigvalsh.count((255, 255)) == 11 and eigvalsh.complex() == list(eigvalsh)
+    assert eigvalsh.count((255, 255)) == 9 and eigvalsh.complex() == list(eigvalsh)
