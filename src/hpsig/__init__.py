@@ -3,7 +3,7 @@
 Submodules:
   hpc_core    graded complexes with duality, axiom validation
   simplicial  triangulations, cap duality, intersection-form oracle
-  spectral    Hermitian eigensystems, spectral projections, certificates
+  spectral    Hermitian eigensystems, positive ranks, certificates
   signature   index representatives and localization schedules
   products    graded tensor products, sign rules, parity witnesses
   rho         homotopy equivalences, duality path and terminal segment
@@ -26,7 +26,7 @@ from .simplicial import (IntersectionForm, SimplicialManifold, betti_numbers,
                          load_simplicial)
 from .spectral import (HermitianEigensystem, InvertibilityCertificate,
                        NoSpectralGapError, eig_hermitian,
-                       invertibility_certificate, positive_projection)
+                       invertibility_certificate)
 from .products import (ProductWitnessReport, SignRule, derive_sign_rule,
                        graded_tensor, product_signature_check,
                        witness_even_odd, witness_odd_even)

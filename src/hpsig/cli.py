@@ -2,7 +2,7 @@
 certificates, product and parity witnesses, duality-path certificates,
 multiplicativity checks, and the seeded propagation suite.
 
-Reports are canonical JSON (schema hpsig-report/6) and byte-stable for fixed
+Reports are canonical JSON (schema hpsig-report/7) and byte-stable for fixed
 inputs, tolerances, and seed; wall time goes to stderr only so that report
 bytes stay deterministic.  Exit codes: 0 pass, 1 check failure, 2 input error.
 The sgn localization schedule, the rho duality path and its terminal
@@ -28,7 +28,7 @@ from .hpc_core import (DEFAULT_TOL, DomainError, DualityDegenerateError,
                        HPComplex, StructuralError, Tolerances,
                        hpcomplex_from_json, validate)
 
-SCHEMA = "hpsig-report/6"
+SCHEMA = "hpsig-report/7"
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_INPUT_ERROR = 2
@@ -98,7 +98,6 @@ def cmd_check(args, tol: Tolerances) -> dict:
     data: dict = {"kind": kind}
     if kind == "triangulation":
         sm = simplicial.load_simplicial(doc)
-        checks.append({"name": "closed_oriented", "passed": True})
         c = simplicial.cap_duality(sm, tol)
         rep = validate(c, tol)
         checks.append({"name": "cap_duality_validates", "passed": rep.passed,
@@ -106,10 +105,7 @@ def cmd_check(args, tol: Tolerances) -> dict:
         data["betti"] = list(simplicial.betti_numbers(sm))
         data["duality_construction"] = c.meta.get("duality")
         if sm.n % 2 == 0:
-            form = simplicial.intersection_form_oracle(sm, tol)
-            data["oracle_signature"] = form.signature
-            checks.append({"name": "oracle_nondegenerate", "passed": True,
-                           "rank": form.rank})
+            data["oracle_signature"] = simplicial.intersection_form_oracle(sm, tol).signature
     elif kind == "complex":
         c = hpcomplex_from_json(doc)
         if c.S is None:
@@ -146,13 +142,6 @@ def cmd_sgn(args, tol: Tolerances) -> dict:
     checks = [{"name": "localization_schedule", "passed": schedule.passed,
                "constant": schedule.constant, "failed_at": schedule.failed_at,
                "margin": schedule.min_margin}]
-    if data["kind"] == "even":
-        checks.append({"name": "signature_even", "passed": True,
-                       "value": data["signature"]})
-    else:
-        # signature_report raises unless the representative u is invertible
-        checks.append({"name": "odd_certificate", "passed": True,
-                       "min_singular": data["minSingular"][0]})
     return _report("sgn", {args.path: _digest(args.path)}, tol, args.seed,
                    checks, data)
 
@@ -181,13 +170,10 @@ def cmd_product(args, tol: Tolerances) -> dict:
 
 def cmd_rho(args, tol: Tolerances) -> dict:
     he = rho.he_from_json(_load_json(args.path))
-    data: dict = {}
     path = rho.rho_path(he, samples=args.samples, tol=tol)
-    # rho_path raises unless the homotopy identities hold
-    checks = [{"name": "homotopy_identities", "passed": True}]
-    data["path"] = path.to_dict()
-    checks.append({"name": "duality_path_invertible", "passed": path.passed,
-                   "failed_at": path.failed_at})
+    data: dict = {"path": path.to_dict()}
+    checks = [{"name": "duality_path_invertible", "passed": path.passed,
+               "failed_at": path.failed_at}]
     if path.passed:
         term = rho.terminal_check(he, path, tol)
         checks.append({"name": "terminal_segment", "passed": term.passed,

@@ -555,6 +555,19 @@ def validate(c: HPComplex, tol: Tolerances = DEFAULT_TOL) -> AxiomReport:
                        c.S_squared_residual, c.anticommute_residual)
 
 
+def require_valid(c: HPComplex, tol: Tolerances = DEFAULT_TOL) -> None:
+    """validate c; DualityDegenerateError unless D +- S are invertible,
+    StructuralError naming the failing checks unless every other one passes."""
+    report = validate(c, tol)
+    if not report.poincare:
+        raise DualityDegenerateError(
+            f"duality degenerate: min singular values "
+            f"{report.cert_plus.min_singular:.3e}, {report.cert_minus.min_singular:.3e}")
+    if not report.passed:
+        bad = [ch.name for ch in report.checks if not ch.passed]
+        raise StructuralError(f"complex fails axiom checks: {bad}")
+
+
 # ---------------------------------------------------------------------------
 # constructors / operations
 

@@ -20,11 +20,10 @@ import numpy as np
 from . import spectral
 from .hpc_core import (DEFAULT_TOL, DomainError, DualityDegenerateError, GradedSum,
                        Grading, HPComplex, StructuralError, Tolerances, decode_matrix,
-                       encode_matrix, hpcomplex_from_json, hpcomplex_to_json, validate)
+                       encode_matrix, hpcomplex_from_json, hpcomplex_to_json,
+                       require_valid)
 from .signature import (_BISECTIONS, LocalizationSchedule, _certify, _Point,
                         localized_signature_path)
-
-JUNCTIONS = (1.0, 2.0, 3.0, 4.0, 5.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,9 +176,6 @@ class _PathData:
         k = min(int(np.floor(t)), 5)
         return self.branch(k, t)
 
-    def diag_duality(self) -> np.ndarray:
-        return self.assemble(self.Sp, None, None, -self.S)
-
     @functools.cached_property
     def _rotation_norms(self) -> tuple[float, float]:
         """||A|| and ||B|| for A = diag(f*Sf, -S) and B = [[0, f*S], [Sf, 0]]:
@@ -280,9 +276,8 @@ class RhoPath:
     with t > 4 reads point len(times) - 1 - i with the two exchanged);
     margins are those of the intervals on [0, 2] and midpoints the times
     bisection sampled.  selfadjoint_residual bounds ||S_f(t) - S_f(t)*||_F
-    over [0, 6].  passed means: every interval is certified, branch
-    junctions agree, endpoints match diag(S', -S) and its negative, and the
-    path is self-adjoint.
+    over [0, 6].  passed means: every interval is certified and the path is
+    self-adjoint.
     """
 
     times: tuple[float, ...]
@@ -290,8 +285,6 @@ class RhoPath:
     min_sv_minus: tuple[float, ...]
     margins: tuple[float, ...]
     midpoints: tuple[float, ...]
-    junction_residual: float
-    endpoint_residual: float
     selfadjoint_residual: float
     threshold: float
     min_singular: float
@@ -312,8 +305,6 @@ class RhoPath:
             "margins": list(self.margins),
             "min_margin": self.min_margin,
             "midpoints": list(self.midpoints),
-            "junction_residual": self.junction_residual,
-            "endpoint_residual": self.endpoint_residual,
             "selfadjoint_residual": self.selfadjoint_residual,
             "threshold": self.threshold,
             "min_singular": self.min_singular,
@@ -332,9 +323,7 @@ def rho_path(he: HomotopyEquivalence, samples: int = 7,
     if not her.passed:
         raise StructuralError(f"homotopy-equivalence identities fail: {her.to_dict()}")
     for c in he.complexes:
-        rep = validate(c, tol)
-        if not rep.passed:
-            raise DualityDegenerateError("source/target complex fails validation")
+        require_valid(c, tol)
 
     pd = _PathData(he)
     # D and diag(S', -S) are block diagonal: their norms are those validate read
@@ -368,22 +357,9 @@ def rho_path(he: HomotopyEquivalence, samples: int = 7,
     margins, failed_at = _certify(
         points, lambda a, b: l0 if b.x <= 1.0 else l1 if a.x >= 1.0 else max(l0, l1),
         sample, _BISECTIONS)
-
-    junction = 0.0
-    for j, tj in enumerate(JUNCTIONS):
-        left = pd.branch(j, tj)
-        right = pd.branch(j + 1, tj)
-        junction = max(junction, spectral.operator_norm(left - right))
-    s_scale = max(1.0, s_norm)
-    endpoint = max(
-        spectral.operator_norm(pd.value(0.0) - pd.diag_duality()),
-        spectral.operator_norm(pd.value(6.0) + pd.diag_duality()))
-
-    passed = (failed_at is None and junction <= tol.sym * s_scale
-              and endpoint <= tol.sym * s_scale and skew <= tol.sym * s_scale)
+    passed = failed_at is None and skew <= tol.sym * max(1.0, s_norm)
     return RhoPath(tuple(times), tuple(s.plus for s in grid), tuple(s.minus for s in grid),
-                   tuple(margins), tuple(sorted(midpoints)), float(junction),
-                   float(endpoint), skew, float(threshold),
+                   tuple(margins), tuple(sorted(midpoints)), skew, float(threshold),
                    min(min(s.plus, s.minus) for s in decomposed), passed, failed_at, pd,
                    slack)
 

@@ -12,20 +12,9 @@ import numpy as np
 
 from . import spectral
 from .hpc_core import (DEFAULT_TOL, DomainError, DualitySpectrum,
-                       DualityDegenerateError, GradedSum, HPComplex, StructuralError,
-                       Tolerances, validate)
+                       DualityDegenerateError, GradedSum, HPComplex, Tolerances,
+                       require_valid)
 from .spectral import InvertibilityCertificate, NoSpectralGapError
-
-
-def _require_valid(c: HPComplex, tol: Tolerances) -> None:
-    report = validate(c, tol)
-    if not report.poincare:
-        raise DualityDegenerateError(
-            f"duality degenerate: min singular values "
-            f"{report.cert_plus.min_singular:.3e}, {report.cert_minus.min_singular:.3e}")
-    if not report.passed:
-        bad = [ch.name for ch in report.checks if not ch.passed]
-        raise StructuralError(f"complex fails axiom checks: {bad}")
 
 
 def _require_gaps(sp: DualitySpectrum, tol: Tolerances) -> list[InvertibilityCertificate]:
@@ -41,7 +30,7 @@ def signature_even(c: HPComplex, tol: Tolerances = DEFAULT_TOL) -> int:
     """rank P+(D+S) - rank P+(D-S) for an even-dimensional complex."""
     if c.n % 2 != 0:
         raise DomainError(f"signature_even needs even top degree, got {c.n}")
-    _require_valid(c, tol)
+    require_valid(c, tol)
     rp, rm = c.spectrum.positive_ranks()
     return rp - rm
 
@@ -100,26 +89,23 @@ def _point(c: HPComplex, tol: Tolerances, s: float, h: np.ndarray) -> _Point:
                   max(g.threshold for g in gaps))
 
 
-def _odd_sample(c: HPComplex, tol: Tolerances
-                ) -> tuple[np.ndarray, InvertibilityCertificate]:
-    """u = (D+S)(D-S)^{-1} on the even part, and its certificate.  D +- S
-    = [[0, X+-], [Y+-, 0]] by degree parity, so u = X+ X-^{-1}."""
+def _odd_representative(c: HPComplex, tol: Tolerances) -> OddIndexRepresentative:
+    """u = (D+S)(D-S)^{-1} on the even part of an odd complex the caller has
+    validated.  D +- S = [[0, X+-], [Y+-, 0]] by degree parity, so u = X+
+    X-^{-1}.  On the strict tier the self-adjointness residual is ||A - A*||
+    for A = iDS on the even part."""
     gs = c.graded
     u = spectral.right_divide(*gs.blocks(gs.operand(c.S_on)))
     cert = spectral.invertibility_certificate(u, tol.inv)
     if not cert.passed:
         raise DualityDegenerateError(
             f"odd representative not invertible (min singular {cert.min_singular:.3e})")
-    return u, cert
-
-
-def _selfadjoint_residual(c: HPComplex) -> float | None:
-    """||A - A*|| for A = iDS on the even part; strict tier only."""
-    if c.tier != "strict":
-        return None
-    ev = c.space.grading.even
-    a = (1j * c.D_on[ev, :]) @ c.S_on[:, ev]
-    return spectral.operator_norm(a - a.conj().T)
+    residual = None
+    if c.tier == "strict":
+        ev = c.space.grading.even
+        a = (1j * c.D_on[ev, :]) @ c.S_on[:, ev]
+        residual = spectral.operator_norm(a - a.conj().T)
+    return OddIndexRepresentative(u, cert, residual, int(c.space.grading.even.size))
 
 
 def odd_index_representative(c: HPComplex, tol: Tolerances = DEFAULT_TOL
@@ -127,10 +113,8 @@ def odd_index_representative(c: HPComplex, tol: Tolerances = DEFAULT_TOL
     """Invertible representative on the even-degree part for odd top degree."""
     if c.n % 2 != 1:
         raise DomainError(f"odd representative needs odd top degree, got {c.n}")
-    _require_valid(c, tol)
-    u, cert = _odd_sample(c, tol)
-    return OddIndexRepresentative(u, cert, _selfadjoint_residual(c),
-                                  int(c.space.grading.even.size))
+    require_valid(c, tol)
+    return _odd_representative(c, tol)
 
 
 # bisections of one interval before a schedule or path fails on it: the
@@ -205,7 +189,7 @@ class LocalizationSchedule:
     not close; midpoints lists the times it sampled, and failed_at is the
     first time at which an interval could not be certified.  So for odd n
     the class of u(t) = X+(t) X-(t)^{-1} is that of u = u(1), which only
-    signature_report and odd_index_representative form.
+    _odd_representative forms.
     """
 
     kind: str                       # "even" | "odd"
@@ -249,7 +233,7 @@ def localized_signature_path(c: HPComplex, t_max: float = 10.0, samples: int = 2
     # one sample spans no interval, so it would certify nothing
     if t_max < 1.0 or samples < 2:
         raise DomainError("need t_max >= 1 and at least 2 samples")
-    _require_valid(c, tol)
+    require_valid(c, tol)
     times = np.linspace(1.0, t_max, samples).tolist()
     h = c.graded.hermitian_part(c.S_on)
     points: list[_Point] = []
@@ -282,7 +266,8 @@ def signature_report(c: HPComplex, tol: Tolerances = DEFAULT_TOL) -> dict:
     """Machine-readable signature data for one complex the caller has
     validated (``cmd_sgn`` does, through the localization schedule).  Its
     gaps are checked under these tolerances; on an odd complex it forms the
-    representative u, which must be invertible."""
+    representative u as odd_index_representative does, which must be
+    invertible."""
     certs = _require_gaps(c.spectrum, tol)
     if c.n % 2 == 0:
         rp, rm = c.spectrum.positive_ranks()
@@ -292,11 +277,12 @@ def signature_report(c: HPComplex, tol: Tolerances = DEFAULT_TOL) -> dict:
             "ranks": [rp, rm],
             "minSingular": [cert.min_singular for cert in certs],
         }
+    rep = _odd_representative(c, tol)
     return {
         "kind": "odd",
         "signature": 0,
         "ranks": None,
-        "minSingular": [_odd_sample(c, tol)[1].min_singular],
-        "evenPartDim": int(c.space.grading.even.size),
-        "selfAdjointResidual": _selfadjoint_residual(c),
+        "minSingular": [rep.certificate.min_singular],
+        "evenPartDim": rep.even_dim,
+        "selfAdjointResidual": rep.selfadjoint_residual,
     }

@@ -1,5 +1,5 @@
 """Hermitian spectral toolkit: eigensystems with their functional calculus
-(``HermitianEigensystem.apply``), spectral projections, and invertibility
+(``HermitianEigensystem.apply``), positive ranks, and invertibility
 certificates.
 
 Everything here works on plain matrices in an orthonormal basis.  Callers with
@@ -185,9 +185,6 @@ class HermitianEigensystem:
         require_gap(self.eigenvalues, gap_tol, what)
         return self
 
-    def positive_projection(self) -> np.ndarray:
-        return self.apply(lambda x: 1.0 if x.real > 0 else 0.0)
-
 
 def _require_hermitian(m: np.ndarray, eigenvalues: np.ndarray, tol_sym: float) -> None:
     herm_resid = float(np.linalg.norm(m - m.conj().T))
@@ -218,12 +215,6 @@ def eig_hermitian(a, tol_sym: float = 1e-10) -> HermitianEigensystem:
             phase = pivot / abs(pivot)
             vecs[:, j] = col / phase
     return HermitianEigensystem(vals, vecs)
-
-
-def positive_projection(a, gap_tol: float = 1e-8, tol_sym: float = 1e-10) -> np.ndarray:
-    """Spectral projection onto the positive part of an invertible Hermitian matrix."""
-    return eig_hermitian(a, tol_sym).require_gap(
-        gap_tol, "positive projection").positive_projection()
 
 
 def positive_rank(a, gap_tol: float = 1e-8, tol_sym: float = 1e-10) -> int:

@@ -31,3 +31,20 @@ def complex_betti():
 
         return tuple(c.space.dims[p] - rank(p) - rank(p - 1) for p in range(c.n + 1))
     return betti
+
+
+@pytest.fixture(scope="session")
+def path_gluing():
+    """How far the branch formulas of a rho path, rho._PathData.branch, are
+    from gluing into one path from diag(S', -S) to its negative: the
+    largest 2-norm of branch(j - 1, j) - branch(j, j) over the junctions
+    j = 1, ..., 5, and the larger of the 2-norms of branch(0, 0) -
+    diag(S', -S) and branch(5, 6) + diag(S', -S)."""
+    def gluing(pd) -> tuple[float, float]:
+        ends = pd.assemble(pd.Sp, None, None, -pd.S)
+        junction = max(np.linalg.norm(pd.branch(j - 1, float(j)) - pd.branch(j, float(j)), 2)
+                       for j in range(1, 6))
+        endpoint = max(np.linalg.norm(pd.branch(0, 0.0) - ends, 2),
+                       np.linalg.norm(pd.branch(5, 6.0) + ends, 2))
+        return float(junction), float(endpoint)
+    return gluing

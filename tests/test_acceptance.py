@@ -106,7 +106,7 @@ def _reduction_equivalences():
     return out
 
 
-def test_criterion_4_rho_certificates():
+def test_criterion_4_rho_certificates(path_gluing):
     crit = Criterion(4, "duality paths invertible over 601 samples, "
                         "terminal segments certified, negative control located", 30.0)
     ok = True
@@ -116,7 +116,7 @@ def test_criterion_4_rho_certificates():
     for he in identities + _reduction_equivalences():
         path = rho_path(he, samples=601)
         ok = ok and path.passed and path.min_singular > 0
-        ok = ok and path.junction_residual <= 1e-10
+        ok = ok and path_gluing(path._data)[0] <= 1e-10
         ok = ok and terminal_check(he, path).passed
     ident = identity_equivalence(fixtures.sphere_model())
     control = HomotopyEquivalence(

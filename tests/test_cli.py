@@ -27,7 +27,7 @@ def test_check_point_passes(cli_cmd, fixture_dir):
     proc = run(cli_cmd, "check", str(fixture_dir / "point.json"))
     assert proc.returncode == 0
     rep = report_of(proc)
-    assert rep["schema"] == "hpsig-report/6"
+    assert rep["schema"] == "hpsig-report/7"
     assert rep["outcome"] == "pass"
 
 
@@ -65,7 +65,10 @@ def test_sgn_odd_certificate(cli_cmd, fixture_dir):
     assert proc.returncode == 0
     rep = report_of(proc)
     assert rep["data"]["kind"] == "odd"
-    assert any(c["name"] == "odd_certificate" and c["passed"] for c in rep["checks"])
+    # the certificate of u is no check of its own: signature_report raises
+    # unless it passes, and its value is data.minSingular
+    assert [c["name"] for c in rep["checks"]] == ["localization_schedule"]
+    assert rep["data"]["minSingular"] == [pytest.approx(1.0, rel=1e-12)]
 
 
 def test_sgn_on_triangulation(cli_cmd, fixture_dir):
@@ -121,8 +124,7 @@ def test_rho_identity_passes(cli_cmd, fixture_dir):
     assert proc.returncode == 0
     rep = report_of(proc)
     assert rep["outcome"] == "pass"
-    assert [c["name"] for c in rep["checks"]] == ["homotopy_identities",
-                                                  "duality_path_invertible",
+    assert [c["name"] for c in rep["checks"]] == ["duality_path_invertible",
                                                   "terminal_segment"]
     assert rep["data"]["terminal"]["min_margin"] > 0
 
@@ -193,12 +195,12 @@ def test_coarse_seeded_reproducibility(cli_cmd):
 
 
 # SHA-256 of the coarse report at 100 instances: a change to the random
-# stream or to the checks drawn from it shows here (schema hpsig-report/6)
+# stream or to the checks drawn from it shows here (schema hpsig-report/7)
 COARSE_REPORT_DIGESTS = {
-    ("0", "l2"): "0661ac72d5df85c7dff0cee147b81ffa2e95c06609fd0ecd1d9358a9267f39a6",
-    ("0", "max"): "239aec91431a54d94614666a582e22c7e954ca5d1ad54fbb95fab6af2042263b",
-    ("42", "l2"): "9840cadb68aec9b0e8915512c9eaadc7d575aa18552a1567d30f2e4bd315d6d4",
-    ("42", "max"): "78d055a6d486bde0b0415a219b4c1d11346bb9ee51f74ca616b05ad4fae8fce5",
+    ("0", "l2"): "0fd36750632a8850cb01e627a48767b8aa2c1ae736b966b0cc21fad823828ea4",
+    ("0", "max"): "4c429cb40af9892860bce4031e5a76bba0a5973fe8b20431340c546f95f02a30",
+    ("42", "l2"): "fd8f70c0ba8cb906a26e847e94ce65a123319d4ba3ebaceef1f78e17db9e943c",
+    ("42", "max"): "16ed3b87a28d03fe760cca7020c3d7ed9fb6843d196ce6382675b1ca195c1b5d",
 }
 
 
@@ -212,10 +214,10 @@ def test_coarse_report_bytes_are_pinned(cli_cmd, seed, metric):
 
 # the same at 1000 instances, eight blocks of the stacked suite
 COARSE_1000_REPORT_DIGESTS = {
-    ("0", "l2"): "79bb5b5eda432fae4f53740883b098cf5e04f196172cfbb6a730399b73d928a5",
-    ("0", "max"): "7174884204d23e36274884ae33d93adfa67c93db15906ece8ef27d33ec9893e5",
-    ("42", "l2"): "6cf3f42614c7d9abc1e87f95ffe026676f5dea76fe510014386fdc64d7877371",
-    ("42", "max"): "aa64b8c278c2116fa9bca1382fcb53235c8b2ba91557761158b36f2c7c7a422b",
+    ("0", "l2"): "cd536476622dafdca717d56248be392da8173654e0deb1a277ec1d32963eac88",
+    ("0", "max"): "094301a7b3ccc5db31175d7be688cf62a078cbb67a4b05f0da58bb1d5f5bfd39",
+    ("42", "l2"): "79b037a05758a7044a01dddc9ccbde04e878102fef1f02fe7ccce6ad78c5e269",
+    ("42", "max"): "06a2befb58a59b22a7671a815325286fd8c77061c6ec4a49ebd7650ef4aa5d40",
 }
 
 

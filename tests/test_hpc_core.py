@@ -9,9 +9,11 @@ import pytest
 from hpsig import fixtures
 from hpsig.family import fibered_from_json, total_complex
 from hpsig.hpc_core import (DEFAULT_TOL, GradedSpace, HPComplex, StructuralError,
-                            DomainError, Tolerances, direct_sum, hpcomplex_from_json,
-                            hpcomplex_to_json, rescale_inner_products,
-                            reverse_orientation, validate)
+                            DomainError, DualityDegenerateError, Tolerances, direct_sum,
+                            hpcomplex_from_json, hpcomplex_to_json, require_valid,
+                            rescale_inner_products, reverse_orientation, validate)
+from hpsig.products import product_signature_check
+from hpsig.rho import identity_equivalence, rho_path
 from hpsig.signature import signature_even
 from hpsig.simplicial import betti_numbers, cap_duality, cochain_complex, load_simplicial
 from hpsig.spectral import operator_norm
@@ -33,6 +35,24 @@ def test_point_with_zero_duality_fails_invertibility():
     rep = validate(c)
     assert not rep.poincare
     assert rep.cert_plus.min_singular == 0.0
+
+
+@pytest.mark.parametrize("call", [
+    require_valid,
+    lambda c: rho_path(identity_equivalence(c)),
+    lambda c: product_signature_check(c, fixtures.circle_model()),
+], ids=["require_valid", "rho_path", "product_signature_check"])
+def test_validation_failures_name_the_failing_checks(call):
+    # S doubled, declared strict: D +- 2S stays invertible and 2S
+    # anticommutes with D, so only the check S^2 = 1 fails
+    c = fixtures.sphere_model()
+    doubled = HPComplex(c.space, c.d, 2.0 * np.asarray(c.S), "strict")
+    with pytest.raises(StructuralError, match=r"axiom checks: \['strict_S_squared'\]"):
+        call(doubled)
+    zero = HPComplex(GradedSpace(0, (1,)), (), np.array([[0.0]], dtype=complex), "weak")
+    with pytest.raises(DualityDegenerateError, match="duality degenerate"):
+        call(zero)
+    call(c)
 
 
 def test_torus_cap_duality_weak_tier_passes():

@@ -64,13 +64,13 @@ def test_random_product_strictness_and_duality_square():
     assert np.abs(s @ s - np.eye(t.total_dim)).max() <= 1e-12
 
 
-def test_random_rho_identity_paths():
+def test_random_rho_identity_paths(path_gluing):
     rng = np.random.default_rng(105)
     for n in (1, 2):
         c = fixtures.random_strict_complex(rng, n)
         path = rho_path(identity_equivalence(c), samples=121)
         assert path.passed
-        assert path.junction_residual <= 1e-10
+        assert path_gluing(path._data)[0] <= 1e-10
 
 
 def test_random_odd_representatives_invertible():

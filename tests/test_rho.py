@@ -48,12 +48,13 @@ def test_sign_error_detected():
     assert rep.homotopy_source > rep.threshold
 
 
-def test_rho_path_identity_sphere_model():
+def test_rho_path_identity_sphere_model(path_gluing):
     path = rho_path(identity_equivalence(fixtures.sphere_model()), samples=601)
     assert path.passed
     assert path.min_singular > 0.9
-    assert path.endpoint_residual <= 1e-12
-    assert path.junction_residual <= 1e-10
+    junction, endpoint = path_gluing(path._data)
+    assert endpoint <= 1e-12
+    assert junction <= 1e-10
 
 
 @pytest.mark.parametrize("build", [fixtures.sphere_triangulation,
@@ -300,12 +301,25 @@ def test_rho_certificate_rejects_path_of_another_equivalence():
         terminal_check(he, rho_path(other, samples=61))
 
 
-def test_rho_path_junctions_continuous_on_all_fixtures():
+def test_rho_path_junctions_continuous_on_all_fixtures(path_gluing):
+    # the branch formulas glue into one path from diag(S', -S) to its
+    # negative; rho_path samples that path and reports no self-check of it
     for build in (fixtures.circle_model, fixtures.sphere_model,
                   fixtures.torus_model, fixtures.cp2_model):
         path = rho_path(identity_equivalence(build()), samples=61)
-        assert path.junction_residual <= 1e-10
+        assert max(path_gluing(path._data)) <= 1e-10
         assert path.selfadjoint_residual <= 1e-10
+    # a reduction glues as well, and a wrong branch shows: the half-turn
+    # phase of [2, 4] started at t = 1 misses both of its junctions
+    pd = _PathData(harmonic_reduction(cap_duality(fixtures.torus_triangulation()))[1])
+    assert max(path_gluing(pd)) <= 1e-10
+    branch = pd.branch
+
+    def shifted(k, t):
+        return branch(k, t - 1.0 if k in (2, 3) else t)
+
+    pd.branch = shifted
+    assert path_gluing(pd)[0] > 0.5
 
 
 def test_rho_certificate_odd_identity_circle():
@@ -396,6 +410,19 @@ def test_terminal_crossing_fails_the_terminal_segment(capsys, fixture_dir):
     assert rep["data"]["terminal"]["min_margin"] <= 0.0
 
 
+@pytest.mark.parametrize("name", ["he_identity_sphere_model", "he_identity_circle3"])
+def test_tight_symmetry_tolerance_passes_a_certified_path(capsys, fixture_dir, name):
+    # the branch formulas meet at t = 2 and 4 only up to the rounding of
+    # cos(pi/2), about 1e-16; that is no property of the input, so under
+    # --tol-sym 1e-16 the path, certified with a wide margin, still passes
+    assert cli.main(["rho", str(fixture_dir / f"{name}.json"), "--tol-sym", "1e-16"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    checks = {c["name"]: c for c in rep["checks"]}
+    assert checks["duality_path_invertible"]["passed"]
+    assert checks["duality_path_invertible"]["failed_at"] is None
+    assert rep["data"]["path"]["min_margin"] > 0.1
+
+
 def test_odd_bound_below_the_threshold_fails_the_terminal_segment(capsys, fixture_dir):
     # under --tol-inv 0.1 the path's threshold, 0.1 (||D|| + ||S||) = 0.273,
     # is above the whole-path bound sigma_min(X+) / (||D|| + sup ||S_f||) =
@@ -458,7 +485,7 @@ def dense_odd_family(he: HomotopyEquivalence, t: float) -> np.ndarray:
     pd = _PathData(he)
     ev = np.flatnonzero(np.concatenate([he.source.space.parity,
                                         he.target.space.parity]) == 1)
-    b_plus = pd.D + pd.diag_duality()
+    b_plus = pd.D + pd.value(0.0)
     return np.linalg.solve((pd.D + pd.value(t - 1.0)).T, b_plus[ev, :].T)[ev, :].T
 
 
@@ -511,12 +538,12 @@ def test_odd_family_glues_onto_localization_schedule():
             [parts[0], 1.0 / parts[1]])), rel=1e-10, abs=0)
 
 
-def test_rho_path_on_weighted_complex():
+def test_rho_path_on_weighted_complex(path_gluing):
     from hpsig.hpc_core import rescale_inner_products
     c = rescale_inner_products(fixtures.torus_model(), 2.5)
     path = rho_path(identity_equivalence(c), samples=121)
     assert path.passed
-    assert path.junction_residual <= 1e-10
+    assert path_gluing(path._data)[0] <= 1e-10
 
 
 def test_he_json_round_trip():

@@ -1,4 +1,4 @@
-"""Eigensystem contract and its functional calculus, projections, certificates."""
+"""Eigensystem contract and its functional calculus, positive ranks, certificates."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,7 @@ import pytest
 from hpsig import fixtures
 from hpsig.hpc_core import GradedSpace, HPComplex, validate
 from hpsig.spectral import (NoSpectralGapError, eig_hermitian, graded_norm,
-                            invertibility_certificate, operator_norm, positive_projection,
-                            positive_rank)
+                            invertibility_certificate, operator_norm, positive_rank)
 
 
 def random_hermitian(rng, n):
@@ -49,15 +48,20 @@ def test_eig_deterministic_bytes():
     assert e1.vectors.tobytes() == e2.vectors.tobytes()
 
 
-def test_positive_projection_scalars():
-    assert positive_projection(np.array([[1.0]])) == pytest.approx(np.array([[1.0]]))
-    p = positive_projection(np.diag([3.0, -1.0]))
-    assert p == pytest.approx(np.diag([1.0, 0.0]))
+def positive_projection(a) -> np.ndarray:
+    """The spectral projection onto the positive part of a, from the
+    functional calculus of its eigensystem."""
+    return eig_hermitian(a).apply(lambda x: 1.0 if x > 0 else 0.0)
 
 
-def test_positive_projection_needs_gap():
+def test_positive_rank_scalars():
+    assert positive_rank(np.array([[1.0]])) == 1
+    assert positive_rank(np.diag([3.0, -1.0])) == 1
+
+
+def test_positive_rank_needs_gap():
     with pytest.raises(NoSpectralGapError):
-        positive_projection(np.diag([0.0, 1.0]))
+        positive_rank(np.diag([0.0, 1.0]))
 
 
 def test_positive_projection_on_harmonic_model():

@@ -242,8 +242,9 @@ def test_rho_path_reads_the_norms_of_d_and_the_duality(monkeypatch):
 
     monkeypatch.setattr(spectral, "operator_norm", recorded)
     assert rho.rho_path(he, samples=61).passed
-    # both are block diagonal: their norms are the summands' D_norm and S_norm
-    for m in (pd.D, pd.diag_duality()):
+    # both are block diagonal: their norms are the summands' D_norm and S_norm;
+    # diag(S', -S) is the path at t = 0
+    for m in (pd.D, pd.value(0.0)):
         assert not any(np.array_equal(a, m) for a in normed)
 
 
@@ -376,7 +377,7 @@ def test_odd_even_witness_decomposes_the_even_differential_once(monkeypatch, cap
 @pytest.mark.parametrize("samples", [3, 10])
 def test_sgn_odd_runs_each_schedule_sample_once(monkeypatch, capsys, fixture_dir,
                                                 samples):
-    calls = count_calls(monkeypatch, "hpsig", signature._odd_sample)
+    calls = count_calls(monkeypatch, "hpsig", signature._odd_representative)
     assert run_cli(capsys, "sgn", str(fixture_dir / "circle_model.json"),
                    "--samples-schedule", str(samples)) == 0
     # only the report forms u, at t = 1; the schedule reads the gaps of X+-

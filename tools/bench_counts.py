@@ -5,7 +5,7 @@ Each command runs in process through ``hpsig.cli.main``.  Every call of a
 and dtype of its first argument.  Counts do not depend on timing or on the
 machine's load, so two files written by this script can be diffed exactly.
 
-    python3 tools/bench_counts.py --out BENCH_23.json --base HEAD
+    python3 tools/bench_counts.py --out BENCH_24.json --base HEAD
 
 counts the ``src/`` of the working tree and, with ``--base``, that of a git
 revision, extracted with ``git archive`` into a temporary directory.  Each
@@ -34,11 +34,15 @@ ROOT = Path(__file__).resolve().parent.parent
 ROUTINES = ("eigh", "eigvalsh", "svd", "solve", "inv")
 # each op with the exit code it must have
 OPS = ([(["check", "fixtures/cp2_9.json"], 0), (["sgn", "fixtures/cp2_9.json"], 0),
-        (["sgn", "fixtures/circle3.json"], 0), (["sgn", "fixtures/torus7.json"], 0)]
+        (["sgn", "fixtures/circle3.json"], 0), (["sgn", "fixtures/torus7.json"], 0),
+        (["product", "fixtures/cp2_model.json", "fixtures/circle_model.json"], 0)]
        + [(["rho", f"fixtures/he_{name}.json"], code)
           for name, code in (("identity_sphere_model", 0), ("orientation_mismatch", 1),
                              ("reduction_sphere_d3", 0), ("offgrid_crossing", 1),
                              ("terminal_crossing", 1), ("identity_circle3", 0))]
+       # a path certified with a wide margin passes under a tight symmetry
+       # tolerance: it is held to no rounding of its own branch formulas
+       + [(["rho", "fixtures/he_identity_sphere_model.json", "--tol-sym", "1e-16"], 0)]
        + [(["chs", f"fixtures/fc_{name}.json"], 0)
           for name in ("mapping_torus_cp2", "sphere_x_cp2", "torus_twist")]
        + [(["coarse", "--instances", "1000"], 0)])
