@@ -135,8 +135,7 @@ def cmd_check(args, tol: Tolerances) -> dict:
 
 def cmd_sgn(args, tol: Tolerances) -> dict:
     c = _complex_from_path(args.path, tol)
-    schedule = signature.localized_signature_path(
-        c, t_max=args.t_max, samples=args.samples_schedule, tol=tol)
+    schedule = signature.localized_signature_path(c, t_max=args.t_max, tol=tol)
     data = signature.signature_report(c, tol)
     data["schedule"] = schedule.to_dict()
     checks = [{"name": "localization_schedule", "passed": schedule.passed,
@@ -157,7 +156,7 @@ def cmd_product(args, tol: Tolerances) -> dict:
             "signature_product": sig_rep.to_dict()}
     strict = a.meets_strict_tier(tol) and b.meets_strict_tier(tol)
     if strict and a.n % 2 == 0 and b.n % 2 == 1:
-        wit = products.witness_even_odd(a, b, samples=args.samples_witness, tol=tol)
+        wit = products.witness_even_odd(a, b, tol=tol)
         checks.append({"name": "even_odd_witness", "passed": wit.passed})
         data["witness"] = wit.to_dict()
     elif strict and a.n % 2 == 1 and b.n % 2 == 0:
@@ -170,7 +169,7 @@ def cmd_product(args, tol: Tolerances) -> dict:
 
 def cmd_rho(args, tol: Tolerances) -> dict:
     he = rho.he_from_json(_load_json(args.path))
-    path = rho.rho_path(he, samples=args.samples, tol=tol)
+    path = rho.rho_path(he, tol=tol)
     data: dict = {"path": path.to_dict()}
     checks = [{"name": "duality_path_invertible", "passed": path.passed,
                "failed_at": path.failed_at}]
@@ -323,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol-inv", type=float, default=DEFAULT_TOL.inv)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--json-out", default=None, help="write the report here")
-    common.add_argument("--metric", choices=("l2", "max"), default="l2")
 
     parser = _Parser(
         prog="hpsig",
@@ -338,18 +336,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="signature / odd certificate with localization schedule")
     p.add_argument("path")
     p.add_argument("--t-max", type=float, default=10.0)
-    p.add_argument("--samples-schedule", type=int, default=2)
 
     p = sub.add_parser("product", parents=[common],
                        help="graded product, multiplicativity, parity witnesses")
     p.add_argument("path_a")
     p.add_argument("path_b")
-    p.add_argument("--samples-witness", type=int, default=11)
 
     p = sub.add_parser("rho", parents=[common],
                        help="duality path and terminal segment for an equivalence")
     p.add_argument("path")
-    p.add_argument("--samples", type=int, default=7)
 
     p = sub.add_parser("chs", parents=[common],
                        help="total complex, monodromy, multiplicativity of signatures")
@@ -358,6 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coarse", parents=[common],
                        help="seeded propagation property suite")
     p.add_argument("--instances", type=int, default=100)
+    p.add_argument("--metric", choices=("l2", "max"), default="l2")
     return parser
 
 
@@ -373,19 +369,17 @@ def render_report(report: dict) -> str:
 
 def _check_domains(args) -> None:
     """Tolerances must be finite and positive, --t-max finite and at least
-    1, and each count and the seed at least its least value, before any
-    command runs."""
+    1, and --instances and the seed at least 0, before any command runs."""
     for flag, value in (("--tol-sym", args.tol_sym), ("--tol-inv", args.tol_inv)):
         if not (math.isfinite(value) and value > 0):
             raise DomainError(f"{flag} must be finite and > 0, got {value}")
     t_max = getattr(args, "t_max", 1.0)
     if not (math.isfinite(t_max) and t_max >= 1.0):
         raise DomainError(f"--t-max must be finite and >= 1, got {t_max}")
-    for flag, least in (("--instances", 0), ("--samples", 7), ("--samples-schedule", 2),
-                        ("--samples-witness", 2), ("--seed", 0)):
-        value = getattr(args, flag[2:].replace("-", "_"), least)
-        if value < least:
-            raise DomainError(f"{flag} must be >= {least}, got {value}")
+    for flag in ("--instances", "--seed"):
+        value = getattr(args, flag[2:], 0)
+        if value < 0:
+            raise DomainError(f"{flag} must be >= 0, got {value}")
 
 
 def main(argv=None) -> int:

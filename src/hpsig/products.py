@@ -262,7 +262,11 @@ def _require_strict(c: HPComplex, tol: Tolerances, who: str) -> None:
         raise StructuralError(f"{who} factor must validate at the strict tier")
 
 
-def witness_even_odd(a: HPComplex, b: HPComplex, samples: int = 11,
+# the times s in [0, 1] at which the even x odd witness is checked
+WITNESS_GRID = tuple(np.linspace(0.0, 1.0, 11).tolist())
+
+
+def witness_even_odd(a: HPComplex, b: HPComplex,
                      tol: Tolerances = DEFAULT_TOL) -> ProductWitnessReport:
     """Positivity identity for the interpolation between the product
     representative and its spectral flattening.
@@ -271,15 +275,12 @@ def witness_even_odd(a: HPComplex, b: HPComplex, samples: int = 11,
     satisfy W*W = |B|^{2(1-s)} (x) 1 + 1 (x) D_b^2 > 0; the endpoints are
     B itself (s=0) and the difference of its spectral projections (s=1).
     In the eigenbasis V of B, W is (V (x) 1)-conjugate to the direct sum over
-    the eigenvalues lam of the blocks sign(lam)|lam|^(1-s) + S_b D_b, so each
-    sample checks the identity block by block and certifies W, and with it
-    W*W > 0, from the singular values of all blocks.
+    the eigenvalues lam of the blocks sign(lam)|lam|^(1-s) + S_b D_b, so at
+    each s of WITNESS_GRID it checks the identity block by block and
+    certifies W, and with it W*W > 0, from the singular values of all blocks.
     """
     if a.n % 2 != 0 or b.n % 2 != 1:
         raise DomainError("needs an even first factor and an odd second factor")
-    if samples < 2:
-        raise DomainError(f"the witness needs at least 2 samples (s = 0 and s = 1), "
-                          f"got {samples}")
     _require_strict(a, tol, "even")
     _require_strict(b, tol, "odd")
     if b.S_norm == 0.0:
@@ -288,14 +289,11 @@ def witness_even_odd(a: HPComplex, b: HPComplex, samples: int = 11,
     sd = b.S_on @ b.D_on
     d2 = b.D_on @ b.D_on
     eye_b = np.eye(b.total_dim)
-    grid = np.linspace(0.0, 1.0, samples)
     idents: list[Identity] = []
     certs: list[InvertibilityCertificate] = []
     for pm, bop in (("+", a.D_on + a.S_on), ("-", a.D_on - a.S_on)):
-        es = spectral.eig_hermitian(bop, tol.sym).require_gap(tol.inv,
-                                                              "sign-preserving power")
-        lam = es.eigenvalues
-        for s in grid:
+        lam = spectral.gapped_eigenvalues(bop, tol.inv, "sign-preserving power", tol.sym)
+        for s in WITNESS_GRID:
             w = (np.sign(lam) * np.abs(lam) ** (1.0 - s))[:, None, None] * eye_b + sd
             c = np.abs(lam) ** (2.0 * (1.0 - s))
             rhs = c[:, None, None] * eye_b + d2
@@ -315,7 +313,7 @@ def witness_even_odd(a: HPComplex, b: HPComplex, samples: int = 11,
         kind="even_odd_witness", case=parity_case(a.n, b.n),
         k_normalization=k_factor(a.n, b.n),
         identities=tuple(idents), certificates=tuple(certs),
-        samples=tuple(float(s) for s in grid), extras={}, passed=passed)
+        samples=WITNESS_GRID, extras={}, passed=passed)
 
 
 def witness_odd_even(a: HPComplex, b: HPComplex,

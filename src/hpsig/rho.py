@@ -18,8 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import spectral
-from .hpc_core import (DEFAULT_TOL, DomainError, DualityDegenerateError, GradedSum,
-                       Grading, HPComplex, StructuralError, Tolerances, decode_matrix,
+from .hpc_core import (DEFAULT_TOL, DualityDegenerateError, GradedSum, Grading,
+                       HPComplex, StructuralError, Tolerances, decode_matrix,
                        encode_matrix, hpcomplex_from_json, hpcomplex_to_json,
                        require_valid)
 from .signature import (_BISECTIONS, LocalizationSchedule, _certify, _Point,
@@ -264,18 +264,17 @@ class RhoPath:
     for U = diag(1, e^{-i pi (t - 2)/2}), which commutes with D and eps, so
     the sample at t = 2 holds on the whole interval; past 4, branch(4, t) =
     -branch(1, 6 - t) and branch(5, t) = -branch(0, 6 - t), so D +- S_f(t)
-    is D -+ S_f(6 - t).  The intervals between the starting grid's times
-    in [0, 2) and t = 2 are certified by signature's interval rule:
-    S_f(t) is Lipschitz with the constants of _PathData.lipschitz on [0, 1]
-    and [1, 2], and each sample's bound is its min |eigenvalue| of the
-    graded D +- H less the Weyl slack, which bounds the skew and
-    parity-violating parts over the whole path.
+    is D -+ S_f(6 - t).  [0, 1] and [1, 2] are certified by signature's
+    interval rule: S_f(t) is Lipschitz with the constants of
+    _PathData.lipschitz on each, and each sample's bound is its min
+    |eigenvalue| of the graded D +- H less the Weyl slack, which bounds the
+    skew and parity-violating parts over the whole path.
 
-    min_sv_plus and min_sv_minus are min |eigenvalue| of the graded
-    Hermitian parts of D +- S_f(t) at times, the starting grid (grid point i
-    with t > 4 reads point len(times) - 1 - i with the two exchanged);
-    margins are those of the intervals on [0, 2] and midpoints the times
-    bisection sampled.  selfadjoint_residual bounds ||S_f(t) - S_f(t)*||_F
+    times are the junctions, and min_sv_plus and min_sv_minus the min
+    |eigenvalue| of the graded Hermitian parts of D +- S_f(t) there: t = 3
+    and 4 read t = 2, and t = 5 and 6 read t = 1 and 0 with the two
+    exchanged.  margins are those of [0, 1] and [1, 2], and midpoints the
+    times bisection sampled.  selfadjoint_residual bounds ||S_f(t) - S_f(t)*||_F
     over [0, 6].  passed means: every interval is certified and the path is
     self-adjoint.
     """
@@ -313,12 +312,13 @@ class RhoPath:
         }
 
 
-def rho_path(he: HomotopyEquivalence, samples: int = 7,
-             tol: Tolerances = DEFAULT_TOL) -> RhoPath:
+# the junctions of the six branches, the path's starting grid
+JUNCTIONS = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+
+
+def rho_path(he: HomotopyEquivalence, tol: Tolerances = DEFAULT_TOL) -> RhoPath:
     """Certify D +- S_f(t) invertible on the whole of [0, 6], starting from
-    samples evenly spaced times (7: the junctions 0, 1, ..., 6)."""
-    if samples < 7:
-        raise DomainError("need at least 7 samples across the six branches")
+    its junctions."""
     her = validate_homotopy_equivalence(he, tol)
     if not her.passed:
         raise StructuralError(f"homotopy-equivalence identities fail: {her.to_dict()}")
@@ -332,19 +332,15 @@ def rho_path(he: HomotopyEquivalence, samples: int = 7,
     skew, off = _skew_bounds(pd)
     slack = 0.5 * (skew + pd.graded.d_skew) + off
 
-    times = np.linspace(0.0, 6.0, samples).tolist()
-    head = [_sample(pd, t) for t in times if t < 2.0]
-    phase = _sample(pd, 2.0)
-    grid = head + [phase] * sum(2.0 <= t <= 4.0 for t in times)
-    # past t = 4 the mirror 6 - t is paired by index: it is not bitwise
-    # a grid time, and the partner, with t < 2, is already sampled
-    grid += [grid[samples - 1 - i].mirrored() for i in range(len(grid), samples)]
+    head = [_sample(pd, t) for t in JUNCTIONS[:3]]
+    s0, s1, s2 = head
+    grid = (s0, s1, s2, s2, s2, s1.mirrored(), s0.mirrored())
 
     def point(t: float, smp: _Sample) -> _Point:
         return _Point(t, (smp.rank, smp.negative), min(smp.plus, smp.minus) - slack,
                       threshold)
 
-    decomposed = [*head, phase]
+    decomposed = list(head)
     midpoints: list[float] = []
 
     def sample(t: float) -> _Point:
@@ -352,13 +348,12 @@ def rho_path(he: HomotopyEquivalence, samples: int = 7,
         decomposed.append(_sample(pd, t))
         return point(t, decomposed[-1])
 
-    points = [point(t, smp) for t, smp in zip(times, head)] + [point(2.0, phase)]
     l0, l1 = pd.lipschitz()
-    margins, failed_at = _certify(
-        points, lambda a, b: l0 if b.x <= 1.0 else l1 if a.x >= 1.0 else max(l0, l1),
-        sample, _BISECTIONS)
+    margins, failed_at = _certify([point(t, smp) for t, smp in zip(JUNCTIONS, head)],
+                                  lambda a, b: l0 if b.x <= 1.0 else l1,
+                                  sample, _BISECTIONS)
     passed = failed_at is None and skew <= tol.sym * max(1.0, s_norm)
-    return RhoPath(tuple(times), tuple(s.plus for s in grid), tuple(s.minus for s in grid),
+    return RhoPath(JUNCTIONS, tuple(s.plus for s in grid), tuple(s.minus for s in grid),
                    tuple(margins), tuple(sorted(midpoints)), skew, float(threshold),
                    min(min(s.plus, s.minus) for s in decomposed), passed, failed_at, pd,
                    slack)

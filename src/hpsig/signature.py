@@ -118,9 +118,8 @@ def odd_index_representative(c: HPComplex, tol: Tolerances = DEFAULT_TOL
 
 
 # bisections of one interval before a schedule or path fails on it: the
-# unit intervals of rho's default grid are cut down to 1/128, finer than
-# 0.01, and a schedule started from its endpoints samples at most 127
-# midpoints
+# unit intervals of rho's grid are cut down to 1/128, finer than 0.01, and
+# a schedule samples at most 127 midpoints
 _BISECTIONS = 7
 
 
@@ -176,20 +175,20 @@ def _certify(points: list[_Point], lipschitz_of, sample, bisections: int
 
 @dataclass(frozen=True, eq=False)
 class LocalizationSchedule:
-    """Rescaled-metric path of index representatives, certified on whole
-    intervals.
+    """Rescaled-metric path of index representatives, certified on the
+    whole of [1, t_max].
 
     Rescaling G_p by t^(n/2 - p) leaves S fixed in orthonormal coordinates
     and scales D by t^(-1/2), so sample t reads B+-(t) = t^(-1/2) D +- S
-    through hpc_core.GradedSum.  Each sample is the gap certificates of
-    B+-(t): even samples take one eigvalsh of B+(t), since B-(t) = -eps
-    B+(t) eps, and the signatures must be constant; odd samples take the
-    SVDs of X+-.  Between samples, the Lipschitz bound of _interval
-    certifies that B+-(t) stays invertible, bisecting an interval that does
-    not close; midpoints lists the times it sampled, and failed_at is the
-    first time at which an interval could not be certified.  So for odd n
-    the class of u(t) = X+(t) X-(t)^{-1} is that of u = u(1), which only
-    _odd_representative forms.
+    through hpc_core.GradedSum.  times are the endpoints 1 and t_max, and
+    each sample is the gap certificates of B+-(t): even samples take one
+    eigvalsh of B+(t), since B-(t) = -eps B+(t) eps, and the signatures must
+    be constant; odd samples take the SVDs of X+-.  Between them, the
+    Lipschitz bound of _interval certifies that B+-(t) stays invertible,
+    bisecting where it does not close; midpoints lists the times bisection
+    sampled, and failed_at is the first time at which the schedule could
+    not be certified.  So for odd n the class of u(t) = X+(t) X-(t)^{-1} is
+    that of u = u(1), which only _odd_representative forms.
     """
 
     kind: str                       # "even" | "odd"
@@ -197,15 +196,15 @@ class LocalizationSchedule:
     signatures: tuple[int, ...] | None
     ranks: tuple[tuple[int, int], ...] | None
     min_singulars: tuple[float, ...]  # gap of B+-(t) less the Weyl slack
-    margins: tuple[float, ...]      # per interval [times[k], times[k + 1]]
+    margins: tuple[float, ...]      # of the one interval [1, t_max]
     midpoints: tuple[float, ...]
     failed_at: float | None
     constant: bool
     passed: bool
 
     @property
-    def min_margin(self) -> float | None:
-        return min(self.margins, default=None)
+    def min_margin(self) -> float:
+        return min(self.margins)
 
     def to_dict(self) -> dict:
         return {
@@ -223,18 +222,15 @@ class LocalizationSchedule:
         }
 
 
-def localized_signature_path(c: HPComplex, t_max: float = 10.0, samples: int = 2,
+def localized_signature_path(c: HPComplex, t_max: float = 10.0,
                              tol: Tolerances = DEFAULT_TOL) -> LocalizationSchedule:
     """Sample the index representative along inner-product rescalings t in
-    [1, t_max], starting from samples evenly spaced times (2: the endpoints),
-    and certify the intervals between them."""
-    if not math.isfinite(t_max):
-        raise DomainError(f"t_max must be finite, got {t_max}")
-    # one sample spans no interval, so it would certify nothing
-    if t_max < 1.0 or samples < 2:
-        raise DomainError("need t_max >= 1 and at least 2 samples")
+    [1, t_max], starting from the endpoints, and certify the interval
+    between them."""
+    if not (math.isfinite(t_max) and t_max >= 1.0):
+        raise DomainError(f"t_max must be finite and >= 1, got {t_max}")
     require_valid(c, tol)
-    times = np.linspace(1.0, t_max, samples).tolist()
+    times = (1.0, float(t_max))
     h = c.graded.hermitian_part(c.S_on)
     points: list[_Point] = []
     for t in times:
@@ -256,7 +252,7 @@ def localized_signature_path(c: HPComplex, t_max: float = 10.0, samples: int = 2
     sigs = tuple(rp - rm for rp, rm in (p.ranks for p in points)) if even else None
     constant = not even or len(set(sigs)) <= 1
     return LocalizationSchedule(
-        "even" if even else "odd", tuple(times), sigs,
+        "even" if even else "odd", times, sigs,
         tuple(p.ranks for p in points) if even else None,
         tuple(p.bound for p in points), tuple(margins), tuple(sorted(midpoints)),
         failed_at, constant, constant and failed_at is None)

@@ -17,7 +17,8 @@ from hpsig.family import FiberedComplex, chs_check, monodromy_homology_action, t
 from hpsig.hpc_core import direct_sum, rescale_inner_products, reverse_orientation
 from hpsig.products import (graded_tensor, product_signature_check,
                             witness_even_odd, witness_odd_even)
-from hpsig.rho import HomotopyEquivalence, identity_equivalence, rho_path, terminal_check
+from hpsig.rho import (HomotopyEquivalence, _sample, identity_equivalence, rho_path,
+                       terminal_check)
 from hpsig.signature import signature_even
 from hpsig.simplicial import cap_duality, harmonic_reduction, intersection_form_oracle
 from hpsig.coarse import (LocalizationPath, SupportedOperator,
@@ -78,10 +79,10 @@ def test_criterion_3_parity_witnesses():
                  (fixtures.sphere_model, fixtures.circle_model),
                  (fixtures.torus_model, fixtures.hyperbolic_odd),
                  (fixtures.hyperbolic_even, fixtures.hyperbolic_odd)]:
-        rep = witness_even_odd(a(), b(), samples=11)
+        rep = witness_even_odd(a(), b())
         ok = ok and rep.passed
         ok = ok and all(i.residual <= 1e-9 for i in rep.identities
-                        if i.name.startswith(("positivity", "endpoint")))
+                        if i.name.startswith("positivity"))
     for a, b in [(fixtures.circle_model, fixtures.point_model),
                  (fixtures.circle_model, fixtures.sphere_model),
                  (fixtures.circle_model, fixtures.cp2_model),
@@ -107,22 +108,25 @@ def _reduction_equivalences():
 
 
 def test_criterion_4_rho_certificates(path_gluing):
-    crit = Criterion(4, "duality paths invertible over 601 samples, "
-                        "terminal segments certified, negative control located", 30.0)
+    crit = Criterion(4, "duality paths certified invertible on all of [0, 6] and "
+                        "clear at 601 times, terminal segments certified, negative "
+                        "control located", 30.0)
     ok = True
     identities = [identity_equivalence(b()) for b in
                   (fixtures.circle_model, fixtures.sphere_model,
                    fixtures.cp2_model, fixtures.torus_model)]
     for he in identities + _reduction_equivalences():
-        path = rho_path(he, samples=601)
+        path = rho_path(he)
         ok = ok and path.passed and path.min_singular > 0
+        swept = (_sample(path._data, float(t)) for t in np.linspace(0.0, 6.0, 601))
+        ok = ok and all(min(s.plus, s.minus) > path.threshold + path._slack for s in swept)
         ok = ok and path_gluing(path._data)[0] <= 1e-10
         ok = ok and terminal_check(he, path).passed
     ident = identity_equivalence(fixtures.sphere_model())
     control = HomotopyEquivalence(
         fixtures.sphere_model(), reverse_orientation(fixtures.sphere_model()),
         ident.f, ident.g, ident.h, ident.h_prime)
-    bad_path = rho_path(control, samples=601)
+    bad_path = rho_path(control)
     ok = ok and not bad_path.passed and bad_path.failed_at is not None
     crit.finish(ok)
 
@@ -235,8 +239,7 @@ def test_criterion_8_deterministic_reports(fixture_dir, cli_cmd):
          str(fixture_dir / "cp2_model.json")),
         ("product", str(fixture_dir / "sphere_model.json"),
          str(fixture_dir / "circle_model.json")),
-        ("rho", str(fixture_dir / "he_identity_sphere_model.json"),
-         "--samples", "121"),
+        ("rho", str(fixture_dir / "he_identity_sphere_model.json")),
         ("chs", str(fixture_dir / "fc_sphere_x_cp2.json")),
         ("coarse", "--instances", "100"),
     ]

@@ -305,7 +305,7 @@ def test_evaluation_bridge_from_localization_schedule():
     # the odd representative of the circle model gives a nonvanishing path
     from hpsig import fixtures
     from hpsig.signature import localized_signature_path, odd_index_representative
-    sched = localized_signature_path(fixtures.circle_model(), 4.0, 4)
+    sched = localized_signature_path(fixtures.circle_model(), 4.0)
     x = path_space(1)
     ops = tuple(SupportedOperator(
         x, odd_index_representative(fixtures.circle_model()).u) for _ in sched.times)

@@ -10,7 +10,7 @@ import pytest
 from hpsig import fixtures
 from hpsig.hpc_core import (DEFAULT_TOL, DomainError, GradedSpace, HPComplex,
                             StructuralError, Tolerances, hpcomplex_from_json, validate)
-from hpsig.products import (derive_sign_rule, graded_tensor,
+from hpsig.products import (WITNESS_GRID, derive_sign_rule, graded_tensor,
                             graded_tensor_with_rule, k_factor,
                             product_signature_check, witness_even_odd,
                             witness_odd_even)
@@ -190,9 +190,9 @@ def test_witness_even_odd_point_circle():
 
 
 def test_witness_even_odd_sphere_circle_eleven_samples():
-    rep = witness_even_odd(fixtures.sphere_model(), fixtures.circle_model(), samples=11)
+    rep = witness_even_odd(fixtures.sphere_model(), fixtures.circle_model())
     assert rep.passed
-    assert len(rep.samples) == 11
+    assert len(rep.samples) == 11 and rep.samples == WITNESS_GRID
     assert all(c.passed for c in rep.certificates)
 
 
@@ -214,7 +214,7 @@ def test_witness_even_odd_parity_check():
         witness_even_odd(fixtures.circle_model(), fixtures.sphere_model())
 
 
-def _kron_witness(a, b, samples, tol=DEFAULT_TOL):
+def _kron_witness(a, b, grid, tol=DEFAULT_TOL):
     """Dense reference for witness_even_odd: W, W*W and its model built as
     (dim a * dim b)-size Kronecker products.  Returns the (residual, passed)
     pairs of the identities in report order, and the certificates.  It also
@@ -227,7 +227,7 @@ def _kron_witness(a, b, samples, tol=DEFAULT_TOL):
     idents, certs = [], []
     for bop in (a.D_on + a.S_on, a.D_on - a.S_on):
         es = eig_hermitian(bop)
-        for s in np.linspace(0.0, 1.0, samples):
+        for s in grid:
             w = (np.kron(es.apply(lambda x: np.sign(x) * abs(x) ** (1.0 - s)), eye_b)
                  + np.kron(eye_a, sd))
             rhs = (np.kron(es.apply(lambda x: abs(x) ** (2.0 * (1.0 - s))), eye_b)
@@ -267,8 +267,8 @@ def _even_odd_pairs():
 @pytest.mark.parametrize("index", range(7))
 def test_witness_even_odd_blocks_match_the_kronecker_witness(index):
     a, b = _even_odd_pairs()[index]
-    rep = witness_even_odd(a, b, samples=6)
-    idents, certs = _kron_witness(a, b, samples=6)
+    rep = witness_even_odd(a, b)
+    idents, certs = _kron_witness(a, b, np.linspace(0.0, 1.0, 11))
     assert len(rep.identities) == len(idents) and len(rep.certificates) == len(certs)
     for got, (resid, passed) in zip(rep.identities, idents):
         assert _close(got.residual, resid), got.name

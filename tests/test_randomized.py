@@ -49,7 +49,7 @@ def test_random_parity_witnesses():
     for _ in range(3):
         even = fixtures.random_strict_complex(rng, 2)
         odd = fixtures.random_strict_complex(rng, 1)
-        assert witness_even_odd(even, odd, samples=5).passed
+        assert witness_even_odd(even, odd).passed
         assert witness_odd_even(odd, even).passed
 
 
@@ -68,7 +68,7 @@ def test_random_rho_identity_paths(path_gluing):
     rng = np.random.default_rng(105)
     for n in (1, 2):
         c = fixtures.random_strict_complex(rng, n)
-        path = rho_path(identity_equivalence(c), samples=121)
+        path = rho_path(identity_equivalence(c))
         assert path.passed
         assert path_gluing(path._data)[0] <= 1e-10
 

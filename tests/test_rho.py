@@ -49,7 +49,7 @@ def test_sign_error_detected():
 
 
 def test_rho_path_identity_sphere_model(path_gluing):
-    path = rho_path(identity_equivalence(fixtures.sphere_model()), samples=601)
+    path = rho_path(identity_equivalence(fixtures.sphere_model()))
     assert path.passed
     assert path.min_singular > 0.9
     junction, endpoint = path_gluing(path._data)
@@ -62,13 +62,13 @@ def test_rho_path_identity_sphere_model(path_gluing):
 def test_rho_path_harmonic_reduction(build):
     cap = cap_duality(build())
     _, he = harmonic_reduction(cap)
-    path = rho_path(he, samples=301)
+    path = rho_path(he)
     assert path.passed
     assert path.min_singular > 0.1
 
 
 def test_rho_path_negative_control_fails_with_location():
-    path = rho_path(mismatch_equivalence(), samples=601)
+    path = rho_path(mismatch_equivalence())
     assert not path.passed
     assert path.failed_at == pytest.approx(0.5, abs=1e-6)
 
@@ -81,20 +81,23 @@ def test_rho_path_negative_control_fails_at_the_first_midpoint():
     assert path.failed_at == 0.5 and 0.5 in path.midpoints
 
 
-@pytest.mark.parametrize("samples", [7, 601])
+@pytest.mark.parametrize("sweep", [7, 601])
 @pytest.mark.parametrize("build", [fixtures.circle_model, fixtures.sphere_model])
-def test_rho_path_fails_an_off_grid_crossing(build, samples):
-    # D + S_f(t) is singular at t* = 1 / 1.988 = 0.50302, between the grid
-    # points 0.50 and 0.51 of 601 samples, and every grid sample clears the
-    # threshold plus the slack: a verdict read from the samples passes
+def test_rho_path_fails_an_off_grid_crossing(build, sweep):
+    # D + S_f(t) is singular at t* = 1 / 1.988 = 0.50302, between the points
+    # 0.50 and 0.51 of a sweep of 601 times, and every sample of the sweep,
+    # or of the 7 junctions, clears the threshold plus the slack: a verdict
+    # read from the samples passes
     he = fixtures.offgrid_crossing(build())
     t_star = 1.0 / 1.988
-    assert _sample(_PathData(he), t_star).plus < 1e-15
-    path = rho_path(he, samples=samples)
-    assert min(path.min_sv_plus + path.min_sv_minus) > path.threshold + path._slack
+    pd = _PathData(he)
+    assert _sample(pd, t_star).plus < 1e-15
+    path = rho_path(he)
+    swept = [_sample(pd, float(t)) for t in np.linspace(0.0, 6.0, sweep)]
+    assert min(min(s.plus, s.minus) for s in swept) > path.threshold + path._slack
     assert not path.passed
-    # within the width of the last bisection of a grid interval
-    assert abs(path.failed_at - t_star) <= 6.0 / (samples - 1) / 2 ** 7
+    # within the width of the last bisection of a unit interval
+    assert abs(path.failed_at - t_star) <= 1.0 / 2 ** 7
     assert min(path.margins) <= 0.0
 
 
@@ -136,13 +139,16 @@ def test_rho_path_eigenvalues_match_singular_values(name, fixture_dir):
         he = identity_equivalence(c)
     else:
         he = identity_equivalence(getattr(fixtures, name)())
-    path = rho_path(he, samples=61)
+    path = rho_path(he)
     assert path.passed
     if name == "weak_n1":
         assert max(abs(p - m) for p, m in zip(path.min_sv_plus, path.min_sv_minus)) > 0.1
     pd = _PathData(he)
     scale = path.threshold / Tolerances().inv
-    for t, p, m in zip(path.times, path.min_sv_plus, path.min_sv_minus):
+    # the path's junctions, then the sampler over a sweep of 601 times
+    swept = [(t, _sample(pd, t)) for t in np.linspace(0.0, 6.0, 601).tolist()]
+    for t, p, m in [*zip(path.times, path.min_sv_plus, path.min_sv_minus),
+                    *((t, smp.plus, smp.minus) for t, smp in swept)]:
         sf = pd.value(t)
         assert p == pytest.approx(np.linalg.svd(pd.D + sf, compute_uv=False)[-1],
                                   rel=0, abs=1e-12 * scale)
@@ -164,7 +170,7 @@ def test_rho_path_weyl_slack_for_skew_part(skew, passes):
     # min |eigenvalue| of the Hermitian part is 1e-5 at every sample, above
     # the threshold 1e-8; ||K||_F = 4 * skew, so the slack 2 * skew decides
     tol = Tolerances(sym=1e-4)
-    path = rho_path(identity_equivalence(skewed_sphere(1e-5, skew)), samples=61, tol=tol)
+    path = rho_path(identity_equivalence(skewed_sphere(1e-5, skew)), tol=tol)
     assert path.threshold == pytest.approx(1e-8)
     assert path.min_singular == pytest.approx(1e-5)
     assert path.selfadjoint_residual == pytest.approx(4 * skew)
@@ -241,7 +247,7 @@ def torus_shear(delta: float):
 ], ids=["torus_small", "circle_small", "circle_shear"])
 def test_rho_path_parity_violating_negative_control(build, passes):
     he = build()
-    path = rho_path(he, samples=61)
+    path = rho_path(he)
     mins, slack = dense_reference(he, 61)
     violation = parity_violation(he, 61)
     assert violation > 1e-4
@@ -298,7 +304,7 @@ def test_rho_certificate_rejects_path_of_another_equivalence():
     he = identity_equivalence(fixtures.sphere_model())
     other = identity_equivalence(fixtures.sphere_model())
     with pytest.raises(ValueError):
-        terminal_check(he, rho_path(other, samples=61))
+        terminal_check(he, rho_path(other))
 
 
 def test_rho_path_junctions_continuous_on_all_fixtures(path_gluing):
@@ -306,7 +312,7 @@ def test_rho_path_junctions_continuous_on_all_fixtures(path_gluing):
     # negative; rho_path samples that path and reports no self-check of it
     for build in (fixtures.circle_model, fixtures.sphere_model,
                   fixtures.torus_model, fixtures.cp2_model):
-        path = rho_path(identity_equivalence(build()), samples=61)
+        path = rho_path(identity_equivalence(build()))
         assert max(path_gluing(path._data)) <= 1e-10
         assert path.selfadjoint_residual <= 1e-10
     # a reduction glues as well, and a wrong branch shows: the half-turn
@@ -324,7 +330,7 @@ def test_rho_path_junctions_continuous_on_all_fixtures(path_gluing):
 
 def test_rho_certificate_odd_identity_circle():
     he = identity_equivalence(fixtures.circle_model())
-    path = rho_path(he, samples=61)
+    path = rho_path(he)
     term = terminal_check(he, path)
     assert term.passed
     assert term.odd_bound > path.threshold
@@ -337,7 +343,7 @@ def test_rho_certificate_odd_collapse_equivalence():
     big = direct_sum(fixtures.circle_model(), fixtures.hyperbolic_odd())
     minimal, he = harmonic_reduction(big)
     assert minimal.space.dims == (1, 1)
-    term = terminal_check(he, rho_path(he, samples=61))
+    term = terminal_check(he, rho_path(he))
     assert term.passed
     assert len(term.schedules) == 2
 
@@ -348,7 +354,7 @@ def test_rho_certificate_odd_rejects_broken_data():
                                  he.h_prime)
     assert not validate_homotopy_equivalence(broken).passed
     with pytest.raises(StructuralError):
-        terminal_check(broken, rho_path(broken, samples=31))
+        terminal_check(broken, rho_path(broken))
 
 
 def sum_ranks(term) -> tuple[int, int]:
@@ -370,7 +376,7 @@ def assert_even_terminal_reads_the_path(he, path, term):
 @pytest.mark.parametrize("build", [fixtures.sphere_model, fixtures.cp2_model])
 def test_rho_certificate_even_identity(build):
     he = identity_equivalence(build())
-    path = rho_path(he, samples=61)
+    path = rho_path(he)
     term = terminal_check(he, path)
     assert term.passed and term.failed_at is None
     assert len(term.schedules) == 1 and term.schedules[0].constant
@@ -380,7 +386,7 @@ def test_rho_certificate_even_identity(build):
 def test_rho_certificate_even_reduction_torus():
     cap = cap_duality(fixtures.torus_triangulation())
     _, he = harmonic_reduction(cap)
-    path = rho_path(he, samples=41)
+    path = rho_path(he)
     term = terminal_check(he, path)
     assert term.passed
     assert [s.constant for s in term.schedules] == [True, True]
@@ -393,7 +399,7 @@ def test_rho_certificate_even_reduction_torus():
 def test_rho_certificate_even_rejects_mismatch():
     with pytest.raises(DualityDegenerateError):
         he = mismatch_equivalence()
-        terminal_check(he, rho_path(he, samples=61))
+        terminal_check(he, rho_path(he))
 
 
 def test_terminal_crossing_fails_the_terminal_segment(capsys, fixture_dir):
@@ -517,7 +523,7 @@ def test_odd_family_matches_the_full_size_solve(build):
     # one of 601 times and clears the path's threshold
     he = build()
     assert he.n % 2 == 1
-    path = rho_path(he, samples=61)
+    path = rho_path(he)
     term = terminal_check(he, path)
     assert term.passed
     assert path.threshold < term.odd_bound <= min(dense_odd_min_singulars(he, 601))
@@ -541,7 +547,7 @@ def test_odd_family_glues_onto_localization_schedule():
 def test_rho_path_on_weighted_complex(path_gluing):
     from hpsig.hpc_core import rescale_inner_products
     c = rescale_inner_products(fixtures.torus_model(), 2.5)
-    path = rho_path(identity_equivalence(c), samples=121)
+    path = rho_path(identity_equivalence(c))
     assert path.passed
     assert path_gluing(path._data)[0] <= 1e-10
 
@@ -620,7 +626,7 @@ def test_rho_certificate_samples_match_the_per_sample_scan(name):
     # The mismatches' paths fail, and their ranks move along the path
     he = SCAN_CASES[name]()
     assert he.n % 2 == 0
-    path = rho_path(he, samples=61)
+    path = rho_path(he)
     if not path.passed:
         with pytest.raises(DualityDegenerateError):
             terminal_check(he, path)

@@ -71,29 +71,28 @@ def test_odd_representative_direct_sum():
 
 
 def test_localized_path_point():
-    sched = localized_signature_path(fixtures.point_model(), 10.0, 10)
-    assert sched.signatures == tuple([1] * 10)
+    sched = localized_signature_path(fixtures.point_model(), 10.0)
+    assert sched.signatures == (1, 1)
     assert sched.constant and sched.passed
 
 
 def test_localized_path_cp2():
-    sched = localized_signature_path(fixtures.cp2_model(), 10.0, 10)
+    sched = localized_signature_path(fixtures.cp2_model(), 10.0)
     assert set(sched.signatures) == {1}
     assert sched.passed
 
 
 def test_localized_path_cap_sphere_lipschitz():
-    sched = localized_signature_path(cap_duality(fixtures.sphere_triangulation()),
-                                     10.0, 12)
+    sched = localized_signature_path(cap_duality(fixtures.sphere_triangulation()), 10.0)
     assert set(sched.signatures) == {0}
     assert sched.passed
-    # the Lipschitz bound in s = t^(-1/2) certifies each of the 11 intervals
-    assert len(sched.margins) == 11 and sched.min_margin > 0.0
+    # the Lipschitz bound in s = t^(-1/2) certifies the interval [1, 10]
+    assert len(sched.margins) == 1 and sched.min_margin > 0.0
     assert sched.failed_at is None
 
 
 def test_localized_path_odd_circle():
-    sched = localized_signature_path(fixtures.circle_model(), 10.0, 10)
+    sched = localized_signature_path(fixtures.circle_model(), 10.0)
     assert sched.kind == "odd"
     assert all(sv > 0 for sv in sched.min_singulars)
     assert sched.passed
@@ -191,25 +190,28 @@ def test_localized_path_matches_rescaled_complexes(index):
     from hpsig.hpc_core import rescale_inner_products
     from hpsig.spectral import eig_hermitian
     c = _reference_complexes()[index]
-    sched = localized_signature_path(c, 10.0, 7)
+    sched = localized_signature_path(c)
+    times, grid = _sampled_times(sched)
     ix = np.ix_(c.space.grading.even, c.space.grading.odd)
-    ranks, least, top = [], [], []
-    for k, t in enumerate(sched.times):
+    ranks, blocks, least, top = [], [], [], []
+    for t in times:
         ct = rescale_inner_products(c, t)
         b_plus, b_minus = ct.D_on + ct.S_on, ct.D_on - ct.S_on
         svs = [np.linalg.svd(b, compute_uv=False) for b in (b_plus, b_minus)]
         least.append(min(sv[-1] for sv in svs))
         top.append(max(sv[0] for sv in svs))
-        assert sched.min_singulars[k] == pytest.approx(least[-1], rel=0, abs=1e-12 * top[-1])
+        blocks.append((b_plus[ix], b_minus[ix]))
         if c.n % 2 == 0:
             ep, em = eig_hermitian(b_plus), eig_hermitian(b_minus)
             ranks.append((int((ep.eigenvalues > 0).sum()), int((em.eigenvalues > 0).sum())))
-        else:
-            _assert_u_clears_the_sample(b_plus[ix], b_minus[ix], sched.min_singulars[k])
+    for k, bound in zip(grid, sched.min_singulars):
+        assert bound == pytest.approx(least[k], rel=0, abs=1e-12 * top[k])
+        if c.n % 2:
+            _assert_u_clears_the_sample(*blocks[k], bound)
     if c.n % 2 == 0:
-        assert sched.ranks == tuple(ranks)
-        assert sched.signatures == tuple(rp - rm for rp, rm in ranks)
-    assert sched.passed and sched.midpoints == ()
+        assert sched.ranks == tuple(ranks[k] for k in grid)
+        assert sched.signatures == tuple(rp - rm for rp, rm in sched.ranks)
+    assert sched.passed
     _assert_margins(sched, _interval_margins(c, sched, least, top), max(top))
 
 
@@ -229,7 +231,7 @@ def test_even_margins_match_the_full_size_spectra(index):
     # the schedule decomposes only the graded B+(t) and reads B-(t) from it;
     # the reference decomposes the Hermitian parts of both at full size
     c = _even_schedule_complexes()[index]
-    sched = localized_signature_path(c, samples=10)
+    sched = localized_signature_path(c)
     assert sched.passed and c.n % 2 == 0
     times, grid = _sampled_times(sched)
     ranks, least, top = [], [], []
@@ -263,9 +265,9 @@ def test_localized_path_fails_once_the_gap_closes(model):
     # u stays invertible, so only the gap check of B+-(t) can fail the sample
     base = getattr(fixtures, model)()
     c = direct_sum(base, _acyclic(base.n))
-    assert localized_signature_path(c, 1e15, 2).passed
+    assert localized_signature_path(c, 1e15).passed
     with pytest.raises(DualityDegenerateError, match=r"t=1e\+18"):
-        localized_signature_path(c, 1e18, 2)
+        localized_signature_path(c, 1e18)
 
 
 def test_cp2_9_first_interval_closes_with_one_midpoint(monkeypatch):
@@ -314,17 +316,21 @@ def _apart_crossings():
 
 @pytest.mark.parametrize("samples", range(2, 11))
 def test_crossings_fail_at_the_first_crossing_from_every_starting_grid(samples):
+    # the interval rule the schedule runs from its endpoints and rho from
+    # its junctions, run from samples evenly spaced times in [1, 10]:
     # wherever the grid falls, at most one grid time lies between the
     # crossings at t = 2.3 and 2.7, and bisection locates the first one
-    sched = localized_signature_path(_apart_crossings(), samples=samples)
-    assert len(sched.times) == samples and not sched.passed
-    assert 2.0 < sched.failed_at < 3.0 and abs(sched.failed_at - 2.3) < 0.05
-
-
-def test_one_sample_certifies_nothing():
-    # a grid of t = 1 alone spans no interval, so the crossings would pass
-    with pytest.raises(DomainError, match="at least 2 samples"):
-        localized_signature_path(_apart_crossings(), samples=1)
+    from hpsig.hpc_core import DEFAULT_TOL
+    from hpsig.signature import _BISECTIONS, _certify, _point
+    c = _apart_crossings()
+    h = c.graded.hermitian_part(c.S_on)
+    points = [_point(c, DEFAULT_TOL, t ** -0.5, h) for t in np.linspace(1.0, 10.0, samples)]
+    margins, failed_s = _certify(points, lambda a, b: c.D_norm,
+                                 lambda x: _point(c, DEFAULT_TOL, x, h), _BISECTIONS)
+    assert len(margins) == samples - 1 and failed_s is not None
+    assert 2.0 < failed_s ** -2.0 < 3.0 and abs(failed_s ** -2.0 - 2.3) < 0.05
+    if samples == 2:
+        assert localized_signature_path(c).failed_at == failed_s ** -2.0
 
 
 def test_odd_crossing_between_samples_fails_the_interval_certificate(capsys, tmp_path):

@@ -144,61 +144,52 @@ def test_rho_builds_the_path_data_once(monkeypatch, capsys, fixture_dir, name):
 def test_rho_path_svd_count_does_not_grow_with_samples(monkeypatch):
     # norm(m, 2) reaches svd through a module global of numpy.linalg._linalg
     calls = count_calls(monkeypatch, "numpy.linalg", np.linalg.svd)
-    counts = []
-    for samples in (61, 601):
-        # a fresh complex each time: ||S - S*||_2 is cached on the complex
-        he = rho.identity_equivalence(fixtures.cp2_model())
-        calls.clear()
-        rho.rho_path(he, samples=samples)
-        counts.append(len(calls))
-    assert counts[0] == counts[1]
+    in_samples = _calls_during(monkeypatch, rho, "_sample", [calls])
+    rho.rho_path(rho.identity_equivalence(fixtures.cp2_model()))
+    # an even sample is one eigvalsh: every svd is a norm, taken once
+    assert calls and len(in_samples) >= 3
+    assert all(not svd for (svd,) in in_samples)
 
 
 def test_rho_certificate_even_eigh_count_does_not_grow_with_samples(monkeypatch, capsys,
                                                                     fixture_dir):
     # on a passing rho every decomposition at the path's size is rho_path's,
-    # and the terminal check takes only eigenvalues, at the summands' sizes,
-    # the same ones whatever the path's starting grid
+    # and the terminal check takes only eigenvalues, at the summands' sizes:
+    # those of their schedules, whatever the path sampled
     calls = _decompositions(monkeypatch)
     eigh, eigvalsh, svd, solve = calls
     inside = _calls_during(monkeypatch, rho, "terminal_check", calls)
     for name, size in (("he_identity_sphere_model", 4), ("he_reduction_sphere_d3", 16)):
-        terminal = []
-        for samples in ("7", "13"):
-            for c in (*calls, inside):
-                c.clear()
-            assert run_cli(capsys, "rho", str(fixture_dir / f"{name}.json"),
-                           "--samples", samples) == 0
-            (_, eigvalsh_t, svd_t, _), = inside
-            assert not eigh and not solve and not svd_t
-            assert eigvalsh_t and all(max(shape) < size for shape in eigvalsh_t)
-            terminal.append(eigvalsh_t)
-            if samples == "7":
-                # t = 0, 1, 2 and the midpoint 1.5
-                assert eigvalsh.count((size, size)) == 4
-        assert terminal[0] == terminal[1]
+        for c in (*calls, inside):
+            c.clear()
+        assert run_cli(capsys, "rho", str(fixture_dir / f"{name}.json")) == 0
+        (_, eigvalsh_t, svd_t, _), = inside
+        assert not eigh and not solve and not svd_t
+        assert eigvalsh_t and all(max(shape) < size for shape in eigvalsh_t)
+        # t = 0, 1, 2 and the midpoint 1.5
+        assert eigvalsh.count((size, size)) == 4
+        # the summands' schedules alone, on complexes validated beforehand,
+        # as rho_path validates them
+        he = rho.he_from_json(json.loads((fixture_dir / f"{name}.json").read_text()))
+        for c in he.complexes:
+            hpc_core.require_valid(c)
+        eigvalsh.clear()
+        for c in he.complexes:
+            signature.localized_signature_path(c)
+        assert eigvalsh_t == eigvalsh
 
 
 def test_rho_path_makes_one_eigvalsh_per_even_sample(monkeypatch, fixture_dir):
     doc = json.loads((fixture_dir / "he_reduction_sphere_d3.json").read_text())
     eigvalsh = count_calls(monkeypatch, "numpy.linalg", np.linalg.eigvalsh)
-    sampled = count_calls(monkeypatch, "hpsig", rho._sample)
-    counts = []
-    for samples in (61, 121):
-        # a fresh equivalence each time: the source and target spectra of
-        # D +- S are cached on their complexes
-        he = rho.he_from_json(doc)
-        assert he.n % 2 == 0
-        eigvalsh.clear()
-        sampled.clear()
-        rho.rho_path(he, samples=samples)
-        counts.append((len(eigvalsh), len(sampled)))
-    # 60 more samples cost 20 more eigvalsh: D + H serves D - H as well, only
-    # the 20 added grid points with t < 2 are decomposed, [2, 4] reads t = 2
-    # and t > 4 reads its mirror 6 - t; neither grid bisects an interval
-    assert counts[1][1] - counts[0][1] == 20
-    assert counts[1][0] - counts[0][0] == 20
-    assert counts[1][1] == 41            # t = 0, 0.05, ..., 1.95 and t = 2
+    in_samples = _calls_during(monkeypatch, rho, "_sample", [eigvalsh])
+    he = rho.he_from_json(doc)
+    assert he.n % 2 == 0
+    path = rho.rho_path(he)
+    # D + H serves D - H as well; only t = 0, 1, 2 and the midpoints are
+    # decomposed, [2, 4] reads t = 2 and t > 4 reads its mirror 6 - t
+    assert len(in_samples) == 3 + len(path.midpoints)
+    assert all(len(e) == 1 for (e,) in in_samples)
 
 
 def test_rho_odd_sample_makes_no_eigvalsh(monkeypatch):
@@ -241,7 +232,7 @@ def test_rho_path_reads_the_norms_of_d_and_the_duality(monkeypatch):
         return operator_norm(a)
 
     monkeypatch.setattr(spectral, "operator_norm", recorded)
-    assert rho.rho_path(he, samples=61).passed
+    assert rho.rho_path(he).passed
     # both are block diagonal: their norms are the summands' D_norm and S_norm;
     # diag(S', -S) is the path at t = 0
     for m in (pd.D, pd.value(0.0)):
@@ -329,18 +320,17 @@ def test_localization_builds_no_rescaled_complex(monkeypatch):
     rescaled = count_calls(monkeypatch, "hpsig", hpc_core.rescale_inner_products)
     eigh = count_calls(monkeypatch, "numpy.linalg", np.linalg.eigh)
     eigvalsh = count_calls(monkeypatch, "numpy.linalg", np.linalg.eigvalsh)
-    sched = signature.localized_signature_path(c, 10.0, 7)
+    sched = signature.localized_signature_path(c, 10.0)
     assert len(rescaled) == 0
     # eigenvalues only, of B+(t) per sample: B-(t) = -eps B+(t) eps, and
     # t = 1 reads the cached spectrum of D + S
-    assert sched.midpoints == ()
-    assert len(eigh) == 0 and len(eigvalsh) == 6
+    assert len(eigh) == 0 and len(eigvalsh) == 1 + len(sched.midpoints)
 
 
 def test_even_signature_makes_no_gram_certificate(monkeypatch):
     c = simplicial.cap_duality(fixtures.sphere_triangulation())
     calls = count_calls(monkeypatch, "hpsig", spectral.invertibility_certificate)
-    signature.localized_signature_path(c, 10.0, 7)
+    signature.localized_signature_path(c, 10.0)
     assert len(calls) == 0               # validate reads the spectrum of D +- S
     signature.signature_report(c)
     assert len(calls) == 0
@@ -357,11 +347,14 @@ def test_product_of_even_complexes_makes_no_eigh(monkeypatch, capsys, fixture_di
 def test_even_odd_witness_decomposes_each_factor_operator_once(monkeypatch, capsys,
                                                                fixture_dir):
     eigh = count_calls(monkeypatch, "numpy.linalg", np.linalg.eigh)
+    eigvalsh = count_calls(monkeypatch, "numpy.linalg", np.linalg.eigvalsh)
     svd = count_calls(monkeypatch, "numpy.linalg", np.linalg.svd)
+    inside = _calls_during(monkeypatch, products, "witness_even_odd", [eigvalsh])
     a, b = (str(fixture_dir / f"{name}.json") for name in ("cp2_model", "circle_model"))
     assert run_cli(capsys, "product", a, b) == 0
-    # B+ and B- once each, and -B+ and -B- for the s = 1 endpoint
-    assert len(eigh) <= 4
+    # the eigenvalues of B+ and of B- once each, and no eigenvectors
+    assert len(eigh) == 0
+    assert inside == [[[(3, 3), (3, 3)]]]
     # W is checked block by block: no matrix of the product's size 3 * 2
     assert (6, 6) not in [shape[-2:] for shape in svd]
 
@@ -374,12 +367,11 @@ def test_odd_even_witness_decomposes_the_even_differential_once(monkeypatch, cap
     assert len(calls) == 1               # g(D_b) and f(D_b) from one eigensystem
 
 
-@pytest.mark.parametrize("samples", [3, 10])
-def test_sgn_odd_runs_each_schedule_sample_once(monkeypatch, capsys, fixture_dir,
-                                                samples):
+@pytest.mark.parametrize("t_max", [3, 10])
+def test_sgn_odd_runs_each_schedule_sample_once(monkeypatch, capsys, fixture_dir, t_max):
     calls = count_calls(monkeypatch, "hpsig", signature._odd_representative)
     assert run_cli(capsys, "sgn", str(fixture_dir / "circle_model.json"),
-                   "--samples-schedule", str(samples)) == 0
+                   "--t-max", str(t_max)) == 0
     # only the report forms u, at t = 1; the schedule reads the gaps of X+-
     assert len(calls) == 1
 
