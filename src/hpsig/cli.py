@@ -2,7 +2,7 @@
 certificates, product and parity witnesses, duality-path certificates,
 multiplicativity checks, and the seeded propagation suite.
 
-Reports are canonical JSON (schema hpsig-report/7) and byte-stable for fixed
+Reports are canonical JSON (schema hpsig-report/8) and byte-stable for fixed
 inputs, tolerances, and seed; wall time goes to stderr only so that report
 bytes stay deterministic.  Exit codes: 0 pass, 1 check failure, 2 input error.
 The sgn localization schedule, the rho duality path and its terminal
@@ -28,7 +28,7 @@ from .hpc_core import (DEFAULT_TOL, DomainError, DualityDegenerateError,
                        HPComplex, StructuralError, Tolerances,
                        hpcomplex_from_json, validate)
 
-SCHEMA = "hpsig-report/7"
+SCHEMA = "hpsig-report/8"
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_INPUT_ERROR = 2

@@ -13,6 +13,7 @@ the Hodge-star conventions in all four parity cases.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -210,7 +211,6 @@ class ProductWitnessReport:
     k_normalization: int
     identities: tuple[Identity, ...]
     certificates: tuple[InvertibilityCertificate, ...]
-    samples: tuple[float, ...]
     extras: dict = field(default_factory=dict)
     passed: bool = False
 
@@ -221,7 +221,6 @@ class ProductWitnessReport:
             "k_normalization": self.k_normalization,
             "identities": [i.to_dict() for i in self.identities],
             "certificates": [c.to_dict() for c in self.certificates],
-            "samples": list(self.samples),
             "extras": dict(sorted(self.extras.items())),
             "passed": self.passed,
         }
@@ -250,7 +249,6 @@ def product_signature_check(a: HPComplex, b: HPComplex,
         k_normalization=k_factor(a.n, b.n),
         identities=(ident,),
         certificates=(),
-        samples=(),
         extras={"sgn_a": sa, "sgn_b": sb, "sgn_product": st,
                 "dims": list(t.space.dims)},
         passed=ok)
@@ -262,22 +260,20 @@ def _require_strict(c: HPComplex, tol: Tolerances, who: str) -> None:
         raise StructuralError(f"{who} factor must validate at the strict tier")
 
 
-# the times s in [0, 1] at which the even x odd witness is checked
-WITNESS_GRID = tuple(np.linspace(0.0, 1.0, 11).tolist())
-
-
 def witness_even_odd(a: HPComplex, b: HPComplex,
                      tol: Tolerances = DEFAULT_TOL) -> ProductWitnessReport:
     """Positivity identity for the interpolation between the product
-    representative and its spectral flattening.
+    representative and its spectral flattening, certified for all s in [0,1].
 
-    For s in [0,1] W_{+-,s} = B_a^{+-}/|B_a^{+-}|^s (x) 1 + 1 (x) S_b D_b must
-    satisfy W*W = |B|^{2(1-s)} (x) 1 + 1 (x) D_b^2 > 0; the endpoints are
-    B itself (s=0) and the difference of its spectral projections (s=1).
-    In the eigenbasis V of B, W is (V (x) 1)-conjugate to the direct sum over
-    the eigenvalues lam of the blocks sign(lam)|lam|^(1-s) + S_b D_b, so at
-    each s of WITNESS_GRID it checks the identity block by block and
-    certifies W, and with it W*W > 0, from the singular values of all blocks.
+    W_{+-,s} = B_a^{+-}/|B_a^{+-}|^s (x) 1 + 1 (x) S_b D_b must satisfy
+    W*W = |B|^{2(1-s)} (x) 1 + 1 (x) D_b^2 > 0; the endpoints are B itself
+    (s=0) and the difference of its spectral projections (s=1).  In the
+    eigenbasis of B, W is the direct sum over the eigenvalues lam of the
+    blocks mu + S_b D_b, mu = sign(lam)|lam|^(1-s), and each block of
+    W*W less the model is mu E1 + E2 with E1 = SD + (SD)*, E2 = (SD)*(SD) - D^2
+    (S = S_b, D = D_b), neither depending on s or lam.  As |mu| lies between
+    1 and |lam|, one residual and one lower bound on sigma_min(W)^2 hold for
+    every s; both hold for any S, strict or not.
     """
     if a.n % 2 != 0 or b.n % 2 != 1:
         raise DomainError("needs an even first factor and an odd second factor")
@@ -287,33 +283,30 @@ def witness_even_odd(a: HPComplex, b: HPComplex,
         raise StructuralError("odd factor carries no duality")
 
     sd = b.S_on @ b.D_on
-    d2 = b.D_on @ b.D_on
-    eye_b = np.eye(b.total_dim)
-    idents: list[Identity] = []
-    certs: list[InvertibilityCertificate] = []
-    for pm, bop in (("+", a.D_on + a.S_on), ("-", a.D_on - a.S_on)):
-        lam = spectral.gapped_eigenvalues(bop, tol.inv, "sign-preserving power", tol.sym)
-        for s in WITNESS_GRID:
-            w = (np.sign(lam) * np.abs(lam) ** (1.0 - s))[:, None, None] * eye_b + sd
-            c = np.abs(lam) ** (2.0 * (1.0 - s))
-            rhs = c[:, None, None] * eye_b + d2
-            lhs = w.conj().transpose(0, 2, 1) @ w
-            # D_b is Hermitian, so the largest block norm of the model c + D_b^2
-            # is max c + ||D_b||^2
-            scale = max(1.0, float(c.max()) + b.D_norm ** 2)
-            # the 2-norm of the direct sum of the blocks of W*W less the model
-            resid = float(np.linalg.norm(lhs - rhs, 2, axis=(1, 2)).max()) / scale
-            thr = tol.identity
-            idents.append(Identity(f"positivity[B{pm},s={float(s):.2f}]",
-                                   float(resid), thr, resid <= thr))
-            certs.append(spectral.spectrum_certificate(
-                np.linalg.svd(w, compute_uv=False), tol.inv))
-    passed = all(i.passed for i in idents) and all(c.passed for c in certs)
+    e1 = spectral.operator_norm(sd + sd.conj().T)
+    e2 = spectral.operator_norm(sd.conj().T @ sd - b.D_on @ b.D_on)
+    # |mu| / max(1, mu^2 + ||D||^2) <= 1 bounds the residual of every block
+    resid = e1 + e2 / max(1.0, b.D_norm ** 2)
+    ident = Identity("positivity", resid, tol.identity, resid <= tol.identity)
+    # the singular values of the dense W carry rounding of order its size
+    # times eps, which the certified bounds leave room for
+    rounding = a.total_dim * b.total_dim * float(np.finfo(float).eps)
+    certs = []
+    for bop in (a.D_on + a.S_on, a.D_on - a.S_on):
+        size = np.abs(spectral.gapped_eigenvalues(bop, tol.inv, "sign-preserving power",
+                                                  tol.sym))
+        lo, hi = min(1.0, float(size.min())), max(1.0, float(size.max()))
+        # W*W = mu^2 + mu E1 + (SD)*(SD) with (SD)*(SD) >= 0, so
+        # sigma_min(W)^2 >= mu^2 - |mu| ||E1||, with lo <= |mu| <= hi
+        bound = lo * lo - hi * e1
+        top = (hi + b.S_norm * b.D_norm) * (1.0 + rounding)
+        certs.append(spectral.gap_certificate(math.sqrt(max(bound, 0.0)), top, tol.inv,
+                                              slack=rounding * top))
+    passed = ident.passed and all(c.passed for c in certs)
     return ProductWitnessReport(
         kind="even_odd_witness", case=parity_case(a.n, b.n),
         k_normalization=k_factor(a.n, b.n),
-        identities=tuple(idents), certificates=tuple(certs),
-        samples=WITNESS_GRID, extras={}, passed=passed)
+        identities=(ident,), certificates=tuple(certs), extras={}, passed=passed)
 
 
 def witness_odd_even(a: HPComplex, b: HPComplex,
@@ -361,6 +354,6 @@ def witness_odd_even(a: HPComplex, b: HPComplex,
     return ProductWitnessReport(
         kind="odd_even_witness", case=parity_case(a.n, b.n),
         k_normalization=k_factor(a.n, b.n),
-        identities=tuple(idents), certificates=(), samples=(),
+        identities=tuple(idents), certificates=(),
         extras={"rank_P": rank_p, "reference_rank": neg_s, "sgn_even_factor": sgn_b},
         passed=passed)

@@ -29,7 +29,7 @@ def test_check_point_passes(cli_cmd, fixture_dir):
     proc = run(cli_cmd, "check", str(fixture_dir / "point.json"))
     assert proc.returncode == 0
     rep = report_of(proc)
-    assert rep["schema"] == "hpsig-report/7"
+    assert rep["schema"] == "hpsig-report/8"
     assert rep["outcome"] == "pass"
 
 
@@ -195,12 +195,12 @@ def test_coarse_seeded_reproducibility(cli_cmd):
 
 
 # SHA-256 of the coarse report at 100 instances: a change to the random
-# stream or to the checks drawn from it shows here (schema hpsig-report/7)
+# stream or to the checks drawn from it shows here (schema hpsig-report/8)
 COARSE_REPORT_DIGESTS = {
-    ("0", "l2"): "0fd36750632a8850cb01e627a48767b8aa2c1ae736b966b0cc21fad823828ea4",
-    ("0", "max"): "4c429cb40af9892860bce4031e5a76bba0a5973fe8b20431340c546f95f02a30",
-    ("42", "l2"): "fd8f70c0ba8cb906a26e847e94ce65a123319d4ba3ebaceef1f78e17db9e943c",
-    ("42", "max"): "16ed3b87a28d03fe760cca7020c3d7ed9fb6843d196ce6382675b1ca195c1b5d",
+    ("0", "l2"): "8ec9ae926963b6a1fedec94aa442cd410d559c3981f5b07f9eb6dcd146f4446b",
+    ("0", "max"): "cf94998c8097c6a802de64350387a3077a1b0c23c9dda0e0104e2e4fa1dcff71",
+    ("42", "l2"): "cbc11d99d3b421368c016c50b539b764962503928950bba6e66e58a50f29a46f",
+    ("42", "max"): "8784027fa81522fc4d0a8820112e800c12fac3137ad01b0d10bdb83ddde2ded4",
 }
 
 
@@ -214,10 +214,10 @@ def test_coarse_report_bytes_are_pinned(cli_cmd, seed, metric):
 
 # the same at 1000 instances, eight blocks of the stacked suite
 COARSE_1000_REPORT_DIGESTS = {
-    ("0", "l2"): "cd536476622dafdca717d56248be392da8173654e0deb1a277ec1d32963eac88",
-    ("0", "max"): "094301a7b3ccc5db31175d7be688cf62a078cbb67a4b05f0da58bb1d5f5bfd39",
-    ("42", "l2"): "79b037a05758a7044a01dddc9ccbde04e878102fef1f02fe7ccce6ad78c5e269",
-    ("42", "max"): "06a2befb58a59b22a7671a815325286fd8c77061c6ec4a49ebd7650ef4aa5d40",
+    ("0", "l2"): "f9d2d2967cb26741793628a76e675d28e79892b5e797c4c5257eda39a108fc60",
+    ("0", "max"): "7c3a94add6257605962f2620f2e32e2d6f2e2d54b7788eebc46d3456eaf3df11",
+    ("42", "l2"): "317f6da39251d689a3b1b01f4f7b0cde03956dffe03e2cb63bbc34862b32047b",
+    ("42", "max"): "ca2c8450c3feeac7ad73e9e69353591ff16070faa03977240516900f5b784de5",
 }
 
 

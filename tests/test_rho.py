@@ -67,12 +67,6 @@ def test_rho_path_harmonic_reduction(build):
     assert path.min_singular > 0.1
 
 
-def test_rho_path_negative_control_fails_with_location():
-    path = rho_path(mismatch_equivalence())
-    assert not path.passed
-    assert path.failed_at == pytest.approx(0.5, abs=1e-6)
-
-
 def test_rho_path_negative_control_fails_at_the_first_midpoint():
     # S_f(0.5) = diag(0, S) on the sphere model: the midpoint of [0, 1]
     # fails on its own

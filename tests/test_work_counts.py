@@ -521,13 +521,21 @@ def test_chs_validates_the_gluing_and_builds_the_base_duality_once(monkeypatch, 
 def test_even_odd_witness_scales_positivity_without_a_norm_of_the_model(monkeypatch,
                                                                        capsys,
                                                                        fixture_dir):
-    calls = count_calls(monkeypatch, "numpy.linalg", np.linalg.svd)
+    svd = count_calls(monkeypatch, "numpy.linalg", np.linalg.svd)
+    inside = _calls_during(monkeypatch, products, "witness_even_odd", [svd])
     a, b = (str(fixture_dir / f"{name}.json") for name in ("cp2_model", "circle_model"))
     assert run_cli(capsys, "product", a, b) == 0
-    # per sign and sample: the positivity residual's blocks and those of W;
-    # validate's graded norms are batched SVDs too, so count by caller
-    witness = calls.by("products.witness_even_odd")
-    assert len([shape for shape in witness if len(shape) == 3]) == 2 * 2 * 11
+    rng = np.random.default_rng(8)
+    even, odd = fixtures.random_strict_complex(rng, 2), fixtures.random_strict_complex(rng, 1)
+    for c in (even, odd):
+        hpc_core.validate(c)             # its norms are cached before the witness
+    products.witness_even_odd(even, odd)
+    # the norms of E1 and E2, one SVD of size dim b each unless that is 0 (as
+    # on the circle model, whose D_b is 0); neither W nor the model is taken
+    [[on_circle], [on_random]] = inside
+    assert on_circle == []
+    assert 0 < len(on_random) <= 2
+    assert all(shape == (odd.total_dim, odd.total_dim) for shape in on_random)
 
 
 def test_coarse_builds_each_metric_space_once(monkeypatch, capsys):
