@@ -2,7 +2,7 @@
 certificates, product and parity witnesses, duality-path certificates,
 multiplicativity checks, and the seeded propagation suite.
 
-Reports are canonical JSON (schema hpsig-report/8) and byte-stable for fixed
+Reports are canonical JSON (schema hpsig-report/9) and byte-stable for fixed
 inputs, tolerances, and seed; wall time goes to stderr only so that report
 bytes stay deterministic.  Exit codes: 0 pass, 1 check failure, 2 input error.
 The sgn localization schedule, the rho duality path and its terminal
@@ -24,11 +24,11 @@ from pathlib import Path
 import numpy as np
 
 from . import coarse, family, products, rho, signature, simplicial
-from .hpc_core import (DEFAULT_TOL, DomainError, DualityDegenerateError,
+from .hpc_core import (CHAIN_TOL, DEFAULT_TOL, DomainError, DualityDegenerateError,
                        HPComplex, StructuralError, Tolerances,
                        hpcomplex_from_json, validate)
 
-SCHEMA = "hpsig-report/8"
+SCHEMA = "hpsig-report/9"
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_INPUT_ERROR = 2
@@ -110,14 +110,13 @@ def cmd_check(args, tol: Tolerances) -> dict:
         c = hpcomplex_from_json(doc)
         if c.S is None:
             checks.append({"name": "d_squared_zero",
-                           "passed": c.d_squared_residual <= tol.chain,
+                           "passed": c.d_squared_residual <= CHAIN_TOL,
                            "residual": c.d_squared_residual})
             data["note"] = "no duality operator; chain checks only"
         else:
             rep = validate(c, tol)
             checks.append({"name": "axioms", "passed": rep.passed,
                            "report": rep.to_dict()})
-            data["tier_achieved"] = rep.tier_achieved
     elif kind == "homotopy_equivalence":
         he = rho.he_from_json(doc)
         rep = rho.validate_homotopy_equivalence(he, tol)
@@ -139,8 +138,7 @@ def cmd_sgn(args, tol: Tolerances) -> dict:
     data = signature.signature_report(c, tol)
     data["schedule"] = schedule.to_dict()
     checks = [{"name": "localization_schedule", "passed": schedule.passed,
-               "constant": schedule.constant, "failed_at": schedule.failed_at,
-               "margin": schedule.min_margin}]
+               "failed_at": schedule.failed_at, "margin": schedule.margin}]
     return _report("sgn", {args.path: _digest(args.path)}, tol, args.seed,
                    checks, data)
 
@@ -152,8 +150,8 @@ def cmd_product(args, tol: Tolerances) -> dict:
     checks = [{"name": "signature_multiplicative", "passed": sig_rep.passed,
                "extras": sig_rep.extras}]
     data = {"sign_rule": products.derive_sign_rule(a.n, b.n).to_dict(),
-            "case": sig_rep.case, "k_normalization": sig_rep.k_normalization,
-            "signature_product": sig_rep.to_dict()}
+            "case": products.parity_case(a.n, b.n),
+            "k_normalization": products.k_factor(a.n, b.n)}
     strict = a.meets_strict_tier(tol) and b.meets_strict_tier(tol)
     if strict and a.n % 2 == 0 and b.n % 2 == 1:
         wit = products.witness_even_odd(a, b, tol=tol)

@@ -312,10 +312,6 @@ class SignatureSection:
     vertices: tuple[int, ...]
     constant: bool
 
-    @property
-    def value(self) -> int:
-        return self.values[0]
-
 
 def _transported_fiber(fiber: HPComplex, psi: np.ndarray) -> HPComplex:
     """The fiber complex conjugated by a transport psi into a vertex frame."""
@@ -367,18 +363,15 @@ def family_signature_section(fc: FiberedComplex,
 
 @dataclass(frozen=True)
 class CHSReport:
-    """sgn(base) * sgn(fiber) vs sgn(total), plus the pairing shadow computed
-    through the constant value of the fiber-signature section.  monodromy and
-    gluing are the action and the gluing report the check computed; to_dict
-    leaves them out."""
+    """sgn(base) * sgn(fiber) vs sgn(total), with the fiber-signature
+    section required constant; its value at the root of the transport tree
+    is sgn(fiber) itself.  monodromy and gluing are the action and the
+    gluing report the check computed; to_dict leaves them out."""
 
     outcome: str        # pass | fail | hypothesis_not_met | odd_dimension
     sgn_base: int | None
     sgn_fiber: int | None
     sgn_total: int | None
-    section_value: int | None
-    pairing_equal: bool | None
-    monodromy_trivial: bool
     note: str = ""
     monodromy: MonodromyReport | None = field(default=None, repr=False, compare=False)
     gluing: FiberedReport | None = field(default=None, repr=False, compare=False)
@@ -390,9 +383,7 @@ class CHSReport:
     def to_dict(self) -> dict:
         return {"outcome": self.outcome, "sgn_base": self.sgn_base,
                 "sgn_fiber": self.sgn_fiber, "sgn_total": self.sgn_total,
-                "section_value": self.section_value,
-                "pairing_equal": self.pairing_equal,
-                "monodromy_trivial": self.monodromy_trivial, "note": self.note}
+                "note": self.note}
 
 
 def chs_check(fc: FiberedComplex, tol: Tolerances = DEFAULT_TOL) -> CHSReport:
@@ -400,12 +391,11 @@ def chs_check(fc: FiberedComplex, tol: Tolerances = DEFAULT_TOL) -> CHSReport:
     gluing = validate_fibered(fc, tol)
     mono = monodromy_homology_action(fc, tol)
     if not mono.trivial:
-        return CHSReport("hypothesis_not_met", None, None, None, None, None,
-                         False, "monodromy acts nontrivially on fiber homology", mono,
-                         gluing)
+        return CHSReport("hypothesis_not_met", None, None, None,
+                         "monodromy acts nontrivially on fiber homology", mono, gluing)
     m, n = fc.base.n, fc.fiber.n
     if m % 2 == 1 or n % 2 == 1:
-        return CHSReport("odd_dimension", 0, 0, 0, None, None, True,
+        return CHSReport("odd_dimension", 0, 0, 0,
                          "odd base or fiber dimension: both sides vanish by convention",
                          mono, gluing)
     base_c = cap_duality(fc.base, tol)
@@ -421,10 +411,9 @@ def chs_check(fc: FiberedComplex, tol: Tolerances = DEFAULT_TOL) -> CHSReport:
         reduced, _ = harmonic_reduction(tot, tol)
         sgn_total = signature_even(reduced, tol)
         note = "total signature computed after harmonic reduction"
-    pairing_equal = sgn_base * section.value == sgn_total
-    ok = sgn_total == sgn_base * sgn_fiber and pairing_equal and section.constant
-    return CHSReport("pass" if ok else "fail", sgn_base, sgn_fiber, sgn_total,
-                     section.value, pairing_equal, True, note, mono, gluing)
+    ok = sgn_total == sgn_base * sgn_fiber and section.constant
+    return CHSReport("pass" if ok else "fail", sgn_base, sgn_fiber, sgn_total, note,
+                     mono, gluing)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,6 @@ import numpy as np
 from . import spectral
 from .spectral import InvertibilityCertificate, NoSpectralGapError, operator_norm
 
-ADJOINT_CONVENTION = "d* = G_p^{-1} d^H G_{p+1} (metric adjoint of the coboundary)"
-
-
 class StructuralError(ValueError):
     """Shapes, block patterns, or combinatorial invariants are violated."""
 
@@ -37,18 +34,22 @@ class DualityDegenerateError(NoSpectralGapError):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Shared numeric thresholds.  sym and inv are relative to matrix norm;
-    pd and chain are absolute; identity is relative, used by product witnesses."""
+    """The numeric thresholds the command line sets, both relative to
+    matrix norm: sym for symmetry residuals, inv for invertibility gaps."""
 
     sym: float = 1e-10
     inv: float = 1e-8
-    pd: float = 1e-12
-    chain: float = 1e-12
-    identity: float = 1e-9
 
     def to_dict(self) -> dict:
-        return {"sym": self.sym, "inv": self.inv, "pd": self.pd,
-                "chain": self.chain, "identity": self.identity}
+        return {"sym": self.sym, "inv": self.inv}
+
+
+# fixed thresholds: the least eigenvalue an inner product must exceed and the
+# largest entry of d^2, both absolute, and the largest residual of a product
+# witness's identities, relative to the norms it compares
+PD_TOL = 1e-12
+CHAIN_TOL = 1e-12
+IDENTITY_TOL = 1e-9
 
 
 DEFAULT_TOL = Tolerances()
@@ -188,7 +189,7 @@ class GradedSpace:
             scale, skew, mineig = numbers
             if skew > tol.sym * max(scale, 1.0):
                 raise StructuralError(f"inner product G_{p} is not Hermitian")
-            if mineig <= tol.pd:
+            if mineig <= PD_TOL:
                 raise StructuralError(
                     f"inner product G_{p} is not positive definite (min eig {mineig:.3e})")
 
@@ -483,7 +484,9 @@ class CheckResult:
 class AxiomReport:
     """Deterministic record of every axiom check on one complex.
 
-    The strict-tier residuals are always recorded, even for weak-declared
+    checks are the residual checks; the invertibility of D+-S is recorded
+    once, as cert_plus and cert_minus, and poincare is that both pass.  The
+    strict-tier residuals are always recorded, even for weak-declared
     complexes where they do not gate the verdict."""
 
     checks: tuple[CheckResult, ...]
@@ -495,7 +498,6 @@ class AxiomReport:
     passed: bool
     strict_s_squared_residual: float = 0.0
     strict_anticommute_residual: float = 0.0
-    adjoint_convention: str = ADJOINT_CONVENTION
 
     def check(self, name: str) -> CheckResult:
         for c in self.checks:
@@ -506,7 +508,6 @@ class AxiomReport:
     def to_dict(self) -> dict:
         return {
             "checks": [c.to_dict() for c in self.checks],
-            "min_singular": [self.cert_plus.min_singular, self.cert_minus.min_singular],
             "cert_plus": self.cert_plus.to_dict(),
             "cert_minus": self.cert_minus.to_dict(),
             "tier_declared": self.tier_declared,
@@ -515,7 +516,6 @@ class AxiomReport:
             "passed": self.passed,
             "strict_s_squared_residual": self.strict_s_squared_residual,
             "strict_anticommute_residual": self.strict_anticommute_residual,
-            "adjoint_convention": self.adjoint_convention,
         }
 
 
@@ -533,7 +533,7 @@ def validate(c: HPComplex, tol: Tolerances = DEFAULT_TOL) -> AxiomReport:
 
     checks: list[CheckResult] = []
     resid = c.d_squared_residual
-    checks.append(CheckResult("d_squared_zero", resid, tol.chain, resid <= tol.chain))
+    checks.append(CheckResult("d_squared_zero", resid, CHAIN_TOL, resid <= CHAIN_TOL))
     thr = tol.sym * max(c.S_norm, 1.0)
     checks.append(CheckResult("S_self_adjoint", c.S_skew, thr, c.S_skew <= thr))
     checks.append(CheckResult("S_degree_reversing", c.S_block_residual, thr,
@@ -543,13 +543,9 @@ def validate(c: HPComplex, tol: Tolerances = DEFAULT_TOL) -> AxiomReport:
 
     cert_plus, cert_minus = c.spectrum.certificates(tol.inv)
     poincare = cert_plus.passed and cert_minus.passed
-    checks.append(CheckResult("poincare_plus", -cert_plus.min_singular,
-                              -cert_plus.threshold, cert_plus.passed))
-    checks.append(CheckResult("poincare_minus", -cert_minus.min_singular,
-                              -cert_minus.threshold, cert_minus.passed))
 
     # the strict checks are among checks exactly when the strict tier is declared
-    passed = all(ch.passed for ch in checks)
+    passed = poincare and all(ch.passed for ch in checks)
     return AxiomReport(tuple(checks), cert_plus, cert_minus, c.tier,
                        "strict" if c.meets_strict_tier(tol) else "weak", poincare, passed,
                        c.S_squared_residual, c.anticommute_residual)

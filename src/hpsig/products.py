@@ -20,8 +20,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import spectral
-from .hpc_core import (DEFAULT_TOL, DomainError, GradedSpace, HPComplex,
-                       StructuralError, Tolerances, require_valid, validate)
+from .hpc_core import (DEFAULT_TOL, IDENTITY_TOL, CheckResult, DomainError,
+                       GradedSpace, HPComplex, StructuralError, Tolerances,
+                       require_valid, validate)
 from .signature import signature_even
 from .spectral import InvertibilityCertificate
 
@@ -46,7 +47,6 @@ class SignRule:
     gamma: int
     delta: int
     phase: int
-    case: str
 
     def sigma(self, p: int, q: int) -> complex:
         sign = (-1.0) ** ((self.alpha * p * q + self.beta * p
@@ -55,7 +55,7 @@ class SignRule:
 
     def to_dict(self) -> dict:
         return {"alpha": self.alpha, "beta": self.beta, "gamma": self.gamma,
-                "delta": self.delta, "phase_power": self.phase, "case": self.case}
+                "delta": self.delta, "phase_power": self.phase}
 
 
 def _tensor_layout(a: HPComplex, b: HPComplex):
@@ -151,8 +151,7 @@ def _derive_sign_rule_cached(m_parity: int, n_parity: int) -> SignRule:
     wit_b = _search_witnesses(n_parity)
     tol = DEFAULT_TOL
     for phase, alpha, beta, gamma, delta in itertools.product((0, 1), repeat=5):
-        rule = SignRule(m_parity, n_parity, alpha, beta, gamma, delta, phase,
-                        parity_case(m_parity, n_parity))
+        rule = SignRule(m_parity, n_parity, alpha, beta, gamma, delta, phase)
         ok = True
         for a, b in itertools.product(wit_a, wit_b):
             t = graded_tensor_with_rule(a, b, rule)
@@ -179,8 +178,7 @@ def derive_sign_rule(m: int, n: int) -> SignRule:
                 and rule.sigma(1, 2) == 1):
             raise StructuralError("derived odd x even sign rule does not match "
                                   "the displayed convention")
-    return SignRule(m % 2, n % 2, rule.alpha, rule.beta, rule.gamma, rule.delta,
-                    rule.phase, parity_case(m, n))
+    return rule
 
 
 def graded_tensor(a: HPComplex, b: HPComplex) -> HPComplex:
@@ -192,33 +190,15 @@ def graded_tensor(a: HPComplex, b: HPComplex) -> HPComplex:
 # reports
 
 
-@dataclass(frozen=True)
-class Identity:
-    name: str
-    residual: float
-    threshold: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "residual": self.residual,
-                "threshold": self.threshold, "passed": self.passed}
-
-
 @dataclass(frozen=True, eq=False)
 class ProductWitnessReport:
-    kind: str
-    case: str
-    k_normalization: int
-    identities: tuple[Identity, ...]
+    identities: tuple[CheckResult, ...]
     certificates: tuple[InvertibilityCertificate, ...]
     extras: dict = field(default_factory=dict)
     passed: bool = False
 
     def to_dict(self) -> dict:
         return {
-            "kind": self.kind,
-            "case": self.case,
-            "k_normalization": self.k_normalization,
             "identities": [i.to_dict() for i in self.identities],
             "certificates": [c.to_dict() for c in self.certificates],
             "extras": dict(sorted(self.extras.items())),
@@ -242,11 +222,8 @@ def product_signature_check(a: HPComplex, b: HPComplex,
     sb = _sgn_or_zero(b, tol)
     st = _sgn_or_zero(t, tol)
     ok = st == sa * sb
-    ident = Identity("signature_multiplicative", float(abs(st - sa * sb)), 0.0, ok)
+    ident = CheckResult("signature_multiplicative", float(abs(st - sa * sb)), 0.0, ok)
     return ProductWitnessReport(
-        kind="signature_product",
-        case=parity_case(a.n, b.n),
-        k_normalization=k_factor(a.n, b.n),
         identities=(ident,),
         certificates=(),
         extras={"sgn_a": sa, "sgn_b": sb, "sgn_product": st,
@@ -287,7 +264,7 @@ def witness_even_odd(a: HPComplex, b: HPComplex,
     e2 = spectral.operator_norm(sd.conj().T @ sd - b.D_on @ b.D_on)
     # |mu| / max(1, mu^2 + ||D||^2) <= 1 bounds the residual of every block
     resid = e1 + e2 / max(1.0, b.D_norm ** 2)
-    ident = Identity("positivity", resid, tol.identity, resid <= tol.identity)
+    ident = CheckResult("positivity", resid, IDENTITY_TOL, resid <= IDENTITY_TOL)
     # the singular values of the dense W carry rounding of order its size
     # times eps, which the certified bounds leave room for
     rounding = a.total_dim * b.total_dim * float(np.finfo(float).eps)
@@ -303,10 +280,8 @@ def witness_even_odd(a: HPComplex, b: HPComplex,
         certs.append(spectral.gap_certificate(math.sqrt(max(bound, 0.0)), top, tol.inv,
                                               slack=rounding * top))
     passed = ident.passed and all(c.passed for c in certs)
-    return ProductWitnessReport(
-        kind="even_odd_witness", case=parity_case(a.n, b.n),
-        k_normalization=k_factor(a.n, b.n),
-        identities=(ident,), certificates=tuple(certs), extras={}, passed=passed)
+    return ProductWitnessReport(identities=(ident,), certificates=tuple(certs),
+                                passed=passed)
 
 
 def witness_odd_even(a: HPComplex, b: HPComplex,
@@ -342,18 +317,16 @@ def witness_odd_even(a: HPComplex, b: HPComplex,
             ("S2S1S2_squared", spectral.operator_norm(sym @ sym - eye)),
             ("P_idempotent", spectral.operator_norm(p @ p - p)),
             ("P_selfadjoint", spectral.operator_norm(p - p.conj().T))):
-        idents.append(Identity(name, float(resid), tol.identity, resid <= tol.identity))
+        idents.append(CheckResult(name, float(resid), IDENTITY_TOL, resid <= IDENTITY_TOL))
 
     rank_p = spectral.positive_rank(sym, tol.inv, tol.sym)  # = rank of P
     neg_s = nb - spectral.positive_rank(sb, tol.inv, tol.sym)
     sgn_b = signature_even(b, tol)
     rank_ok = rank_p - neg_s == sgn_b
-    idents.append(Identity("rank_identity", float(abs(rank_p - neg_s - sgn_b)),
-                           0.0, rank_ok))
+    idents.append(CheckResult("rank_identity", float(abs(rank_p - neg_s - sgn_b)),
+                              0.0, rank_ok))
     passed = all(i.passed for i in idents)
     return ProductWitnessReport(
-        kind="odd_even_witness", case=parity_case(a.n, b.n),
-        k_normalization=k_factor(a.n, b.n),
         identities=tuple(idents), certificates=(),
         extras={"rank_P": rank_p, "reference_rank": neg_s, "sgn_even_factor": sgn_b},
         passed=passed)

@@ -389,7 +389,7 @@ class TerminalCheck:
 
     @property
     def min_margin(self) -> float:
-        return min(s.min_margin for s in self.schedules)
+        return min(s.margin for s in self.schedules)
 
     def to_dict(self) -> dict:
         return {

@@ -77,13 +77,14 @@ def _point(c: HPComplex, tol: Tolerances, s: float, h: np.ndarray) -> _Point:
     its spectrum: the cached one at s = 1, otherwise one eigvalsh of the
     graded B+(s) for even n, which serves B-(s) = -eps B+(s) eps as well,
     and the SVDs of X+- for odd n.  h is the Hermitian part of S.  The
-    bound is the gap less the Weyl slack."""
+    bound is the gap less the Weyl slack; a sample where it does not clear
+    the threshold fails the interval it ends, as _interval reads it."""
     if s == 1.0:
         sp = c.spectrum
     else:
         gs = _graded(c, s)
         sp = gs.spectrum_of(h.copy(), gs.slack(h, c.S_skew))
-    gaps = _require_gaps(sp, tol)
+    gaps = sp.certificates(tol.inv)
     ranks = tuple(sp.positive_ranks()) if c.n % 2 == 0 else None
     return _Point(s, ranks, min(g.min_singular for g in gaps),
                   max(g.threshold for g in gaps))
@@ -146,13 +147,9 @@ def _interval(a: _Point, b: _Point, lipschitz: float, sample, bisections: int
     if margin > 0.0 and a.ranks == b.ranks:
         return margin, None
     x = 0.5 * (a.x + b.x)
-    failed = margin, x
     if not bisections:
-        return failed
-    try:
-        mid = sample(x)
-    except NoSpectralGapError:
-        return failed
+        return margin, x
+    mid = sample(x)
     left = _interval(a, mid, lipschitz, sample, bisections - 1)
     if left[1] is not None:
         return left
@@ -182,42 +179,36 @@ class LocalizationSchedule:
     and scales D by t^(-1/2), so sample t reads B+-(t) = t^(-1/2) D +- S
     through hpc_core.GradedSum.  times are the endpoints 1 and t_max, and
     each sample is the gap certificates of B+-(t): even samples take one
-    eigvalsh of B+(t), since B-(t) = -eps B+(t) eps, and the signatures must
-    be constant; odd samples take the SVDs of X+-.  Between them, the
-    Lipschitz bound of _interval certifies that B+-(t) stays invertible,
-    bisecting where it does not close; midpoints lists the times bisection
-    sampled, and failed_at is the first time at which the schedule could
-    not be certified.  So for odd n the class of u(t) = X+(t) X-(t)^{-1} is
-    that of u = u(1), which only _odd_representative forms.
+    eigvalsh of B+(t), since B-(t) = -eps B+(t) eps, and record its ranks;
+    odd samples take the SVDs of X+-.  Between them, the Lipschitz bound of
+    _interval certifies that B+-(t) stays invertible, and for even n that
+    the ranks, and so the signature, stay constant, bisecting where it does
+    not close; margin is that of the interval [1, t_max], midpoints lists
+    the times bisection sampled, and failed_at is the first time at which
+    the schedule could not be certified, an endpoint included.  So for odd
+    n the class of u(t) = X+(t) X-(t)^{-1} is that of u = u(1), which only
+    _odd_representative forms.
     """
 
-    kind: str                       # "even" | "odd"
     times: tuple[float, ...]
-    signatures: tuple[int, ...] | None
     ranks: tuple[tuple[int, int], ...] | None
     min_singulars: tuple[float, ...]  # gap of B+-(t) less the Weyl slack
-    margins: tuple[float, ...]      # of the one interval [1, t_max]
+    margin: float
     midpoints: tuple[float, ...]
     failed_at: float | None
-    constant: bool
-    passed: bool
 
     @property
-    def min_margin(self) -> float:
-        return min(self.margins)
+    def passed(self) -> bool:
+        return self.failed_at is None
 
     def to_dict(self) -> dict:
         return {
-            "kind": self.kind,
             "times": list(self.times),
-            "signatures": list(self.signatures) if self.signatures is not None else None,
             "ranks": [list(r) for r in self.ranks] if self.ranks is not None else None,
             "min_singulars": list(self.min_singulars),
-            "margins": list(self.margins),
-            "min_margin": self.min_margin,
+            "margin": self.margin,
             "midpoints": list(self.midpoints),
             "failed_at": self.failed_at,
-            "constant": self.constant,
             "passed": self.passed,
         }
 
@@ -232,13 +223,7 @@ def localized_signature_path(c: HPComplex, t_max: float = 10.0,
     require_valid(c, tol)
     times = (1.0, float(t_max))
     h = c.graded.hermitian_part(c.S_on)
-    points: list[_Point] = []
-    for t in times:
-        try:
-            points.append(_point(c, tol, t ** -0.5, h))
-        except DualityDegenerateError as exc:
-            raise DualityDegenerateError(
-                f"localization sample t={t:.6g} failed: {exc}") from exc
+    points = [_point(c, tol, t ** -0.5, h) for t in times]
     midpoints: list[float] = []
 
     def sample(s: float) -> _Point:
@@ -246,16 +231,15 @@ def localized_signature_path(c: HPComplex, t_max: float = 10.0,
         return _point(c, tol, s, h)
 
     # B+-(s) = s D +- S is ||D||-Lipschitz in s
-    margins, failed_s = _certify(points, lambda a, b: c.D_norm, sample, _BISECTIONS)
-    failed_at = None if failed_s is None else failed_s ** -2.0
-    even = c.n % 2 == 0
-    sigs = tuple(rp - rm for rp, rm in (p.ranks for p in points)) if even else None
-    constant = not even or len(set(sigs)) <= 1
+    (margin,), failed_s = _certify(points, lambda a, b: c.D_norm, sample, _BISECTIONS)
+    failed_at = None
+    if failed_s is not None:
+        # a failing endpoint reports its own time, not one read back from its s
+        ends = {p.x: t for p, t in zip(points, times)}
+        failed_at = ends.get(failed_s, failed_s ** -2.0)
     return LocalizationSchedule(
-        "even" if even else "odd", times, sigs,
-        tuple(p.ranks for p in points) if even else None,
-        tuple(p.bound for p in points), tuple(margins), tuple(sorted(midpoints)),
-        failed_at, constant, constant and failed_at is None)
+        times, tuple(p.ranks for p in points) if c.n % 2 == 0 else None,
+        tuple(p.bound for p in points), margin, tuple(sorted(midpoints)), failed_at)
 
 
 def signature_report(c: HPComplex, tol: Tolerances = DEFAULT_TOL) -> dict:

@@ -29,7 +29,7 @@ def test_check_point_passes(cli_cmd, fixture_dir):
     proc = run(cli_cmd, "check", str(fixture_dir / "point.json"))
     assert proc.returncode == 0
     rep = report_of(proc)
-    assert rep["schema"] == "hpsig-report/8"
+    assert rep["schema"] == "hpsig-report/9"
     assert rep["outcome"] == "pass"
 
 
@@ -99,7 +99,7 @@ def test_product_cp2_cp2(cli_cmd, fixture_dir):
     proc = run(cli_cmd, "product", path, path)
     assert proc.returncode == 0
     rep = report_of(proc)
-    extras = rep["data"]["signature_product"]["extras"]
+    extras = rep["checks"][0]["extras"]
     assert extras["sgn_product"] == 1 == extras["sgn_a"] * extras["sgn_b"]
 
 
@@ -107,7 +107,7 @@ def test_product_point_passthrough(cli_cmd, fixture_dir):
     proc = run(cli_cmd, "product", str(fixture_dir / "point_model.json"),
                str(fixture_dir / "torus_model.json"))
     rep = report_of(proc)
-    assert rep["data"]["signature_product"]["extras"]["sgn_product"] == 0
+    assert rep["checks"][0]["extras"]["sgn_product"] == 0
     assert proc.returncode == 0
 
 
@@ -116,7 +116,8 @@ def test_product_witnesses_run_for_mixed_parity(cli_cmd, fixture_dir):
                str(fixture_dir / "circle_model.json"))
     assert proc.returncode == 0
     rep = report_of(proc)
-    assert rep["data"]["witness"]["kind"] == "even_odd_witness"
+    assert [c["name"] for c in rep["checks"]] == ["signature_multiplicative",
+                                                  "even_odd_witness"]
     assert rep["data"]["witness"]["passed"]
 
 
@@ -195,12 +196,12 @@ def test_coarse_seeded_reproducibility(cli_cmd):
 
 
 # SHA-256 of the coarse report at 100 instances: a change to the random
-# stream or to the checks drawn from it shows here (schema hpsig-report/8)
+# stream or to the checks drawn from it shows here (schema hpsig-report/9)
 COARSE_REPORT_DIGESTS = {
-    ("0", "l2"): "8ec9ae926963b6a1fedec94aa442cd410d559c3981f5b07f9eb6dcd146f4446b",
-    ("0", "max"): "cf94998c8097c6a802de64350387a3077a1b0c23c9dda0e0104e2e4fa1dcff71",
-    ("42", "l2"): "cbc11d99d3b421368c016c50b539b764962503928950bba6e66e58a50f29a46f",
-    ("42", "max"): "8784027fa81522fc4d0a8820112e800c12fac3137ad01b0d10bdb83ddde2ded4",
+    ("0", "l2"): "0abae6580384ed67048339ab2b6637f01e69e45e35720a227a2b58ab339d8212",
+    ("0", "max"): "c8ffb7532ece58a40ce15318f94b5860fef463f12b414d84a08cac31b171d112",
+    ("42", "l2"): "c40989f7b87e05beb8838ff6b85225fbbe99ddb2f6ea04923af3f2c3e0db036c",
+    ("42", "max"): "19a325d276b4e4ebb2ac90a32c00df17d433856465c3abed9d1c2812a765b4aa",
 }
 
 
@@ -214,10 +215,10 @@ def test_coarse_report_bytes_are_pinned(cli_cmd, seed, metric):
 
 # the same at 1000 instances, eight blocks of the stacked suite
 COARSE_1000_REPORT_DIGESTS = {
-    ("0", "l2"): "f9d2d2967cb26741793628a76e675d28e79892b5e797c4c5257eda39a108fc60",
-    ("0", "max"): "7c3a94add6257605962f2620f2e32e2d6f2e2d54b7788eebc46d3456eaf3df11",
-    ("42", "l2"): "317f6da39251d689a3b1b01f4f7b0cde03956dffe03e2cb63bbc34862b32047b",
-    ("42", "max"): "ca2c8450c3feeac7ad73e9e69353591ff16070faa03977240516900f5b784de5",
+    ("0", "l2"): "0736520c1294dcb513feeaecdae9ea626275d2a101001c6ec8e6683b1dbaf5e2",
+    ("0", "max"): "98414472f62a90dd80bad05f5b72321d31aa73f92728811c7debe0b04ee752a4",
+    ("42", "l2"): "aca30c0b8a913fc4b3e696340d0cd8472ec0544ff34aea2303f991c1246b23c8",
+    ("42", "max"): "e7c4735c87a48ebafd6697f65a41d0c07f9c193b8b32d81aa7640d6d3e7a8f03",
 }
 
 
@@ -281,6 +282,108 @@ def test_reports_agree_across_blas_thread_counts(fixture_dir):
     for (code_1, report_1), (code_2, report_2) in zip(*runs):
         assert code_1 == code_2 and report_1["outcome"] == report_2["outcome"]
         _assert_reports_agree(report_1, report_2)
+
+
+def _key_paths(node, prefix: str) -> set[str]:
+    """The dotted path of every leaf of a report below prefix, with [] for a
+    list element; an empty dict or list is a leaf."""
+    if isinstance(node, dict) and node:
+        return {p for k, v in node.items() for p in _key_paths(v, f"{prefix}.{k}")}
+    if isinstance(node, list) and node:
+        return {p for v in node for p in _key_paths(v, prefix + "[]")}
+    return {prefix}
+
+
+# per command, the key paths below checks and data over KEY_PATH_BATTERY:
+# each fact of a report is stated once, under one of these
+KEY_PATHS = {
+    "check": """
+        checks[].name checks[].passed
+        checks[].report.checks[].name checks[].report.checks[].passed
+        checks[].report.checks[].residual checks[].report.checks[].threshold
+        checks[].report.cert_plus.condition checks[].report.cert_plus.max_singular
+        checks[].report.cert_plus.min_singular checks[].report.cert_plus.passed
+        checks[].report.cert_plus.threshold
+        checks[].report.cert_minus.condition checks[].report.cert_minus.max_singular
+        checks[].report.cert_minus.min_singular checks[].report.cert_minus.passed
+        checks[].report.cert_minus.threshold
+        checks[].report.poincare checks[].report.passed
+        checks[].report.tier_declared checks[].report.tier_achieved
+        checks[].report.strict_s_squared_residual checks[].report.strict_anticommute_residual
+        checks[].report.chain_map_f checks[].report.chain_map_g
+        checks[].report.homotopy_source checks[].report.homotopy_target
+        checks[].report.control_condition
+        checks[].report.chain_map_residual checks[].report.cocycle_residual
+        checks[].report.duality_residual checks[].report.duality_compatible
+        checks[].report.threshold
+        data.kind data.betti[] data.duality_construction data.oracle_signature
+        data.duality_compatible""",
+    "sgn": """
+        checks[].name checks[].passed checks[].failed_at checks[].margin
+        data.kind data.signature data.ranks data.ranks[] data.minSingular[]
+        data.evenPartDim data.selfAdjointResidual
+        data.schedule.times[] data.schedule.ranks data.schedule.ranks[][]
+        data.schedule.min_singulars[] data.schedule.margin data.schedule.midpoints
+        data.schedule.failed_at data.schedule.passed""",
+    "product": """
+        checks[].name checks[].passed
+        checks[].extras.sgn_a checks[].extras.sgn_b checks[].extras.sgn_product
+        checks[].extras.dims[]
+        data.case data.k_normalization
+        data.sign_rule.alpha data.sign_rule.beta data.sign_rule.gamma
+        data.sign_rule.delta data.sign_rule.phase_power
+        data.witness.identities[].name data.witness.identities[].residual
+        data.witness.identities[].threshold data.witness.identities[].passed
+        data.witness.certificates data.witness.certificates[].condition
+        data.witness.certificates[].max_singular data.witness.certificates[].min_singular
+        data.witness.certificates[].passed data.witness.certificates[].threshold
+        data.witness.extras data.witness.extras.rank_P data.witness.extras.reference_rank
+        data.witness.extras.sgn_even_factor data.witness.passed""",
+    "rho": """
+        checks[].name checks[].passed checks[].failed_at
+        data.path.times[] data.path.min_sv_plus[] data.path.min_sv_minus[]
+        data.path.margins[] data.path.min_margin data.path.midpoints[]
+        data.path.selfadjoint_residual data.path.threshold data.path.min_singular
+        data.path.passed data.path.failed_at
+        data.terminal.min_margin data.terminal.odd_bound data.terminal.failed_at
+        data.terminal.passed""",
+    "chs": """
+        checks[].name checks[].passed checks[].outcome
+        data.monodromy.loops[][] data.monodromy.residuals[] data.monodromy.trivial
+        data.chs.outcome data.chs.sgn_base data.chs.sgn_fiber data.chs.sgn_total
+        data.chs.note""",
+    "coarse": """
+        checks[].name checks[].passed checks[].ok checks[].total checks[].max_defect
+        data.instances data.metric""",
+}
+KEY_PATH_BATTERY = [
+    ["check", "cp2_9.json"], ["check", "cp2_model.json"],
+    ["check", "he_reduction_sphere_d3.json"], ["check", "fc_torus_twist.json"],
+    ["sgn", "cp2_model.json"], ["sgn", "circle_model.json"],
+    ["product", "cp2_model.json", "circle_model.json"],
+    ["product", "circle_model.json", "sphere_model.json"],
+    ["product", "circle_model.json", "circle_model.json"],
+    ["rho", "he_identity_sphere_model.json"], ["rho", "he_orientation_mismatch.json"],
+    ["chs", "fc_sphere_x_cp2.json"], ["chs", "fc_torus_twist.json"],
+    ["coarse", "--instances", "5"]]
+
+
+def test_report_key_paths_are_pinned(capsys, fixture_dir):
+    paths: dict[str, set] = {}
+    products = []
+    for argv in KEY_PATH_BATTERY:
+        cli.main([str(fixture_dir / a) if a.endswith(".json") else a for a in argv])
+        report = json.loads(capsys.readouterr().out)
+        assert set(report) == {"schema", "command", "inputs", "tolerances", "seed",
+                               "generator", "checks", "data", "outcome"}
+        assert set(report["tolerances"]) == {"sym", "inv"}
+        found = paths.setdefault(argv[0], set())
+        found |= _key_paths(report["checks"], "checks") | _key_paths(report["data"], "data")
+        if argv[0] == "product":
+            products.append((report["data"]["case"], report["data"]["k_normalization"]))
+    assert {cmd: sorted(found) for cmd, found in paths.items()} == {
+        cmd: sorted(text.split()) for cmd, text in KEY_PATHS.items()}
+    assert products == [("even_x_odd", 1), ("odd_x_even", 1), ("odd_x_odd", 2)]
 
 
 def test_json_out_matches_stdout(cli_cmd, fixture_dir, tmp_path):

@@ -271,7 +271,7 @@ def _roughly_strict():
 
 
 SHIPPED = {**_shipped_complexes(), "roughly_strict": _roughly_strict}
-TOLERANCES = (DEFAULT_TOL, Tolerances(sym=1e-3, inv=1e-2, pd=1e-6, chain=1e-9))
+TOLERANCES = (DEFAULT_TOL, Tolerances(sym=1e-3, inv=1e-2))
 
 
 @pytest.mark.parametrize("name", sorted(SHIPPED))

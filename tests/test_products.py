@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hpsig import fixtures
-from hpsig.hpc_core import (DEFAULT_TOL, DomainError, GradedSpace, HPComplex,
+from hpsig.hpc_core import (IDENTITY_TOL, DomainError, GradedSpace, HPComplex,
                             StructuralError, Tolerances, hpcomplex_from_json, validate)
 from hpsig.products import (derive_sign_rule, graded_tensor, graded_tensor_with_rule,
                             k_factor,
@@ -57,7 +57,6 @@ def test_full_multiplicativity_grid():
         rep = product_signature_check(ba(), bb())
         assert rep.passed, (na, nb, rep.extras)
         assert rep.extras["sgn_product"] == sa * sb
-        assert rep.k_normalization == k_factor(ba().n, bb().n)
 
 
 def test_k_normalization_values():
@@ -186,7 +185,6 @@ def test_witness_even_odd_point_circle():
     rep = witness_even_odd(fixtures.point_model(), fixtures.circle_model())
     assert rep.passed
     assert max(i.residual for i in rep.identities if "positivity" in i.name) <= 1e-12
-    assert rep.k_normalization == 1
 
 
 def test_witness_even_odd_sphere_circle_one_identity_two_certificates():
@@ -222,7 +220,6 @@ def _kron_witness(a, b, grid):
     grid.  It also checks the endpoints the witness interpolates between: W
     at s = 0 is B (x) 1 + 1 (x) S_b D_b, and B/|B| is the difference of the
     spectral projections of B and -B."""
-    tol = DEFAULT_TOL
     sd, d2 = b.S_on @ b.D_on, b.D_on @ b.D_on
     eye_a, eye_b = np.eye(a.total_dim), np.eye(b.total_dim)
     norm = lambda m: float(np.linalg.norm(m, 2))
@@ -240,12 +237,12 @@ def _kron_witness(a, b, grid):
         extremes.append((min(sv.min() for sv in singular), max(sv.max() for sv in singular)))
         w0 = np.kron(bop, eye_b) + np.kron(eye_a, sd)
         r0 = norm(np.kron(es.apply(lambda x: x), eye_b) + np.kron(eye_a, sd) - w0)
-        assert r0 <= tol.identity * max(1.0, norm(w0))
+        assert r0 <= IDENTITY_TOL * max(1.0, norm(w0))
 
         def positive(m):
             return eig_hermitian(m).apply(lambda x: 1.0 if x > 0 else 0.0)
 
-        assert norm(es.apply(np.sign) - positive(bop) + positive(-bop)) <= tol.identity
+        assert norm(es.apply(np.sign) - positive(bop) + positive(-bop)) <= IDENTITY_TOL
     return resids, extremes
 
 
@@ -329,7 +326,7 @@ def test_witness_even_odd_fails_positivity_when_s_anticommutes_only_roughly():
     positivity = [i for i in rep.identities if i.name.startswith("positivity")]
     assert len(positivity) == 1
     assert not any(i.passed for i in positivity)
-    assert min(i.residual for i in positivity) > 1e3 * tol.identity
+    assert min(i.residual for i in positivity) > 1e3 * IDENTITY_TOL
     assert not rep.passed
 
 

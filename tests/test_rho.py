@@ -277,16 +277,16 @@ def test_degree_mixing_duality_fails_through_the_parity_slack(cli_cmd, tmp_path)
     assert c.spectrum.slack == pytest.approx(5 ** 0.5)
     loose = Tolerances(sym=0.7)          # 0.7 ||S|| = 2.1 admits the block residual 2
     rep = validate(c, loose)
-    assert [ch.name for ch in rep.checks if not ch.passed] == ["poincare_plus",
-                                                                "poincare_minus"]
+    assert all(ch.passed for ch in rep.checks) and not rep.passed
+    assert not rep.cert_plus.passed and not rep.cert_minus.passed
     path = tmp_path / "degree_mixing.json"
     path.write_text(json.dumps(hpcomplex_to_json(c)))
     proc = subprocess.run([*cli_cmd, "check", str(path), "--tol-sym", "0.7"],
                           capture_output=True, text=True)
     assert proc.returncode == 1
-    axioms = json.loads(proc.stdout)["checks"][0]["report"]["checks"]
-    assert [ch["name"] for ch in axioms if not ch["passed"]] == ["poincare_plus",
-                                                                  "poincare_minus"]
+    axioms = json.loads(proc.stdout)["checks"][0]["report"]
+    assert all(ch["passed"] for ch in axioms["checks"]) and not axioms["passed"]
+    assert not axioms["cert_plus"]["passed"] and not axioms["cert_minus"]["passed"]
     proc = subprocess.run([*cli_cmd, "sgn", str(path), "--tol-sym", "0.7"],
                           capture_output=True, text=True)
     assert proc.returncode in (1, 2)
@@ -373,7 +373,8 @@ def test_rho_certificate_even_identity(build):
     path = rho_path(he)
     term = terminal_check(he, path)
     assert term.passed and term.failed_at is None
-    assert len(term.schedules) == 1 and term.schedules[0].constant
+    (sched,) = term.schedules
+    assert sched.ranks[0] == sched.ranks[1]
     assert_even_terminal_reads_the_path(he, path, term)
 
 
@@ -383,7 +384,7 @@ def test_rho_certificate_even_reduction_torus():
     path = rho_path(he)
     term = terminal_check(he, path)
     assert term.passed
-    assert [s.constant for s in term.schedules] == [True, True]
+    assert [s.ranks[0] == s.ranks[1] for s in term.schedules] == [True, True]
     # each summand at its own size
     assert [len(s.ranks) for s in term.schedules] == [2, 2]
     assert he.source.total_dim != he.target.total_dim

@@ -70,30 +70,34 @@ def test_odd_representative_direct_sum():
     assert rep.u == pytest.approx(-np.eye(2))
 
 
+def _signatures(sched) -> list[int]:
+    return [rp - rm for rp, rm in sched.ranks]
+
+
 def test_localized_path_point():
     sched = localized_signature_path(fixtures.point_model(), 10.0)
-    assert sched.signatures == (1, 1)
-    assert sched.constant and sched.passed
+    assert _signatures(sched) == [1, 1]
+    assert sched.passed
 
 
 def test_localized_path_cp2():
     sched = localized_signature_path(fixtures.cp2_model(), 10.0)
-    assert set(sched.signatures) == {1}
+    assert set(_signatures(sched)) == {1}
     assert sched.passed
 
 
 def test_localized_path_cap_sphere_lipschitz():
     sched = localized_signature_path(cap_duality(fixtures.sphere_triangulation()), 10.0)
-    assert set(sched.signatures) == {0}
+    assert set(_signatures(sched)) == {0}
     assert sched.passed
     # the Lipschitz bound in s = t^(-1/2) certifies the interval [1, 10]
-    assert len(sched.margins) == 1 and sched.min_margin > 0.0
+    assert sched.margin > 0.0
     assert sched.failed_at is None
 
 
 def test_localized_path_odd_circle():
     sched = localized_signature_path(fixtures.circle_model(), 10.0)
-    assert sched.kind == "odd"
+    assert sched.ranks is None
     assert all(sv > 0 for sv in sched.min_singulars)
     assert sched.passed
 
@@ -151,8 +155,8 @@ def _sampled_times(sched) -> tuple[list, list]:
     return times, [times.index(t) for t in sched.times]
 
 
-def _interval_margins(c: HPComplex, sched, least, top) -> list:
-    """The margin of each schedule interval by the Lipschitz bound in s =
+def _interval_margin(c: HPComplex, sched, least, top) -> float:
+    """The margin of the schedule's interval by the Lipschitz bound in s =
     t^(-1/2), with ||D||_2 taken dense, from the least singular values and
     largest |eigenvalue|s of B+-(t) at every sampled time (_sampled_times):
     a bisected interval's margin is the least of its parts'."""
@@ -162,12 +166,8 @@ def _interval_margins(c: HPComplex, sched, least, top) -> list:
     d_norm = np.linalg.norm(c.D_on, 2)
     parts = [0.5 * (least[k] + least[k + 1] - d_norm * (s[k] - s[k + 1]))
              - DEFAULT_TOL.inv * max(top[k], top[k + 1]) for k in range(len(s) - 1)]
-    return [min(parts[i:j]) for i, j in zip(grid, grid[1:])]
-
-
-def _assert_margins(sched, reference, scale: float) -> None:
-    assert len(sched.margins) == len(reference)
-    assert list(sched.margins) == pytest.approx(reference, rel=0, abs=1e-12 * scale)
+    (first, last) = grid
+    return min(parts[first:last])
 
 
 def _assert_u_clears_the_sample(x_plus, x_minus, bound: float) -> None:
@@ -210,9 +210,9 @@ def test_localized_path_matches_rescaled_complexes(index):
             _assert_u_clears_the_sample(*blocks[k], bound)
     if c.n % 2 == 0:
         assert sched.ranks == tuple(ranks[k] for k in grid)
-        assert sched.signatures == tuple(rp - rm for rp, rm in sched.ranks)
     assert sched.passed
-    _assert_margins(sched, _interval_margins(c, sched, least, top), max(top))
+    assert sched.margin == pytest.approx(_interval_margin(c, sched, least, top),
+                                         rel=0, abs=1e-12 * max(top))
 
 
 def _even_schedule_complexes():
@@ -247,7 +247,8 @@ def test_even_margins_match_the_full_size_spectra(index):
     assert sched.ranks == tuple(ranks[k] for k in grid)
     np.testing.assert_allclose(sched.min_singulars, [least[k] for k in grid],
                                rtol=1e-12, atol=0)
-    _assert_margins(sched, _interval_margins(c, sched, least, top), max(top))
+    assert sched.margin == pytest.approx(_interval_margin(c, sched, least, top),
+                                         rel=0, abs=1e-12 * max(top))
 
 
 def _acyclic(n):
@@ -266,8 +267,8 @@ def test_localized_path_fails_once_the_gap_closes(model):
     base = getattr(fixtures, model)()
     c = direct_sum(base, _acyclic(base.n))
     assert localized_signature_path(c, 1e15).passed
-    with pytest.raises(DualityDegenerateError, match=r"t=1e\+18"):
-        localized_signature_path(c, 1e18)
+    sched = localized_signature_path(c, 1e18)
+    assert not sched.passed and sched.failed_at == 1e18
 
 
 def test_cp2_9_first_interval_closes_with_one_midpoint(monkeypatch):
@@ -278,9 +279,9 @@ def test_cp2_9_first_interval_closes_with_one_midpoint(monkeypatch):
     c = _even_schedule_complexes()[0]
     sched = localized_signature_path(c)
     assert sched.times == (1.0, 10.0) and len(sched.midpoints) == 7
-    assert sched.passed and sched.min_margin == sched.margins[0] >= 0.05
+    assert sched.passed and sched.margin >= 0.05
     monkeypatch.setattr(signature, "_BISECTIONS", 3)
-    assert localized_signature_path(c).margins == sched.margins
+    assert localized_signature_path(c).margin == sched.margin
     monkeypatch.setattr(signature, "_BISECTIONS", 2)
     assert not localized_signature_path(c).passed
 
@@ -298,15 +299,15 @@ def test_crossings_between_samples_fail_the_interval_certificate(t_up, t_down, c
     c = direct_sum(fixtures.schedule_crossing(t_up),
                    reverse_orientation(fixtures.schedule_crossing(t_down)))
     sched = localized_signature_path(c)
-    assert sched.constant and set(sched.ranks) == {(4, 4)}
+    assert set(sched.ranks) == {(4, 4)}
     assert not sched.passed and 2.0 < sched.failed_at < 3.0
-    assert len(sched.margins) == 1 and sched.margins[0] <= 0.0
+    assert sched.margin <= 0.0
     path = tmp_path / "crossing.json"
     path.write_text(json.dumps(hpcomplex_to_json(c)))
     assert cli.main(["sgn", str(path)]) == 1
     check = json.loads(capsys.readouterr().out)["checks"][0]
     assert check["name"] == "localization_schedule" and not check["passed"]
-    assert check["failed_at"] == sched.failed_at and check["margin"] == sched.min_margin
+    assert check["failed_at"] == sched.failed_at and check["margin"] == sched.margin
 
 
 def _apart_crossings():
@@ -340,7 +341,7 @@ def test_odd_crossing_between_samples_fails_the_interval_certificate(capsys, tmp
     from hpsig.hpc_core import hpcomplex_to_json
     c = fixtures.odd_schedule_crossing(2.5)
     sched = localized_signature_path(c)
-    assert sched.kind == "odd" and min(sched.min_singulars) > 0.0
+    assert sched.ranks is None and min(sched.min_singulars) > 0.0
     assert not sched.passed and 2.0 < sched.failed_at < 3.0
     path = tmp_path / "odd_crossing.json"
     path.write_text(json.dumps(hpcomplex_to_json(c)))
@@ -348,6 +349,25 @@ def test_odd_crossing_between_samples_fails_the_interval_certificate(capsys, tmp
     check = json.loads(capsys.readouterr().out)["checks"][0]
     assert check["name"] == "localization_schedule" and not check["passed"]
     assert check["failed_at"] == sched.failed_at
+
+
+@pytest.mark.parametrize("build", [fixtures.schedule_crossing, fixtures.odd_schedule_crossing],
+                         ids=["even", "odd"])
+def test_singular_endpoint_fails_the_schedule_there(build, capsys, tmp_path):
+    # B+-(t) is singular at t = 4: as t_max it fails the schedule at t_max,
+    # as inside [1, 10] it fails the interval there, through one channel;
+    # singular at t = 1, the complex is not Poincare, an input error
+    from hpsig import cli
+    from hpsig.hpc_core import hpcomplex_to_json
+    path = tmp_path / "crossing.json"
+    path.write_text(json.dumps(hpcomplex_to_json(build(4.0))))
+    for t_max, at in (("4", lambda t: t == 4.0), ("10", lambda t: 3.9 < t < 4.0)):
+        assert cli.main(["sgn", str(path), "--t-max", t_max]) == 1
+        check = json.loads(capsys.readouterr().out)["checks"][0]
+        assert not check["passed"] and at(check["failed_at"]) and check["margin"] <= 0.0
+    path.write_text(json.dumps(hpcomplex_to_json(build(1.0))))
+    assert cli.main(["sgn", str(path), "--t-max", "4"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("mid_ranks, failed", [((2, 2), None), ((3, 1), 0.25)],
@@ -368,6 +388,15 @@ def test_interval_fails_when_the_midpoint_ranks_differ(mid_ranks, failed):
     assert failed_at == failed
     if failed is None:
         assert margin == pytest.approx(0.5 * (2.0 - 3.0 * 0.5) - 0.1)
+
+
+def test_interval_fails_at_a_singular_midpoint_with_its_half_margin():
+    # a sampled midpoint whose bound does not clear its threshold fails the
+    # first half at the midpoint, with that half's margin
+    a, b = (_Point(x, (2, 2), 1.0, 0.1) for x in (0.0, 1.0))
+    margin, failed_at = _interval(a, b, 3.0, lambda x: _Point(x, (2, 2), 0.0, 0.1), 1)
+    assert failed_at == 0.5
+    assert margin == pytest.approx(0.5 * (1.0 - 3.0 * 0.5) - 0.1)
 
 
 def _simplex_boundary(n: int) -> dict:
@@ -421,7 +450,8 @@ def test_real_decompositions_match_complex_lapack(doc):
         np.testing.assert_allclose(ours, ref, rtol=1e-12, atol=0)
     np.testing.assert_allclose(sched.min_singulars, [least[k] for k in grid],
                                rtol=1e-12, atol=0)
-    _assert_margins(sched, _interval_margins(c, sched, least, top), max(top))
+    assert sched.margin == pytest.approx(_interval_margin(c, sched, least, top),
+                                         rel=0, abs=1e-12 * max(top))
     if c.n % 2:
         for k, bound in zip(grid, sched.min_singulars):
             _assert_u_clears_the_sample(*blocks[k], bound)
@@ -429,5 +459,4 @@ def test_real_decompositions_match_complex_lapack(doc):
         assert c.spectrum.positive_ranks() == list(ranks[0])
         assert set(ranks) == set(sched.ranks)
         assert sched.ranks == tuple(ranks[k] for k in grid)
-        assert sched.signatures == tuple(rp - rm for rp, rm in sched.ranks)
         assert signature_even(c) == ranks[0][0] - ranks[0][1]

@@ -493,7 +493,7 @@ def test_revalidating_under_other_tolerances_decomposes_nothing(monkeypatch, bui
     first = hpc_core.validate(c)
     calls = [count_calls(monkeypatch, "numpy.linalg", fn)
              for fn in (np.linalg.svd, np.linalg.eigh, np.linalg.eigvalsh)]
-    loose = hpc_core.Tolerances(sym=1e-3, inv=1e-2, pd=1e-6, chain=1e-9)
+    loose = hpc_core.Tolerances(sym=1e-3, inv=1e-2)
     assert hpc_core.validate(c, loose).checks != first.checks
     assert hpc_core.validate(c).to_dict() == first.to_dict()
     assert calls == [[], [], []]

@@ -5,17 +5,19 @@ Each command runs in process through ``hpsig.cli.main``.  Every call of a
 and dtype of its first argument.  Counts do not depend on timing or on the
 machine's load, so two files written by this script can be diffed exactly.
 
-    python3 tools/bench_counts.py --out BENCH_24.json --base HEAD
+    python3 tools/bench_counts.py --out BENCH_27.json --base HEAD
 
 counts the ``src/`` of the working tree and, with ``--base``, that of a git
 revision, extracted with ``git archive`` into a temporary directory.  Each
 tree is counted in a subprocess of its own, so the two never share an
 import.  Both trees read the working tree's ``fixtures/``, so they see the
-same inputs.  Each tree also records the line count of its
-``src/hpsig/*.py``.  The file also records the git HEAD, whether ``src/``
-differs from it, and the BLAS thread count.  The script exits 1 when an op
-of the working tree exits with another code than the one listed for it: 1
-for the three negative controls, 0 for every other op.
+same inputs, and each op records the bytes of its stdout report, whose
+``inputs`` name the fixtures by their path in the working tree.  Each tree
+also records the line count of its ``src/hpsig/*.py``.  The file also
+records the git HEAD, whether ``src/`` differs from it, and the BLAS thread
+count.  The script exits 1 when an op of the working tree exits with
+another code than the one listed for it: 1 for the three negative
+controls, 0 for every other op.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ OPS = ([(["check", "fixtures/cp2_9.json"], 0), (["sgn", "fixtures/cp2_9.json"], 
 
 def count(src: Path) -> dict:
     """The line count of each src/hpsig/*.py and their total, and per op, its
-    exit code and the calls of each routine, keyed "routine shape dtype";
-    hpsig is imported from src."""
+    exit code, the bytes of its report and the calls of each routine, keyed
+    "routine shape dtype"; hpsig is imported from src."""
     lines = {p.name: len(p.read_text().splitlines())
              for p in sorted((src / "hpsig").glob("*.py"))}
     sys.path.insert(0, str(src))
@@ -78,9 +80,12 @@ def count(src: Path) -> dict:
     for argv, _ in OPS:
         calls.clear()
         args = [str(ROOT / a) if a.startswith("fixtures/") else a for a in argv]
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        report = io.StringIO()
+        with contextlib.redirect_stdout(report), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(args)
-        out.append({"argv": argv, "exit": code, "calls": dict(sorted(calls.items()))})
+        out.append({"argv": argv, "exit": code,
+                    "report_bytes": len(report.getvalue().encode()),
+                    "calls": dict(sorted(calls.items()))})
     return {"src_lines": {"total": sum(lines.values()), **lines}, "ops": out}
 
 
