@@ -519,14 +519,11 @@ class AxiomReport:
         }
 
 
-def validate(c: HPComplex, tol: Tolerances = DEFAULT_TOL) -> AxiomReport:
-    """Run every axiom check and certify invertibility of D+-S.
-
-    The complex passes iff d^2 = 0, S is self-adjoint with the right block
-    pattern, the declared tier's extra identities hold, and both D+S and D-S
-    are invertible.  Every residual and norm is read from the complex's
-    cache, so validating it again, under any tolerances, decomposes nothing.
-    """
+def _axiom_checks(c: HPComplex, tol: Tolerances
+                  ) -> tuple[list[CheckResult], InvertibilityCertificate,
+                             InvertibilityCertificate]:
+    """The residual checks that gate the verdict, the strict ones only when
+    the strict tier is declared, and the certificates of D+S and D-S."""
     c.space.check_inner_products(tol)
     if c.S is None:
         raise StructuralError("cannot validate a complex without a duality operator")
@@ -540,11 +537,20 @@ def validate(c: HPComplex, tol: Tolerances = DEFAULT_TOL) -> AxiomReport:
                               c.S_block_residual <= thr))
     if c.tier == "strict":
         checks.extend(c.strict_checks(tol))
-
     cert_plus, cert_minus = c.spectrum.certificates(tol.inv)
-    poincare = cert_plus.passed and cert_minus.passed
+    return checks, cert_plus, cert_minus
 
-    # the strict checks are among checks exactly when the strict tier is declared
+
+def validate(c: HPComplex, tol: Tolerances = DEFAULT_TOL) -> AxiomReport:
+    """Run every axiom check and certify invertibility of D+-S.
+
+    The complex passes iff d^2 = 0, S is self-adjoint with the right block
+    pattern, the declared tier's extra identities hold, and both D+S and D-S
+    are invertible.  Every residual and norm is read from the complex's
+    cache, so validating it again, under any tolerances, decomposes nothing.
+    """
+    checks, cert_plus, cert_minus = _axiom_checks(c, tol)
+    poincare = cert_plus.passed and cert_minus.passed
     passed = poincare and all(ch.passed for ch in checks)
     return AxiomReport(tuple(checks), cert_plus, cert_minus, c.tier,
                        "strict" if c.meets_strict_tier(tol) else "weak", poincare, passed,
@@ -552,15 +558,16 @@ def validate(c: HPComplex, tol: Tolerances = DEFAULT_TOL) -> AxiomReport:
 
 
 def require_valid(c: HPComplex, tol: Tolerances = DEFAULT_TOL) -> None:
-    """validate c; DualityDegenerateError unless D +- S are invertible,
-    StructuralError naming the failing checks unless every other one passes."""
-    report = validate(c, tol)
-    if not report.poincare:
+    """The verdict of validate, computing only the checks that gate it:
+    DualityDegenerateError unless D +- S are invertible, StructuralError
+    naming the failing checks unless every other one passes."""
+    checks, cert_plus, cert_minus = _axiom_checks(c, tol)
+    if not (cert_plus.passed and cert_minus.passed):
         raise DualityDegenerateError(
             f"duality degenerate: min singular values "
-            f"{report.cert_plus.min_singular:.3e}, {report.cert_minus.min_singular:.3e}")
-    if not report.passed:
-        bad = [ch.name for ch in report.checks if not ch.passed]
+            f"{cert_plus.min_singular:.3e}, {cert_minus.min_singular:.3e}")
+    bad = [ch.name for ch in checks if not ch.passed]
+    if bad:
         raise StructuralError(f"complex fails axiom checks: {bad}")
 
 

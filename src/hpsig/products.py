@@ -21,8 +21,8 @@ import numpy as np
 
 from . import spectral
 from .hpc_core import (DEFAULT_TOL, IDENTITY_TOL, CheckResult, DomainError,
-                       GradedSpace, HPComplex, StructuralError, Tolerances,
-                       require_valid, validate)
+                       DualityDegenerateError, GradedSpace, HPComplex, StructuralError,
+                       Tolerances, require_valid, validate)
 from .signature import signature_even
 from .spectral import InvertibilityCertificate
 
@@ -232,9 +232,13 @@ def product_signature_check(a: HPComplex, b: HPComplex,
 
 
 def _require_strict(c: HPComplex, tol: Tolerances, who: str) -> None:
-    rep = validate(c, tol)
-    if not rep.passed or rep.tier_achieved != "strict":
-        raise StructuralError(f"{who} factor must validate at the strict tier")
+    message = f"{who} factor must validate at the strict tier"
+    try:
+        require_valid(c, tol)
+    except (StructuralError, DualityDegenerateError) as exc:
+        raise StructuralError(message) from exc
+    if not c.meets_strict_tier(tol):
+        raise StructuralError(message)
 
 
 def witness_even_odd(a: HPComplex, b: HPComplex,

@@ -4,7 +4,10 @@ cup-product intersection-form oracle, and harmonic reduction.
 
 Homology-level decisions (ranks, signatures of pairings) are made in exact
 rational arithmetic; floating point only enters through the spectral side,
-which the oracle is there to check.
+which the oracle is there to check.  Coboundaries are kept as sparse integer
+rows {column: nonzero int} and brought to row echelon form fraction-free, on
+Python ints: a rank is the number of leading columns, and only the middle
+degree, whose kernel the oracle reads, is back-substituted to reduced form.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from hashlib import sha256
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,58 +34,96 @@ from .rho import HomotopyEquivalence
 # exact rational linear algebra
 
 
-def rref(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form of a matrix of ints or Fractions, fraction-free:
-    rows are scaled to integers and each step row <- (a/g)*row - (b/g)*pivot_row
-    is divided by its content, so all arithmetic stays on Python ints.  Returns
-    (integer rows, pivot columns); reduced row r is integer row r divided by
-    its entry in column pivots[r]."""
-    m = []
-    for row in rows:
-        scale = math.lcm(*(x.denominator for x in row))
-        m.append(_primitive([x.numerator * (scale // x.denominator) for x in row]))
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        prow = m[r]
-        a = prow[c]
-        for i in range(nrows):
-            b = m[i][c]
-            if b and i != r:
-                g = math.gcd(a, b)
-                ag, bg = a // g, b // g
-                m[i] = _primitive([ag * x - bg * y for x, y in zip(m[i], prow)])
-        pivots.append(c)
-        r += 1
-    return m, pivots
+def _echelon(rows: Iterable[dict[int, int]]
+             ) -> tuple[dict[int, dict[int, int]], list[int]]:
+    """Fraction-free row echelon form of sparse integer rows {column: nonzero
+    int}.  Each row, in order, is reduced by its leading column against the
+    rows kept so far (see _eliminate) until it vanishes or leads in a column
+    no kept row leads in; then it is kept.  Returns the kept rows by leading
+    column and the positions of the kept rows among the input.  The leading
+    columns are the pivot columns of the reduced row echelon form, and a row
+    is kept iff it is independent of the rows before it.  Kept rows are
+    primitive when the input rows are."""
+    echelon: dict[int, dict[int, int]] = {}
+    kept = []
+    for pos, row in enumerate(rows):
+        while row:
+            lead = min(row)
+            pivot_row = echelon.get(lead)
+            if pivot_row is None:
+                echelon[lead] = row
+                kept.append(pos)
+                break
+            row = _eliminate(row, pivot_row, lead)
+    return echelon, kept
 
 
-def _primitive(row: list[int]) -> list[int]:
+def _eliminate(row: dict[int, int], pivot_row: dict[int, int], c: int) -> dict[int, int]:
+    """row <- (a/g)*row - (b/g)*pivot_row, a = pivot_row[c], b = row[c],
+    g = gcd(a, b), which clears column c, divided by its content; a new
+    dict, so rows may be shared between echelons."""
+    a, b = pivot_row[c], row[c]
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    out = row.copy() if a == 1 else {j: a * x for j, x in row.items()}
+    for j, x in pivot_row.items():
+        y = out.get(j, 0) - b * x
+        if y:
+            out[j] = y
+        else:
+            del out[j]
+    return _primitive(out)
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
     """The row divided by its content (the gcd of its entries)."""
-    g = math.gcd(*row)
-    return [x // g for x in row] if g > 1 else row
+    g = math.gcd(*row.values())
+    return {j: x // g for j, x in row.items()} if g > 1 else row
 
 
-def _integer_nullspace(red: list[list[int]], pivots: list[int], ncols: int
+def _back_substitute(echelon: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
+    """The reduced row echelon form of an echelon from _echelon, by leading
+    column: from the last leading column back, each row is cleared in the
+    leading columns of the rows after it, fraction-free as in _echelon.
+    Reduced row r is the integer row divided by its entry in column r."""
+    reduced: dict[int, dict[int, int]] = {}
+    for lead in sorted(echelon, reverse=True):
+        row = echelon[lead]
+        # the rows after this one are zero in each other's leading columns,
+        # so clearing one of those columns fills in none of the others
+        for c in [c for c in row if c != lead and c in reduced]:
+            row = _eliminate(row, reduced[c], c)
+        reduced[lead] = row
+    return reduced
+
+
+def _integer_row(row: Sequence) -> dict[int, int]:
+    """A row of ints or Fractions scaled to a primitive sparse integer row."""
+    scale = math.lcm(*(x.denominator for x in row))
+    return _primitive({j: x.numerator * (scale // x.denominator)
+                       for j, x in enumerate(row) if x})
+
+
+def _integer_nullspace(reduced: dict[int, dict[int, int]], ncols: int
                        ) -> list[tuple[list[int], int]]:
-    """Kernel basis, read off (red, pivots) = rref(a) of a matrix with ncols
-    columns, as (integer vector, scale) pairs, one per free column; vector /
-    scale is the rational basis vector."""
+    """Kernel basis, read off the reduced rows of a matrix with ncols columns
+    (_back_substitute of its echelon), as (integer vector, scale) pairs, one
+    per free column in ascending order; vector / scale is the rational basis
+    vector."""
+    in_free: defaultdict = defaultdict(list)
+    for pc, row in reduced.items():
+        for fc, x in row.items():
+            if fc != pc:
+                in_free[fc].append((pc, row[pc], x))
     basis = []
-    for fc in sorted(set(range(ncols)) - set(pivots)):
-        scale = math.lcm(*(red[r][pc] for r, pc in enumerate(pivots) if red[r][fc]))
+    for fc in range(ncols):
+        if fc in reduced:
+            continue
+        scale = math.lcm(*(a for _, a, _ in in_free[fc]))
         v = [0] * ncols
         v[fc] = scale
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc] * (scale // red[r][pc])
+        for pc, a, x in in_free[fc]:
+            v[pc] = -x * (scale // a)
         basis.append((v, scale))
     return basis
 
@@ -155,24 +196,35 @@ class SimplicialManifold:
         return [{s: i for i, s in enumerate(level)} for level in self.simplices]
 
     @cached_property
-    def boundaries(self) -> tuple[np.ndarray, ...]:
-        """Read-only integer boundary matrices C_p -> C_{p-1}, p = 1..n."""
+    def coboundary_rows(self) -> tuple[list[dict[int, int]], ...]:
+        """The rows of each integer coboundary d_p: C^p -> C^{p+1}, p = 0..n-1,
+        sparse, one per (p+1)-simplex: its p + 2 faces with signs +-1."""
         out = []
-        for p in range(1, self.n + 1):
-            idx = self.simplex_index[p - 1]
-            B = np.zeros((len(idx), len(self.simplices[p])), dtype=np.int64)
-            for j, s in enumerate(self.simplices[p]):
-                for i in range(p + 1):
-                    B[idx[s[:i] + s[i + 1:]], j] = -1 if i % 2 else 1
+        for p in range(self.n):
+            idx = self.simplex_index[p]
+            out.append([{idx[s[:i] + s[i + 1:]]: -1 if i % 2 else 1 for i in range(p + 2)}
+                        for s in self.simplices[p + 1]])
+        return tuple(out)
+
+    @cached_property
+    def boundaries(self) -> tuple[np.ndarray, ...]:
+        """Read-only integer boundary matrices C_p -> C_{p-1}, p = 1..n: the
+        transposed coboundaries."""
+        out = []
+        for p, rows in enumerate(self.coboundary_rows):
+            B = np.zeros((len(self.simplices[p]), len(rows)), dtype=np.int64)
+            for j, row in enumerate(rows):
+                B[list(row), j] = list(row.values())
             B.flags.writeable = False
             out.append(B)
         return tuple(out)
 
     @cached_property
-    def coboundary_rrefs(self) -> tuple[tuple[list[list[int]], list[int]], ...]:
-        """rref of each integer coboundary d_p = B_{p+1}^T, p = 0..n (d_n has no
-        rows); the Betti numbers and the cohomology basis share these."""
-        return tuple(rref(B.T.tolist()) for B in self.boundaries) + (([], []),)
+    def coboundary_echelons(self) -> tuple[dict[int, dict[int, int]], ...]:
+        """The echelon of each coboundary d_p, p = 0..n (d_n has no rows), by
+        leading column; the Betti numbers and the cohomology basis share
+        them."""
+        return tuple(_echelon(rows)[0] for rows in self.coboundary_rows) + ({},)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -284,7 +336,7 @@ def orient_facets(facets: Sequence[Sequence[int]], n: int) -> list[int]:
 
 def betti_numbers(sm: SimplicialManifold) -> tuple[int, ...]:
     """Exact rational Betti numbers."""
-    ranks = [len(pivots) for _, pivots in sm.coboundary_rrefs]
+    ranks = [len(echelon) for echelon in sm.coboundary_echelons]
     out = []
     for p in range(sm.n + 1):
         rk_in = ranks[p - 1] if p >= 1 else 0
@@ -415,20 +467,21 @@ class IntersectionForm:
 def _cohomology_basis(sm: SimplicialManifold, p: int) -> list[list[Fraction]]:
     """Rational cocycle representatives of H^p in the standard cochain basis."""
     dim = len(sm.simplices[p])
-    kernel = _integer_nullspace(*sm.coboundary_rrefs[p], dim)
-    if p == 0 or not sm.boundaries[p - 1].size:
-        image: list[list[int]] = [[] for _ in range(dim)]
-    else:
-        # pivot columns of d_in, the transposed boundary, form a basis of its image
-        image = sm.boundaries[p - 1].T[:, sm.coboundary_rrefs[p - 1][1]].tolist()
-    # select kernel vectors independent from the image: RREF of [image | kernel]
-    # (scaling a column leaves the pivots alone, so integer vectors will do)
-    if not dim or not (image[0] or kernel):
+    kernel = _integer_nullspace(_back_substitute(sm.coboundary_echelons[p]), dim)
+    if not kernel:
         return []
-    stacked = [row + [v[i] for v, _ in kernel] for i, row in enumerate(image)]
-    _, pivots = rref(stacked)
-    n_image = len(image[0])
-    return [_to_fractions(*kernel[j - n_image]) for j in pivots if j >= n_image]
+    image: list[dict[int, int]] = []
+    if p:
+        # the columns of d_{p-1} at its pivot columns form a basis of its image
+        columns: defaultdict = defaultdict(dict)
+        for i, row in enumerate(sm.coboundary_rows[p - 1]):
+            for j, x in row.items():
+                columns[j][i] = x
+        image = [columns[j] for j in sorted(sm.coboundary_echelons[p - 1])]
+    # keep the kernel vectors independent of the image and of the kernel
+    # vectors before them (scaling a vector does not change which those are)
+    _, kept = _echelon(image + [{i: x for i, x in enumerate(v) if x} for v, _ in kernel])
+    return [_to_fractions(*kernel[j - len(image)]) for j in kept if j >= len(image)]
 
 
 def intersection_form_oracle(sm: SimplicialManifold,
@@ -456,7 +509,7 @@ def intersection_form_oracle(sm: SimplicialManifold,
                     pairing[i][j] += eps * fi * bj
     symmetric = all(pairing[i][j] == pairing[j][i] for i in range(k) for j in range(k))
     antisymmetric = all(pairing[i][j] == -pairing[j][i] for i in range(k) for j in range(k))
-    rank = len(rref([list(r) for r in pairing])[1]) if k else 0
+    rank = len(_echelon(map(_integer_row, pairing))[0])
     if rank != k:
         raise StructuralError(
             f"intersection pairing is degenerate (rank {rank} < {k}); the homology "

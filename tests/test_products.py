@@ -207,6 +207,27 @@ def test_witness_even_odd_rejects_zero_duality():
         witness_even_odd(fixtures.sphere_model(), b)
 
 
+def _sphere_cap():
+    return cap_duality(fixtures.sphere_triangulation())
+
+
+def _circle_cap():
+    return cap_duality(fixtures.circle_triangulation())
+
+
+@pytest.mark.parametrize("witness, a, b, who", [
+    (witness_even_odd, _sphere_cap, fixtures.circle_model, "even"),
+    (witness_even_odd, fixtures.sphere_model, _circle_cap, "odd"),
+    (witness_odd_even, fixtures.circle_model, _sphere_cap, "even"),
+], ids=["even_odd-even", "even_odd-odd", "odd_even-even"])
+def test_witnesses_reject_poincare_factors_off_the_strict_tier(witness, a, b, who):
+    # the symmetrized cap dualities validate, but S^2 = 1 fails on them
+    a, b = a(), b()
+    assert validate(a).passed and validate(b).passed
+    with pytest.raises(StructuralError, match=f"{who} factor must validate at the strict tier"):
+        witness(a, b)
+
+
 def test_witness_even_odd_parity_check():
     with pytest.raises(DomainError):
         witness_even_odd(fixtures.circle_model(), fixtures.sphere_model())

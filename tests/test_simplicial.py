@@ -2,9 +2,11 @@
 intersection-form oracle, and harmonic reduction."""
 
 import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -15,11 +17,11 @@ from hpsig.hpc_core import (DEFAULT_TOL, HPComplex, StructuralError,
                             rescale_inner_products, validate)
 from hpsig.rho import validate_homotopy_equivalence
 from hpsig.signature import signature_even
-from hpsig.simplicial import (_integer_nullspace, betti_numbers, cap_duality,
-                              cochain_complex, fundamental_cycle,
+from hpsig.simplicial import (SimplicialManifold, _back_substitute, _echelon,
+                              _integer_nullspace, _integer_row, betti_numbers,
+                              cap_duality, cochain_complex, fundamental_cycle,
                               harmonic_reduction, intersection_form_oracle,
-                              load_simplicial, orient_facets, rref,
-                              symmetric_signature)
+                              load_simplicial, orient_facets, symmetric_signature)
 
 # six-vertex real projective plane: closed but not orientable
 RP2_FACETS = [(0, 1, 3), (0, 1, 4), (0, 2, 3), (0, 2, 5), (0, 4, 5),
@@ -305,14 +307,21 @@ def test_rref_matches_fraction_reference():
     shapes = set()
     for _ in range(600):
         m = random_rational_matrix(rng)
-        shapes.add((len(m), len(m[0]) if m else 0))
+        ncols = len(m[0]) if m else 0
+        shapes.add((len(m), ncols))
         ref_rows, ref_pivots = reference_rref(m)
-        rows, pivots = rref(m)
-        assert pivots == ref_pivots
-        assert all(isinstance(x, int) for row in rows for x in row)
-        for r, pc in enumerate(pivots):
-            assert [Fraction(x, rows[r][pc]) for x in rows[r]] == ref_rows[r]
-        assert all(x == 0 for row in rows[len(pivots):] for x in row)
+        echelon, kept = _echelon(map(_integer_row, m))
+        # the leads are the pivots, and a row is kept iff it raises the rank
+        assert sorted(echelon) == ref_pivots
+        assert kept == [i for i in range(len(m))
+                        if len(reference_rref(m[:i + 1])[1]) > len(reference_rref(m[:i])[1])]
+        reduced = _back_substitute(echelon)
+        assert sorted(reduced) == ref_pivots
+        assert all(isinstance(x, int) and x for row in reduced.values() for x in row.values())
+        assert all(math.gcd(*row.values()) == 1 for row in reduced.values())
+        for r, pc in enumerate(ref_pivots):
+            row = reduced[pc]
+            assert [Fraction(row.get(c, 0), row[pc]) for c in range(ncols)] == ref_rows[r]
     assert (0, 0) in shapes and any(c == 0 < r for r, c in shapes)
 
 
@@ -321,8 +330,9 @@ def test_rational_nullspace_matches_reference():
     for _ in range(500):
         shape = (int(rng.integers(0, 6)), int(rng.integers(0, 8)))
         a = rng.integers(-2, 3, size=shape) * (rng.random(shape) < 0.5)
+        reduced = _back_substitute(_echelon(map(_integer_row, a.tolist()))[0])
         basis = [[Fraction(x, scale) for x in v]
-                 for v, scale in _integer_nullspace(*rref(a.tolist()), a.shape[1])]
+                 for v, scale in _integer_nullspace(reduced, a.shape[1])]
         assert basis == reference_nullspace(a)
         for v in basis:
             assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in a.tolist())
@@ -413,6 +423,68 @@ def test_check_relabelled_torus_8(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["data"]["betti"] == [1, 2, 1]
     assert report["data"]["oracle_signature"] == 0
+
+
+def reference_intersection_form(sm):
+    """(basis, pairing, rank, signature) of the middle cup pairing through the
+    Fraction references: reference_nullspace of d_p for the cocycles, and the
+    pivots of reference_rref of [image of d_{p-1} | kernel] for the ones kept;
+    the signature is read off float eigenvalues."""
+    p = sm.n // 2
+    kernel = reference_nullspace(sm.boundaries[p].T)
+    d_in = sm.boundaries[p - 1].T
+    image = d_in[:, reference_rref(d_in.tolist())[1]].tolist()
+    stacked = [row + [v[i] for v in kernel] for i, row in enumerate(image)]
+    n_image = len(image[0])
+    basis = [kernel[j - n_image] for j in reference_rref(stacked)[1] if j >= n_image]
+    index = sm.simplex_index[p]
+    pairing = [[Fraction(0)] * len(basis) for _ in basis]
+    for f, eps in zip(sm.facets, sm.orientations):
+        front, back = index[f[:p + 1]], index[f[p:]]
+        for i, u in enumerate(basis):
+            for j, v in enumerate(basis):
+                pairing[i][j] += eps * u[front] * v[back]
+    rank = len(reference_rref(pairing)[1])
+    if sm.n % 4 or not basis:
+        return basis, pairing, rank, 0
+    eig = np.linalg.eigvalsh(np.array(pairing, dtype=float))
+    return basis, pairing, rank, int(np.sum(eig > 0) - np.sum(eig < 0))
+
+
+def relabelled_torus_manifold(k: int) -> SimplicialManifold:
+    facets, orientations = relabelled_torus(k, seed=k)
+    return load_simplicial({"n": 2, "vertices": k * k, "facets": facets,
+                            "orientations": orientations})
+
+
+def simplex_boundary(n: int) -> SimplicialManifold:
+    """The boundary of the (n+1)-simplex, oriented by orient_facets.  Any
+    relabelling of its vertices maps its facets onto themselves."""
+    facets = list(combinations(range(n + 2), n + 1))
+    return load_simplicial({"n": n, "vertices": n + 2, "facets": facets,
+                            "orientations": orient_facets(facets, n)})
+
+
+@pytest.mark.parametrize("build", [
+    fixtures.cp2_triangulation, fixtures.torus_triangulation,
+    *(partial(relabelled_torus_manifold, k) for k in (3, 4, 5)),
+    *(partial(simplex_boundary, n) for n in (2, 4)),
+], ids=["cp2_9", "torus7", "torus3", "torus4", "torus5", "sphere2", "sphere4"])
+def test_oracle_matches_the_fraction_reference(build):
+    sm = build()
+    form = intersection_form_oracle(sm)
+    basis, pairing, rank, signature = reference_intersection_form(sm)
+    assert [list(v) for v in form.basis] == basis
+    assert [list(r) for r in form.pairing] == pairing
+    assert form.rank == rank == len(basis)
+    assert form.signature == signature
+
+
+@pytest.mark.parametrize("name, betti", [
+    ("point", (1,)), ("circle3", (1, 1)), ("sphere_d3", (1, 0, 1)),
+    ("torus7", (1, 2, 1)), ("cp2_9", (1, 0, 1, 0, 1))])
+def test_betti_numbers_of_the_shipped_triangulations(name, betti):
+    assert betti_numbers(fixtures.TRIANGULATIONS[name]()) == betti
 
 
 def test_boundary_matrices_cached_read_only():

@@ -103,7 +103,8 @@ def test_main_builds_one_parser_per_process(monkeypatch, capsys, fixture_dir):
 
 
 def test_sgn_validates_once(monkeypatch, capsys, fixture_dir):
-    calls = count_calls(monkeypatch, "hpsig", hpc_core.validate)
+    # validate and require_valid both run the checks through _axiom_checks
+    calls = count_calls(monkeypatch, "hpsig", hpc_core._axiom_checks)
     assert run_cli(capsys, "sgn", str(fixture_dir / "cp2_model.json")) == 0
     assert len(calls) == 1
 
@@ -309,7 +310,7 @@ def test_monodromy_inverts_each_distinct_transport_once(monkeypatch, transitions
 
 def test_sgn_odd_validates_once(monkeypatch, capsys, fixture_dir):
     # the odd schedule samples t^(-1/2) D +- S on the validated input complex
-    calls = count_calls(monkeypatch, "hpsig", hpc_core.validate)
+    calls = count_calls(monkeypatch, "hpsig", hpc_core._axiom_checks)
     assert run_cli(capsys, "sgn", str(fixture_dir / "circle_model.json")) == 0
     assert len(calls) == 1
 
@@ -457,10 +458,29 @@ def test_validate_takes_each_two_norm_once(monkeypatch):
 
 
 def test_check_reduces_each_coboundary_once(monkeypatch, capsys, fixture_dir):
-    calls = count_calls(monkeypatch, "hpsig", simplicial.rref)
+    echelon, back_substitute = simplicial._echelon, simplicial._back_substitute
+    echelons, back_substituted = [], []
+
+    def counted_echelon(rows):
+        rows = list(rows)
+        echelons.append(len(rows))
+        return echelon(rows)
+
+    def counted_back_substitute(e):
+        back_substituted.append(len(e))
+        return back_substitute(e)
+
+    monkeypatch.setattr(simplicial, "_echelon", counted_echelon)
+    monkeypatch.setattr(simplicial, "_back_substitute", counted_back_substitute)
+    lapack = _decompositions(monkeypatch)
     assert run_cli(capsys, "check", str(fixture_dir / "cp2_9.json")) == 0
-    # the four coboundaries, the [image | kernel] selection and the pairing rank
-    assert len(calls) == 6
+    # one echelon per coboundary d_0..d_3, by its rows, one per (p+1)-simplex;
+    # the [image | kernel] selection of rank d_1 = 28 image vectors and
+    # 84 - 55 = 29 kernel vectors; the 1 x 1 pairing
+    assert echelons == [36, 84, 90, 36, 28 + 29, 1]
+    # one back-substitution, of the middle degree's d_2 of rank 55
+    assert back_substituted == [55]
+    assert sum(map(len, lapack)) == 4
 
 
 def test_check_cp2_9_svd_count(monkeypatch, capsys, fixture_dir):

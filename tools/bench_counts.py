@@ -5,7 +5,7 @@ Each command runs in process through ``hpsig.cli.main``.  Every call of a
 and dtype of its first argument.  Counts do not depend on timing or on the
 machine's load, so two files written by this script can be diffed exactly.
 
-    python3 tools/bench_counts.py --out BENCH_27.json --base HEAD
+    python3 tools/bench_counts.py --out BENCH_28.json --base HEAD
 
 counts the ``src/`` of the working tree and, with ``--base``, that of a git
 revision, extracted with ``git archive`` into a temporary directory.  Each
@@ -35,7 +35,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ROUTINES = ("eigh", "eigvalsh", "svd", "solve", "inv")
 # each op with the exit code it must have
-OPS = ([(["check", "fixtures/cp2_9.json"], 0), (["sgn", "fixtures/cp2_9.json"], 0),
+OPS = ([(["check", "fixtures/cp2_9.json"], 0), (["check", "fixtures/torus7.json"], 0),
+        (["sgn", "fixtures/cp2_9.json"], 0),
         (["sgn", "fixtures/circle3.json"], 0), (["sgn", "fixtures/torus7.json"], 0),
         (["product", "fixtures/cp2_model.json", "fixtures/circle_model.json"], 0)]
        + [(["rho", f"fixtures/he_{name}.json"], code)
