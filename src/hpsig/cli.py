@@ -226,14 +226,14 @@ def _stacked_propagations(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     def prop(dist, x):
         return coarse.largest_distance(dist, np.abs(x) > 0.0)
 
-    # a (x) c is formed with its entries in the order (i, j, k, l), one
-    # contiguous m x m block per entry of a, which multiplies about a fifth
-    # faster than the (i k, j l) order of np.kron; prod's distances are
-    # read in the same order
+    # the support of a (x) c is the boolean outer product of the supports of
+    # a and c, with no product of entries formed, laid out in the order
+    # (i, j, k, l), one contiguous m x m block per entry of a; prod's
+    # distances are read in the same order
     def by_blocks(d):
         return d.reshape(n, m, n, m).transpose(0, 2, 1, 3).reshape(n * n, m * m)
 
-    t_supp = (np.abs(a[:, :, :, None, None] * c[:, None, None, :, :]) > 0.0
+    t_supp = ((a != 0)[:, :, :, None, None] & (c != 0)[:, None, None, :, :]
               ).reshape(len(a), n * n, m * m)
     return (prop(space.dist, a), prop(space.dist, b), prop(small.dist, c),
             prop(space.dist, np.matmul(a, b)), prop(space.dist, a + b),

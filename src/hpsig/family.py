@@ -30,7 +30,11 @@ from .simplicial import (SimplicialManifold, cap_duality, duality_phase,
 class FiberedComplex:
     """Base triangulation, fiber complex, and per-edge transitions psi_ij
     (an invertible chain automorphism of the fiber mapping frame i to frame j;
-    missing edges default to the identity, reversed edges to the inverse)."""
+    missing edges default to the identity, reversed edges to the inverse).
+
+    transports stacks every psi_ij, read-only, once per distinct matrix
+    after the identity at index 0, with one inverse per distinct stored
+    matrix; transport(i, j) is the index of psi_ij in it."""
 
     base: SimplicialManifold
     fiber: HPComplex
@@ -62,15 +66,29 @@ class FiberedComplex:
                     raise StructuralError(f"transition ({i},{j}) is not invertible") from exc
             psi[(j, i)] = inverses[key]
         psi.update(fixed)
+        # the transports stacked once per distinct matrix after the identity
+        table, slot, index = [np.eye(nf, dtype=complex)], {}, {}
+        index[table[0].tobytes()] = 0
+        for edge, m in psi.items():
+            slot[edge] = index.setdefault(m.tobytes(), len(table))
+            if slot[edge] == len(table):
+                table.append(m)
+        table = np.stack(table)
+        table.setflags(write=False)
         object.__setattr__(self, "transitions", fixed)
-        object.__setattr__(self, "_psi", psi)
+        object.__setattr__(self, "transports", table)
+        object.__setattr__(self, "_slot", slot)
+
+    def transport(self, i: int, j: int) -> int:
+        """The index in transports of psi from frame i to frame j along the
+        edge (i, j): 0, the identity, unless (i, j) or (j, i) is stored."""
+        return self._slot.get((i, j), 0)
 
     def transition(self, i: int, j: int) -> np.ndarray:
         """psi from frame i to frame j along the edge (i, j): the stored
         transition, else the inverse of the stored reverse one, computed at
-        construction, else the identity."""
-        psi = self._psi.get((i, j))
-        return np.eye(self.fiber.total_dim, dtype=complex) if psi is None else psi
+        construction, else the identity; read-only."""
+        return self.transports[self.transport(i, j)]
 
     @property
     def untwisted(self) -> bool:
@@ -164,14 +182,14 @@ def _twisted_product(fc: FiberedComplex, base_c: HPComplex, tol: Tolerances) -> 
         meta["twist"] = "trivial"
         return HPComplex(out.space, out.d, out.S, out.tier, meta)
 
-    fiber = fc.fiber
+    fiber, base = fc.fiber, fc.base
     m, n = base_c.n, fiber.n
     total = m + n
     pairs, dims, offs = _tensor_layout(base_c, fiber)
     off_k = np.cumsum([0, *dims])
     rule = derive_sign_rule(m, n)
     fsp = fiber.space
-    fdim = [fsp.dims[q] for q in range(n + 1)]
+    fdim = fsp.dims
 
     inner = None
     if fsp.has_weights:
@@ -179,67 +197,89 @@ def _twisted_product(fc: FiberedComplex, base_c: HPComplex, tol: Tolerances) -> 
         for k in range(total + 1):
             g = np.zeros((dims[k], dims[k]), dtype=complex)
             for (p, q) in pairs[k]:
-                blk = np.kron(np.eye(len(fc.base.simplices[p])), fsp.g_block(q))
+                blk = np.kron(np.eye(len(base.simplices[p])), fsp.g_block(q))
                 o = offs[(p, q)]
                 g[o:o + blk.shape[0], o:o + blk.shape[1]] = blk
             inner.append(g)
         inner = tuple(inner)
     space = GradedSpace(total, tuple(dims), inner)
 
-    def psi_block(i: int, j: int, q: int) -> np.ndarray:
-        sl = fsp.degree_slice(q)
-        return fc.transition(i, j)[sl, sl]
+    def blocks(q: int) -> np.ndarray:
+        """The degree-q diagonal blocks of every transport."""
+        return fc.transports[:, fsp.degree_slice(q), fsp.degree_slice(q)]
 
-    # twisted differential: base coboundary with anchor transport + fiber part
+    # twisted differential: base coboundary with anchor transport + fiber
+    # part.  Face pos of a (p+1)-simplex tau enters d with (-1)^pos, in the
+    # order of coboundary_rows; only face 0 has another least vertex, tau[1],
+    # whose frame is transported to tau[0]'s.
+    faces = []
+    for p, rows in enumerate(base.coboundary_rows):
+        taus = base.simplices[p + 1]
+        face = np.fromiter((i for row in rows for i in row), int)
+        sign = np.fromiter((x for row in rows for x in row.values()), float)
+        psi = np.zeros(face.size, int)
+        psi[::p + 2] = [fc.transport(tau[1], tau[0]) for tau in taus]
+        faces.append((np.repeat(np.arange(len(taus)), p + 2), face, sign, psi))
     ds = []
     for k in range(total):
-        blk = np.zeros((dims[k + 1], dims[k]), dtype=complex)
+        parts = []
         for (p, q) in pairs[k]:
-            nbase = len(fc.base.simplices[p])
+            nbase = len(base.simplices[p])
             if nbase == 0 or fdim[q] == 0:
                 continue
             if p + 1 <= m:
-                # each face sigma = tau minus tau[pos] enters d(sigma) with (-1)^pos
-                idx_lo = fc.base.simplex_index[p]
-                for ti, tau in enumerate(fc.base.simplices[p + 1]):
-                    for pos in range(p + 2):
-                        sigma = tau[:pos] + tau[pos + 1:]
-                        si = idx_lo[sigma]
-                        sign = (-1.0) ** pos
-                        piece = sign * psi_block(sigma[0], tau[0], q)
-                        r = offs[(p + 1, q)] + ti * fdim[q]
-                        c = offs[(p, q)] + si * fdim[q]
-                        blk[r:r + fdim[q], c:c + fdim[q]] += piece
+                tau, sigma, sign, psi = faces[p]
+                parts.append((offs[(p + 1, q)] + tau * fdim[q], offs[(p, q)] + sigma * fdim[q],
+                              sign[:, None, None] * blocks(q)[psi]))
             if q + 1 <= n and fdim[q + 1]:
-                piece = ((-1.0) ** p) * np.kron(np.eye(nbase), fiber.d[q])
-                r = offs[(p, q + 1)]
-                c = offs[(p, q)]
-                blk[r:r + piece.shape[0], c:c + piece.shape[1]] += piece
-        ds.append(blk)
+                i = np.arange(nbase)
+                piece = ((-1.0) ** p) * fiber.d[q]
+                parts.append((offs[(p, q + 1)] + i * fdim[q + 1], offs[(p, q)] + i * fdim[q],
+                              np.broadcast_to(piece, (nbase, *piece.shape))))
+        ds.append(_assemble((dims[k + 1], dims[k]), parts))
 
-    # twisted cap duality: front/back split of each facet with anchor transport
+    # twisted cap duality: front/back split of each facet with anchor
+    # transport, the front face (f[0..p]) in degree p and the back face
+    # (f[p..m]) in degree m - p, the fiber transported from f[0] to f[p]
+    eps = np.array(base.orientations)
     sfib = np.asarray(fiber.S)
-    T = np.zeros((space.total_dim, space.total_dim), dtype=complex)
-    for f, eps in zip(fc.base.facets, fc.base.orientations):
-        for p in range(m + 1):
-            front = f[:p + 1]
-            back = f[p:]
-            fi = fc.base.simplex_index[p][front]
-            bi = fc.base.simplex_index[m - p][back]
-            coeff = eps * duality_phase(p, m)
-            for q in range(n + 1):
-                if fdim[q] == 0 or fdim[n - q] == 0:
-                    continue
-                sblock = sfib[fsp.degree_slice(n - q), fsp.degree_slice(q)]
-                piece = (coeff * rule.sigma(p, q)) * (
-                    psi_block(front[0], back[0], n - q) @ sblock)
-                k = p + q
-                r = off_k[total - k] + offs[(m - p, n - q)] + bi * fdim[n - q]
-                c = off_k[k] + offs[(p, q)] + fi * fdim[q]
-                T[r:r + fdim[n - q], c:c + fdim[q]] += piece
+    parts = []
+    for p in range(m + 1):
+        front, back, psi = (np.array(x) for x in zip(*(
+            (base.simplex_index[p][f[:p + 1]], base.simplex_index[m - p][f[p:]],
+             fc.transport(f[0], f[p])) for f in base.facets)))
+        for q in range(n + 1):
+            if fdim[q] == 0 or fdim[n - q] == 0:
+                continue
+            # psi S_fib per transport, each product formed as the
+            # per-simplex assembly formed it
+            sblock = sfib[fsp.degree_slice(n - q), fsp.degree_slice(q)]
+            psi_s = np.stack([t @ sblock for t in blocks(n - q)])
+            coeff = eps * (duality_phase(p, m) * rule.sigma(p, q))
+            kk = p + q
+            parts.append((off_k[total - kk] + offs[(m - p, n - q)] + back * fdim[n - q],
+                          off_k[kk] + offs[(p, q)] + front * fdim[q],
+                          coeff[:, None, None] * psi_s[psi]))
+    T = _assemble((space.total_dim, space.total_dim), parts)
 
     skeleton = HPComplex(space, tuple(ds), None, "weak")
     return symmetrized_duality(skeleton, T, tol, {"twist": "nontrivial"})
+
+
+def _assemble(shape: tuple[int, int], parts) -> np.ndarray:
+    """Zeros of shape plus the blocks of parts, triples (rows, cols, pieces)
+    placing pieces[e] with its top left corner at (rows[e], cols[e]); no two
+    blocks overlap.  float64 when no piece has a nonzero imaginary part,
+    complex128 otherwise: each entry is 0 plus its piece, so a zero of
+    either sign reads +0.0."""
+    real = not any(np.iscomplexobj(x) and x.imag.any() for _, _, x in parts)
+    out = np.zeros(shape, dtype=float if real else complex)
+    for rows, cols, pieces in parts:
+        _, a, b = pieces.shape
+        np.add.at(out, ((rows[:, None] + np.arange(a))[:, :, None],
+                        (cols[:, None] + np.arange(b))[:, None, :]),
+                  pieces.real if real else pieces)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,16 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _cmat(a, rows: int, cols: int, what: str) -> np.ndarray:
-    m = np.asarray(a, dtype=complex)
+    """a as a read-only rows x cols operator, stored in float64 when every
+    imaginary part is exactly +0.0 (all of its bits 0) and in complex128
+    otherwise: the one place the dtype of a stored operator is decided.
+    An imaginary part of -0.0 keeps the matrix complex, so that it encodes
+    to the same bytes."""
+    m = np.asarray(a)
+    if m.dtype != np.float64:
+        m = m.astype(complex, copy=False)
+        if not m.imag.view(np.uint64).any():
+            m = m.real
     if m.shape != (rows, cols):
         raise StructuralError(f"{what}: expected shape {(rows, cols)}, got {m.shape}")
     return _freeze(m)
@@ -136,8 +145,8 @@ class GradedSpace:
     def g_block(self, p: int) -> np.ndarray:
         g = self.inner[p]
         if g is None:
-            return np.eye(self.dims[p], dtype=complex)
-        return np.asarray(g)
+            return np.eye(self.dims[p])
+        return g
 
     @property
     def has_weights(self) -> bool:
@@ -219,12 +228,13 @@ class GradedSum:
     [[0, X+-], [X+-*, 0]] by degree parity.  The Weyl slack adds the norm of
     the entries breaking these rules to that of the skew parts.
 
-    This is where the dtype of D +- S is decided.  D is kept in float64 when
-    its imaginary part is exactly 0 (spectral.real_if_exact), and so is an S
-    given to operand, hermitian_part or spectrum, unless D is complex.  On an
-    unweighted triangulation D is real, and so is S for n = 0, 1 (mod 4).
-    spectrum_of, which the localization schedule and the rho path call per
-    sample, takes its h in the dtype it comes in."""
+    D and S come in the dtype _cmat stored them in, so a float64 D or S is
+    read in place.  A complex D, or an S given to operand, hermitian_part or
+    spectrum, whose imaginary part is 0 all the same (a weighted complex's
+    D_on, a -0.0 imaginary part) is taken in float64 too
+    (spectral.real_if_exact), S only while D is real.  spectrum_of, which the
+    localization schedule and the rho path call per sample, takes its h in
+    the dtype it comes in."""
 
     def __init__(self, grading: Grading, n: int, d: np.ndarray):
         self.grading = grading
@@ -341,8 +351,9 @@ class HPComplex:
 
     @cached_property
     def d_total(self) -> np.ndarray:
+        """The blocks of d on the total space, in their common dtype."""
         sp = self.space
-        out = np.zeros((sp.total_dim, sp.total_dim), dtype=complex)
+        out = np.zeros((sp.total_dim, sp.total_dim), dtype=np.result_type(float, *self.d))
         for p, dp in enumerate(self.d):
             out[sp.degree_slice(p + 1), sp.degree_slice(p)] = dp
         return _freeze(out)
@@ -634,17 +645,20 @@ def rescale_inner_products(c: HPComplex, lam: float) -> HPComplex:
     space = GradedSpace(n, sp.dims, tuple(inner))
     S = None
     if c.S is not None:
-        S = np.array(c.S, dtype=complex)
+        S = np.array(c.S)
         for p in range(n + 1):
             S[:, sp.degree_slice(p)] = S[:, sp.degree_slice(p)] * weights[p]
     return HPComplex(space, c.d, S, c.tier, dict(c.meta))
 
 
 def reverse_orientation(c: HPComplex) -> HPComplex:
-    """Flip the duality sign; negates the even-dimensional signature."""
+    """Flip the duality sign; negates the even-dimensional signature.  The
+    sign is flipped in complex arithmetic, which turns a real S's imaginary
+    parts to -0.0, so the flipped S is stored complex and encodes to the
+    bytes the shipped fixtures pin."""
     if c.S is None:
         raise StructuralError("complex carries no duality operator")
-    return HPComplex(c.space, c.d, -np.asarray(c.S), c.tier, dict(c.meta))
+    return HPComplex(c.space, c.d, -np.asarray(c.S, dtype=complex), c.tier, dict(c.meta))
 
 
 # ---------------------------------------------------------------------------

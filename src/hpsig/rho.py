@@ -96,8 +96,10 @@ class HEReport:
 
 def validate_homotopy_equivalence(he: HomotopyEquivalence,
                                   tol: Tolerances = DEFAULT_TOL) -> HEReport:
-    ds = he.source.d_total
-    dt = he.target.d_total
+    # the maps are complex, so the identities are checked in complex
+    # arithmetic, d converted once rather than in each product
+    ds = he.source.d_total.astype(complex, copy=False)
+    dt = he.target.d_total.astype(complex, copy=False)
     eye_s = np.eye(he.source.total_dim)
     eye_t = np.eye(he.target.total_dim)
     r_f = spectral.operator_norm(he.f @ ds - dt @ he.f)

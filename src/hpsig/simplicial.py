@@ -345,10 +345,11 @@ def betti_numbers(sm: SimplicialManifold) -> tuple[int, ...]:
 
 
 def cochain_complex(sm: SimplicialManifold) -> HPComplex:
-    """Integer cochain complex with the standard basis; no duality attached."""
+    """Integer cochain complex with the standard basis, d in float64; no
+    duality attached."""
     dims = sm.dims
     space = GradedSpace(sm.n, dims)
-    ds = tuple(b.T.astype(complex) for b in sm.boundaries)
+    ds = tuple(b.T.astype(float) for b in sm.boundaries)
     return HPComplex(space, ds, None, "weak")
 
 
@@ -374,11 +375,12 @@ def duality_phase(p: int, n: int) -> complex:
 
 def _cap_operator(sm: SimplicialManifold) -> np.ndarray:
     """Front-face/back-face cap with the fundamental cycle, degree p -> n-p,
-    chains identified with cochains through the standard basis."""
+    chains identified with cochains through the standard basis; an integer
+    matrix in float64."""
     dims = sm.dims
     off = np.cumsum([0, *dims])
     total = off[-1]
-    T = np.zeros((total, total), dtype=complex)
+    T = np.zeros((total, total))
     n = sm.n
     for f, eps in zip(sm.facets, sm.orientations):
         for p in range(n + 1):
@@ -441,8 +443,15 @@ def cap_duality(sm: SimplicialManifold, tol: Tolerances = DEFAULT_TOL,
     dims = sm.dims
     off = np.cumsum([0, *dims])
     T = _cap_operator(sm)
-    for p in range(sm.n + 1):
-        T[:, off[p]:off[p + 1]] *= duality_phase(p, sm.n)
+    # the phases are +-1 for n = 0, 1 (mod 4), applied in float64, and +-i
+    # otherwise
+    phases = [duality_phase(p, sm.n) for p in range(sm.n + 1)]
+    if any(z.imag for z in phases):
+        T = T.astype(complex)
+    else:
+        phases = [z.real for z in phases]
+    for p, z in enumerate(phases):
+        T[:, off[p]:off[p + 1]] *= z
     # the point and other rigid cases can land on the strict tier
     return symmetrized_duality(c, T, tol, {},
                                harmonic=construction == "harmonic").at_achieved_tier(tol)
@@ -541,10 +550,10 @@ def _laplacian_blocks(c: HPComplex, tol: Tolerances
     Returns per degree the eigensystem with the mask of its kernel,
     |lambda| <= tol.inv * max(1, largest |lambda| over all blocks), and the
     harmonic basis u, those kernel vectors lifted to the total space in
-    degree order.  The blocks stay complex where D is real: a real eigh picks
+    degree order.  The blocks are complex where D is real: a real eigh picks
     another basis of each kernel, and the shipped reductions pin this one."""
     sp = c.space
-    d_on = c.D_on
+    d_on = c.D_on.astype(complex, copy=False)
     systems = [spectral.eig_hermitian(d_on[sl, :] @ d_on[:, sl], tol.sym)
                for sl in map(sp.degree_slice, range(sp.n + 1))]
     top = max((float(np.abs(es.eigenvalues).max()) for es in systems
@@ -580,8 +589,9 @@ def harmonic_reduction(c: HPComplex, tol: Tolerances = DEFAULT_TOL
         inv = np.where(kernel, 0.0, 1.0) / np.where(kernel, 1.0, es.eigenvalues)
         sl = sp.degree_slice(p)
         green_on[sl, sl] = (es.vectors * inv) @ es.vectors.conj().T
-    # d* G maps degree p + 1 to degree p: one block of d* times one of G
-    d_on = c.to_orthonormal(c.d_total)
+    # d* G maps degree p + 1 to degree p: one block of d* times one of G,
+    # in complex arithmetic as the Laplacian blocks are
+    d_on = c.to_orthonormal(c.d_total).astype(complex, copy=False)
     hprime_on = np.zeros((sp.total_dim, sp.total_dim), dtype=complex)
     for p in range(sp.n):
         lo, hi = sp.degree_slice(p), sp.degree_slice(p + 1)

@@ -1,5 +1,8 @@
 """Fibered complexes: twisted totals, monodromy, sections, multiplicativity."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,9 +11,13 @@ from hpsig.family import (FiberedComplex, chs_check, family_signature_section,
                           fibered_from_json, fibered_to_json,
                           monodromy_homology_action, total_complex,
                           validate_fibered)
-from hpsig.hpc_core import StructuralError, hpcomplex_to_json, validate
-from hpsig.products import graded_tensor
-from hpsig.simplicial import cap_duality
+from hpsig.hpc_core import (DEFAULT_TOL, GradedSpace, HPComplex, StructuralError,
+                            hpcomplex_to_json, validate)
+from hpsig.products import _tensor_layout, derive_sign_rule, graded_tensor
+from hpsig.simplicial import (cap_duality, duality_phase, load_simplicial, orient_facets,
+                              symmetrized_duality)
+
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def rotation():
@@ -240,3 +247,169 @@ def test_fibered_json_round_trip():
     back = fibered_from_json(fibered_to_json(fc))
     assert back.base.digest() == fc.base.digest()
     assert np.array_equal(back.transitions[(2, 0)], fc.transitions[(2, 0)])
+
+
+# ---------------------------------------------------------------------------
+# the vectorized assembly against the per-simplex one
+
+
+def reference_twisted_product(fc: FiberedComplex) -> HPComplex:
+    """The total complex of fc assembled one simplex and one fiber block at
+    a time, as the twisted product once was: every piece of d and of the
+    cap duality T added into a complex128 matrix, transports read through
+    fc.transition."""
+    tol = DEFAULT_TOL
+    base_c = cap_duality(fc.base, tol)
+    fiber = fc.fiber
+    m, n = base_c.n, fiber.n
+    total = m + n
+    pairs, dims, offs = _tensor_layout(base_c, fiber)
+    off_k = np.cumsum([0, *dims])
+    rule = derive_sign_rule(m, n)
+    fsp = fiber.space
+    fdim = [fsp.dims[q] for q in range(n + 1)]
+
+    inner = None
+    if fsp.has_weights:
+        inner = []
+        for k in range(total + 1):
+            g = np.zeros((dims[k], dims[k]), dtype=complex)
+            for (p, q) in pairs[k]:
+                blk = np.kron(np.eye(len(fc.base.simplices[p])), fsp.g_block(q))
+                o = offs[(p, q)]
+                g[o:o + blk.shape[0], o:o + blk.shape[1]] = blk
+            inner.append(g)
+        inner = tuple(inner)
+    space = GradedSpace(total, tuple(dims), inner)
+
+    def psi_block(i, j, q):
+        sl = fsp.degree_slice(q)
+        return fc.transition(i, j)[sl, sl]
+
+    ds = []
+    for k in range(total):
+        blk = np.zeros((dims[k + 1], dims[k]), dtype=complex)
+        for (p, q) in pairs[k]:
+            nbase = len(fc.base.simplices[p])
+            if nbase == 0 or fdim[q] == 0:
+                continue
+            if p + 1 <= m:
+                idx_lo = fc.base.simplex_index[p]
+                for ti, tau in enumerate(fc.base.simplices[p + 1]):
+                    for pos in range(p + 2):
+                        sigma = tau[:pos] + tau[pos + 1:]
+                        si = idx_lo[sigma]
+                        piece = (-1.0) ** pos * psi_block(sigma[0], tau[0], q)
+                        r = offs[(p + 1, q)] + ti * fdim[q]
+                        c = offs[(p, q)] + si * fdim[q]
+                        blk[r:r + fdim[q], c:c + fdim[q]] += piece
+            if q + 1 <= n and fdim[q + 1]:
+                piece = ((-1.0) ** p) * np.kron(np.eye(nbase), fiber.d[q])
+                r = offs[(p, q + 1)]
+                c = offs[(p, q)]
+                blk[r:r + piece.shape[0], c:c + piece.shape[1]] += piece
+        ds.append(blk)
+
+    sfib = np.asarray(fiber.S)
+    T = np.zeros((space.total_dim, space.total_dim), dtype=complex)
+    for f, eps in zip(fc.base.facets, fc.base.orientations):
+        for p in range(m + 1):
+            front, back = f[:p + 1], f[p:]
+            fi = fc.base.simplex_index[p][front]
+            bi = fc.base.simplex_index[m - p][back]
+            coeff = eps * duality_phase(p, m)
+            for q in range(n + 1):
+                if fdim[q] == 0 or fdim[n - q] == 0:
+                    continue
+                sblock = sfib[fsp.degree_slice(n - q), fsp.degree_slice(q)]
+                piece = (coeff * rule.sigma(p, q)) * (
+                    psi_block(front[0], back[0], n - q) @ sblock)
+                k = p + q
+                r = off_k[total - k] + offs[(m - p, n - q)] + bi * fdim[n - q]
+                c = off_k[k] + offs[(p, q)] + fi * fdim[q]
+                T[r:r + fdim[n - q], c:c + fdim[q]] += piece
+
+    skeleton = HPComplex(space, tuple(ds), None, "weak")
+    return symmetrized_duality(skeleton, T, tol, {"twist": "nontrivial"})
+
+
+def seam_twisted_torus(k: int, seed: int) -> FiberedComplex:
+    """The torus model over a k x k grid torus with permuted vertex labels,
+    whose edges crossing the column seam carry the rotation from the column
+    k - 1 frame to the column 0 frame.  A triangle meets the seam in two
+    edges traversed in opposite directions, so the twist is flat."""
+    perm = np.random.default_rng(seed).permutation(k * k)
+
+    def v(i, j):
+        return int(perm[(i % k) * k + (j % k)])
+
+    facets = [tri for i in range(k) for j in range(k)
+              for tri in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)),
+                          (v(i, j), v(i + 1, j + 1), v(i, j + 1)))]
+    base = load_simplicial({"n": 2, "vertices": k * k, "facets": facets,
+                            "orientations": orient_facets(facets, 2)})
+    transitions = {(v(i, k - 1), right): rotation()
+                   for i in range(k) for right in (v(i, 0), v(i + 1, 0))}
+    return FiberedComplex(base, fixtures.torus_model(), transitions)
+
+
+class AlwaysTwisted(FiberedComplex):
+    """A fibered complex assembled as twisted even when every transition
+    is the identity."""
+
+    @property
+    def untwisted(self):
+        return False
+
+
+def shipped_fibered(name: str) -> FiberedComplex:
+    fc = fibered_from_json(json.loads((FIXTURE_DIR / f"{name}.json").read_text()))
+    return AlwaysTwisted(fc.base, fc.fiber, fc.transitions)
+
+
+def weighted_torus_twist() -> FiberedComplex:
+    from hpsig.hpc_core import rescale_inner_products
+    return FiberedComplex(fixtures.circle_triangulation(),
+                          rescale_inner_products(fixtures.torus_model(), 2.0),
+                          {(2, 0): rotation()})
+
+
+TWISTED = {
+    **{f"seam_torus{k}x{k}#{seed}": (lambda k=k, seed=seed: seam_twisted_torus(k, seed))
+       for k in (3, 4, 5) for seed in (1, 2)},
+    **{name: (lambda name=name: shipped_fibered(name))
+       for name in ("fc_mapping_torus_cp2", "fc_sphere_x_cp2", "fc_torus_twist")},
+    "weighted_torus_twist": weighted_torus_twist,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWISTED))
+def test_vectorized_total_complex_equals_the_per_simplex_assembly(name):
+    fc = TWISTED[name]()
+    tot = total_complex(fc)
+    ref = reference_twisted_product(fc)
+    assert tot.meta == ref.meta
+    # both pass through HPComplex, which picks each dtype from the bits
+    for got, want in zip((*tot.d, tot.S), (*ref.d, ref.S)):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    if name.startswith("seam_torus"):
+        # a bundle with real transports and a real total duality is stored
+        # real throughout
+        assert all(a.dtype == np.float64 for a in (*tot.d, tot.S))
+
+
+def test_transports_are_one_table_with_the_identity_first():
+    fc = seam_twisted_torus(4, 1)
+    table = fc.transports
+    assert not table.flags.writeable
+    # the identity, the rotation and its inverse, each once
+    assert table.shape == (3, 4, 4)
+    assert np.array_equal(table[0], np.eye(4))
+    for (i, j), psi in fc.transitions.items():
+        assert np.array_equal(fc.transition(i, j), psi)
+        assert np.array_equal(fc.transition(j, i) @ psi, np.eye(4))
+    base = fc.base
+    edges = [e for e in base.simplices[1] if e not in fc.transitions
+             and e[::-1] not in fc.transitions]
+    assert edges and all(fc.transport(*e) == fc.transport(*e[::-1]) == 0 for e in edges)

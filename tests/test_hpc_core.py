@@ -236,6 +236,87 @@ def test_json_round_trip_exact():
         assert back.tier == c.tier
 
 
+def _cp2_9_cap():
+    return cap_duality(load_simplicial(json.loads((FIXTURE_DIR / "cp2_9.json").read_text())))
+
+
+@pytest.mark.parametrize("imag,dtype", [(0.0, np.float64), (1e-300, np.complex128),
+                                        (-0.0, np.complex128)],
+                         ids=["plus_zero", "tiny", "minus_zero"])
+def test_operators_are_stored_real_exactly_when_every_imaginary_part_is_plus_zero(imag,
+                                                                                  dtype):
+    # one imaginary part of the stored operators of cp2_9's cap duality set
+    # to imag in turn: d_1, S and an inner product G_2 = 1
+    cap = _cp2_9_cap()
+    assert cap.S.dtype == np.float64
+    assert all(dp.dtype == np.float64 for dp in cap.d)
+
+    def edited(a):
+        out = np.array(a, dtype=complex)
+        i, j = np.argwhere(out != 0)[0]
+        out[i, j] = complex(out[i, j].real, imag)
+        return out
+
+    d = list(cap.d)
+    d[1] = edited(d[1])
+    inner = [None] * (cap.n + 1)
+    inner[2] = edited(np.eye(cap.space.dims[2]))
+    space = GradedSpace(cap.n, cap.space.dims, tuple(inner))
+    for c, stored, given in (
+            (HPComplex(cap.space, tuple(d), cap.S), lambda c: c.d[1], d[1]),
+            (HPComplex(cap.space, cap.d, edited(cap.S)), lambda c: c.S, edited(cap.S)),
+            (HPComplex(space, cap.d, cap.S), lambda c: c.space.inner[2], inner[2])):
+        # the stored bits are the given ones, signed zeros included
+        assert stored(c).dtype == dtype
+        want = given.real if dtype == np.float64 else given
+        assert stored(c).tobytes() == np.ascontiguousarray(want).tobytes()
+    # d_total and D take the dtype of the blocks
+    c = HPComplex(cap.space, tuple(d), cap.S)
+    assert c.d_total.dtype == c.D.dtype == dtype
+    assert all(dp.dtype == np.float64 for p, dp in enumerate(c.d) if p != 1)
+
+
+@pytest.mark.parametrize("name,real", [("point", True), ("circle3", True), ("sphere_d3", False),
+                                       ("torus7", False), ("cp2_9", True)])
+def test_cap_dualities_are_real_for_n_0_and_1_mod_4(name, real):
+    sm = load_simplicial(json.loads((FIXTURE_DIR / f"{name}.json").read_text()))
+    cap = cap_duality(sm)
+    assert cap.S.dtype == (np.float64 if real else np.complex128)
+    assert all(dp.dtype == np.float64 for dp in cochain_complex(sm).d + cap.d)
+
+
+def test_reverse_orientation_of_a_real_duality_is_stored_complex():
+    # the flipped S has imaginary parts -0.0, which the shipped
+    # he_offgrid_crossing.json pins
+    c = fixtures.circle_model()
+    assert c.S.dtype == np.float64
+    flipped = reverse_orientation(c).S
+    assert flipped.dtype == np.complex128
+    assert np.signbit(flipped.imag).all() and np.array_equal(flipped, -c.S)
+
+
+def _encoded(doc: dict) -> str:
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in FIXTURE_DIR.glob("*.json")
+                                        if p.name.startswith(("he_", "fc_"))
+                                        or p.name.endswith("_model.json")))
+def test_json_round_trips_of_the_shipped_files_are_byte_identical(path):
+    from hpsig.family import fibered_to_json
+    from hpsig.rho import he_from_json, he_to_json
+
+    text = (FIXTURE_DIR / path).read_text()
+    doc = json.loads(text)
+    if path.startswith("he_"):
+        back = he_to_json(he_from_json(doc))
+    elif path.startswith("fc_"):
+        back = fibered_to_json(fibered_from_json(doc))
+    else:
+        back = hpcomplex_to_json(hpcomplex_from_json(doc))
+    assert _encoded(back) == text
+
+
 def test_json_round_trip_with_weights():
     c = rescale_inner_products(fixtures.torus_model(), 3.0)
     back = hpcomplex_from_json(hpcomplex_to_json(c))

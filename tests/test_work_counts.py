@@ -657,10 +657,11 @@ def test_sgn_on_a_complex_duality_decomposes_in_complex(monkeypatch, capsys, tmp
 
 def test_the_real_dtype_test_is_exact(monkeypatch, capsys, tmp_path):
     # one entry of the real cap duality of cp2_9 with imaginary part 1e-300,
-    # far below every tolerance, is enough to keep D +- S complex
+    # far below every tolerance, is enough to keep D +- S complex; cap.S is
+    # stored in float64, so the entry is added to a complex copy
     cap = simplicial.cap_duality(simplicial.load_simplicial(json.loads(
         (FIXTURE_DIR / "cp2_9.json").read_text())))
-    s = np.array(cap.S)
+    s = np.array(cap.S, dtype=complex)
     i, j = np.argwhere(s != 0)[0]
     s[i, j] += 1e-300j
     c = hpc_core.HPComplex(cap.space, cap.d, s, cap.tier, cap.meta)

@@ -5,25 +5,27 @@ Each command runs in process through ``hpsig.cli.main``.  Every call of a
 and dtype of its first argument.  Counts do not depend on timing or on the
 machine's load, so two files written by this script can be diffed exactly.
 
-    python3 tools/bench_counts.py --out BENCH_28.json --base HEAD
+    python3 tools/bench_counts.py --out BENCH_29.json --base HEAD
 
 counts the ``src/`` of the working tree and, with ``--base``, that of a git
 revision, extracted with ``git archive`` into a temporary directory.  Each
 tree is counted in a subprocess of its own, so the two never share an
 import.  Both trees read the working tree's ``fixtures/``, so they see the
-same inputs, and each op records the bytes of its stdout report, whose
-``inputs`` name the fixtures by their path in the working tree.  Each tree
-also records the line count of its ``src/hpsig/*.py``.  The file also
-records the git HEAD, whether ``src/`` differs from it, and the BLAS thread
-count.  The script exits 1 when an op of the working tree exits with
-another code than the one listed for it: 1 for the three negative
-controls, 0 for every other op.
+same inputs, and each op records the length and the sha256 of its stdout
+report, whose ``inputs`` name the fixtures by their path in the working
+tree.  Each tree also records the line count of its ``src/hpsig/*.py``.
+The file also records the git HEAD, whether ``src/`` differs from it, and
+the BLAS thread count.  The script exits 1 when an op of the working tree
+exits with another code than the one listed for it (1 for the three
+negative controls, 0 for every other op) and, with ``--base``, when the
+report of an op differs from the base's; it names each such op on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -53,8 +55,8 @@ OPS = ([(["check", "fixtures/cp2_9.json"], 0), (["check", "fixtures/torus7.json"
 
 def count(src: Path) -> dict:
     """The line count of each src/hpsig/*.py and their total, and per op, its
-    exit code, the bytes of its report and the calls of each routine, keyed
-    "routine shape dtype"; hpsig is imported from src."""
+    exit code, the length and sha256 of its report and the calls of each
+    routine, keyed "routine shape dtype"; hpsig is imported from src."""
     lines = {p.name: len(p.read_text().splitlines())
              for p in sorted((src / "hpsig").glob("*.py"))}
     sys.path.insert(0, str(src))
@@ -84,8 +86,9 @@ def count(src: Path) -> dict:
         report = io.StringIO()
         with contextlib.redirect_stdout(report), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(args)
-        out.append({"argv": argv, "exit": code,
-                    "report_bytes": len(report.getvalue().encode()),
+        text = report.getvalue().encode()
+        out.append({"argv": argv, "exit": code, "report_bytes": len(text),
+                    "report_sha256": hashlib.sha256(text).hexdigest(),
                     "calls": dict(sorted(calls.items()))})
     return {"src_lines": {"total": sum(lines.values()), **lines}, "ops": out}
 
@@ -131,11 +134,15 @@ def main() -> None:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-    wrong = [(op["argv"], op["exit"], want)
-             for op, (_, want) in zip(doc["change"]["ops"], OPS) if op["exit"] != want]
-    for argv, got, want in wrong:
-        print(f"error: {' '.join(argv)} exited {got}, expected {want}", file=sys.stderr)
-    if wrong:
+    errors = [f"{' '.join(op['argv'])} exited {op['exit']}, expected {want}"
+              for op, (_, want) in zip(doc["change"]["ops"], OPS) if op["exit"] != want]
+    if args.base:
+        errors += [f"{' '.join(op['argv'])}: report differs from the base's"
+                   for op, base in zip(doc["change"]["ops"], doc["base"]["ops"])
+                   if op["report_sha256"] != base.get("report_sha256")]
+    for error in errors:
+        print(f"error: {error}", file=sys.stderr)
+    if errors:
         raise SystemExit(1)
 
 
