@@ -32,8 +32,7 @@ from .products import (ProductWitnessReport, SignRule, derive_sign_rule,
                        witness_even_odd, witness_odd_even)
 from .rho import (HomotopyEquivalence, RhoPath, TerminalCheck, identity_equivalence,
                   rho_path, terminal_check, validate_homotopy_equivalence)
-from .family import (CHSReport, FiberedComplex, chs_check,
-                     family_signature_section, fibered_from_json,
+from .family import (CHSReport, FiberedComplex, chs_check, fibered_from_json,
                      fibered_to_json, monodromy_homology_action, total_complex)
 from .coarse import (FiniteMetricSpace, LocalizationPath, SupportedOperator,
                      almost_projection_product, compose, evaluation,

@@ -1,11 +1,11 @@
 """Fibered complexes: a simplicial base, a duality complex as fiber, and
 invertible chain automorphisms gluing the fiber over base edges.
 
-The total complex is a twisted graded tensor product.  With identity
-transitions it coincides with the plain graded product; with nontrivial
-transitions the base coboundary transports fiber values between vertex
-frames (the least vertex of each simplex anchors its fiber copy), and
-flatness is exactly the cocycle condition over base triangles.
+The total complex has one construction, the twisted graded tensor
+product: the base coboundary transports fiber values between vertex frames
+(the least vertex of each simplex anchors its fiber copy), and flatness is
+exactly the cocycle condition over base triangles.  With identity
+transitions it is the plain graded product, bit for bit.
 """
 
 from __future__ import annotations
@@ -16,11 +16,9 @@ from typing import Mapping
 import numpy as np
 
 from . import spectral
-from .hpc_core import (DEFAULT_TOL, DomainError, DualityDegenerateError,
-                       GradedSpace, HPComplex, StructuralError, Tolerances,
-                       decode_matrix, encode_matrix, hpcomplex_from_json,
-                       hpcomplex_to_json)
-from .products import derive_sign_rule, graded_tensor, _tensor_layout
+from .hpc_core import (DEFAULT_TOL, HPComplex, StructuralError, Tolerances, _assemble,
+                       decode_matrix, encode_matrix, hpcomplex_from_json, hpcomplex_to_json)
+from .products import derive_sign_rule, _tensor_space
 from .signature import signature_even
 from .simplicial import (SimplicialManifold, cap_duality, duality_phase,
                          harmonic_reduction, load_simplicial, symmetrized_duality)
@@ -29,8 +27,9 @@ from .simplicial import (SimplicialManifold, cap_duality, duality_phase,
 @dataclass(frozen=True, eq=False)
 class FiberedComplex:
     """Base triangulation, fiber complex, and per-edge transitions psi_ij
-    (an invertible chain automorphism of the fiber mapping frame i to frame j;
-    missing edges default to the identity, reversed edges to the inverse).
+    (an invertible chain automorphism of the fiber mapping frame i to frame j,
+    each degree to itself; missing edges default to the identity, reversed
+    edges to the inverse).
 
     transports stacks every psi_ij, read-only, once per distinct matrix
     after the identity at index 0, with one inverse per distinct stored
@@ -44,6 +43,7 @@ class FiberedComplex:
         edges = set(self.base.simplices[1]) if self.base.n >= 1 else set()
         fixed = {}
         nf = self.fiber.total_dim
+        degree = np.repeat(np.arange(self.fiber.n + 1), self.fiber.space.dims)
         for key, mat in self.transitions.items():
             i, j = int(key[0]), int(key[1])
             if tuple(sorted((i, j))) not in edges:
@@ -52,6 +52,8 @@ class FiberedComplex:
             if m.shape != (nf, nf):
                 raise StructuralError(f"transition ({i},{j}) has shape {m.shape}, "
                                       f"expected {(nf, nf)}")
+            if m[degree[:, None] != degree].any():
+                raise StructuralError(f"transition ({i},{j}) mixes fiber degrees")
             fixed[(i, j)] = m
         # psi in both directions of every stored edge, one inverse per
         # distinct matrix, so equal transitions have inverses with equal bits
@@ -89,12 +91,6 @@ class FiberedComplex:
         transition, else the inverse of the stored reverse one, computed at
         construction, else the identity; read-only."""
         return self.transports[self.transport(i, j)]
-
-    @property
-    def untwisted(self) -> bool:
-        nf = self.fiber.total_dim
-        return all(np.array_equal(m, np.eye(nf, dtype=complex))
-                   for m in self.transitions.values())
 
 
 @dataclass(frozen=True)
@@ -176,33 +172,12 @@ def _require_total(fc: FiberedComplex, rep: FiberedReport) -> None:
 
 def _twisted_product(fc: FiberedComplex, base_c: HPComplex, tol: Tolerances) -> HPComplex:
     """The total complex of a valid fc over base_c, the cap duality of its base."""
-    if fc.untwisted:
-        out = graded_tensor(base_c, fc.fiber)
-        meta = dict(out.meta)
-        meta["twist"] = "trivial"
-        return HPComplex(out.space, out.d, out.S, out.tier, meta)
-
     fiber, base = fc.fiber, fc.base
     m, n = base_c.n, fiber.n
-    total = m + n
-    pairs, dims, offs = _tensor_layout(base_c, fiber)
-    off_k = np.cumsum([0, *dims])
+    space, pairs, offs = _tensor_space(base_c, fiber)
     rule = derive_sign_rule(m, n)
     fsp = fiber.space
     fdim = fsp.dims
-
-    inner = None
-    if fsp.has_weights:
-        inner = []
-        for k in range(total + 1):
-            g = np.zeros((dims[k], dims[k]), dtype=complex)
-            for (p, q) in pairs[k]:
-                blk = np.kron(np.eye(len(base.simplices[p])), fsp.g_block(q))
-                o = offs[(p, q)]
-                g[o:o + blk.shape[0], o:o + blk.shape[1]] = blk
-            inner.append(g)
-        inner = tuple(inner)
-    space = GradedSpace(total, tuple(dims), inner)
 
     def blocks(q: int) -> np.ndarray:
         """The degree-q diagonal blocks of every transport."""
@@ -221,7 +196,7 @@ def _twisted_product(fc: FiberedComplex, base_c: HPComplex, tol: Tolerances) -> 
         psi[::p + 2] = [fc.transport(tau[1], tau[0]) for tau in taus]
         faces.append((np.repeat(np.arange(len(taus)), p + 2), face, sign, psi))
     ds = []
-    for k in range(total):
+    for k in range(m + n):
         parts = []
         for (p, q) in pairs[k]:
             nbase = len(base.simplices[p])
@@ -235,8 +210,8 @@ def _twisted_product(fc: FiberedComplex, base_c: HPComplex, tol: Tolerances) -> 
                 i = np.arange(nbase)
                 piece = ((-1.0) ** p) * fiber.d[q]
                 parts.append((offs[(p, q + 1)] + i * fdim[q + 1], offs[(p, q)] + i * fdim[q],
-                              np.broadcast_to(piece, (nbase, *piece.shape))))
-        ds.append(_assemble((dims[k + 1], dims[k]), parts))
+                              piece))
+        ds.append(_assemble((space.dims[k + 1], space.dims[k]), parts))
 
     # twisted cap duality: front/back split of each facet with anchor
     # transport, the front face (f[0..p]) in degree p and the back face
@@ -256,34 +231,19 @@ def _twisted_product(fc: FiberedComplex, base_c: HPComplex, tol: Tolerances) -> 
             sblock = sfib[fsp.degree_slice(n - q), fsp.degree_slice(q)]
             psi_s = np.stack([t @ sblock for t in blocks(n - q)])
             coeff = eps * (duality_phase(p, m) * rule.sigma(p, q))
-            kk = p + q
-            parts.append((off_k[total - kk] + offs[(m - p, n - q)] + back * fdim[n - q],
-                          off_k[kk] + offs[(p, q)] + front * fdim[q],
+            parts.append((space.offsets[m + n - p - q] + offs[(m - p, n - q)]
+                          + back * fdim[n - q],
+                          space.offsets[p + q] + offs[(p, q)] + front * fdim[q],
                           coeff[:, None, None] * psi_s[psi]))
     T = _assemble((space.total_dim, space.total_dim), parts)
 
     skeleton = HPComplex(space, tuple(ds), None, "weak")
-    return symmetrized_duality(skeleton, T, tol, {"twist": "nontrivial"})
-
-
-def _assemble(shape: tuple[int, int], parts) -> np.ndarray:
-    """Zeros of shape plus the blocks of parts, triples (rows, cols, pieces)
-    placing pieces[e] with its top left corner at (rows[e], cols[e]); no two
-    blocks overlap.  float64 when no piece has a nonzero imaginary part,
-    complex128 otherwise: each entry is 0 plus its piece, so a zero of
-    either sign reads +0.0."""
-    real = not any(np.iscomplexobj(x) and x.imag.any() for _, _, x in parts)
-    out = np.zeros(shape, dtype=float if real else complex)
-    for rows, cols, pieces in parts:
-        _, a, b = pieces.shape
-        np.add.at(out, ((rows[:, None] + np.arange(a))[:, :, None],
-                        (cols[:, None] + np.arange(b))[:, None, :]),
-                  pieces.real if real else pieces)
-    return out
+    twist = "trivial" if (fc.transports == fc.transports[0]).all() else "nontrivial"
+    return symmetrized_duality(skeleton, T, tol, {"twist": twist})
 
 
 # ---------------------------------------------------------------------------
-# monodromy and the fiber-signature section
+# monodromy
 
 
 def _spanning_tree_transports(fc: FiberedComplex) -> tuple[dict[int, np.ndarray],
@@ -332,7 +292,7 @@ def monodromy_homology_action(fc: FiberedComplex,
     transports, loops = _spanning_tree_transports(fc)
     _, he = harmonic_reduction(fc.fiber, tol)
     proj, incl = he.f, he.g
-    # one inverse per distinct transport: on an untwisted bundle all are 1
+    # one inverse per distinct transport: with identity transitions all are 1
     distinct = {transports[j].tobytes(): transports[j] for _, j in loops}
     inverses = {key: np.linalg.inv(psi) for key, psi in distinct.items()}
     actions = [proj @ (inverses[transports[j].tobytes()] @ fc.transition(i, j)
@@ -344,69 +304,18 @@ def monodromy_homology_action(fc: FiberedComplex,
     return MonodromyReport(tuple(loops), tuple(actions), tuple(residuals), trivial)
 
 
-@dataclass(frozen=True)
-class SignatureSection:
-    """Per-base-vertex fiber signature (fiber conjugated into each frame)."""
-
-    values: tuple[int, ...]
-    vertices: tuple[int, ...]
-    constant: bool
-
-
-def _transported_fiber(fiber: HPComplex, psi: np.ndarray) -> HPComplex:
-    """The fiber complex conjugated by a transport psi into a vertex frame."""
-    fsp = fiber.space
-    psi_inv = np.linalg.inv(psi)
-    dsv = []
-    for p in range(fiber.n):
-        hi = fsp.degree_slice(p + 1)
-        lo = fsp.degree_slice(p)
-        dsv.append(psi[hi, hi] @ fiber.d[p] @ psi_inv[lo, lo])
-    g_conj = []
-    for p in range(fiber.n + 1):
-        sl = fsp.degree_slice(p)
-        g_conj.append(psi_inv[sl, sl].conj().T @ fsp.g_block(p) @ psi_inv[sl, sl])
-    s_conj = psi @ np.asarray(fiber.S) @ psi_inv
-    return HPComplex(GradedSpace(fiber.n, fsp.dims, tuple(g_conj)),
-                     tuple(dsv), s_conj, "weak")
-
-
-def family_signature_section(fc: FiberedComplex,
-                             tol: Tolerances = DEFAULT_TOL) -> SignatureSection:
-    if fc.fiber.n % 2 != 0:
-        raise DomainError("fiber signature section needs an even-dimensional fiber")
-    transports, _ = _spanning_tree_transports(fc)
-    fiber = fc.fiber
-
-    def value_at(v: int, c: HPComplex) -> int:
-        try:
-            return signature_even(c, tol)
-        except DualityDegenerateError as exc:
-            raise DualityDegenerateError(
-                f"fiberwise duality degenerate at base vertex {v}: {exc}") from exc
-
-    vertices = sorted(transports)
-    # the least vertex roots the transport tree; an identity transport, as
-    # at the root, conjugates the fiber to itself
-    fiber_value = value_at(vertices[0], fiber)
-    eye = np.eye(fiber.total_dim)
-    values = [fiber_value if np.array_equal(transports[v], eye)
-              else value_at(v, _transported_fiber(fiber, transports[v]))
-              for v in vertices]
-    constant = len(set(values)) <= 1
-    return SignatureSection(tuple(values), tuple(vertices), constant)
-
-
 # ---------------------------------------------------------------------------
 # multiplicativity check
 
 
 @dataclass(frozen=True)
 class CHSReport:
-    """sgn(base) * sgn(fiber) vs sgn(total), with the fiber-signature
-    section required constant; its value at the root of the transport tree
-    is sgn(fiber) itself.  monodromy and gluing are the action and the
-    gluing report the check computed; to_dict leaves them out."""
+    """sgn(base) * sgn(fiber) vs sgn(total).  The fiber signature needs no
+    check per base vertex: a transport psi preserving the degrees and the
+    duality conjugates the fiber by the unitary W = G'^(1/2) psi G^(-1/2),
+    D' +- S' = W (D +- S) W*, so every frame has the signature of the fiber.
+    monodromy and gluing are the action and the gluing report the check
+    computed; to_dict leaves them out."""
 
     outcome: str        # pass | fail | hypothesis_not_met | odd_dimension
     sgn_base: int | None
@@ -441,18 +350,11 @@ def chs_check(fc: FiberedComplex, tol: Tolerances = DEFAULT_TOL) -> CHSReport:
     base_c = cap_duality(fc.base, tol)
     sgn_base = signature_even(base_c, tol)
     sgn_fiber = signature_even(fc.fiber, tol)
-    section = family_signature_section(fc, tol)
     _require_total(fc, gluing)
-    tot = _twisted_product(fc, base_c, tol)
-    note = ""
-    try:
-        sgn_total = signature_even(tot, tol)
-    except DualityDegenerateError:
-        reduced, _ = harmonic_reduction(tot, tol)
-        sgn_total = signature_even(reduced, tol)
-        note = "total signature computed after harmonic reduction"
-    ok = sgn_total == sgn_base * sgn_fiber and section.constant
-    return CHSReport("pass" if ok else "fail", sgn_base, sgn_fiber, sgn_total, note,
+    # the total carries the spectrum that certified D +- S invertible
+    sgn_total = signature_even(_twisted_product(fc, base_c, tol), tol)
+    ok = sgn_total == sgn_base * sgn_fiber
+    return CHSReport("pass" if ok else "fail", sgn_base, sgn_fiber, sgn_total, "",
                      mono, gluing)
 
 

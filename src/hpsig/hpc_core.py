@@ -77,6 +77,22 @@ def _cmat(a, rows: int, cols: int, what: str) -> np.ndarray:
     return _freeze(m)
 
 
+def _assemble(shape: tuple[int, int], parts) -> np.ndarray:
+    """Zeros of shape plus the blocks of parts, triples (rows, cols, pieces)
+    placing pieces[e] with its top left corner at (rows[e], cols[e]), or one
+    block pieces at (rows, cols) for ints; no two blocks overlap.  float64
+    when no piece has a nonzero imaginary part, complex128 otherwise: each
+    entry is 0 plus its piece, so a zero of either sign reads +0.0."""
+    real = not any(np.iscomplexobj(x) and x.imag.any() for _, _, x in parts)
+    out = np.zeros(shape, dtype=float if real else complex)
+    for rows, cols, pieces in parts:
+        a, b = pieces.shape[-2:]
+        out[np.reshape(rows, (-1, 1, 1)) + np.arange(a)[:, None],
+            np.reshape(cols, (-1, 1, 1)) + np.arange(b)] = 0.0 + (pieces.real if real
+                                                                  else pieces)
+    return out
+
+
 class Grading:
     """Masks of the grading eps = (-1)^p: same-parity entries, even and odd indices."""
 

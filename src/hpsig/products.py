@@ -16,13 +16,14 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from . import spectral
 from .hpc_core import (DEFAULT_TOL, IDENTITY_TOL, CheckResult, DomainError,
                        DualityDegenerateError, GradedSpace, HPComplex, StructuralError,
-                       Tolerances, require_valid, validate)
+                       Tolerances, _assemble, require_valid, validate)
 from .signature import signature_even
 from .spectral import InvertibilityCertificate
 
@@ -58,78 +59,63 @@ class SignRule:
                 "delta": self.delta, "phase_power": self.phase}
 
 
-def _tensor_layout(a: HPComplex, b: HPComplex):
-    """Degree-major layout of the product: for each total degree the (p, q)
-    summands with p ascending; returns (pairs per degree, dims, inner offsets)."""
+def _tensor_space(a: HPComplex, b: HPComplex):
+    """The graded space of a (x) b, degree-major: for each total degree the
+    (p, q) summands with p ascending, summand (p, q) with the inner product
+    G_a(p) (x) G_b(q).  Returns the space, the summands per degree and the
+    offset of each summand inside its degree."""
     m, n = a.n, b.n
-    total = m + n
-    pairs = {}
-    dims = []
-    offs = {}
-    for k in range(total + 1):
-        lst = [(p, k - p) for p in range(max(0, k - n), min(m, k) + 1)]
-        pairs[k] = lst
+    pairs, offs, dims = {}, {}, []
+    for k in range(m + n + 1):
+        pairs[k] = [(p, k - p) for p in range(max(0, k - n), min(m, k) + 1)]
         o = 0
-        for (p, q) in lst:
+        for (p, q) in pairs[k]:
             offs[(p, q)] = o
             o += a.space.dims[p] * b.space.dims[q]
         dims.append(o)
-    return pairs, dims, offs
+    inner = None
+    if a.space.has_weights or b.space.has_weights:
+        inner = tuple(_assemble((dims[k], dims[k]),
+                                [(offs[(p, q)], offs[(p, q)],
+                                  np.kron(a.space.g_block(p), b.space.g_block(q)))
+                                 for (p, q) in pairs[k]])
+                      for k in range(m + n + 1))
+    return GradedSpace(m + n, tuple(dims), inner), pairs, offs
 
 
 def graded_tensor_with_rule(a: HPComplex, b: HPComplex, rule: SignRule) -> HPComplex:
     """Product complex d_A (x) 1 + E_A (x) d_B with duality sigma * S_A (x) S_B."""
     m, n = a.n, b.n
-    total = m + n
-    pairs, dims, offs = _tensor_layout(a, b)
-    off_k = np.cumsum([0, *dims])
-
-    inner = None
-    if a.space.has_weights or b.space.has_weights:
-        inner = []
-        for k in range(total + 1):
-            g = np.zeros((dims[k], dims[k]), dtype=complex)
-            for (p, q) in pairs[k]:
-                blk = np.kron(a.space.g_block(p), b.space.g_block(q))
-                o = offs[(p, q)]
-                g[o:o + blk.shape[0], o:o + blk.shape[1]] = blk
-            inner.append(g)
-        inner = tuple(inner)
-    space = GradedSpace(total, tuple(dims), inner)
+    space, pairs, offs = _tensor_space(a, b)
+    dim_a, dim_b = a.space.dims, b.space.dims
 
     ds = []
-    for k in range(total):
-        blk = np.zeros((dims[k + 1], dims[k]), dtype=complex)
+    for k in range(m + n):
+        parts = []
         for (p, q) in pairs[k]:
-            da, db = a.space.dims[p], b.space.dims[q]
-            if da == 0 or db == 0:
+            if not dim_a[p] * dim_b[q]:
                 continue
-            if p + 1 <= m and a.space.dims[p + 1]:
-                piece = np.kron(a.d[p], np.eye(db))
-                o2 = offs[(p + 1, q)]
-                o1 = offs[(p, q)]
-                blk[o2:o2 + piece.shape[0], o1:o1 + piece.shape[1]] += piece
-            if q + 1 <= n and b.space.dims[q + 1]:
-                piece = ((-1.0) ** p) * np.kron(np.eye(da), b.d[q])
-                o2 = offs[(p, q + 1)]
-                o1 = offs[(p, q)]
-                blk[o2:o2 + piece.shape[0], o1:o1 + piece.shape[1]] += piece
-        ds.append(blk)
+            if p < m and dim_a[p + 1]:
+                parts.append((offs[(p + 1, q)], offs[(p, q)],
+                              np.kron(a.d[p], np.eye(dim_b[q]))))
+            if q < n and dim_b[q + 1]:
+                parts.append((offs[(p, q + 1)], offs[(p, q)],
+                              ((-1.0) ** p) * np.kron(np.eye(dim_a[p]), b.d[q])))
+        ds.append(_assemble((space.dims[k + 1], space.dims[k]), parts))
 
     S = None
     if a.S is not None and b.S is not None:
-        S = np.zeros((space.total_dim, space.total_dim), dtype=complex)
-        sa, sb = np.asarray(a.S), np.asarray(b.S)
-        for k in range(total + 1):
-            for (p, q) in pairs[k]:
-                SA = sa[a.space.degree_slice(m - p), a.space.degree_slice(p)]
-                SB = sb[b.space.degree_slice(n - q), b.space.degree_slice(q)]
-                if SA.size == 0 or SB.size == 0:
+        parts = []
+        for k, summands in pairs.items():
+            for (p, q) in summands:
+                if not dim_a[p] * dim_b[q] * dim_a[m - p] * dim_b[n - q]:
                     continue
-                piece = rule.sigma(p, q) * np.kron(SA, SB)
-                r = off_k[total - k] + offs[(m - p, n - q)]
-                c = off_k[k] + offs[(p, q)]
-                S[r:r + piece.shape[0], c:c + piece.shape[1]] += piece
+                SA = a.S[a.space.degree_slice(m - p), a.space.degree_slice(p)]
+                SB = b.S[b.space.degree_slice(n - q), b.space.degree_slice(q)]
+                parts.append((space.offsets[m + n - k] + offs[(m - p, n - q)],
+                              space.offsets[k] + offs[(p, q)],
+                              rule.sigma(p, q) * np.kron(SA, SB)))
+        S = _assemble((space.total_dim, space.total_dim), parts)
 
     tier = "strict" if (a.tier == b.tier == "strict" and S is not None) else "weak"
     meta = {"sign_rule": f"alpha={rule.alpha} beta={rule.beta} gamma={rule.gamma} "
@@ -212,8 +198,16 @@ def _sgn_or_zero(c: HPComplex, tol: Tolerances) -> int:
     return signature_even(c, tol)
 
 
+class ProductSignature(NamedTuple):
+    """extras: sgn_a, sgn_b, sgn_product and the product's dims; passed:
+    sgn_product = sgn_a * sgn_b."""
+
+    passed: bool
+    extras: dict
+
+
 def product_signature_check(a: HPComplex, b: HPComplex,
-                            tol: Tolerances = DEFAULT_TOL) -> ProductWitnessReport:
+                            tol: Tolerances = DEFAULT_TOL) -> ProductSignature:
     """Assert sgn(a (x) b) = sgn(a) * sgn(b), with sgn = 0 in odd dimensions."""
     for c in (a, b):
         require_valid(c, tol)
@@ -221,14 +215,8 @@ def product_signature_check(a: HPComplex, b: HPComplex,
     sa = _sgn_or_zero(a, tol)
     sb = _sgn_or_zero(b, tol)
     st = _sgn_or_zero(t, tol)
-    ok = st == sa * sb
-    ident = CheckResult("signature_multiplicative", float(abs(st - sa * sb)), 0.0, ok)
-    return ProductWitnessReport(
-        identities=(ident,),
-        certificates=(),
-        extras={"sgn_a": sa, "sgn_b": sb, "sgn_product": st,
-                "dims": list(t.space.dims)},
-        passed=ok)
+    return ProductSignature(st == sa * sb, {"sgn_a": sa, "sgn_b": sb, "sgn_product": st,
+                                            "dims": list(t.space.dims)})
 
 
 def _require_strict(c: HPComplex, tol: Tolerances, who: str) -> None:
@@ -299,9 +287,7 @@ def witness_odd_even(a: HPComplex, b: HPComplex,
     """
     if a.n % 2 != 1 or b.n % 2 != 0:
         raise DomainError("needs an odd first factor and an even second factor")
-    rep_a = validate(a, tol)
-    if not rep_a.passed:
-        raise StructuralError("odd factor fails validation")
+    require_valid(a, tol)
     _require_strict(b, tol, "even")
 
     nb = b.total_dim

@@ -470,6 +470,15 @@ def _singular_transition(command, key):
                    lambda doc: doc.update(transitions={key: zero}))
 
 
+def _degree_mixing_transition(command):
+    """argv running command on fc_mapping_torus_cp2.json, cp2_model over the
+    circle, with one transition swapping fiber degrees 0 and 4: it commutes
+    with d = 0 and keeps the duality, but is no map of graded spaces."""
+    swap = [[[float(i + j == 2), 0.0] for j in range(3)] for i in range(3)]
+    return _edited(command, "fc_mapping_torus_cp2.json",
+                   lambda doc: doc.update(transitions={"2,0": swap}))
+
+
 INPUT_ERRORS = {
     "entry_string": _model_with_s_entry(["nan", 0]),
     "entry_bare_string": _model_with_s_entry("x"),
@@ -500,6 +509,8 @@ INPUT_ERRORS = {
     "fibered_transition_singular_check_reversed": _singular_transition("check", "0,2"),
     "fibered_transition_singular_chs": _singular_transition("chs", "2,0"),
     "fibered_transition_singular_chs_reversed": _singular_transition("chs", "0,2"),
+    "fibered_transition_mixing_degrees_check": _degree_mixing_transition("check"),
+    "fibered_transition_mixing_degrees_chs": _degree_mixing_transition("chs"),
     "seed_negative": lambda tmp_path, fixture_dir: ["coarse", "--seed", "-1"],
     # argparse's own errors; the sample counts of the certifiers' starting
     # grids are code constants, and only coarse has a --metric

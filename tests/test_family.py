@@ -1,4 +1,4 @@
-"""Fibered complexes: twisted totals, monodromy, sections, multiplicativity."""
+"""Fibered complexes: total complexes, monodromy, multiplicativity."""
 
 import json
 from pathlib import Path
@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from hpsig import fixtures
-from hpsig.family import (FiberedComplex, chs_check, family_signature_section,
-                          fibered_from_json, fibered_to_json,
-                          monodromy_homology_action, total_complex,
-                          validate_fibered)
+from hpsig.family import (FiberedComplex, chs_check, fibered_from_json, fibered_to_json,
+                          monodromy_homology_action, total_complex, validate_fibered)
 from hpsig.hpc_core import (DEFAULT_TOL, GradedSpace, HPComplex, StructuralError,
-                            hpcomplex_to_json, validate)
-from hpsig.products import _tensor_layout, derive_sign_rule, graded_tensor
+                            hpcomplex_to_json, rescale_inner_products, validate)
+from hpsig.products import _tensor_space, derive_sign_rule, graded_tensor
+from hpsig.signature import signature_even
 from hpsig.simplicial import (cap_duality, duality_phase, load_simplicial, orient_facets,
                               symmetrized_duality)
 
@@ -29,50 +28,77 @@ def torus_twist():
                           {(2, 0): rotation()})
 
 
-def test_untwisted_total_equals_graded_tensor_exactly():
-    fc = FiberedComplex(fixtures.sphere_triangulation(), fixtures.cp2_model())
+def grid_torus(k: int, seed: int):
+    """The k x k grid torus with vertex labels permuted by seed, and v(i, j),
+    the label of grid point (i, j)."""
+    perm = np.random.default_rng(seed).permutation(k * k)
+
+    def v(i, j):
+        return int(perm[(i % k) * k + (j % k)])
+
+    facets = [tri for i in range(k) for j in range(k)
+              for tri in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)),
+                          (v(i, j), v(i + 1, j + 1), v(i, j + 1)))]
+    return load_simplicial({"n": 2, "vertices": k * k, "facets": facets,
+                            "orientations": orient_facets(facets, 2)}), v
+
+
+def simplex_boundary(n: int, seed: int):
+    """The boundary of the (n + 1)-simplex, an n-sphere, with vertex labels
+    permuted by seed."""
+    perm = np.random.default_rng(seed).permutation(n + 2)
+    facets = [[int(perm[v]) for v in range(n + 2) if v != i] for i in range(n + 2)]
+    return load_simplicial({"n": n, "vertices": n + 2, "facets": facets,
+                            "orientations": orient_facets(facets, n)})
+
+
+def weighted_torus():
+    return rescale_inner_products(fixtures.torus_model(), 2.0)
+
+
+def shipped_fibered(name: str) -> FiberedComplex:
+    return fibered_from_json(json.loads((FIXTURE_DIR / f"{name}.json").read_text()))
+
+
+UNTWISTED = {
+    **{name: (lambda name=name: shipped_fibered(name))
+       for name in ("fc_mapping_torus_cp2", "fc_sphere_x_cp2")},
+    **{f"{base_name}_x_{fiber_name}": (lambda base=base, fiber=fiber:
+                                       FiberedComplex(base(), fiber()))
+       for base_name, base in (("torus3x3", lambda: grid_torus(3, 1)[0]),
+                               ("sphere4", lambda: simplex_boundary(4, 1)))
+       for fiber_name, fiber in (("cp2", fixtures.cp2_model),
+                                 ("torus", fixtures.torus_model),
+                                 ("weighted_torus", weighted_torus))},
+}
+
+
+def assert_same_operators(got: HPComplex, want: HPComplex) -> None:
+    """d, S and G of got equal those of want in dtype and bytes."""
+    assert got.space.dims == want.space.dims
+    for a, b in zip((*got.d, got.S, *got.space.inner), (*want.d, want.S, *want.space.inner)):
+        assert (a is None) == (b is None)
+        if b is not None:
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(UNTWISTED))
+def test_untwisted_total_equals_graded_tensor_exactly(name):
+    fc = UNTWISTED[name]()
     tot = total_complex(fc)
-    ref = graded_tensor(cap_duality(fixtures.sphere_triangulation()),
-                        fixtures.cp2_model())
-    assert tot.space.dims == ref.space.dims
-    assert np.array_equal(np.asarray(tot.S), np.asarray(ref.S))
-    for d1, d2 in zip(tot.d, ref.d):
-        assert np.array_equal(d1, d2)
+    assert tot.meta["twist"] == "trivial"
+    assert_same_operators(tot, graded_tensor(cap_duality(fc.base), fc.fiber))
 
 
 def test_explicit_identity_transitions_take_twisted_path_and_agree():
     eye = np.eye(4, dtype=complex)
     fc = FiberedComplex(fixtures.circle_triangulation(), fixtures.torus_model(),
                         {(0, 1): eye.copy(), (1, 2): eye.copy(), (2, 0): eye.copy()})
-    assert fc.untwisted
     tot = total_complex(fc)
-    ref = graded_tensor(cap_duality(fixtures.circle_triangulation()),
-                        fixtures.torus_model())
-    assert np.array_equal(np.asarray(tot.S), np.asarray(ref.S))
-    for d1, d2 in zip(tot.d, ref.d):
-        assert np.array_equal(d1, d2)
-
-
-def test_twisted_builder_with_identity_matches_untwisted():
-    # force the nontrivial code path by perturbing one transition by 0, i.e.
-    # build through the twisted assembler with explicit identity transports
-    from hpsig.family import FiberedComplex as FC
-    import hpsig.family as fam
-
-    class Forced(FC):
-        @property
-        def untwisted(self):
-            return False
-
-    eye = np.eye(4, dtype=complex)
-    fc = Forced(fixtures.circle_triangulation(), fixtures.torus_model(),
-                {(0, 1): eye.copy()})
-    tot = fam.total_complex(fc)
-    ref = graded_tensor(cap_duality(fixtures.circle_triangulation()),
-                        fixtures.torus_model())
-    assert np.array_equal(np.asarray(tot.S), np.asarray(ref.S))
-    for d1, d2 in zip(tot.d, ref.d):
-        assert np.array_equal(d1, d2)
+    assert tot.meta["twist"] == "trivial"
+    assert_same_operators(tot, graded_tensor(cap_duality(fixtures.circle_triangulation()),
+                                             fixtures.torus_model()))
 
 
 def test_mapping_torus_cp2_is_valid_and_odd():
@@ -117,10 +143,7 @@ def test_twisted_torus_wang_betti(complex_betti):
 
 
 def test_twisted_total_with_weighted_fiber():
-    from hpsig.hpc_core import rescale_inner_products
-    fiber = rescale_inner_products(fixtures.torus_model(), 2.0)
-    fc = FiberedComplex(fixtures.circle_triangulation(), fiber,
-                        {(2, 0): rotation()})
+    fc = weighted_torus_twist()
     rep = validate_fibered(fc)
     assert rep.passed and rep.duality_compatible
     tot = total_complex(fc)
@@ -158,33 +181,36 @@ def test_monodromy_chain_homotopic_to_identity_is_invisible():
     assert mono.trivial
 
 
-def test_family_signature_section_cp2():
-    # transitions preserving the duality conjugate the fiber; signature 1 everywhere
-    psi = np.diag([1.0, -1.0, 1.0]).astype(complex)
-    fc = FiberedComplex(fixtures.circle_triangulation(), fixtures.cp2_model(),
-                        {(0, 1): psi})
-    assert validate_fibered(fc).passed
-    section = family_signature_section(fc)
-    assert section.constant and set(section.values) == {1}
-    assert section.vertices == (0, 1, 2)
-
-
-def test_family_signature_section_sphere_fiber_zero():
-    fc = FiberedComplex(fixtures.sphere_triangulation(), fixtures.sphere_model())
-    section = family_signature_section(fc)
-    assert section.constant and set(section.values) == {0}
-
-
 def test_section_invariant_under_duality_preserving_conjugation():
-    # S^1 base: no triangles, so any edge assignment is flat
-    psi = np.diag([1.0, -1.0, 1.0]).astype(complex)
-    base = fixtures.circle_triangulation()
-    fc_plain = FiberedComplex(base, fixtures.cp2_model())
-    fc_conj = FiberedComplex(base, fixtures.cp2_model(), {(0, 1): psi})
-    assert validate_fibered(fc_conj).passed
-    sec_a = family_signature_section(fc_plain)
-    sec_b = family_signature_section(fc_conj)
-    assert sec_a.values == sec_b.values
+    # a transport psi preserving the degrees carries the fiber to the frame
+    # with d' = psi d psi^-1, G' = psi^-* G psi^-1 and S' = psi S psi^-1:
+    # W = G'^(1/2) psi G^(-1/2) is unitary and D' +- S' = W (D +- S) W*, so
+    # the fiber signature is the same in every frame and chs checks it once
+    for fiber, psi in ((fixtures.cp2_model(), np.diag([2.0, -1.0, 0.5])),
+                       (weighted_torus(), rotation())):
+        inv = np.linalg.inv(psi)
+        sp = fiber.space
+        deg = [sp.degree_slice(p) for p in range(fiber.n + 1)]
+        moved = HPComplex(
+            GradedSpace(fiber.n, sp.dims, tuple(inv[s, s].conj().T @ sp.g_block(p) @ inv[s, s]
+                                                for p, s in enumerate(deg))),
+            tuple(psi[hi, hi] @ dp @ inv[lo, lo] for dp, lo, hi in zip(fiber.d, deg, deg[1:])),
+            psi @ fiber.S @ inv)
+        w = moved.space.g_half @ psi @ sp.g_half_inv
+        assert np.allclose(w.conj().T @ w, np.eye(fiber.total_dim))
+        for sign in (1.0, -1.0):
+            assert np.allclose(moved.D_on + sign * moved.S_on,
+                               w @ (fiber.D_on + sign * fiber.S_on) @ w.conj().T)
+        assert signature_even(moved) == signature_even(fiber)
+
+
+def test_transition_mixing_degrees_rejected():
+    # swapping degrees 0 and 4 of the cp2 fiber commutes with d = 0 and keeps
+    # the duality, but is no map of graded spaces: its degree blocks,
+    # diag(0, 1, 0), would be a singular transport
+    swap = np.eye(3)[::-1]
+    with pytest.raises(StructuralError, match=r"^transition \(2,0\) mixes fiber degrees$"):
+        FiberedComplex(fixtures.circle_triangulation(), fixtures.cp2_model(), {(2, 0): swap})
 
 
 def test_fiber_without_duality_rejected():
@@ -196,9 +222,9 @@ def test_fiber_without_duality_rejected():
 
 
 def test_duality_incompatible_transition_rejected():
-    swap = np.array([[0, 1], [1, 0]], dtype=complex)  # flips the sphere duality
+    flip = np.diag([1.0, -1.0])  # maps the sphere duality S to -S
     fc = FiberedComplex(fixtures.circle_triangulation(), fixtures.sphere_model(),
-                        {(2, 0): swap})
+                        {(2, 0): flip})
     rep = validate_fibered(fc)
     assert not rep.duality_compatible
     with pytest.raises(StructuralError, match="no fiberwise duality"):
@@ -225,8 +251,6 @@ def test_chs_on_trivial_bundles(fiber, expected):
     rep = chs_check(fc)
     assert rep.outcome == "pass"
     assert rep.sgn_base == 0 and rep.sgn_fiber == expected and rep.sgn_total == 0
-    # the section's value at the root of the transport tree is sgn(fiber)
-    assert family_signature_section(fc).values[0] == rep.sgn_fiber
 
 
 def test_chs_hypothesis_not_met_on_twist():
@@ -255,15 +279,16 @@ def test_fibered_json_round_trip():
 
 def reference_twisted_product(fc: FiberedComplex) -> HPComplex:
     """The total complex of fc assembled one simplex and one fiber block at
-    a time, as the twisted product once was: every piece of d and of the
+    a time, as the twisted product once was: every piece of G, d and of the
     cap duality T added into a complex128 matrix, transports read through
-    fc.transition."""
+    fc.transition; twisted unless every transition equals the identity."""
     tol = DEFAULT_TOL
     base_c = cap_duality(fc.base, tol)
     fiber = fc.fiber
     m, n = base_c.n, fiber.n
     total = m + n
-    pairs, dims, offs = _tensor_layout(base_c, fiber)
+    tspace, pairs, offs = _tensor_space(base_c, fiber)
+    dims = tspace.dims
     off_k = np.cumsum([0, *dims])
     rule = derive_sign_rule(m, n)
     fsp = fiber.space
@@ -277,7 +302,7 @@ def reference_twisted_product(fc: FiberedComplex) -> HPComplex:
             for (p, q) in pairs[k]:
                 blk = np.kron(np.eye(len(fc.base.simplices[p])), fsp.g_block(q))
                 o = offs[(p, q)]
-                g[o:o + blk.shape[0], o:o + blk.shape[1]] = blk
+                g[o:o + blk.shape[0], o:o + blk.shape[1]] += blk
             inner.append(g)
         inner = tuple(inner)
     space = GradedSpace(total, tuple(dims), inner)
@@ -330,7 +355,9 @@ def reference_twisted_product(fc: FiberedComplex) -> HPComplex:
                 T[r:r + fdim[n - q], c:c + fdim[q]] += piece
 
     skeleton = HPComplex(space, tuple(ds), None, "weak")
-    return symmetrized_duality(skeleton, T, tol, {"twist": "nontrivial"})
+    trivial = all(np.array_equal(psi, np.eye(fiber.total_dim)) for psi in fc.transitions.values())
+    return symmetrized_duality(skeleton, T, tol,
+                               {"twist": "trivial" if trivial else "nontrivial"})
 
 
 def seam_twisted_torus(k: int, seed: int) -> FiberedComplex:
@@ -338,39 +365,14 @@ def seam_twisted_torus(k: int, seed: int) -> FiberedComplex:
     whose edges crossing the column seam carry the rotation from the column
     k - 1 frame to the column 0 frame.  A triangle meets the seam in two
     edges traversed in opposite directions, so the twist is flat."""
-    perm = np.random.default_rng(seed).permutation(k * k)
-
-    def v(i, j):
-        return int(perm[(i % k) * k + (j % k)])
-
-    facets = [tri for i in range(k) for j in range(k)
-              for tri in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)),
-                          (v(i, j), v(i + 1, j + 1), v(i, j + 1)))]
-    base = load_simplicial({"n": 2, "vertices": k * k, "facets": facets,
-                            "orientations": orient_facets(facets, 2)})
+    base, v = grid_torus(k, seed)
     transitions = {(v(i, k - 1), right): rotation()
                    for i in range(k) for right in (v(i, 0), v(i + 1, 0))}
     return FiberedComplex(base, fixtures.torus_model(), transitions)
 
 
-class AlwaysTwisted(FiberedComplex):
-    """A fibered complex assembled as twisted even when every transition
-    is the identity."""
-
-    @property
-    def untwisted(self):
-        return False
-
-
-def shipped_fibered(name: str) -> FiberedComplex:
-    fc = fibered_from_json(json.loads((FIXTURE_DIR / f"{name}.json").read_text()))
-    return AlwaysTwisted(fc.base, fc.fiber, fc.transitions)
-
-
 def weighted_torus_twist() -> FiberedComplex:
-    from hpsig.hpc_core import rescale_inner_products
-    return FiberedComplex(fixtures.circle_triangulation(),
-                          rescale_inner_products(fixtures.torus_model(), 2.0),
+    return FiberedComplex(fixtures.circle_triangulation(), weighted_torus(),
                           {(2, 0): rotation()})
 
 
@@ -390,9 +392,7 @@ def test_vectorized_total_complex_equals_the_per_simplex_assembly(name):
     ref = reference_twisted_product(fc)
     assert tot.meta == ref.meta
     # both pass through HPComplex, which picks each dtype from the bits
-    for got, want in zip((*tot.d, tot.S), (*ref.d, ref.S)):
-        assert got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
+    assert_same_operators(tot, ref)
     if name.startswith("seam_torus"):
         # a bundle with real transports and a real total duality is stored
         # real throughout

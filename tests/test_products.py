@@ -9,7 +9,8 @@ import pytest
 
 from hpsig import fixtures
 from hpsig.hpc_core import (IDENTITY_TOL, DomainError, GradedSpace, HPComplex,
-                            StructuralError, Tolerances, hpcomplex_from_json, validate)
+                            StructuralError, Tolerances, hpcomplex_from_json,
+                            rescale_inner_products, validate)
 from hpsig.products import (derive_sign_rule, graded_tensor, graded_tensor_with_rule,
                             k_factor,
                             product_signature_check, witness_even_odd,
@@ -173,12 +174,80 @@ def test_products_of_weak_tier_cap_complexes():
 
 
 def test_graded_tensor_with_weighted_factor():
-    from hpsig.hpc_core import rescale_inner_products
     a = rescale_inner_products(fixtures.torus_model(), 2.0)
     t = graded_tensor(a, fixtures.circle_model())
     rep = validate(t)
     assert rep.passed and rep.tier_achieved == "strict"
     assert t.space.has_weights
+
+
+def kron_loop_tensor(a: HPComplex, b: HPComplex) -> HPComplex:
+    """a (x) b under the derived sign rule, built as the product once was:
+    the Kronecker products of G, d and S of each summand added into
+    complex128 zeros at its offsets."""
+    m, n = a.n, b.n
+    rule = derive_sign_rule(m, n)
+    pairs = [[(p, k - p) for p in range(max(0, k - n), min(m, k) + 1)]
+             for k in range(m + n + 1)]
+    offs, dims = {}, []
+    for summands in pairs:
+        dims.append(0)
+        for (p, q) in summands:
+            offs[(p, q)] = dims[-1]
+            dims[-1] += a.space.dims[p] * b.space.dims[q]
+    start = np.cumsum([0, *dims])
+
+    def add(out, r, c, piece):
+        out[r:r + piece.shape[0], c:c + piece.shape[1]] += piece
+
+    inner = [np.zeros((dim, dim), complex) for dim in dims]
+    ds = [np.zeros((dims[k + 1], dims[k]), complex) for k in range(m + n)]
+    S = np.zeros((start[-1], start[-1]), complex)
+    for k, summands in enumerate(pairs):
+        for (p, q) in summands:
+            o = offs[(p, q)]
+            add(inner[k], o, o, np.kron(a.space.g_block(p), b.space.g_block(q)))
+            if p < m:
+                add(ds[k], offs[(p + 1, q)], o, np.kron(a.d[p], np.eye(b.space.dims[q])))
+            if q < n:
+                add(ds[k], offs[(p, q + 1)], o,
+                    (-1.0) ** p * np.kron(np.eye(a.space.dims[p]), b.d[q]))
+            sa = a.S[a.space.degree_slice(m - p), a.space.degree_slice(p)]
+            sb = b.S[b.space.degree_slice(n - q), b.space.degree_slice(q)]
+            add(S, start[m + n - k] + offs[(m - p, n - q)], start[k] + o,
+                rule.sigma(p, q) * np.kron(sa, sb))
+    weighted = a.space.has_weights or b.space.has_weights
+    return HPComplex(GradedSpace(m + n, tuple(dims), tuple(inner) if weighted else None),
+                     tuple(ds), S)
+
+
+def _strict(n: int, blocks: int, weight: float = 1.0):
+    return lambda: rescale_inner_products(
+        fixtures.random_strict_complex(np.random.default_rng([n, blocks]), n, blocks), weight)
+
+
+# the five parity pairs of the benchmark's signature workload, and a
+# weighted factor
+TENSOR_PAIRS = {
+    "cp2_model x strict_n4_b4": (fixtures.cp2_model, _strict(4, 4)),
+    "strict_n1_b4 x strict_n1_b8": (_strict(1, 4), _strict(1, 8)),
+    "strict_n1_b32 x cp2_model": (_strict(1, 32), fixtures.cp2_model),
+    "torus_model x strict_n4_b8": (fixtures.torus_model, _strict(4, 8)),
+    "cp2_model x strict_n1_b32": (fixtures.cp2_model, _strict(1, 32)),
+    "weighted_strict_n4_b8 x circle_model": (_strict(4, 8, 2.0), fixtures.circle_model),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TENSOR_PAIRS))
+def test_graded_tensor_equals_the_kron_loop_bytes(name):
+    a, b = (build() for build in TENSOR_PAIRS[name])
+    got, want = graded_tensor(a, b), kron_loop_tensor(a, b)
+    assert got.space.dims == want.space.dims
+    for x, y in zip((*got.d, got.S, *got.space.inner), (*want.d, want.S, *want.space.inner)):
+        assert (x is None) == (y is None)
+        if y is not None:
+            assert x.dtype == y.dtype
+            assert x.tobytes() == y.tobytes()
 
 
 def test_witness_even_odd_point_circle():

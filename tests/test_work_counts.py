@@ -576,12 +576,12 @@ def test_coarse_builds_each_metric_space_once(monkeypatch, capsys):
     assert counts == [5, 5]
 
 
-def test_chs_untwisted_section_reads_the_fiber_signature(monkeypatch, capsys,
-                                                         fixture_dir):
-    calls = count_calls(monkeypatch, "numpy.linalg", np.linalg.eigh)
+def test_chs_takes_the_three_signatures_once(monkeypatch, capsys, fixture_dir):
+    calls = count_calls(monkeypatch, "hpsig", signature.signature_even)
     assert run_cli(capsys, "chs", str(fixture_dir / "fc_sphere_x_cp2.json")) == 0
-    # identity transports conjugate nothing: no eigh per base vertex
-    assert len(calls) <= 4
+    # sgn(base), sgn(fiber) and sgn(total), and none per base vertex: every
+    # frame has the fiber's signature
+    assert calls.callers == ["family.chs_check"] * 3
 
 
 def test_chs_takes_one_norm_per_distinct_matrix(monkeypatch):
