@@ -93,6 +93,13 @@ def _assemble(shape: tuple[int, int], parts) -> np.ndarray:
     return out
 
 
+def _conj_transpose(a: np.ndarray, dtype=None) -> np.ndarray:
+    """a* as a new C-ordered array, in dtype (that of a by default), formed
+    with no buffer beside it: a + a* is then summed into it in place."""
+    out = a.T.astype(a.dtype if dtype is None else dtype, order="C")
+    return np.conjugate(out, out=out)
+
+
 class Grading:
     """Masks of the grading eps = (-1)^p: same-parity entries, even and odd indices."""
 
@@ -250,7 +257,7 @@ class GradedSum:
     D_on, a -0.0 imaginary part) is taken in float64 too
     (spectral.real_if_exact), S only while D is real.  spectrum_of, which the
     localization schedule and the rho path call per sample, takes its h in
-    the dtype it comes in."""
+    the dtype it comes in, and for even n overwrites it."""
 
     def __init__(self, grading: Grading, n: int, d: np.ndarray):
         self.grading = grading
@@ -266,16 +273,6 @@ class GradedSum:
             self._d_block = d[self._ix]
             self._pad = np.zeros(abs(grading.even.size - grading.odd.size))
 
-    def scaled(self, s: float) -> GradedSum:
-        """This sum for s D.  Only for a D that keeps the grading rules
-        exactly (d_skew = d_off_parity = 0): then every cached number of s D
-        is s times this one's, or 0, so nothing is computed again."""
-        out = copy.copy(self)
-        out._d = s * self._d
-        if not self.even_n:
-            out._d_block = s * self._d_block
-        return out
-
     def operand(self, s: np.ndarray) -> np.ndarray:
         """s in the dtype of D +- s: float64 when neither has an imaginary part."""
         if np.iscomplexobj(self._d):
@@ -283,8 +280,9 @@ class GradedSum:
         return spectral.real_if_exact(s)
 
     def hermitian_part(self, s: np.ndarray) -> np.ndarray:
-        """The operand (s + s*)/2."""
-        h = s + s.conj().T
+        """The operand (s + s*)/2, formed in one new array."""
+        h = _conj_transpose(s, np.result_type(s, self._d))
+        np.add(s, h, out=h)
         h *= 0.5
         return self.operand(h)
 
@@ -300,25 +298,32 @@ class GradedSum:
         """For h the Hermitian part of S and s_skew >= ||S - S*||_2."""
         return 0.5 * (s_skew + self.d_skew) + self.off_parity(h)
 
-    def blocks(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Odd n: X+-, the (even rows, odd columns) blocks of D +- s."""
+    def blocks(self, s: np.ndarray, scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+        """Odd n: X+-, the (even rows, odd columns) blocks of scale D +- s."""
         sb = s[self._ix]
-        return self._d_block + sb, self._d_block - sb
+        d = self._d_block if scale == 1.0 else scale * self._d_block
+        return d + sb, d - sb
 
     def spectrum(self, s: np.ndarray, s_skew: float) -> DualitySpectrum:
         h = self.hermitian_part(s)
         return self.spectrum_of(h, self.slack(h, s_skew))
 
-    def spectrum_of(self, h: np.ndarray, slack: float) -> DualitySpectrum:
-        """The spectrum of D +- S for h, the Hermitian part of S: for even n,
-        one eigvalsh of the graded Hermitian part of D + S, written over h;
-        for odd n, the singular values of X+-, padded."""
+    def spectrum_of(self, h: np.ndarray, slack: float, scale: float = 1.0
+                    ) -> DualitySpectrum:
+        """The spectrum of scale D +- S for h, the Hermitian part of S: for
+        even n, one eigvalsh of the graded Hermitian part of scale D + S,
+        written over h; for odd n, the singular values of X+-, padded.  A
+        scale other than 1 is only for a D that keeps the grading rules
+        exactly (d_skew = d_off_parity = 0): then the slack of scale D is
+        that of D, and scale D is written into h or into X+- directly."""
         if self.even_n:
-            np.copyto(h, self._d, where=self._s_off)
+            # in h's dtype: a masked ufunc would otherwise cast h to the dtype
+            # of D and back
+            np.multiply(scale, self._d, out=h, where=self._s_off, dtype=h.dtype)
             h += 0.0        # a zero of either sign reads +0.0, as in the sum of both parts
             plus = np.linalg.eigvalsh(h)
             return DualitySpectrum(plus, -plus[::-1], slack)
-        svs = [np.linalg.svd(x, compute_uv=False) for x in self.blocks(h)]
+        svs = [np.linalg.svd(x, compute_uv=False) for x in self.blocks(h, scale)]
         if self._pad.size:
             svs = [np.append(sv, self._pad) for sv in svs]
         return DualitySpectrum(*svs, slack)
@@ -365,9 +370,10 @@ class HPComplex:
     def total_dim(self) -> int:
         return self.space.total_dim
 
-    @cached_property
+    @property
     def d_total(self) -> np.ndarray:
-        """The blocks of d on the total space, in their common dtype."""
+        """The blocks of d on the total space, in their common dtype; built
+        on each read, so that a complex keeps only D of it."""
         sp = self.space
         out = np.zeros((sp.total_dim, sp.total_dim), dtype=np.result_type(float, *self.d))
         for p, dp in enumerate(self.d):
@@ -375,22 +381,23 @@ class HPComplex:
         return _freeze(out)
 
     def adjoint(self, a: np.ndarray) -> np.ndarray:
-        """Metric adjoint G^{-1} A^H G on the total space."""
+        """Metric adjoint G^{-1} A^H G on the total space, as a new C-ordered
+        array."""
         sp = self.space
         if not sp.has_weights:
-            return a.conj().T
+            return _conj_transpose(a)
         ghalf_inv = sp.g_half_inv
         ghalf = sp.g_half
         on = ghalf @ a @ ghalf_inv
         return ghalf_inv @ on.conj().T @ ghalf
 
     @cached_property
-    def d_star_total(self) -> np.ndarray:
-        return _freeze(self.adjoint(self.d_total))
-
-    @cached_property
     def D(self) -> np.ndarray:
-        return _freeze(self.d_total + self.d_star_total)
+        """d + d*: d* is summed into the array adjoint returns, and d_total
+        is released once D is formed."""
+        d = self.d_total
+        adj = self.adjoint(d)
+        return _freeze(np.add(d, adj, out=adj))
 
     def to_orthonormal(self, a: np.ndarray) -> np.ndarray:
         """Conjugate an operator into G-orthonormal coordinates."""

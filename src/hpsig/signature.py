@@ -49,16 +49,6 @@ class OddIndexRepresentative:
         return self.certificate.passed
 
 
-def _graded(c: HPComplex, s: float) -> GradedSum:
-    """s D through the grading: the complex's own at s = 1, scaled when
-    its D keeps the grading rules exactly, built again otherwise."""
-    if s == 1.0:
-        return c.graded
-    if c.graded.d_skew or c.graded.d_off_parity:
-        return GradedSum(c.space.grading, c.n, s * c.D_on)
-    return c.graded.scaled(s)
-
-
 @dataclass(frozen=True)
 class _Point:
     """One sample of a path of operators at coordinate x: two positive ranks
@@ -76,14 +66,20 @@ def _point(c: HPComplex, tol: Tolerances, s: float, h: np.ndarray) -> _Point:
     """The sample of B+-(s) = s D +- S, read from the gap certificates of
     its spectrum: the cached one at s = 1, otherwise one eigvalsh of the
     graded B+(s) for even n, which serves B-(s) = -eps B+(s) eps as well,
-    and the SVDs of X+- for odd n.  h is the Hermitian part of S.  The
-    bound is the gap less the Weyl slack; a sample where it does not clear
-    the threshold fails the interval it ends, as _interval reads it."""
+    and the SVDs of X+- for odd n.  h is the Hermitian part of S: an even
+    sample writes s D into one copy of it, an odd one reads it.  s D is
+    read through the complex's own GradedSum when D keeps the grading rules
+    exactly, and through one built for s D otherwise.  The bound is the gap
+    less the Weyl slack; a sample where it does not clear the threshold
+    fails the interval it ends, as _interval reads it."""
     if s == 1.0:
         sp = c.spectrum
     else:
-        gs = _graded(c, s)
-        sp = gs.spectrum_of(h.copy(), gs.slack(h, c.S_skew))
+        gs, scale = c.graded, s
+        if gs.d_skew or gs.d_off_parity:
+            gs, scale = GradedSum(c.space.grading, c.n, s * c.D_on), 1.0
+        slack = gs.slack(h, c.S_skew)
+        sp = gs.spectrum_of(h.copy() if gs.even_n else h, slack, scale)
     gaps = sp.certificates(tol.inv)
     ranks = tuple(sp.positive_ranks()) if c.n % 2 == 0 else None
     return _Point(s, ranks, min(g.min_singular for g in gaps),

@@ -396,7 +396,9 @@ def symmetrized_duality(skeleton: HPComplex, T: np.ndarray, tol: Tolerances,
                         meta: Mapping[str, str], harmonic: bool = False) -> HPComplex:
     """The weak complex with skeleton's differential and the duality
     S = (T + T*)/2, whose meta is meta plus "duality", naming how S was made;
-    it carries the cached spectrum of D +- S that certified it.
+    it carries the cached spectrum of D +- S that certified it.  S is
+    summed into T when their dtypes agree, so that it takes no memory beyond
+    T's: T is the caller's scratch, and is overwritten.
 
     Should D+-S fail invertibility (or with harmonic=True), S is compressed
     onto the harmonic subspace ker(D^2), where the cap action is the homology
@@ -405,7 +407,12 @@ def symmetrized_duality(skeleton: HPComplex, T: np.ndarray, tol: Tolerances,
     that fails too: the cap operator does not induce a homology isomorphism.
     """
     sp = skeleton.space
-    S = (T + skeleton.adjoint(T)) / 2.0
+    adj = skeleton.adjoint(T)
+    S = np.add(T, adj, out=T if T.dtype == adj.dtype else adj)
+    del adj
+    # not *= 0.5: complex multiplication signs some zeros otherwise than
+    # division, and the shipped fixtures pin the bytes of S
+    S /= 2.0
     if not harmonic:
         c = HPComplex(sp, skeleton.d, S, "weak", {**meta, "duality": "symmetrized-cap"})
         if all(cert.passed for cert in c.spectrum.certificates(tol.inv)):

@@ -14,7 +14,7 @@ from hpsig.hpc_core import (DEFAULT_TOL, GradedSpace, HPComplex, StructuralError
                             rescale_inner_products, reverse_orientation, validate)
 from hpsig.products import product_signature_check
 from hpsig.rho import identity_equivalence, rho_path
-from hpsig.signature import signature_even
+from hpsig.signature import _point, signature_even
 from hpsig.simplicial import betti_numbers, cap_duality, cochain_complex, load_simplicial
 from hpsig.spectral import operator_norm
 
@@ -437,17 +437,25 @@ SCALED_SUMS = {
 
 @pytest.mark.parametrize("name", sorted(SCALED_SUMS))
 def test_scaled_graded_sum_equals_the_rebuilt_one(name):
-    # for a D that keeps the grading rules exactly, s D is read by scaling:
-    # every operand and spectrum must be bitwise those of a sum built from s D
+    # for a D that keeps the grading rules exactly, a schedule sample writes
+    # s D into a copy of the Hermitian part of S: every operand and spectrum
+    # must be bitwise those of a sum built from s D
     from hpsig.hpc_core import GradedSum
     c = SCALED_SUMS[name]()
-    assert c.graded.d_skew == c.graded.d_off_parity == 0.0
+    gs = c.graded
+    assert gs.d_skew == gs.d_off_parity == 0.0
     s = 7.0 ** -0.5
-    ours, ref = c.graded.scaled(s), GradedSum(c.space.grading, c.n, s * c.D_on)
-    for a, b in zip(ours.spectrum(c.S_on, c.S_skew), ref.spectrum(c.S_on, c.S_skew)):
+    ref = GradedSum(c.space.grading, c.n, s * c.D_on)
+    h = gs.hermitian_part(c.S_on)
+    held = h.copy()
+    ours = gs.spectrum_of(h.copy() if gs.even_n else h, gs.slack(h, c.S_skew), s)
+    for a, b in zip(ours, ref.spectrum(c.S_on, c.S_skew)):
         assert np.array_equal(a, b)
     if c.n % 2:
-        for a, b in zip(ours.blocks(ours.operand(c.S_on)), ref.blocks(ref.operand(c.S_on))):
+        for a, b in zip(gs.blocks(gs.operand(c.S_on), s), ref.blocks(ref.operand(c.S_on))):
             assert np.array_equal(a, b)
-    # the unscaled sum is left as it was
-    assert np.array_equal(c.graded.spectrum(c.S_on, c.S_skew).plus, c.spectrum.plus)
+    # a sample leaves the Hermitian part it is handed as it was, and the
+    # unscaled sum as it was
+    _point(c, DEFAULT_TOL, s, h)
+    assert np.array_equal(h.view(np.uint8), held.view(np.uint8))
+    assert np.array_equal(gs.spectrum(c.S_on, c.S_skew).plus, c.spectrum.plus)

@@ -5,8 +5,10 @@ it, with a counting wrapper; hpsig modules bind most names by from-import.
 """
 
 import functools
+import gc
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -270,6 +272,49 @@ def test_total_complex_inverts_a_shared_seam_rotation_once(monkeypatch):
     assert len(fc.transitions) == 6
     assert family.total_complex(fc).meta["twist"] == "nontrivial"
     assert len(calls) == 1
+
+
+def _traced_peak(fn) -> int:
+    """The peak of the bytes tracemalloc traces while fn() runs.  LAPACK's
+    private copies of its operands are not traced, so this counts hpsig's
+    own arrays only."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_total_complex_holds_four_dense_arrays_at_most():
+    # certifying the total complex holds S, D and the operand of D +- S at
+    # once, besides LAPACK's untraced copy: T is overwritten by S, and
+    # neither d nor its adjoint is kept beside D
+    fc = _seam_twisted_grid_torus(5)
+    peak = _traced_peak(lambda: family.total_complex(fc))
+    tot = family.total_complex(fc)
+    assert tot.total_dim == 600 and tot.S.dtype == tot.D.dtype == np.float64
+    assert peak <= 4.5 * 8 * tot.total_dim ** 2
+
+
+def test_localization_sample_adds_one_operand():
+    # the schedule keeps the Hermitian part of S, and each sample writes s D
+    # into one copy of it: two arrays beyond the validated complex
+    c = simplicial.cap_duality(fixtures.cp2_triangulation())
+    hpc_core.require_valid(c)
+    assert c.total_dim == 255 and c.D.dtype == np.float64
+    peak = _traced_peak(lambda: signature.localized_signature_path(c))
+    assert peak <= 2.6 * 8 * c.total_dim ** 2
+
+
+def test_hermitian_part_allocates_one_operand():
+    # (S + S*)/2 is summed into the array that takes S*: a complex S costs
+    # one 16 N^2 operand and no conjugate beside it
+    c = simplicial.cap_duality(_seam_twisted_grid_torus(5).base)
+    assert c.total_dim == 150 and c.S_on.dtype == np.complex128
+    peak = _traced_peak(lambda: c.graded.hermitian_part(c.S_on))
+    assert peak <= 1.1 * 16 * c.total_dim ** 2
 
 
 def test_harmonic_reduction_decomposes_each_degree_block_once(monkeypatch):

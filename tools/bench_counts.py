@@ -4,16 +4,24 @@ Each command runs in process through ``hpsig.cli.main``.  Every call of a
 ``numpy.linalg`` routine that reaches LAPACK is counted by routine, shape
 and dtype of its first argument.  Counts do not depend on timing or on the
 machine's load, so two files written by this script can be diffed exactly.
+Each op also records ``peak_traced_bytes``: the peak of the memory that
+``tracemalloc`` traces while the command runs, above what it traced when
+the command started, the least of three runs after the counted one.  It
+counts the arrays hpsig allocates, not LAPACK's private copies of its
+operands, and Python's own objects move it by some hundred bytes between
+invocations.
 
-    python3 tools/bench_counts.py --out BENCH_29.json --base HEAD
+    python3 tools/bench_counts.py --out BENCH_31.json --base HEAD
 
 counts the ``src/`` of the working tree and, with ``--base``, that of a git
 revision, extracted with ``git archive`` into a temporary directory.  Each
 tree is counted in a subprocess of its own, so the two never share an
-import.  Both trees read the working tree's ``fixtures/``, so they see the
-same inputs, and each op records the length and the sha256 of its stdout
-report, whose ``inputs`` name the fixtures by their path in the working
-tree.  Each tree also records the line count of its ``src/hpsig/*.py``.
+import.  Both run in the repository root and read its ``fixtures/`` by
+relative path, so they see the same inputs, and each op records the length
+and the sha256 of its stdout report, whose ``inputs`` name the fixtures by
+those relative paths: the digests do not depend on where the repository is
+checked out.  Each tree also records the line count of its
+``src/hpsig/*.py``.
 The file also records the git HEAD, whether ``src/`` differs from it, and
 the BLAS thread count.  The script exits 1 when an op of the working tree
 exits with another code than the one listed for it (1 for the three
@@ -25,12 +33,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import hashlib
 import io
 import json
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -40,7 +50,9 @@ ROUTINES = ("eigh", "eigvalsh", "svd", "solve", "inv")
 OPS = ([(["check", "fixtures/cp2_9.json"], 0), (["check", "fixtures/torus7.json"], 0),
         (["sgn", "fixtures/cp2_9.json"], 0),
         (["sgn", "fixtures/circle3.json"], 0), (["sgn", "fixtures/torus7.json"], 0),
-        (["product", "fixtures/cp2_model.json", "fixtures/circle_model.json"], 0)]
+        (["product", "fixtures/cp2_model.json", "fixtures/circle_model.json"], 0),
+        # the memory rung: one dense complex of dimension 42 x 42 = 1764
+        (["product", "fixtures/torus7.json", "fixtures/torus7.json"], 0)]
        + [(["rho", f"fixtures/he_{name}.json"], code)
           for name, code in (("identity_sphere_model", 0), ("orientation_mismatch", 1),
                              ("reduction_sphere_d3", 0), ("offgrid_crossing", 1),
@@ -55,8 +67,9 @@ OPS = ([(["check", "fixtures/cp2_9.json"], 0), (["check", "fixtures/torus7.json"
 
 def count(src: Path) -> dict:
     """The line count of each src/hpsig/*.py and their total, and per op, its
-    exit code, the length and sha256 of its report and the calls of each
-    routine, keyed "routine shape dtype"; hpsig is imported from src."""
+    exit code, the length and sha256 of its report, the calls of each
+    routine, keyed "routine shape dtype", and its peak traced bytes; hpsig
+    is imported from src, and the ops run in the working directory."""
     lines = {p.name: len(p.read_text().splitlines())
              for p in sorted((src / "hpsig").glob("*.py"))}
     sys.path.insert(0, str(src))
@@ -79,23 +92,36 @@ def count(src: Path) -> dict:
         wrapped = counted(name, getattr(numpy.linalg._linalg, name))
         for ns in (numpy.linalg, numpy.linalg._linalg):
             setattr(ns, name, wrapped)
+
+    def run(argv: list[str]) -> tuple[int, bytes, int]:
+        """The exit code, the report and the peak traced bytes of one op."""
+        report = io.StringIO()
+        gc.collect()
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        with contextlib.redirect_stdout(report), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        return code, report.getvalue().encode(), tracemalloc.get_traced_memory()[1] - start
+
     out = []
+    tracemalloc.start()
     for argv, _ in OPS:
         calls.clear()
-        args = [str(ROOT / a) if a.startswith("fixtures/") else a for a in argv]
-        report = io.StringIO()
-        with contextlib.redirect_stdout(report), contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main(args)
-        text = report.getvalue().encode()
-        out.append({"argv": argv, "exit": code, "report_bytes": len(text),
-                    "report_sha256": hashlib.sha256(text).hexdigest(),
-                    "calls": dict(sorted(calls.items()))})
+        code, text, _ = run(argv)
+        op = {"argv": argv, "exit": code, "report_bytes": len(text),
+              "report_sha256": hashlib.sha256(text).hexdigest(),
+              "calls": dict(sorted(calls.items()))}
+        # the counted run also holds what it adds to numpy's and hpsig's
+        # caches; the least of three more damps the noise of small ops
+        op["peak_traced_bytes"] = min(run(argv)[2] for _ in range(3))
+        out.append(op)
+    tracemalloc.stop()
     return {"src_lines": {"total": sum(lines.values()), **lines}, "ops": out}
 
 
 def _count_in_subprocess(src: Path) -> dict:
-    proc = subprocess.run([sys.executable, __file__, "--count", str(src)],
-                          capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--count", str(src)],
+                          cwd=ROOT, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
 
