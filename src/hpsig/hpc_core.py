@@ -11,6 +11,8 @@ invertible.  All values are immutable and every operation is pure.
 from __future__ import annotations
 
 import copy
+import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Mapping, NamedTuple, Sequence
@@ -98,6 +100,23 @@ def _conj_transpose(a: np.ndarray, dtype=None) -> np.ndarray:
     with no buffer beside it: a + a* is then summed into it in place."""
     out = a.T.astype(a.dtype if dtype is None else dtype, order="C")
     return np.conjugate(out, out=out)
+
+
+def _frobenius(blocks) -> float:
+    """The Frobenius norm of the matrix made of these blocks, read block by
+    block, so that no array of the whole size is formed."""
+    return math.hypot(*(float(np.linalg.norm(b)) for b in blocks))
+
+
+def _masked_frobenius(a: np.ndarray, mask: np.ndarray) -> float:
+    """The Frobenius norm of the entries of a where mask holds, summed by
+    einsum in place: no copy of those entries is formed."""
+    parts = (a.real, a.imag) if np.iscomplexobj(a) else (a,)
+    return math.sqrt(sum(float(np.einsum("ij,ij,ij->", x, x, mask)) for x in parts))
+
+
+# rows per slab when ||d - d*|| is read a slab at a time
+_SLAB = 64
 
 
 class Grading:
@@ -262,16 +281,23 @@ class GradedSum:
     def __init__(self, grading: Grading, n: int, d: np.ndarray):
         self.grading = grading
         self.even_n = n % 2 == 0
-        self.d_skew = float(np.linalg.norm(d - d.conj().T))
+        # both read without an array of the whole size beside d
+        self.d_skew = _frobenius(d[i:i + _SLAB] - d[:, i:i + _SLAB].conj().T
+                                 for i in range(0, len(d), _SLAB))
         if self.d_skew:         # the Hermitian part; a Hermitian D is read in place
             d = (d + d.conj().T) * 0.5
-        self.d_off_parity = float(np.linalg.norm(d[grading.same]))
+        self.d_off_parity = _masked_frobenius(d, grading.same)
         self._d = d = spectral.real_if_exact(d)
         self._s_off = ~grading.same if self.even_n else grading.same
         if not self.even_n:
             self._ix = np.ix_(grading.even, grading.odd)
             self._d_block = d[self._ix]
             self._pad = np.zeros(abs(grading.even.size - grading.odd.size))
+
+    @property
+    def hermitian(self) -> np.ndarray:
+        """The Hermitian part of D, in the dtype of D +- S."""
+        return self._d
 
     def operand(self, s: np.ndarray) -> np.ndarray:
         """s in the dtype of D +- s: float64 when neither has an imaginary part."""
@@ -292,7 +318,7 @@ class GradedSum:
 
     def off_parity(self, h: np.ndarray) -> float:
         """Frobenius norm of the entries of D and of h breaking the parity rules."""
-        return self.d_off_parity + float(np.linalg.norm(self.parity_violation(h)))
+        return self.d_off_parity + _masked_frobenius(h, self._s_off)
 
     def slack(self, h: np.ndarray, s_skew: float) -> float:
         """For h the Hermitian part of S and s_skew >= ||S - S*||_2."""
@@ -327,6 +353,107 @@ class GradedSum:
         if self._pad.size:
             svs = [np.append(sv, self._pad) for sv in svs]
         return DualitySpectrum(*svs, slack)
+
+
+def _hermitian_blocks(s: np.ndarray, sp: GradedSpace) -> dict[int, np.ndarray]:
+    """The blocks of h, the self-adjoint degree-reversing part of a duality
+    s on sp: for p <= n - p, its block from degree p to degree n - p,
+    X_p = (S_{n-p,p} + S_{p,n-p}*)/2; its block from n - p to p is X_p*."""
+    n, out = sp.n, {}
+    for p in range(n // 2 + 1):
+        rows, cols = sp.degree_slice(n - p), sp.degree_slice(p)
+        out[p] = spectral.real_if_exact((s[rows, cols] + s[cols, rows].conj().T) * 0.5)
+    return out
+
+
+class SelfAdjointPart(NamedTuple):
+    """The numbers of h (_hermitian_blocks), the direct sum over the pairs
+    {p, n - p} of [[0, X_p*], [X_p, 0]], and of the Hermitian X_p itself for
+    p = n/2: its eigenvalues are +-sigma(X_p), |dim p - dim(n - p)| zeros
+    per pair and those of the middle block.  top and squared are max
+    |lambda| and max |lambda^2 - 1| over them, and rest is e = ||S - h||_F:
+    the skew entries and those outside the pattern, a bound on
+    ||S - h||_2."""
+
+    top: float
+    squared: float
+    rest: float
+
+
+def _self_adjoint_part(s: np.ndarray, sp: GradedSpace) -> SelfAdjointPart:
+    """The numbers of h (SelfAdjointPart) for s on the graded space sp: one
+    SVD of each X_p, batched over the X_p of equal shape and never padded,
+    one eigvalsh of the middle block, and none of a block with no nonzero
+    entry; e is read block by block."""
+    n, rest, sizes = sp.n, [], []
+    by_shape = defaultdict(list)
+    for p, x in _hermitian_blocks(s, sp).items():
+        rows, cols = sp.degree_slice(n - p), sp.degree_slice(p)
+        # S - h: the entries outside the pattern in the columns of degrees p
+        # and n - p, and on the blocks (n - p, p) and (p, n - p) the skew
+        # (S_{n-p,p} - S_{p,n-p}*)/2 and its negative adjoint, one block
+        # when p = n - p
+        rest += [s[:rows.start, cols], s[rows.stop:, cols]]
+        if p < n - p:
+            rest += [s[:cols.start, rows], s[cols.stop:, rows]]
+        rest += [(s[rows, cols] - s[cols, rows].conj().T) * 0.5] * (1 if p == n - p else 2)
+        if not x.any():
+            sizes.append(np.zeros(sp.dims[p] + (sp.dims[n - p] if p < n - p else 0)))
+        elif p == n - p:
+            sizes.append(np.abs(np.linalg.eigvalsh(x)))
+        else:
+            by_shape[x.shape].append(x)
+            sizes.append(np.zeros(abs(x.shape[0] - x.shape[1])))
+    for group in by_shape.values():
+        sizes.append(np.linalg.svd(group[0] if len(group) == 1 else np.stack(group),
+                                   compute_uv=False).ravel())
+    sizes = np.concatenate(sizes)
+    return SelfAdjointPart(float(sizes.max()), float(np.abs(sizes * sizes - 1.0).max()),
+                           _frobenius(rest))
+
+
+def _anticommutator_norm(s: np.ndarray, dh: np.ndarray, sp: GradedSpace) -> float:
+    """||h D_p + D_p h||_2 for h the self-adjoint degree-reversing part of s
+    (_hermitian_blocks) and D_p the entries of the Hermitian dh that join
+    degrees of opposite parity.
+    K = h D_p is formed block by block: a nonzero block of dh from degree b
+    to degree a gives K its block X @ dh[a, b] from b to n - a, X the block
+    of h from a to n - a.  For even n, h keeps parity and D_p reverses it,
+    so h D_p + D_p h = K + K* is [[0, Y], [Y*, 0]] by parity, Y = K_eo + K_oe*:
+    one SVD of Y.  For odd n, h reverses parity too, and K + K* is
+    diag(P + P*, Q + Q*) for P = K_ee and Q = K_oo: one eigvalsh of each,
+    of an operand that is exactly Hermitian."""
+    n, dims, blocks = sp.n, sp.dims, _hermitian_blocks(s, sp)
+    h = {p: blocks[p] if p <= n - p else blocks[n - p].conj().T for p in range(n + 1)}
+    # the first index of each degree among the indices of its parity
+    at, count = [], [0, 0]
+    for p, dim in enumerate(dims):
+        at.append(count[p % 2])
+        count[p % 2] += dim
+    dtype = np.result_type(dh, *blocks.values())
+    out = ([np.zeros((count[0], count[1]), dtype)] if n % 2 == 0 else
+           [np.zeros((size, size), dtype) for size in count])
+
+    def place(r: int, c: int) -> tuple[slice, slice]:
+        return slice(at[r], at[r] + dims[r]), slice(at[c], at[c] + dims[c])
+
+    for a in range(n + 1):
+        for b in range(1 - a % 2, n + 1, 2):
+            dab = dh[sp.degree_slice(a), sp.degree_slice(b)]
+            if not dab.any():
+                continue
+            k, r = h[a] @ dab, n - a
+            if n % 2:
+                out[r % 2][place(r, b)] += k
+            elif r % 2 == 0:
+                out[0][place(r, b)] += k
+            else:
+                out[0][place(b, r)] += k.conj().T
+    if n % 2 == 0:
+        y = out[0]
+        return float(np.linalg.svd(y, compute_uv=False)[0]) if y.any() else 0.0
+    return max((float(np.abs(np.linalg.eigvalsh(m + m.conj().T)).max())
+                for m in out if m.any()), default=0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -439,8 +566,14 @@ class HPComplex:
         return spectral.graded_norm(a, self.space.offsets)
 
     @cached_property
+    def _s_part(self) -> SelfAdjointPart:
+        return _self_adjoint_part(self.S_on, self.space)
+
+    @cached_property
     def S_norm(self) -> float:
-        return self._norm(self.S_on)
+        """||h|| + e >= ||S||, by Weyl for S = h + (S - h) (see
+        SelfAdjointPart); ||S|| itself when e = 0."""
+        return self._s_part.top + self._s_part.rest
 
     @cached_property
     def S_skew(self) -> float:
@@ -448,14 +581,23 @@ class HPComplex:
 
     @cached_property
     def S_squared_residual(self) -> float:
-        sq = spectral.graded_products(self.space.offsets, (self.S_on, self.S_on))
-        sq[np.diag_indices(self.total_dim)] -= 1.0
-        return self._norm(sq)
+        """max |lambda(h)^2 - 1| + e (2 ||h|| + e) >= ||S^2 - 1||, as S^2 - 1 =
+        h^2 - 1 + hE + Eh + E^2 for E = S - h; ||S^2 - 1|| itself when e = 0."""
+        part = self._s_part
+        return part.squared + part.rest * (2.0 * part.top + part.rest)
 
     @cached_property
     def anticommute_residual(self) -> float:
-        s, d = self.S_on, self.D_on
-        return self._norm(spectral.graded_products(self.space.offsets, (s, d), (d, s)))
+        """An upper bound on ||SD + DS||: with h and e as in S_norm, D_p the
+        entries of the Hermitian part D_h of D that keep the parity rule and
+        e_D = ||D - D_p||_F <= d_skew / 2 + d_off_parity (GradedSum), SD + DS
+        is hD_p + D_p h, whose norm _anticommutator_norm reads off the degree
+        blocks, plus terms of norm at most 2 (e ||D||_F + ||h|| e_D + e e_D);
+        ||SD + DS|| itself when e = e_D = 0."""
+        part, gs = self._s_part, self.graded
+        e_d = 0.5 * gs.d_skew + gs.d_off_parity
+        slack = part.rest * float(np.linalg.norm(self.D_on)) + (part.top + part.rest) * e_d
+        return _anticommutator_norm(self.S_on, gs.hermitian, self.space) + 2.0 * slack
 
     @cached_property
     def D_norm(self) -> float:

@@ -481,23 +481,35 @@ class IntersectionForm:
 
 
 def _cohomology_basis(sm: SimplicialManifold, p: int) -> list[list[Fraction]]:
-    """Rational cocycle representatives of H^p in the standard cochain basis."""
+    """Rational cocycle representatives of H^p in the standard cochain basis:
+    the kernel vectors of d_p, one per free column f, each kept unless it
+    depends on the image of d_{p-1} and the kernel vectors before it.
+
+    A kernel vector is fixed by its entries in the free columns, where the
+    one of f is a multiple of the unit vector at f.  So the vector of f
+    depends on the image and the vectors of the free columns before f iff
+    some image vector, restricted to the free columns, has f as its largest
+    nonzero column after elimination: iff f leads in the echelon of the
+    restricted image rows keyed by descending free column."""
     dim = len(sm.simplices[p])
     kernel = _integer_nullspace(_back_substitute(sm.coboundary_echelons[p]), dim)
     if not kernel:
         return []
-    image: list[dict[int, int]] = []
+    free = [j for j in range(dim) if j not in sm.coboundary_echelons[p]]
+    leads: set[int] = set()
     if p:
-        # the columns of d_{p-1} at its pivot columns form a basis of its image
+        descending = free[::-1]
+        key = {j: i for i, j in enumerate(descending)}
+        # the columns of d_{p-1} at its pivot columns form a basis of its
+        # image, each restricted to the free columns of d_p
         columns: defaultdict = defaultdict(dict)
         for i, row in enumerate(sm.coboundary_rows[p - 1]):
             for j, x in row.items():
-                columns[j][i] = x
-        image = [columns[j] for j in sorted(sm.coboundary_echelons[p - 1])]
-    # keep the kernel vectors independent of the image and of the kernel
-    # vectors before them (scaling a vector does not change which those are)
-    _, kept = _echelon(image + [{i: x for i, x in enumerate(v) if x} for v, _ in kernel])
-    return [_to_fractions(*kernel[j - len(image)]) for j in kept if j >= len(image)]
+                if i in key:
+                    columns[j][key[i]] = x
+        echelon, _ = _echelon(columns[j] for j in sorted(sm.coboundary_echelons[p - 1]))
+        leads = {descending[k] for k in echelon}
+    return [_to_fractions(*v) for f, v in zip(free, kernel) if f not in leads]
 
 
 def intersection_form_oracle(sm: SimplicialManifold,

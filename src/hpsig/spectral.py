@@ -96,32 +96,6 @@ def _nonzero_blocks(m: np.ndarray, ranges: list[tuple[int, int]]) -> list[tuple[
     return list(zip(rows.tolist(), cols.tolist()))
 
 
-def graded_products(offsets, *pairs) -> np.ndarray:
-    """The sum of a @ b over the pairs (a, b) of square matrices graded as in
-    graded_norm, formed block by block: each block of a product is the sum,
-    over the inner ranges, of the products of a nonzero block of a and a
-    nonzero block of b, so a block that is 0 in either factor costs
-    nothing.  The products are taken in float64 when no factor has an
-    imaginary part (real_if_exact), in complex128 otherwise, and each
-    distinct factor is converted and scanned for its nonzero blocks once."""
-    ranges = _degree_ranges(offsets)
-    mats = {id(m): _float_or_complex(m) for pair in pairs for m in pair}
-    if all(m.dtype == np.float64 or not m.imag.any() for m in mats.values()):
-        mats = {key: real_if_exact(m) for key, m in mats.items()}
-    else:
-        mats = {key: m.astype(complex, copy=False) for key, m in mats.items()}
-    links = {key: _nonzero_blocks(m, ranges) for key, m in mats.items()}
-    first = next(iter(mats.values()))
-    out = np.zeros(first.shape, dtype=first.dtype)
-    for a, b in pairs:
-        am, bm = mats[id(a)], mats[id(b)]
-        for i, k in links[id(a)]:
-            for j in (j for inner, j in links[id(b)] if inner == k):
-                rows, mid, cols = (slice(*ranges[x]) for x in (i, k, j))
-                out[rows, cols] += am[rows, mid] @ bm[mid, cols]
-    return out
-
-
 def _block_groups(links: list, sizes: list[int]) -> tuple[dict, list]:
     """The connected components of the bipartite graph whose nodes are the
     row blocks 0..b-1 and the column blocks b..2b-1 of sizes, b = len(sizes),

@@ -1,6 +1,8 @@
 """Axiom validation, sums, rescaling, orientation reversal, JSON round trips."""
 
 import json
+from functools import partial
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +14,11 @@ from hpsig.hpc_core import (DEFAULT_TOL, GradedSpace, HPComplex, StructuralError
                             DomainError, DualityDegenerateError, Tolerances, direct_sum,
                             hpcomplex_from_json, hpcomplex_to_json, require_valid,
                             rescale_inner_products, reverse_orientation, validate)
-from hpsig.products import product_signature_check
+from hpsig.products import graded_tensor, product_signature_check
 from hpsig.rho import identity_equivalence, rho_path
 from hpsig.signature import _point, signature_even
-from hpsig.simplicial import betti_numbers, cap_duality, cochain_complex, load_simplicial
+from hpsig.simplicial import (betti_numbers, cap_duality, cochain_complex, load_simplicial,
+                              orient_facets)
 from hpsig.spectral import operator_norm
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -396,11 +399,13 @@ NORM_REFERENCE = {
 
 
 def _assert_cached_norms_match(c: HPComplex) -> None:
-    """Each cached norm is taken over the connected degree-block groups of
-    its matrix, a direct sum up to a permutation: no norm may move.  S^2 - 1
-    and SD + DS are formed block by block, which sums the same products in
-    another order than the dense reference, so those two norms may also
-    move by N eps ||S|| max(||S||, ||D||, 1), the rounding of the products."""
+    """||S - S*|| and ||D|| are taken over the connected degree-block groups
+    of their matrix, a direct sum up to a permutation: neither may move.
+    ||S||, ||S^2 - 1|| and ||SD + DS|| are read off the self-adjoint part of
+    S, exactly when S is self-adjoint and degree-reversing, as it is here up
+    to rounding; the last two sum the same products in another order than
+    the dense reference, so they may also move by
+    N eps ||S|| max(||S||, ||D||, 1), the rounding of the products."""
     ref = full_size_norms(c)
     ours = [getattr(c, norm) for norm in CACHED_NORMS]
     rounding = c.total_dim * np.finfo(float).eps * ref[0] * max(ref[0], ref[4], 1.0)
@@ -416,15 +421,26 @@ def test_cached_norms_match_the_full_size_norms(name):
 
 def test_cached_norms_see_entries_outside_the_duality_pattern():
     # S maps degree p to n - p; on cp2_9 the blocks S[4, 0] and S[0, 4] carry
-    # ||S||.  An entry from degree 0 to degree 0 merges their groups, and only
-    # a norm that reads the whole pattern of nonzero blocks sees it
+    # ||S||.  An entry from degree 0 to degree 0 merges the groups of
+    # ||S - S*||, which only a norm that reads the whole pattern of nonzero
+    # blocks sees; ||S||, ||S^2 - 1|| and ||SD + DS|| see it through e, the
+    # Frobenius norm of the entries outside the self-adjoint part of S
     cap = cap_duality(load_simplicial(json.loads((FIXTURE_DIR / "cp2_9.json").read_text())))
     s = np.array(cap.S)
     s[0, 1] += 1e-3
     c = HPComplex(cap.space, cap.d, s, cap.tier)
     assert c.S_block_residual == pytest.approx(1e-3)
     assert c.S_skew == pytest.approx(1e-3)
-    _assert_cached_norms_match(c)
+    s_, skew, _, _, d = full_size_norms(c)
+    assert (c.S_skew, c.D_norm) == (pytest.approx(skew, rel=1e-13, abs=0),
+                                    pytest.approx(d, rel=1e-13, abs=0))
+    assert c._s_part.rest == pytest.approx(1e-3)
+    _assert_norm_bounds(c)
+    # each bound is the cap duality's own norm plus terms of the order of e
+    # (its slack: e, e (2 ||h|| + e) and 2 e ||D||_F)
+    e, frobenius_d = 1e-3, float(np.linalg.norm(c.D_on))
+    for got, base in zip(_bounded_norms(c), _bounded_norms(cap)):
+        assert base < got <= base + 2.0 * e * (2.0 * s_ + e + frobenius_d)
 
 
 SCALED_SUMS = {
@@ -459,3 +475,118 @@ def test_scaled_graded_sum_equals_the_rebuilt_one(name):
     _point(c, DEFAULT_TOL, s, h)
     assert np.array_equal(h.view(np.uint8), held.view(np.uint8))
     assert np.array_equal(gs.spectrum(c.S_on, c.S_skew).plus, c.spectrum.plus)
+
+
+# ||S||, ||S^2 - 1|| and ||SD + DS|| are read off the self-adjoint part h of S
+# with a Weyl slack for e = ||S - h||_F: upper bounds, exact when e = 0
+
+
+def _dense_norms(c: HPComplex) -> list[float]:
+    s, d = c.S_on, c.D_on
+    return [operator_norm(m) for m in (s, s @ s - np.eye(c.total_dim), s @ d + d @ s)]
+
+
+def _bounded_norms(c: HPComplex) -> list[float]:
+    return [c.S_norm, c.S_squared_residual, c.anticommute_residual]
+
+
+def _assert_norm_bounds(c: HPComplex) -> None:
+    """Each bound is at least the dense 2-norm, less N eps times its scale:
+    ||S||, ||S||^2 and ||S|| ||D||, at least 1, the scales the strict-tier
+    thresholds are relative to.  When e = 0 it is the dense norm up to
+    1e-12 of its scale."""
+    dense = _dense_norms(c)
+    s, d = max(dense[0], 1.0), max(operator_norm(c.D_on), 1.0)
+    for got, want, scale in zip(_bounded_norms(c), dense, (s, s * s, s * d)):
+        assert got >= want - c.total_dim * np.finfo(float).eps * scale
+        if c._s_part.rest == 0.0:
+            assert abs(got - want) <= 1e-12 * scale
+
+
+def _relabelled(sm, seed: int):
+    """sm with its vertices permuted, oriented afresh."""
+    perm = np.random.default_rng(seed).permutation(sm.vertices)
+    facets = [[int(perm[v]) for v in f] for f in sm.facets]
+    return load_simplicial({"n": sm.n, "vertices": sm.vertices, "facets": facets,
+                            "orientations": orient_facets(facets, sm.n)})
+
+
+def _sphere(n: int):
+    """The boundary of the (n + 1)-simplex."""
+    facets = [list(f) for f in combinations(range(n + 2), n + 1)]
+    return load_simplicial({"n": n, "vertices": n + 2, "facets": facets,
+                            "orientations": orient_facets(facets, n)})
+
+
+def _random_strict(seed: int, n: int) -> HPComplex:
+    """A random strict complex of top degree n = 1..4; n = 3 as the graded
+    tensor of top degrees 1 and 2."""
+    rng = np.random.default_rng(seed)
+    if n == 3:
+        return graded_tensor(fixtures.random_strict_complex(rng, 1),
+                             fixtures.random_strict_complex(rng, 2))
+    return fixtures.random_strict_complex(rng, n, 3)
+
+
+def _random_duality(seed: int, n: int, dims: tuple[int, ...], top: float) -> HPComplex:
+    """A weak complex with random d and a random S that is exactly
+    self-adjoint and degree-reversing (e = 0), each X_p scaled to norm top,
+    so that for top < 2^(1/2) only the zeros of a pair that is not square
+    have |lambda^2 - 1| = 1."""
+    rng = np.random.default_rng(seed)
+
+    def gauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    space = GradedSpace(n, dims)
+    s = np.zeros((space.total_dim, space.total_dim), dtype=complex)
+    for p in range(n // 2 + 1):
+        rows, cols = space.degree_slice(n - p), space.degree_slice(p)
+        x = gauss(dims[n - p], dims[p])
+        if p == n - p:
+            x = x + x.conj().T
+        x *= top / max(operator_norm(x), 1e-300)
+        s[rows, cols] = x
+        s[cols, rows] = x.conj().T
+    return HPComplex(space, tuple(gauss(dims[p + 1], dims[p]) for p in range(n)), s)
+
+
+def _off_pattern(c: HPComplex, at: int = 0) -> HPComplex:
+    """c with 3 ||S|| added to the diagonal entry at of S, in degree 0 for
+    at = 0 and in degree n for at = -1: S is then not degree-reversing
+    (unless n = 0), so e > 0."""
+    s = np.array(c.S, dtype=complex)
+    s[at, at] += 3.0 * max(c.S_norm, 1.0)
+    return HPComplex(c.space, c.d, s, "weak")
+
+
+NORM_BOUND_CASES = {
+    **{f"random_n{n}_seed{seed}": partial(_random_strict, seed, n)
+       for n in (1, 2, 3, 4) for seed in (0, 1, 2)},
+    **{f"random_n{n}_rescaled{lam}": lambda n=n, lam=lam: rescale_inner_products(
+        _random_strict(3, n), lam) for n in (1, 2, 3, 4) for lam in (0.5, 3.0)},
+    **{f"cap_torus7_relabelled{seed}": lambda seed=seed: cap_duality(
+        _relabelled(fixtures.torus_triangulation(), seed)) for seed in (1, 2)},
+    **{f"cap_sphere{n}": lambda n=n: cap_duality(_sphere(n)) for n in (1, 2, 3, 4)},
+    "cap_cp2_9": lambda: cap_duality(_relabelled(fixtures.cp2_triangulation(), 3)),
+    "cap_cp2_9_rescaled": lambda: rescale_inner_products(
+        cap_duality(fixtures.cp2_triangulation()), 2.0),
+    **{f"random_weak_n{n}_seed{seed}": partial(_random_duality, seed, n, dims, 1.2)
+       for n, dims in ((1, (3, 2)), (2, (2, 1, 3)), (3, (1, 3, 2, 2))) for seed in (0, 1, 2)},
+    **{f"off_pattern_random_n{n}": lambda n=n: _off_pattern(_random_strict(4, n))
+       for n in (1, 2, 3, 4)},
+    "off_pattern_cap_sphere3": lambda: _off_pattern(cap_duality(_sphere(3))),
+    **{f"off_pattern_top_random_n{n}": lambda n=n: _off_pattern(_random_strict(5, n), -1)
+       for n in (1, 2, 3, 4)},
+    "off_pattern_cap_torus7": lambda: _off_pattern(cap_duality(fixtures.torus_triangulation())),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NORM_BOUND_CASES))
+def test_norms_read_off_the_self_adjoint_part_bound_the_dense_norms(name):
+    c = NORM_BOUND_CASES[name]()
+    if name.startswith("off_pattern"):
+        assert c._s_part.rest > 1.0
+    elif name.startswith(("cap_", "random_weak")) and "rescaled" not in name:
+        assert c._s_part.rest == 0.0
+    _assert_norm_bounds(c)

@@ -4,7 +4,7 @@ intersection-form oracle, and harmonic reduction."""
 import json
 import math
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
@@ -17,8 +17,9 @@ from hpsig.hpc_core import (DEFAULT_TOL, HPComplex, StructuralError,
                             rescale_inner_products, validate)
 from hpsig.rho import validate_homotopy_equivalence
 from hpsig.signature import signature_even
-from hpsig.simplicial import (SimplicialManifold, _back_substitute, _echelon,
-                              _integer_nullspace, _integer_row, betti_numbers,
+from hpsig.simplicial import (SimplicialManifold, _back_substitute, _cohomology_basis,
+                              _echelon, _integer_nullspace, _integer_row, _to_fractions,
+                              betti_numbers,
                               cap_duality, cochain_complex, fundamental_cycle,
                               harmonic_reduction, intersection_form_oracle,
                               load_simplicial, orient_facets, symmetric_signature)
@@ -495,3 +496,36 @@ def test_boundary_matrices_cached_read_only():
         assert not b.flags.writeable
         with pytest.raises(ValueError):
             b[0, 0] = 7
+
+
+def previous_cohomology_basis(sm: SimplicialManifold, p: int) -> list[list[Fraction]]:
+    """The cocycle selection _cohomology_basis replaced: one echelon of the
+    image vectors of d_{p-1} followed by the full-length kernel vectors of
+    d_p, keeping each kernel vector independent of the rows before it."""
+    dim = len(sm.simplices[p])
+    kernel = _integer_nullspace(_back_substitute(sm.coboundary_echelons[p]), dim)
+    if not kernel:
+        return []
+    image = []
+    if p:
+        columns = defaultdict(dict)
+        for i, row in enumerate(sm.coboundary_rows[p - 1]):
+            for j, x in row.items():
+                columns[j][i] = x
+        image = [columns[j] for j in sorted(sm.coboundary_echelons[p - 1])]
+    _, kept = _echelon(image + [{i: x for i, x in enumerate(v) if x} for v, _ in kernel])
+    return [_to_fractions(*kernel[j - len(image)]) for j in kept if j >= len(image)]
+
+
+@pytest.mark.parametrize("build", [
+    fixtures.cp2_triangulation, fixtures.torus_triangulation,
+    *(partial(relabelled_torus_manifold, k) for k in (3, 4, 5, 6)),
+    *(partial(simplex_boundary, n) for n in (1, 2, 3, 4)),
+], ids=["cp2_9", "torus7", "torus3", "torus4", "torus5", "torus6",
+        "sphere1", "sphere2", "sphere3", "sphere4"])
+def test_cocycles_selected_by_free_columns_are_the_previous_ones(build):
+    # the selection in the coordinates of ker d_p is the same greedy choice
+    # as the one over full-length vectors, so every representative is equal
+    sm = build()
+    for p in range(sm.n + 1):
+        assert _cohomology_basis(sm, p) == previous_cohomology_basis(sm, p)

@@ -289,13 +289,29 @@ def _traced_peak(fn) -> int:
 
 def test_total_complex_holds_four_dense_arrays_at_most():
     # certifying the total complex holds S, D and the operand of D +- S at
-    # once, besides LAPACK's untraced copy: T is overwritten by S, and
-    # neither d nor its adjoint is kept beside D
+    # once, besides LAPACK's untraced copy: T is overwritten by S, neither d
+    # nor its adjoint is kept beside D, and the Weyl slack reads the skew and
+    # parity-violating entries in place, with no copy of the whole size
+    # (3.78 operands measured, 4.25 with those copies)
     fc = _seam_twisted_grid_torus(5)
     peak = _traced_peak(lambda: family.total_complex(fc))
     tot = family.total_complex(fc)
     assert tot.total_dim == 600 and tot.S.dtype == tot.D.dtype == np.float64
-    assert peak <= 4.5 * 8 * tot.total_dim ** 2
+    assert peak <= 3.9 * 8 * tot.total_dim ** 2
+
+
+def test_graded_sum_reads_its_norms_in_place():
+    # ||D - D*|| is read 64 rows at a time, and the entries of D and of the
+    # Hermitian part of S that break the parity rules are summed under the
+    # grading's masks; copying them took 1.02 and 0.50 operands
+    tot = family.total_complex(_seam_twisted_grid_torus(5))
+    operand = 8 * tot.total_dim ** 2
+    assert tot.D_on.dtype == np.float64
+    assert _traced_peak(lambda: hpc_core.GradedSum(tot.space.grading, tot.n, tot.D_on)) \
+        <= 0.3 * operand
+    gs = tot.graded
+    h = gs.hermitian_part(tot.S_on)
+    assert _traced_peak(lambda: gs.slack(h, tot.S_skew)) <= 0.05 * operand
 
 
 def test_localization_sample_adds_one_operand():
@@ -456,29 +472,34 @@ def test_sgn_cp2_9_decomposes_one_full_size_matrix(monkeypatch, capsys, fixture_
     calls = count_calls(monkeypatch, "numpy.linalg", np.linalg.eigvalsh)
     assert run_cli(capsys, "sgn", str(fixture_dir / "cp2_9.json")) == 0
     # the cached spectrum of D + S, which t = 1 and the report read, the
-    # graded B+(t) at t = 10, and the 7 midpoints of three bisection levels;
-    # all in float64, and none of half size
-    assert calls == [(255, 255)] * 9
+    # middle block S[2, 2] of the self-adjoint part of S, which ||S|| reads,
+    # the graded B+(t) at t = 10, and the 7 midpoints of three bisection
+    # levels; all in float64, and none of half size
+    assert calls == [(255, 255), (84, 84)] + [(255, 255)] * 8
     assert {dtype.name for dtype in calls.dtypes} == {"float64"}
 
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_sgn_even_strict_complex_makes_two_eigvalsh(monkeypatch, capsys, tmp_path, n):
-    # the cached spectrum at t = 1 and the graded B+(10): the endpoints
-    # close [1, 10] without a midpoint
+    # two of the full size, the cached spectrum at t = 1 and the graded
+    # B+(10): the endpoints close [1, 10] without a midpoint; and before
+    # them the middle degree block of the self-adjoint part of S, for ||S||
     c = fixtures.random_strict_complex(np.random.default_rng(3), n, 8)
+    middle = c.space.dims[n // 2]
+    assert middle == {2: 14, 4: 8}[n]
     path = tmp_path / "strict.json"
     path.write_text(json.dumps(hpc_core.hpcomplex_to_json(c)))
     calls = count_calls(monkeypatch, "numpy.linalg", np.linalg.eigvalsh)
     assert run_cli(capsys, "sgn", str(path)) == 0
-    assert len(calls) == 2
+    assert calls == [(middle, middle)] + [(c.total_dim, c.total_dim)] * 2
 
 
 def test_check_cp2_9_eigvalsh_count(monkeypatch, capsys, fixture_dir):
     calls = count_calls(monkeypatch, "numpy.linalg", np.linalg.eigvalsh)
     assert run_cli(capsys, "check", str(fixture_dir / "cp2_9.json")) == 0
-    # the spectrum of D + S, whose negative reversed is that of D - S
-    assert calls == [(255, 255)]
+    # the spectrum of D + S, whose negative reversed is that of D - S, and
+    # the middle degree block S[2, 2] of the self-adjoint part of S
+    assert calls == [(255, 255), (84, 84)]
 
 
 def test_sgn_odd_decomposes_only_half_size_blocks(monkeypatch, capsys, fixture_dir):
@@ -493,13 +514,20 @@ def test_sgn_odd_decomposes_only_half_size_blocks(monkeypatch, capsys, fixture_d
 
 
 def test_validate_takes_each_two_norm_once(monkeypatch):
-    # all five norms of this complex are nonzero, so each needs an SVD
+    # all five norms of this complex are nonzero, so each needs a
+    # decomposition
     c = fixtures.random_strict_complex(np.random.default_rng(2), 2, 2)
     assert not c.space.has_weights       # no inner-product checks
-    calls = count_calls(monkeypatch, "numpy.linalg", np.linalg.svd)
+    assert c.space.dims == (2, 4, 2)
+    svd = count_calls(monkeypatch, "numpy.linalg", np.linalg.svd)
+    eigvalsh = count_calls(monkeypatch, "numpy.linalg", np.linalg.eigvalsh)
     hpc_core.validate(c)
-    # ||S||, ||S - S*||, ||S^2 - 1||, ||SD + DS|| and ||D||
-    assert len(calls) == 5
+    # ||S|| and ||S^2 - 1|| from one SVD of X_0 = S[2, 0] and one eigvalsh of
+    # the middle block S[1, 1]; ||S - S*|| (one group) and ||D|| (two
+    # groups) over their degree blocks; ||SD + DS|| from its even x odd block
+    assert svd == [(2, 2), (8, 8), (2, 4, 4), (4, 4)]
+    # the middle block, then the spectrum of D + S
+    assert eigvalsh == [(4, 4), (8, 8)]
 
 
 def test_check_reduces_each_coboundary_once(monkeypatch, capsys, fixture_dir):
@@ -520,22 +548,21 @@ def test_check_reduces_each_coboundary_once(monkeypatch, capsys, fixture_dir):
     lapack = _decompositions(monkeypatch)
     assert run_cli(capsys, "check", str(fixture_dir / "cp2_9.json")) == 0
     # one echelon per coboundary d_0..d_3, by its rows, one per (p+1)-simplex;
-    # the [image | kernel] selection of rank d_1 = 28 image vectors and
-    # 84 - 55 = 29 kernel vectors; the 1 x 1 pairing
-    assert echelons == [36, 84, 90, 36, 28 + 29, 1]
+    # the cocycle selection, of the rank d_1 = 28 image vectors restricted
+    # to the 84 - 55 = 29 free columns of d_2; the 1 x 1 pairing
+    assert echelons == [36, 84, 90, 36, 28, 1]
     # one back-substitution, of the middle degree's d_2 of rank 55
     assert back_substituted == [55]
-    assert sum(map(len, lapack)) == 4
+    assert sum(map(len, lapack)) == 5
 
 
 def test_check_cp2_9_svd_count(monkeypatch, capsys, fixture_dir):
     calls = count_calls(monkeypatch, "numpy.linalg", np.linalg.svd)
     assert run_cli(capsys, "check", str(fixture_dir / "cp2_9.json")) == 0
-    # ||S||, ||S^2 - 1|| and ||SD + DS||, each once: the symmetrized S is
-    # exactly self-adjoint, and the weak tier never reads ||D||
-    assert len(calls) == 3
-    # each over its connected degree blocks, none above the largest degree
-    assert max(max(shape) for shape in calls) <= 90
+    # ||S|| and ||S^2 - 1|| from X_0 = S[4, 0] and X_1 = S[3, 1], neither
+    # padded, and ||SD + DS|| from its even x odd block Y: the symmetrized S
+    # is exactly self-adjoint, and the weak tier never reads ||D||
+    assert calls == [(36, 9), (90, 36), (129, 126)]
 
 
 def test_check_torus7_takes_norms_over_degree_blocks(monkeypatch, capsys, fixture_dir):
@@ -569,9 +596,14 @@ def test_product_cp2_model_squared_svd_count(monkeypatch, capsys, fixture_dir):
     calls = count_calls(monkeypatch, "numpy.linalg", np.linalg.svd)
     cp2 = str(fixture_dir / "cp2_model.json")
     assert run_cli(capsys, "product", cp2, cp2) == 0
-    # one SVD per nonzero norm of each factor, of the product and of the
-    # sign-rule search's products (51 when each validate took its own norms)
-    assert len(calls) <= 10
+    # per complex, the two factors, the product and the sign-rule search's
+    # products, one SVD per shape of the nonzero blocks X_p of the
+    # self-adjoint part of S, which ||S|| and ||S^2 - 1|| read, and one of
+    # ||D|| over its degree blocks where D is nonzero; SD + DS is 0 on each
+    # (51 calls when each validate took its own norms)
+    assert calls == ([(1, 1)] * 3 + [(4, 4), (2, 8, 8), (1, 1), (2, 2), (2, 4, 4), (1, 1),
+                                     (2, 2), (2, 4, 4), (1, 1), (1, 1), (2, 2)])
+    assert calls.by("spectral.graded_norm") == [(2, 8, 8), (2, 4, 4), (2, 4, 4)]
 
 
 def test_chs_validates_the_gluing_and_builds_the_base_duality_once(monkeypatch, capsys,
@@ -710,6 +742,11 @@ def test_the_real_dtype_test_is_exact(monkeypatch, capsys, tmp_path):
     i, j = np.argwhere(s != 0)[0]
     s[i, j] += 1e-300j
     c = hpc_core.HPComplex(cap.space, cap.d, s, cap.tier, cap.meta)
-    eigh, eigvalsh, _, _ = _run_sgn_on(monkeypatch, capsys, tmp_path, c)
+    eigh, eigvalsh, svd, _ = _run_sgn_on(monkeypatch, capsys, tmp_path, c)
     assert len(eigh) == 0
-    assert eigvalsh.count((255, 255)) == 9 and eigvalsh.complex() == list(eigvalsh)
+    assert eigvalsh.count((255, 255)) == 9 and eigvalsh.complex() == [(255, 255)] * 9
+    # the entry lies in S[0, 4], so X_0, the block of the self-adjoint part
+    # it enters, is complex, and so is ||S - S*||, whose nonzero blocks are
+    # S[0, 4] and S[4, 0]; the middle block S[2, 2] of ||S|| stays float64
+    assert i < 9 and j >= 219
+    assert svd.complex() == [(36, 9), (2, 36, 36)] and eigvalsh.count((84, 84)) == 1

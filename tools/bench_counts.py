@@ -27,6 +27,10 @@ the BLAS thread count.  The script exits 1 when an op of the working tree
 exits with another code than the one listed for it (1 for the three
 negative controls, 0 for every other op) and, with ``--base``, when the
 report of an op differs from the base's; it names each such op on stderr.
+For a report that differs it also prints the JSON path of each value that
+moved, with both values, and the largest relative change among them
+(|a - b| / max(|a|, |b|) for two numbers, inf for any other difference), and
+records them in the op's ``moved`` and ``largest_relative_change``.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import gc
 import hashlib
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -110,13 +115,43 @@ def count(src: Path) -> dict:
         code, text, _ = run(argv)
         op = {"argv": argv, "exit": code, "report_bytes": len(text),
               "report_sha256": hashlib.sha256(text).hexdigest(),
-              "calls": dict(sorted(calls.items()))}
+              "calls": dict(sorted(calls.items())), "report": text.decode()}
         # the counted run also holds what it adds to numpy's and hpsig's
         # caches; the least of three more damps the noise of small ops
         op["peak_traced_bytes"] = min(run(argv)[2] for _ in range(3))
         out.append(op)
     tracemalloc.stop()
     return {"src_lines": {"total": sum(lines.values()), **lines}, "ops": out}
+
+
+def _moved(base, change, path: str = "$") -> list[tuple[str, object, object]]:
+    """The JSON paths at which two decoded reports differ, with both values."""
+    if isinstance(base, dict) and isinstance(change, dict) and base.keys() == change.keys():
+        return [m for key in base for m in _moved(base[key], change[key], f"{path}.{key}")]
+    if isinstance(base, list) and isinstance(change, list) and len(base) == len(change):
+        return [m for i, (a, b) in enumerate(zip(base, change))
+                for m in _moved(a, b, f"{path}[{i}]")]
+    return [] if type(base) is type(change) and base == change else [(path, base, change)]
+
+
+def _relative_change(a, b) -> float:
+    """|a - b| / max(|a|, |b|) for two numbers, inf for any other pair."""
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def _report_moves(base: dict, change: dict) -> list[str]:
+    """Record in change what moved between the reports of one op, and return
+    the lines that name it."""
+    try:
+        moved = _moved(json.loads(base["report"]), json.loads(change["report"]))
+    except json.JSONDecodeError:
+        moved = [("$", "(report)", "(report)")]
+    change["moved"] = {path: _relative_change(a, b) for path, a, b in moved}
+    change["largest_relative_change"] = max(change["moved"].values(), default=0.0)
+    return ([f"  {path}: {a!r} -> {b!r}" for path, a, b in moved]
+            + [f"  largest relative change: {change['largest_relative_change']:.3g}"])
 
 
 def _count_in_subprocess(src: Path) -> dict:
@@ -155,17 +190,21 @@ def main() -> None:
             subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
             doc["base"] = {"rev": rev, **_count_in_subprocess(Path(tmp) / "src")}
     doc["change"] = {"rev": "working tree", **_count_in_subprocess(ROOT / "src")}
+    errors = [f"{' '.join(op['argv'])} exited {op['exit']}, expected {want}"
+              for op, (_, want) in zip(doc["change"]["ops"], OPS) if op["exit"] != want]
+    if args.base:
+        for op, base in zip(doc["change"]["ops"], doc["base"]["ops"]):
+            if op["report_sha256"] != base.get("report_sha256"):
+                errors.append("\n".join([f"{' '.join(op['argv'])}: report differs from the "
+                                         "base's", *_report_moves(base, op)]))
+    for side in ("base", "change"):
+        for op in doc.get(side, {}).get("ops", []):
+            del op["report"]
     text = json.dumps(doc, indent=1) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-    errors = [f"{' '.join(op['argv'])} exited {op['exit']}, expected {want}"
-              for op, (_, want) in zip(doc["change"]["ops"], OPS) if op["exit"] != want]
-    if args.base:
-        errors += [f"{' '.join(op['argv'])}: report differs from the base's"
-                   for op, base in zip(doc["change"]["ops"], doc["base"]["ops"])
-                   if op["report_sha256"] != base.get("report_sha256")]
     for error in errors:
         print(f"error: {error}", file=sys.stderr)
     if errors:
