@@ -77,8 +77,11 @@ def largest_distance(dist: np.ndarray, support: np.ndarray) -> np.ndarray:
     return np.where(support, dist, 0.0).max(axis=(-2, -1), initial=0.0)
 
 
+@lru_cache(maxsize=16)
 def path_space(n: int, step: float = 1.0) -> FiniteMetricSpace:
-    """n points on a line with unit (or step) spacing."""
+    """n points on a line with unit (or step) spacing.  Repeated calls with
+    the same arguments return the same space, so that the product spaces
+    built from it are found in the cache of product_space."""
     idx = np.arange(n, dtype=float)
     return FiniteMetricSpace(np.abs(idx[:, None] - idx[None, :]) * step)
 

@@ -248,8 +248,9 @@ class GradedSpace:
 class DualitySpectrum(NamedTuple):
     """The spectra of the graded Hermitian parts of D +- S up to sign (see
     GradedSum), and a bound slack on the 2-norm of the rest: ascending
-    eigenvalues for even n, the singular values of X+- padded with the zeros
-    of a block that is not square for odd n."""
+    eigenvalues for even n, the union of those of the operand's diagonal
+    blocks; the singular values of X+- padded with the zeros of a block that
+    is not square for odd n."""
 
     plus: np.ndarray
     minus: np.ndarray
@@ -262,6 +263,50 @@ class DualitySpectrum(NamedTuple):
         return [int((v > 0).sum()) for v in self[:2]]
 
 
+def _nonzero(m: np.ndarray) -> np.ndarray:
+    """m != 0.  Each entry of a complex m is compared as the two float64 it
+    is stored as, several times faster than numpy compares complex numbers,
+    and the two results are read as one uint16."""
+    if not np.iscomplexobj(m):
+        return m != 0
+    return (np.ascontiguousarray(m).view(np.float64) != 0).view(np.uint16) != 0
+
+
+def _symmetric_support(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Where a or b, or the transpose of either, is nonzero, as a boolean
+    matrix formed in place."""
+    out = _nonzero(a)
+    out |= _nonzero(b)
+    out |= out.T
+    return out
+
+
+def _components(pattern: np.ndarray) -> tuple:
+    """Selectors of the diagonal blocks of any matrix whose nonzero entries
+    lie where the symmetric boolean pattern holds: one per connected
+    component of the graph pattern is the adjacency matrix of, its indices
+    ascending, in the order of their least index.  Such a matrix is the
+    direct sum of these blocks up to a symmetric permutation, so its
+    spectrum is the union of theirs.  A connected pattern selects the whole
+    matrix, as a view.  Found breadth first, one boolean row per index,
+    in as few numpy calls per level as it takes: their fixed cost, not the
+    rows they read, is most of the time on operands of a few hundred rows."""
+    unseen = np.ones(len(pattern), dtype=bool)
+    out = []
+    while unseen[(frontier := unseen.argmax(keepdims=True))[0]]:
+        before = unseen.copy()
+        unseen[frontier] = False
+        while frontier.size:
+            reached = np.logical_or.reduce(pattern.take(frontier, axis=0), axis=0)
+            reached &= unseen
+            unseen ^= reached
+            frontier = reached.nonzero()[0]
+        out.append((before ^ unseen).nonzero()[0])
+    if len(out) == 1:
+        return ((slice(None), slice(None)),)
+    return tuple((c[:, None], c) for c in out)
+
+
 class GradedSum:
     """D +- S through the grading eps = (-1)^p, for one D of top degree n:
     D links adjacent degrees and S maps degree p to n - p, so eps D eps = -D
@@ -269,6 +314,11 @@ class GradedSum:
     Hermitian decomposition of D + S serves both; for odd n, D +- S is
     [[0, X+-], [X+-*, 0]] by degree parity.  The Weyl slack adds the norm of
     the entries breaking these rules to that of the skew parts.
+
+    For even n the nonzero entries of D and of cover, taken with their
+    transposes, make the pattern whose connected components split every
+    operand of D + S into diagonal blocks (_components): cover must be
+    nonzero wherever an S handed to this sum is.  They are found once, here.
 
     D and S come in the dtype _cmat stored them in, so a float64 D or S is
     read in place.  A complex D, or an S given to operand, hermitian_part or
@@ -278,18 +328,33 @@ class GradedSum:
     localization schedule and the rho path call per sample, takes its h in
     the dtype it comes in, and for even n overwrites it."""
 
-    def __init__(self, grading: Grading, n: int, d: np.ndarray):
+    def __init__(self, grading: Grading, n: int, d: np.ndarray, cover: np.ndarray):
         self.grading = grading
         self.even_n = n % 2 == 0
+        if self.even_n:
+            self._blocks = _components(_symmetric_support(d, cover))
+        self._read(d)
+        # formed once D is read, so that it is not held beside the pattern
+        # or the slabs of D - D*
+        self._s_off = ~grading.same if self.even_n else grading.same
+
+    def with_d(self, d: np.ndarray) -> GradedSum:
+        """The sum for d in place of D, where d is nonzero only where D is,
+        as s D for s > 0 is: the components of this sum serve it."""
+        out = copy.copy(self)
+        out._read(d)
+        return out
+
+    def _read(self, d: np.ndarray) -> None:
         # both read without an array of the whole size beside d
         self.d_skew = _frobenius(d[i:i + _SLAB] - d[:, i:i + _SLAB].conj().T
                                  for i in range(0, len(d), _SLAB))
         if self.d_skew:         # the Hermitian part; a Hermitian D is read in place
             d = (d + d.conj().T) * 0.5
-        self.d_off_parity = _masked_frobenius(d, grading.same)
+        self.d_off_parity = _masked_frobenius(d, self.grading.same)
         self._d = d = spectral.real_if_exact(d)
-        self._s_off = ~grading.same if self.even_n else grading.same
         if not self.even_n:
+            grading = self.grading
             self._ix = np.ix_(grading.even, grading.odd)
             self._d_block = d[self._ix]
             self._pad = np.zeros(abs(grading.even.size - grading.odd.size))
@@ -337,17 +402,18 @@ class GradedSum:
     def spectrum_of(self, h: np.ndarray, slack: float, scale: float = 1.0
                     ) -> DualitySpectrum:
         """The spectrum of scale D +- S for h, the Hermitian part of S: for
-        even n, one eigvalsh of the graded Hermitian part of scale D + S,
-        written over h; for odd n, the singular values of X+-, padded.  A
-        scale other than 1 is only for a D that keeps the grading rules
-        exactly (d_skew = d_off_parity = 0): then the slack of scale D is
-        that of D, and scale D is written into h or into X+- directly."""
+        even n, one eigvalsh of each diagonal block of the graded Hermitian
+        part of scale D + S, written over h, and their union, sorted; for
+        odd n, the singular values of X+-, padded.  A scale other than 1 is
+        only for a D that keeps the grading rules exactly (d_skew =
+        d_off_parity = 0): then the slack of scale D is that of D, and
+        scale D is written into h or into X+- directly."""
         if self.even_n:
             # in h's dtype: a masked ufunc would otherwise cast h to the dtype
             # of D and back
             np.multiply(scale, self._d, out=h, where=self._s_off, dtype=h.dtype)
             h += 0.0        # a zero of either sign reads +0.0, as in the sum of both parts
-            plus = np.linalg.eigvalsh(h)
+            plus = np.sort(np.concatenate([np.linalg.eigvalsh(h[ix]) for ix in self._blocks]))
             return DualitySpectrum(plus, -plus[::-1], slack)
         svs = [np.linalg.svd(x, compute_uv=False) for x in self.blocks(h, scale)]
         if self._pad.size:
@@ -419,8 +485,9 @@ def _anticommutator_norm(s: np.ndarray, dh: np.ndarray, sp: GradedSpace) -> floa
     K = h D_p is formed block by block: a nonzero block of dh from degree b
     to degree a gives K its block X @ dh[a, b] from b to n - a, X the block
     of h from a to n - a.  For even n, h keeps parity and D_p reverses it,
-    so h D_p + D_p h = K + K* is [[0, Y], [Y*, 0]] by parity, Y = K_eo + K_oe*:
-    one SVD of Y.  For odd n, h reverses parity too, and K + K* is
+    so h D_p + D_p h = K + K* is [[0, Y], [Y*, 0]] by parity, Y = K_eo + K_oe*,
+    whose norm is the root of the largest eigenvalue of the smaller of Y*Y
+    and YY*: one eigvalsh.  For odd n, h reverses parity too, and K + K* is
     diag(P + P*, Q + Q*) for P = K_ee and Q = K_oo: one eigvalsh of each,
     of an operand that is exactly Hermitian."""
     n, dims, blocks = sp.n, sp.dims, _hermitian_blocks(s, sp)
@@ -451,7 +518,10 @@ def _anticommutator_norm(s: np.ndarray, dh: np.ndarray, sp: GradedSpace) -> floa
                 out[0][place(b, r)] += k.conj().T
     if n % 2 == 0:
         y = out[0]
-        return float(np.linalg.svd(y, compute_uv=False)[0]) if y.any() else 0.0
+        if not y.any():
+            return 0.0
+        gram = y.conj().T @ y if y.shape[0] >= y.shape[1] else y @ y.conj().T
+        return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
     return max((float(np.abs(np.linalg.eigvalsh(m + m.conj().T)).max())
                 for m in out if m.any()), default=0.0)
 
@@ -631,8 +701,9 @@ class HPComplex:
 
     @cached_property
     def graded(self) -> GradedSum:
-        """D_on through the grading, in the dtype GradedSum decides."""
-        return GradedSum(self.space.grading, self.n, self.D_on)
+        """D_on through the grading, in the dtype GradedSum decides, split by
+        the components of D_on and S_on."""
+        return GradedSum(self.space.grading, self.n, self.D_on, self.S_on)
 
     @cached_property
     def spectrum(self) -> DualitySpectrum:

@@ -138,7 +138,11 @@ class _PathData:
         self.Sf = self.S @ f                 # source -> target block
         self.D = self.assemble(src.D_on, None, None, tgt.D_on)
         grading = Grading(np.concatenate([src.space.parity, tgt.space.parity]))
-        self.graded = GradedSum(grading, he.n, self.D)   # S_f(t) maps degree p to n - p
+        # S_f(t) maps degree p to n - p, and every H(t) is nonzero only where
+        # one of the five blocks it is assembled from is
+        cover = self.assemble((self.Sp != 0) | (self.fSf != 0), self.fS != 0, self.Sf != 0,
+                              self.S != 0)
+        self.graded = GradedSum(grading, he.n, self.D, cover)
 
     def assemble(self, a11, a12, a21, a22) -> np.ndarray:
         m = np.zeros((self.ns + self.nt, self.ns + self.nt), dtype=complex)
@@ -249,7 +253,8 @@ class _Sample(NamedTuple):
 
 def _sample(pd: _PathData, t: float) -> _Sample:
     """D +- H at path time t through hpc_core.GradedSum.spectrum_of: one
-    eigvalsh of the graded D + H for even n, two half-size SVDs for odd n.
+    eigvalsh of each diagonal block of the graded D + H for even n, two
+    half-size SVDs for odd n.
     rho_path applies the path's slack, so none is passed here."""
     sp = pd.graded.spectrum_of(_parts(pd, t)[0], 0.0)
     if pd.graded.even_n:

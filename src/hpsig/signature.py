@@ -12,7 +12,7 @@ import numpy as np
 
 from . import spectral
 from .hpc_core import (DEFAULT_TOL, DomainError, DualitySpectrum,
-                       DualityDegenerateError, GradedSum, HPComplex, Tolerances,
+                       DualityDegenerateError, HPComplex, Tolerances,
                        require_valid)
 from .spectral import InvertibilityCertificate, NoSpectralGapError
 
@@ -64,12 +64,13 @@ class _Point:
 
 def _point(c: HPComplex, tol: Tolerances, s: float, h: np.ndarray) -> _Point:
     """The sample of B+-(s) = s D +- S, read from the gap certificates of
-    its spectrum: the cached one at s = 1, otherwise one eigvalsh of the
-    graded B+(s) for even n, which serves B-(s) = -eps B+(s) eps as well,
+    its spectrum: the cached one at s = 1, otherwise the eigenvalues of the
+    graded B+(s) for even n, which serve B-(s) = -eps B+(s) eps as well,
     and the SVDs of X+- for odd n.  h is the Hermitian part of S: an even
     sample writes s D into one copy of it, an odd one reads it.  s D is
     read through the complex's own GradedSum when D keeps the grading rules
-    exactly, and through one built for s D otherwise.  The bound is the gap
+    exactly, and through its copy for s D otherwise, which keeps its
+    components: s D has the nonzero pattern of D.  The bound is the gap
     less the Weyl slack; a sample where it does not clear the threshold
     fails the interval it ends, as _interval reads it."""
     if s == 1.0:
@@ -77,7 +78,7 @@ def _point(c: HPComplex, tol: Tolerances, s: float, h: np.ndarray) -> _Point:
     else:
         gs, scale = c.graded, s
         if gs.d_skew or gs.d_off_parity:
-            gs, scale = GradedSum(c.space.grading, c.n, s * c.D_on), 1.0
+            gs, scale = gs.with_d(s * c.D_on), 1.0
         slack = gs.slack(h, c.S_skew)
         sp = gs.spectrum_of(h.copy() if gs.even_n else h, slack, scale)
     gaps = sp.certificates(tol.inv)

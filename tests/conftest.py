@@ -48,3 +48,34 @@ def path_gluing():
                        np.linalg.norm(pd.branch(5, 6.0) + ends, 2))
         return float(junction), float(endpoint)
     return gluing
+
+
+@pytest.fixture(scope="session")
+def graded_operand():
+    """The operand whose spectrum is that of scale D + S for an even complex,
+    formed in one piece: the Hermitian part of S on the entries joining
+    degrees of equal parity, that of scale D on the others."""
+    def operand(c, scale: float = 1.0) -> np.ndarray:
+        s, d = c.S_on, scale * c.D_on
+        return np.where(c.space.grading.same, (s + s.conj().T) * 0.5, (d + d.conj().T) * 0.5)
+    return operand
+
+
+@pytest.fixture(scope="session")
+def split_agrees():
+    """Checks a DualitySpectrum decomposed one connected component at a time
+    (hpc_core.GradedSum) against one dense eigvalsh of its operand: each
+    eigenvalue within N eps ||M||, the same certificate verdicts, and, where
+    no eigenvalue lies that close to 0, the same positive ranks."""
+    def agrees(split, operand: np.ndarray, tol_inv: float = 1e-8) -> None:
+        dense = np.linalg.eigvalsh(operand)
+        bound = len(dense) * np.finfo(float).eps * float(np.abs(dense).max())
+        assert split.plus.shape == dense.shape
+        assert float(np.abs(split.plus - dense).max()) <= bound
+        assert np.array_equal(split.minus, -split.plus[::-1])
+        whole = type(split)(dense, -dense[::-1], split.slack)
+        assert ([cert.passed for cert in split.certificates(tol_inv)]
+                == [cert.passed for cert in whole.certificates(tol_inv)])
+        if float(np.abs(dense).min()) > bound:
+            assert split.positive_ranks() == whole.positive_ranks()
+    return agrees

@@ -226,7 +226,10 @@ def test_product_space_is_built_once_per_factor_pair(metric):
     x, y = path_space(3), path_space(4)
     prod = product_space(x, y, metric)
     assert product_space(x, y, metric) is prod
-    fresh = product_space(path_space(3), path_space(4), metric)
+    # path_space returns the same space per arguments: equal copies of the
+    # factors are other keys
+    assert path_space(3) is x
+    fresh = product_space(FiniteMetricSpace(x.dist), FiniteMetricSpace(y.dist), metric)
     assert fresh is not prod
     assert np.array_equal(prod.dist, fresh.dist) and prod.pi == fresh.pi
     assert prod.base is x
@@ -247,13 +250,14 @@ def test_product_space_unknown_metric_raises_every_call():
 
 
 def test_product_space_keeps_a_bounded_number_of_factors_alive():
-    x = path_space(2)
+    two_points = path_space(2).dist
+    x = FiniteMetricSpace(two_points)
     ref = weakref.ref(x)
     product_space(x, x)
     del x
     y = path_space(2)
     for _ in range(100):
-        product_space(path_space(2), y)
+        product_space(FiniteMetricSpace(two_points), y)
     gc.collect()
     assert ref() is None
 

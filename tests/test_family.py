@@ -399,6 +399,18 @@ def test_vectorized_total_complex_equals_the_per_simplex_assembly(name):
         assert all(a.dtype == np.float64 for a in (*tot.d, tot.S))
 
 
+@pytest.mark.parametrize("name", sorted({*UNTWISTED, *TWISTED} - {"fc_mapping_torus_cp2",
+                                                                    "fc_torus_twist",
+                                                                    "weighted_torus_twist"}))
+def test_model_fiber_bundles_split_into_two_blocks(name, split_agrees, graded_operand):
+    # the model fibers have d = 0 and transports keep degrees, so a fiber
+    # index of degree q meets degree n - q only through S: D + S of an even
+    # total is the direct sum of two blocks, decomposed one at a time
+    tot = total_complex((UNTWISTED.get(name) or TWISTED[name])())
+    assert tot.n % 2 == 0 and len(tot.graded._blocks) == 2
+    split_agrees(tot.spectrum, graded_operand(tot))
+
+
 def test_transports_are_one_table_with_the_identity_first():
     fc = seam_twisted_torus(4, 1)
     table = fc.transports

@@ -461,7 +461,7 @@ def test_scaled_graded_sum_equals_the_rebuilt_one(name):
     gs = c.graded
     assert gs.d_skew == gs.d_off_parity == 0.0
     s = 7.0 ** -0.5
-    ref = GradedSum(c.space.grading, c.n, s * c.D_on)
+    ref = GradedSum(c.space.grading, c.n, s * c.D_on, c.S_on)
     h = gs.hermitian_part(c.S_on)
     held = h.copy()
     ours = gs.spectrum_of(h.copy() if gs.even_n else h, gs.slack(h, c.S_skew), s)
@@ -475,6 +475,92 @@ def test_scaled_graded_sum_equals_the_rebuilt_one(name):
     _point(c, DEFAULT_TOL, s, h)
     assert np.array_equal(h.view(np.uint8), held.view(np.uint8))
     assert np.array_equal(gs.spectrum(c.S_on, c.S_skew).plus, c.spectrum.plus)
+
+
+# D +- S of an even complex is decomposed one connected component of its
+# nonzero pattern at a time: the union of the blocks' spectra against one
+# dense eigvalsh of the same operand (conftest's split_agrees)
+
+
+def _permuted_block_diagonal(rng) -> tuple[np.ndarray, int, int]:
+    """A Hermitian direct sum of dense blocks of 1 to 6 rows, some of them
+    zero, under a random symmetric permutation, with its number of
+    components (each index of a zero block is one) and of zero eigenvalues."""
+    sizes = rng.integers(1, 7, size=int(rng.integers(1, 6)))
+    m = np.zeros((sizes.sum(), sizes.sum()), dtype=complex if rng.random() < 0.5 else float)
+    at = components = zeros = 0
+    for k in sizes:
+        if rng.random() < 0.2:
+            components, zeros = components + k, zeros + k
+        else:
+            a = rng.standard_normal((k, k)) + (1j * rng.standard_normal((k, k))
+                                                if m.dtype == complex else 0.0)
+            m[at:at + k, at:at + k] = a + a.conj().T
+            components += 1
+        at += k
+    perm = rng.permutation(len(m))
+    return m[np.ix_(perm, perm)], components, zeros
+
+
+def test_split_spectrum_of_permuted_block_diagonal_matrices(split_agrees):
+    # top degree 0: every entry keeps the parity rule, so the operand is
+    # the matrix itself; the cover is nonzero on one triangle only, and the
+    # sum takes its transpose
+    from hpsig.hpc_core import GradedSum
+    rng = np.random.default_rng(33)
+    for _ in range(200):
+        m, components, zeros = _permuted_block_diagonal(rng)
+        size = len(m)
+        gs = GradedSum(GradedSpace(0, (size,)).grading, 0, np.zeros((size, size)), np.tril(m))
+        assert len(gs._blocks) == components
+        split = gs.spectrum_of(m.copy(), 0.0)
+        split_agrees(split, m)
+        assert np.count_nonzero(split.plus == 0.0) >= zeros
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_split_spectrum_of_random_strict_complexes(n, split_agrees, graded_operand):
+    # n = 4 pieces are all cp2 models, whose d is 0: D + S splits into the
+    # degrees {0, 4} and {2}.  Rescaled inner products keep the pattern
+    rng = np.random.default_rng(34)
+    for blocks in (1, 2, 5):
+        c = fixtures.random_strict_complex(rng, n, blocks)
+        for lam in (1.0, 0.3, 4.0):
+            scaled = rescale_inner_products(c, lam)
+            split_agrees(scaled.spectrum, graded_operand(scaled))
+            if n == 4:
+                assert len(scaled.graded._blocks) == 2
+
+
+def test_rescaled_sample_keeps_the_components_of_d_plus_s(graded_operand):
+    # rescaled inner products leave D_on Hermitian only up to rounding, so a
+    # schedule sample reads s D through a copy of the sum for s D; it must
+    # keep the components of D + S, not find those of D alone, which over
+    # the cp2 model fiber are one per fiber index
+    c = rescale_inner_products(_fc_sphere_x_cp2_total(), 0.3)
+    gs = c.graded
+    assert gs.d_skew > 0 and len(gs._blocks) == 2
+    h = gs.hermitian_part(c.S_on)
+    for t in (2.0, 10.0):
+        s = t ** -0.5
+        point = _point(c, DEFAULT_TOL, s, h)
+        dense = np.linalg.eigvalsh(graded_operand(c, s))
+        bound = c.total_dim * np.finfo(float).eps * float(np.abs(dense).max())
+        slack = gs.slack(h, c.S_skew)
+        assert abs(point.bound - (float(np.abs(dense).min()) - slack)) <= bound
+        assert point.ranks == (int((dense > 0).sum()), int((dense < 0).sum()))
+
+
+@pytest.mark.parametrize("build", [fixtures.cp2_triangulation, fixtures.torus_triangulation])
+def test_connected_cap_duality_is_decomposed_whole(build):
+    # a cap duality links every degree to its neighbours through D and to
+    # its dual through S: one component, read in place, whose spectrum is
+    # bitwise one eigvalsh of the whole operand
+    c = cap_duality(build())
+    gs = c.graded
+    assert gs._blocks == ((slice(None), slice(None)),)
+    whole = np.where(c.space.grading.same, gs.hermitian_part(c.S_on), gs.hermitian) + 0.0
+    assert np.array_equal(c.spectrum.plus, np.linalg.eigvalsh(whole))
 
 
 # ||S||, ||S^2 - 1|| and ||SD + DS|| are read off the self-adjoint part h of S

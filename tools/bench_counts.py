@@ -11,7 +11,7 @@ counts the arrays hpsig allocates, not LAPACK's private copies of its
 operands, and Python's own objects move it by some hundred bytes between
 invocations.
 
-    python3 tools/bench_counts.py --out BENCH_31.json --base HEAD
+    python3 tools/bench_counts.py --out BENCH_33.json --base HEAD
 
 counts the ``src/`` of the working tree and, with ``--base``, that of a git
 revision, extracted with ``git archive`` into a temporary directory.  Each
@@ -57,7 +57,10 @@ OPS = ([(["check", "fixtures/cp2_9.json"], 0), (["check", "fixtures/torus7.json"
         (["sgn", "fixtures/circle3.json"], 0), (["sgn", "fixtures/torus7.json"], 0),
         (["product", "fixtures/cp2_model.json", "fixtures/circle_model.json"], 0),
         # the memory rung: one dense complex of dimension 42 x 42 = 1764
-        (["product", "fixtures/torus7.json", "fixtures/torus7.json"], 0)]
+        (["product", "fixtures/torus7.json", "fixtures/torus7.json"], 0),
+        # the split rung: the cp2 model has d = 0, so D + S of the product,
+        # of dimension 255 x 3 = 765, is the direct sum of blocks of 510 and 255
+        (["product", "fixtures/cp2_9.json", "fixtures/cp2_model.json"], 0)]
        + [(["rho", f"fixtures/he_{name}.json"], code)
           for name, code in (("identity_sphere_model", 0), ("orientation_mismatch", 1),
                              ("reduction_sphere_d3", 0), ("offgrid_crossing", 1),
