@@ -16,7 +16,7 @@ import numpy as np
 
 from .family import FiberedComplex, fibered_to_json
 from .hpc_core import (GradedSpace, HPComplex, direct_sum, hpcomplex_to_json,
-                       reverse_orientation)
+                       rescale_inner_products, reverse_orientation)
 from .rho import HomotopyEquivalence, he_to_json, identity_equivalence
 from .simplicial import (SimplicialManifold, cap_duality, harmonic_reduction,
                          intersection_form_oracle, load_simplicial,
@@ -202,6 +202,12 @@ def random_strict_complex(rng: np.random.Generator, n: int,
     return HPComplex(sp, d, s, "strict")
 
 
+def sphere_rescaled() -> HPComplex:
+    """The cap duality of sphere_triangulation, its inner products rescaled by
+    0.3: in orthonormal coordinates D and S are Hermitian only up to rounding."""
+    return rescale_inner_products(cap_duality(sphere_triangulation()), 0.3)
+
+
 def fiber_rotation_on_torus_model() -> np.ndarray:
     """Duality-compatible automorphism of the torus model rotating the two
     degree-1 generators: dx -> dy, dy -> -dx (the plain swap flips the
@@ -294,7 +300,7 @@ def write_corpus(out_dir: str | Path) -> list[Path]:
         path = out / f"{name}.json"
         _dump(path, builder().canonical_document())
         written.append(path)
-    for name, builder in MODELS.items():
+    for name, builder in {**MODELS, "sphere_d3_rescaled": sphere_rescaled}.items():
         path = out / f"{name}.json"
         _dump(path, hpcomplex_to_json(builder()))
         written.append(path)

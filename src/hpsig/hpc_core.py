@@ -333,31 +333,31 @@ class GradedSum:
         self.even_n = n % 2 == 0
         if self.even_n:
             self._blocks = _components(_symmetric_support(d, cover))
-        self._read(d)
-        # formed once D is read, so that it is not held beside the pattern
-        # or the slabs of D - D*
-        self._s_off = ~grading.same if self.even_n else grading.same
-
-    def with_d(self, d: np.ndarray) -> GradedSum:
-        """The sum for d in place of D, where d is nonzero only where D is,
-        as s D for s > 0 is: the components of this sum serve it."""
-        out = copy.copy(self)
-        out._read(d)
-        return out
-
-    def _read(self, d: np.ndarray) -> None:
         # both read without an array of the whole size beside d
         self.d_skew = _frobenius(d[i:i + _SLAB] - d[:, i:i + _SLAB].conj().T
                                  for i in range(0, len(d), _SLAB))
         if self.d_skew:         # the Hermitian part; a Hermitian D is read in place
             d = (d + d.conj().T) * 0.5
-        self.d_off_parity = _masked_frobenius(d, self.grading.same)
+        self.d_off_parity = _masked_frobenius(d, grading.same)
         self._d = d = spectral.real_if_exact(d)
+        self._ix = np.ix_(grading.even, grading.odd)
         if not self.even_n:
-            grading = self.grading
-            self._ix = np.ix_(grading.even, grading.odd)
             self._d_block = d[self._ix]
             self._pad = np.zeros(abs(grading.even.size - grading.odd.size))
+        # formed once D is read, so that it is not held beside the pattern
+        # or the slabs of D - D*
+        self._s_off = ~grading.same if self.even_n else grading.same
+
+    @property
+    def d_rest(self) -> float:
+        """e_D = d_skew / 2 + d_off_parity >= ||D - D_p||_F, for D_p the
+        entries of the Hermitian part of D that keep the parity rule."""
+        return 0.5 * self.d_skew + self.d_off_parity
+
+    def d_parity_norm(self) -> float:
+        """||D_p||_2, one SVD of Y = D_h[even, odd] (none if Y is 0), as D_p
+        is [[0, Y], [Y*, 0]] by parity."""
+        return operator_norm(self._d[self._ix] if self.even_n else self._d_block)
 
     @property
     def hermitian(self) -> np.ndarray:
@@ -404,10 +404,10 @@ class GradedSum:
         """The spectrum of scale D +- S for h, the Hermitian part of S: for
         even n, one eigvalsh of each diagonal block of the graded Hermitian
         part of scale D + S, written over h, and their union, sorted; for
-        odd n, the singular values of X+-, padded.  A scale other than 1 is
-        only for a D that keeps the grading rules exactly (d_skew =
-        d_off_parity = 0): then the slack of scale D is that of D, and
-        scale D is written into h or into X+- directly."""
+        odd n, the singular values of X+-, padded.  scale D is written into
+        h or X+- from the entries of D_h that keep the parity rule.  scale is
+        at most 1: the slack of D, d_skew / 2 + d_off_parity, then bounds
+        that of scale D, as both parts scale with D."""
         if self.even_n:
             # in h's dtype: a masked ufunc would otherwise cast h to the dtype
             # of D and back
@@ -439,43 +439,58 @@ class SelfAdjointPart(NamedTuple):
     per pair and those of the middle block.  top and squared are max
     |lambda| and max |lambda^2 - 1| over them, and rest is e = ||S - h||_F:
     the skew entries and those outside the pattern, a bound on
-    ||S - h||_2."""
+    ||S - h||_2.
+
+    On the pattern, S - S* is the direct sum over the pairs of [[0, -K_p*],
+    [K_p, 0]], K_p = S_{n-p,p} - S_{p,n-p}* (K_p for p = n/2): skew, max
+    ||K_p||_2 plus the Frobenius norm of S - S* outside the pattern, bounds
+    ||S - S*||_2.  outside is max |S_ij| outside the pattern."""
 
     top: float
     squared: float
     rest: float
+    skew: float
+    outside: float
 
 
 def _self_adjoint_part(s: np.ndarray, sp: GradedSpace) -> SelfAdjointPart:
     """The numbers of h (SelfAdjointPart) for s on the graded space sp: one
-    SVD of each X_p, batched over the X_p of equal shape and never padded,
-    one eigvalsh of the middle block, and none of a block with no nonzero
-    entry; e is read block by block."""
-    n, rest, sizes = sp.n, [], []
-    by_shape = defaultdict(list)
+    SVD of each X_p and of each nonzero K_p, batched over those of equal
+    shape and dtype and never padded, one eigvalsh of the middle block, and
+    none of a block with no nonzero entry; the rest is read block by block."""
+    n, skew_parts, beside, sizes, skews = sp.n, [], [], [], []
+    by_kind = defaultdict(list)
     for p, x in _hermitian_blocks(s, sp).items():
         rows, cols = sp.degree_slice(n - p), sp.degree_slice(p)
         # S - h: the entries outside the pattern in the columns of degrees p
         # and n - p, and on the blocks (n - p, p) and (p, n - p) the skew
-        # (S_{n-p,p} - S_{p,n-p}*)/2 and its negative adjoint, one block
-        # when p = n - p
-        rest += [s[:rows.start, cols], s[rows.stop:, cols]]
-        if p < n - p:
-            rest += [s[:cols.start, rows], s[cols.stop:, rows]]
-        rest += [(s[rows, cols] - s[cols, rows].conj().T) * 0.5] * (1 if p == n - p else 2)
+        # K_p / 2 and its negative adjoint, one block when p = n - p
+        beside += [(r, c) for band, c in ((rows, cols), (cols, rows))[:2 if p < n - p else 1]
+                   for r in (slice(0, band.start), slice(band.stop, None))]
+        k = spectral.real_if_exact(s[rows, cols] - s[cols, rows].conj().T)
+        skew_parts += [k * 0.5] * (1 if p == n - p else 2)
+        if k.any():
+            by_kind[k.shape, k.dtype].append((skews, k))
         if not x.any():
             sizes.append(np.zeros(sp.dims[p] + (sp.dims[n - p] if p < n - p else 0)))
         elif p == n - p:
             sizes.append(np.abs(np.linalg.eigvalsh(x)))
         else:
-            by_shape[x.shape].append(x)
+            by_kind[x.shape, x.dtype].append((sizes, x))
             sizes.append(np.zeros(abs(x.shape[0] - x.shape[1])))
-    for group in by_shape.values():
-        sizes.append(np.linalg.svd(group[0] if len(group) == 1 else np.stack(group),
-                                   compute_uv=False).ravel())
-    sizes = np.concatenate(sizes)
-    return SelfAdjointPart(float(sizes.max()), float(np.abs(sizes * sizes - 1.0).max()),
-                           _frobenius(rest))
+    for group in by_kind.values():
+        svs = np.linalg.svd(group[0][1] if len(group) == 1 else np.stack([m for _, m in group]),
+                            compute_uv=False)
+        for (into, _), sv in zip(group, svs.reshape(len(group), -1)):
+            into.append(sv)
+    sizes, outside = np.concatenate(sizes), [s[r, c] for r, c in beside]
+    top_outside = max((float(np.abs(m).max()) for m in outside if m.size), default=0.0)
+    # S - S* has no entry outside the pattern where S has none
+    skew_outside = top_outside and _frobenius(s[r, c] - s[c, r].conj().T for r, c in beside)
+    return SelfAdjointPart(
+        float(sizes.max()), float(np.abs(sizes * sizes - 1.0).max()),
+        _frobenius(outside + skew_parts),
+        max((float(sv[0]) for sv in skews), default=0.0) + skew_outside, top_outside)
 
 
 def _anticommutator_norm(s: np.ndarray, dh: np.ndarray, sp: GradedSpace) -> float:
@@ -622,22 +637,14 @@ class HPComplex:
         return max((float(np.abs(m).max()) for m in squares if m.size), default=0.0)
 
     @cached_property
-    def S_block_residual(self) -> float:
-        """max |S_ij| over the entries outside the degree-reversal pattern:
-        per column degree p, the rows above and below degree n - p."""
-        sp, s = self.space, np.asarray(self.S)
-        off = []
-        for p in range(sp.n + 1):
-            cols, rows = s[:, sp.degree_slice(p)], sp.degree_slice(sp.n - p)
-            off += [cols[:rows.start], cols[rows.stop:]]
-        return max((float(np.abs(m).max()) for m in off if m.size), default=0.0)
-
-    def _norm(self, a: np.ndarray) -> float:
-        return spectral.graded_norm(a, self.space.offsets)
-
-    @cached_property
     def _s_part(self) -> SelfAdjointPart:
         return _self_adjoint_part(self.S_on, self.space)
+
+    @property
+    def S_block_residual(self) -> float:
+        """max |S_ij| over the entries of S_on outside the degree-reversal
+        pattern (SelfAdjointPart.outside)."""
+        return self._s_part.outside
 
     @cached_property
     def S_norm(self) -> float:
@@ -647,7 +654,10 @@ class HPComplex:
 
     @cached_property
     def S_skew(self) -> float:
-        return self._norm(self.S_on - self.S_on.conj().T)
+        """An upper bound on ||S - S*|| (SelfAdjointPart.skew), exact when S is
+        degree-reversing; 0 for a Hermitian S, told by one compare, not an SVD."""
+        s = self.S_on
+        return 0.0 if np.array_equal(s, s.conj().T) else self._s_part.skew
 
     @cached_property
     def S_squared_residual(self) -> float:
@@ -660,18 +670,21 @@ class HPComplex:
     def anticommute_residual(self) -> float:
         """An upper bound on ||SD + DS||: with h and e as in S_norm, D_p the
         entries of the Hermitian part D_h of D that keep the parity rule and
-        e_D = ||D - D_p||_F <= d_skew / 2 + d_off_parity (GradedSum), SD + DS
-        is hD_p + D_p h, whose norm _anticommutator_norm reads off the degree
-        blocks, plus terms of norm at most 2 (e ||D||_F + ||h|| e_D + e e_D);
-        ||SD + DS|| itself when e = e_D = 0."""
+        e_D = d_skew / 2 + d_off_parity >= ||D - D_p||_F (GradedSum.d_rest),
+        SD + DS is hD_p + D_p h, whose norm _anticommutator_norm reads off the
+        degree blocks, plus terms of norm at most 2 (e ||D||_F + ||h|| e_D +
+        e e_D); ||SD + DS|| itself when e = e_D = 0."""
         part, gs = self._s_part, self.graded
-        e_d = 0.5 * gs.d_skew + gs.d_off_parity
-        slack = part.rest * float(np.linalg.norm(self.D_on)) + (part.top + part.rest) * e_d
+        slack = (part.rest * float(np.linalg.norm(self.D_on))
+                 + (part.top + part.rest) * gs.d_rest)
         return _anticommutator_norm(self.S_on, gs.hermitian, self.space) + 2.0 * slack
 
     @cached_property
     def D_norm(self) -> float:
-        return self._norm(self.D_on)
+        """||D_p|| + e_D >= ||D|| by Weyl, D_p and e_D as in
+        anticommute_residual; ||D|| itself when e_D = 0."""
+        gs = self.graded
+        return gs.d_parity_norm() + gs.d_rest
 
     def strict_checks(self, tol: Tolerances) -> Iterator[CheckResult]:
         """S^2 = 1, then SD = -DS, against tol.sym; the second, with the
@@ -936,11 +949,20 @@ def hpcomplex_to_json(c: HPComplex) -> dict:
     return doc
 
 
+def json_int(value, what: str) -> int:
+    """value, which a document must give as a JSON integer: StructuralError
+    for a bool, a float, a string or anything else.  type(True) is bool, not
+    int, so the first test, the one a decoded document takes, refuses bools."""
+    if type(value) is int or isinstance(value, np.integer):
+        return int(value)
+    raise StructuralError(f"malformed document: {what} must be a JSON integer, got {value!r}")
+
+
 def hpcomplex_from_json(doc: Mapping) -> HPComplex:
     try:
-        n = int(doc["n"])
-        dims = tuple(int(x) for x in doc["dims"])
-    except (KeyError, TypeError, ValueError) as exc:
+        n = json_int(doc["n"], "n")
+        dims = tuple(json_int(x, "each entry of dims") for x in doc["dims"])
+    except (KeyError, TypeError) as exc:
         raise StructuralError(f"malformed complex document: {exc}") from exc
     inner, d_docs, meta = doc.get("G"), doc.get("d", []), doc.get("meta", {})
     if not (isinstance(inner, (list, type(None))) and isinstance(d_docs, list)

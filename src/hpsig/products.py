@@ -270,7 +270,7 @@ def witness_even_odd(a: HPComplex, b: HPComplex,
         bound = lo * lo - hi * e1
         top = (hi + b.S_norm * b.D_norm) * (1.0 + rounding)
         certs.append(spectral.gap_certificate(math.sqrt(max(bound, 0.0)), top, tol.inv,
-                                              slack=rounding * top))
+                                              a.total_dim * b.total_dim, rounding * top))
     passed = ident.passed and all(c.passed for c in certs)
     return ProductWitnessReport(identities=(ident,), certificates=tuple(certs),
                                 passed=passed)

@@ -335,7 +335,8 @@ def rho_path(he: HomotopyEquivalence, tol: Tolerances = DEFAULT_TOL) -> RhoPath:
     pd = _PathData(he)
     # D and diag(S', -S) are block diagonal: their norms are those validate read
     s_norm = max(he.source.S_norm, he.target.S_norm)
-    threshold = tol.inv * max(1.0, max(he.source.D_norm, he.target.D_norm) + s_norm)
+    threshold = (spectral.relative_floor(tol.inv, pd.ns + pd.nt)
+                 * max(1.0, max(he.source.D_norm, he.target.D_norm) + s_norm))
     skew, off = _skew_bounds(pd)
     slack = 0.5 * (skew + pd.graded.d_skew) + off
 

@@ -67,20 +67,17 @@ def _point(c: HPComplex, tol: Tolerances, s: float, h: np.ndarray) -> _Point:
     its spectrum: the cached one at s = 1, otherwise the eigenvalues of the
     graded B+(s) for even n, which serve B-(s) = -eps B+(s) eps as well,
     and the SVDs of X+- for odd n.  h is the Hermitian part of S: an even
-    sample writes s D into one copy of it, an odd one reads it.  s D is
-    read through the complex's own GradedSum when D keeps the grading rules
-    exactly, and through its copy for s D otherwise, which keeps its
-    components: s D has the nonzero pattern of D.  The bound is the gap
-    less the Weyl slack; a sample where it does not clear the threshold
-    fails the interval it ends, as _interval reads it."""
+    sample writes s D into one copy of it, an odd one reads it.  As s <= 1,
+    the slack of D bounds that of s D (GradedSum.spectrum_of).  The bound is
+    the gap less the Weyl slack; a sample where it does not clear the
+    threshold fails the interval it ends, as _interval reads it."""
     if s == 1.0:
         sp = c.spectrum
     else:
-        gs, scale = c.graded, s
-        if gs.d_skew or gs.d_off_parity:
-            gs, scale = gs.with_d(s * c.D_on), 1.0
+        gs = c.graded
+        # read before h is copied, so that its masked sums run beside h alone
         slack = gs.slack(h, c.S_skew)
-        sp = gs.spectrum_of(h.copy() if gs.even_n else h, slack, scale)
+        sp = gs.spectrum_of(h.copy() if gs.even_n else h, slack, s)
     gaps = sp.certificates(tol.inv)
     ranks = tuple(sp.positive_ranks()) if c.n % 2 == 0 else None
     return _Point(s, ranks, min(g.min_singular for g in gaps),

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import spectral
 from .hpc_core import (DEFAULT_TOL, DomainError, DualityDegenerateError,
-                       GradedSpace, HPComplex, StructuralError, Tolerances)
+                       GradedSpace, HPComplex, StructuralError, Tolerances, json_int)
 from .rho import HomotopyEquivalence
 
 
@@ -297,11 +297,11 @@ def _face_incidence(facets: Sequence[tuple[int, ...]], n: int
 def load_simplicial(doc: Mapping) -> SimplicialManifold:
     """Parse and fully verify a triangulation document."""
     try:
-        n = int(doc["n"])
-        vertices = int(doc["vertices"])
-        facets = [tuple(int(v) for v in f) for f in doc["facets"]]
-        orientations = [int(s) for s in doc["orientations"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        n = json_int(doc["n"], "n")
+        vertices = json_int(doc["vertices"], "vertices")
+        facets = [tuple(json_int(v, "each facet entry") for v in f) for f in doc["facets"]]
+        orientations = [json_int(s, "each orientation") for s in doc["orientations"]]
+    except (KeyError, TypeError) as exc:
         raise StructuralError(f"malformed triangulation document: {exc}") from exc
     return _check_structure(n, vertices, facets, orientations)
 

@@ -51,79 +51,6 @@ def operator_norm(a) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def graded_norm(a, offsets) -> float:
-    """The 2-norm of a square matrix graded by the index ranges
-    offsets[p]:offsets[p + 1], read off its nonzero degree blocks.
-
-    Row and column blocks linked by a nonzero block fall into one group;
-    rows and columns of different groups share no nonzero entry, so a is
-    their direct sum up to a permutation and its norm is the largest group
-    norm.  A matrix with no nonzero entry has norm 0 without an SVD, one
-    group is one SVD of the whole matrix, and several are one batched
-    SVD over the groups, zero-padded to a common shape, which only adds zero
-    singular values.  It is taken in float64 when a has no imaginary part
-    (real_if_exact).
-    """
-    m = real_if_exact(a)
-    if not m.any():
-        return 0.0
-    ranges = _degree_ranges(offsets)
-    links = _nonzero_blocks(m, ranges)
-    # node i < len(ranges) is row block i, node len(ranges) + j column block j
-    place, extent = _block_groups(links, [hi - lo for lo, hi in ranges])
-    if len(extent) == 1:
-        return float(np.linalg.svd(m, compute_uv=False)[0])
-    batch = np.zeros((len(extent), max(r for r, _ in extent), max(c for _, c in extent)),
-                     dtype=m.dtype)
-    for i, j in links:
-        (g, r), (_, c) = place[i], place[len(ranges) + j]
-        (rlo, rhi), (clo, chi) = ranges[i], ranges[j]
-        batch[g, r:r + rhi - rlo, c:c + chi - clo] = m[rlo:rhi, clo:chi]
-    return float(np.linalg.svd(batch, compute_uv=False)[:, 0].max())
-
-
-def _degree_ranges(offsets) -> list[tuple[int, int]]:
-    """The nonempty index ranges offsets[p]:offsets[p + 1]."""
-    return [(lo, hi) for lo, hi in zip(offsets, offsets[1:]) if hi > lo]
-
-
-def _nonzero_blocks(m: np.ndarray, ranges: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """The (row, column) pairs of range numbers whose block of m has a
-    nonzero entry."""
-    starts = [lo for lo, _ in ranges]
-    rows, cols = np.logical_or.reduceat(
-        np.logical_or.reduceat(m != 0, starts, axis=0), starts, axis=1).nonzero()
-    return list(zip(rows.tolist(), cols.tolist()))
-
-
-def _block_groups(links: list, sizes: list[int]) -> tuple[dict, list]:
-    """The connected components of the bipartite graph whose nodes are the
-    row blocks 0..b-1 and the column blocks b..2b-1 of sizes, b = len(sizes),
-    with an edge (i, b + j) per link (i, j).  Returns, for each linked node,
-    its group and its first row or column within the group (blocks in degree
-    order), and the [rows, columns] extent of each group."""
-    b = len(sizes)
-    root = list(range(2 * b))
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            x = root[x]
-        return x
-
-    for i, j in links:
-        root[find(i)] = find(b + j)
-    label: dict[int, int] = {}
-    place, extent = {}, []
-    for node in sorted({i for i, _ in links} | {b + j for _, j in links}):
-        g = label.setdefault(find(node), len(label))
-        if g == len(extent):
-            extent.append([0, 0])
-        side = int(node >= b)
-        place[node] = (g, extent[g][side])
-        extent[g][side] += sizes[node - side * b]
-    return place, extent
-
-
 def right_divide(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a b^{-1} from one solve of b^T x^T = a^T, without inverting b."""
     return np.linalg.solve(b.T, a.T).T
@@ -137,7 +64,7 @@ def require_gap(eigenvalues: np.ndarray, gap_tol: float, what: str,
         less = " - slack" if slack else ""
         raise NoSpectralGapError(
             f"no spectral gap for {what}: min |eigenvalue|{less} {cert.min_singular:.3e} "
-            f"<= {gap_tol:.1e} * {cert.max_singular:.3e}")
+            f"<= {relative_floor(gap_tol, eigenvalues.size):.1e} * {cert.max_singular:.3e}")
     return cert
 
 
@@ -224,25 +151,32 @@ class InvertibilityCertificate:
         }
 
 
-def gap_certificate(gap: float, top: float, tol_inv: float,
+def relative_floor(tol_inv: float, size: int) -> float:
+    """max(tol_inv, size eps): a decomposition of a matrix of this size
+    computes the spectrum of one within about size eps of it in norm (Demmel,
+    Applied Numerical Linear Algebra, 5.2), so a smaller relative gap may be 0."""
+    return max(tol_inv, size * float(np.finfo(float).eps))
+
+
+def gap_certificate(gap: float, top: float, tol_inv: float, size: int,
                     slack: float = 0.0) -> InvertibilityCertificate:
-    """The invertibility rule for H + E, H Hermitian with min and max |eigenvalue|
-    gap and top, and ||E||_2 <= slack: by Weyl, gap - slack bounds
-    sigma_min(H + E) below, and the certificate passes iff that exceeds
-    tol_inv * top."""
+    """The invertibility rule for H + E, H Hermitian of this size with min and
+    max |eigenvalue| gap and top, ||E||_2 <= slack: by Weyl, gap - slack bounds
+    sigma_min(H + E) below; it passes iff that exceeds relative_floor * top."""
     smin = gap - slack
     cond = top / smin if smin > 0 else np.inf
-    threshold = tol_inv * top
+    threshold = relative_floor(tol_inv, size) * top
     return InvertibilityCertificate(smin, top, cond, threshold, smin > threshold)
 
 
 def spectrum_certificate(eigenvalues: np.ndarray, tol_inv: float,
                          slack: float = 0.0) -> InvertibilityCertificate:
-    """gap_certificate of the Hermitian part with these eigenvalues."""
+    """gap_certificate of the Hermitian part with these eigenvalues, one per
+    row of the decomposed matrix (per row or column, if more, for an SVD)."""
     if eigenvalues.size == 0:
         return InvertibilityCertificate(np.inf, 0.0, 1.0, 0.0, True)
-    size = np.abs(eigenvalues)
-    return gap_certificate(float(size.min()), float(size.max()), tol_inv, slack)
+    mags = np.abs(eigenvalues)
+    return gap_certificate(float(mags.min()), float(mags.max()), tol_inv, mags.size, slack)
 
 
 def invertibility_certificate(a, tol_inv: float = 1e-8) -> InvertibilityCertificate:

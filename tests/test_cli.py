@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from hpsig import cli, fixtures
-from hpsig.hpc_core import HPComplex, hpcomplex_to_json, validate
+from hpsig.hpc_core import GradedSpace, HPComplex, Tolerances, hpcomplex_to_json, validate
 from hpsig.signature import signature_even
-from hpsig.simplicial import cap_duality
+from hpsig.simplicial import _echelon, cap_duality
+from hpsig.spectral import NoSpectralGapError, require_gap
 
 
 def run(cli_cmd, *args):
@@ -504,6 +505,15 @@ INPUT_ERRORS = {
     "complex_meta_list": _edited("sgn", "sphere_model.json",
                                  lambda doc: doc.update(meta=[1, 2])),
     "complex_S_empty": _edited("check", "sphere_model.json", lambda doc: doc.update(S=[])),
+    # integer fields given as another JSON type
+    **{f"complex_n_{kind}": _edited("check", "circle_model.json",
+                                    lambda doc, n=n: doc.update(n=n))
+       for kind, n in (("string", "1"), ("float", 1.7), ("bool", True))},
+    "complex_dims_string": _edited("check", "circle_model.json",
+                                   lambda doc: doc.update(dims="11")),
+    "triangulation_vertices_string": _edited("check", "circle3.json",
+                                             lambda doc: doc.update(vertices="3")),
+    "triangulation_n_float": _edited("check", "circle3.json", lambda doc: doc.update(n=1.9)),
     "document_not_an_object": _not_an_object,
     "fibered_transition_singular_check": _singular_transition("check", "2,0"),
     "fibered_transition_singular_check_reversed": _singular_transition("check", "0,2"),
@@ -556,6 +566,47 @@ def test_count_flag_errors_name_the_flag(cli_cmd, fixture_dir, tmp_path, case, l
 def test_t_max_errors_name_the_flag(cli_cmd, fixture_dir, tmp_path, case, value):
     proc = run(cli_cmd, *INPUT_ERRORS[case](tmp_path, fixture_dir))
     assert proc.stderr == f"error: --t-max must be finite and >= 1, got {value}\n"
+
+
+def _rank_deficient_duality(seed: int) -> HPComplex:
+    """A weak complex of top degree 0 whose S is B diag(+-1) B^T for a random
+    integer 40 x 39 matrix B: an integer symmetric matrix of exact rank 39,
+    so D +- S = +-S is singular, and its computed least |eigenvalue| is
+    rounding, of order 1e-14."""
+    rng = np.random.default_rng(seed)
+    b = rng.integers(-2, 3, size=(40, 39))
+    s = (b * np.where(np.arange(39) % 2 == 0, 1, -1)) @ b.T
+    assert len(_echelon({j: int(v) for j, v in enumerate(row) if v} for row in s)[0]) == 39
+    return HPComplex(GradedSpace(0, (40,)), (), s.astype(float), "weak")
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_exactly_singular_dualities_are_never_certified(seed):
+    # the rounding of eigvalsh is of order N eps ||S||: below that floor no
+    # tol_inv, however small, lets a certificate pass
+    c = _rank_deficient_duality(seed)
+    for tol_inv in (1e-8, 1e-12, 1e-16, 1e-18, 1e-20):
+        assert not validate(c, Tolerances(inv=tol_inv)).poincare
+
+
+@pytest.mark.parametrize("tol_inv", ["1e-8", "1e-12", "1e-16", "1e-18", "1e-20"])
+def test_rank_39_control_fails_check_and_sgn_at_every_tol_inv(capsys, tmp_path, tol_inv):
+    c = _rank_deficient_duality(1)
+    size = np.abs(np.linalg.eigvalsh(c.S))
+    # its computed gap would clear a threshold of 1e-18 relative to ||S||
+    assert 1e-18 * size.max() < size.min() < 1e-16 * size.max()
+    path = tmp_path / "rank39.json"
+    path.write_text(json.dumps(hpcomplex_to_json(c)))
+    assert cli.main(["check", str(path), "--tol-inv", tol_inv]) == cli.EXIT_CHECK_FAILURE
+    capsys.readouterr()
+    assert cli.main(["sgn", str(path), "--tol-inv", tol_inv]) != cli.EXIT_PASS
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("error: duality degenerate: min singular values ")
+    # a gap test states the threshold it failed against: the floor N eps
+    # wherever tol_inv lies below it
+    floor = max(float(tol_inv), size.size * np.finfo(float).eps)
+    with pytest.raises(NoSpectralGapError, match=re.escape(f"<= {floor:.1e} * {size.max():.3e}")):
+        require_gap(np.linalg.eigvalsh(c.S), float(tol_inv), "S")
 
 
 def test_main_dispatches_to_the_current_cmd_function(monkeypatch, capsys, fixture_dir):

@@ -399,47 +399,51 @@ NORM_REFERENCE = {
 
 
 def _assert_cached_norms_match(c: HPComplex) -> None:
-    """||S - S*|| and ||D|| are taken over the connected degree-block groups
-    of their matrix, a direct sum up to a permutation: neither may move.
-    ||S||, ||S^2 - 1|| and ||SD + DS|| are read off the self-adjoint part of
-    S, exactly when S is self-adjoint and degree-reversing, as it is here up
-    to rounding; the last two sum the same products in another order than
-    the dense reference, so they may also move by
-    N eps ||S|| max(||S||, ||D||, 1), the rounding of the products."""
+    """Every norm is read off degree blocks, exactly when S is self-adjoint
+    and degree-reversing and D keeps the parity rule, as they do here up to
+    rounding: ||S||, ||S^2 - 1|| and ||SD + DS|| off the self-adjoint part
+    of S, ||S - S*|| off its blocks K_p, and ||D|| off its even x odd block.
+    Each adds the rounding its rules break by as a slack.  ||S|| is the top
+    singular value of an X_p, the dense norm's own, plus e: it may not move
+    beyond the relative tolerance.  The others sum their products or
+    differences in another order than the dense reference, so each may also
+    move by N eps ||S|| max(||S||, ||D||, 1), the rounding of the products."""
     ref = full_size_norms(c)
     ours = [getattr(c, norm) for norm in CACHED_NORMS]
     rounding = c.total_dim * np.finfo(float).eps * ref[0] * max(ref[0], ref[4], 1.0)
-    for i, (got, want) in enumerate(zip(ours, ref)):
-        product = CACHED_NORMS[i] in ("S_squared_residual", "anticommute_residual")
-        assert got == pytest.approx(want, rel=1e-13, abs=rounding if product else 0)
+    for norm, got, want in zip(CACHED_NORMS, ours, ref):
+        assert got == pytest.approx(want, rel=1e-13, abs=0 if norm == "S_norm" else rounding)
 
 
 @pytest.mark.parametrize("name", sorted(NORM_REFERENCE))
 def test_cached_norms_match_the_full_size_norms(name):
-    _assert_cached_norms_match(NORM_REFERENCE[name]())
+    c = NORM_REFERENCE[name]()
+    _assert_cached_norms_match(c)
+    _assert_norm_bounds(c)
 
 
 def test_cached_norms_see_entries_outside_the_duality_pattern():
     # S maps degree p to n - p; on cp2_9 the blocks S[4, 0] and S[0, 4] carry
-    # ||S||.  An entry from degree 0 to degree 0 merges the groups of
-    # ||S - S*||, which only a norm that reads the whole pattern of nonzero
-    # blocks sees; ||S||, ||S^2 - 1|| and ||SD + DS|| see it through e, the
-    # Frobenius norm of the entries outside the self-adjoint part of S
+    # ||S||.  An entry from degree 0 to degree 0 lies outside the pattern:
+    # ||S - S*|| sees it through the Frobenius norm of S - S* there, the
+    # entries 1e-3 and -1e-3, and ||S||, ||S^2 - 1|| and ||SD + DS|| through
+    # e, the Frobenius norm of the entries outside the self-adjoint part of
+    # S; D is that of the cap duality
     cap = cap_duality(load_simplicial(json.loads((FIXTURE_DIR / "cp2_9.json").read_text())))
     s = np.array(cap.S)
     s[0, 1] += 1e-3
     c = HPComplex(cap.space, cap.d, s, cap.tier)
     assert c.S_block_residual == pytest.approx(1e-3)
-    assert c.S_skew == pytest.approx(1e-3)
     s_, skew, _, _, d = full_size_norms(c)
-    assert (c.S_skew, c.D_norm) == (pytest.approx(skew, rel=1e-13, abs=0),
-                                    pytest.approx(d, rel=1e-13, abs=0))
+    assert skew == pytest.approx(1e-3) and c.S_skew == pytest.approx(2.0 ** 0.5 * 1e-3)
+    assert c.D_norm == cap.D_norm == pytest.approx(d, rel=1e-13, abs=0)
     assert c._s_part.rest == pytest.approx(1e-3)
     _assert_norm_bounds(c)
-    # each bound is the cap duality's own norm plus terms of the order of e
-    # (its slack: e, e (2 ||h|| + e) and 2 e ||D||_F)
+    # each bound read off the self-adjoint part is the cap duality's own
+    # norm plus terms of the order of e (its slack: e, e (2 ||h|| + e) and
+    # 2 e ||D||_F)
     e, frobenius_d = 1e-3, float(np.linalg.norm(c.D_on))
-    for got, base in zip(_bounded_norms(c), _bounded_norms(cap)):
+    for (got, _), (base, _) in zip(_bounded_norms(c)[:3], _bounded_norms(cap)):
         assert base < got <= base + 2.0 * e * (2.0 * s_ + e + frobenius_d)
 
 
@@ -533,10 +537,11 @@ def test_split_spectrum_of_random_strict_complexes(n, split_agrees, graded_opera
 
 
 def test_rescaled_sample_keeps_the_components_of_d_plus_s(graded_operand):
-    # rescaled inner products leave D_on Hermitian only up to rounding, so a
-    # schedule sample reads s D through a copy of the sum for s D; it must
-    # keep the components of D + S, not find those of D alone, which over
-    # the cp2 model fiber are one per fiber index
+    # rescaled inner products leave D_on Hermitian only up to rounding, and
+    # a schedule sample writes s D_h into the operand of the complex's own
+    # sum, whose slack, that of D, bounds that of s D: it keeps the
+    # components of D + S, not those of D alone, which over the cp2 model
+    # fiber are one per fiber index
     c = rescale_inner_products(_fc_sphere_x_cp2_total(), 0.3)
     gs = c.graded
     assert gs.d_skew > 0 and len(gs._blocks) == 2
@@ -564,28 +569,36 @@ def test_connected_cap_duality_is_decomposed_whole(build):
 
 
 # ||S||, ||S^2 - 1|| and ||SD + DS|| are read off the self-adjoint part h of S
-# with a Weyl slack for e = ||S - h||_F: upper bounds, exact when e = 0
+# with a Weyl slack for e = ||S - h||_F, ||S - S*|| off the blocks K_p with
+# the Frobenius norm of S - S* outside the pattern, and ||D|| off the even x
+# odd block of its Hermitian part with the slack e_D: upper bounds, exact
+# when the part each adds as a slack is 0
 
 
 def _dense_norms(c: HPComplex) -> list[float]:
     s, d = c.S_on, c.D_on
-    return [operator_norm(m) for m in (s, s @ s - np.eye(c.total_dim), s @ d + d @ s)]
+    return [operator_norm(m) for m in (s, s @ s - np.eye(c.total_dim), s @ d + d @ s,
+                                       s - s.conj().T, d)]
 
 
-def _bounded_norms(c: HPComplex) -> list[float]:
-    return [c.S_norm, c.S_squared_residual, c.anticommute_residual]
+def _bounded_norms(c: HPComplex) -> list[tuple[float, float]]:
+    """Each bound with the part of S or D its slack is for, which breaks the
+    rules the bound is read under: 0 exactly when it is the dense norm."""
+    e, e_d = c._s_part.rest, c.graded.d_rest
+    return [(c.S_norm, e), (c.S_squared_residual, e), (c.anticommute_residual, e + e_d),
+            (c.S_skew, c.S_block_residual), (c.D_norm, e_d)]
 
 
 def _assert_norm_bounds(c: HPComplex) -> None:
     """Each bound is at least the dense 2-norm, less N eps times its scale:
-    ||S||, ||S||^2 and ||S|| ||D||, at least 1, the scales the strict-tier
-    thresholds are relative to.  When e = 0 it is the dense norm up to
-    1e-12 of its scale."""
+    ||S||, ||S||^2, ||S|| ||D||, ||S|| and ||D||, at least 1, the scales the
+    thresholds are relative to.  When the part its slack is for is 0 it is
+    the dense norm up to 1e-12 of its scale."""
     dense = _dense_norms(c)
-    s, d = max(dense[0], 1.0), max(operator_norm(c.D_on), 1.0)
-    for got, want, scale in zip(_bounded_norms(c), dense, (s, s * s, s * d)):
+    s, d = max(dense[0], 1.0), max(dense[4], 1.0)
+    for (got, rest), want, scale in zip(_bounded_norms(c), dense, (s, s * s, s * d, s, d)):
         assert got >= want - c.total_dim * np.finfo(float).eps * scale
-        if c._s_part.rest == 0.0:
+        if rest == 0.0:
             assert abs(got - want) <= 1e-12 * scale
 
 
@@ -665,6 +678,9 @@ NORM_BOUND_CASES = {
     **{f"off_pattern_top_random_n{n}": lambda n=n: _off_pattern(_random_strict(5, n), -1)
        for n in (1, 2, 3, 4)},
     "off_pattern_cap_torus7": lambda: _off_pattern(cap_duality(fixtures.torus_triangulation())),
+    # D_on Hermitian only up to rounding, and S - S* nonzero on the pattern
+    "skew_d_cap_sphere_rescaled0.3": fixtures.sphere_rescaled,
+    "skew_s_random_n1": lambda: fixtures.random_strict_complex(np.random.default_rng(6), 1, 3),
 }
 
 
@@ -675,4 +691,8 @@ def test_norms_read_off_the_self_adjoint_part_bound_the_dense_norms(name):
         assert c._s_part.rest > 1.0
     elif name.startswith(("cap_", "random_weak")) and "rescaled" not in name:
         assert c._s_part.rest == 0.0
+    elif name.startswith("skew_d"):
+        assert c.graded.d_skew > 0.0
+    elif name.startswith("skew_s"):
+        assert c.S_skew > 0.0 == c.S_block_residual
     _assert_norm_bounds(c)

@@ -140,7 +140,7 @@ def test_grading_operator_exact_identities():
         assert np.array_equal(e @ d @ e, -d), name
         assert np.array_equal(e @ s @ e, (-1) ** c.n * s), name
         seen += 1
-    assert seen == 25
+    assert seen == 26
 
 
 def test_associativity_up_to_regrading():

@@ -630,3 +630,13 @@ def test_rho_certificate_samples_match_the_per_sample_scan(name):
     ref = per_sample_scan(he, np.linspace(0.0, 6.0, 41))
     rank_plus, rank_minus = sum_ranks(term)
     assert [s.rank for s in ref] == [rank_plus] * 41 and rank_minus == rank_plus
+
+
+def test_path_threshold_takes_the_rounding_floor(fixture_dir):
+    # below N eps, N the size of the path operand, --tol-inv no longer sets
+    # the threshold: the path's samples could not tell a smaller gap from 0
+    he = he_from_json(json.loads((fixture_dir / "he_identity_circle3.json").read_text()))
+    scale = max(1.0, max(c.D_norm for c in he.complexes) + max(c.S_norm for c in he.complexes))
+    size = he.source.total_dim + he.target.total_dim
+    assert rho_path(he).threshold == 1e-8 * scale
+    assert rho_path(he, Tolerances(inv=1e-20)).threshold == size * np.finfo(float).eps * scale

@@ -5,7 +5,7 @@ import pytest
 
 from hpsig import fixtures
 from hpsig.hpc_core import GradedSpace, HPComplex, validate
-from hpsig.spectral import (NoSpectralGapError, eig_hermitian, graded_norm,
+from hpsig.spectral import (NoSpectralGapError, eig_hermitian, gap_certificate,
                             invertibility_certificate, operator_norm, positive_rank)
 
 
@@ -166,19 +166,12 @@ def test_invertibility_certificate_rejects_rank_deficient_matrices():
     assert passed == []
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_graded_norm_matches_the_full_size_norm(seed):
-    # random sparse patterns of nonzero degree blocks, with empty degrees:
-    # the graded norm is the 2-norm of the whole matrix, and 0 without an SVD
-    # when no block is nonzero
-    rng = np.random.default_rng(seed)
-    dims = rng.integers(0, 5, size=6)
-    offsets = np.concatenate([[0], np.cumsum(dims)]).tolist()
-    size = offsets[-1]
-    m = np.zeros((size, size), dtype=complex)
-    for p, q in zip(*np.nonzero(rng.random((6, 6)) < 0.3)):
-        block = (slice(offsets[p], offsets[p + 1]), slice(offsets[q], offsets[q + 1]))
-        shape = (dims[p], dims[q])
-        m[block] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    assert graded_norm(m, offsets) == pytest.approx(operator_norm(m), rel=1e-13, abs=0)
-    assert graded_norm(np.zeros_like(m), offsets) == 0.0
+def test_gap_certificate_floor_is_the_rounding_of_the_decomposition():
+    # the threshold is max(tol_inv, N eps) times the top: tol_inv itself at
+    # the default, N eps below it
+    eps = np.finfo(float).eps
+    assert gap_certificate(1e-9, 2.0, 1e-8, 255).threshold == 1e-8 * 2.0
+    for tol_inv in (1e-16, 1e-20):
+        cert = gap_certificate(100 * eps, 1.0, tol_inv, 200)
+        assert cert.threshold == 200 * eps and not cert.passed
+    assert gap_certificate(300 * eps, 1.0, 1e-20, 200).passed

@@ -291,10 +291,13 @@ def test_total_complex_decomposes_two_blocks_of_half_size(monkeypatch):
     # the torus model fiber has d = 0 and its transports keep degrees, so a
     # fiber index of degree q meets degree 2 - q only through S: D + S of
     # the total is the direct sum of two blocks of 300, up to a permutation
+    # S = (T + T*)/2 is exactly Hermitian, so ||S - S*|| = 0, which the slack
+    # of D +- S reads, takes no decomposition of the self-adjoint part of S
     eigvalsh = count_calls(monkeypatch, "numpy.linalg", np.linalg.eigvalsh)
     spectra = _calls_during(monkeypatch, hpc_core.GradedSum, "spectrum_of", [eigvalsh])
+    parts = count_calls(monkeypatch, "hpsig", hpc_core._self_adjoint_part)
     tot = family.total_complex(_seam_twisted_grid_torus(5))
-    assert tot.total_dim == 600
+    assert tot.total_dim == 600 and (600, 600) not in parts
     assert spectra[-1] == [[(300, 300)] * 2]
     assert [dtype.name for dtype in eigvalsh.dtypes[-2:]] == ["float64"] * 2
 
@@ -546,9 +549,10 @@ def test_validate_takes_each_two_norm_once(monkeypatch):
     eigvalsh = count_calls(monkeypatch, "numpy.linalg", np.linalg.eigvalsh)
     hpc_core.validate(c)
     # ||S|| and ||S^2 - 1|| from one SVD of X_0 = S[2, 0] and one eigvalsh of
-    # the middle block S[1, 1]; ||S - S*|| (one group) and ||D|| (two
-    # groups) over their degree blocks
-    assert svd == [(2, 2), (8, 8), (2, 4, 4)]
+    # the middle block S[1, 1]; ||S - S*|| from one SVD of K_1 = S[1, 1] -
+    # S[1, 1]*, the one block of S - S* that rounding left nonzero, and ||D||
+    # from one of its 4 x 4 even x odd block
+    assert svd == [(2, 2), (4, 4), (4, 4)]
     # the middle block, ||SD + DS|| from the Gram matrix of its even x odd
     # block, then the spectrum of D + S
     assert eigvalsh == [(4, 4), (4, 4), (8, 8)]
@@ -623,11 +627,11 @@ def test_product_cp2_model_squared_svd_count(monkeypatch, capsys, fixture_dir):
     # per complex, the two factors, the product and the sign-rule search's
     # products, one SVD per shape of the nonzero blocks X_p of the
     # self-adjoint part of S, which ||S|| and ||S^2 - 1|| read, and one of
-    # ||D|| over its degree blocks where D is nonzero; SD + DS is 0 on each
+    # ||D|| over its even x odd block where D is nonzero; SD + DS is 0 on each
     # (51 calls when each validate took its own norms)
-    assert calls == ([(1, 1)] * 3 + [(4, 4), (2, 8, 8), (1, 1), (2, 2), (2, 4, 4), (1, 1),
-                                     (2, 2), (2, 4, 4), (1, 1), (1, 1), (2, 2)])
-    assert calls.by("spectral.graded_norm") == [(2, 8, 8), (2, 4, 4), (2, 4, 4)]
+    assert calls == ([(1, 1)] * 3 + [(4, 4), (8, 8), (1, 1), (2, 2), (4, 4), (1, 1),
+                                     (2, 2), (4, 4), (1, 1), (1, 1), (2, 2)])
+    assert calls.by("spectral.operator_norm") == [(8, 8), (4, 4), (4, 4)]
 
 
 def test_chs_decomposes_the_total_one_component_at_a_time(monkeypatch, capsys,
@@ -786,7 +790,8 @@ def test_the_real_dtype_test_is_exact(monkeypatch, capsys, tmp_path):
     assert len(eigh) == 0
     assert eigvalsh.count((255, 255)) == 9 and eigvalsh.complex() == [(255, 255)] * 9
     # the entry lies in S[0, 4], so X_0, the block of the self-adjoint part
-    # it enters, is complex, and so is ||S - S*||, whose nonzero blocks are
-    # S[0, 4] and S[4, 0]; the middle block S[2, 2] of ||S|| stays float64
+    # it enters, is complex, and so is K_0 = S[4, 0] - S[0, 4]*, the one
+    # nonzero block of S - S*, which joins X_0 in one batched SVD; the middle
+    # block S[2, 2] of ||S|| stays float64
     assert i < 9 and j >= 219
-    assert svd.complex() == [(36, 9), (2, 36, 36)] and eigvalsh.count((84, 84)) == 1
+    assert svd.complex() == [(2, 36, 9)] and eigvalsh.count((84, 84)) == 1
