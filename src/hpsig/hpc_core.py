@@ -108,11 +108,11 @@ def _frobenius(blocks) -> float:
     return math.hypot(*(float(np.linalg.norm(b)) for b in blocks))
 
 
-def _masked_frobenius(a: np.ndarray, mask: np.ndarray) -> float:
-    """The Frobenius norm of the entries of a where mask holds, summed by
-    einsum in place: no copy of those entries is formed."""
-    parts = (a.real, a.imag) if np.iscomplexobj(a) else (a,)
-    return math.sqrt(sum(float(np.einsum("ij,ij,ij->", x, x, mask)) for x in parts))
+def _masked_inner(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> float:
+    """Re <a, b> over the entries where mask holds, summed by einsum in
+    place: no copy of those entries is formed."""
+    pairs = ((a.real, b.real), (a.imag, b.imag)) if np.iscomplexobj(a) else ((a, b),)
+    return sum(float(np.einsum("ij,ij,ij->", x, y, mask)) for x, y in pairs)
 
 
 # rows per slab when ||d - d*|| is read a slab at a time
@@ -338,7 +338,7 @@ class GradedSum:
                                  for i in range(0, len(d), _SLAB))
         if self.d_skew:         # the Hermitian part; a Hermitian D is read in place
             d = (d + d.conj().T) * 0.5
-        self.d_off_parity = _masked_frobenius(d, grading.same)
+        self.d_off_parity = math.sqrt(_masked_inner(d, d, grading.same))
         self._d = d = spectral.real_if_exact(d)
         self._ix = np.ix_(grading.even, grading.odd)
         if not self.even_n:
@@ -377,17 +377,16 @@ class GradedSum:
         h *= 0.5
         return self.operand(h)
 
-    def parity_violation(self, h: np.ndarray) -> np.ndarray:
-        """The entries of h breaking the parity rules, flattened."""
-        return h[self._s_off]
-
-    def off_parity(self, h: np.ndarray) -> float:
-        """Frobenius norm of the entries of D and of h breaking the parity rules."""
-        return self.d_off_parity + _masked_frobenius(h, self._s_off)
+    def off_parity_inner(self, x: np.ndarray, y: np.ndarray) -> float:
+        """Re <x, y> over the entries breaking the parity rules, read in place."""
+        return _masked_inner(x, y, self._s_off)
 
     def slack(self, h: np.ndarray, s_skew: float) -> float:
-        """For h the Hermitian part of S and s_skew >= ||S - S*||_2."""
-        return 0.5 * (s_skew + self.d_skew) + self.off_parity(h)
+        """For h the Hermitian part of S and s_skew >= ||S - S*||_2: half the
+        skew norms, and the Frobenius norm of the entries of D and of h
+        breaking the parity rules."""
+        return (0.5 * (s_skew + self.d_skew)
+                + (self.d_off_parity + math.sqrt(self.off_parity_inner(h, h))))
 
     def blocks(self, s: np.ndarray, scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
         """Odd n: X+-, the (even rows, odd columns) blocks of scale D +- s."""
@@ -836,41 +835,32 @@ def require_valid(c: HPComplex, tol: Tolerances = DEFAULT_TOL) -> None:
 
 
 def direct_sum(a: HPComplex, b: HPComplex) -> HPComplex:
-    """Block-diagonal sum; requires equal top degree."""
+    """Block-diagonal sum; requires equal top degree.  Of each S it keeps
+    the blocks from degree p to n - p."""
     if a.n != b.n:
         raise StructuralError(f"top degrees differ: {a.n} vs {b.n}")
-    n = a.n
-    dims = tuple(da + db for da, db in zip(a.space.dims, b.space.dims))
-    inner = []
-    for p in range(n + 1):
-        ga, gb = a.space.inner[p], b.space.inner[p]
-        if ga is None and gb is None:
-            inner.append(None)
-        else:
-            g = np.zeros((dims[p], dims[p]), dtype=complex)
-            g[:a.space.dims[p], :a.space.dims[p]] = a.space.g_block(p)
-            g[a.space.dims[p]:, a.space.dims[p]:] = b.space.g_block(p)
-            inner.append(g)
-    space = GradedSpace(n, dims, tuple(inner))
-    ds = []
-    for p in range(n):
-        blk = np.zeros((dims[p + 1], dims[p]), dtype=complex)
-        blk[:a.space.dims[p + 1], :a.space.dims[p]] = a.d[p]
-        blk[a.space.dims[p + 1]:, a.space.dims[p]:] = b.d[p]
-        ds.append(blk)
+    n, sa, sb = a.n, a.space, b.space
+    dims = tuple(da + db for da, db in zip(sa.dims, sb.dims))
+
+    def diagonal(x, y, rows=0, cols=0):
+        """x with its top left corner at (rows, cols) and y diagonally after it."""
+        return [(rows, cols, x), (rows + x.shape[0], cols + x.shape[1], y)]
+
+    inner = tuple(None if ga is None and gb is None else
+                  _assemble((dim, dim), diagonal(sa.g_block(p), sb.g_block(p)))
+                  for p, (ga, gb, dim) in enumerate(zip(sa.inner, sb.inner, dims)))
+    space = GradedSpace(n, dims, inner)
+    ds = tuple(_assemble((dims[p + 1], dims[p]), diagonal(x, y))
+               for p, (x, y) in enumerate(zip(a.d, b.d)))
     S = None
     if a.S is not None and b.S is not None:
-        S = np.zeros((space.total_dim, space.total_dim), dtype=complex)
-        for p in range(n + 1):
-            q = n - p
-            SA = np.asarray(a.S)[a.space.degree_slice(q), a.space.degree_slice(p)]
-            SB = np.asarray(b.S)[b.space.degree_slice(q), b.space.degree_slice(p)]
-            r = space.offsets[q]
-            cc = space.offsets[p]
-            S[r:r + SA.shape[0], cc:cc + SA.shape[1]] = SA
-            S[r + SA.shape[0]:r + dims[q], cc + SA.shape[1]:cc + dims[p]] = SB
+        S = _assemble((space.total_dim, space.total_dim), [
+            part for p in range(n + 1)
+            for part in diagonal(a.S[sa.degree_slice(n - p), sa.degree_slice(p)],
+                                 b.S[sb.degree_slice(n - p), sb.degree_slice(p)],
+                                 space.offsets[n - p], space.offsets[p])])
     tier = "strict" if a.tier == b.tier == "strict" else "weak"
-    return HPComplex(space, tuple(ds), S, tier)
+    return HPComplex(space, ds, S, tier)
 
 
 def rescale_inner_products(c: HPComplex, lam: float) -> HPComplex:

@@ -192,12 +192,6 @@ class ProductWitnessReport:
         }
 
 
-def _sgn_or_zero(c: HPComplex, tol: Tolerances) -> int:
-    if c.n % 2 == 1:
-        return 0
-    return signature_even(c, tol)
-
-
 class ProductSignature(NamedTuple):
     """extras: sgn_a, sgn_b, sgn_product and the product's dims; passed:
     sgn_product = sgn_a * sgn_b."""
@@ -208,15 +202,20 @@ class ProductSignature(NamedTuple):
 
 def product_signature_check(a: HPComplex, b: HPComplex,
                             tol: Tolerances = DEFAULT_TOL) -> ProductSignature:
-    """Assert sgn(a (x) b) = sgn(a) * sgn(b), with sgn = 0 in odd dimensions."""
+    """Assert sgn(a (x) b) = sgn(a) * sgn(b), with sgn = 0 in odd dimensions.
+    Each factor is validated once, an even one by signature_even; the
+    product is built only when its top degree is even, as for mixed parity
+    both sides are 0 by degree.  dims sums as _tensor_space does."""
+    sgn = []
     for c in (a, b):
-        require_valid(c, tol)
-    t = graded_tensor(a, b)
-    sa = _sgn_or_zero(a, tol)
-    sb = _sgn_or_zero(b, tol)
-    st = _sgn_or_zero(t, tol)
-    return ProductSignature(st == sa * sb, {"sgn_a": sa, "sgn_b": sb, "sgn_product": st,
-                                            "dims": list(t.space.dims)})
+        if c.n % 2:
+            require_valid(c, tol)
+        sgn.append(0 if c.n % 2 else signature_even(c, tol))
+    sa, sb = sgn
+    st = signature_even(graded_tensor(a, b), tol) if (a.n + b.n) % 2 == 0 else 0
+    return ProductSignature(st == sa * sb, {
+        "sgn_a": sa, "sgn_b": sb, "sgn_product": st,
+        "dims": [int(k) for k in np.convolve(a.space.dims, b.space.dims)]})
 
 
 def _require_strict(c: HPComplex, tol: Tolerances, who: str) -> None:
@@ -261,10 +260,11 @@ def witness_even_odd(a: HPComplex, b: HPComplex,
     # times eps, which the certified bounds leave room for
     rounding = a.total_dim * b.total_dim * float(np.finfo(float).eps)
     certs = []
-    for bop in (a.D_on + a.S_on, a.D_on - a.S_on):
-        size = np.abs(spectral.gapped_eigenvalues(bop, tol.inv, "sign-preserving power",
-                                                  tol.sym))
-        lo, hi = min(1.0, float(size.min())), max(1.0, float(size.max()))
+    # the gap and top of |B+-|, read from the certificates of the spectrum
+    # _require_strict cached, each widened by its slack
+    slack = a.spectrum.slack
+    for gap in a.spectrum.certificates(tol.inv):
+        lo, hi = min(1.0, gap.min_singular), max(1.0, gap.max_singular + slack)
         # W*W = mu^2 + mu E1 + (SD)*(SD) with (SD)*(SD) >= 0, so
         # sigma_min(W)^2 >= mu^2 - |mu| ||E1||, with lo <= |mu| <= hi
         bound = lo * lo - hi * e1

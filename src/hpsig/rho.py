@@ -12,6 +12,7 @@ its location t* rather than assumed away.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -212,26 +213,29 @@ def _parts(pd: _PathData, t: float) -> tuple[np.ndarray, np.ndarray]:
     return sf - 0.5 * k, k
 
 
-def _rotation_sup(x: np.ndarray, y: np.ndarray) -> float:
-    """The largest ||cos(th) x + sin(th) y||_F over all th: the root of the
-    largest eigenvalue of the real Gram matrix of x and y."""
-    a, c, b = np.vdot(x, x).real, np.vdot(y, y).real, np.vdot(x, y).real
+def _rotation_sup(x: np.ndarray, y: np.ndarray,
+                  inner=lambda x, y: np.vdot(x, y).real) -> float:
+    """The largest ||cos(th) x + sin(th) y|| over all th, for the norm of the
+    real inner product inner, by default Frobenius': the root of the
+    largest eigenvalue of the Gram matrix of x and y."""
+    a, c, b = inner(x, x), inner(y, y), inner(x, y)
     return float(np.sqrt(0.5 * (a + c) + np.hypot(0.5 * (a - c), b)))
 
 
-def _skew_bounds(pd: _PathData) -> tuple[float, float]:
+def _skew_bounds(pd: _PathData, parts) -> tuple[float, float]:
     """Bounds over the whole path on ||K(t)||_F and on the Frobenius norm of
-    the parity-violating entries of D + H(t).  Both parts are affine in t on
-    [0, 1], so their norms are largest at an end; on [1, 2] they are
-    cos(th) X + sin(th) Y for X, Y their values at t = 1, 2; [2, 4] keeps
-    the norms of t = 2 and (4, 6] mirrors [0, 2).  Both bounds are raised
-    by a relative 1e-12, so that they stay above the norms as they are
-    rounded at any t."""
+    the parity-violating entries of D + H(t), from parts, the (H, K) at
+    t = 0, 1, 2; those entries are read in place, under the grading's mask.
+    Both parts are affine in t on [0, 1], so their norms are largest at an
+    end; on [1, 2] they are cos(th) X + sin(th) Y for X, Y their values at
+    t = 1, 2; [2, 4] keeps the norms of t = 2 and (4, 6] mirrors [0, 2).
+    Both bounds are raised by a relative 1e-12, so that they stay above the
+    norms as they are rounded at any t."""
     gs = pd.graded
-    (h0, k0), (h1, k1), (h2, k2) = (_parts(pd, t) for t in (0.0, 1.0, 2.0))
-    p0, p1, p2 = (gs.parity_violation(h) for h in (h0, h1, h2))
+    (h0, k0), (h1, k1), (h2, k2) = parts
     skew = max(float(np.linalg.norm(k0)), _rotation_sup(k1, k2))
-    off = gs.d_off_parity + max(float(np.linalg.norm(p0)), _rotation_sup(p1, p2))
+    off = gs.d_off_parity + max(math.sqrt(gs.off_parity_inner(h0, h0)),
+                                _rotation_sup(h1, h2, gs.off_parity_inner))
     up = 1.0 + 1e-12
     return skew * up, off * up
 
@@ -252,11 +256,17 @@ class _Sample(NamedTuple):
 
 
 def _sample(pd: _PathData, t: float) -> _Sample:
-    """D +- H at path time t through hpc_core.GradedSum.spectrum_of: one
+    """D +- H at path time t (_sample_of)."""
+    return _sample_of(pd, _parts(pd, t)[0])
+
+
+def _sample_of(pd: _PathData, h: np.ndarray) -> _Sample:
+    """D +- H for h, the Hermitian part H of the path at some time, through
+    hpc_core.GradedSum.spectrum_of, which overwrites h for even n: one
     eigvalsh of each diagonal block of the graded D + H for even n, two
     half-size SVDs for odd n.
     rho_path applies the path's slack, so none is passed here."""
-    sp = pd.graded.spectrum_of(_parts(pd, t)[0], 0.0)
+    sp = pd.graded.spectrum_of(h, 0.0)
     if pd.graded.even_n:
         gap = float(np.abs(sp.plus).min())
         return _Sample(gap, gap, *sp.positive_ranks())
@@ -337,10 +347,13 @@ def rho_path(he: HomotopyEquivalence, tol: Tolerances = DEFAULT_TOL) -> RhoPath:
     s_norm = max(he.source.S_norm, he.target.S_norm)
     threshold = (spectral.relative_floor(tol.inv, pd.ns + pd.nt)
                  * max(1.0, max(he.source.D_norm, he.target.D_norm) + s_norm))
-    skew, off = _skew_bounds(pd)
+    # the parts at t = 0, 1, 2 serve the bounds, then the samples, which
+    # overwrite them
+    parts = [_parts(pd, t) for t in JUNCTIONS[:3]]
+    skew, off = _skew_bounds(pd, parts)
     slack = 0.5 * (skew + pd.graded.d_skew) + off
 
-    head = [_sample(pd, t) for t in JUNCTIONS[:3]]
+    head = [_sample_of(pd, h) for h, _ in parts]
     s0, s1, s2 = head
     grid = (s0, s1, s2, s2, s2, s1.mirrored(), s0.mirrored())
 

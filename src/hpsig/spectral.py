@@ -113,22 +113,16 @@ def eig_hermitian(a, tol_sym: float = 1e-10) -> HermitianEigensystem:
     return HermitianEigensystem(vals, vecs)
 
 
-def gapped_eigenvalues(a, gap_tol: float, what: str, tol_sym: float) -> np.ndarray:
-    """The eigenvalues of a Hermitian matrix, ascending, once they pass
-    require_gap: one eigvalsh, behind the Hermitian check of eig_hermitian."""
-    m = _as_matrix(a)
-    if m.size == 0:
-        return np.zeros(0)
-    vals = np.linalg.eigvalsh(m)
-    _require_hermitian(m, vals, tol_sym)
-    require_gap(vals, gap_tol, what)
-    return vals
-
-
 def positive_rank(a, gap_tol: float = 1e-8, tol_sym: float = 1e-10) -> int:
     """Number of positive eigenvalues of a Hermitian matrix, certified by the
-    spectral gap."""
-    return int((gapped_eigenvalues(a, gap_tol, "positive rank", tol_sym) > 0).sum())
+    spectral gap: one eigvalsh, behind the Hermitian check of eig_hermitian."""
+    m = _as_matrix(a)
+    if m.size == 0:
+        return 0
+    vals = np.linalg.eigvalsh(m)
+    _require_hermitian(m, vals, tol_sym)
+    require_gap(vals, gap_tol, "positive rank")
+    return int((vals > 0).sum())
 
 
 @dataclass(frozen=True)

@@ -81,6 +81,34 @@ def test_direct_sum_point_point():
     assert signature_even(s) == 2
 
 
+@pytest.mark.parametrize("build", [fixtures.cp2_model, fixtures.torus_model])
+def test_direct_sum_places_each_block_of_a_weighted_factor(build):
+    # cp2_model has degrees of dimension 0, torus_model a complex S; a
+    # degree has an inner product when either summand's has one
+    a, b = rescale_inner_products(build(), 2.0), build()
+    s = direct_sum(a, b)
+    for p in range(s.n + 1):
+        assert np.array_equal(s.space.inner[p],
+                              _block_diag(a.space.g_block(p), b.space.g_block(p)))
+    for p in range(s.n):
+        assert np.array_equal(s.d[p], _block_diag(a.d[p], b.d[p]))
+    for p in range(s.n + 1):
+        rows, cols = s.space.degree_slice(s.n - p), s.space.degree_slice(p)
+        assert np.array_equal(s.S[rows, cols], _block_diag(
+            a.S[a.space.degree_slice(s.n - p), a.space.degree_slice(p)],
+            b.S[b.space.degree_slice(s.n - p), b.space.degree_slice(p)]))
+    assert validate(s).passed
+    assert signature_even(s) == 2 * signature_even(b)
+    assert direct_sum(b, b).space.inner == (None,) * (s.n + 1)
+
+
+def _block_diag(x, y):
+    out = np.zeros((x.shape[0] + y.shape[0], x.shape[1] + y.shape[1]), dtype=complex)
+    out[:x.shape[0], :x.shape[1]] = x
+    out[x.shape[0]:, x.shape[1]:] = y
+    return out
+
+
 def test_direct_sum_rejects_mismatched_top_degree():
     with pytest.raises(StructuralError):
         direct_sum(fixtures.sphere_model(), fixtures.cp2_model())

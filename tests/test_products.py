@@ -60,6 +60,18 @@ def test_full_multiplicativity_grid():
         assert rep.extras["sgn_product"] == sa * sb
 
 
+@pytest.mark.parametrize("a, b", [("cp2", "torus"), ("circle", "sphere"),
+                                  ("cp2", "circle"), ("circle", "circle")],
+                         ids=["even_x_even", "odd_x_even", "even_x_odd", "odd_x_odd"])
+def test_reported_dims_are_those_of_the_product(a, b):
+    # product_signature_check builds no product for mixed parity, so it
+    # reports the convolution of the factors' dims, which it must equal
+    a, b = MODELS[a][0](), MODELS[b][0]()
+    rep = product_signature_check(a, b)
+    assert rep.extras["dims"] == list(graded_tensor(a, b).space.dims)
+    assert all(type(k) is int for k in rep.extras["dims"])
+
+
 def test_k_normalization_values():
     # 1 for even products of dimensions, 2 for odd times odd
     assert k_factor(2, 1) == 1
@@ -361,13 +373,21 @@ def _even_odd_pairs():
     for n_even, blocks in ((2, 2), (2, 3), (4, 1)):
         pairs.append((fixtures.random_strict_complex(rng, n_even, blocks),
                       fixtures.random_strict_complex(rng, 1, 2)))
-    # |B+-| = 1 on cp2; |B+-| = sqrt 2 > 1 = sigma_min(W_1) over the kernel of D_b
+    # |B+-| = 1 on cp2; |B+-| = sqrt 2 > 1 = sigma_min(W_1) over the kernel of D_b;
+    # with D_b = 0, ||W_0|| = max |B+-|, which ranges over [1, sqrt 2] here
     pairs += [(fixtures.cp2_model(), fixtures.circle_model()),
-              (fixtures.hyperbolic_even(), fixtures.circle_model())]
+              (fixtures.hyperbolic_even(), fixtures.circle_model()),
+              (fixtures.random_strict_complex(np.random.default_rng(8), 2, 3),
+               fixtures.circle_model())]
+    # S_on Hermitian only up to rounding: the witness reads |B+-| with the
+    # nonzero slack of the cached spectrum
+    pairs.append((rescale_inner_products(fixtures.hyperbolic_even(), 0.3),
+                  fixtures.hyperbolic_odd()))
+    assert pairs[-1][0].spectrum.slack > 0
     return pairs
 
 
-@pytest.mark.parametrize("index", range(9))
+@pytest.mark.parametrize("index", range(11))
 def test_witness_even_odd_blocks_match_the_kronecker_witness(index):
     a, b = _even_odd_pairs()[index]
     rep = witness_even_odd(a, b)

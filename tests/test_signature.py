@@ -215,6 +215,23 @@ def test_localized_path_matches_rescaled_complexes(index):
                                          rel=0, abs=1e-12 * max(top))
 
 
+def test_schedule_samples_take_the_slack_of_the_validated_spectrum():
+    # S + 4e-11 K with K skew-Hermitian on the degree-reversal pattern, as
+    # in test_cli: the slack of D +- S bounds that of t^(-1/2) D +- S, so
+    # each sample's bound is its least |eigenvalue| less that slack
+    cap = cap_duality(fixtures.sphere_triangulation())
+    a = np.random.default_rng(0).standard_normal((cap.total_dim, cap.total_dim))
+    degree = np.repeat(np.arange(cap.n + 1), cap.space.dims)
+    k = 1j * np.where(degree[:, None] + degree == cap.n, a + a.T, 0.0)
+    c = HPComplex(cap.space, cap.d, np.asarray(cap.S) + 4e-11 * k / np.linalg.norm(k, 2))
+    sched = localized_signature_path(c)
+    slack, gs = c.spectrum.slack, c.graded
+    assert slack > 1e-11 and sched.passed
+    for t, bound in zip(sched.times, sched.min_singulars):
+        sp = gs.spectrum_of(gs.hermitian_part(c.S_on), 0.0, t ** -0.5)
+        assert bound == float(np.abs(sp.plus).min()) - slack
+
+
 def _even_schedule_complexes():
     fixture_dir = Path(__file__).resolve().parent.parent / "fixtures"
     caps = [cap_duality(load_simplicial(json.loads((fixture_dir / f"{name}.json").read_text())))

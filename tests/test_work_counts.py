@@ -147,7 +147,7 @@ def test_rho_builds_the_path_data_once(monkeypatch, capsys, fixture_dir, name):
 def test_rho_path_svd_count_does_not_grow_with_samples(monkeypatch):
     # norm(m, 2) reaches svd through a module global of numpy.linalg._linalg
     calls = count_calls(monkeypatch, "numpy.linalg", np.linalg.svd)
-    in_samples = _calls_during(monkeypatch, rho, "_sample", [calls])
+    in_samples = _calls_during(monkeypatch, rho, "_sample_of", [calls])
     rho.rho_path(rho.identity_equivalence(fixtures.cp2_model()))
     # an even sample is one eigvalsh: every svd is a norm, taken once
     assert calls and len(in_samples) >= 3
@@ -185,7 +185,7 @@ def test_rho_certificate_even_eigh_count_does_not_grow_with_samples(monkeypatch,
 def test_rho_path_makes_one_eigvalsh_per_even_sample(monkeypatch, fixture_dir):
     doc = json.loads((fixture_dir / "he_reduction_sphere_d3.json").read_text())
     eigvalsh = count_calls(monkeypatch, "numpy.linalg", np.linalg.eigvalsh)
-    in_samples = _calls_during(monkeypatch, rho, "_sample", [eigvalsh])
+    in_samples = _calls_during(monkeypatch, rho, "_sample_of", [eigvalsh])
     he = rho.he_from_json(doc)
     assert he.n % 2 == 0
     path = rho.rho_path(he)
@@ -435,11 +435,23 @@ def test_even_odd_witness_decomposes_each_factor_operator_once(monkeypatch, caps
     inside = _calls_during(monkeypatch, products, "witness_even_odd", [eigvalsh])
     a, b = (str(fixture_dir / f"{name}.json") for name in ("cp2_model", "circle_model"))
     assert run_cli(capsys, "product", a, b) == 0
-    # the eigenvalues of B+ and of B- once each, and no eigenvectors
+    # |B+-| are read from the spectrum validating the even factor cached:
+    # the witness decomposes nothing, and no eigenvectors are taken
     assert len(eigh) == 0
-    assert inside == [[[(3, 3), (3, 3)]]]
+    assert inside == [[[]]]
     # W is checked block by block: no matrix of the product's size 3 * 2
     assert (6, 6) not in [shape[-2:] for shape in svd]
+
+
+def test_mixed_parity_product_builds_no_product_complex(fixture_dir):
+    # cp2_9 x circle3 has dimension 255 x 6 = 1530: a float64 array of the
+    # product's size alone would take 18.7 MB, and building the product
+    # traced 28.9 MB; the factors' checks trace about 2 MB
+    a, b = (str(fixture_dir / f"{name}.json") for name in ("cp2_9", "circle3"))
+    code = []
+    peak = _traced_peak(lambda: code.append(cli.main(["product", a, b])))
+    assert code == [0]
+    assert peak < 8 * 1530 ** 2
 
 
 def test_odd_even_witness_decomposes_the_even_differential_once(monkeypatch, capsys,
@@ -498,6 +510,13 @@ def test_sgn_cp2_9_decomposes_one_full_size_matrix(monkeypatch, capsys, fixture_
     # levels; all in float64, and none of half size
     assert calls == [(255, 255), (84, 84)] + [(255, 255)] * 8
     assert {dtype.name for dtype in calls.dtypes} == {"float64"}
+
+
+def test_sgn_cp2_9_computes_the_slack_once(monkeypatch, capsys, fixture_dir):
+    # every schedule sample reads the slack of the cached spectrum
+    calls = _calls_during(monkeypatch, hpc_core.GradedSum, "slack", [])
+    assert run_cli(capsys, "sgn", str(fixture_dir / "cp2_9.json")) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n", [2, 4])
